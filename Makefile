@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install fastpath test test-c bench bench-obs bench-campaign bench-kernel bench-sched bench-shard bench-check bench-full examples lint-rtl outputs clean
+.PHONY: install fastpath test test-c bench bench-obs bench-campaign bench-kernel bench-sched bench-shard bench-e2e bench-check bench-full examples lint-rtl outputs clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -35,6 +35,13 @@ bench-sched:
 
 bench-shard:
 	$(PYTHON) benchmarks/bench_shard.py --output BENCH_shard.json
+
+# The repo benchmark (BENCHMARK.json): every workload in a fresh child,
+# untraced + traced, then compared against the committed baseline run.
+bench-e2e:
+	mkdir -p build
+	$(PYTHON) benchmarks/e2e/run.py --seed 1 --traced --out build/bench_e2e.json
+	$(PYTHON) benchmarks/e2e/run.py compare benchmarks/e2e/baseline.json build/bench_e2e.json
 
 bench-check:
 	PYTHONPATH=src $(PYTHON) -m repro bench check --suite all

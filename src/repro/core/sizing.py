@@ -159,7 +159,8 @@ def derive_config(
 
     ``gate_mechanism`` selects guideline 2's arithmetic: ``"cqf"`` gives the
     two-entry gate tables of the evaluation; ``"qbv"`` sizes for a general
-    802.1Qbv schedule with one entry per slot of the scheduling cycle.
+    802.1Qbv schedule with one entry per slot of the scheduling cycle, or
+    the synthesizer's ``3 * active_slots + 1`` bound when that is larger.
 
     ``sched`` is the flow-scheduling policy (backend, shaper, objective)
     behind guideline 4 -- the default reproduces the historic greedy ITP
@@ -215,6 +216,13 @@ def derive_config(
     # Guideline 4: queue depth from the plan's worst per-slot load.
     plan = plan_flows(list(flows), slot_ns, rate_bps, policy=sched)
     plan.raise_if_infeasible()
+    if gate_mechanism != "cqf":
+        # The Qbv synthesizer compiles up to three entries per active slot
+        # (guard band, TS window, background), which outgrows one entry
+        # per slot once most slots carry a flow.
+        from repro.qbv.synthesis import estimate_gate_size
+
+        gate_size = max(gate_size, estimate_gate_size(plan))
     required_depth = max(1, plan.required_queue_depth)
     depth = _round_up(
         max(required_depth, math.ceil(required_depth * queue_depth_margin)),

@@ -37,8 +37,9 @@ received", "gate state flips", "serialization done" -- and the kernel stays
 trivially inspectable.
 
 Observability: every kernel counts scheduling activity in :class:`SimStats`
-(events scheduled/fired/cancelled, dead entries reclaimed by compaction,
-and the calendar's high-water mark -- plain integer bumps, always on).
+(events scheduled/fired/cancelled/elided, dead entries reclaimed by
+compaction, and the calendar's high-water mark -- plain integer bumps,
+always on).
 Wall-clock attribution of event actions is opt-in: pass a
 :class:`repro.obs.profiler.WallClockProfiler` and each action's host-CPU
 time is recorded under its qualified name.  With the default
@@ -114,6 +115,7 @@ class SimStats:
     cancelled: int = 0            # handles cancelled before firing
     compacted: int = 0            # dead heap entries reclaimed by compaction
     calendar_high_water: int = 0  # max heap length (incl. cancelled entries)
+    elided: int = 0               # seqs reserved and never posted
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -122,6 +124,7 @@ class SimStats:
             "cancelled": self.cancelled,
             "compacted": self.compacted,
             "calendar_high_water": self.calendar_high_water,
+            "elided": self.elided,
         }
 
 
@@ -266,6 +269,39 @@ class Simulator:
         heap = self._heap
         heapq.heappush(heap, (time, priority, seq, action))
         stats = self.stats
+        stats.scheduled += 1
+        self._live += 1
+        if len(heap) > stats.calendar_high_water:
+            stats.calendar_high_water = len(heap)
+
+    def reserve_seq(self) -> int:
+        """Claim the insertion rank a ``post`` made now would get.
+
+        For events that are usually no-ops: instead of posting, the caller
+        keeps the returned sequence number and hands it to
+        :meth:`post_reserved` only if the event turns out to be needed.
+        The event then fires exactly where an eager post would have put it
+        among same-time events; a reservation never redeemed costs no
+        calendar entry and is counted in :attr:`SimStats.elided`.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        self.stats.elided += 1
+        return seq
+
+    def post_reserved(self, time: int, seq: int, action: Action) -> None:
+        """Fire-and-forget post at *time* (priority 0) under a *seq* from
+        :meth:`reserve_seq`; redeem each reservation at most once."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time}ns, now is {self._now}ns"
+            )
+        stats = self.stats
+        if not 0 <= seq < self._seq or stats.elided <= 0:
+            raise SimulationError(f"sequence number {seq} was never reserved")
+        stats.elided -= 1
+        heap = self._heap
+        heapq.heappush(heap, (time, 0, seq, action))
         stats.scheduled += 1
         self._live += 1
         if len(heap) > stats.calendar_high_water:

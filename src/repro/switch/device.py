@@ -360,8 +360,8 @@ class TsnSwitch:
         )
 
     def _process(self, frame) -> None:
-        decision = self.pipeline.process(frame, self._sim.now)
-        if decision.dropped:
+        decision = self.pipeline.process(frame, self._sim._now)
+        if decision.drop_reason is not None:
             if self._tracer.active:
                 self._tracer.emit(
                     self._sim.now,

@@ -147,7 +147,8 @@ class _WindowTable:
 
     __slots__ = (
         "entries", "count", "offsets", "masks", "cycle_ns", "anchor_ns",
-        "base_index", "pre_mask", "pre_start_ns", "_runs", "_ext",
+        "base_index", "pre_mask", "pre_start_ns", "_runs", "_fitting",
+        "_ext",
     )
 
     def __init__(
@@ -177,6 +178,9 @@ class _WindowTable:
         self.pre_mask = pre_mask
         self.pre_start_ns = pre_start_ns
         self._runs: dict = {}  # queue_id -> ((start_offset, length), ...)
+        # (queue_id, needed_ns) -> start offsets of the runs that fit; a
+        # port asks again per blocked arbitration, for a handful of sizes.
+        self._fitting: dict = {}
         #: Optional compiled query module (repro.sim._fastpath); attached
         #: by the gate engine when the kernel runs the "c" backend.
         self._ext = None
@@ -280,10 +284,12 @@ class _WindowTable:
         Only run *starts* are candidates: within a run the remaining window
         only shrinks, so a frame ineligible at the start stays ineligible.
         """
-        candidates = [
-            offset for offset, length in self.runs(queue_id)
-            if length >= needed_ns
-        ]
+        candidates = self._fitting.get((queue_id, needed_ns))
+        if candidates is None:
+            candidates = self._fitting[queue_id, needed_ns] = tuple(
+                offset for offset, length in self.runs(queue_id)
+                if length >= needed_ns
+            )
         if not candidates:
             return None
         if now < self.anchor_ns:
@@ -528,7 +534,7 @@ class GateEngine:
     @property
     def in_mask(self) -> int:
         if self._in_table is not None:
-            return self._in_table.mask_at(self._sim.now)
+            return self._in_table.mask_at(self._sim._now)
         return self._in.mask
 
     @property
@@ -571,7 +577,7 @@ class GateEngine:
         slot overruns (802.1Qbv transmission-window check).
         """
         if self._out_table is not None:
-            return self._out_table.open_run_remaining(queue_id, self._sim.now)
+            return self._out_table.open_run_remaining(queue_id, self._sim._now)
         if not self.out_open(queue_id):
             return 0
         entries = self._out_entries or self._out.gcl.entries
@@ -607,5 +613,5 @@ class GateEngine:
         if self._out_table is None:
             return None
         return self._out_table.next_open_window(
-            queue_id, needed_ns, self._sim.now
+            queue_id, needed_ns, self._sim._now
         )

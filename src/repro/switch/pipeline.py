@@ -20,7 +20,7 @@ The pipeline owns the switch-shared tables; per-port resources live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SwitchConfig
 from repro.obs.instruments import SwitchInstruments
@@ -76,6 +76,11 @@ class SwitchPipeline:
         )
         self.classification = ClassificationTable(config.class_size)
         self.meters = MeterTable(config.meter_size)
+        # (outports, queue_id) -> the immutable decision every frame
+        # taking that way out shares; bounded by ports x queues.
+        self._forwarding: Dict[
+            Tuple[Tuple[int, ...], int], ForwardingDecision
+        ] = {}
 
     # ------------------------------------------------------------- stages
 
@@ -159,6 +164,10 @@ class SwitchPipeline:
             if self._obs is not None:
                 self._obs.on_drop("unknown_dst")
             return ForwardingDecision((), "unknown_dst")
-        return ForwardingDecision(
-            tuple((port, target.queue_id) for port in outports)
-        )
+        way_out = (outports, target.queue_id)
+        decision = self._forwarding.get(way_out)
+        if decision is None:
+            decision = self._forwarding[way_out] = ForwardingDecision(
+                tuple((port, target.queue_id) for port in outports)
+            )
+        return decision

@@ -26,7 +26,6 @@ sees -- the residual jitter visible in the paper's Fig. 2 / Fig. 7(d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import ConfigurationError, SimulationError
@@ -60,31 +59,40 @@ RESUME_OVERHEAD_BYTES = 24
 #: express frame's preamble may start.
 CUT_TAIL_BYTES = 16
 
+#: Wire overhead of an unfragmented frame (preamble/SFD + IFG).
+_FRAME_OVERHEAD_BYTES = wire_bytes(0)
+
 #: Shared idle decision for ports without express queues.
 _NO_EXPRESS = SchedulerDecision(None)
 
 
-@dataclass
 class _ActiveTx:
     """Bookkeeping of the fragment currently on the wire."""
 
-    descriptor: Descriptor
-    queue_id: int
-    preemptable: bool
-    bytes_done: int            # frame bytes completed in earlier fragments
-    fragment_start_ns: int
-    fragment_data_bytes: int   # frame bytes this fragment carries
-    data_done_handle: EventHandle
-    idle_handle: EventHandle
-    cut_scheduled: bool = False
+    __slots__ = (
+        "descriptor", "queue_id", "preemptable", "bytes_done",
+        "fragment_start_ns", "fragment_data_bytes", "data_done_handle",
+        "idle_handle", "cut_scheduled",
+    )
+
+    def __init__(
+        self, descriptor: Descriptor, queue_id: int, preemptable: bool
+    ) -> None:
+        self.descriptor = descriptor
+        self.queue_id = queue_id
+        self.preemptable = preemptable
+        self.bytes_done = 0  # frame bytes completed in earlier fragments
+        # Set per fragment by ``_begin_fragment``; the handles only under
+        # preemption (the one thing that cancels them).
+        self.fragment_start_ns = 0
+        self.fragment_data_bytes = 0  # frame bytes this fragment carries
+        self.data_done_handle: Optional[EventHandle] = None
+        self.idle_handle: Optional[EventHandle] = None
+        self.cut_scheduled = False
 
     @property
     def total_bytes(self) -> int:
         return self.descriptor.size_bytes
-
-    @property
-    def remaining_after_fragment(self) -> int:
-        return self.total_bytes - self.bytes_done - self.fragment_data_bytes
 
 
 class EgressPort:
@@ -138,6 +146,13 @@ class EgressPort:
         self._gate_wake_at: Optional[int] = None
         self._active: Optional[_ActiveTx] = None
         self._suspended: Optional[_ActiveTx] = None
+        #: Descriptors resident in ``queues`` (only ``enqueue`` and
+        #: ``_start_transmission`` move them); zero means nothing to
+        #: arbitrate.
+        self._resident = 0
+        #: Calendar position reserved for the current transmission's
+        #: ``_tx_idle`` while that event is elided (see :meth:`kick`).
+        self._idle_seq: Optional[int] = None
         self._queue_by_id: Dict[int, MetadataQueue] = {
             q.queue_id: q for q in queues
         }
@@ -215,7 +230,7 @@ class EgressPort:
         descriptor = Descriptor(
             frame=frame,
             buffer_slot=slot,
-            enqueued_ns=self._sim.now,
+            enqueued_ns=self._sim._now,
             queue_id=target_id,
             size_bytes=size_bytes,
         )
@@ -229,6 +244,7 @@ class EgressPort:
                     self._sim.now, "drop", self.name, self._span_frame(frame)
                 )
             return False
+        self._resident += 1
         self.counters.note_enqueue(target_id)
         if self._obs is not None:
             self._obs.on_enqueue(target_id, len(queue))
@@ -259,7 +275,7 @@ class EgressPort:
         shaper = self.scheduler.shapers.get(queue_id)
         if shaper is not None:
             shaper.set_backlog(
-                self._sim.now, not self._queue_by_id[queue_id].empty
+                self._sim._now, not self._queue_by_id[queue_id].empty
             )
 
     # ---------------------------------------------------------------- egress
@@ -284,8 +300,20 @@ class EgressPort:
         the blocked frame's next usable window (the scheduler's
         ``gate_wake_delay_ns`` hint) -- same instant, same event priority
         as the flip that would have kicked the port.
+
+        Arbitration is demand-driven: a port with no resident descriptor
+        returns before consulting the scheduler, and (without preemption) a
+        transmission that leaves the port empty posts no ``_tx_idle`` --
+        that event would only re-arbitrate nothing.  It keeps its calendar
+        position reserved instead, and the first kick that finds backlog
+        while the wire is still occupied posts it there, so it fires in
+        exactly the order an eager post would have given it.
         """
-        if self._sim.now < self._busy_until:
+        sim = self._sim
+        if sim._now < self._busy_until:
+            if self._resident and self._idle_seq is not None:
+                seq, self._idle_seq = self._idle_seq, None
+                sim.post_reserved(self._busy_until, seq, self._tx_idle)
             if (
                 self.preemption_enabled
                 and self._active is not None
@@ -299,6 +327,8 @@ class EgressPort:
                     # An express frame could preempt once its gate opens
                     # mid-transmission; wake up to cut exactly then.
                     self._arm_gate_wake(express.gate_wake_delay_ns)
+            return
+        if not self._resident and self._suspended is None:
             return
         if self.preemption_enabled:
             express = self._express_select()
@@ -314,7 +344,7 @@ class EgressPort:
                         self._arm_gate_wake(express.gate_wake_delay_ns)
                 return  # preemptable MAC is committed to the suspended frame
         decision = self.scheduler.select(
-            self._sim.now, self.queues, self.gates, self._serialization_ns
+            sim._now, self.queues, self.gates, self._serialization_ns
         )
         if decision.queue_id is not None:
             self._start_transmission(self._queue_by_id[decision.queue_id])
@@ -386,29 +416,35 @@ class EgressPort:
         """Put one fragment (possibly the whole frame) on the wire."""
         if self._deliver is None:
             raise SimulationError(f"{self.name}: transmitting with no link")
-        now = self._sim.now
+        sim = self._sim
+        now = sim._now
         data_time = self._serialization_ns(data_bytes)
         wire_time = self._serialization_ns(data_bytes + overhead_bytes)
         tx.fragment_start_ns = now
         tx.fragment_data_bytes = data_bytes
         tx.cut_scheduled = False
+        self._busy_until = now + wire_time
         if self.preemption_enabled:
-            tx.data_done_handle = self._sim.schedule(
+            tx.data_done_handle = sim.schedule(
                 data_time, lambda: self._fragment_data_done(tx)
             )
-            tx.idle_handle = self._sim.schedule(wire_time, self._tx_idle)
+            tx.idle_handle = sim.schedule(wire_time, self._tx_idle)
+            self._active = tx
+            return
+        # Only a preemption cut ever cancels these, so without preemption
+        # they go fire-and-forget -- and the idle event only if there is
+        # backlog for it to arbitrate; otherwise see :meth:`kick`.
+        sim.post(data_time, lambda: self._fragment_data_done(tx))
+        if self._resident:
+            sim.post(wire_time, self._tx_idle)
+            self._idle_seq = None
         else:
-            # Only a preemption cut ever cancels these; without preemption
-            # the fire-and-forget path skips two handle allocations per
-            # transmission (event order and SimStats are identical).
-            self._sim.post(data_time, lambda: self._fragment_data_done(tx))
-            self._sim.post(wire_time, self._tx_idle)
-        self._busy_until = now + wire_time
-        self._active = tx
+            self._idle_seq = sim.reserve_seq()
 
     def _start_transmission(self, queue: MetadataQueue) -> None:
         descriptor = queue.dequeue()
-        now = self._sim.now
+        self._resident -= 1
+        now = self._sim._now
         if self._obs is not None:
             self._obs.on_dequeue(
                 queue.queue_id, len(queue), now - descriptor.enqueued_ns
@@ -436,20 +472,10 @@ class EgressPort:
                 flow=self._flow_of(descriptor.frame),
                 bytes=descriptor.size_bytes,
             )
-        tx = _ActiveTx(
-            descriptor=descriptor,
-            queue_id=queue.queue_id,
-            preemptable=preemptable,
-            bytes_done=0,
-            fragment_start_ns=now,
-            fragment_data_bytes=descriptor.size_bytes,
-            data_done_handle=None,  # type: ignore[arg-type]
-            idle_handle=None,  # type: ignore[arg-type]
-        )
         self._begin_fragment(
-            tx,
+            _ActiveTx(descriptor, queue.queue_id, preemptable),
             data_bytes=descriptor.size_bytes,
-            overhead_bytes=wire_bytes(0),
+            overhead_bytes=_FRAME_OVERHEAD_BYTES,
         )
 
     def _can_resume(self, tx: _ActiveTx) -> bool:
@@ -572,7 +598,7 @@ class EgressPort:
         return self._sim.now < self._busy_until
 
     def backlog_frames(self) -> int:
-        return sum(len(q) for q in self.queues)
+        return self._resident
 
     def backlog_bytes(self) -> int:
         return sum(d.size_bytes for q in self.queues for d in q)

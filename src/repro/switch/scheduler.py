@@ -23,8 +23,8 @@ every transition already notifies the port, so no gate hints are computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from .gates import GateEngine
 from .queueing import MetadataQueue
@@ -33,9 +33,8 @@ from .shaper import CreditBasedShaper
 __all__ = ["SchedulerDecision", "StrictPriorityScheduler"]
 
 
-@dataclass(frozen=True)
-class SchedulerDecision:
-    """Outcome of one arbitration."""
+class SchedulerDecision(NamedTuple):
+    """Outcome of one arbitration (immutable, so instances are shared)."""
 
     queue_id: Optional[int]
     retry_delay_ns: Optional[int] = None
@@ -44,6 +43,16 @@ class SchedulerDecision:
     @property
     def idle(self) -> bool:
         return self.queue_id is None
+
+
+#: "Nothing pending, nothing to wait for."
+_IDLE = SchedulerDecision(None)
+
+
+@lru_cache(maxsize=None)
+def _wins(queue_id: int) -> SchedulerDecision:
+    """The one shared "queue *queue_id* transmits" decision."""
+    return SchedulerDecision(queue_id)
 
 
 class EgressScheduler:
@@ -122,6 +131,12 @@ class EgressScheduler:
             return False
         return True
 
+    def _blocked(self) -> SchedulerDecision:
+        """Nothing eligible: carry the wake hints the checks collected."""
+        if self._retry is None and self._gate_wake is None:
+            return _IDLE
+        return SchedulerDecision(None, self._retry, self._gate_wake)
+
     def select(
         self,
         now_ns: int,
@@ -150,17 +165,12 @@ class StrictPriorityScheduler(EgressScheduler):
         self._retry = None
         self._gate_wake = None
         for queue in self._ordered(queues):
-            head = queue.head()
-            if head is None:
-                continue
-            if self._eligible(now_ns, queue, gates, serialization_ns_of,
-                              head):
-                return SchedulerDecision(queue.queue_id)
-        return SchedulerDecision(
-            None,
-            retry_delay_ns=self._retry,
-            gate_wake_delay_ns=self._gate_wake,
-        )
+            fifo = queue._fifo  # direct peek: most queues are empty
+            if fifo and self._eligible(
+                now_ns, queue, gates, serialization_ns_of, fifo[0]
+            ):
+                return _wins(queue.queue_id)
+        return self._blocked()
 
 
 class DeficitRoundRobinScheduler(EgressScheduler):
@@ -206,7 +216,7 @@ class DeficitRoundRobinScheduler(EgressScheduler):
             if queue.queue_id < self.priority_floor:
                 continue
             if self._eligible(now_ns, queue, gates, serialization_ns_of):
-                return SchedulerDecision(queue.queue_id)
+                return _wins(queue.queue_id)
         # Stage 2: DRR over the rest, starting after the last served queue.
         # Work-conserving formulation: find how many replenishment rounds
         # each eligible queue needs to afford its head frame, serve the one
@@ -229,11 +239,7 @@ class DeficitRoundRobinScheduler(EgressScheduler):
             rounds = 0 if need <= 0 else -(-need // per_round)
             candidates.append((rounds, step, queue, head))
         if not candidates:
-            return SchedulerDecision(
-                None,
-                retry_delay_ns=self._retry,
-                gate_wake_delay_ns=self._gate_wake,
-            )
+            return self._blocked()
         rounds_won, step_won, winner, head = min(
             candidates, key=lambda c: (c[0], c[1])
         )
@@ -249,4 +255,4 @@ class DeficitRoundRobinScheduler(EgressScheduler):
             self._deficits.get(winner.queue_id, 0) - head.size_bytes
         )
         self._rotation = (self._rotation + step_won + 1) % count
-        return SchedulerDecision(winner.queue_id)
+        return _wins(winner.queue_id)

@@ -7,11 +7,13 @@ live status-file heartbeats, and at least one straggler flag -- with
 ledger and flight content byte-identical across worker counts.
 """
 
+import functools
 import json
 
 import pytest
 
 from repro.campaign import Campaign, SweepSpec
+from repro.network.scenario import ScenarioSpec
 from repro.obs.campaign import (
     ledger_run_records,
     read_ledger,
@@ -37,14 +39,24 @@ def _sweep_doc():
     }
 
 
-def _run_observed(tmp_path, workers, event_budget=60, retries=1):
+@functools.lru_cache(maxsize=None)
+def _timeout_budget() -> int:
+    """An event budget every sweep point overruns: half of what the
+    smallest point (the base, ``ts_count=4``) fires in a bare run.
+    Measured, not a literal, so a kernel change that moves the events
+    fired per frame cannot let a point slip under it."""
+    bare = ScenarioSpec.from_dict(_sweep_doc()["base"]).run()
+    return bare.sim_stats["fired"] // 2
+
+
+def _run_observed(tmp_path, workers, retries=1):
     out = tmp_path / f"w{workers}"
     spec = SweepSpec.from_dict(_sweep_doc())
     campaign = Campaign(
         spec,
         workers=workers,
         retries=retries,
-        event_budget=event_budget,
+        event_budget=_timeout_budget(),
         status_file=out / "status.jsonl",
         ledger=out / "ledger.jsonl",
         flight_dir=out / "flight",

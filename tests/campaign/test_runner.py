@@ -101,10 +101,18 @@ class TestStreaming:
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
 
+#: Simulated window of the wall-clock timeout tests: about 1.5 s of host
+#: time if it ran to completion, 30x the 0.05 s budget -- 2 s of simulated
+#: time had come to finish in ~0.05 s, making the timeout a coin toss.
+_OUTLASTS_TIMEOUT_MS = 60_000
+
+
 class TestFailurePaths:
     def test_timeout_row(self):
         spec = SweepSpec.from_dict(_sweep_doc(
-            grid={}, base={**_sweep_doc()["base"], "duration_ms": 2000},
+            grid={},
+            base={**_sweep_doc()["base"],
+                  "duration_ms": _OUTLASTS_TIMEOUT_MS},
         ))
         campaign = Campaign(spec, workers=1, timeout_s=0.05)
         summary = campaign.run()
@@ -116,7 +124,9 @@ class TestFailurePaths:
 
     def test_timeout_retries_are_bounded(self):
         spec = SweepSpec.from_dict(_sweep_doc(
-            grid={}, base={**_sweep_doc()["base"], "duration_ms": 2000},
+            grid={},
+            base={**_sweep_doc()["base"],
+                  "duration_ms": _OUTLASTS_TIMEOUT_MS},
         ))
         campaign = Campaign(spec, workers=1, timeout_s=0.05, retries=2)
         summary = campaign.run()

@@ -44,7 +44,7 @@ class TestSize:
         assert json.loads(target.read_text())["unicast_size"] == 64
 
     def test_qbv_mechanism(self, capsys):
-        assert main(["size", "--flows", "64",
+        assert main(["size", "--flows", "32",
                      "--gate-mechanism", "qbv"]) == 0
         config = json.loads(capsys.readouterr().out)
         assert config["gate_size"] == 160  # slots per 10ms cycle

@@ -65,10 +65,18 @@ class TestGuidelineMechanics:
 
     def test_qbv_gate_size_is_slots_per_cycle(self):
         result = derive_config(
+            ring_topology(2), _paper_flows(32), SLOT, gate_mechanism="qbv"
+        )
+        # cycle = 10ms, slot = 62.5us -> 160 entries (> 3 * 32 + 1)
+        assert result.config.gate_size == 160
+
+    def test_qbv_gate_size_covers_synthesized_windows(self):
+        # 64 flows land in 64 slots; each compiles to up to three entries
+        # (guard, window, background), which outgrows one entry per slot.
+        result = derive_config(
             ring_topology(2), _paper_flows(64), SLOT, gate_mechanism="qbv"
         )
-        # cycle = 10ms, slot = 62.5us -> 160 entries
-        assert result.config.gate_size == 160
+        assert result.config.gate_size == 3 * 64 + 1
 
     def test_unknown_gate_mechanism_rejected(self):
         with pytest.raises(SchedulingError):

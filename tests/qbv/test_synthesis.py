@@ -115,6 +115,26 @@ class TestTestbedIntegration:
         with pytest.raises(ConfigurationError, match="gate entries"):
             self._run("qbv", gate_size=2)
 
+    def test_derived_config_builds_128_flow_qbv(self):
+        # 128 flows need 384 entries, more than the cycle's 160 slots;
+        # derive_config used to size for the slots and fail at build.
+        from repro.network.scenario import ScenarioSpec
+
+        spec = ScenarioSpec.from_dict({
+            "name": "qbv-128",
+            "topology": {"kind": "linear", "switch_count": 2,
+                         "talkers": ["talker0"], "listener": "listener"},
+            "flows": {"ts_count": 128, "size_bytes": 64},
+            "config": "derive",
+            "slot_us": 62.5,
+            "duration_ms": 2,
+            "gate_mechanism": "qbv",
+        })
+        testbed = spec.build_testbed()
+        testbed.build()
+        assert testbed.base_config.gate_size == 3 * 128 + 1
+        assert testbed.run(duration_ns=spec.duration_ns).ts_loss == 0.0
+
     def test_unknown_mechanism_rejected(self):
         topology = ring_topology(switch_count=2, talkers=["talker0"])
         flows = production_cell_flows(["talker0"], "listener", flow_count=4)

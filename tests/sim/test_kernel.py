@@ -205,7 +205,7 @@ class TestSimStats:
         sim.run()
         assert sim.stats.as_dict() == {
             "scheduled": 1, "fired": 1, "cancelled": 0, "compacted": 0,
-            "calendar_high_water": 1,
+            "calendar_high_water": 1, "elided": 0,
         }
 
     def test_cancel_after_fire_not_counted(self):
@@ -269,6 +269,49 @@ class TestPost:
         assert sim.pending == 2
         sim.run()
         assert sim.pending == 0
+
+
+class TestReservedSeq:
+    def test_reserved_post_keeps_its_place_among_same_time_events(self):
+        sim = Simulator()
+        order = []
+        sim.post(10, lambda: order.append("before"))
+        seq = sim.reserve_seq()
+        sim.post(10, lambda: order.append("after"))
+        # Redeemed last, fires where an eager post would have.
+        sim.post_reserved(10, seq, lambda: order.append("reserved"))
+        sim.run()
+        assert order == ["before", "reserved", "after"]
+
+    def test_elided_counts_unredeemed_reservations(self):
+        sim = Simulator()
+        kept, dropped = sim.reserve_seq(), sim.reserve_seq()
+        assert kept != dropped
+        assert sim.stats.elided == 2 and sim.stats.scheduled == 0
+        sim.post_reserved(5, kept, lambda: None)
+        assert sim.stats.elided == 1 and sim.stats.scheduled == 1
+        assert sim.pending == 1
+        sim.run()
+        assert sim.stats.fired == 1
+        assert sim.stats.as_dict()["elided"] == 1
+
+    def test_past_time_rejected(self):
+        sim = Simulator()
+        sim.post(100, lambda: None)
+        sim.run()
+        seq = sim.reserve_seq()
+        with pytest.raises(SimulationError, match="now is 100ns"):
+            sim.post_reserved(99, seq, lambda: None)
+
+    def test_never_reserved_seq_rejected(self):
+        sim = Simulator()
+        sim.post(1, lambda: None)  # takes seq 0, but nothing is reserved
+        with pytest.raises(SimulationError, match="never reserved"):
+            sim.post_reserved(5, 0, lambda: None)
+        sim.reserve_seq()
+        with pytest.raises(SimulationError, match="never reserved"):
+            sim.post_reserved(5, 7, lambda: None)  # not handed out yet
+        assert sim.stats.scheduled == 1 and sim.stats.elided == 1
 
 
 class TestCompaction:

@@ -153,3 +153,76 @@ class TestWiring:
         port.enqueue(_frame(size=200), 3)
         assert port.backlog_frames() == 2
         assert port.backlog_bytes() == 300
+
+
+class TestDemandDrivenEgress:
+    """The elided ``_tx_idle``: armed on demand, at its reserved place."""
+
+    WIRE_NS = 672  # 64 B + 20 B preamble/IFG at 1 Gbps
+
+    def test_lone_frame_posts_no_idle_event(self):
+        sim = Simulator()
+        port = _port(sim)
+        port.attach(lambda f: None)
+        port.enqueue(_frame(), 7)
+        assert sim.pending == 1  # data-done only
+        assert sim.stats.elided == 1
+        sim.run(until=100_000)
+        assert port.counters.transmitted == 1
+        assert port.backlog_frames() == 0
+
+    def test_enqueue_during_ifg_arms_exactly_one_idle(self):
+        sim = Simulator()
+        port = _port(sim)
+        delivered = []
+        port.attach(lambda f: delivered.append(sim.now))
+        port.enqueue(_frame(), 7)
+        sim.run(until=600)  # data left at 512, wire busy until 672
+        assert sim.pending == 0 and port.busy
+        port.enqueue(_frame(), 7)
+        port.enqueue(_frame(), 7)
+        assert sim.pending == 1 and sim.peek() == self.WIRE_NS
+        assert sim.stats.elided == 0  # the reservation was redeemed
+        sim.run(until=100_000)
+        assert delivered == [512, 672 + 512, 2 * 672 + 512]
+        assert port.backlog_frames() == 0
+
+    def test_backlog_at_start_posts_idle_eagerly(self):
+        sim = Simulator()
+        port = _port(sim, out_entries=[GateEntry(0x00, 1000),
+                                       GateEntry(0xFF, 1_000_000)])
+        port.attach(lambda f: None)
+        port.enqueue(_frame(), 7)
+        port.enqueue(_frame(), 7)
+        sim.run(until=1000)  # gate opens: first starts, second is backlog
+        assert port.backlog_frames() == 1
+        assert sim.stats.elided == 0
+        sim.run(until=100_000)
+        # Only the last transmission left the port empty.
+        assert port.counters.transmitted == 2 and sim.stats.elided == 1
+
+    def test_reserved_idle_fires_before_later_same_instant_enqueue(self):
+        # The idle's seq is reserved when the transmission starts, so an
+        # enqueue event posted afterwards for the very instant the wire
+        # frees must run second, as it did when the idle was posted
+        # eagerly: the queue-0 frame goes out before queue 7 can bid.
+        sim = Simulator()
+        port = _port(sim)
+        seen = []
+        port.attach(lambda f: seen.append(f.pcp))
+        port.enqueue(_frame(pcp=3), 3)
+        sim.post_at(self.WIRE_NS, lambda: port.enqueue(_frame(pcp=7), 7))
+        sim.post_at(100, lambda: port.enqueue(_frame(pcp=0), 0))
+        sim.run(until=100_000)
+        assert seen == [3, 0, 7]
+
+    def test_kick_on_empty_port_skips_the_scheduler(self):
+        sim = Simulator()
+        port = _port(sim)
+
+        class Exploding(StrictPriorityScheduler):
+            def select(self, *args):
+                raise AssertionError("arbitrated an empty port")
+
+        port.scheduler = Exploding()
+        port.kick()
