@@ -2,21 +2,13 @@
 
 PYTHON ?= python3
 
-.PHONY: install fastpath test test-c bench bench-obs bench-campaign bench-kernel bench-sched bench-shard bench-e2e bench-check bench-full examples lint-rtl outputs clean
+.PHONY: install test bench bench-obs bench-campaign bench-kernel bench-sched bench-shard bench-e2e bench-check bench-full examples lint-rtl outputs clean
 
 install:
-	$(PYTHON) setup.py develop
-
-fastpath:
-	PYTHONPATH=src $(PYTHON) -c "from repro.sim import fastpath; \
-	path = fastpath.build(verbose=True); \
-	print(f'compiled backend at {path}' if path else 'no C toolchain: pure Python kernel only')"
+	$(PYTHON) -m pip install -e .
 
 test:
 	$(PYTHON) -m pytest tests/
-
-test-c: fastpath
-	REPRO_BACKEND=c $(PYTHON) -m pytest tests/
 
 bench: bench-obs
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
@@ -61,5 +53,4 @@ outputs:
 
 clean:
 	rm -rf build .pytest_cache .benchmarks
-	rm -f src/repro/sim/_fastpath*.so
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -96,36 +96,10 @@ def _write_wheel(wheel_path: Path, files: dict) -> None:
 def _package_files() -> dict:
     files = {}
     package_root = ROOT / "src" / NAME
-    # .c sources ride along so an installed package can compile the
-    # optional kernel backend on demand (repro.sim.fastpath).
-    for pattern in ("*.py", "*.c"):
-        for path in sorted(package_root.rglob(pattern)):
-            archive_name = str(path.relative_to(ROOT / "src"))
-            files[archive_name.replace(os.sep, "/")] = path.read_bytes()
+    for path in sorted(package_root.rglob("*.py")):
+        archive_name = str(path.relative_to(ROOT / "src"))
+        files[archive_name.replace(os.sep, "/")] = path.read_bytes()
     return files
-
-
-def _compiled_extension():
-    """Best-effort compile of the optional kernel backend.
-
-    Delegates to ``repro.sim.fastpath`` (loaded by path, no import side
-    effects on sys.path) so build time and runtime share one compile
-    recipe.  Returns the built ``.so`` path, or None when there is no C
-    toolchain or the compile fails -- the extension is strictly optional
-    and the runtime loader retries on first use anyway.
-    """
-    import importlib.util
-
-    source = ROOT / "src" / NAME / "sim" / "fastpath.py"
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "_repro_fastpath_buildtime", source
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.build()
-    except Exception:
-        return None
 
 
 def _meta_files() -> dict:
@@ -140,18 +114,6 @@ def build_wheel(wheel_directory, config_settings=None,
                 metadata_directory=None):
     wheel_name = f"{NAME}-{VERSION}-{TAG}.whl"
     files = _package_files()
-    # Pip always builds this project's wheel locally (no published binary
-    # wheels), so a freshly compiled extension matches the installing
-    # interpreter; without a toolchain the wheel ships source-only and the
-    # runtime loader degrades to the pure Python kernel.
-    compiled = _compiled_extension()
-    if compiled is not None:
-        try:
-            rel = compiled.relative_to(ROOT / "src")
-        except ValueError:
-            rel = None  # built into the tmp fallback dir: leave it there
-        if rel is not None:
-            files[str(rel).replace(os.sep, "/")] = compiled.read_bytes()
     files.update(_meta_files())
     _write_wheel(Path(wheel_directory) / wheel_name, files)
     return wheel_name
@@ -165,10 +127,6 @@ def build_editable(wheel_directory, config_settings=None,
         f"__editable__.{NAME}.pth": (src_dir + "\n").encode(),
     }
     files.update(_meta_files())
-    # The .pth points into the tree, so compiling in place readies the
-    # optional backend for editable installs too (silently skipped
-    # without a toolchain).
-    _compiled_extension()
     _write_wheel(Path(wheel_directory) / wheel_name, files)
     return wheel_name
 
@@ -176,7 +134,7 @@ def build_editable(wheel_directory, config_settings=None,
 def build_sdist(sdist_directory, config_settings=None):
     sdist_name = f"{NAME}-{VERSION}.tar.gz"
     base = f"{NAME}-{VERSION}"
-    include = ["pyproject.toml", "setup.py", "README.md", "DESIGN.md",
+    include = ["pyproject.toml", "README.md", "DESIGN.md",
                "EXPERIMENTS.md", "Makefile", "_build_backend.py"]
     with tarfile.open(Path(sdist_directory) / sdist_name, "w:gz") as archive:
         for name in include:
@@ -190,10 +148,7 @@ def build_sdist(sdist_directory, config_settings=None):
                     path,
                     arcname=f"{base}/{directory}",
                     filter=lambda info: (
-                        None
-                        if "__pycache__" in info.name
-                        or info.name.endswith(".so")
-                        else info
+                        None if "__pycache__" in info.name else info
                     ),
                 )
     return sdist_name

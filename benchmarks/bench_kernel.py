@@ -37,9 +37,6 @@ Usage::
 ``--check`` compares the measured throughputs against the committed
 baseline and exits 1 on a >25% regression (tunable with ``--tolerance``);
 CI runs the same gate as ``repro bench check --suite kernel --smoke``.
-The payload records which kernel backend (``py``/``c``, see
-``REPRO_BACKEND``) measured it, and ``--check`` refuses cross-backend
-comparisons instead of reporting the backend gap as a regression.
 """
 
 from __future__ import annotations
@@ -55,8 +52,6 @@ from repro.bench.kernel import (                           # noqa: E402
     BEFORE,
     bench_cancel_heavy,
     bench_chained,
-    bench_star_compiled,
-    current_backend,
     measure,
 )
 from repro.core import bram                                # noqa: E402
@@ -83,9 +78,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     repeats = args.repeats if args.repeats is not None else 3
-    backend = current_backend()
     print(f"# kernel benchmarks ({'smoke' if args.smoke else 'full'}, "
-          f"{repeats} repeat(s), backend={backend})", file=sys.stderr)
+          f"{repeats} repeat(s))", file=sys.stderr)
     workloads = measure(args.smoke, repeats)
 
     print(f" chained (schedule): {workloads['chained']['events_per_s']:>12,.0f} events/s")
@@ -98,7 +92,6 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "bench_kernel",
-        "backend": backend,
         "params": {"smoke": args.smoke, "repeats": repeats},
         "before": BEFORE,
         "after": workloads,
@@ -124,21 +117,6 @@ def main(argv=None) -> int:
                 workloads["star_scenario"]["frames_per_s"]
                 / BEFORE["star_scenario"]["frames_per_s"],
         }
-        # Record the compiled-kernel reference next to a pure-Python
-        # baseline (own section; the gate never compares across backends).
-        if backend == "py":
-            star_c = bench_star_compiled(128, 40, repeats)
-            if star_c is not None:
-                payload["compiled_reference"] = {
-                    "backend": "c",
-                    "star_scenario": star_c,
-                }
-                payload["speedup"]["star_frames_per_s_compiled"] = (
-                    star_c["frames_per_s"]
-                    / BEFORE["star_scenario"]["frames_per_s"]
-                )
-                print(f" star scenario (c):  {star_c['wall_s'] * 1000:>12,.1f}"
-                      f" ms wall ({star_c['frames_per_s']:,.0f} frames/s)")
         for name, ratio in payload["speedup"].items():
             print(f" speedup {name}: {ratio:.2f}x")
     if args.output:

@@ -8,10 +8,7 @@ and compares with noise-aware thresholds:
   ``tolerance`` (default 25%) of the baseline.  Smoke runs compare
   against the baseline's ``smoke_reference`` section (same workload
   sizes); per-event cost is scale-dependent, so comparing a smoke run
-  against full-scale numbers would always "regress".  Baselines record
-  which kernel backend (``py``/``c``) measured them; a check running on
-  a different backend refuses the comparison (exit 2) rather than
-  reporting the backend gap as a regression or an improvement.
+  against full-scale numbers would always "regress".
 * **obs** -- the metrics-mode overhead ratio must not grow more than
   ``tolerance`` (default 5 points) beyond the recorded
   ``metrics_overhead``; the occupancy-probe (headroom) overhead relative
@@ -121,20 +118,6 @@ def check_kernel(
     tolerance = KERNEL_TOLERANCE if tolerance is None else tolerance
     baseline = _load_baseline(baseline_path, "kernel")
     if baseline is None:
-        return 2
-    # Throughput baselines are backend-specific: comparing a compiled-kernel
-    # run against a pure-Python baseline (or vice versa) measures the
-    # backend gap, not a regression.  Refuse rather than mislead.
-    backend = bench_kernel.current_backend()
-    recorded_backend = baseline.get("backend", "py")
-    print(f"# bench check [kernel]: backend={backend} "
-          f"(baseline recorded {recorded_backend})", file=sys.stderr)
-    if backend != recorded_backend:
-        print(f"# bench check [kernel]: refusing {backend}-vs-"
-              f"{recorded_backend} comparison -- rerun with "
-              f"REPRO_BACKEND={recorded_backend}, or regenerate the "
-              f"baseline on this backend "
-              f"(benchmarks/bench_kernel.py --output)", file=sys.stderr)
         return 2
     section = "smoke_reference" if smoke else "after"
     reference = baseline.get(section, {})

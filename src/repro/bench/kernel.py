@@ -7,9 +7,8 @@ measurement CLI and delegates to these functions.
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.sim.kernel import Simulator
 
@@ -19,8 +18,6 @@ __all__ = [
     "bench_chained",
     "bench_cancel_heavy",
     "bench_star_scenario",
-    "bench_star_compiled",
-    "current_backend",
     "samplers",
     "measure",
     "measure_gated",
@@ -49,15 +46,6 @@ GATED: Tuple[Tuple[str, str], ...] = (
     ("cancel_heavy", "scheduled_per_s"),
     ("star_scenario", "frames_per_s"),
 )
-
-
-def current_backend() -> str:
-    """The kernel backend a fresh ``Simulator()`` resolves to right now.
-
-    Honours ``REPRO_BACKEND`` and compiled-extension availability, i.e.
-    exactly what every workload below will actually run on.
-    """
-    return Simulator().backend
 
 
 def bench_chained(n: int, use_post: bool) -> Dict[str, Any]:
@@ -140,35 +128,6 @@ def bench_star_scenario(ts_count: int, duration_ms: float) -> Dict[str, Any]:
         "frames_per_s": frames / elapsed,
         "sim_stats": result.sim_stats,
     }
-
-
-def bench_star_compiled(
-    ts_count: int, duration_ms: float, repeats: int = 3
-) -> Optional[Dict[str, Any]]:
-    """Star workload forced onto the compiled backend; None if unavailable.
-
-    Used by the measurement CLI to record the compiled-kernel reference
-    numbers alongside a pure-Python baseline (separate section, never
-    compared against ``py`` numbers by the regression gate).
-    """
-    from repro.sim import fastpath
-
-    if fastpath.load() is None:
-        return None
-    old = os.environ.get("REPRO_BACKEND")
-    os.environ["REPRO_BACKEND"] = "c"
-    try:
-        bench_star_scenario(ts_count, duration_ms)  # warm-up
-        samples = [
-            bench_star_scenario(ts_count, duration_ms)
-            for _ in range(repeats)
-        ]
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = old
-    return max(samples, key=lambda s: s["frames_per_s"])
 
 
 def samplers(smoke: bool) -> Dict[str, Tuple[Callable[[], dict], str]]:

@@ -30,13 +30,11 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 from typing import Any, Callable, Dict, IO, List, Optional, Union
 
-from repro.core.errors import SimulationError
-
 from .pareto import aggregate_rows
 from .spec import PlannedRun, SweepSpec
 from .worker import execute_run
 
-__all__ = ["Campaign", "pool_context", "worker_init"]
+__all__ = ["Campaign", "pool_context"]
 
 Progress = Callable[[Dict[str, Any], int, int], None]
 
@@ -53,20 +51,6 @@ def pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
-
-
-def worker_init() -> None:
-    """Pool-worker initializer: drop state a fork must not inherit.
-
-    A forked child starts with the parent's ``repro.sim.fastpath``
-    module-level cache (``_cached``/``_module``) and whatever backend the
-    parent happened to resolve; every worker re-resolves from its own
-    environment instead, and the backend it actually ran is recorded on
-    each row and asserted by the runner.
-    """
-    from repro.sim import fastpath
-
-    fastpath.reset()
 
 
 class Campaign:
@@ -219,22 +203,9 @@ class Campaign:
         rows: List[Dict[str, Any]] = []
         self.telemetry = []
         status_counts: Dict[str, int] = {}
-        # The backend this process resolves from its own environment; a
-        # worker reporting anything else ran on inherited (stale) state.
-        from repro.sim.kernel import Simulator
-
-        expected_backend = Simulator().backend
 
         def finish(row: Dict[str, Any]) -> None:
             telemetry = row.pop("_telemetry", None)
-            backend = (telemetry or {}).get("backend")
-            if backend is not None and backend != expected_backend:
-                raise SimulationError(
-                    f"run {row.get('run_id')} executed on kernel backend "
-                    f"{backend!r} but this campaign resolves to "
-                    f"{expected_backend!r}; a worker is running on "
-                    f"inherited backend state"
-                )
             if telemetry is not None:
                 self.telemetry.append(telemetry)
             status_counts[row["status"]] = (
@@ -326,7 +297,6 @@ class Campaign:
         with ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=pool_context(),
-            initializer=worker_init,
         ) as pool:
             pending = {}
             for payload in payloads:

@@ -164,10 +164,8 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
         row["flight_dump"] = name
     digest = telemetry.finish(row["status"], row.get("error"))
     if sim is not None:
-        # The backend this worker *actually* ran on travels back on the
-        # telemetry side channel (rows must stay backend-agnostic: the
-        # py/c equivalence lock compares them across backends); the
-        # runner asserts it matches its own resolution.
+        # Which kernel loop ran, for the run manifest (telemetry side
+        # channel, not the row).
         digest["backend"] = sim.backend
     row["_telemetry"] = digest
     return row

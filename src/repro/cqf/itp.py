@@ -10,12 +10,14 @@ one slot and need 1024 descriptors of queue depth; spread across the ~153
 slots of a 10 ms period they need only ~7 -- which is exactly why the
 paper's customized queue depth of 8-12 is safe.
 
-:class:`ItpPlanner` implements the greedy load-balancing core: flows are
-processed in decreasing bandwidth-demand order and each picks the feasible
-injection slot that minimizes the worst per-slot load it touches.  The
-resulting :class:`ItpPlan` reports the achieved ``max_frames_per_slot`` --
-the queue-depth requirement the sizing guidelines consume -- and concrete
-injection timestamps for the traffic generators.
+The planners live in :mod:`repro.sched` (``make_scheduler("greedy")`` is
+the paper's load-balancing core: flows are processed in decreasing
+bandwidth-demand order and each picks the feasible injection slot that
+minimizes the worst per-slot load it touches).  This module holds the plan
+they project to via ``SchedulePlan.to_itp_plan()``: an :class:`ItpPlan`
+reports the achieved ``max_frames_per_slot`` -- the queue-depth requirement
+the sizing guidelines consume -- and concrete injection timestamps for the
+traffic generators.
 
 The load model is network-global (all TS flows of the evaluated scenarios
 share the ring/linear/star trunk path, so the busiest egress port sees every
@@ -24,16 +26,13 @@ flow); a per-port refinement would only relax the bound.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from repro.core.errors import SchedulingError
-from repro.core.units import GIGABIT, serialization_ns, wire_bytes
-from repro.traffic.flows import FlowSpec, TrafficClass
+from repro.traffic.flows import FlowSpec
 from .schedule import CqfSchedule
 
-__all__ = ["ItpAssignment", "ItpPlan", "ItpPlanner", "unplanned_plan"]
+__all__ = ["ItpAssignment", "ItpPlan"]
 
 
 @dataclass(frozen=True)
@@ -86,90 +85,3 @@ class ItpPlan:
             + assignment.offset_slot * self.schedule.slot_ns
             + assignment.phase_ns
         )
-
-
-def _solve_legacy(
-    backend: str,
-    schedule: CqfSchedule,
-    flows: Sequence[FlowSpec],
-    rate_bps: int,
-    slot_utilization_limit: float = 0.5,
-) -> ItpPlan:
-    """Run a :mod:`repro.sched` backend and project to the legacy plan."""
-    # Imported lazily: repro.sched converts plans *to* this module.
-    from repro.sched import SchedulingProblem, make_scheduler
-
-    ts_flows = [f for f in flows if f.traffic_class is TrafficClass.TS]
-    problem = SchedulingProblem.from_flows(
-        ts_flows,
-        schedule,
-        rate_bps,
-        slot_utilization_limit=slot_utilization_limit,
-    )
-    plan = make_scheduler(backend).solve(problem)
-    plan.raise_if_infeasible()
-    return plan.to_itp_plan()
-
-
-class ItpPlanner:
-    """Greedy slot load balancing over one CQF schedule.
-
-    .. deprecated::
-        Construct backends through :func:`repro.sched.make_scheduler`
-        instead; ``ItpPlanner`` is now a thin shim over the ``greedy``
-        backend (byte-identical plans) kept for source compatibility.
-    """
-
-    def __init__(self, schedule: CqfSchedule, rate_bps: int = GIGABIT):
-        warnings.warn(
-            "ItpPlanner is deprecated; use "
-            "repro.sched.make_scheduler('greedy') and solve a "
-            "SchedulingProblem (or repro.sched.plan_flows) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.schedule = schedule
-        self.rate_bps = rate_bps
-
-    def plan(
-        self,
-        flows: Sequence[FlowSpec],
-        slot_utilization_limit: float = 0.5,
-    ) -> ItpPlan:
-        """Assign every TS flow in *flows* an injection slot and phase.
-
-        *slot_utilization_limit* bounds how much of a slot's wire time the
-        planner may fill with TS frames: CQF needs every gathered frame
-        drained within the next slot, and headroom must remain for one
-        in-flight lower-priority MTU frame at each hop.  Exceeding the limit
-        raises :class:`SchedulingError` -- the flow set is infeasible at
-        this slot size.
-        """
-        return _solve_legacy(
-            "greedy", self.schedule, flows, self.rate_bps,
-            slot_utilization_limit,
-        )
-
-
-def unplanned_plan(
-    schedule: CqfSchedule,
-    flows: Sequence[FlowSpec],
-    rate_bps: int = GIGABIT,
-) -> ItpPlan:
-    """The no-ITP strawman: every flow injects at its period start.
-
-    All same-period flows collide in slot 0, so ``required_queue_depth``
-    approaches the flow count -- the ablation benchmark uses this to show
-    what ITP buys.
-
-    .. deprecated::
-        Use ``repro.sched.make_scheduler('unplanned')`` instead; this shim
-        delegates to that backend.
-    """
-    warnings.warn(
-        "unplanned_plan is deprecated; use "
-        "repro.sched.make_scheduler('unplanned') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _solve_legacy("unplanned", schedule, flows, rate_bps)

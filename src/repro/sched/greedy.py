@@ -1,16 +1,15 @@
 """The greedy ITP backend -- the paper's planner behind one new interface.
 
-This is the load-balancing core that used to live inside
-:class:`repro.cqf.itp.ItpPlanner` (Yan et al., *Injection Time Planning*,
-INFOCOM 2020), lifted onto the :class:`~repro.sched.problem.
-SchedulingProblem` model: flows are processed in decreasing
+This is the load-balancing core of Yan et al., *Injection Time Planning*
+(INFOCOM 2020), on the :class:`~repro.sched.problem.SchedulingProblem`
+model: flows are processed in decreasing
 bandwidth-demand order and each picks the feasible injection slot that
 minimizes the worst per-slot load it touches, ``(frames, bytes)``
 lexicographically, ties to the lowest offset.
 
-The placement arithmetic, ordering and tie-breaks are verbatim from the
-old planner, so greedy plans -- offsets, phases, per-slot loads -- are
-byte-identical to historical ``ItpPlanner`` output (locked by tests).
+The placement arithmetic, ordering and tie-breaks are pinned: greedy plans
+-- offsets, phases, per-slot loads -- feed the golden outputs, so they must
+not drift.
 
 Under ``objective="min_peak"`` a flow with no budget-feasible offset makes
 the plan ``infeasible`` (greedy cannot *prove* infeasibility -- run the

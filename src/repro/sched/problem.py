@@ -215,11 +215,11 @@ class SchedulePlan:
         self._slot_bytes.extend(load)
 
     def _assign_phases(self) -> None:
-        """Stagger same-slot flows by one wire time each (ITP-identical).
+        """Stagger same-slot flows by one wire time each.
 
-        Iterates demands in problem order -- the original flow-set order --
-        so the phases match :class:`~repro.cqf.itp.ItpPlanner` byte for
-        byte on any plan the greedy backend produces.
+        Iterates demands in problem order -- the original flow-set order,
+        not the backend's placement order -- so phases depend only on the
+        offsets chosen.
         """
         next_phase: Dict[int, int] = {}
         slot_count = self.problem.slot_count

@@ -57,7 +57,6 @@ default to off and cost one ``is not None`` test per event.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -175,35 +174,9 @@ class Simulator:
     ``record_action(action, elapsed_ns)`` -- see
     :class:`repro.obs.profiler.WallClockProfiler`.  Left ``None``, the run
     loop takes the unprofiled fast path.
-
-    *backend* selects the dispatch implementation: ``"py"`` (the pure
-    Python reference) or ``"c"`` (the optional compiled inner loop from
-    :mod:`repro.sim.fastpath`).  ``None`` consults the ``REPRO_BACKEND``
-    environment variable and falls back to ``"py"``.  Requesting ``"c"``
-    when the extension cannot be built degrades cleanly to ``"py"``; the
-    resolved choice is readable as :attr:`backend`.  Both backends produce
-    byte-identical traces, stats and results -- the compiled loop only
-    removes interpreter overhead.
     """
 
-    def __init__(
-        self,
-        profiler: Optional[Any] = None,
-        backend: Optional[str] = None,
-    ) -> None:
-        requested = backend or os.environ.get("REPRO_BACKEND") or "py"
-        if requested not in ("py", "c"):
-            raise SimulationError(
-                f"backend must be 'py' or 'c', got {requested!r}"
-            )
-        self._ext: Optional[Any] = None
-        if requested == "c":
-            from . import fastpath
-
-            self._ext = fastpath.load()
-        #: The resolved dispatch backend ("c" only when the compiled
-        #: extension actually loaded).
-        self.backend: str = "c" if self._ext is not None else "py"
+    def __init__(self, profiler: Optional[Any] = None) -> None:
         self._now = 0
         # (time, priority, seq, payload); payload is the action itself
         # (post) or a mutable [action] slot (schedule).
@@ -222,6 +195,12 @@ class Simulator:
         self.event_budget: Optional[int] = None
 
     # ------------------------------------------------------------ properties
+
+    @property
+    def backend(self) -> str:
+        """Name of the dispatch loop, for run telemetry: always ``"py"``,
+        the loop in :meth:`run` is the only one."""
+        return "py"
 
     @property
     def now(self) -> int:
@@ -397,22 +376,6 @@ class Simulator:
         profiler = self.profiler
         flight = self.flight
         budget = self.event_budget
-        if (
-            self._ext is not None
-            and profiler is None
-            and flight is None
-            and budget is None
-        ):
-            # Compiled inner dispatch.  The observability hooks above need
-            # per-event Python work, so any of them being attached falls
-            # back to the reference loop below.
-            try:
-                self._ext.run_loop(heap, until, self, stats, _FIRED)
-            finally:
-                self._running = False
-            if until is not None and until > self._now:
-                self._now = until
-            return
         try:
             while heap:
                 entry = heap[0]

@@ -148,7 +148,6 @@ class _WindowTable:
     __slots__ = (
         "entries", "count", "offsets", "masks", "cycle_ns", "anchor_ns",
         "base_index", "pre_mask", "pre_start_ns", "_runs", "_fitting",
-        "_ext",
     )
 
     def __init__(
@@ -181,19 +180,10 @@ class _WindowTable:
         # (queue_id, needed_ns) -> start offsets of the runs that fit; a
         # port asks again per blocked arbitration, for a handful of sizes.
         self._fitting: dict = {}
-        #: Optional compiled query module (repro.sim._fastpath); attached
-        #: by the gate engine when the kernel runs the "c" backend.
-        self._ext = None
 
     # ------------------------------------------------------------- queries
 
     def mask_at(self, now: int) -> int:
-        ext = self._ext
-        if ext is not None:
-            return ext.mask_at(
-                self.offsets, self.masks, self.anchor_ns, self.cycle_ns,
-                -1 if self.pre_mask is None else self.pre_mask, now,
-            )
         if now < self.anchor_ns:
             return self.pre_mask if self.pre_mask is not None else self.masks[-1]
         pos = (now - self.anchor_ns) % self.cycle_ns
@@ -224,13 +214,6 @@ class _WindowTable:
 
     def open_run_remaining(self, queue_id: int, now: int) -> Optional[int]:
         """Sim-ns until *queue_id*'s gate closes; None if it never does."""
-        ext = self._ext
-        if ext is not None:
-            return ext.open_run_remaining(
-                self.offsets, self.masks, self.anchor_ns, self.cycle_ns,
-                -1 if self.pre_mask is None else self.pre_mask,
-                queue_id, now,
-            )
         bit = 1 << queue_id
         mask, _start, end, j = self.locate(now)
         if not mask & bit:
@@ -450,10 +433,6 @@ class GateEngine:
         if self._elide:
             self._in_table = _WindowTable(self._in.gcl.entries, self._clock, now)
             self._out_table = _WindowTable(self._out_entries, self._clock, now)
-            ext = getattr(self._sim, "_ext", None)
-            if ext is not None:
-                self._in_table._ext = ext
-                self._out_table._ext = ext
             subscribe = getattr(self._clock, "on_rate_change", None)
             if subscribe is not None:
                 subscribe(self._on_rate_change)
@@ -520,10 +499,6 @@ class GateEngine:
         assert self._in_table is not None and self._out_table is not None
         self._in_table = self._in_table.rebuilt(self._clock, now)
         self._out_table = self._out_table.rebuilt(self._clock, now)
-        ext = getattr(self._sim, "_ext", None)
-        if ext is not None:
-            self._in_table._ext = ext
-            self._out_table._ext = ext
 
     # --------------------------------------------------------------- queries
 

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import SchedulingError
 from repro.core.units import ms
-from repro.cqf.itp import ItpPlanner, unplanned_plan
+from repro.cqf.itp import ItpPlan
 from repro.cqf.schedule import CqfSchedule
+from repro.sched import SchedulingProblem, make_scheduler
 from repro.traffic.flows import FlowSpec, TrafficClass
 
 SLOT = 62_500
@@ -20,22 +21,29 @@ def _ts_flows(count, period_ns=ms(10), size=64):
     ]
 
 
+def _plan(flows, schedule=SCHEDULE, backend="greedy"):
+    problem = SchedulingProblem.from_flows(flows, schedule)
+    plan = make_scheduler(backend).solve(problem)
+    plan.raise_if_infeasible()
+    return plan.to_itp_plan()
+
+
 class TestGreedyBalance:
     def test_spreads_same_period_flows(self):
-        plan = ItpPlanner(SCHEDULE).plan(_ts_flows(160))
+        plan = _plan(_ts_flows(160))
         # 160 flows over 160 slots: perfectly level
         assert plan.max_frames_per_slot == 1
         assert plan.load_balance_ratio() == 1.0
 
     def test_paper_scale(self):
-        plan = ItpPlanner(SCHEDULE).plan(_ts_flows(1024))
+        plan = _plan(_ts_flows(1024))
         assert plan.max_frames_per_slot == 7  # ceil(1024/160)
         assert plan.required_queue_depth == 7
 
     def test_beats_unplanned(self):
         flows = _ts_flows(300)
-        planned = ItpPlanner(SCHEDULE).plan(flows)
-        naive = unplanned_plan(SCHEDULE, flows)
+        planned = _plan(flows)
+        naive = _plan(flows, backend="unplanned")
         assert naive.max_frames_per_slot == 300
         assert planned.max_frames_per_slot == 2
 
@@ -45,7 +53,7 @@ class TestGreedyBalance:
             FlowSpec(0, TrafficClass.TS, "t", "l", 64, period_ns=ms(10)),
             FlowSpec(1, TrafficClass.TS, "t", "l", 64, period_ns=ms(4)),
         ]
-        plan = ItpPlanner(schedule).plan(flows)
+        plan = _plan(flows, schedule)
         # 10 ms flow: 2 packets/cycle; 4 ms flow: 5 packets/cycle -> total 7
         assert sum(plan.slot_frames) == 7
         assert plan.max_frames_per_slot == 1
@@ -54,23 +62,23 @@ class TestGreedyBalance:
         flows = _ts_flows(4) + [
             FlowSpec(100, TrafficClass.BE, "t", "l", 1024, rate_bps=10**6)
         ]
-        plan = ItpPlanner(SCHEDULE).plan(flows)
+        plan = _plan(flows)
         assert 100 not in plan.assignments
 
     def test_unaligned_period_rejected(self):
         flow = FlowSpec(0, TrafficClass.TS, "t", "l", 64, period_ns=ms(10) + 1)
         with pytest.raises(SchedulingError):
-            ItpPlanner(SCHEDULE).plan([flow])
+            _plan([flow])
 
     def test_infeasible_load_rejected(self):
         # 4000 x 1500B in a 10ms cycle = 4.8 Gbps >> budget
         with pytest.raises(SchedulingError, match="injection slot"):
-            ItpPlanner(SCHEDULE).plan(_ts_flows(4000, size=1500))
+            _plan(_ts_flows(4000, size=1500))
 
 
 class TestPhases:
     def test_same_slot_flows_staggered(self):
-        plan = ItpPlanner(SCHEDULE).plan(_ts_flows(161))
+        plan = _plan(_ts_flows(161))
         # one slot holds two flows; their phases must differ
         by_slot = {}
         for a in plan.assignments.values():
@@ -81,7 +89,7 @@ class TestPhases:
         assert doubled and all(len(set(v)) == len(v) for v in doubled)
 
     def test_phase_stays_inside_slot(self):
-        plan = ItpPlanner(SCHEDULE).plan(_ts_flows(1024))
+        plan = _plan(_ts_flows(1024))
         for a in plan.assignments.values():
             assert 0 <= a.phase_ns < SLOT
 
@@ -89,7 +97,7 @@ class TestPhases:
 class TestInjectionTimes:
     def test_periodic_and_slot_aligned(self):
         flows = _ts_flows(8)
-        plan = ItpPlanner(SCHEDULE).plan(flows)
+        plan = _plan(flows)
         flow = flows[3]
         t0 = plan.injection_ns(flow, 0)
         t1 = plan.injection_ns(flow, 1)
@@ -102,20 +110,36 @@ class TestProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=200))
     def test_total_injections_conserved(self, count):
-        plan = ItpPlanner(SCHEDULE).plan(_ts_flows(count))
+        plan = _plan(_ts_flows(count))
         assert sum(plan.slot_frames) == count  # one packet per flow per cycle
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=200))
     def test_never_worse_than_unplanned(self, count):
         flows = _ts_flows(count)
-        planned = ItpPlanner(SCHEDULE).plan(flows)
-        naive = unplanned_plan(SCHEDULE, flows)
+        planned = _plan(flows)
+        naive = _plan(flows, backend="unplanned")
         assert planned.max_frames_per_slot <= naive.max_frames_per_slot
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=320))
     def test_optimal_for_uniform_flows(self, count):
-        plan = ItpPlanner(SCHEDULE).plan(_ts_flows(count))
+        plan = _plan(_ts_flows(count))
         optimal = -(-count // SCHEDULE.slot_count)
         assert plan.max_frames_per_slot == optimal
+
+
+class TestLoadBalanceRatio:
+    def test_empty_plan_is_level(self):
+        plan = ItpPlan(SCHEDULE, slot_frames=[], slot_bytes=[])
+        assert plan.load_balance_ratio() == 1.0
+
+    def test_zero_ts_load_is_level(self):
+        plan = ItpPlan(SCHEDULE, slot_frames=[0, 0, 0], slot_bytes=[0, 0, 0])
+        assert plan.load_balance_ratio() == 1.0
+
+    def test_sched_plan_matches_itp_semantics(self):
+        problem = SchedulingProblem.from_flows(_ts_flows(160), SCHEDULE)
+        plan = make_scheduler("greedy").solve(problem)
+        assert plan.load_balance_ratio() == 1.0
+        assert plan.to_itp_plan().load_balance_ratio() == 1.0

@@ -6,7 +6,6 @@ from repro.core.errors import ConfigurationError, SchedulingError
 from repro.core.presets import customized_config
 from repro.core.units import mbps, ms
 from repro.cqf.bounds import cqf_bounds
-from repro.cqf.itp import ItpPlanner
 from repro.cqf.schedule import CqfSchedule
 from repro.network.testbed import Testbed
 from repro.network.topology import ring_topology
@@ -15,6 +14,7 @@ from repro.qbv.synthesis import (
     TasSynthesizer,
     estimate_gate_size,
 )
+from repro.sched import plan_flows
 from repro.traffic.flows import FlowSpec, TrafficClass
 from repro.traffic.iec60802 import production_cell_flows
 
@@ -84,7 +84,7 @@ class TestSynthesizePort:
             PortTraffic(slot_flows={}, hop_indices=())
 
     def test_estimate_gate_size(self):
-        plan = ItpPlanner(SCHEDULE).plan(_flows(16))
+        plan = plan_flows(_flows(16), SLOT).to_itp_plan()
         assert estimate_gate_size(plan) == 3 * 16 + 1
 
 

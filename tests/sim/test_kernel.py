@@ -359,3 +359,32 @@ class TestCompaction:
         assert sim.peek() == 9
         assert sim.stats.calendar_high_water == high_water
         assert sim.pending == 1
+
+
+class TestSingleLoop:
+    """There is one dispatch loop; ``backend`` only names it."""
+
+    def test_backend_is_py(self):
+        assert Simulator().backend == "py"
+
+    def test_backend_argument_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Simulator(backend="c")
+
+    def test_backend_environment_variable_changes_nothing(self, monkeypatch):
+        def drive():
+            sim = Simulator()
+            order = []
+            sim.post(20, lambda: order.append("late"))
+            sim.post(10, lambda: order.append("early"))
+            handle = sim.schedule(15, lambda: order.append("cancelled"))
+            sim.schedule(15, lambda: order.append("kept"))
+            handle.cancel()
+            sim.run()
+            return sim.backend, order, sim.stats.as_dict()
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        reference = drive()
+        monkeypatch.setenv("REPRO_BACKEND", "c")
+        assert drive() == reference
+        assert reference[:2] == ("py", ["early", "kept", "late"])

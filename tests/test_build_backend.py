@@ -18,9 +18,12 @@ class TestWheel:
             names = archive.namelist()
             assert "repro/__init__.py" in names
             assert "repro/core/bram.py" in names
-            # The optional kernel backend's C source rides along so the
-            # installed package can compile it on demand.
-            assert "repro/sim/_fastpath.c" in names
+            # Tagged py3-none-any / Root-Is-Purelib: nothing compiled,
+            # and no source to compile, may ride along.
+            assert not any(n.endswith((".c", ".so")) for n in names)
+            assert all(
+                n.endswith(".py") for n in names if n.startswith("repro/")
+            )
             assert "repro-0.1.0.dist-info/METADATA" in names
             assert "repro-0.1.0.dist-info/RECORD" in names
 
@@ -68,10 +71,13 @@ class TestSdist:
             names = archive.getnames()
             assert "repro-0.1.0/pyproject.toml" in names
             assert "repro-0.1.0/src/repro/__init__.py" in names
-            assert "repro-0.1.0/src/repro/sim/_fastpath.c" in names
             assert not any("__pycache__" in n for n in names)
-            # Compiled artifacts never belong in a source distribution.
-            assert not any(n.endswith(".so") for n in names)
+            assert not any(n.endswith((".c", ".so")) for n in names)
+            package = "repro-0.1.0/src/repro/"
+            assert all(
+                n.endswith(".py") for n in names
+                if n.startswith(package) and archive.getmember(n).isfile()
+            )
 
 
 class TestHooks:

@@ -1,37 +1,24 @@
-"""Fast-path equivalence: batch vs. object path, compiled vs. Python kernel.
+"""Fast-path equivalence: batch vs. object frame path.
 
-The struct-of-arrays :class:`~repro.switch.batch.FrameBatch` and the
-optional compiled kernel backend (``REPRO_BACKEND=c``) are pure
+The struct-of-arrays :class:`~repro.switch.batch.FrameBatch` is pure
 performance work: on identical scenarios every observable -- JSONL trace,
 frame-level latency trace, drop report, headroom accounting, SimStats,
-campaign sweep rows -- must be byte-identical to the plain object path on
-the pure-Python kernel.  These tests lock that contract across CQF and
-Qbv gating, multi-hop topologies, fault injection (corruption must
-materialize per-link copies, not poison the shared columns) and FRER
-replication/elimination.
-
-Compiled-backend legs skip cleanly when no C toolchain is available; the
-pure-Python kernel is the reference everywhere.
+campaign sweep rows -- must be byte-identical to the plain object path.
+These tests lock that contract across CQF and Qbv gating, multi-hop
+topologies, fault injection (corruption must materialize per-link copies,
+not poison the shared columns) and FRER replication/elimination.
 """
 
 import json
 
 import pytest
 
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import ConfigurationError
 from repro.network.scenario import ScenarioSpec, known_extra_keys
 from repro.obs.headroom import HeadroomRecorder
-from repro.sim import fastpath
-from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 from repro.switch.batch import FrameBatch
 from repro.switch.packet import EthernetFrame
-
-HAVE_C = fastpath.available()
-
-needs_c = pytest.mark.skipif(
-    not HAVE_C, reason="compiled backend unavailable (no C toolchain)"
-)
 
 SCENARIOS = {
     "star_cqf": {
@@ -123,12 +110,8 @@ def _trace_jsonl(tracer):
     )
 
 
-def _observe(doc, fastpath_mode, backend, monkeypatch):
+def _observe(doc, fastpath_mode):
     """Every cross-path observable from one run of *doc*."""
-    if backend is None:
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_BACKEND", backend)
     spec = ScenarioSpec.from_dict({**doc, "fastpath": fastpath_mode})
     tracer = Tracer()
     headroom = HeadroomRecorder()
@@ -153,14 +136,13 @@ def _observe(doc, fastpath_mode, backend, monkeypatch):
 
 
 class TestEquivalence:
-    """Object path == batch path == compiled backend, observable for
-    observable."""
+    """Object path == batch path, observable for observable."""
 
     @pytest.mark.parametrize("label", sorted(SCENARIOS))
-    def test_batch_path_identical(self, label, monkeypatch):
+    def test_batch_path_identical(self, label):
         doc = SCENARIOS[label]
-        objects = _observe(doc, "off", None, monkeypatch)
-        batched = _observe(doc, "on", None, monkeypatch)
+        objects = _observe(doc, "off")
+        batched = _observe(doc, "on")
         assert batched["trace_jsonl"] == objects["trace_jsonl"]
         assert batched["frame_trace"] == objects["frame_trace"]
         assert batched["drop_report"] == objects["drop_report"]
@@ -170,27 +152,18 @@ class TestEquivalence:
         assert objects["received"] > 0
         assert objects["trace_jsonl"]
 
-    @pytest.mark.parametrize("label", sorted(SCENARIOS))
-    @needs_c
-    def test_compiled_backend_identical(self, label, monkeypatch):
-        doc = SCENARIOS[label]
-        reference = _observe(doc, "on", "py", monkeypatch)
-        compiled = _observe(doc, "on", "c", monkeypatch)
-        assert compiled == reference
-
-    def test_faulted_scenario_actually_drops(self, monkeypatch):
+    def test_faulted_scenario_actually_drops(self):
         # The corruption/cut equivalence above must cover real drops.
-        observed = _observe(SCENARIOS["faulted_star"], "on", None,
-                            monkeypatch)
+        observed = _observe(SCENARIOS["faulted_star"], "on")
         assert "0 dropped" not in observed["drop_report"].splitlines()[0]
 
-    def test_frer_scenario_actually_replicates(self, monkeypatch):
-        observed = _observe(SCENARIOS["frer_ring"], "on", None, monkeypatch)
+    def test_frer_scenario_actually_replicates(self):
+        observed = _observe(SCENARIOS["frer_ring"], "on")
         assert observed["received"] > 0
 
 
 class TestSweepRows:
-    """Campaign rows are identical across paths, backends and workers."""
+    """Campaign rows are identical across paths and workers."""
 
     def _doc(self, fastpath_mode):
         base = {
@@ -216,77 +189,10 @@ class TestSweepRows:
         ]
         return sorted(rows, key=lambda r: r["index"])
 
-    def test_rows_identical_across_paths_and_workers(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_rows_identical_across_paths_and_workers(self, tmp_path):
         reference = self._rows(tmp_path, "off", 1, "off-1w")
         assert self._rows(tmp_path, "on", 1, "on-1w") == reference
         assert self._rows(tmp_path, "on", 2, "on-2w") == reference
-
-    @needs_c
-    def test_rows_identical_on_compiled_backend(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        reference = self._rows(tmp_path, "on", 1, "py")
-        monkeypatch.setenv("REPRO_BACKEND", "c")
-        assert self._rows(tmp_path, "on", 1, "c-1w") == reference
-        assert self._rows(tmp_path, "on", 2, "c-2w") == reference
-
-
-class TestBackendResolution:
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert Simulator().backend == "py"
-
-    def test_invalid_argument_raises(self):
-        with pytest.raises(SimulationError):
-            Simulator(backend="fortran")
-
-    def test_invalid_environment_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fortran")
-        with pytest.raises(SimulationError):
-            Simulator()
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "c")
-        assert Simulator(backend="py").backend == "py"
-
-    def test_unavailable_extension_degrades_to_python(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "load", lambda: None)
-        sim = Simulator(backend="c")
-        assert sim.backend == "py"
-        # And the degraded kernel still runs.
-        fired = []
-        sim.post(5, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [5]
-
-    @needs_c
-    def test_compiled_backend_resolves(self):
-        assert Simulator(backend="c").backend == "c"
-
-    @needs_c
-    def test_environment_selects_compiled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "c")
-        assert Simulator().backend == "c"
-
-    @needs_c
-    def test_compiled_dispatch_matches_python(self):
-        def drive(sim):
-            order = []
-            sim.post(20, lambda: order.append("late"))
-            sim.post(10, lambda: order.append("early"))
-            handle = sim.schedule(15, lambda: order.append("cancelled"))
-            sim.schedule(15, lambda: order.append("kept"))
-            handle.cancel()
-            sim.run()
-            return order, sim.stats.as_dict()
-
-        assert drive(Simulator(backend="py")) == drive(
-            Simulator(backend="c")
-        )
 
 
 class TestTestbedFastpath:
@@ -370,56 +276,3 @@ class TestFrameBatch:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             FrameBatch(capacity=0)
-
-
-def _build_into(directory):
-    """Child-process worker: compile the extension into *directory*."""
-    from pathlib import Path
-
-    from repro.sim import fastpath as fp
-
-    fp.reset()
-    fp._candidate_dirs = lambda: [Path(directory)]
-    path = fp.build()
-    return str(path) if path is not None else None
-
-
-class TestConcurrentBuild:
-    """``build()`` must publish atomically under concurrent builders."""
-
-    @staticmethod
-    def _have_cc():
-        import os
-        import shutil
-
-        return shutil.which(os.environ.get("CC", "cc")) is not None
-
-    def test_parallel_builds_share_one_complete_artifact(self, tmp_path):
-        if not self._have_cc():
-            pytest.skip("no C toolchain")
-        import importlib.util
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(4) as pool:
-            results = pool.map(_build_into, [str(tmp_path)] * 4)
-        assert all(r is not None for r in results)
-        assert len(set(results)) == 1, results
-        # No half-written scratch files survive, and the published
-        # artifact is a complete, importable extension.
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert leftovers == []
-        spec = importlib.util.spec_from_file_location(
-            "repro.sim._fastpath", results[0]
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert hasattr(module, "run_loop")
-
-    def test_reset_clears_cached_load(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "_cached", True)
-        sentinel = object()
-        monkeypatch.setattr(fastpath, "_module", sentinel)
-        assert fastpath.load() is sentinel
-        fastpath.reset()
-        assert fastpath._cached is False and fastpath._module is None
