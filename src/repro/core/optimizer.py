@@ -116,9 +116,11 @@ def optimize(
     if not ts_flows:
         raise SchedulingError("optimization needs at least one TS flow")
     if max_hops is None:
-        max_hops = max(
-            topology.hops(flow.src, flow.dst) for flow in ts_flows
-        )
+        # hops() builds and searches the graph afresh: once per distinct
+        # pair (in flow order, so a bad pair fails the same way each run),
+        # not once per flow.
+        pairs = dict.fromkeys((flow.src, flow.dst) for flow in ts_flows)
+        max_hops = max(topology.hops(src, dst) for src, dst in pairs)
     deadlines = [f.deadline_ns for f in ts_flows if f.deadline_ns]
     deadline = min(deadlines) if deadlines else None
     cycle_ns = scheduling_cycle_ns(flows.ts_periods())

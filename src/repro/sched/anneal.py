@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.errors import SchedulingError
 
@@ -83,9 +83,8 @@ class AnnealScheduler:
         best_energy = state.energy()
         best_offsets = dict(state.offsets)
         current_energy = best_energy
-        movable = state.movable_demands()
         for _ in range(self.iterations):
-            if not movable:
+            if not state.movable:
                 break
             delta = state.propose_and_apply(rng)
             if delta is None:
@@ -106,13 +105,22 @@ class AnnealScheduler:
 
 
 class _State:
-    """Mutable slot loads with O(period) move application and undo."""
+    """Mutable slot loads with O(period) move application and undo.
+
+    The energy terms are kept current by :meth:`_add` / :meth:`_remove`
+    (sum of squares, and a frames-per-slot histogram for the peak), so
+    :meth:`energy` is O(1) and a move costs only the slots it touches.
+    """
 
     def __init__(self, problem: SchedulingProblem):
         self.problem = problem
         self.slot_count = problem.slot_count
         self.budget = problem.budget_bytes
-        self.by_id = {d.flow_id: d for d in problem.demands}
+        # In flow-id order: the order the movable list must keep.
+        self.by_id = {
+            d.flow_id: d
+            for d in sorted(problem.demands, key=lambda d: d.flow_id)
+        }
         # Start from greedy under max_admission so an over-constrained
         # instance still yields a working (partial) starting point.
         seed_problem = SchedulingProblem(
@@ -123,35 +131,53 @@ class _State:
             objective="max_admission",
         )
         seed = GreedyScheduler().solve(seed_problem)
-        self.offsets: Dict[int, int] = dict(seed.offsets)
-        self.slot_frames = [0] * self.slot_count
-        self.slot_bytes = [0] * self.slot_count
-        for fid, offset in self.offsets.items():
-            self._add(self.by_id[fid], offset)
+        self.restore(seed.offsets)
         self._undo: Optional[Tuple[int, Optional[int], Optional[int]]] = None
 
     # ------------------------------------------------------------- energy
 
     def _add(self, demand: FlowDemand, offset: int) -> None:
+        slot_frames = self.slot_frames
+        slots_with = self._slots_with
         for s in range(offset, self.slot_count, demand.period_slots):
-            self.slot_frames[s] += 1
+            frames = slot_frames[s]
+            slot_frames[s] = frames + 1
             self.slot_bytes[s] += demand.occupancy_bytes
+            slots_with[frames] -= 1
+            slots_with[frames + 1] += 1
+            self._smooth += 2 * frames + 1
+            if frames == self._peak:
+                self._peak = frames + 1
 
     def _remove(self, demand: FlowDemand, offset: int) -> None:
+        slot_frames = self.slot_frames
+        slots_with = self._slots_with
         for s in range(offset, self.slot_count, demand.period_slots):
-            self.slot_frames[s] -= 1
+            frames = slot_frames[s]
+            slot_frames[s] = frames - 1
             self.slot_bytes[s] -= demand.occupancy_bytes
+            slots_with[frames] -= 1
+            slots_with[frames - 1] += 1
+            self._smooth -= 2 * frames - 1
+        while self._peak and not slots_with[self._peak]:
+            self._peak -= 1
 
     def energy(self) -> int:
         rejected = len(self.by_id) - len(self.offsets)
-        peak = max(self.slot_frames, default=0)
-        smooth = sum(f * f for f in self.slot_frames)
-        return rejected * _REJECT_WEIGHT + peak * _PEAK_WEIGHT + smooth
+        return (
+            rejected * _REJECT_WEIGHT
+            + self._peak * _PEAK_WEIGHT
+            + self._smooth
+        )
 
-    def movable_demands(self) -> List[FlowDemand]:
-        """Demands with more than one candidate offset (sorted, stable)."""
-        return [
-            d for d in sorted(self.by_id.values(), key=lambda d: d.flow_id)
+    def _refresh_movable(self) -> None:
+        """Demands with more than one candidate offset (sorted, stable).
+
+        Only a period-1 flow's admission changes the answer, so the list
+        is rebuilt there and on :meth:`restore`, not per proposal.
+        """
+        self.movable: List[FlowDemand] = [
+            d for d in self.by_id.values()
             if d.period_slots > 1 or d.flow_id not in self.offsets
         ]
 
@@ -165,7 +191,7 @@ class _State:
 
     def propose_and_apply(self, rng: random.Random) -> Optional[int]:
         """Apply one random move; return the energy delta (None = no-op)."""
-        movable = self.movable_demands()
+        movable = self.movable
         demand = movable[rng.randrange(len(movable))]
         old_offset = self.offsets.get(demand.flow_id)
         new_offset = rng.randrange(demand.period_slots)
@@ -181,6 +207,8 @@ class _State:
         self._add(demand, new_offset)
         self.offsets[demand.flow_id] = new_offset
         self._undo = (demand.flow_id, old_offset, new_offset)
+        if demand.period_slots == 1:
+            self._refresh_movable()
         return self.energy() - before
 
     def undo(self) -> None:
@@ -193,14 +221,22 @@ class _State:
         else:
             self._add(demand, old_offset)
             self.offsets[flow_id] = old_offset
+        if demand.period_slots == 1:
+            self._refresh_movable()
         self._undo = None
 
-    def restore(self, offsets: Dict[int, int]) -> None:
+    def restore(self, offsets: Mapping[int, int]) -> None:
         self.slot_frames = [0] * self.slot_count
         self.slot_bytes = [0] * self.slot_count
+        # _slots_with[f] = how many slots hold exactly f frames.
+        self._slots_with = [0] * (len(self.by_id) + 1)
+        self._slots_with[0] = self.slot_count
+        self._peak = 0
+        self._smooth = 0
         self.offsets = dict(offsets)
         for fid, offset in self.offsets.items():
             self._add(self.by_id[fid], offset)
+        self._refresh_movable()
 
     # ------------------------------------------------------------- result
 
@@ -219,9 +255,9 @@ class _State:
                 f"proof -- try the exact backend)"
             )
         else:
-            peak = max(self.slot_frames, default=0)
             at_bound = (
-                not rejected and peak <= self.problem.peak_lower_bound()
+                not rejected
+                and self._peak <= self.problem.peak_lower_bound()
             )
             status = "optimal" if at_bound else "feasible"
         return SchedulePlan(

@@ -58,14 +58,17 @@ class Scheduler(Protocol):
         ...
 
 
-_REGISTRY: Dict[str, Callable[..., Scheduler]] = {}
+#: name -> (factory, the option names its signature accepts).
+_REGISTRY: Dict[str, Tuple[Callable[..., Scheduler], Tuple[str, ...]]] = {}
 
 
 def register_backend(name: str, factory: Callable[..., Scheduler]) -> None:
     """Add (or replace) a backend under *name* in the factory registry."""
     if not name or not isinstance(name, str):
         raise SchedulingError(f"backend name must be a string, got {name!r}")
-    _REGISTRY[name] = factory
+    # Resolved here, once: make_scheduler runs under every plan_flows.
+    params = inspect.signature(factory).parameters
+    _REGISTRY[name] = (factory, tuple(p for p in params if p != "self"))
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -75,11 +78,8 @@ def available_backends() -> Tuple[str, ...]:
 
 def backend_options(name: str) -> Tuple[str, ...]:
     """The option names *name*'s factory accepts (for validation/docs)."""
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        return ()
-    params = inspect.signature(factory).parameters
-    return tuple(p for p in params if p != "self")
+    entry = _REGISTRY.get(name)
+    return entry[1] if entry is not None else ()
 
 
 def make_scheduler(name: str, **options) -> Scheduler:
@@ -88,8 +88,8 @@ def make_scheduler(name: str, **options) -> Scheduler:
     >>> make_scheduler("exact", node_limit=50_000)  # doctest: +ELLIPSIS
     <repro.sched.exact.ExactScheduler object at ...>
     """
-    factory = _REGISTRY.get(name)
-    if factory is None:
+    entry = _REGISTRY.get(name)
+    if entry is None:
         matches = difflib.get_close_matches(
             str(name), available_backends(), n=1
         )
@@ -98,7 +98,8 @@ def make_scheduler(name: str, **options) -> Scheduler:
             f"unknown scheduling backend {name!r}{hint}; "
             f"available: {list(available_backends())}"
         )
-    allowed = set(backend_options(name))
+    factory, accepted = entry
+    allowed = set(accepted)
     unknown = sorted(set(options) - allowed)
     if unknown:
         problems = []

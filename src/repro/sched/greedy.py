@@ -9,7 +9,17 @@ lexicographically, ties to the lowest offset.
 
 The placement arithmetic, ordering and tie-breaks are pinned: greedy plans
 -- offsets, phases, per-slot loads -- feed the golden outputs, so they must
-not drift.
+not drift (``tests/sched/test_greedy_incremental.py`` keeps the original
+full-scan planner as the oracle).
+
+Cost: an offset ``r`` of a period-``p`` flow is judged by the maxima over
+the slots ``= r (mod p)``, and loads only ever grow, so the planner keeps
+those maxima in one table per distinct period instead of re-deriving them:
+choosing an offset is one C-level minimum over ``p`` entries, placing a
+flow updates ``(slots / p) x (distinct periods)`` entries.  The per-flow
+rescan this replaced was ``O(slots)`` interpreted work per flow and 80 % of
+a 1024-flow ``derive_config``.  The tables live and die inside one
+``solve()`` call; nothing is remembered between problems.
 
 Under ``objective="min_peak"`` a flow with no budget-feasible offset makes
 the plan ``infeasible`` (greedy cannot *prove* infeasibility -- run the
@@ -26,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .problem import FlowDemand, SchedulePlan, SchedulingProblem
+from .problem import SchedulePlan, SchedulingProblem
 
 __all__ = ["GreedyScheduler", "UnplannedScheduler"]
 
@@ -38,8 +48,17 @@ class GreedyScheduler:
 
     def solve(self, problem: SchedulingProblem) -> SchedulePlan:
         slot_count = problem.slot_count
+        budget_bytes = problem.budget_bytes
         slot_frames = [0] * slot_count
         slot_bytes = [0] * slot_count
+        # tables[p][r] = (max frames, max bytes) over the slots = r (mod p):
+        # exactly the key an offset r of a period-p flow is judged by.
+        # Loads only grow, so each placement refreshes the entries it
+        # raised and nothing is ever rescanned.
+        tables: Dict[int, List[Tuple[int, int]]] = {
+            period: [(0, 0)] * period
+            for period in {d.period_slots for d in problem.demands}
+        }
         offsets: Dict[int, int] = {}
         rejected: List[int] = []
         reason: Optional[str] = None
@@ -48,24 +67,44 @@ class GreedyScheduler:
             problem.demands, key=lambda d: (-d.rate_bps, d.flow_id)
         )
         for demand in ordered:
-            offset = _best_offset(
-                demand, slot_frames, slot_bytes, slot_count,
-                problem.budget_bytes,
-            )
+            period = demand.period_slots
+            occupancy = demand.occupancy_bytes
+            table = tables[period]
+            # index() finds the first minimum: ties go to the lowest offset.
+            offset: Optional[int] = table.index(min(table))
+            if table[offset][1] + occupancy > budget_bytes:
+                # The least-loaded residue class would overflow; only now
+                # can the budget filter name a different winner (or none).
+                offset = min(
+                    (
+                        o for o in range(period)
+                        if table[o][1] + occupancy <= budget_bytes
+                    ),
+                    key=table.__getitem__,
+                    default=None,
+                )
             if offset is None:
                 rejected.append(demand.flow_id)
                 if reason is None:
                     reason = (
                         f"flow {demand.flow_id}: no injection slot keeps "
-                        f"per-slot TS load within {problem.budget_bytes}B "
+                        f"per-slot TS load within {budget_bytes}B "
                         f"-- reduce flows or widen slots"
                     )
                 if problem.objective == "min_peak":
                     break
                 continue
-            for s in range(offset, slot_count, demand.period_slots):
-                slot_frames[s] += 1
-                slot_bytes[s] += demand.occupancy_bytes
+            for s in range(offset, slot_count, period):
+                frames = slot_frames[s] = slot_frames[s] + 1
+                load = slot_bytes[s] = slot_bytes[s] + occupancy
+                for modulus, residues in tables.items():
+                    r = s % modulus
+                    worst_frames, worst_bytes = residues[r]
+                    if frames > worst_frames or load > worst_bytes:
+                        residues[r] = (
+                            max(frames, worst_frames),
+                            max(load, worst_bytes),
+                        )
             offsets[demand.flow_id] = offset
         if rejected and problem.objective == "min_peak":
             status = "infeasible"
@@ -79,31 +118,6 @@ class GreedyScheduler:
             rejected=tuple(rejected),
             reason=reason,
         )
-
-
-def _best_offset(
-    demand: FlowDemand,
-    slot_frames: List[int],
-    slot_bytes: List[int],
-    slot_count: int,
-    budget_bytes: int,
-) -> Optional[int]:
-    """The offset minimizing the worst touched ``(frames, bytes)`` load."""
-    best_offset: Optional[int] = None
-    best_key: Optional[Tuple[int, int]] = None
-    period = demand.period_slots
-    for offset in range(period):
-        # Strided slices keep the max scans in C; the generator version
-        # dominated plan-time profiles at campaign flow counts.
-        total_bytes = max(slot_bytes[offset::period])
-        if total_bytes + demand.occupancy_bytes > budget_bytes:
-            continue
-        worst_frames = max(slot_frames[offset::period])
-        key = (worst_frames, total_bytes)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_offset = offset
-    return best_offset
 
 
 class UnplannedScheduler:

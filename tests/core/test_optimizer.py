@@ -113,3 +113,24 @@ class TestOptimize:
         assert max(p.slot_ns for p in relaxed.pareto) >= max(
             p.slot_ns for p in deadline_result.pareto
         )
+
+    def test_hop_count_resolved_once_per_distinct_pair(self, monkeypatch):
+        topology = _topo()
+        asked = []
+        hops = topology.hops
+
+        def counting_hops(src, dst):
+            asked.append((src, dst))
+            return hops(src, dst)
+
+        monkeypatch.setattr(topology, "hops", counting_hops)
+        result = optimize(topology, _flows(count=48, deadline_ns=ms(1)))
+        # 48 flows, three talkers: one graph search per pair, in flow order.
+        assert asked == [
+            ("t0", "listener"), ("t1", "listener"), ("t2", "listener")
+        ]
+        explicit = optimize(_topo(), _flows(count=48, deadline_ns=ms(1)),
+                            max_hops=6)
+        assert [p.slot_ns for p in result.pareto] == [
+            p.slot_ns for p in explicit.pareto
+        ]

@@ -7,8 +7,12 @@ from repro.cqf.schedule import CqfSchedule
 from repro.sched import (
     SchedulingProblem,
     available_backends,
+    backend_options,
+    base,
     make_scheduler,
+    register_backend,
 )
+from repro.sched.greedy import GreedyScheduler
 from repro.traffic.flows import FlowSpec, TrafficClass
 
 SLOT_NS = 50_000
@@ -55,6 +59,39 @@ class TestRegistry:
     def test_unknown_backend_suggests(self):
         with pytest.raises(SchedulingError, match="greedy"):
             make_scheduler("greedyy")
+
+    def test_unknown_option_message(self):
+        with pytest.raises(SchedulingError) as err:
+            make_scheduler("anneal", sed=1, iterations=5)
+        assert str(err.value) == (
+            "backend 'anneal' does not accept option(s) 'sed' (did you "
+            "mean 'seed'?); accepted: ['iterations', 'seed', 't0', 't_min']"
+        )
+        with pytest.raises(SchedulingError) as err:
+            make_scheduler("greedy", seed=1)
+        assert str(err.value) == (
+            "backend 'greedy' does not accept option(s) 'seed'; accepted: []"
+        )
+
+    def test_option_names_are_resolved_at_registration(self, monkeypatch):
+        monkeypatch.setattr(base, "_REGISTRY", dict(base._REGISTRY))
+
+        class Padded(GreedyScheduler):
+            def __init__(self, pad=0):
+                self.pad = pad
+
+        register_backend("padded", Padded)
+        assert backend_options("padded") == ("pad",)
+        assert backend_options("no-such-backend") == ()
+
+        def no_more_introspection(factory):
+            raise AssertionError(f"signature of {factory} rebuilt per call")
+
+        monkeypatch.setattr(base.inspect, "signature", no_more_introspection)
+        assert make_scheduler("padded", pad=3).pad == 3
+        assert backend_options("exact") == ("node_limit",)
+        with pytest.raises(SchedulingError, match="'pda'.*'pad'"):
+            make_scheduler("padded", pda=3)
 
     def test_every_backend_solves_the_gap_instance(self):
         for backend in available_backends():
