@@ -15,9 +15,15 @@ step the phase (``step``) and slew the rate (``adjust_rate``); each
 adjustment starts a new linear segment anchored at the current instant, so
 time never jumps retroactively.
 
-Arithmetic is done in exact :class:`fractions.Fraction` ticks to keep the
-clock model bit-reproducible (no float accumulation error over long runs);
-reads are rounded to integer nanoseconds.
+Phase is kept in exact :class:`fractions.Fraction` ticks so the clock model
+is bit-reproducible (no float accumulation error over long runs): ``now``,
+``offset_from_perfect`` and the rebase behind ``step`` / ``adjust_rate`` /
+``set_drift_ppm`` evaluate the exact rational and round once, on the read.
+Interval conversion (:meth:`LocalClock.sim_delay_for_local`, the call the
+gate engine and periodic local-time activities make) depends on the rate
+only and is plain integer arithmetic on the rate's numerator and
+denominator -- same result as rounding the exact quotient, no ``Fraction``
+built per call.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ from repro.core.errors import SimulationError
 from .kernel import Simulator
 
 __all__ = ["LocalClock", "PerfectClock"]
+
+
+def _rate_from_ppm(ppm: float) -> Fraction:
+    return Fraction(ppm).limit_denominator(10**9) / 10**6
 
 
 class LocalClock:
@@ -54,12 +64,11 @@ class LocalClock:
         self._sim = sim
         self._base_sim = sim.now
         self._base_local = Fraction(sim.now + offset_ns)
-        self._nominal_rate = Fraction(1) + Fraction(drift_ppm).limit_denominator(
-            10**9
-        ) / Fraction(10**6)
+        self._nominal_rate = _rate_from_ppm(drift_ppm) + 1
         self._rate_correction = Fraction(0)
         self.drift_ppm = drift_ppm
         self._rate_listeners: List[Callable[[], None]] = []
+        self._rate_changed()
 
     # ------------------------------------------------------------- reading
 
@@ -67,12 +76,12 @@ class LocalClock:
         t = self._sim.now if sim_time is None else sim_time
         if t < self._base_sim:
             raise SimulationError("cannot read clock before its last adjustment")
-        return self._base_local + (t - self._base_sim) * self.rate
+        return self._base_local + (t - self._base_sim) * self._rate
 
     @property
     def rate(self) -> Fraction:
         """Current local-seconds-per-perfect-second ratio."""
-        return self._nominal_rate + self._rate_correction
+        return self._rate
 
     @property
     def nominal_rate(self) -> Fraction:
@@ -98,6 +107,13 @@ class LocalClock:
         self._base_local = self._local_exact()
         self._base_sim = self._sim.now
 
+    def _rate_changed(self) -> None:
+        rate = self._rate = self._nominal_rate + self._rate_correction
+        self._rate_num = rate.numerator
+        self._rate_den = rate.denominator
+        for listener in self._rate_listeners:
+            listener()
+
     def step(self, delta_ns: int) -> None:
         """Step the local phase by *delta_ns* (positive = advance)."""
         self._rebase()
@@ -113,29 +129,24 @@ class LocalClock:
         for :meth:`adjust_rate` so interval caches rebuild.
         """
         self._rebase()
-        self._nominal_rate = Fraction(1) + Fraction(drift_ppm).limit_denominator(
-            10**9
-        ) / Fraction(10**6)
+        self._nominal_rate = _rate_from_ppm(drift_ppm) + 1
         self.drift_ppm = drift_ppm
-        for listener in self._rate_listeners:
-            listener()
+        self._rate_changed()
 
     def adjust_rate(self, correction_ppm: float) -> None:
         """Set the servo's rate correction (replaces any previous one)."""
         self._rebase()
-        self._rate_correction = Fraction(correction_ppm).limit_denominator(
-            10**9
-        ) / Fraction(10**6)
-        for listener in self._rate_listeners:
-            listener()
+        self._rate_correction = _rate_from_ppm(correction_ppm)
+        self._rate_changed()
 
     def on_rate_change(self, listener: Callable[[], None]) -> None:
-        """Register *listener* to run after every :meth:`adjust_rate`.
+        """Register *listener* to run after every rate change.
 
-        Consumers that precompute local->sim interval conversions (the
-        gate engine's window tables) subscribe here to rebuild when the
-        servo slews the rate.  Phase steps need no notification: interval
-        conversion depends on the rate only.
+        That is every :meth:`adjust_rate` (the servo slewing) and every
+        :meth:`set_drift_ppm` (a frequency-step fault).  Consumers that
+        precompute local->sim interval conversions (the gate engine's
+        window tables) subscribe here to rebuild.  Phase steps need no
+        notification: interval conversion depends on the rate only.
         """
         self._rate_listeners.append(listener)
 
@@ -146,11 +157,18 @@ class LocalClock:
         transmission every 125 ms of *local* time) on the perfect-time
         calendar.  Rounded to at least 1 ns so periodic processes always make
         progress.
+
+        Integer arithmetic throughout: the quotient ``local_delta_ns / rate``
+        is rounded half-to-even exactly as ``round(Fraction)`` would.
         """
         if local_delta_ns <= 0:
             raise SimulationError("local delay must be positive")
-        exact = Fraction(local_delta_ns) / self.rate
-        return max(1, round(exact))
+        num = self._rate_num
+        quotient, rem = divmod(local_delta_ns * self._rate_den, num)
+        twice = 2 * rem
+        if twice > num or (twice == num and quotient & 1):
+            quotient += 1
+        return max(1, quotient)
 
 
 class PerfectClock(LocalClock):

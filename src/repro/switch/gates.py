@@ -6,30 +6,36 @@ gates enqueue eligibility, the *out-GCL* gates dequeue eligibility.  The
 (synchronized) local clock and wakes the egress scheduler when gate state
 it was blocked on changes.
 
-Two event disciplines are implemented:
+Both GCLs are lowered once, in :meth:`GateEngine.start`, to a *window
+table*: cumulative sim-time boundary offsets plus the gate mask per
+segment.  Every timing question -- how long a gate stays open, when the
+next usable window begins, when the next boundary falls -- is answered by
+an O(log n) bisect on that table and a modulo for the cycle wrap.
+Clock-rate changes (the gPTP servo, a frequency-step fault) rebuild the
+tables via :meth:`repro.sim.clock.LocalClock.on_rate_change`, preserving
+the already-committed end of the in-flight entry; a constant-rate run
+converts no interval after ``start``.
 
-``flip`` (the legacy engine)
-    One simulation event per GCL entry transition: the engine walks both
-    lists, flips the gate masks at entry boundaries, and notifies the
-    egress scheduler on every flip.  Two flip events per entry per cycle
-    dominate idle-network event counts, but every transition is observable
-    -- so this mode drives the gate tracer category and the
-    ``gate_flips_total`` metric.
+Over that one query engine run two *event* disciplines:
 
-``table`` (the elided engine)
-    Both GCLs are lowered once per cycle-position to a *window table*:
-    cumulative sim-time boundary offsets plus the gate mask per segment.
-    ``is_open``-style queries are answered by O(log n) bisect on the table
-    and a modulo for the cycle wrap -- **no periodic events at all**.  The
-    scheduler's re-arbitration is demand-driven instead: when arbitration
-    blocks on a gate, it asks :meth:`GateEngine.next_out_open_window` for
-    the next usable window and the port posts itself a single wakeup at
-    that boundary (at :data:`GATE_EVENT_PRIORITY`, exactly when the legacy
-    flip would have kicked it).  Clock-rate slews (the gPTP servo) rebuild
-    the tables via :meth:`repro.sim.clock.LocalClock.on_rate_change`,
-    preserving the already-committed end of the in-flight entry -- the same
-    boundary the legacy engine would have honored, since it computes each
-    entry's delay when the entry starts.
+``flip``
+    One simulation event per table boundary: the engine advances the
+    walker masks, emits the ``gate`` trace record, bumps
+    ``gate_flips_total`` and kicks the egress scheduler.  Two flip events
+    per entry per cycle dominate idle-network event counts, but every
+    transition is observable.  Open/closed is read from the walker masks
+    (between the in-flip and the out-flip of one instant they are what
+    arbitration must see); how long a gate stays open is read from the
+    table.
+
+``table``
+    **No periodic events at all.**  Open/closed is read from the table
+    too, and the scheduler's re-arbitration is demand-driven: when
+    arbitration blocks on a gate, it asks
+    :meth:`GateEngine.next_out_open_window` for the next usable window and
+    the port posts itself a single wakeup at that boundary (at
+    :data:`GATE_EVENT_PRIORITY`, exactly when the flip would have kicked
+    it).
 
 The default ``mode="auto"`` picks ``flip`` when a gate tracer or port
 instruments are attached (observability wants the transitions) and
@@ -113,21 +119,11 @@ class CqfPair(CqfGroup):
 
 
 class _GclWalker:
-    """Tracks one GCL's active entry against the local clock (flip mode)."""
+    """One GCL and its gate register: the mask the last flip latched."""
 
     def __init__(self, gcl: GateControlList):
         self.gcl = gcl
-        self.index = 0
         self.mask = 0xFF  # all open until programmed/started
-
-    @property
-    def entry(self) -> GateEntry:
-        return self.gcl.entries[self.index]
-
-    def advance(self) -> GateEntry:
-        self.index = (self.index + 1) % len(self.gcl.entries)
-        self.mask = self.entry.gate_states
-        return self.entry
 
 
 class _WindowTable:
@@ -139,10 +135,9 @@ class _WindowTable:
     the table is re-anchored at the in-flight entry's committed end, and
     the short stretch before the anchor is answered by ``pre_mask``.
 
-    Per-entry delays replicate the flip engine's arithmetic exactly:
-    ``max(1, round(interval / rate))`` per entry, accumulated -- not a
-    rounded cumulative sum -- so boundary times are bit-identical to the
-    flip engine's under any constant clock rate.
+    Each entry is converted on its own, ``max(1, round(interval / rate))``,
+    and the results accumulated -- not a rounded cumulative sum -- so a
+    boundary is where a per-entry timer chain would put it.
     """
 
     __slots__ = (
@@ -262,8 +257,8 @@ class _WindowTable:
         """Delay until the next run start with length >= *needed_ns*.
 
         Returns None when no future window within a cycle can ever fit the
-        frame (it will never become eligible -- matching the flip engine,
-        where such a frame is re-checked on every flip and never passes).
+        frame (it will never become eligible -- under flip events such a
+        frame is re-checked on every flip and never passes).
         Only run *starts* are candidates: within a run the remaining window
         only shrinks, so a frame ineligible at the start stays ineligible.
         """
@@ -291,9 +286,9 @@ class _WindowTable:
     def rebuilt(self, clock: LocalClock, now: int) -> "_WindowTable":
         """A new table reflecting the clock's current rate.
 
-        The in-flight segment's committed end boundary is preserved (the
-        flip engine computed that delay when the segment began and will not
-        revisit it); everything after is re-derived at the new rate.
+        The in-flight segment's committed end boundary is preserved (its
+        flip event, if any, is already on the calendar); everything after
+        is re-derived at the new rate.
         """
         mask, start, end, j = self.locate(now)
         if j < 0:
@@ -364,11 +359,6 @@ class GateEngine:
         self._elide = False
         self._in_table: Optional[_WindowTable] = None
         self._out_table: Optional[_WindowTable] = None
-        self._out_entries: Tuple[GateEntry, ...] = ()
-        # Sim-time when the currently active entry of each walker began
-        # (flip mode only).
-        self._in_entry_start = 0
-        self._out_entry_start = 0
 
     # ------------------------------------------------------------- lifecycle
 
@@ -417,12 +407,11 @@ class GateEngine:
             )
         else:
             self._elide = self._mode == "table"
-        self._out_entries = self._out.gcl.entries
         now = self._sim.now
-        self._in.mask = self._in.entry.gate_states
-        self._out.mask = self._out.entry.gate_states
-        self._in_entry_start = now
-        self._out_entry_start = now
+        self._in_table = _WindowTable(self._in.gcl.entries, self._clock, now)
+        self._out_table = _WindowTable(self._out.gcl.entries, self._clock, now)
+        self._in.mask = self._in_table.masks[0]
+        self._out.mask = self._out_table.masks[0]
         for walker, kind in ((self._in, "in"), (self._out, "out")):
             self._tracer.emit(
                 now,
@@ -430,13 +419,10 @@ class GateEngine:
                 f"{self._name} {kind}-gates",
                 mask=f"{walker.mask:08b}",
             )
-        if self._elide:
-            self._in_table = _WindowTable(self._in.gcl.entries, self._clock, now)
-            self._out_table = _WindowTable(self._out_entries, self._clock, now)
-            subscribe = getattr(self._clock, "on_rate_change", None)
-            if subscribe is not None:
-                subscribe(self._on_rate_change)
-        else:
+        subscribe = getattr(self._clock, "on_rate_change", None)
+        if subscribe is not None:
+            subscribe(self._on_rate_change)
+        if not self._elide:
             self._schedule_flip(self._in, is_in=True)
             self._schedule_flip(self._out, is_in=False)
         self._notify()
@@ -455,28 +441,27 @@ class GateEngine:
     def needs_wake_hints(self) -> bool:
         """True when blocked arbitrations must arm their own gate wakeups.
 
-        The flip engine kicks the port on every transition, so hints are
-        wasted work there; the table engine produces no transitions and
+        Flip events kick the port on every transition, so hints are
+        wasted work there; the table discipline posts no transitions and
         relies on the scheduler asking :meth:`next_out_open_window`.
         """
         return self._elide
 
-    # --------------------------------------------------------- flip engine
+    # --------------------------------------------------------- flip events
 
     def _schedule_flip(self, walker: _GclWalker, is_in: bool) -> None:
-        delay = self._clock.sim_delay_for_local(walker.entry.interval_ns)
+        """Latch the table segment beginning now; post the flip at its end."""
+        table = self._in_table if is_in else self._out_table
+        now = self._sim.now
+        walker.mask, _start, end, _pos = table.locate(now)
         self._sim.post(
-            delay,
+            end - now,
             lambda: self._flip(walker, is_in),
             GATE_EVENT_PRIORITY,
         )
 
     def _flip(self, walker: _GclWalker, is_in: bool) -> None:
-        walker.advance()
-        if is_in:
-            self._in_entry_start = self._sim.now
-        else:
-            self._out_entry_start = self._sim.now
+        self._schedule_flip(walker, is_in)
         if self._obs is not None:
             self._obs.on_gate_flip("in" if is_in else "out")
         self._tracer.emit(
@@ -485,18 +470,14 @@ class GateEngine:
             f"{self._name} {'in' if is_in else 'out'}-gates",
             mask=f"{walker.mask:08b}",
         )
-        self._schedule_flip(walker, is_in)
         self._notify()
 
     def _notify(self) -> None:
         if self._on_change is not None:
             self._on_change()
 
-    # -------------------------------------------------------- table engine
-
     def _on_rate_change(self) -> None:
         now = self._sim.now
-        assert self._in_table is not None and self._out_table is not None
         self._in_table = self._in_table.rebuilt(self._clock, now)
         self._out_table = self._out_table.rebuilt(self._clock, now)
 
@@ -508,14 +489,14 @@ class GateEngine:
 
     @property
     def in_mask(self) -> int:
-        if self._in_table is not None:
+        if self._elide:
             return self._in_table.mask_at(self._sim._now)
         return self._in.mask
 
     @property
     def out_mask(self) -> int:
-        if self._out_table is not None:
-            return self._out_table.mask_at(self._sim.now)
+        if self._elide:
+            return self._out_table.mask_at(self._sim._now)
         return self._out.mask
 
     def in_open(self, queue_id: int) -> bool:
@@ -551,41 +532,27 @@ class GateEngine:
         if its serialization completes before the gate closes, preventing
         slot overruns (802.1Qbv transmission-window check).
         """
-        if self._out_table is not None:
-            return self._out_table.open_run_remaining(queue_id, self._sim._now)
-        if not self.out_open(queue_id):
+        table = self._out_table
+        if table is None:
+            return None  # not started: every gate is open, none closes
+        if not (self._elide or self._out.mask >> queue_id & 1):
+            # Flip discipline, at a boundary instant whose out-flip has not
+            # fired yet: the walker mask is what arbitration sees.
             return 0
-        entries = self._out_entries or self._out.gcl.entries
-        if len(entries) == 1:
-            return None  # single always-matching entry: open forever
-        # Remaining time in the current entry, then walk ahead.
-        elapsed = self._sim.now - self._out_entry_start
-        current_len = self._clock.sim_delay_for_local(
-            entries[self._out.index].interval_ns
-        )
-        remaining = max(0, current_len - elapsed)
-        total = remaining
-        index = self._out.index
-        for _ in range(len(entries) - 1):
-            index = (index + 1) % len(entries)
-            entry = entries[index]
-            if not entry.is_open(queue_id):
-                return total
-            total += self._clock.sim_delay_for_local(entry.interval_ns)
-        return None  # open in every entry
+        return table.open_run_remaining(queue_id, self._sim._now)
 
     def next_out_open_window(
         self, queue_id: int, needed_ns: int = 0
     ) -> Optional[int]:
         """Sim-ns until the next out-gate window fitting *needed_ns* opens.
 
-        The table engine's wake hint: the earliest future closed->open
+        The table discipline's wake hint: the earliest future closed->open
         transition of *queue_id* whose contiguous open run is at least
         *needed_ns* long.  None when no such window exists in the cycle
         (the frame can never transmit) or when the engine runs per-flip
         events (the flips already provide the wakeups).
         """
-        if self._out_table is None:
+        if not self._elide:
             return None
         return self._out_table.next_open_window(
             queue_id, needed_ns, self._sim._now

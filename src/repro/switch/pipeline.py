@@ -13,6 +13,12 @@ Mirrors the left half of the paper's Fig. 3.  For each received frame:
    multicast MC-ID -> outport set.  A miss drops the frame (a planned TSN
    network does not flood).
 
+Steps 2 and 4 and the meter-table probe of step 3 are stateless between
+control-plane writes, so :meth:`SwitchPipeline.process` resolves them once
+per flow key into ``(meter, decision)`` and later frames of the flow cost
+one dict probe plus the (stateful) meter offer.  Any write to the four
+tables drops every resolution.
+
 The pipeline owns the switch-shared tables; per-port resources live in
 :class:`~repro.switch.port.EgressPort`.
 """
@@ -25,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import SwitchConfig
 from repro.obs.instruments import SwitchInstruments
 from .counters import SwitchCounters
+from .meter import TokenBucketMeter
 from .packet import EthernetFrame, is_multicast
 from .tables import (
     ClassificationTable,
@@ -81,6 +88,17 @@ class SwitchPipeline:
         self._forwarding: Dict[
             Tuple[Tuple[int, ...], int], ForwardingDecision
         ] = {}
+        # (smac, dmac, vid, pcp) -> (meter | None, decision): what the
+        # tables said the last time a frame of that flow got through.
+        self._resolved: Dict[
+            Tuple[int, int, int, int],
+            Tuple[Optional[TokenBucketMeter], ForwardingDecision],
+        ] = {}
+        for table in (
+            self.unicast, self.multicast, self.classification, self.meters
+        ):
+            if table is not None:
+                table.on_write = self._resolved.clear
 
     # ------------------------------------------------------------- stages
 
@@ -138,20 +156,32 @@ class SwitchPipeline:
         self, src_mac: int, dst_mac: int, vlan_id: int, pcp: int,
         size_bytes: int, now_ns: int,
     ) -> ForwardingDecision:
-        target = self.classification.classify(src_mac, dst_mac, vlan_id, pcp)
-        if target is None:
-            target = ClassTarget(meter_id=-1, queue_id=pcp)
-        if target.meter_id >= 0:
-            meter = self.meters.meter(target.meter_id)
-            if meter is not None:
-                conformed = meter.offer(now_ns, size_bytes)
+        key = (src_mac, dst_mac, vlan_id, pcp)
+        resolved = self._resolved.get(key)
+        if resolved is not None:
+            meter, decision = resolved
+        else:
+            target = self.classification.classify(
+                src_mac, dst_mac, vlan_id, pcp
+            )
+            if target is None:
+                target = ClassTarget(meter_id=-1, queue_id=pcp)
+            meter = (
+                self.meters.meter(target.meter_id)
+                if target.meter_id >= 0 else None
+            )
+            decision = None  # looked up below, once the frame is policed
+        if meter is not None:
+            conformed = meter.offer(now_ns, size_bytes)
+            if self._obs is not None:
+                self._obs.on_meter(conformed)
+            if not conformed:
+                self.counters.dropped_policer += 1
                 if self._obs is not None:
-                    self._obs.on_meter(conformed)
-                if not conformed:
-                    self.counters.dropped_policer += 1
-                    if self._obs is not None:
-                        self._obs.on_drop("policer")
-                    return ForwardingDecision((), "policer")
+                    self._obs.on_drop("policer")
+                return ForwardingDecision((), "policer")
+        if decision is not None:
+            return decision
         if is_multicast(dst_mac) and self.multicast is not None:
             outports = (
                 self.multicast.find_outports(dst_mac & _MC_ID_MASK) or ()
@@ -170,4 +200,5 @@ class SwitchPipeline:
             decision = self._forwarding[way_out] = ForwardingDecision(
                 tuple((port, target.queue_id) for port in outports)
             )
+        self._resolved[key] = (meter, decision)
         return decision

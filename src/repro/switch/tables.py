@@ -13,7 +13,7 @@ default queue, ...) lives in the pipeline, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.core.errors import CapacityError, ConfigurationError
 from .meter import TokenBucketMeter
@@ -37,11 +37,19 @@ K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 
 
+def _no_hook() -> None:
+    """The default :attr:`FixedTable.on_write`: nobody compiled this table."""
+
+
 class FixedTable(Generic[K, V]):
     """A bounded exact-match table.
 
     Models a hash/CAM lookup memory of ``capacity`` entries.  Re-inserting an
     existing key updates it in place without consuming a new entry.
+
+    ``on_write`` runs after every ``insert`` / ``remove`` / ``clear``:
+    whoever resolved entries of this table into a compiled form (the
+    pipeline's per-flow resolutions) hooks it to start over.
     """
 
     def __init__(self, capacity: int, name: str = "table"):
@@ -52,8 +60,7 @@ class FixedTable(Generic[K, V]):
         self.capacity = capacity
         self.name = name
         self._entries: Dict[K, V] = {}
-        self.lookups = 0
-        self.misses = 0
+        self.on_write: Callable[[], None] = _no_hook
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -78,21 +85,20 @@ class FixedTable(Generic[K, V]):
                 f"inserting {key!r}"
             )
         self._entries[key] = value
+        self.on_write()
 
     def remove(self, key: K) -> None:
         """Remove an entry; KeyError if absent."""
         del self._entries[key]
+        self.on_write()
 
     def lookup(self, key: K) -> Optional[V]:
-        """Match *key*; None on miss.  Counts lookups/misses."""
-        self.lookups += 1
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-        return value
+        """Match *key*; None on miss."""
+        return self._entries.get(key)
 
     def clear(self) -> None:
         self._entries.clear()
+        self.on_write()
 
 
 # ---------------------------------------------------------------- Packet Switch

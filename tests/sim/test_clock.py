@@ -1,5 +1,7 @@
 """Drifting local clocks."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,3 +119,56 @@ class TestLocalDelay:
         sim = Simulator()
         with pytest.raises(SimulationError):
             LocalClock(sim).sim_delay_for_local(0)
+
+    @given(
+        drift=st.floats(min_value=-500, max_value=500),
+        correction=st.none() | st.floats(min_value=-500, max_value=500),
+        new_drift=st.none() | st.floats(min_value=-500, max_value=500),
+        delta=st.integers(min_value=1, max_value=10**9),
+    )
+    def test_matches_rounded_exact_quotient(
+        self, drift, correction, new_drift, delta
+    ):
+        # The conversion is integer arithmetic; the specification is the
+        # exact rational, rounded half-to-even, floored at 1 ns.
+        clock = LocalClock(Simulator(), drift_ppm=drift)
+        if correction is not None:
+            clock.adjust_rate(correction)
+        if new_drift is not None:
+            clock.set_drift_ppm(new_drift)
+        assert clock.sim_delay_for_local(delta) == max(
+            1, round(Fraction(delta) / clock.rate)
+        )
+
+    @given(
+        # 64 * m ppm with m odd: rate = (15625 + m) / 15625, an even
+        # numerator over an odd denominator, so exact half-way quotients
+        # exist -- the only inputs where the rounding rule shows.
+        m=st.sampled_from([-7, -3, -1, 1, 3, 7]),
+        via=st.sampled_from(["drift", "adjust_rate", "set_drift_ppm"]),
+        cycles=st.integers(min_value=0, max_value=60_000),
+    )
+    def test_half_way_quotients_round_to_even(self, m, via, cycles):
+        clock = LocalClock(
+            Simulator(), drift_ppm=64 * m if via == "drift" else 0
+        )
+        if via == "adjust_rate":
+            clock.adjust_rate(64 * m)
+        elif via == "set_drift_ppm":
+            clock.set_drift_ppm(64 * m)
+        num, den = clock.rate.numerator, clock.rate.denominator
+        assert num % 2 == 0
+        delta = (num // 2) * pow(den, -1, num) % num + cycles * num
+        exact = Fraction(delta) / clock.rate
+        assert exact.denominator == 2  # x.5 exactly
+        got = clock.sim_delay_for_local(delta)
+        assert got == round(exact) and got % 2 == 0
+
+    def test_rate_listeners_hear_both_kinds_of_rate_change(self):
+        clock = LocalClock(Simulator())
+        heard = []
+        clock.on_rate_change(lambda: heard.append(clock.rate))
+        clock.adjust_rate(10.0)
+        clock.set_drift_ppm(-5.0)
+        clock.step(100)  # phase only: no notification
+        assert heard == [Fraction(1_000_010, 10**6), Fraction(1_000_005, 10**6)]

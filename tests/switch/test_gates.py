@@ -245,8 +245,38 @@ class TestWakeHints:
         for probe in (999, 1000, 1400, 1900, 2000, 2800, 2900, 5000):
             for label, sim in (("flip", sim_flip), ("table", sim_table)):
                 sim.run(until=probe)
-            masks = {
-                label: (engines[label].in_mask, engines[label].out_mask)
-                for label in engines
+            seen = {
+                label: (
+                    engine.in_mask,
+                    engine.out_mask,
+                    [engine.time_until_out_close(q) for q in range(8)],
+                )
+                for label, engine in engines.items()
             }
-            assert masks["flip"] == masks["table"], f"diverged at {probe}"
+            assert seen["flip"] == seen["table"], f"diverged at {probe}"
+
+    @pytest.mark.parametrize("mode", ["flip", "table"])
+    def test_guard_band_keeps_committed_boundary_after_slew(self, mode):
+        # Two 100 us out-entries, the clock slewed +200 ppm half-way into
+        # the first: that entry's boundary was committed at the old rate
+        # (the flip event is already on the calendar at 100 000), so 10 us
+        # later the gate closes in 40 000 ns -- not in the 39 980 ns the
+        # entry would last had it *started* at the new rate.
+        sim = Simulator()
+        clock = LocalClock(sim)
+        entries = [GateEntry(0x01, 100_000), GateEntry(0x02, 100_000)]
+        engine = _engine(sim, entries, entries, clock=clock, mode=mode)
+        closes = []
+        engine.set_on_change(
+            lambda: engine.out_open(0) or closes.append(sim.now)
+        )
+        engine.start()
+        sim.post(50_000, lambda: clock.adjust_rate(200.0))
+        sim.run(until=60_000)
+        assert engine.time_until_out_close(0) == 40_000
+        sim.run(until=150_000)
+        if mode == "flip":
+            assert closes[0] == 100_000
+        assert not engine.out_open(0)
+        # the next entry runs at the new rate: 100 000 / 1.0002 -> 99 980
+        assert engine.time_until_out_close(1) == 100_000 + 99_980 - 150_000
