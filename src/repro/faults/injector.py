@@ -25,9 +25,9 @@ from .plan import FaultEvent, FaultPlan
 
 __all__ = ["FAULT_EVENT_PRIORITY", "FaultInjector", "FaultReport"]
 
-#: Fault events fire before gate wakeups (-10) and dataplane events (0)
-#: scheduled at the same instant, so "cut at T" deterministically affects
-#: the frame transmitted at T.
+#: Fault events fire before gate narration (-11), gate wakeups (-10) and
+#: dataplane events (0) scheduled at the same instant, so "cut at T"
+#: deterministically affects the frame transmitted at T.
 FAULT_EVENT_PRIORITY = -16
 
 

@@ -95,14 +95,24 @@ _EXPLICIT_TESTBED_KWARGS = frozenset({
 })
 
 
-def known_extra_keys() -> frozenset:
-    """Extra scenario keys accepted because ``Testbed.__init__`` takes them.
+def _extra_defaults() -> Dict[str, Any]:
+    """Pass-through ``Testbed.__init__`` parameters and their defaults.
 
     Derived from the live signature so a new Testbed knob is automatically
-    a legal scenario extra without touching the validator.
+    a legal scenario extra, held to the JSON kind of its default, without
+    touching the validator.  Parameters defaulting to ``None`` take objects
+    (a scheduler factory, a ``GptpConfig``) no document can spell.
     """
     params = inspect.signature(Testbed.__init__).parameters
-    return frozenset(params) - _EXPLICIT_TESTBED_KWARGS
+    return {
+        name: param.default for name, param in params.items()
+        if name not in _EXPLICIT_TESTBED_KWARGS and param.default is not None
+    }
+
+
+def known_extra_keys() -> frozenset:
+    """Extra scenario keys accepted because ``Testbed.__init__`` takes them."""
+    return frozenset(_extra_defaults())
 
 
 def _suggest(key: str, candidates) -> str:
@@ -123,6 +133,28 @@ def _check_type(problems: List[str], path: str, value: Any, kinds,
         )
 
 
+def _check_extra(problems: List[str], key: str, value: Any,
+                 default: Any) -> None:
+    """Hold an extra to the kind of the Testbed default it overrides."""
+    if isinstance(default, bool):
+        _check_type(problems, key, value, bool, "a boolean")
+    elif isinstance(default, int):
+        _check_type(problems, key, value, int, "an integer")
+    elif isinstance(default, float):
+        _check_type(problems, key, value, (int, float), "a number")
+    elif isinstance(default, str):
+        _check_type(problems, key, value, str, "a string")
+    elif isinstance(default, tuple) and not (
+        isinstance(value, (list, tuple))
+        and len(value) == len(default)
+        and all(type(item) is int for item in value)
+    ):
+        problems.append(
+            f"{key}: expected a list of {len(default)} integers, "
+            f"got {value!r}"
+        )
+
+
 def validate_scenario_dict(data: Mapping[str, Any]) -> List[str]:
     """Every problem a scenario document has, as ``"path: message"`` strings.
 
@@ -134,12 +166,14 @@ def validate_scenario_dict(data: Mapping[str, Any]) -> List[str]:
     problems: List[str] = []
     if not isinstance(data, Mapping):
         return [f"$: expected an object, got {type(data).__name__}"]
-    extras_allowed = known_extra_keys()
-    known_top = _KNOWN_TOP_KEYS | extras_allowed
+    extras = _extra_defaults()
+    known_top = _KNOWN_TOP_KEYS | set(extras)
     for key in sorted(set(data) - known_top):
         problems.append(
             f"{key}: unknown scenario key{_suggest(key, known_top)}"
         )
+    for key in sorted(set(data) & set(extras)):
+        _check_extra(problems, key, data[key], extras[key])
     for key in ("name", "topology", "flows"):
         if key not in data:
             problems.append(f"{key}: required key is missing")

@@ -270,7 +270,6 @@ class Testbed:
         profiler: Optional[WallClockProfiler] = None,
         spans: Optional[FlowSpanRecorder] = None,
         slo_policy: Optional[SloPolicy] = None,
-        gate_events: str = "auto",
         fault_plan: Optional[FaultPlan] = None,
         headroom: Optional[HeadroomRecorder] = None,
         fastpath: str = "auto",
@@ -373,12 +372,6 @@ class Testbed:
         self.slo_policy = slo_policy
         self.slo_monitor = None
         self.headroom = headroom
-        if gate_events not in ("auto", "flip", "table"):
-            raise ConfigurationError(
-                f"gate_events must be 'auto', 'flip' or 'table', "
-                f"got {gate_events!r}"
-            )
-        self.gate_events = gate_events
         self.fault_plan = fault_plan
         self.fault_injector: Optional[FaultInjector] = None
         # Batched (struct-of-arrays) frame fast path.  ``"auto"`` enables it
@@ -530,7 +523,6 @@ class Testbed:
                 metrics=self.metrics,
                 spans=self.spans,
                 headroom=self.headroom,
-                gate_events=self.gate_events,
                 name=name,
                 batch=self.batch,
             )

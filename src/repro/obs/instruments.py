@@ -115,7 +115,7 @@ class SwitchInstruments:
         self._conform = meter.labels(switch=switch, decision="conform")
         self._violate = meter.labels(switch=switch, decision="violate")
         self._gate_flips = registry.counter(
-            "gate_flips_total", help="GCL entry advances per port"
+            "gate_flips_total", help="GCL boundaries narrated per port"
         )
         self._queue_depth = registry.gauge(
             "queue_depth", help="Instantaneous queue occupancy (descriptors)"

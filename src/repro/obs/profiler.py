@@ -2,7 +2,7 @@
 
 The kernel attributes the host-CPU time each event action consumes to a
 *category* derived from the action's qualified name (``EgressPort.kick``,
-``GateEngine._flip``, ...), so a benchmark PR can say "62% of sim time is
+``GateEngine._narration``, ...), so a benchmark PR can say "62% of sim time is
 egress arbitration" instead of guessing.
 
 Profiling must cost literally nothing when off: the default

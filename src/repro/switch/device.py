@@ -76,7 +76,6 @@ class TsnSwitch:
         metrics: Optional[MetricsRegistry] = None,
         spans: Optional[FlowSpanRecorder] = None,
         headroom: Optional[HeadroomRecorder] = None,
-        gate_events: str = "auto",
         name: Optional[str] = None,
         batch=None,
     ) -> None:
@@ -111,10 +110,6 @@ class TsnSwitch:
         # Opt-in occupancy probes (repro.obs.headroom); None keeps the
         # uninstrumented fast path, same contract as metrics/spans.
         self._headroom = headroom
-        # Gate-event discipline for every port's GateEngine: "auto" elides
-        # per-cycle flip events whenever nothing observes them (see
-        # repro.switch.gates); "flip"/"table" force a mode.
-        self.gate_events = gate_events
         # One SwitchInstruments per device binds this switch's label space
         # in the (shared) registry; None keeps the uninstrumented fast path.
         self.instruments: Optional[SwitchInstruments] = (
@@ -174,7 +169,6 @@ class TsnSwitch:
             clock=self.clock,
             tracer=self._tracer,
             instruments=port_instruments,
-            mode=self.gate_events,
             name=f"{self.name}.p{port_id}",
         )
         port = EgressPort(

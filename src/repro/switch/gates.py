@@ -16,32 +16,21 @@ tables via :meth:`repro.sim.clock.LocalClock.on_rate_change`, preserving
 the already-committed end of the in-flight entry; a constant-rate run
 converts no interval after ``start``.
 
-Over that one query engine run two *event* disciplines:
+Gate state is *looked up* at the current instant, never latched, and the
+engine posts **no periodic events**.  Re-arbitration is demand-driven:
+when arbitration blocks on a gate it asks
+:meth:`GateEngine.next_out_open_window` for the next usable window and the
+port posts itself a single wakeup at that boundary (at
+:data:`GATE_EVENT_PRIORITY`).
 
-``flip``
-    One simulation event per table boundary: the engine advances the
-    walker masks, emits the ``gate`` trace record, bumps
-    ``gate_flips_total`` and kicks the egress scheduler.  Two flip events
-    per entry per cycle dominate idle-network event counts, but every
-    transition is observable.  Open/closed is read from the walker masks
-    (between the in-flip and the out-flip of one instant they are what
-    arbitration must see); how long a gate stays open is read from the
-    table.
-
-``table``
-    **No periodic events at all.**  Open/closed is read from the table
-    too, and the scheduler's re-arbitration is demand-driven: when
-    arbitration blocks on a gate, it asks
-    :meth:`GateEngine.next_out_open_window` for the next usable window and
-    the port posts itself a single wakeup at that boundary (at
-    :data:`GATE_EVENT_PRIORITY`, exactly when the flip would have kicked
-    it).
-
-The default ``mode="auto"`` picks ``flip`` when a gate tracer or port
-instruments are attached (observability wants the transitions) and
-``table`` otherwise, so uninstrumented production runs pay no per-cycle
-gate events.  Frame-level behaviour is identical in both modes; the
-equivalence is locked by tests comparing full frame traces.
+Observers that want every transition get *narration*: when, at
+:meth:`GateEngine.start`, the tracer enables ``gate`` or port instruments
+are attached, a chain of one event per table boundary emits the ``gate``
+trace record and bumps ``gate_flips_total``.  A narration event changes no
+state and wakes nobody -- frame-level behaviour is the same with and
+without it -- and it fires one priority step ahead of the port wakeups of
+its instant, so a streamed trace reads gate-then-tx.  Without a subscriber
+the chain does not exist.
 
 Under CQF the two lists each have two entries that alternate a pair of TS
 queues every time slot: while queue A's in-gate is open (absorbing arrivals),
@@ -66,13 +55,17 @@ from .tables import GateControlList, GateEntry
 
 __all__ = ["GateEngine", "CqfGroup", "CqfPair", "GATE_EVENT_PRIORITY"]
 
-#: Gate-flip events (and the table engine's gate wakeups) run before
-#: same-time frame events so a frame arriving at exactly a slot boundary
-#: sees the new slot's gate states (the hardware updates gate registers on
+#: A port's gate wakeups run before same-time frame events so a frame
+#: arriving at exactly a slot boundary is arbitrated after the backlog the
+#: new slot's gate states released (the hardware updates gate registers on
 #: the slot-boundary clock edge).
 GATE_EVENT_PRIORITY = -10
 
-_GATE_EVENT_MODES = ("auto", "flip", "table")
+#: Narration of a boundary precedes the port wakeups of that instant.
+_NARRATION_PRIORITY = GATE_EVENT_PRIORITY - 1
+
+#: Gate states before ``start``: everything open.
+_ALL_OPEN = 0xFF
 
 
 class CqfGroup:
@@ -118,14 +111,6 @@ class CqfPair(CqfGroup):
         super().__init__(first, second)
 
 
-class _GclWalker:
-    """One GCL and its gate register: the mask the last flip latched."""
-
-    def __init__(self, gcl: GateControlList):
-        self.gcl = gcl
-        self.mask = 0xFF  # all open until programmed/started
-
-
 class _WindowTable:
     """One GCL lowered to sim-time boundary offsets over one cycle.
 
@@ -142,7 +127,7 @@ class _WindowTable:
 
     __slots__ = (
         "entries", "count", "offsets", "masks", "cycle_ns", "anchor_ns",
-        "base_index", "pre_mask", "pre_start_ns", "_runs", "_fitting",
+        "base_index", "pre_mask", "_runs", "_fitting",
     )
 
     def __init__(
@@ -152,7 +137,6 @@ class _WindowTable:
         anchor_ns: int,
         base_index: int = 0,
         pre_mask: Optional[int] = None,
-        pre_start_ns: Optional[int] = None,
     ) -> None:
         self.entries = entries
         n = self.count = len(entries)
@@ -170,7 +154,6 @@ class _WindowTable:
         self.anchor_ns = anchor_ns
         self.base_index = base_index
         self.pre_mask = pre_mask
-        self.pre_start_ns = pre_start_ns
         self._runs: dict = {}  # queue_id -> ((start_offset, length), ...)
         # (queue_id, needed_ns) -> start offsets of the runs that fit; a
         # port asks again per blocked arbitration, for a handful of sizes.
@@ -184,24 +167,22 @@ class _WindowTable:
         pos = (now - self.anchor_ns) % self.cycle_ns
         return self.masks[bisect_right(self.offsets, pos) - 1]
 
-    def locate(self, now: int) -> Tuple[int, int, int, int]:
-        """(mask, segment_start, segment_end, table_pos) active at *now*.
+    def locate(self, now: int) -> Tuple[int, int, int]:
+        """(mask, segment_end, table_pos) active at *now*.
 
         ``table_pos`` is -1 while *now* is still inside the pre-anchor
         stretch left behind by a mid-cycle rebuild.
         """
         if now < self.anchor_ns:
             mask = self.pre_mask if self.pre_mask is not None else self.masks[-1]
-            start = self.pre_start_ns if self.pre_start_ns is not None else now
-            return mask, start, self.anchor_ns, -1
-        rel = now - self.anchor_ns
-        pos = rel % self.cycle_ns
+            return mask, self.anchor_ns, -1
+        pos = (now - self.anchor_ns) % self.cycle_ns
         cycle_start = now - pos
         j = bisect_right(self.offsets, pos) - 1
         end = (
             self.offsets[j + 1] if j + 1 < self.count else self.cycle_ns
         ) + cycle_start
-        return self.masks[j], cycle_start + self.offsets[j], end, j
+        return self.masks[j], end, j
 
     def _duration(self, pos: int) -> int:
         nxt = self.offsets[pos + 1] if pos + 1 < self.count else self.cycle_ns
@@ -210,7 +191,7 @@ class _WindowTable:
     def open_run_remaining(self, queue_id: int, now: int) -> Optional[int]:
         """Sim-ns until *queue_id*'s gate closes; None if it never does."""
         bit = 1 << queue_id
-        mask, _start, end, j = self.locate(now)
+        mask, end, j = self.locate(now)
         if not mask & bit:
             return 0
         total = end - now
@@ -257,8 +238,7 @@ class _WindowTable:
         """Delay until the next run start with length >= *needed_ns*.
 
         Returns None when no future window within a cycle can ever fit the
-        frame (it will never become eligible -- under flip events such a
-        frame is re-checked on every flip and never passes).
+        frame (it will never become eligible).
         Only run *starts* are candidates: within a run the remaining window
         only shrinks, so a frame ineligible at the start stays ineligible.
         """
@@ -286,23 +266,23 @@ class _WindowTable:
     def rebuilt(self, clock: LocalClock, now: int) -> "_WindowTable":
         """A new table reflecting the clock's current rate.
 
-        The in-flight segment's committed end boundary is preserved (its
-        flip event, if any, is already on the calendar); everything after
-        is re-derived at the new rate.
+        The in-flight segment's committed end boundary is preserved (a
+        port wakeup or a narration event may already be on the calendar
+        for it); everything after is re-derived at the new rate.
         """
-        mask, start, end, j = self.locate(now)
+        mask, end, j = self.locate(now)
         if j < 0:
             # Still inside a previous rebuild's pre-anchor stretch: keep
             # the same committed boundary, refresh the rates beyond it.
             return _WindowTable(
                 self.entries, clock, self.anchor_ns, self.base_index,
-                self.pre_mask, self.pre_start_ns,
+                self.pre_mask,
             )
         entry_index = (self.base_index + j) % self.count
         return _WindowTable(
             self.entries, clock, anchor_ns=end,
             base_index=(entry_index + 1) % self.count,
-            pre_mask=mask, pre_start_ns=start,
+            pre_mask=mask,
         )
 
 
@@ -317,14 +297,13 @@ class GateEngine:
         drifting unsynchronized clock visibly skews slot boundaries (which
         is what time sync exists to prevent).
     on_change:
-        Called (with no arguments) after gate masks changed; the port's
-        egress scheduler hooks this to re-arbitrate.  In ``table`` mode it
-        fires only at :meth:`start` -- later re-arbitration is demand-driven
+        Called (with no arguments) once, at :meth:`start`, when the
+        programmed gate states take effect; the port's egress scheduler
+        hooks this to arbitrate.  Later re-arbitration is demand-driven
         through :meth:`next_out_open_window` wake hints.
-    mode:
-        ``"auto"`` (default) selects ``"flip"`` when gate tracing or port
-        instruments are attached and ``"table"`` otherwise; either value
-        forces that engine.
+    tracer, instruments:
+        If the tracer enables ``gate`` or *instruments* is given when the
+        engine starts, every table boundary is narrated to them.
     """
 
     def __init__(
@@ -337,41 +316,24 @@ class GateEngine:
         on_change: Optional[Callable[[], None]] = None,
         tracer: Tracer = NULL_TRACER,
         instruments: Optional[PortInstruments] = None,
-        mode: str = "auto",
         name: str = "gate",
     ) -> None:
-        if mode not in _GATE_EVENT_MODES:
-            raise ConfigurationError(
-                f"{name}: gate event mode must be one of "
-                f"{_GATE_EVENT_MODES}, got {mode!r}"
-            )
         self._sim = sim
         self._clock = clock or LocalClock(sim)
-        self._in = _GclWalker(in_gcl)
-        self._out = _GclWalker(out_gcl)
+        self.in_gcl = in_gcl
+        self.out_gcl = out_gcl
         self._cqf_pairs = list(cqf_pairs)
         self._on_change = on_change
         self._tracer = tracer
         self._obs = instruments
-        self._mode = mode
         self._name = name
-        self._started = False
-        self._elide = False
         self._in_table: Optional[_WindowTable] = None
         self._out_table: Optional[_WindowTable] = None
 
     # ------------------------------------------------------------- lifecycle
 
-    @property
-    def in_gcl(self) -> GateControlList:
-        return self._in.gcl
-
-    @property
-    def out_gcl(self) -> GateControlList:
-        return self._out.gcl
-
     def set_on_change(self, callback: Optional[Callable[[], None]]) -> None:
-        """Install the scheduler re-arbitration hook."""
+        """Install the scheduler arbitration hook."""
         self._on_change = callback
 
     def program(
@@ -381,123 +343,88 @@ class GateEngine:
         cqf_pairs: Sequence[CqfGroup] = (),
     ) -> None:
         """Program both GCLs and the CQF group set (before ``start``)."""
-        if self._started:
+        if self.started:
             raise ConfigurationError(f"{self._name}: already started")
-        self._in.gcl.program(list(in_entries))
-        self._out.gcl.program(list(out_entries))
+        self.in_gcl.program(list(in_entries))
+        self.out_gcl.program(list(out_entries))
         self._cqf_pairs = list(cqf_pairs)
 
     def start(self) -> None:
-        """Begin walking both GCLs from their first entries, now.
+        """Begin both GCL cycles at their first entries, now.
 
         A real TAS aligns the cycle to a configured base time; the testbed
         starts all engines at the same simulation instant, which is the
         aligned case (time sync experiments perturb the clocks instead).
         """
-        if self._started:
+        if self.started:
             raise ConfigurationError(f"{self._name}: engine already started")
-        if len(self._in.gcl) == 0 or len(self._out.gcl) == 0:
+        if len(self.in_gcl) == 0 or len(self.out_gcl) == 0:
             raise ConfigurationError(
                 f"{self._name}: both GCLs must be programmed before start"
             )
-        self._started = True
-        if self._mode == "auto":
-            self._elide = (
-                not self._tracer.enabled_for("gate") and self._obs is None
-            )
-        else:
-            self._elide = self._mode == "table"
         now = self._sim.now
-        self._in_table = _WindowTable(self._in.gcl.entries, self._clock, now)
-        self._out_table = _WindowTable(self._out.gcl.entries, self._clock, now)
-        self._in.mask = self._in_table.masks[0]
-        self._out.mask = self._out_table.masks[0]
-        for walker, kind in ((self._in, "in"), (self._out, "out")):
-            self._tracer.emit(
-                now,
-                "gate",
-                f"{self._name} {kind}-gates",
-                mask=f"{walker.mask:08b}",
-            )
+        self._in_table = _WindowTable(self.in_gcl.entries, self._clock, now)
+        self._out_table = _WindowTable(self.out_gcl.entries, self._clock, now)
         subscribe = getattr(self._clock, "on_rate_change", None)
         if subscribe is not None:
             subscribe(self._on_rate_change)
-        if not self._elide:
-            self._schedule_flip(self._in, is_in=True)
-            self._schedule_flip(self._out, is_in=False)
-        self._notify()
+        if self._tracer.enabled_for("gate") or self._obs is not None:
+            self._narration(is_in=True)(boundary=False)
+            self._narration(is_in=False)(boundary=False)
+        if self._on_change is not None:
+            self._on_change()
+
+    @property
+    def started(self) -> bool:
+        return self._out_table is not None
 
     @property
     def event_mode(self) -> str:
-        """The resolved event discipline: ``"flip"`` or ``"table"``.
-
-        Only meaningful after :meth:`start` (``"auto"`` resolves there).
-        """
-        if not self._started:
-            return self._mode
-        return "table" if self._elide else "flip"
-
-    @property
-    def needs_wake_hints(self) -> bool:
-        """True when blocked arbitrations must arm their own gate wakeups.
-
-        Flip events kick the port on every transition, so hints are
-        wasted work there; the table discipline posts no transitions and
-        relies on the scheduler asking :meth:`next_out_open_window`.
-        """
-        return self._elide
-
-    # --------------------------------------------------------- flip events
-
-    def _schedule_flip(self, walker: _GclWalker, is_in: bool) -> None:
-        """Latch the table segment beginning now; post the flip at its end."""
-        table = self._in_table if is_in else self._out_table
-        now = self._sim.now
-        walker.mask, _start, end, _pos = table.locate(now)
-        self._sim.post(
-            end - now,
-            lambda: self._flip(walker, is_in),
-            GATE_EVENT_PRIORITY,
-        )
-
-    def _flip(self, walker: _GclWalker, is_in: bool) -> None:
-        self._schedule_flip(walker, is_in)
-        if self._obs is not None:
-            self._obs.on_gate_flip("in" if is_in else "out")
-        self._tracer.emit(
-            self._sim.now,
-            "gate",
-            f"{self._name} {'in' if is_in else 'out'}-gates",
-            mask=f"{walker.mask:08b}",
-        )
-        self._notify()
-
-    def _notify(self) -> None:
-        if self._on_change is not None:
-            self._on_change()
+        # Read by benchmarks/e2e only (its ``testbed.gate_mode`` flag); goes
+        # with that flag in ROADMAP item 1c.
+        return "table"
 
     def _on_rate_change(self) -> None:
         now = self._sim.now
         self._in_table = self._in_table.rebuilt(self._clock, now)
         self._out_table = self._out_table.rebuilt(self._clock, now)
 
+    # ------------------------------------------------------------- narration
+
+    def _narration(self, is_in: bool) -> Callable[..., None]:
+        """The action that narrates one GCL's boundaries, one at a time.
+
+        It reports the segment beginning now and posts itself for that
+        segment's end -- so a rate change re-times every boundary but the
+        committed one, exactly what the rebuilt table answers.
+        """
+        sim, tracer, obs = self._sim, self._tracer, self._obs
+        direction = "in" if is_in else "out"
+        message = f"{self._name} {direction}-gates"
+
+        def narrate(boundary: bool = True) -> None:
+            now = sim.now
+            table = self._in_table if is_in else self._out_table
+            mask, end, _pos = table.locate(now)
+            sim.post(end - now, narrate, _NARRATION_PRIORITY)
+            if boundary and obs is not None:
+                obs.on_gate_flip(direction)
+            if tracer.active:
+                tracer.emit(now, "gate", message, mask=f"{mask:08b}")
+
+        return narrate
+
     # --------------------------------------------------------------- queries
 
     @property
-    def started(self) -> bool:
-        return self._started
-
-    @property
     def in_mask(self) -> int:
-        if self._elide:
-            return self._in_table.mask_at(self._sim._now)
-        return self._in.mask
+        table = self._in_table
+        return _ALL_OPEN if table is None else table.mask_at(self._sim._now)
 
     @property
     def out_mask(self) -> int:
-        if self._elide:
-            return self._out_table.mask_at(self._sim._now)
-        return self._out.mask
+        table = self._out_table
+        return _ALL_OPEN if table is None else table.mask_at(self._sim._now)
 
     def in_open(self, queue_id: int) -> bool:
         """Is the enqueue gate of *queue_id* currently open?"""
@@ -535,10 +462,6 @@ class GateEngine:
         table = self._out_table
         if table is None:
             return None  # not started: every gate is open, none closes
-        if not (self._elide or self._out.mask >> queue_id & 1):
-            # Flip discipline, at a boundary instant whose out-flip has not
-            # fired yet: the walker mask is what arbitration sees.
-            return 0
         return table.open_run_remaining(queue_id, self._sim._now)
 
     def next_out_open_window(
@@ -546,14 +469,13 @@ class GateEngine:
     ) -> Optional[int]:
         """Sim-ns until the next out-gate window fitting *needed_ns* opens.
 
-        The table discipline's wake hint: the earliest future closed->open
-        transition of *queue_id* whose contiguous open run is at least
-        *needed_ns* long.  None when no such window exists in the cycle
-        (the frame can never transmit) or when the engine runs per-flip
-        events (the flips already provide the wakeups).
+        The wake hint of a blocked arbitration: the earliest future
+        closed->open transition of *queue_id* whose contiguous open run is
+        at least *needed_ns* long.  None when no such window exists in the
+        cycle (the frame can never transmit) or before :meth:`start`
+        (nothing is closed).
         """
-        if not self._elide:
+        table = self._out_table
+        if table is None:
             return None
-        return self._out_table.next_open_window(
-            queue_id, needed_ns, self._sim._now
-        )
+        return table.next_open_window(queue_id, needed_ns, self._sim._now)

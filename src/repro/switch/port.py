@@ -294,12 +294,10 @@ class EgressPort:
         preemptable frame, then everything else (802.3br: the preemptable
         MAC finishes its mPacket before starting a new preemptable frame).
 
-        With the flip-mode gate engine every gate transition calls back in
-        here; the table-mode engine produces no transitions, so whenever an
+        The gate engine posts no events of its own, so whenever an
         arbitration blocks on a gate this method arms a one-shot wakeup at
         the blocked frame's next usable window (the scheduler's
-        ``gate_wake_delay_ns`` hint) -- same instant, same event priority
-        as the flip that would have kicked the port.
+        ``gate_wake_delay_ns`` hint).
 
         Arbitration is demand-driven: a port with no resident descriptor
         returns before consulting the scheduler, and (without preemption) a
@@ -379,10 +377,10 @@ class EgressPort:
     def _arm_gate_wake(self, delay_ns: int) -> None:
         """One-shot re-arbitration when a blocked-on gate window opens.
 
-        Fires at :data:`GATE_EVENT_PRIORITY` -- the same priority the
-        flip-mode engine's transitions use -- so same-time frame events
-        still observe the post-wakeup arbitration order.  Deduplicated:
-        an already-armed earlier-or-equal wakeup is reused.
+        Fires at :data:`GATE_EVENT_PRIORITY`, ahead of same-time frame
+        events: the backlog the window releases is arbitrated before a
+        frame arriving at that very boundary.  Deduplicated: an
+        already-armed earlier-or-equal wakeup is reused.
         """
         when = self._sim.now + delay_ns
         if self._gate_wake_at is not None and self._gate_wake_at <= when:
@@ -396,8 +394,6 @@ class EgressPort:
 
     def _arm_resume_wake(self, tx: _ActiveTx) -> None:
         """Wake when the suspended frame's remainder next fits its gate."""
-        if not self.gates.needs_wake_hints:
-            return  # flip-mode gate transitions already kick the port
         remaining = tx.total_bytes - tx.bytes_done
         wait = self.gates.next_out_open_window(
             tx.queue_id, self._serialization_ns(remaining)

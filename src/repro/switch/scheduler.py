@@ -13,12 +13,10 @@ queue that passes all three eligibility checks:
 The decision also carries *retry hints*: when nothing is eligible but some
 queue was blocked purely on CBS credit, ``retry_delay_ns`` says when credit
 recovers so the port can arm a re-arbitration event instead of polling.
-When the gate engine elides flip events (table mode, see
-:mod:`repro.switch.gates`), queues blocked on a closed gate or a too-short
-gate window additionally produce ``gate_wake_delay_ns`` -- the earliest
-future window that fits the blocked head frame -- so the port wakes exactly
-when the legacy per-flip engine would have kicked it.  With the flip engine
-every transition already notifies the port, so no gate hints are computed.
+Queues blocked on a closed gate or a too-short gate window additionally
+produce ``gate_wake_delay_ns`` -- the earliest future window that fits the
+blocked head frame (see :mod:`repro.switch.gates`) -- so the port wakes at
+exactly the boundary that makes the frame eligible and at no other.
 """
 
 from __future__ import annotations
@@ -85,18 +83,6 @@ class EgressScheduler:
             self._order_src = queues
         return self._order
 
-    def _note_gate_wake(
-        self,
-        gates: GateEngine,
-        queue_id: int,
-        needed_ns: int,
-    ) -> None:
-        wait = gates.next_out_open_window(queue_id, needed_ns)
-        if wait is not None and (
-            self._gate_wake is None or wait < self._gate_wake
-        ):
-            self._gate_wake = wait
-
     def _eligible(
         self,
         now_ns: int,
@@ -120,8 +106,11 @@ class EgressScheduler:
         if window is not None and serialization > window:
             # Gate closed, or the frame would overrun the remaining window;
             # wake at the next window that fits.
-            if gates.needs_wake_hints:
-                self._note_gate_wake(gates, queue.queue_id, serialization)
+            wait = gates.next_out_open_window(queue.queue_id, serialization)
+            if wait is not None and (
+                self._gate_wake is None or wait < self._gate_wake
+            ):
+                self._gate_wake = wait
             return False
         shaper = self.shapers.get(queue.queue_id)
         if shaper is not None and not shaper.eligible(now_ns):

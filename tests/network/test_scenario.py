@@ -213,6 +213,34 @@ class TestStrictValidation:
         )
         assert spec.extras["clock_drift_ppm"] == 20
 
+    @pytest.mark.parametrize("key,value", [
+        ("clock_drift_ppm", "fast"),
+        ("propagation_ns", "50"),
+        ("propagation_ns", 50.5),
+        ("enable_gptp", 1),
+        ("gptp_warmup_ns", True),
+        ("fastpath", False),
+        ("ts_queue_pair", "7,6"),
+        ("ts_queue_pair", [6, 7, 5]),
+        ("ts_queue_pair", [6, True]),
+        # objects no document can spell, and the knob that no longer exists
+        ("scheduler_factory", "drr"),
+        ("gptp_config", {"sync_interval_ns": 1000}),
+        ("gate_events", "flip"),
+    ])
+    def test_extras_are_held_to_the_testbed_defaults_kind(self, key, value):
+        from repro.core.errors import SpecValidationError
+
+        with pytest.raises(SpecValidationError, match=rf"- {key}: "):
+            ScenarioSpec.from_dict(_spec_dict(**{key: value}))
+
+    def test_well_typed_extras_build(self):
+        spec = ScenarioSpec.from_dict(_spec_dict(
+            clock_drift_ppm=20, ts_queue_pair=[6, 7], fastpath="off",
+            enable_gptp=False,
+        ))
+        assert spec.build_testbed().ts_queue_pair == [6, 7]
+
     def test_escape_hatch_allows_anything(self):
         spec = ScenarioSpec.from_dict(
             _spec_dict(totally_unknown=1), strict=False

@@ -1,10 +1,11 @@
-"""One query engine under both gate event disciplines.
+"""The window-table queries against a per-entry walk of the GCL.
 
-``flip`` and ``table`` engines answer every timing query from the same
-window table; they differ in events only.  Random GCL pairs, drifting
-clocks and mid-run rate changes must therefore read the same from both --
-and, wherever the rate never changed, the same as the entry walk the flip
-discipline used to do on its own, which is kept here as the oracle.
+Every gate query is a lookup in the table built at ``start()``; narrating
+the boundaries to a gate tracer adds events and changes no answer.  Random
+GCL pairs, drifting clocks and mid-run rate changes must therefore read the
+same from a narrated and a bare engine -- and, wherever the rate never
+changed, the same as the entry walk the per-flip engine used to do on its
+own, which is kept here as the oracle.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.network.scenario import ScenarioSpec
 from repro.sim.clock import LocalClock
 from repro.sim.kernel import Simulator
+from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switch.gates import CqfPair, GateEngine
 from repro.switch.tables import GateControlList, GateEntry
 from tests.test_golden_outputs import SCENARIOS
@@ -133,15 +135,16 @@ def _cases(draw):
     return in_entries, out_entries, pairs, drift, rate_changes, probes, horizon
 
 
-def _started(mode, in_entries, out_entries, pairs, drift, rate_changes):
+def _started(narrated, in_entries, out_entries, pairs, drift, rate_changes):
     sim = Simulator()
     clock = LocalClock(sim, drift_ppm=drift)
     in_gcl = GateControlList(len(in_entries))
     out_gcl = GateControlList(len(out_entries))
     in_gcl.program(in_entries)
     out_gcl.program(out_entries)
+    tracer = Tracer(enabled={"gate"}) if narrated else NULL_TRACER
     engine = GateEngine(
-        sim, in_gcl, out_gcl, clock=clock, cqf_pairs=pairs, mode=mode
+        sim, in_gcl, out_gcl, clock=clock, cqf_pairs=pairs, tracer=tracer
     )
     engine.start()
     for when, method, ppm in rate_changes:
@@ -166,11 +169,10 @@ def test_disciplines_agree_and_match_the_entry_walk(case):
     in_entries, out_entries, pairs, drift, rate_changes, probes, horizon = case
     setup = (in_entries, out_entries, pairs, drift, rate_changes)
 
-    # Where the boundaries fall: let a flip engine narrate them.
-    scout_sim, _clock, scout = _started("flip", *setup)
-    boundaries = []
-    scout.set_on_change(lambda: boundaries.append(scout_sim.now))
+    # Where the boundaries fall: let an engine narrate them.
+    scout_sim, _clock, scout = _started(True, *setup)
     scout_sim.run(until=horizon)
+    boundaries = [record.time for record in scout._tracer.records]
 
     times = sorted({
         t if kind == "at"
@@ -178,17 +180,17 @@ def test_disciplines_agree_and_match_the_entry_walk(case):
         if boundaries else 0
         for kind, t, nudge in probes
     })
-    flip_sim, flip_clock, flip = _started("flip", *setup)
-    table_sim, _clock, table = _started("table", *setup)
+    narrated_sim, _clock, narrated = _started(True, *setup)
+    bare_sim, clock, bare = _started(False, *setup)
     first_change = min((when for when, _m, _p in rate_changes), default=None)
     for now in times:
-        flip_sim.run(until=now)
-        table_sim.run(until=now)
-        seen = _readings(flip)
-        assert seen == _readings(table), f"disciplines diverged at {now}"
+        narrated_sim.run(until=now)
+        bare_sim.run(until=now)
+        seen = _readings(bare)
+        assert seen == _readings(narrated), f"narration shows at {now}"
         if first_change is None or now < first_change:
-            in_mask, _ = _walk(in_entries, flip_clock, now)
-            out_mask, until_close = _walk(out_entries, flip_clock, now)
+            in_mask, _ = _walk(in_entries, clock, now)
+            out_mask, until_close = _walk(out_entries, clock, now)
             assert seen["in_open"] == [bool(in_mask >> q & 1) for q in QUEUES]
             assert seen["out_open"] == [
                 bool(out_mask >> q & 1) for q in QUEUES
@@ -216,15 +218,9 @@ def test_constant_rate_run_converts_no_interval_after_start(monkeypatch):
 
     monkeypatch.setattr(LocalClock, "sim_delay_for_local", counted_convert)
     monkeypatch.setattr(GateEngine, "start", counted_start)
-    for mode in ("flip", "table"):
-        calls.update(in_start=0, after_start=0)
-        result = ScenarioSpec.from_dict(
-            {**SCENARIOS["linear_qbv_cbs"], "gate_events": mode}
-        ).run()
-        modes = {
-            port.gates.event_mode
-            for switch in result.switches.values() for port in switch.ports
-        }
-        assert modes == {mode}
-        assert calls["in_start"] > 0, "the wrapper is not in the path"
-        assert calls["after_start"] == 0, mode
+    result = ScenarioSpec.from_dict(SCENARIOS["linear_qbv_cbs"]).run(
+        tracer=Tracer(enabled={"gate"})
+    )
+    assert result.tracer.records, "no boundary was narrated"
+    assert calls["in_start"] > 0, "the wrapper is not in the path"
+    assert calls["after_start"] == 0

@@ -1,32 +1,52 @@
-"""Gate engine: GCL walking, CQF queue selection, guard-band queries."""
+"""Gate engine: window-table lookups, CQF queue selection, narration."""
 
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.sim.clock import LocalClock
 from repro.sim.kernel import Simulator
+from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switch.gates import CqfPair, GateEngine
 from repro.switch.tables import GateControlList, GateEntry
 
 
-def _engine(sim, in_entries, out_entries, pairs=(), clock=None, mode="auto"):
+#: No answer may depend on whether boundaries are narrated to a gate
+#: tracer.  (The ids are what the two cases were called while narration was
+#: an event discipline of its own beside the bare table.)
+narrated_or_not = pytest.mark.parametrize(
+    "narrated", [True, False], ids=["flip", "table"]
+)
+
+
+def _engine(sim, in_entries, out_entries, pairs=(), clock=None,
+            narrated=False):
     in_gcl = GateControlList(max(1, len(in_entries)))
     out_gcl = GateControlList(max(1, len(out_entries)))
     in_gcl.program(list(in_entries))
     out_gcl.program(list(out_entries))
     return GateEngine(
-        sim, in_gcl, out_gcl, clock=clock, cqf_pairs=list(pairs), mode=mode
+        sim, in_gcl, out_gcl, clock=clock, cqf_pairs=list(pairs),
+        tracer=Tracer(enabled={"gate"}) if narrated else NULL_TRACER,
     )
 
 
-def _cqf_engine(sim, slot=100, mode="auto"):
+def _cqf_engine(sim, slot=100, clock=None, narrated=False):
     # queues 6/7 alternate; all others always open
     base = 0b0011_1111
     in_entries = [GateEntry(base | 0x40, slot), GateEntry(base | 0x80, slot)]
     out_entries = [GateEntry(base | 0x80, slot), GateEntry(base | 0x40, slot)]
     return _engine(
-        sim, in_entries, out_entries, pairs=[CqfPair(6, 7)], mode=mode
+        sim, in_entries, out_entries, pairs=[CqfPair(6, 7)], clock=clock,
+        narrated=narrated,
     )
+
+
+def _narrated_at(engine, kind):
+    """Times of the ``<kind>-gates`` records after the start record."""
+    return [
+        r.time for r in engine._tracer.records
+        if r.message.endswith(f"{kind}-gates")
+    ][1:]
 
 
 class TestCqfPair:
@@ -54,10 +74,20 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError):
             engine.start()
 
-    @pytest.mark.parametrize("mode", ["flip", "table"])
-    def test_flips_at_entry_boundaries(self, mode):
+    def test_queries_before_start_see_every_gate_open(self):
+        engine = _cqf_engine(Simulator())
+        assert not engine.started
+        assert engine.in_mask == engine.out_mask == 0xFF
+        for queue_id in range(8):
+            assert engine.in_open(queue_id) and engine.out_open(queue_id)
+            assert engine.time_until_out_close(queue_id) is None
+            assert engine.next_out_open_window(queue_id) is None
+        assert engine.select_enqueue_queue(7) == 6  # first open CQF member
+
+    @narrated_or_not
+    def test_flips_at_entry_boundaries(self, narrated):
         sim = Simulator()
-        engine = _cqf_engine(sim, slot=100, mode=mode)
+        engine = _cqf_engine(sim, slot=100, narrated=narrated)
         engine.start()
         sim.run(until=99)
         assert engine.in_open(6)
@@ -67,40 +97,29 @@ class TestLifecycle:
         assert engine.in_open(6)
 
     def test_on_change_notified(self):
-        # Flip mode: every transition notifies the scheduler.
+        # Once, when the programmed states take effect.  Narration wakes
+        # nobody: re-arbitration is pulled through next_out_open_window.
         sim = Simulator()
-        engine = _cqf_engine(sim, slot=50, mode="flip")
-        kicks = []
-        engine.set_on_change(lambda: kicks.append(sim.now))
-        engine.start()
-        sim.run(until=120)
-        assert kicks[0] == 0            # at start
-        assert 50 in kicks and 100 in kicks
-
-    def test_table_mode_notifies_only_at_start(self):
-        # Table mode produces no transitions; re-arbitration is pulled
-        # through next_out_open_window wake hints instead.
-        sim = Simulator()
-        engine = _cqf_engine(sim, slot=50, mode="table")
+        engine = _cqf_engine(sim, slot=50, narrated=True)
         kicks = []
         engine.set_on_change(lambda: kicks.append(sim.now))
         engine.start()
         sim.run(until=120)
         assert kicks == [0]
+        assert _narrated_at(engine, "in") == [50, 100]
+        assert _narrated_at(engine, "out") == [50, 100]
 
-    def test_auto_resolves_to_table_without_observers(self):
+    def test_table_mode_notifies_only_at_start(self):
+        # Unwatched, the engine never touches the calendar at all.
         sim = Simulator()
         engine = _cqf_engine(sim, slot=50)
-        assert engine.event_mode == "auto"
+        kicks = []
+        engine.set_on_change(lambda: kicks.append(sim.now))
         engine.start()
-        assert engine.event_mode == "table"
-        # No periodic gate events on the calendar at all.
         assert sim.pending == 0
-
-    def test_invalid_mode_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ConfigurationError):
-            _cqf_engine(sim, mode="sometimes")
+        sim.run(until=120)
+        assert kicks == [0]
+        assert sim.stats.fired == 0
 
     def test_program_after_start_rejected(self):
         sim = Simulator()
@@ -124,10 +143,10 @@ class TestLifecycle:
 
 
 class TestQueueSelection:
-    @pytest.mark.parametrize("mode", ["flip", "table"])
-    def test_cqf_redirect_to_open_member(self, mode):
+    @narrated_or_not
+    def test_cqf_redirect_to_open_member(self, narrated):
         sim = Simulator()
-        engine = _cqf_engine(sim, slot=100, mode=mode)
+        engine = _cqf_engine(sim, slot=100, narrated=narrated)
         engine.start()
         assert engine.select_enqueue_queue(7) == 6  # slot 0 gathers on 6
         sim.run(until=100)
@@ -150,34 +169,35 @@ class TestQueueSelection:
 
 
 class TestGuardBandQuery:
-    @pytest.mark.parametrize("mode", ["flip", "table"])
-    def test_closed_gate_reports_zero(self, mode):
+    @narrated_or_not
+    def test_closed_gate_reports_zero(self, narrated):
         sim = Simulator()
-        engine = _cqf_engine(sim, mode=mode)
+        engine = _cqf_engine(sim, narrated=narrated)
         engine.start()
         assert engine.time_until_out_close(6) == 0  # out-gate of 6 is closed
 
-    @pytest.mark.parametrize("mode", ["flip", "table"])
-    def test_open_gate_reports_remaining_window(self, mode):
+    @narrated_or_not
+    def test_open_gate_reports_remaining_window(self, narrated):
         sim = Simulator()
-        engine = _cqf_engine(sim, slot=100, mode=mode)
+        engine = _cqf_engine(sim, slot=100, narrated=narrated)
         engine.start()
         assert engine.time_until_out_close(7) == 100
         sim.run(until=30)
         assert engine.time_until_out_close(7) == 70
 
-    @pytest.mark.parametrize("mode", ["flip", "table"])
-    def test_always_open_queue_reports_none(self, mode):
+    @narrated_or_not
+    def test_always_open_queue_reports_none(self, narrated):
         sim = Simulator()
-        engine = _cqf_engine(sim, mode=mode)
+        engine = _cqf_engine(sim, narrated=narrated)
         engine.start()
         assert engine.time_until_out_close(0) is None  # open in both entries
 
-    @pytest.mark.parametrize("mode", ["flip", "table"])
-    def test_single_entry_gcl_reports_none(self, mode):
+    @narrated_or_not
+    def test_single_entry_gcl_reports_none(self, narrated):
         sim = Simulator()
         engine = _engine(
-            sim, [GateEntry(0xFF, 50)], [GateEntry(0xFF, 50)], mode=mode
+            sim, [GateEntry(0xFF, 50)], [GateEntry(0xFF, 50)],
+            narrated=narrated,
         )
         engine.start()
         assert engine.time_until_out_close(3) is None
@@ -186,7 +206,7 @@ class TestGuardBandQuery:
 class TestWakeHints:
     def test_next_window_for_closed_gate(self):
         sim = Simulator()
-        engine = _cqf_engine(sim, slot=100, mode="table")
+        engine = _cqf_engine(sim, slot=100)
         engine.start()
         # Queue 6's out-gate opens at the next slot boundary.
         assert engine.next_out_open_window(6) == 100
@@ -195,7 +215,7 @@ class TestWakeHints:
 
     def test_window_must_fit_frame(self):
         sim = Simulator()
-        engine = _cqf_engine(sim, slot=100, mode="table")
+        engine = _cqf_engine(sim, slot=100)
         engine.start()
         # A frame needing more than one slot never fits: no wake hint.
         assert engine.next_out_open_window(6, needed_ns=101) is None
@@ -203,80 +223,50 @@ class TestWakeHints:
 
     def test_open_gate_hints_next_cycle(self):
         sim = Simulator()
-        engine = _cqf_engine(sim, slot=100, mode="table")
+        engine = _cqf_engine(sim, slot=100)
         engine.start()
         # Queue 7 is open now; the *next* window starts a full cycle later.
         assert engine.next_out_open_window(7) == 200
 
-    def test_flip_mode_returns_none(self):
-        sim = Simulator()
-        engine = _cqf_engine(sim, slot=100, mode="flip")
-        engine.start()
-        assert not engine.needs_wake_hints
-        assert engine.next_out_open_window(6) is None
-
     def test_rate_change_rebuilds_boundaries(self):
         # Slew the clock mid-entry: the committed end of the in-flight
-        # entry must hold, later boundaries follow the new rate -- exactly
-        # what the flip engine does by computing each delay at entry start.
-        sim_flip, sim_table = Simulator(), Simulator()
-        engines = {}
-        clocks = {}
-        for label, sim, mode in (
-            ("flip", sim_flip, "flip"), ("table", sim_table, "table")
-        ):
-            clock = LocalClock(sim)
-            in_gcl = GateControlList(2)
-            out_gcl = GateControlList(2)
-            base = 0b0011_1111
-            in_gcl.program(
-                [GateEntry(base | 0x40, 1000), GateEntry(base | 0x80, 1000)]
-            )
-            out_gcl.program(
-                [GateEntry(base | 0x80, 1000), GateEntry(base | 0x40, 1000)]
-            )
-            engine = GateEngine(
-                sim, in_gcl, out_gcl, clock=clock, mode=mode
-            )
-            engine.start()
-            engines[label] = engine
-            clocks[label] = clock
-            sim.post(500, lambda c=clock: c.adjust_rate(100_000))  # +10%
-        for probe in (999, 1000, 1400, 1900, 2000, 2800, 2900, 5000):
-            for label, sim in (("flip", sim_flip), ("table", sim_table)):
-                sim.run(until=probe)
-            seen = {
-                label: (
-                    engine.in_mask,
-                    engine.out_mask,
-                    [engine.time_until_out_close(q) for q in range(8)],
-                )
-                for label, engine in engines.items()
-            }
-            assert seen["flip"] == seen["table"], f"diverged at {probe}"
+        # entry must hold (a wakeup may be armed on it), later entries run
+        # at the new rate -- 1000 local ns at +10% is 909 sim ns.
+        sim = Simulator()
+        clock = LocalClock(sim)
+        engine = _cqf_engine(sim, slot=1000, clock=clock, narrated=True)
+        engine.start()
+        sim.post(500, lambda: clock.adjust_rate(100_000))
+        boundaries = [1000, 1909, 2818, 3727, 4636]
+        for index, boundary in enumerate(boundaries):
+            open_before, open_after = (6, 7) if index % 2 == 0 else (7, 6)
+            sim.run(until=boundary - 1)
+            assert engine.in_open(open_before) and engine.out_open(open_after)
+            assert engine.time_until_out_close(open_after) == 1
+            assert engine.next_out_open_window(open_before) == 1
+            sim.run(until=boundary)
+            assert engine.in_open(open_after) and engine.out_open(open_before)
+        assert _narrated_at(engine, "in") == boundaries
+        assert _narrated_at(engine, "out") == boundaries
 
-    @pytest.mark.parametrize("mode", ["flip", "table"])
-    def test_guard_band_keeps_committed_boundary_after_slew(self, mode):
+    @narrated_or_not
+    def test_guard_band_keeps_committed_boundary_after_slew(self, narrated):
         # Two 100 us out-entries, the clock slewed +200 ppm half-way into
         # the first: that entry's boundary was committed at the old rate
-        # (the flip event is already on the calendar at 100 000), so 10 us
+        # (a wakeup may already be on the calendar at 100 000), so 10 us
         # later the gate closes in 40 000 ns -- not in the 39 980 ns the
         # entry would last had it *started* at the new rate.
         sim = Simulator()
         clock = LocalClock(sim)
         entries = [GateEntry(0x01, 100_000), GateEntry(0x02, 100_000)]
-        engine = _engine(sim, entries, entries, clock=clock, mode=mode)
-        closes = []
-        engine.set_on_change(
-            lambda: engine.out_open(0) or closes.append(sim.now)
-        )
+        engine = _engine(sim, entries, entries, clock=clock, narrated=narrated)
         engine.start()
         sim.post(50_000, lambda: clock.adjust_rate(200.0))
         sim.run(until=60_000)
         assert engine.time_until_out_close(0) == 40_000
         sim.run(until=150_000)
-        if mode == "flip":
-            assert closes[0] == 100_000
+        if narrated:
+            assert _narrated_at(engine, "out") == [100_000]
         assert not engine.out_open(0)
         # the next entry runs at the new rate: 100 000 / 1.0002 -> 99 980
         assert engine.time_until_out_close(1) == 100_000 + 99_980 - 150_000

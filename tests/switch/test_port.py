@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.sim.kernel import Simulator
+from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switch.counters import SwitchCounters
 from repro.switch.gates import CqfPair, GateEngine
 from repro.switch.packet import EthernetFrame, make_mac
@@ -20,12 +21,14 @@ def _frame(size=64, pcp=7):
 
 
 def _port(sim, depth=4, buffers=8, out_entries=None, in_entries=None,
-          pairs=()):
+          pairs=(), tracer=NULL_TRACER):
     queues = [MetadataQueue(depth, q) for q in range(8)]
-    in_gcl, out_gcl = GateControlList(2), GateControlList(2)
+    in_gcl, out_gcl = GateControlList(2), GateControlList(3)
     in_gcl.program(in_entries or [GateEntry(0xFF, 1_000_000)])
     out_gcl.program(out_entries or [GateEntry(0xFF, 1_000_000)])
-    gates = GateEngine(sim, in_gcl, out_gcl, cqf_pairs=list(pairs))
+    gates = GateEngine(
+        sim, in_gcl, out_gcl, cqf_pairs=list(pairs), tracer=tracer
+    )
     port = EgressPort(
         sim=sim,
         port_id=0,
@@ -35,6 +38,7 @@ def _port(sim, depth=4, buffers=8, out_entries=None, in_entries=None,
         gates=gates,
         scheduler=StrictPriorityScheduler(),
         counters=SwitchCounters(),
+        tracer=tracer,
     )
     gates.set_on_change(port.kick)
     gates.start()
@@ -200,6 +204,25 @@ class TestDemandDrivenEgress:
         sim.run(until=100_000)
         # Only the last transmission left the port empty.
         assert port.counters.transmitted == 2 and sim.stats.elided == 1
+
+    def test_boundary_is_narrated_before_the_wakeup_it_releases(self):
+        # The blocked port arms its wakeup for 1000 at time 0; the
+        # narration of that boundary is posted later, at the 500 boundary.
+        # Priority, not posting order, puts the gate record first.
+        sim = Simulator()
+        stream = []
+        port = _port(
+            sim,
+            out_entries=[GateEntry(0x00, 500), GateEntry(0x00, 500),
+                         GateEntry(0xFF, 1_000_000)],
+            tracer=Tracer(sink=stream.append),
+        )
+        port.attach(lambda f: None)
+        port.enqueue(_frame(), 7)
+        sim.run(until=1000)
+        assert [
+            (r.category, r.message) for r in stream if r.time == 1000
+        ] == [("gate", "gate out-gates"), ("tx", "port start")]
 
     def test_reserved_idle_fires_before_later_same_instant_enqueue(self):
         # The idle's seq is reserved when the transmission starts, so an

@@ -1,87 +1,37 @@
-"""Gate-window elision equivalence: flip vs. table engines, frame for frame.
+"""Watching the gates changes no frame: bare vs. narrated runs.
 
-The table-mode :class:`repro.switch.gates.GateEngine` answers gate queries
-from a precomputed window table and wakes the scheduler on demand, instead
-of firing two events per GCL entry per cycle.  These tests lock the contract
-that this is *only* an event-count optimization: on identical scenarios the
-two disciplines must produce identical frame-level traces -- every latency
-sample of every flow, every drop, duplicate and reorder -- across CQF and
-Qbv gating, multi-switch topologies, and frame preemption.
+:class:`repro.switch.gates.GateEngine` answers every gate query from a
+window table and posts no events; only when a gate tracer or a metrics
+registry subscribes does it *narrate* the table's boundaries (the ``gate``
+trace records and ``gate_flips_total`` the per-flip engine used to produce
+as a side effect of arbitrating).  These tests lock the contract that
+narration is narration: the bare (table-only) run and the flip-narrated
+runs produce identical frame-level traces -- every latency sample of every
+flow, every drop, duplicate and reorder -- across CQF and Qbv gating,
+multi-switch topologies, and frame preemption, and the only extra kernel
+events are the narration events themselves.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.network.scenario import ScenarioSpec
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.trace import Tracer
+from tests.test_golden_outputs import SCENARIOS as GOLDEN_SCENARIOS
 
+#: This file's scenario names -> the golden scenarios they run.
 SCENARIOS = {
-    "star_cqf": {
-        "name": "star-eq",
-        "topology": {
-            "kind": "star",
-            "talkers": ["talker0", "talker1"],
-            "listener": "listener",
-        },
-        "flows": {
-            "ts_count": 8,
-            "period_us": 2000,
-            "size_bytes": 64,
-            "rc_mbps": 100,
-            "be_mbps": 100,
-        },
-        "duration_ms": 8,
-    },
-    "ring_cqf": {
-        "name": "ring-eq",
-        "topology": {
-            "kind": "ring",
-            "switch_count": 3,
-            "talkers": ["talker0"],
-            "listener": "listener",
-        },
-        "flows": {
-            "ts_count": 8,
-            "period_us": 2000,
-            "size_bytes": 64,
-            "rc_mbps": 100,
-            "be_mbps": 50,
-        },
-        "duration_ms": 8,
-    },
-    "linear_qbv": {
-        "name": "linear-eq",
-        "topology": {
-            "kind": "linear",
-            "switch_count": 2,
-            "talkers": ["talker0"],
-            "listener": "listener",
-        },
-        "flows": {"ts_count": 8, "period_us": 2000, "size_bytes": 128},
-        "duration_ms": 8,
-        "gate_mechanism": "qbv",
-    },
-    "star_preemption": {
-        "name": "preempt-eq",
-        "topology": {
-            "kind": "star",
-            "talkers": ["talker0", "talker1"],
-            "listener": "listener",
-        },
-        "flows": {
-            "ts_count": 8,
-            "period_us": 2000,
-            "size_bytes": 64,
-            "rc_mbps": 200,
-            "be_mbps": 300,
-        },
-        "duration_ms": 8,
-        "preemption_enabled": True,
-    },
+    "star_cqf": "star_cqf",
+    "ring_cqf": "ring16_cqf",
+    "linear_qbv": "linear_qbv_cbs",
+    "star_preemption": "star_preemption",
 }
 
 
-def _frame_trace(doc, gate_events):
-    spec = ScenarioSpec.from_dict({**doc, "gate_events": gate_events})
-    result = spec.run()
+def _frame_trace(doc, **observers):
+    result = ScenarioSpec.from_dict(doc).run(**observers)
     trace = {
         flow_id: (
             tuple(rec.latencies_ns),
@@ -96,20 +46,31 @@ def _frame_trace(doc, gate_events):
 
 @pytest.mark.parametrize("label", sorted(SCENARIOS))
 def test_flip_and_table_traces_identical(label):
-    doc = SCENARIOS[label]
-    flip_trace, flip_result = _frame_trace(doc, "flip")
-    table_trace, table_result = _frame_trace(doc, "table")
-    assert flip_trace == table_trace
-    # The equivalence is not vacuous: traffic actually flowed...
-    assert any(latencies for latencies, *_ in flip_trace.values())
-    # ...and the table engine really did elide events.
-    assert (
-        table_result.sim_stats["fired"] < flip_result.sim_stats["fired"]
+    doc = GOLDEN_SCENARIOS[SCENARIOS[label]]
+    bare_trace, bare = _frame_trace(doc)
+    metered_trace, metered = _frame_trace(doc, metrics=MetricsRegistry())
+    traced_trace, traced = _frame_trace(
+        doc, tracer=Tracer(enabled={"gate"})
     )
-
-
-def test_auto_defaults_to_table_for_plain_scenarios():
-    doc = SCENARIOS["star_cqf"]
-    auto = _frame_trace(doc, "auto")[1]
-    table = _frame_trace(doc, "table")[1]
-    assert auto.sim_stats["fired"] == table.sim_stats["fired"]
+    assert bare_trace == metered_trace == traced_trace
+    # The equivalence is not vacuous: traffic actually flowed...
+    assert any(latencies for latencies, *_ in bare_trace.values())
+    # ...and boundaries really were narrated, the same ones to both
+    # subscribers: every ``gate`` record after an engine's start record is
+    # one ``gate_flips_total`` increment of that port and direction.
+    records = traced.tracer.records
+    start_ns = records[0].time
+    narrated = Counter(r.message for r in records if r.time > start_ns)
+    flips = Counter()
+    for key, series in metered.metrics.counter("gate_flips_total").series():
+        at = dict(key)
+        flips[f"{at['switch']}.p{at['port']} {at['direction']}-gates"] = (
+            series.value
+        )
+    assert narrated and narrated == +flips  # unary +: ports with no flips
+    # One kernel event per narrated boundary, and nothing else.
+    extra = sum(narrated.values())
+    for watched in (metered, traced):
+        assert (
+            watched.sim_stats["fired"] - bare.sim_stats["fired"] == extra
+        )

@@ -1,12 +1,20 @@
 """Golden outputs: every simulated observable, pinned by hash.
 
-``tests/data/golden_outputs.json`` was captured on the commit *before* the
-egress port became demand-driven (no-op ``_tx_idle`` events elided, empty
-ports skipping arbitration).  That change may only remove events that did
-nothing, so every scenario here must still reproduce the captured sha256
-of its canonical trace, class digest, switch counters, drop report, port
-report and headroom report -- in both gate modes and at 1 vs 2 shards --
-and ``scheduled + elided`` must equal the captured ``scheduled`` exactly.
+``tests/data/golden_outputs.json`` was captured while the gate engine had
+two event disciplines -- ``flip`` (one event per GCL boundary, each kicking
+the port) and ``table`` (no gate events; blocked ports wake themselves) --
+and, for the first five scenarios, before the egress port became
+demand-driven.  Only the table discipline is left, with boundaries
+*narrated* to a subscribed gate tracer, so the two rows of a scenario are
+two views of one run and no hash may differ from the capture:
+
+``<label>/flip``
+    a run under a full tracer reproduces every hash; its event count is
+    the ``table`` row's plus one narration event per ``gate`` record.
+``<label>/table``
+    the same run's trace without the narrated (post-start) ``gate``
+    records; a run whose tracer leaves ``gate`` off emits exactly the
+    remaining records, equal reports, and ``scheduled + elided`` events.
 
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python -m tests.test_golden_outputs``.
@@ -14,6 +22,7 @@ Regenerate (only when an output change is intended) with
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -84,10 +93,8 @@ SCENARIOS = {
                   "rc_mbps": 50, "be_mbps": 50},
         "duration_ms": 170,
         "gate_mechanism": "qbv",
-        "clock_drift_ppm": 100,
-        "clock_offset_spread_ns": 2000,
-        "enable_gptp": True,
-        "gptp_warmup_ns": 40_000_000,
+        "clock_drift_ppm": 100, "clock_offset_spread_ns": 2000,
+        "enable_gptp": True, "gptp_warmup_ns": 40_000_000,
     },
     "ring_cqf_gptp_preempt": {
         "name": "golden-ring-cqf-gptp",
@@ -97,14 +104,12 @@ SCENARIOS = {
                   "rc_mbps": 100, "be_mbps": 100},
         "duration_ms": 120,
         "preemption_enabled": True,
-        "clock_drift_ppm": 200,
-        "clock_offset_spread_ns": 1000,
-        "enable_gptp": True,
-        "gptp_warmup_ns": 40_000_000,
+        "clock_drift_ppm": 200, "clock_offset_spread_ns": 1000,
+        "enable_gptp": True, "gptp_warmup_ns": 40_000_000,
     },
 }
 
-GATE_MODES = ("flip", "table")
+ROWS = ("flip", "table")
 
 
 def _drr_factory():
@@ -118,8 +123,19 @@ def _sha(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _hashes(result) -> dict:
-    trace = sorted(result.tracer.records, key=_trace_sort_key)
+def _sorted_trace(result) -> list:
+    return sorted(result.tracer.records, key=_trace_sort_key)
+
+
+def _without_narration(trace: list) -> list:
+    """*trace* less the ``gate`` records after the engines' common start."""
+    start = min(r.time for r in trace if r.category == "gate")
+    return [r for r in trace if r.category != "gate" or r.time == start]
+
+
+def _hashes(result, trace=None) -> dict:
+    if trace is None:
+        trace = _sorted_trace(result)
     return {
         "trace": _sha([
             [r.time, r.category, r.message, repr(r.fields)] for r in trace
@@ -134,34 +150,61 @@ def _hashes(result) -> dict:
     }
 
 
-def _run(label: str, gate_events: str):
+def _run(label: str, gate_traced: bool):
     # Process-global MAC / frame-id counters feed the trace; start every
     # run from the same point (as repro.sim.shard does per replica).
     Host._next_index = 0
     reset_frame_ids()
-    spec = ScenarioSpec.from_dict(
-        {**SCENARIOS[label], "gate_events": gate_events}
-    )
+    spec = ScenarioSpec.from_dict(SCENARIOS[label])
     if label == "ring_drr":
         spec.extras["scheduler_factory"] = _drr_factory
-    return spec.run(tracer=Tracer())
+    tracer = Tracer()
+    if not gate_traced:
+        tracer.disable("gate")
+    return spec.run(tracer=tracer)
+
+
+def _posted(result) -> int:
+    stats = result.sim_stats
+    return stats["scheduled"] + stats["elided"]
+
+
+@functools.lru_cache(maxsize=1)
+def _rows(label: str) -> dict:
+    """Both rows of *label*, from one gate-traced and one unwatched run."""
+    narrated = _run(label, gate_traced=True)
+    unwatched = _run(label, gate_traced=False)
+    # Traffic flowed, so the hashes are not hashes of nothing.
+    assert narrated.analyzer.received() > 0
+    trace = _sorted_trace(narrated)
+    quiet = _without_narration(trace)
+    flip, table = _hashes(narrated, trace), _hashes(narrated, quiet)
+    # Watching adds the gate records and changes nothing else ...
+    assert _sorted_trace(unwatched) == [
+        r for r in quiet if r.category != "gate"
+    ]
+    assert {**_hashes(unwatched), "trace": table["trace"]} == table
+    # ... but the events narrating them: each gate record -- an engine's two
+    # start records, every narrated boundary -- posted the next narration.
+    gate_records = sum(r.category == "gate" for r in trace)
+    assert _posted(narrated) == _posted(unwatched) + gate_records
+    # ``scheduled`` predates the demand-driven port: exact-count proof that
+    # only never-posted idle events disappeared since.
+    assert unwatched.sim_stats["elided"] > 0
+    return {"flip": flip, "table": {**table, "scheduled": _posted(unwatched)}}
 
 
 def _capture() -> dict:
-    golden: dict = {"scenarios": {}, "sharded": {}}
-    for label in SCENARIOS:
-        for mode in GATE_MODES:
-            result = _run(label, mode)
-            stats = result.sim_stats
-            golden["scenarios"][f"{label}/{mode}"] = {
-                **_hashes(result),
-                "scheduled": stats["scheduled"] + stats.get("elided", 0),
-            }
-    for label, doc in (("ring", SHARD_RING), ("star", SHARD_STAR)):
-        golden["sharded"][label] = _hashes(
-            run_sharded(doc, shards=1, trace=True)
-        )
-    return golden
+    return {
+        "scenarios": {
+            f"{label}/{row}": hashes
+            for label in SCENARIOS for row, hashes in _rows(label).items()
+        },
+        "sharded": {
+            label: _hashes(run_sharded(doc, shards=1, trace=True))
+            for label, doc in (("ring", SHARD_RING), ("star", SHARD_STAR))
+        },
+    }
 
 
 @pytest.fixture(scope="module")
@@ -169,21 +212,11 @@ def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("mode", GATE_MODES)
-@pytest.mark.parametrize("label", sorted(SCENARIOS))
-def test_outputs_match_parent_capture(golden, label, mode):
-    expected = dict(golden["scenarios"][f"{label}/{mode}"])
-    # The servo scenarios' flip rows were captured without a count.
-    parent_scheduled = expected.pop("scheduled", None)
-    result = _run(label, mode)
-    assert _hashes(result) == expected
-    # Traffic flowed, so the hashes are not hashes of nothing.
-    assert result.analyzer.received() > 0
-    stats = result.sim_stats
-    # Exact-count proof that only never-posted idle events disappeared.
-    if parent_scheduled is not None:
-        assert stats["scheduled"] + stats["elided"] == parent_scheduled
-    assert stats["elided"] > 0
+@pytest.mark.parametrize(
+    "label,row", [(label, row) for label in sorted(SCENARIOS) for row in ROWS]
+)
+def test_outputs_match_parent_capture(golden, label, row):
+    assert _rows(label)[row] == golden["scenarios"][f"{label}/{row}"]
 
 
 @pytest.mark.parametrize("shards", (1, 2))
