@@ -107,6 +107,32 @@ SCENARIOS = {
         "clock_drift_ppm": 200, "clock_offset_spread_ns": 1000,
         "enable_gptp": True, "gptp_warmup_ns": 40_000_000,
     },
+    # A fault plan (per-link corruption, then a cut) and FRER replication +
+    # elimination: the two places a frame is copied or dropped per link.
+    "faulted_star": {
+        "name": "faulted-fp",
+        "topology": {"kind": "star", "talkers": ["talker0"],
+                     "listener": "listener"},
+        "flows": {"ts_count": 8, "period_us": 1000, "size_bytes": 64},
+        "config": "derive", "slot_us": 62.5,
+        "duration_ms": 12,
+        "seed": 7,
+        "faults": {"events": [
+            {"kind": "corrupt_burst", "link": "leaf0.p0", "at_us": 2_000,
+             "duration_us": 2_000, "rate": 0.5},
+            {"kind": "link_down", "link": "leaf0.p0", "at_us": 8_000},
+        ]},
+    },
+    "frer_ring": {
+        "name": "frer-fp",
+        "topology": {"kind": "frer_ring", "switch_count": 4,
+                     "talkers": ["talker0"], "listener": "listener"},
+        "flows": {"ts_count": 8, "period_us": 2000, "size_bytes": 64},
+        "config": "derive", "slot_us": 62.5,
+        "duration_ms": 12,
+        "seed": 7,
+        "frer_ts": True,
+    },
 }
 
 ROWS = ("flip", "table")
@@ -131,6 +157,19 @@ def _without_narration(trace: list) -> list:
     """*trace* less the ``gate`` records after the engines' common start."""
     start = min(r.time for r in trace if r.category == "gate")
     return [r for r in trace if r.category != "gate" or r.time == start]
+
+
+def latency_tuples(result) -> dict:
+    """Every latency sample and anomaly count of every flow."""
+    return {
+        flow_id: (
+            tuple(rec.latencies_ns),
+            rec.deadline_misses,
+            rec.duplicates,
+            rec.reorders,
+        )
+        for flow_id, rec in sorted(result.analyzer.records.items())
+    }
 
 
 def _hashes(result, trace=None) -> dict:
@@ -184,6 +223,8 @@ def _rows(label: str) -> dict:
         r for r in quiet if r.category != "gate"
     ]
     assert {**_hashes(unwatched), "trace": table["trace"]} == table
+    assert latency_tuples(unwatched) == latency_tuples(narrated)
+    flip["latencies"] = table["latencies"] = _sha(latency_tuples(narrated))
     # ... but the events narrating them: each gate record -- an engine's two
     # start records, every narrated boundary -- posted the next narration.
     gate_records = sum(r.category == "gate" for r in trace)
