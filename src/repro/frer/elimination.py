@@ -98,31 +98,20 @@ class FrerEliminator:
         self,
         deliver: Callable[[EthernetFrame], None],
         history_length: int = 64,
-        batch=None,
     ):
         self._deliver = deliver
         self._history_length = history_length
         self._contexts: Dict[int, SequenceRecovery] = {}
-        #: Optional :class:`~repro.switch.batch.FrameBatch`; when set,
-        #: :meth:`record` also accepts integer frame handles (recovery only
-        #: reads flow id + sequence number, so no materialization needed).
-        self._batch = batch
 
-    def __call__(self, frame) -> None:
+    def __call__(self, frame: EthernetFrame) -> None:
         self.record(frame)
 
-    def record(self, frame) -> None:
-        if type(frame) is int:
-            flow_id = self._batch.flow_id[frame]
-            seq = self._batch.seq[frame]
-        else:
-            flow_id = frame.flow_id
-            seq = frame.seq
-        context = self._contexts.get(flow_id)
+    def record(self, frame: EthernetFrame) -> None:
+        context = self._contexts.get(frame.flow_id)
         if context is None:
             context = SequenceRecovery(self._history_length)
-            self._contexts[flow_id] = context
-        if context.accept(seq):
+            self._contexts[frame.flow_id] = context
+        if context.accept(frame.seq):
             self._deliver(frame)
 
     # ------------------------------------------------------------- queries

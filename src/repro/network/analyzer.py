@@ -91,12 +91,9 @@ class LatencySummary:
 class TsnAnalyzer:
     """Receives frames at the listener and aggregates QoS statistics."""
 
-    def __init__(self, sim: Simulator, flows: FlowSet, batch=None):
+    def __init__(self, sim: Simulator, flows: FlowSet):
         self._sim = sim
         self._flows = flows
-        #: Optional :class:`~repro.switch.batch.FrameBatch`; when set,
-        #: :meth:`record` also accepts integer frame handles.
-        self._batch = batch
         self.records: Dict[int, FlowRecord] = {}
         self.unknown_frames = 0
         #: Optional :class:`~repro.obs.slo.SloMonitor`; when set, every
@@ -109,34 +106,20 @@ class TsnAnalyzer:
 
     # ------------------------------------------------------------- recording
 
-    def record(self, frame) -> None:
-        """Listener ``on_receive`` hook.
-
-        *frame* is an :class:`EthernetFrame` or, on the batched fast path,
-        an integer :class:`~repro.switch.batch.FrameBatch` handle -- the
-        analyzer only reads flow id, sequence number and injection time.
-        """
-        if type(frame) is int:
-            batch = self._batch
-            flow_id = batch.flow_id[frame]
-            seq = batch.seq[frame]
-            created_ns = batch.inject_ns[frame]
-        else:
-            flow_id = frame.flow_id
-            seq = frame.seq
-            created_ns = frame.created_ns
-        record = self.records.get(flow_id)
+    def record(self, frame: EthernetFrame) -> None:
+        """Listener ``on_receive`` hook."""
+        record = self.records.get(frame.flow_id)
         if record is None:
             self.unknown_frames += 1
             return
-        if created_ns < 0:
+        if frame.created_ns < 0:
             raise SimulationError(
-                f"frame of flow {flow_id} carries no injection timestamp"
+                f"frame of flow {frame.flow_id} carries no injection timestamp"
             )
-        latency_ns = self._sim.now - created_ns
-        record.note(latency_ns, seq)
+        latency_ns = self._sim.now - frame.created_ns
+        record.note(latency_ns, frame.seq)
         if self.slo is not None:
-            self.slo.observe(flow_id, seq, latency_ns, self._sim.now)
+            self.slo.observe(frame.flow_id, frame.seq, latency_ns, self._sim.now)
 
     # ------------------------------------------------------------ statistics
 

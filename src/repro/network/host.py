@@ -49,13 +49,9 @@ class Host:
         clock: Optional[LocalClock] = None,
         tracer: Tracer = NULL_TRACER,
         spans: Optional[FlowSpanRecorder] = None,
-        batch=None,
     ) -> None:
         self._sim = sim
         self._spans = spans
-        #: Optional :class:`~repro.switch.batch.FrameBatch`; when set, the
-        #: host also injects/receives integer frame handles.
-        self._batch = batch
         self.name = name
         self.mac: MacAddress = make_mac(0x8000 + Host._next_index)
         Host._next_index += 1
@@ -84,7 +80,6 @@ class Host:
             tracer=tracer,
             spans=spans,
             name=f"{name}.nic",
-            batch=batch,
         )
         self._gates.set_on_change(self.nic.kick)
         self._started = False
@@ -97,44 +92,22 @@ class Host:
 
     # --------------------------------------------------------------- traffic
 
-    def _span_frame(self, frame):
-        return (
-            self._batch.materialize(frame) if type(frame) is int else frame
-        )
-
-    def inject(self, frame) -> bool:
-        """Queue a locally generated frame for transmission (by PCP).
-
-        *frame* is an :class:`EthernetFrame` or, on the batched fast path,
-        an integer :class:`~repro.switch.batch.FrameBatch` handle.
-        """
-        if type(frame) is int:
-            pcp = self._batch.priority[frame]
-        else:
-            pcp = frame.pcp
+    def inject(self, frame: EthernetFrame) -> bool:
+        """Queue a locally generated frame for transmission (by PCP)."""
         if self._spans is not None:
-            self._spans.record(
-                self._sim.now, "inject", self.name, self._span_frame(frame)
-            )
-        return self.nic.enqueue(frame, pcp)
+            self._spans.record(self._sim.now, "inject", self.name, frame)
+        return self.nic.enqueue(frame, frame.pcp)
 
-    def receive(self, frame) -> None:
+    def receive(self, frame: EthernetFrame) -> None:
         """A frame arrived from the network."""
-        fcs_ok = (
-            self._batch.fcs_ok[frame] if type(frame) is int else frame.fcs_ok
-        )
-        if not fcs_ok:
+        if not frame.fcs_ok:
             # NIC FCS check: bit-errored frames never reach the stack.
             self.counters.dropped_corrupt += 1
             if self._spans is not None:
-                self._spans.record(
-                    self._sim.now, "drop", self.name, self._span_frame(frame)
-                )
+                self._spans.record(self._sim.now, "drop", self.name, frame)
             return
         self.received += 1
         if self._spans is not None:
-            self._spans.record(
-                self._sim.now, "rx", self.name, self._span_frame(frame)
-            )
+            self._spans.record(self._sim.now, "rx", self.name, frame)
         if self.on_receive is not None:
             self.on_receive(frame)

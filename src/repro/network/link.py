@@ -54,7 +54,6 @@ class Link:
         rng: Optional[random.Random] = None,
         name: str = "link",
         spans: Optional[FlowSpanRecorder] = None,
-        batch=None,
     ) -> None:
         if propagation_ns < 0:
             raise ConfigurationError(
@@ -75,9 +74,6 @@ class Link:
         self._rng = rng
         self.name = name
         self._spans = spans
-        #: Optional :class:`~repro.switch.batch.FrameBatch`; when set, the
-        #: link also carries integer frame handles.
-        self._batch = batch
         self.frames_carried = 0
         self.frames_corrupted = 0
         self.frames_blackholed = 0
@@ -156,18 +152,12 @@ class Link:
 
     # ------------------------------------------------------------- carrying
 
-    def _note_drop(self, frame) -> None:
+    def _note_drop(self, frame: EthernetFrame) -> None:
         if self._spans is not None:
-            if type(frame) is int:
-                frame = self._batch.materialize(frame)
             self._spans.record(self._sim.now, "drop", self.name, frame)
 
-    def _carry(self, frame) -> None:
-        """Called by the port at last-bit-out; deliver after propagation.
-
-        *frame* is an :class:`EthernetFrame` or, on the batched fast path,
-        an integer :class:`~repro.switch.batch.FrameBatch` handle.
-        """
+    def _carry(self, frame: EthernetFrame) -> None:
+        """Called by the port at last-bit-out; deliver after propagation."""
         if not self._up:
             self.frames_blackholed += 1
             self._note_drop(frame)
@@ -193,13 +183,8 @@ class Link:
             # multicast) copies of the same frame traverse other links
             # intact.  Clean frames are passed through by reference -- no
             # observer needs a per-hop object -- and ``corrupted()`` skips
-            # dataclasses.replace's re-validation.  A batch handle
-            # materializes here for the same reason: the shared column
-            # store must not see one link's bit errors.
-            if type(frame) is int:
-                frame = self._batch.materialize(frame, fcs_ok=False)
-            else:
-                frame = frame.corrupted()
+            # dataclasses.replace's re-validation.
+            frame = frame.corrupted()
         self.frames_carried += 1
         if self._divert is not None:
             # Sharded execution: the receiver lives in another worker.  All
@@ -219,7 +204,7 @@ class Link:
         delivering locally.  Used by the shard coordinator for cut links."""
         self._divert = handoff
 
-    def deliver(self, frame) -> None:
+    def deliver(self, frame: EthernetFrame) -> None:
         """Hand *frame* to this link's receiver right now.
 
         The import side of a shard boundary: the destination worker posts

@@ -238,6 +238,10 @@ class ScenarioResult:
 class Testbed:
     """Builds and runs one scenario."""
 
+    # Read by benchmarks/e2e only (its ``testbed.frame_path`` flag, always
+    # 0 = frame objects); goes with that flag in ROADMAP item 1c.
+    batch = None
+
     def __init__(
         self,
         topology: TopologySpec,
@@ -272,7 +276,6 @@ class Testbed:
         slo_policy: Optional[SloPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         headroom: Optional[HeadroomRecorder] = None,
-        fastpath: str = "auto",
     ) -> None:
         topology.validate()
         config.validate()
@@ -374,24 +377,6 @@ class Testbed:
         self.headroom = headroom
         self.fault_plan = fault_plan
         self.fault_injector: Optional[FaultInjector] = None
-        # Batched (struct-of-arrays) frame fast path.  ``"auto"`` enables it
-        # whenever no flow-span recorder is attached (spans want full frame
-        # objects at every hop, which would force materialization everywhere
-        # and erase the win); ``"on"``/``"off"`` force either way.  The
-        # tracer does NOT disable batching: trace emits read the batch
-        # columns directly, which is what lets the equivalence tests compare
-        # object-path and batch-path traces byte for byte.
-        if fastpath not in ("auto", "on", "off"):
-            raise ConfigurationError(
-                f"fastpath must be 'auto', 'on' or 'off', got {fastpath!r}"
-            )
-        self.fastpath = fastpath
-        if fastpath == "on" or (fastpath == "auto" and spans is None):
-            from repro.switch.batch import FrameBatch
-
-            self.batch: Optional["FrameBatch"] = FrameBatch()
-        else:
-            self.batch = None
         self.sim = Simulator(profiler=profiler)
         self.rng = RngFactory(seed)
         self.sync_domain: Optional[SyncDomain] = None
@@ -524,7 +509,6 @@ class Testbed:
                 spans=self.spans,
                 headroom=self.headroom,
                 name=name,
-                batch=self.batch,
             )
         if self.enable_gptp:
             self._build_sync_domain()
@@ -570,7 +554,6 @@ class Testbed:
                 rate_bps=self.rate_bps,
                 tracer=self.tracer,
                 spans=self.spans,
-                batch=self.batch,
             )
 
     def _wire_links(self) -> None:
@@ -592,7 +575,6 @@ class Testbed:
                     ),
                     name=name,
                     spans=self.spans,
-                    batch=self.batch,
                 )
             )
         for uplink in self.topology.uplinks:
@@ -605,7 +587,6 @@ class Testbed:
                     self.propagation_ns,
                     name=f"{uplink.host}->{uplink.dst}",
                     spans=self.spans,
-                    batch=self.batch,
                 )
             )
         for attachment in self.topology.attachments:
@@ -622,7 +603,6 @@ class Testbed:
                         f"->{attachment.host}"
                     ),
                     spans=self.spans,
-                    batch=self.batch,
                 )
             )
             self._listener_ports[(attachment.switch, attachment.host)] = (
@@ -931,7 +911,7 @@ class Testbed:
     def _create_analyzer(self) -> None:
         from repro.frer.elimination import FrerEliminator
 
-        self.analyzer = TsnAnalyzer(self.sim, self.flows, batch=self.batch)
+        self.analyzer = TsnAnalyzer(self.sim, self.flows)
         if self.slo_policy is not None:
             self.slo_monitor = SloMonitor(
                 self.slo_policy, self.flows, metrics=self.metrics
@@ -942,7 +922,7 @@ class Testbed:
             if self.frer_ts:
                 if attachment.host not in self.frer_eliminators:
                     self.frer_eliminators[attachment.host] = FrerEliminator(
-                        self.analyzer.record, batch=self.batch
+                        self.analyzer.record
                     )
                 host.on_receive = self.frer_eliminators[attachment.host]
             else:
@@ -982,7 +962,6 @@ class Testbed:
                             vlan_id=member_vid,
                             pcp=flow.effective_pcp,
                             spans=self.spans,
-                            batch=self.batch,
                         )
                     )
             else:
@@ -1006,7 +985,6 @@ class Testbed:
                         ),
                         rng=self.rng.stream(f"flow{flow.flow_id}.gaps"),
                         spans=self.spans,
-                        batch=self.batch,
                     )
                 )
 

@@ -383,9 +383,8 @@ def _owned_sets(
     }
 
 
-def _export_frame(link, frame) -> Tuple:
-    if type(frame) is int:
-        frame = link._batch.materialize(frame)
+def _export_frame(frame) -> Tuple:
+    """The frame's fields in ``EthernetFrame`` order, less the frame id."""
     return (
         frame.src_mac, frame.dst_mac, frame.vlan_id, frame.pcp,
         frame.size_bytes, frame.flow_id, frame.seq, frame.created_ns,
@@ -393,21 +392,10 @@ def _export_frame(link, frame) -> Tuple:
     )
 
 
-def _import_frame(batch, payload: Tuple):
-    (src_mac, dst_mac, vlan_id, pcp, size_bytes, flow_id, seq,
-     created_ns, fcs_ok) = payload
-    if batch is not None and fcs_ok:
-        return batch.alloc(
-            src_mac, dst_mac, vlan_id, pcp, size_bytes, flow_id, seq,
-            created_ns,
-        )
+def _import_frame(payload: Tuple):
     from repro.switch.packet import EthernetFrame
 
-    return EthernetFrame(
-        src_mac=src_mac, dst_mac=dst_mac, vlan_id=vlan_id, pcp=pcp,
-        size_bytes=size_bytes, flow_id=flow_id, seq=seq,
-        created_ns=created_ns, fcs_ok=fcs_ok,
-    )
+    return EthernetFrame(*payload)
 
 
 def _build_replica(scenario: Mapping[str, Any], trace: bool):
@@ -475,10 +463,8 @@ def _shard_worker(
         outbox: List[Tuple[int, int, Tuple]] = []
 
         def _diverter(index: int):
-            link = testbed.links[index]
-
             def handoff(arrival_ns: int, frame) -> None:
-                outbox.append((index, arrival_ns, _export_frame(link, frame)))
+                outbox.append((index, arrival_ns, _export_frame(frame)))
 
             return handoff
 
@@ -495,7 +481,7 @@ def _shard_worker(
                 _cmd, until, injections = message
                 for index, arrival_ns, payload in injections:
                     link = testbed.links[index]
-                    frame = _import_frame(testbed.batch, payload)
+                    frame = _import_frame(payload)
                     sim.post_at(
                         arrival_ns,
                         (lambda l, f: lambda: l.deliver(f))(link, frame),

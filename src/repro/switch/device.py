@@ -77,7 +77,6 @@ class TsnSwitch:
         spans: Optional[FlowSpanRecorder] = None,
         headroom: Optional[HeadroomRecorder] = None,
         name: Optional[str] = None,
-        batch=None,
     ) -> None:
         config.validate()
         self._sim = sim
@@ -117,13 +116,9 @@ class TsnSwitch:
             if metrics is not None
             else None
         )
-        #: Optional :class:`~repro.switch.batch.FrameBatch`; when set, the
-        #: dataplane also moves integer frame handles (the batched fast
-        #: path -- see docs/performance.md).
-        self._batch = batch
         self.counters = SwitchCounters()
         self.pipeline = SwitchPipeline(
-            config, self.counters, instruments=self.instruments, batch=batch
+            config, self.counters, instruments=self.instruments
         )
         self.ports: List[EgressPort] = []
         self._local_hosts: Dict[int, "DeliverFn"] = {}
@@ -187,7 +182,6 @@ class TsnSwitch:
             spans=self._spans,
             headroom=headroom_probes,
             name=f"{self.name}.p{port_id}",
-            batch=self._batch,
         )
         engine.set_on_change(port.kick)
         self.ports.append(port)
@@ -308,52 +302,32 @@ class TsnSwitch:
 
     # ------------------------------------------------------------- dataplane
 
-    def _flow_of(self, frame) -> int:
-        return (
-            self._batch.flow_id[frame] if type(frame) is int
-            else frame.flow_id
-        )
-
-    def _span_frame(self, frame):
-        return (
-            self._batch.materialize(frame) if type(frame) is int else frame
-        )
-
-    def receive(self, frame, inport: Optional[int] = None) -> None:
-        """A frame arrived (fully, store-and-forward) from a link.
-
-        *frame* is an :class:`EthernetFrame` or, on the batched fast path,
-        an integer :class:`~repro.switch.batch.FrameBatch` handle.
-        """
+    def receive(
+        self, frame: EthernetFrame, inport: Optional[int] = None
+    ) -> None:
+        """A frame arrived (fully, store-and-forward) from a link."""
         self.counters.received += 1
         if self.instruments is not None:
             self.instruments.on_received()
         if self._spans is not None:
-            self._spans.record(
-                self._sim.now, "ingress", self.name, self._span_frame(frame)
-            )
-        fcs_ok = (
-            self._batch.fcs_ok[frame] if type(frame) is int else frame.fcs_ok
-        )
-        if not fcs_ok:
+            self._spans.record(self._sim.now, "ingress", self.name, frame)
+        if not frame.fcs_ok:
             # The MAC's FCS check rejects bit-errored frames before the
             # pipeline ever sees them, exactly like real ingress silicon.
             self.counters.dropped_corrupt += 1
             if self._tracer.active:
                 self._tracer.emit(
                     self._sim.now, "drop", f"{self.name} corrupt_fcs",
-                    flow=self._flow_of(frame),
+                    flow=frame.flow_id,
                 )
             if self._spans is not None:
-                self._spans.record(
-                    self._sim.now, "drop", self.name, self._span_frame(frame)
-                )
+                self._spans.record(self._sim.now, "drop", self.name, frame)
             return
         self._sim.post(
             self.processing_delay_ns, lambda: self._process(frame)
         )
 
-    def _process(self, frame) -> None:
+    def _process(self, frame: EthernetFrame) -> None:
         decision = self.pipeline.process(frame, self._sim._now)
         if decision.drop_reason is not None:
             if self._tracer.active:
@@ -361,12 +335,10 @@ class TsnSwitch:
                     self._sim.now,
                     "drop",
                     f"{self.name} {decision.drop_reason}",
-                    flow=self._flow_of(frame),
+                    flow=frame.flow_id,
                 )
             if self._spans is not None:
-                self._spans.record(
-                    self._sim.now, "drop", self.name, self._span_frame(frame)
-                )
+                self._spans.record(self._sim.now, "drop", self.name, frame)
             return
         for outport, queue_id in decision.targets:
             local = self._local_hosts.get(outport)

@@ -7,7 +7,9 @@ buffer stores packet payload"):
 * :class:`EthernetFrame` -- the immutable wire object: addresses, VLAN tag,
   priority, size, plus measurement bookkeeping (flow id, sequence number,
   injection timestamp).  Payload *content* is never materialized; only sizes
-  matter to timing and resource behaviour.
+  matter to timing and resource behaviour.  It is the one representation
+  of a frame: a source creates it, every hop passes the same object on,
+  and only a corrupting link makes a copy.
 
 * :class:`Descriptor` -- the 32-bit metadata word a queue actually holds:
   a buffer-slot reference plus the frame length.  Descriptors are created at
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.units import ETH_MIN_FRAME_BYTES
 
@@ -57,14 +58,10 @@ def reset_frame_ids() -> None:
     Frame ids are debugging handles, never part of any observable (traces,
     reports, rows all omit them), but a forked shard worker must restart
     the counter so that its builds do not inherit however far the parent's
-    counter had advanced.  ``batch`` imports the counter by value, so the
-    alias there is rebound too.
+    counter had advanced.
     """
     global _frame_ids
     _frame_ids = itertools.count()
-    from . import batch as _batch
-
-    _batch._frame_ids = _frame_ids
 
 
 @dataclass(frozen=True)
@@ -120,24 +117,19 @@ class Descriptor:
 
     The reproduction keeps a Python reference to the frame for convenience;
     the *modelled* width is the configured 32 bits (buffer slot id, length,
-    and flags), which is what the BRAM cost model charges for.  On the
-    batched fast path ``frame`` holds an integer
-    :class:`~repro.switch.batch.FrameBatch` handle instead of an
-    :class:`EthernetFrame`, and the length is carried explicitly.
+    and flags), which is what the BRAM cost model charges for.
     """
 
     __slots__ = ("frame", "buffer_slot", "enqueued_ns", "queue_id",
                  "size_bytes")
 
-    def __init__(self, frame, buffer_slot: int, enqueued_ns: int,
-                 queue_id: int, size_bytes: Optional[int] = None):
+    def __init__(self, frame: EthernetFrame, buffer_slot: int,
+                 enqueued_ns: int, queue_id: int):
         self.frame = frame
         self.buffer_slot = buffer_slot
         self.enqueued_ns = enqueued_ns
         self.queue_id = queue_id
-        self.size_bytes = (
-            frame.size_bytes if size_bytes is None else size_bytes
-        )
+        self.size_bytes = frame.size_bytes
 
     def __repr__(self) -> str:
         return (

@@ -32,7 +32,7 @@ from repro.core.config import SwitchConfig
 from repro.obs.instruments import SwitchInstruments
 from .counters import SwitchCounters
 from .meter import TokenBucketMeter
-from .packet import EthernetFrame, is_multicast
+from .packet import EthernetFrame
 from .tables import (
     ClassificationTable,
     ClassTarget,
@@ -67,14 +67,10 @@ class SwitchPipeline:
         config: SwitchConfig,
         counters: SwitchCounters,
         instruments: Optional[SwitchInstruments] = None,
-        batch=None,
     ):
         self.config = config
         self.counters = counters
         self._obs = instruments
-        #: Optional :class:`~repro.switch.batch.FrameBatch`; when set,
-        #: :meth:`process` also accepts integer frame handles.
-        self._batch = batch
         self.unicast = UnicastTable(config.unicast_size)
         self.multicast: Optional[MulticastTable] = (
             MulticastTable(config.multicast_size)
@@ -133,46 +129,23 @@ class SwitchPipeline:
 
     # ------------------------------------------------------------ full path
 
-    def process(self, frame, now_ns: int) -> ForwardingDecision:
-        """Run a frame through classify/police/lookup; count drops.
-
-        *frame* is an :class:`EthernetFrame` or, on the batched fast path,
-        an integer :class:`~repro.switch.batch.FrameBatch` handle -- the
-        stages only ever touch the parsed header fields.
-        """
-        if type(frame) is int:
-            batch = self._batch
-            return self._process_fields(
-                batch.src_mac[frame], batch.dst_mac[frame],
-                batch.vlan_id[frame], batch.priority[frame],
-                batch.size_bytes[frame], now_ns,
-            )
-        return self._process_fields(
-            frame.src_mac, frame.dst_mac, frame.vlan_id, frame.pcp,
-            frame.size_bytes, now_ns,
-        )
-
-    def _process_fields(
-        self, src_mac: int, dst_mac: int, vlan_id: int, pcp: int,
-        size_bytes: int, now_ns: int,
+    def process(
+        self, frame: EthernetFrame, now_ns: int
     ) -> ForwardingDecision:
-        key = (src_mac, dst_mac, vlan_id, pcp)
+        """Run a frame through classify/police/lookup; count drops."""
+        key = (frame.src_mac, frame.dst_mac, frame.vlan_id, frame.pcp)
         resolved = self._resolved.get(key)
         if resolved is not None:
             meter, decision = resolved
         else:
-            target = self.classification.classify(
-                src_mac, dst_mac, vlan_id, pcp
-            )
-            if target is None:
-                target = ClassTarget(meter_id=-1, queue_id=pcp)
+            target = self.classify(frame)
             meter = (
                 self.meters.meter(target.meter_id)
                 if target.meter_id >= 0 else None
             )
             decision = None  # looked up below, once the frame is policed
         if meter is not None:
-            conformed = meter.offer(now_ns, size_bytes)
+            conformed = meter.offer(now_ns, frame.size_bytes)
             if self._obs is not None:
                 self._obs.on_meter(conformed)
             if not conformed:
@@ -182,13 +155,7 @@ class SwitchPipeline:
                 return ForwardingDecision((), "policer")
         if decision is not None:
             return decision
-        if is_multicast(dst_mac) and self.multicast is not None:
-            outports = (
-                self.multicast.find_outports(dst_mac & _MC_ID_MASK) or ()
-            )
-        else:
-            outport = self.unicast.find_outport(dst_mac, vlan_id)
-            outports = () if outport is None else (outport,)
+        outports = self.lookup(frame)
         if not outports:
             self.counters.dropped_unknown_dst += 1
             if self._obs is not None:

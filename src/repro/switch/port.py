@@ -115,7 +115,6 @@ class EgressPort:
         spans: Optional[FlowSpanRecorder] = None,
         headroom: Optional[PortHeadroomProbes] = None,
         name: str = "port",
-        batch=None,
     ) -> None:
         if rate_bps <= 0:
             raise ConfigurationError(f"port rate must be positive, got {rate_bps}")
@@ -136,9 +135,6 @@ class EgressPort:
         self._obs = instruments
         self._spans = spans
         self._headroom = headroom
-        #: Optional :class:`~repro.switch.batch.FrameBatch`; when set,
-        #: ``enqueue`` also accepts integer frame handles.
-        self._batch = batch
         self.name = name
         self._deliver: Optional[DeliverFn] = None
         self._busy_until = 0
@@ -174,19 +170,6 @@ class EgressPort:
 
     # --------------------------------------------------------------- ingress
 
-    def _flow_of(self, frame) -> int:
-        """The flow id of a frame object or batch handle (observer paths)."""
-        return (
-            self._batch.flow_id[frame] if type(frame) is int
-            else frame.flow_id
-        )
-
-    def _span_frame(self, frame):
-        """A real frame object for the span recorder (materializes handles)."""
-        return (
-            self._batch.materialize(frame) if type(frame) is int else frame
-        )
-
     def enqueue(self, frame: EthernetFrame, queue_id: int) -> bool:
         """Admit *frame* toward queue *queue_id*; False if dropped.
 
@@ -204,35 +187,26 @@ class EgressPort:
             if self._obs is not None:
                 self._obs.on_drop("gate")
             if self._spans is not None:
-                self._spans.record(
-                    self._sim.now, "drop", self.name, self._span_frame(frame)
-                )
+                self._spans.record(self._sim.now, "drop", self.name, frame)
             return False
         queue = self._queue_by_id.get(target_id)
         if queue is None:
             raise SimulationError(
                 f"{self.name}: gate selected unknown queue {target_id}"
             )
-        size_bytes = (
-            self._batch.size_bytes[frame] if type(frame) is int
-            else frame.size_bytes
-        )
-        slot = self.pool.allocate(size_bytes)
+        slot = self.pool.allocate(frame.size_bytes)
         if slot is None:
             self.counters.dropped_no_buffer += 1
             if self._obs is not None:
                 self._obs.on_drop("no_buffer")
             if self._spans is not None:
-                self._spans.record(
-                    self._sim.now, "drop", self.name, self._span_frame(frame)
-                )
+                self._spans.record(self._sim.now, "drop", self.name, frame)
             return False
         descriptor = Descriptor(
             frame=frame,
             buffer_slot=slot,
             enqueued_ns=self._sim._now,
             queue_id=target_id,
-            size_bytes=size_bytes,
         )
         if not queue.enqueue(descriptor):
             self.pool.release(slot)
@@ -240,9 +214,7 @@ class EgressPort:
             if self._obs is not None:
                 self._obs.on_drop("tail")
             if self._spans is not None:
-                self._spans.record(
-                    self._sim.now, "drop", self.name, self._span_frame(frame)
-                )
+                self._spans.record(self._sim.now, "drop", self.name, frame)
             return False
         self._resident += 1
         self.counters.note_enqueue(target_id)
@@ -255,8 +227,7 @@ class EgressPort:
             self._headroom.on_buffer(self.pool.in_use, now)
         if self._spans is not None:
             self._spans.record(
-                self._sim.now, "enqueue", self.name,
-                self._span_frame(frame), target_id
+                self._sim.now, "enqueue", self.name, frame, target_id
             )
         self._update_shaper_backlog(target_id)
         if self._tracer.active:
@@ -266,7 +237,7 @@ class EgressPort:
                 f"{self.name} enqueue",
                 queue=target_id,
                 occupancy=len(queue),
-                flow=self._flow_of(frame),
+                flow=frame.flow_id,
             )
         self.kick()
         return True
@@ -449,8 +420,7 @@ class EgressPort:
             self._headroom.on_queue(queue.queue_id, len(queue), now)
         if self._spans is not None:
             self._spans.record(
-                now, "dequeue", self.name,
-                self._span_frame(descriptor.frame), queue.queue_id
+                now, "dequeue", self.name, descriptor.frame, queue.queue_id
             )
         shaper = self.scheduler.shapers.get(queue.queue_id)
         if shaper is not None:
@@ -465,7 +435,7 @@ class EgressPort:
                 "tx",
                 f"{self.name} start",
                 queue=queue.queue_id,
-                flow=self._flow_of(descriptor.frame),
+                flow=descriptor.frame.flow_id,
                 bytes=descriptor.size_bytes,
             )
         self._begin_fragment(
@@ -494,7 +464,7 @@ class EgressPort:
                 "tx",
                 f"{self.name} resume",
                 queue=tx.queue_id,
-                flow=self._flow_of(tx.descriptor.frame),
+                flow=tx.descriptor.frame.flow_id,
                 remaining=remaining,
             )
         self._begin_fragment(
@@ -546,7 +516,7 @@ class EgressPort:
                 "tx",
                 f"{self.name} preempt",
                 queue=tx.queue_id,
-                flow=self._flow_of(tx.descriptor.frame),
+                flow=tx.descriptor.frame.flow_id,
                 done=tx.bytes_done,
             )
         self._active = None
@@ -570,8 +540,8 @@ class EgressPort:
             self._headroom.on_buffer(self.pool.in_use, self._sim.now)
         if self._spans is not None:
             self._spans.record(
-                self._sim.now, "tx", self.name,
-                self._span_frame(tx.descriptor.frame), tx.queue_id
+                self._sim.now, "tx", self.name, tx.descriptor.frame,
+                tx.queue_id
             )
         shaper = self.scheduler.shapers.get(tx.queue_id)
         if shaper is not None:

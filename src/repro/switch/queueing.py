@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Union
+from typing import Deque, List, Optional
 
 from repro.core.errors import ConfigurationError
-from .packet import Descriptor, EthernetFrame
+from .packet import Descriptor
 
 __all__ = ["MetadataQueue", "BufferPool", "QueueStats", "PoolStats"]
 
@@ -134,15 +134,12 @@ class BufferPool:
     def in_use(self) -> int:
         return self.slots - len(self._free)
 
-    def allocate(
-        self, frame: Union[EthernetFrame, int]
-    ) -> Optional[int]:
-        """Claim a slot for *frame*; None when exhausted (drop) or oversize.
+    def allocate(self, size_bytes: int) -> Optional[int]:
+        """Claim a slot for a frame of *size_bytes*; None when exhausted.
 
-        *frame* is either a full :class:`EthernetFrame` or, on the batched
-        fast path, its size in bytes (the only field admission needs).
+        The size is the only field admission needs; a frame larger than a
+        slot is a configuration error, not a drop.
         """
-        size_bytes = frame if type(frame) is int else frame.size_bytes
         if size_bytes > self.slot_bytes:
             raise ConfigurationError(
                 f"frame of {size_bytes}B exceeds buffer slot "

@@ -45,15 +45,18 @@ class _SourceBase:
         pcp: int,
         size_bytes: int,
         spans: Optional[FlowSpanRecorder] = None,
-        batch=None,
     ) -> None:
+        # A probe frame runs the frame's own field checks once, here, with
+        # the flow named -- not at the first emission, inside the event loop.
+        try:
+            EthernetFrame(
+                src_mac, dst_mac, vlan_id, pcp, size_bytes, frame_id=-1
+            )
+        except ValueError as exc:
+            raise ConfigurationError(f"flow {flow_id}: {exc}") from None
         self._sim = sim
         self._inject = inject
         self._spans = spans
-        #: Optional :class:`~repro.switch.batch.FrameBatch`; when set,
-        #: :meth:`_emit` allocates integer handles instead of frame
-        #: objects (the batched fast path).
-        self._batch = batch
         self.flow_id = flow_id
         self.src_mac = src_mac
         self.dst_mac = dst_mac
@@ -68,19 +71,6 @@ class _SourceBase:
         self._stopped = True
 
     def _emit(self) -> None:
-        if self._batch is not None:
-            frame = self._batch.alloc(
-                self.src_mac, self.dst_mac, self.vlan_id, self.pcp,
-                self.size_bytes, self.flow_id, self.emitted, self._sim.now,
-            )
-            self.emitted += 1
-            if self._spans is not None:
-                self._spans.record(
-                    self._sim.now, "gen", f"flow{self.flow_id}",
-                    self._batch.materialize(frame),
-                )
-            self._inject(frame)
-            return
         frame = EthernetFrame(
             src_mac=self.src_mac,
             dst_mac=self.dst_mac,
@@ -119,11 +109,10 @@ class PeriodicSource(_SourceBase):
         pcp: int = 7,
         limit: Optional[int] = None,
         spans: Optional[FlowSpanRecorder] = None,
-        batch=None,
     ) -> None:
         super().__init__(
             sim, inject, flow_id, src_mac, dst_mac, vlan_id, pcp, size_bytes,
-            spans=spans, batch=batch,
+            spans=spans,
         )
         if period_ns <= 0:
             raise ConfigurationError(f"period must be positive, got {period_ns}")
@@ -170,11 +159,10 @@ class RateSource(_SourceBase):
         rng: Optional[random.Random] = None,
         until_ns: Optional[int] = None,
         spans: Optional[FlowSpanRecorder] = None,
-        batch=None,
     ) -> None:
         super().__init__(
             sim, inject, flow_id, src_mac, dst_mac, vlan_id, pcp, size_bytes,
-            spans=spans, batch=batch,
+            spans=spans,
         )
         if rate_bps < 0:
             raise ConfigurationError(f"rate must be >= 0, got {rate_bps}")

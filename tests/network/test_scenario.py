@@ -219,7 +219,7 @@ class TestStrictValidation:
         ("propagation_ns", 50.5),
         ("enable_gptp", 1),
         ("gptp_warmup_ns", True),
-        ("fastpath", False),
+        ("fastpath", "on"),  # a knob that no longer exists (as gate_events)
         ("ts_queue_pair", "7,6"),
         ("ts_queue_pair", [6, 7, 5]),
         ("ts_queue_pair", [6, True]),
@@ -236,8 +236,7 @@ class TestStrictValidation:
 
     def test_well_typed_extras_build(self):
         spec = ScenarioSpec.from_dict(_spec_dict(
-            clock_drift_ppm=20, ts_queue_pair=[6, 7], fastpath="off",
-            enable_gptp=False,
+            clock_drift_ppm=20, ts_queue_pair=[6, 7], enable_gptp=False,
         ))
         assert spec.build_testbed().ts_queue_pair == [6, 7]
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import SwitchConfig
 from repro.sim.kernel import Simulator
-from repro.switch.batch import FrameBatch
 from repro.switch.counters import SwitchCounters
 from repro.switch.device import TsnSwitch
 from repro.switch.packet import EthernetFrame, make_mac
@@ -121,21 +120,16 @@ class _MeterLog:
         self.drops.append(reason)
 
 
-@pytest.fixture(params=["object", "batch"])
-def send(request):
-    """``send(pipe, now_ns=0, **fields)``: one frame through ``process``,
-    as an ``EthernetFrame`` or as a ``FrameBatch`` handle."""
-    batch = FrameBatch()
+# One param: its id is part of every TestResolvedEntries test id.
+@pytest.fixture(params=["object"])
+def send():
+    """``send(pipe, now_ns=0, **fields)``: one frame through ``process``."""
 
     def _send(pipe, now_ns=0, src=1, dst=2, vid=1, pcp=7, size=64):
         fields = (
             make_mac(src), dst if dst >> 40 else make_mac(dst), vid, pcp, size
         )
-        if request.param == "object":
-            return pipe.process(EthernetFrame(*fields), now_ns)
-        pipe._batch = batch
-        handle = batch.alloc(*fields, flow_id=0, seq=0, created_ns=0)
-        return pipe.process(handle, now_ns)
+        return pipe.process(EthernetFrame(*fields), now_ns)
 
     return _send
 

@@ -91,17 +91,17 @@ class TestMetadataQueue:
 class TestBufferPool:
     def test_allocate_release(self):
         pool = BufferPool(2)
-        a = pool.allocate(_frame())
-        b = pool.allocate(_frame())
+        a = pool.allocate(64)
+        b = pool.allocate(64)
         assert {a, b} == {0, 1}
-        assert pool.allocate(_frame()) is None
+        assert pool.allocate(64) is None
         assert pool.stats.exhaustion_drops == 1
         pool.release(a)
-        assert pool.allocate(_frame()) == a  # LIFO recycling
+        assert pool.allocate(64) == a  # LIFO recycling
 
     def test_high_water(self):
         pool = BufferPool(4)
-        slots = [pool.allocate(_frame()) for _ in range(3)]
+        slots = [pool.allocate(64) for _ in range(3)]
         for slot in slots:
             pool.release(slot)
         assert pool.stats.high_water == 3
@@ -109,11 +109,11 @@ class TestBufferPool:
     def test_oversize_frame_rejected(self):
         pool = BufferPool(2, slot_bytes=128)
         with pytest.raises(ConfigurationError):
-            pool.allocate(_frame(size=256))
+            pool.allocate(256)
 
     def test_double_release_rejected(self):
         pool = BufferPool(2)
-        slot = pool.allocate(_frame())
+        slot = pool.allocate(64)
         pool.release(slot)
         with pytest.raises(ConfigurationError):
             pool.release(slot)
@@ -132,7 +132,7 @@ class TestBufferPool:
         held = []
         for op in ops:
             if op == "alloc":
-                slot = pool.allocate(_frame())
+                slot = pool.allocate(64)
                 if slot is not None:
                     assert slot not in held
                     held.append(slot)

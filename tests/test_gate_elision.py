@@ -9,7 +9,9 @@ narration is narration: the bare (table-only) run and the flip-narrated
 runs produce identical frame-level traces -- every latency sample of every
 flow, every drop, duplicate and reorder -- across CQF and Qbv gating,
 multi-switch topologies, and frame preemption, and the only extra kernel
-events are the narration events themselves.
+events are the narration events themselves.  Flow spans and headroom
+probes are held to the stricter bar: they post nothing, so not even the
+event count moves.
 """
 
 from collections import Counter
@@ -17,9 +19,14 @@ from collections import Counter
 import pytest
 
 from repro.network.scenario import ScenarioSpec
+from repro.obs.flowspans import FlowSpanRecorder
+from repro.obs.headroom import HeadroomRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.trace import Tracer
-from tests.test_golden_outputs import SCENARIOS as GOLDEN_SCENARIOS
+from tests.test_golden_outputs import (
+    SCENARIOS as GOLDEN_SCENARIOS,
+    latency_tuples,
+)
 
 #: This file's scenario names -> the golden scenarios they run.
 SCENARIOS = {
@@ -32,16 +39,7 @@ SCENARIOS = {
 
 def _frame_trace(doc, **observers):
     result = ScenarioSpec.from_dict(doc).run(**observers)
-    trace = {
-        flow_id: (
-            tuple(rec.latencies_ns),
-            rec.deadline_misses,
-            rec.duplicates,
-            rec.reorders,
-        )
-        for flow_id, rec in sorted(result.analyzer.records.items())
-    }
-    return trace, result
+    return latency_tuples(result), result
 
 
 @pytest.mark.parametrize("label", sorted(SCENARIOS))
@@ -53,6 +51,16 @@ def test_flip_and_table_traces_identical(label):
         doc, tracer=Tracer(enabled={"gate"})
     )
     assert bare_trace == metered_trace == traced_trace
+    # Flow spans and headroom probes only listen: they post no event, so a
+    # run under either is the bare run, event count included.
+    for observer in (
+        {"spans": FlowSpanRecorder()}, {"headroom": HeadroomRecorder()}
+    ):
+        watched_trace, watched = _frame_trace(doc, **observer)
+        assert watched_trace == bare_trace
+        assert watched.counters() == bare.counters()
+        assert watched.drop_report() == bare.drop_report()
+        assert watched.sim_stats == bare.sim_stats
     # The equivalence is not vacuous: traffic actually flowed...
     assert any(latencies for latencies, *_ in bare_trace.values())
     # ...and boundaries really were narrated, the same ones to both

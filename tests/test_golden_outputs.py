@@ -16,6 +16,11 @@ two views of one run and no hash may differ from the capture:
     records; a run whose tracer leaves ``gate`` off emits exactly the
     remaining records, equal reports, and ``scheduled + elided`` events.
 
+``faulted_star`` and ``frer_ring`` (and every row's ``latencies`` hash) were
+captured while frames also travelled as integer handles into a column
+store, once per representation; the two captures were equal, and these rows
+now stand where the handle-vs-object equivalence suite stood.
+
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python -m tests.test_golden_outputs``.
 """
@@ -223,8 +228,9 @@ def _rows(label: str) -> dict:
         r for r in quiet if r.category != "gate"
     ]
     assert {**_hashes(unwatched), "trace": table["trace"]} == table
-    assert latency_tuples(unwatched) == latency_tuples(narrated)
-    flip["latencies"] = table["latencies"] = _sha(latency_tuples(narrated))
+    latencies = latency_tuples(narrated)
+    assert latency_tuples(unwatched) == latencies
+    flip["latencies"] = table["latencies"] = _sha(latencies)
     # ... but the events narrating them: each gate record -- an engine's two
     # start records, every narrated boundary -- posted the next narration.
     gate_records = sum(r.category == "gate" for r in trace)
@@ -258,6 +264,21 @@ def golden() -> dict:
 )
 def test_outputs_match_parent_capture(golden, label, row):
     assert _rows(label)[row] == golden["scenarios"][f"{label}/{row}"]
+
+
+def test_faulted_scenario_actually_drops():
+    # The corruption/cut rows above must pin real drops.
+    report = _run("faulted_star", gate_traced=False).drop_report()
+    assert "0 dropped" not in report.splitlines()[0]
+
+
+def test_frer_scenario_actually_replicates():
+    result = _run("frer_ring", gate_traced=False)
+    assert result.analyzer.received() > 0
+    assert any(
+        eliminator.duplicates_eliminated
+        for eliminator in result.frer_eliminators.values()
+    )
 
 
 @pytest.mark.parametrize("shards", (1, 2))

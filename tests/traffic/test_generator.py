@@ -74,6 +74,19 @@ class TestPeriodicSource:
             _periodic(Simulator(), lambda f: None, offset_ns=-1)
 
 
+class TestMalformedSource:
+    """A source that could only emit invalid frames fails when it is built,
+    naming its flow -- not at the first emission, inside the event loop."""
+
+    @pytest.mark.parametrize("make", (_periodic, _rate))
+    @pytest.mark.parametrize("field,value", [
+        ("pcp", 9), ("vlan_id", 5000), ("size_bytes", 63),
+    ])
+    def test_rejected_at_construction(self, make, field, value):
+        with pytest.raises(ConfigurationError, match=r"^flow \d: "):
+            make(Simulator(), lambda f: None, **{field: value})
+
+
 class TestRateSource:
     def test_deterministic_spacing(self):
         sim = Simulator()
