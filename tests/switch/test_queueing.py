@@ -1,7 +1,7 @@
 """Bounded queues and buffer pools."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.switch.packet import Descriptor, EthernetFrame, make_mac
@@ -139,3 +139,188 @@ class TestBufferPool:
             elif held:
                 pool.release(held.pop())
             assert pool.free_count + len(held) == 8
+
+
+# ------------------------------------------------------ buffer-pool oracle
+
+
+class _EagerPool:
+    """The original pool: every free slot id materialised up front.
+
+    Kept here as the reference for slot ids, recycling order, accounting
+    and errors, however the product represents its free slots.
+    """
+
+    def __init__(self, slots, slot_bytes=2048):
+        self.slots = slots
+        self.slot_bytes = slot_bytes
+        self._free = list(range(slots - 1, -1, -1))
+        self._is_free = bytearray(b"\x01") * slots
+        self.stats = dict(
+            allocations=0, allocated_bytes=0, releases=0,
+            exhaustion_drops=0, high_water=0,
+        )
+
+    @property
+    def free_count(self):
+        return len(self._free)
+
+    @property
+    def in_use(self):
+        return self.slots - len(self._free)
+
+    def allocate(self, size_bytes):
+        if size_bytes > self.slot_bytes:
+            raise ConfigurationError(
+                f"frame of {size_bytes}B exceeds buffer slot "
+                f"{self.slot_bytes}B"
+            )
+        if not self._free:
+            self.stats["exhaustion_drops"] += 1
+            return None
+        slot = self._free.pop()
+        self._is_free[slot] = 0
+        self.stats["allocations"] += 1
+        self.stats["allocated_bytes"] += size_bytes
+        in_use = self.slots - len(self._free)
+        if in_use > self.stats["high_water"]:
+            self.stats["high_water"] = in_use
+        return slot
+
+    def release(self, slot):
+        if not 0 <= slot < self.slots:
+            raise ConfigurationError(f"slot {slot} outside pool of {self.slots}")
+        if self._is_free[slot]:
+            raise ConfigurationError(f"double release of slot {slot}")
+        self._free.append(slot)
+        self._is_free[slot] = 1
+        self.stats["releases"] += 1
+
+    def seize(self, count):
+        if count < 0:
+            raise ConfigurationError(f"cannot seize {count} slots")
+        taken = []
+        while self._free and len(taken) < count:
+            slot = self._free.pop()
+            self._is_free[slot] = 0
+            taken.append(slot)
+        return taken
+
+    def unseize(self, taken):
+        for slot in taken:
+            if not 0 <= slot < self.slots:
+                raise ConfigurationError(
+                    f"slot {slot} outside pool of {self.slots}"
+                )
+            if self._is_free[slot]:
+                raise ConfigurationError(f"slot {slot} is already free")
+            self._free.append(slot)
+            self._is_free[slot] = 1
+
+
+def _pool_outcome(call, *args):
+    try:
+        return ("ok", call(*args))
+    except ConfigurationError as exc:
+        return ("ConfigurationError", str(exc))
+
+
+#: One step of a pool's life.  ``release`` / ``unseize`` arguments index
+#: the slots currently held / seized when they can (so most calls are
+#: legal) and are raw slot ids otherwise -- out of range, already free,
+#: never handed out, or released twice.
+_POOL_OPS = st.one_of(
+    st.tuples(st.just("allocate"), st.sampled_from([64, 1500, 2048, 4096])),
+    st.tuples(st.just("release_held"), st.integers(0, 31)),
+    st.tuples(st.just("release_raw"), st.integers(-2, 14)),
+    st.tuples(st.just("seize"), st.integers(-1, 6)),
+    st.tuples(st.just("unseize_held"), st.integers(0, 31)),
+    st.tuples(
+        st.just("unseize_raw"), st.lists(st.integers(-2, 14), max_size=3)
+    ),
+)
+
+
+class TestBufferPoolMatchesEagerFreeList:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 12), st.lists(_POOL_OPS, max_size=120))
+    def test_same_slots_stats_and_errors(self, slots, ops):
+        pool = BufferPool(slots)
+        ref = _EagerPool(slots)
+        held = []          # allocated and not yet released
+        seized = []        # one list per outstanding seize()
+        for op, arg in ops:
+            if op == "allocate":
+                got = _pool_outcome(pool.allocate, arg)
+                assert got == _pool_outcome(ref.allocate, arg)
+                if got[0] == "ok" and got[1] is not None:
+                    held.append(got[1])
+            elif op in ("release_held", "release_raw"):
+                if op == "release_held" and held:
+                    slot = held.pop(arg % len(held))
+                else:
+                    slot = arg
+                    if slot in held:
+                        held.remove(slot)
+                assert _pool_outcome(pool.release, slot) == _pool_outcome(
+                    ref.release, slot
+                )
+            elif op == "seize":
+                got = _pool_outcome(pool.seize, arg)
+                assert got == _pool_outcome(ref.seize, arg)
+                if got[0] == "ok":
+                    seized.append(got[1])
+            else:
+                if op == "unseize_held" and seized:
+                    taken = seized.pop(arg % len(seized))
+                else:
+                    taken = arg if isinstance(arg, list) else [arg]
+                # a failing unseize may have handed some slots back already;
+                # both pools must stop at the same one
+                assert _pool_outcome(pool.unseize, list(taken)) == (
+                    _pool_outcome(ref.unseize, list(taken))
+                )
+            stats = pool.stats
+            assert dict(
+                allocations=stats.allocations,
+                allocated_bytes=stats.allocated_bytes,
+                releases=stats.releases,
+                exhaustion_drops=stats.exhaustion_drops,
+                high_water=stats.high_water,
+            ) == ref.stats
+            assert pool.free_count == ref.free_count
+            assert pool.in_use == ref.in_use
+            assert pool.free_count + pool.in_use == slots
+        # drain: the order of every remaining free slot is the same too
+        assert [pool.allocate(64) for _ in range(slots + 1)] == [
+            ref.allocate(64) for _ in range(slots + 1)
+        ]
+
+    def test_fresh_pool_hands_out_ascending_slots(self):
+        pool = BufferPool(5)
+        assert [pool.allocate(64) for _ in range(6)] == [0, 1, 2, 3, 4, None]
+
+    def test_recycled_slots_come_back_before_untouched_ones(self):
+        pool = BufferPool(6)
+        a, b, c = (pool.allocate(64) for _ in range(3))
+        pool.release(a)
+        pool.release(c)
+        assert [pool.allocate(64) for _ in range(5)] == [c, a, 3, 4, 5]
+        assert pool.stats.high_water == 6
+
+    def test_seize_takes_recycled_then_untouched_and_returns_in_order(self):
+        pool = BufferPool(6)
+        a, b = pool.allocate(64), pool.allocate(64)
+        pool.release(a)
+        taken = pool.seize(3)
+        assert taken == [a, 2, 3]
+        assert pool.in_use == 4 and pool.free_count == 2
+        pool.unseize(taken)
+        assert [pool.allocate(64) for _ in range(5)] == [3, 2, a, 4, 5]
+
+    def test_unseize_of_a_never_used_slot_is_already_free(self):
+        pool = BufferPool(4)
+        with pytest.raises(ConfigurationError, match="slot 3 is already free"):
+            pool.unseize([3])
+        with pytest.raises(ConfigurationError, match="double release of slot 3"):
+            pool.release(3)
