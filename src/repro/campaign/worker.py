@@ -184,10 +184,12 @@ def _measurements(result, config) -> Dict[str, Any]:
     # ``observed_bram_kb`` is the cheapest single sufficient config, the
     # same one-customization cost basis as ``bram_kb``.
     headroom = result.headroom_report()
+    bram_kb = config.total_bram_kb  # each a full BRAM report: ask once
+    observed_kb = headroom.cheapest_kb
     measurements: Dict[str, Any] = {
-        "bram_kb": config.total_bram_kb,
-        "observed_bram_kb": round(headroom.cheapest_kb, 3),
-        "wasted_bram_kb": round(config.total_bram_kb - headroom.cheapest_kb, 3),
+        "bram_kb": bram_kb,
+        "observed_bram_kb": round(observed_kb, 3),
+        "wasted_bram_kb": round(bram_kb - observed_kb, 3),
         "utilization": headroom.utilization_digest(),
         "classes": classes,
         "max_queue_high_water": result.max_queue_high_water(),

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import ConfigurationError
 from .units import KIB
@@ -164,18 +164,18 @@ def allocate(
     primitive, which is why a 17 b x 2 gate table still costs a full 18 Kb.
     """
     _check_shape(width, depth)
-    best: Optional[BramAllocation] = None
+    best_key = best_aspect = None
     for aspect in aspects:
-        blocks = aspect.blocks_for(width, depth)
-        candidate = BramAllocation(width, depth, aspect, blocks)
-        if best is None or _cost_key(candidate) < _cost_key(best):
-            best = candidate
-    assert best is not None  # ALL_ASPECTS is non-empty
-    return best
+        key = _cost_key(aspect, aspect.blocks_for(width, depth))
+        if best_key is None or key < best_key:
+            best_key, best_aspect = key, aspect
+    assert best_key is not None  # ALL_ASPECTS is non-empty
+    return BramAllocation(width, depth, best_aspect, best_key[1])
 
 
-def _cost_key(alloc: BramAllocation) -> Tuple[int, int, int]:
-    return (alloc.bits, alloc.blocks, -alloc.aspect.depth)
+def _cost_key(aspect: AspectRatio, blocks: int) -> Tuple[int, int, int]:
+    """(consumed bits, blocks, -depth): what :func:`allocate` minimises."""
+    return (blocks * aspect.primitive_bits, blocks, -aspect.depth)
 
 
 def naive_allocate(width: int, depth: int) -> BramAllocation:
@@ -244,5 +244,5 @@ def pareto_aspects(width: int, depth: int) -> List[BramAllocation]:
         BramAllocation(width, depth, aspect, aspect.blocks_for(width, depth))
         for aspect in ALL_ASPECTS
     ]
-    candidates.sort(key=_cost_key)
+    candidates.sort(key=lambda alloc: _cost_key(alloc.aspect, alloc.blocks))
     return candidates

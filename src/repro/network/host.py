@@ -37,7 +37,14 @@ _HOST_BUFFERS = 32768
 
 
 class Host:
-    """One end device with a single NIC."""
+    """One end device with a single NIC.
+
+    *index* numbers the host within its network and fixes its MAC
+    (``make_mac(0x8000 + index)``); a :class:`~repro.network.testbed.Testbed`
+    passes each host its position, so a scenario's MACs do not depend on
+    what the process built before.  A standalone host takes the next
+    number of a per-process counter instead.
+    """
 
     _next_index = 0
 
@@ -49,12 +56,16 @@ class Host:
         clock: Optional[LocalClock] = None,
         tracer: Tracer = NULL_TRACER,
         spans: Optional[FlowSpanRecorder] = None,
+        *,
+        index: Optional[int] = None,
     ) -> None:
         self._sim = sim
         self._spans = spans
         self.name = name
-        self.mac: MacAddress = make_mac(0x8000 + Host._next_index)
-        Host._next_index += 1
+        if index is None:
+            index = Host._next_index
+            Host._next_index += 1
+        self.mac: MacAddress = make_mac(0x8000 + index)
         self.clock = clock or LocalClock(sim)
         self.counters = SwitchCounters()
         self.on_receive: Optional[Callable[[EthernetFrame], None]] = None

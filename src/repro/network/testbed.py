@@ -385,6 +385,7 @@ class Testbed:
         self.hosts: Dict[str, Host] = {}
         self.links: List[Link] = []
         self._listener_ports: Dict[Tuple[str, str], int] = {}
+        self._hop_ports: Dict[Tuple[str, str], Tuple[Tuple[str, int], ...]] = {}
         self._flow_vids: Dict[int, int] = {}
         self._rc_queue_of: Dict[int, int] = {}
         self.analyzer: Optional[TsnAnalyzer] = None
@@ -546,14 +547,16 @@ class Testbed:
 
     def _create_hosts(self) -> None:
         # dict.fromkeys: a host may appear twice (e.g. a FRER listener with
-        # two attachments) but must be one device
-        for host_name in dict.fromkeys(self.topology.hosts):
+        # two attachments) but must be one device.  Hosts are numbered per
+        # testbed, so the same scenario gets the same MACs on every build.
+        for index, host_name in enumerate(dict.fromkeys(self.topology.hosts)):
             self.hosts[host_name] = Host(
                 self.sim,
                 host_name,
                 rate_bps=self.rate_bps,
                 tracer=self.tracer,
                 spans=self.spans,
+                index=index,
             )
 
     def _wire_links(self) -> None:
@@ -758,18 +761,28 @@ class Testbed:
         """False only for flows a ``max_admission`` plan rejected."""
         return self.sched_plan is None or flow.flow_id in self.sched_plan.offsets
 
-    def _flow_hop_ports(self, flow: FlowSpec) -> List[Tuple[str, int]]:
-        """(switch, egress port) for every hop including listener delivery."""
-        path = self.topology.switch_path(flow.src, flow.dst)
-        egress = self.topology.egress_ports_on_path(path)
-        last_switch = path[-1]
-        local_port = self._listener_ports.get((last_switch, flow.dst))
-        if local_port is None:
-            raise TopologyError(
-                f"flow {flow.flow_id}: destination {flow.dst!r} is not "
-                f"attached to {last_switch!r}"
+    def _flow_hop_ports(self, flow: FlowSpec) -> Tuple[Tuple[str, int], ...]:
+        """(switch, egress port) for every hop including listener delivery.
+
+        Resolved once per distinct ``(src, dst)`` of this build.
+        """
+        key = (flow.src, flow.dst)
+        hop_ports = self._hop_ports.get(key)
+        if hop_ports is None:
+            topology = self.topology
+            last_switch = topology.host_switch(flow.dst)
+            _, egress = topology.route(
+                topology.host_switch(flow.src), last_switch
             )
-        return list(egress) + [(last_switch, local_port)]
+            local_port = self._listener_ports.get((last_switch, flow.dst))
+            if local_port is None:
+                raise TopologyError(
+                    f"flow {flow.flow_id}: destination {flow.dst!r} is not "
+                    f"attached to {last_switch!r}"
+                )
+            hop_ports = egress + ((last_switch, local_port),)
+            self._hop_ports[key] = hop_ports
+        return hop_ports
 
     def _frer_hop_port_sets(self, flow: FlowSpec) -> List[List[Tuple[str, int]]]:
         """Two edge-disjoint hop-port lists toward the flow's destination.
@@ -778,8 +791,6 @@ class Testbed:
         attached at least twice); edge-disjointness is verified so a single
         trunk failure cannot take out both replicas.
         """
-        import networkx as nx
-
         attachments = [
             a for a in self.topology.attachments if a.host == flow.dst
         ]
@@ -790,16 +801,10 @@ class Testbed:
             )
         paths: List[List[Tuple[str, int]]] = []
         used_edges: set = set()
-        graph = self.topology._trunk_graph()
         first = self.topology.host_switch(flow.src)
         for attachment in attachments[:2]:
-            chain = (
-                [first]
-                if first == attachment.switch
-                else nx.shortest_path(graph, first, attachment.switch)
-            )
-            hop_ports = list(self.topology.egress_ports_on_path(chain))
-            hop_ports.append((attachment.switch, attachment.port))
+            _, egress = self.topology.route(first, attachment.switch)
+            hop_ports = [*egress, (attachment.switch, attachment.port)]
             edges = set(hop_ports)
             overlap = edges & used_edges
             if overlap:

@@ -19,17 +19,22 @@ The three builders reproduce the paper's setups:
 * :func:`star_topology` -- a core with 3 child switches (4 total); the core
   has **3** enabled ports, one toward each child.
 
-Path resolution uses a BFS over the trunk graph (via :mod:`networkx`), and
+Path resolution is lowered once per spec into lookup state -- an adjacency
+dict ``src -> {dst: port}``, a ``host -> switch`` dict and one memoised
+chain (with its egress ports) per distinct ``(first switch, last switch)``
+pair -- and every query after that is a dictionary lookup.  The search
+behind a chain is a bidirectional BFS whose expansion order decides
+equal-length ties; ``tests/network/test_topology_routes.py`` pins it
+against the graph-library routine this layer used to call.
 ``hops(src_host, dst_host)`` counts traversed switches -- the x-axis of
 Fig. 7(a).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.core.errors import TopologyError
 
@@ -79,15 +84,132 @@ class HostAttachment:
     host: str
 
 
+#: A switch chain and the (switch, egress port) of every trunk along it.
+Route = Tuple[Tuple[str, ...], Tuple[Tuple[str, int], ...]]
+
+
+class _Routes:
+    """One layout lowered into lookup state (built once per spec)."""
+
+    __slots__ = ("ports", "feeders", "switch_of", "_chains")
+
+    def __init__(
+        self,
+        trunks: Sequence[TrunkLink],
+        uplinks: Sequence[HostUplink],
+        attachments: Sequence[HostAttachment],
+    ):
+        #: src -> {dst: egress port}; of parallel trunks the last one's
+        #: port is the edge's, the first one's position its rank.
+        self.ports: Dict[str, Dict[str, int]] = {}
+        #: dst -> [src, ...] in trunk order (the reverse search's view).
+        self.feeders: Dict[str, List[str]] = {}
+        for trunk in trunks:
+            onward = self.ports.setdefault(trunk.src, {})
+            if trunk.dst not in onward:
+                self.feeders.setdefault(trunk.dst, []).append(trunk.src)
+            onward[trunk.dst] = trunk.src_port
+        #: host -> switch, first entry wins: uplinks before attachments,
+        #: so a FRER listener lives on its *first* attachment.
+        self.switch_of: Dict[str, str] = {}
+        for uplink in uplinks:
+            self.switch_of.setdefault(uplink.host, uplink.dst)
+        for attachment in attachments:
+            self.switch_of.setdefault(attachment.host, attachment.switch)
+        self._chains: Dict[Tuple[str, str], Optional[Route]] = {}
+
+    def chain(self, first: str, last: str) -> Optional[Route]:
+        """Shortest route *first* -> *last*; None when there is none."""
+        key = (first, last)
+        if key not in self._chains:
+            path = self._search(first, last)
+            ports = self.ports
+            self._chains[key] = None if path is None else (
+                tuple(path),
+                tuple((s, ports[s][d]) for s, d in zip(path, path[1:])),
+            )
+        return self._chains[key]
+
+    def _search(self, source: str, target: str) -> Optional[List[str]]:
+        """Bidirectional BFS; the order below is the route contract.
+
+        The smaller fringe expands first (forward on a draw), neighbours
+        are visited in trunk order and the search stops at the first node
+        both sides know -- which is what decides equal-length ties, and
+        what the route oracle in the tests holds still.
+        """
+        if source == target:
+            return [source]
+        ports, feeders = self.ports, self.feeders
+        back: Dict[str, Optional[str]] = {source: None}     # toward source
+        onward: Dict[str, Optional[str]] = {target: None}   # toward target
+        forward_fringe, reverse_fringe = [source], [target]
+        while forward_fringe and reverse_fringe:
+            if len(forward_fringe) <= len(reverse_fringe):
+                level, forward_fringe = forward_fringe, []
+                for v in level:
+                    for w in ports.get(v, ()):
+                        if w not in back:
+                            forward_fringe.append(w)
+                            back[w] = v
+                        if w in onward:
+                            return _join(back, onward, w)
+            else:
+                level, reverse_fringe = reverse_fringe, []
+                for v in level:
+                    for w in feeders.get(v, ()):
+                        if w not in onward:
+                            onward[w] = v
+                            reverse_fringe.append(w)
+                        if w in back:
+                            return _join(back, onward, w)
+        return None
+
+
+def _join(
+    back: Dict[str, Optional[str]],
+    onward: Dict[str, Optional[str]],
+    meet: str,
+) -> List[str]:
+    """source ... *meet* ... target from the two searches' parent links."""
+    path: List[str] = []
+    node: Optional[str] = meet
+    while node is not None:
+        path.append(node)
+        node = back[node]
+    path.reverse()
+    node = onward[meet]
+    while node is not None:
+        path.append(node)
+        node = onward[node]
+    return path
+
+
 @dataclass
 class TopologySpec:
-    """One complete network layout."""
+    """One complete network layout.
+
+    The link sequences are stored as tuples, and assigning one drops the
+    routes derived from the old value (``_routes``): a layout can be edited
+    only by replacing a sequence, and an edited layout never serves a
+    stale route.
+    """
 
     name: str
     switch_ports: Dict[str, int]
-    trunks: List[TrunkLink] = field(default_factory=list)
-    uplinks: List[HostUplink] = field(default_factory=list)
-    attachments: List[HostAttachment] = field(default_factory=list)
+    trunks: Tuple[TrunkLink, ...] = ()
+    uplinks: Tuple[HostUplink, ...] = ()
+    attachments: Tuple[HostAttachment, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in ("trunks", "uplinks", "attachments"):
+            value = tuple(value)
+            self.__dict__.pop("_routes", None)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def _routes(self) -> _Routes:
+        return _Routes(self.trunks, self.uplinks, self.attachments)
 
     # ------------------------------------------------------------ validation
 
@@ -149,21 +271,24 @@ class TopologySpec:
         return max(self.switch_ports.values())
 
     def host_switch(self, host: str) -> str:
-        """The switch a host hangs off (uplink or attachment)."""
-        for uplink in self.uplinks:
-            if uplink.host == host:
-                return uplink.dst
-        for attachment in self.attachments:
-            if attachment.host == host:
-                return attachment.switch
-        raise TopologyError(f"{self.name}: unknown host {host!r}")
+        """The switch a host hangs off (its first uplink or attachment)."""
+        try:
+            return self._routes.switch_of[host]
+        except KeyError:
+            raise TopologyError(f"{self.name}: unknown host {host!r}") from None
 
-    def _trunk_graph(self) -> "nx.DiGraph":
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.switch_ports)
-        for trunk in self.trunks:
-            graph.add_edge(trunk.src, trunk.dst, port=trunk.src_port)
-        return graph
+    def route(self, first: str, last: str) -> Route:
+        """Shortest switch chain *first* -> *last* with its egress ports.
+
+        Resolved once per distinct switch pair; both tuples are shared
+        between callers.
+        """
+        route = self._routes.chain(first, last)
+        if route is None:
+            raise TopologyError(
+                f"{self.name}: no trunk path {first!r} -> {last!r}"
+            )
+        return route
 
     def switch_path(self, src_host: str, dst_host: str) -> List[str]:
         """Switches traversed from *src_host*'s switch to *dst_host*'s.
@@ -171,26 +296,22 @@ class TopologySpec:
         Both endpoints' switches are included; a host attached to its
         talker's own switch yields a single-switch path (1 hop).
         """
-        first = self.host_switch(src_host)
-        last = self.host_switch(dst_host)
-        if first == last:
-            return [first]
-        graph = self._trunk_graph()
-        try:
-            return nx.shortest_path(graph, first, last)
-        except nx.NetworkXNoPath:
-            raise TopologyError(
-                f"{self.name}: no trunk path {first!r} -> {last!r}"
-            ) from None
+        chain, _ = self.route(
+            self.host_switch(src_host), self.host_switch(dst_host)
+        )
+        return list(chain)
 
     def egress_ports_on_path(self, path: Sequence[str]) -> List[Tuple[str, int]]:
         """(switch, egress port) hops along a switch path (len(path)-1 pairs)."""
-        graph = self._trunk_graph()
+        ports = self._routes.ports
         pairs = []
         for src, dst in zip(path, path[1:]):
-            if not graph.has_edge(src, dst):
-                raise TopologyError(f"{self.name}: no trunk {src!r} -> {dst!r}")
-            pairs.append((src, graph.edges[src, dst]["port"]))
+            try:
+                pairs.append((src, ports[src][dst]))
+            except KeyError:
+                raise TopologyError(
+                    f"{self.name}: no trunk {src!r} -> {dst!r}"
+                ) from None
         return pairs
 
     def hops(self, src_host: str, dst_host: str) -> int:

@@ -485,8 +485,17 @@ def _merge_demand(demands: List[ObservedDemand]) -> ObservedDemand:
     )
 
 
-def _kb_by_row(config: SwitchConfig) -> Dict[str, float]:
-    return {row.resource: row.kb for row in config.resource_report().rows}
+def _kb_by_row(
+    config: SwitchConfig, costed: Dict[SwitchConfig, Dict[str, float]]
+) -> Dict[str, float]:
+    """Kb per resource row; each distinct sizing is costed once per report."""
+    sizing = config.with_updates(name="")  # the name only titles the report
+    rows = costed.get(sizing)
+    if rows is None:
+        rows = costed[sizing] = {
+            row.resource: row.kb for row in config.resource_report().rows
+        }
+    return rows
 
 
 def build_headroom_report(
@@ -509,6 +518,7 @@ def build_headroom_report(
     demands: List[ObservedDemand] = []
     provisioned_total = 0.0
     sufficient_total = 0.0
+    costed: Dict[SwitchConfig, Dict[str, float]] = {}
 
     for name, switch in result.switches.items():
         config = switch.config
@@ -520,8 +530,8 @@ def build_headroom_report(
             depth_round_to=depth_round_to,
         )
         sufficient[name] = suff
-        prov_kb = _kb_by_row(config)
-        suff_kb = _kb_by_row(suff)
+        prov_kb = _kb_by_row(config, costed)
+        suff_kb = _kb_by_row(suff, costed)
         provisioned_total += sum(prov_kb.values())
         sufficient_total += sum(suff_kb.values())
 

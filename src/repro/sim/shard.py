@@ -400,14 +400,12 @@ def _import_frame(payload: Tuple):
 
 def _build_replica(scenario: Mapping[str, Any], trace: bool):
     """Build the full testbed the way every shard (and the coordinator)
-    must: reset the process-global counters the build consumes, so MACs
-    and frame ids agree across processes regardless of fork timing."""
-    from repro.network.host import Host
+    must: reset the process-global counter the build consumes, so frame
+    ids agree across processes regardless of fork timing."""
     from repro.network.scenario import ScenarioSpec
     from repro.sim.trace import NULL_TRACER, Tracer
     from repro.switch.packet import reset_frame_ids
 
-    Host._next_index = 0
     reset_frame_ids()
     payload = {k: v for k, v in scenario.items() if k != "shard"}
     spec = ScenarioSpec.from_dict(payload, strict=False)

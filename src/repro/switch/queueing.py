@@ -109,6 +109,11 @@ class BufferPool:
     recycled LIFO, which keeps high-water marks meaningful for sizing
     studies (``stats.high_water`` is the minimum ``buffer_num`` that this
     run would have needed).
+
+    The free slots are the recycle stack ``_free`` on top of the range
+    ``_fresh .. slots-1`` that was never handed out (taken in ascending
+    order once the stack is empty), so building a pool costs the same at
+    any size -- a host NIC's 32k slots are not enumerated up front.
     """
 
     def __init__(self, slots: int, slot_bytes: int = 2048):
@@ -120,19 +125,33 @@ class BufferPool:
             )
         self.slots = slots
         self.slot_bytes = slot_bytes
-        self._free: List[int] = list(range(slots - 1, -1, -1))
-        # O(1) membership mirror of ``_free``: host pools run to 32k slots,
-        # and a ``slot in self._free`` scan per release dominated profiles.
+        self._free: List[int] = []
+        self._fresh = 0
+        # O(1) membership mirror of the free slots: host pools run to 32k
+        # slots, and a ``slot in self._free`` scan per release dominated
+        # profiles.
         self._is_free = bytearray(b"\x01") * slots
         self.stats = PoolStats()
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return self.slots - self._fresh + len(self._free)
 
     @property
     def in_use(self) -> int:
-        return self.slots - len(self._free)
+        return self._fresh - len(self._free)
+
+    def _take(self) -> Optional[int]:
+        """Pop the next free slot; None when there is none."""
+        if self._free:
+            slot = self._free.pop()
+        elif self._fresh < self.slots:
+            slot = self._fresh
+            self._fresh = slot + 1
+        else:
+            return None
+        self._is_free[slot] = 0
+        return slot
 
     def allocate(self, size_bytes: int) -> Optional[int]:
         """Claim a slot for a frame of *size_bytes*; None when exhausted.
@@ -145,15 +164,20 @@ class BufferPool:
                 f"frame of {size_bytes}B exceeds buffer slot "
                 f"{self.slot_bytes}B"
             )
-        if not self._free:
+        free = self._free
+        if free:  # ``_take`` inlined: this runs once per frame per hop
+            slot = free.pop()
+        elif self._fresh < self.slots:
+            slot = self._fresh
+            self._fresh = slot + 1
+        else:
             self.stats.exhaustion_drops += 1
             return None
-        slot = self._free.pop()
         self._is_free[slot] = 0
         stats = self.stats
         stats.allocations += 1
         stats.allocated_bytes += size_bytes
-        in_use = self.slots - len(self._free)
+        in_use = self._fresh - len(free)
         if in_use > stats.high_water:
             stats.high_water = in_use
         return slot
@@ -182,9 +206,10 @@ class BufferPool:
         if count < 0:
             raise ConfigurationError(f"cannot seize {count} slots")
         taken: List[int] = []
-        while self._free and len(taken) < count:
-            slot = self._free.pop()
-            self._is_free[slot] = 0
+        while len(taken) < count:
+            slot = self._take()
+            if slot is None:
+                break
             taken.append(slot)
         return taken
 

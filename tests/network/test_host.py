@@ -3,7 +3,7 @@
 from repro.network.host import Host
 from repro.network.link import Link
 from repro.sim.kernel import Simulator
-from repro.switch.packet import EthernetFrame
+from repro.switch.packet import EthernetFrame, make_mac
 
 
 def _frame(host, pcp, size=64):
@@ -15,6 +15,29 @@ class TestHost:
         sim = Simulator()
         a, b = Host(sim, "a"), Host(sim, "b")
         assert a.mac != b.mac
+
+    def test_explicit_index_fixes_the_mac_and_skips_the_counter(self):
+        sim = Simulator()
+        before = Host._next_index
+        a, b = Host(sim, "a", index=3), Host(sim, "b", index=3)
+        assert a.mac == b.mac == make_mac(0x8000 + 3)
+        assert Host._next_index == before
+
+    def test_nic_pool_is_not_enumerated_up_front(self):
+        """32k DRAM slots per host: building the pool must not cost a
+        per-slot container (it did: a 32 768-element free list)."""
+        import sys
+        from collections import deque
+
+        pool = Host(Simulator(), "talker").nic.pool
+        assert pool.slots == 32768 and pool.free_count == 32768
+        containers = [
+            value for value in vars(pool).values()
+            if isinstance(value, (list, tuple, dict, set, deque))
+        ]
+        assert containers                      # the recycle stack, at least
+        assert all(sys.getsizeof(c) <= 512 for c in containers)
+        assert [pool.allocate(64) for _ in range(3)] == [0, 1, 2]
 
     def test_inject_serializes_through_nic(self):
         sim = Simulator()

@@ -86,6 +86,33 @@ class TestDeterminism:
 
         assert latencies(1) == latencies(1)
 
+    def test_host_macs_belong_to_the_testbed_not_the_process(self):
+        """Two builds of one spec in one process number their hosts alike,
+        whatever was built in between."""
+        from repro.network.host import Host
+        from repro.sim.kernel import Simulator
+        from repro.switch.packet import make_mac
+
+        def macs():
+            topo = star_topology(talkers=["talker0", "talker1", "talker2"])
+            testbed = Testbed(
+                topo, customized_config(topo.max_enabled_ports),
+                _flows(talkers=("talker0", "talker1", "talker2")),
+                slot_ns=SLOT,
+            )
+            testbed.build()
+            return {name: host.mac for name, host in testbed.hosts.items()}
+
+        first = macs()
+        before = Host._next_index
+        Host(Simulator(), "bystander")      # a standalone host in between
+        assert Host._next_index == before + 1
+        assert macs() == first
+        assert Host._next_index == before + 1   # builds leave it alone
+        assert list(first.values()) == [
+            make_mac(0x8000 + index) for index in range(len(first))
+        ]
+
     def test_different_seed_changes_background_phases(self):
         def be_latencies(seed):
             _, result = _run(

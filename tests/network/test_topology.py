@@ -130,6 +130,48 @@ class TestPaths:
         with pytest.raises(TopologyError):
             ring_topology().host_switch("nobody")
 
+    def test_edited_layout_never_serves_a_stale_route(self):
+        """Routes are derived once per layout; replacing a link sequence
+        (the only way to edit one -- they are tuples) re-derives them."""
+        spec = TopologySpec(
+            "edit",
+            {"a": 2, "b": 1, "c": 1},
+            trunks=[TrunkLink("a", 0, "b"), TrunkLink("b", 0, "c")],
+            uplinks=[HostUplink("t", "a")],
+            attachments=[HostAttachment("c", 0, "l")],
+        )
+        assert spec.switch_path("t", "l") == ["a", "b", "c"]
+        with pytest.raises(AttributeError):
+            spec.trunks.append(TrunkLink("a", 1, "c"))
+        spec.trunks += (TrunkLink("a", 1, "c"),)        # a shortcut appears
+        spec.validate()
+        assert spec.switch_path("t", "l") == ["a", "c"]
+        assert spec.egress_ports_on_path(["a", "c"]) == [("a", 1)]
+        assert spec.hops("t", "l") == 2
+        spec.uplinks = [HostUplink("t", "b")]           # the talker moves
+        assert spec.switch_path("t", "l") == ["b", "c"]
+        spec.attachments = [HostAttachment("b", 0, "l")]
+        assert spec.switch_path("t", "l") == ["b"]
+        spec.trunks = spec.trunks[:1]                   # a -> b only
+        spec.uplinks = [HostUplink("t", "c")]
+        with pytest.raises(TopologyError, match="no trunk path 'c' -> 'b'"):
+            spec.switch_path("t", "l")
+
+    def test_route_is_resolved_once_per_switch_pair(self):
+        topo = ring_topology(switch_count=5, talkers=["t0", "t1"])
+        first = topo.route("sw0", "sw4")
+        assert first == (
+            ("sw0", "sw1", "sw2", "sw3", "sw4"),
+            (("sw0", 0), ("sw1", 0), ("sw2", 0), ("sw3", 0)),
+        )
+        assert topo.route("sw0", "sw4") is first
+        # two talkers on one switch share the chain
+        assert topo.switch_path("t0", "listener") == list(first[0])
+        assert topo.switch_path("t1", "listener") == list(first[0])
+        assert topo.route("sw2", "sw2") == (("sw2",), ())
+        with pytest.raises(TopologyError, match="no trunk path 'sw4' -> 'sw0'"):
+            topo.route("sw4", "sw0")
+
     def test_hosts_listing(self):
         topo = ring_topology(talkers=["a", "b"])
         assert set(topo.hosts) == {"a", "b", "listener"}

@@ -145,6 +145,41 @@ class TestReportWithoutRecorder:
             cheapest.resource_report().total_kb
         )
 
+    def test_each_distinct_sizing_is_costed_once(
+        self, plain_result, monkeypatch
+    ):
+        """Switches that differ only in name share one BRAM report, and a
+        sweep row adds exactly two (its config's total, the cheapest's)."""
+        from repro.campaign.worker import _measurements
+        from repro.core.config import SwitchConfig
+
+        costed = []
+        real = SwitchConfig.resource_report
+
+        def counting(self, title=None):
+            costed.append(self.with_updates(name=""))
+            return real(self, title)
+
+        monkeypatch.setattr(SwitchConfig, "resource_report", counting)
+        report = plain_result.headroom_report()
+        sizings = {
+            config.with_updates(name="")
+            for switch in plain_result.switches.values()
+            for config in (switch.config, report.sufficient[switch.name])
+        }
+        # the three leaves are provisioned alike: fewer sizings than configs
+        assert len(sizings) < 2 * len(plain_result.switches)
+        assert sorted(costed, key=repr) == sorted(sizings, key=repr)
+
+        del costed[:]
+        config = plain_result.switches["core"].config
+        row = _measurements(plain_result, config)
+        assert len(costed) == len(sizings) + 2
+        assert row["bram_kb"] == real(config).total_kb
+        assert row["wasted_bram_kb"] == round(
+            row["bram_kb"] - report.cheapest_kb, 3
+        )
+
     def test_observed_demand_matches_high_waters(self, plain_result):
         report = plain_result.headroom_report()
         assert report.observed.queue_depth == \

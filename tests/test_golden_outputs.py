@@ -34,7 +34,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.network.host import Host
 from repro.network.scenario import ScenarioSpec
 from repro.sim.shard import _trace_sort_key, run_sharded
 from repro.sim.trace import Tracer
@@ -195,9 +194,8 @@ def _hashes(result, trace=None) -> dict:
 
 
 def _run(label: str, gate_traced: bool):
-    # Process-global MAC / frame-id counters feed the trace; start every
-    # run from the same point (as repro.sim.shard does per replica).
-    Host._next_index = 0
+    # The process-global frame-id counter feeds the trace; start every run
+    # from the same point (as repro.sim.shard does per replica).
     reset_frame_ids()
     spec = ScenarioSpec.from_dict(SCENARIOS[label])
     if label == "ring_drr":
