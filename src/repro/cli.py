@@ -804,17 +804,21 @@ def _cmd_sched(args: argparse.Namespace) -> int:
     policy = spec.build_sched_policy() or SchedPolicy(
         backend="greedy" if spec.use_itp else "unplanned"
     )
-    if args.backend:
-        policy = dataclasses.replace(policy, backend=args.backend)
     topology = spec.build_topology()
     flows = spec.build_flows()
     backends = (
-        sorted(available_backends()) if args.compare else [policy.backend]
+        sorted(available_backends()) if args.compare
+        else [args.backend or policy.backend]
     )
 
     rows = []
     for backend in backends:
-        per_backend = dataclasses.replace(policy, backend=backend)
+        # Options belong to the backend the stanza declared them for;
+        # every other backend runs with its defaults.
+        per_backend = dataclasses.replace(
+            policy, backend=backend,
+            options=policy.options if backend == policy.backend else {},
+        )
         plan = plan_flows(list(flows), spec.slot_ns, policy=per_backend)
         entry = plan.summary()
         entry["shaper"] = per_backend.shaper

@@ -15,9 +15,14 @@ hosts and worker counts:
 Pruning: per-slot byte-budget feasibility, incumbent bounding on the
 ``(rejections, peak)`` objective, the pigeonhole lower bound
 ``ceil(total frame-slots / slot_count)`` (search ends immediately once the
-incumbent meets it), and symmetry breaking over identical flows (equal
-period and occupancy): their offsets are forced non-decreasing, removing
-factorially many mirrored subtrees.
+incumbent meets it), a capacity bound (with an incumbent of equal
+rejections, the slots' remaining frame and byte room up to peak
+``incumbent - 1`` must hold every frame-slot and byte still to place --
+see :meth:`_Search._fits_within`), and symmetry breaking over identical
+flows (equal period and occupancy): their offsets are forced
+non-decreasing, removing factorially many mirrored subtrees.  Every bound
+only cuts subtrees without a strictly better plan, so the search meets
+the same incumbents in the same order, sooner.
 
 A complete search makes the result a *proof*: status ``"optimal"`` (with
 the incumbent plan) or ``"infeasible"``.  Hitting ``node_limit`` degrades
@@ -81,6 +86,20 @@ class _Search:
         # below it.  (Seed early-exit still uses it: a zero-rejection
         # incumbent at the bound beats any other zero-rejection plan.)
         self.prune_lb = 0 if self.allow_reject else self.peak_lb
+        # Suffix totals over the expansion order, for the capacity bound:
+        # rest[i] = (frame-slots, bytes, smallest frame, largest frame) of
+        # the flows order[i:] still to place.
+        self.rest: List[Tuple[int, int, int, int]] = []
+        frames_left = bytes_left = largest = 0
+        smallest = 1 << 60
+        for demand in reversed(self.order):
+            frames = problem.frame_slots(demand)
+            frames_left += frames
+            bytes_left += frames * demand.occupancy_bytes
+            smallest = min(smallest, demand.occupancy_bytes)
+            largest = max(largest, demand.occupancy_bytes)
+            self.rest.append((frames_left, bytes_left, smallest, largest))
+        self.rest.reverse()
         self.slot_frames = [0] * self.slot_count
         self.slot_bytes = [0] * self.slot_count
         self.offsets: Dict[int, int] = {}
@@ -161,6 +180,13 @@ class _Search:
         bound = (rejections, max(peak, self.prune_lb))
         if bound >= self.best:
             return
+        # Capacity bound: a completion that rejects nothing more must reach
+        # a strictly lower peak than the incumbent (only reachable once an
+        # incumbent exists -- the sentinel's rejection count never matches).
+        if rejections == self.best[0] and not self._fits_within(
+            index, self.best[1] - 1
+        ):
+            return
         demand = self.order[index]
         min_offset, force_reject = self._symmetry_floor(index)
         if not force_reject:
@@ -185,6 +211,31 @@ class _Search:
                 self.truncated = True
                 return
             self._expand(index + 1, peak, rejections + 1)
+
+    def _fits_within(self, index: int, target: int) -> bool:
+        """False when flows ``order[index:]`` provably cannot all be placed
+        without some slot exceeding *target* frames.
+
+        A relaxation of the rest of the search: a slot with frame room
+        ``rf = target - frames`` and byte room ``rb`` can take at most
+        ``min(rf, rb // smallest frame)`` more frames and at most
+        ``min(rb, rf * largest frame)`` more bytes; if the slots together
+        cannot hold the remaining frame-slots or bytes, no completion that
+        places every remaining flow reaches *target*.
+        """
+        frames_left, bytes_left, smallest, largest = self.rest[index]
+        budget = self.budget
+        room_frames = 0
+        room_bytes = 0
+        for frames, load in zip(self.slot_frames, self.slot_bytes):
+            rf = target - frames
+            if rf > 0:
+                rb = budget - load
+                fit = rb // smallest
+                room_frames += rf if rf < fit else fit
+                fill = rf * largest
+                room_bytes += rb if rb < fill else fill
+        return room_frames >= frames_left and room_bytes >= bytes_left
 
     def _symmetry_floor(self, index: int) -> Tuple[int, bool]:
         """Offset floor (and forced rejection) from the previous twin.

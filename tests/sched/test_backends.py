@@ -1,21 +1,29 @@
 """Backend equivalence and gap properties of the scheduling layer."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.bench import sched as bench_sched
 from repro.core.errors import SchedulingError
 from repro.cqf.schedule import CqfSchedule
+from repro.network.scenario import ScenarioSpec
 from repro.sched import (
+    SchedPolicy,
     SchedulingProblem,
     available_backends,
     backend_options,
     base,
     make_scheduler,
+    plan_flows,
     register_backend,
 )
 from repro.sched.greedy import GreedyScheduler
 from repro.traffic.flows import FlowSpec, TrafficClass
 
 SLOT_NS = 50_000
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _ts(flow_id, period_ns, size_bytes):
@@ -122,6 +130,37 @@ class TestPeakGap:
         greedy = make_scheduler("greedy").solve(gap_problem())
         anneal = make_scheduler("anneal").solve(gap_problem())
         assert anneal.required_queue_depth <= greedy.required_queue_depth
+
+
+class TestCapacityBound:
+    def test_mixed_cell_is_proven_optimal_under_the_benchmark_cap(self):
+        # The plan_and_size benchmark's 106-flow mixed cell: 66 period-8
+        # 128 B flows, 8 period-32 1500 B and 32 period-64 512 B flows on
+        # 64 slots of 3 906 B.  Without a byte-aware bound the search
+        # spends its whole 20 000-node budget under a dead prefix.
+        spec = ScenarioSpec.from_file(ROOT / "examples/sched_mixed_cell.json")
+        plan = plan_flows(
+            list(spec.build_flows()), spec.slot_ns,
+            policy=SchedPolicy(backend="exact",
+                               options={"node_limit": 20_000}),
+        )
+        assert plan.status == "optimal"
+        assert plan.max_frames_per_slot == 9
+        assert plan.max_frames_per_slot == plan.problem.peak_lower_bound()
+        assert plan.nodes_explored < 20_000
+
+    def test_sched_benchmark_instances_search_as_recorded(self):
+        # exact_capped and exact_proof have no greedy incumbent, so the
+        # bound never runs there; gap has one and proves in as many nodes.
+        recorded = json.loads((ROOT / "BENCH_sched.json").read_text())
+        capped = bench_sched.bench_exact_capped(200_000)
+        assert (capped["status"], capped["nodes"]) == ("unknown", 200_000)
+        proof = bench_sched.bench_exact_proof()
+        assert (proof["status"], proof["nodes"]) == ("infeasible", 29_460)
+        assert proof["nodes"] == recorded["workloads"]["exact_proof"]["nodes"]
+        gap = bench_sched.gap()
+        assert (gap["exact_status"], gap["exact_nodes"]) == ("optimal", 13)
+        assert gap == recorded["gap"]
 
 
 class TestAdmission:

@@ -74,3 +74,38 @@ class TestSchedCommand:
         assert main(["sched", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["plans"][0]["backend"] == "exact"
+
+
+class TestBackendOptions:
+    """Stanza options belong to the backend they were declared for."""
+
+    @pytest.fixture
+    def exact_options_file(self, tmp_path):
+        doc = dict(GAP_SCENARIO)
+        # Five nodes cut the 13-node proof short: the cap shows up as an
+        # unproven exact plan, so the test sees where the options went.
+        doc["sched"] = {"backend": "exact", "options": {"node_limit": 5}}
+        path = tmp_path / "exact-options.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_compare_runs_other_backends_with_defaults(
+        self, exact_options_file, capsys
+    ):
+        assert main(["sched", str(exact_options_file),
+                     "--compare", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        by_backend = {p["backend"]: p for p in payload["plans"]}
+        assert set(by_backend) == {"anneal", "exact", "greedy", "unplanned"}
+        assert by_backend["exact"]["status"] == "feasible"
+        assert by_backend["exact"]["nodes_explored"] == 5
+        assert by_backend["anneal"]["iterations"] > 0
+
+    def test_backend_override_runs_with_defaults(
+        self, exact_options_file, capsys
+    ):
+        assert main(["sched", str(exact_options_file),
+                     "--backend", "anneal", "--json"]) == 0
+        (plan,) = json.loads(capsys.readouterr().out)["plans"]
+        assert plan["backend"] == "anneal"
+        assert plan["status"] == "optimal"
