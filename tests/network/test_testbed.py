@@ -113,6 +113,26 @@ class TestDeterminism:
             make_mac(0x8000 + index) for index in range(len(first))
         ]
 
+    def test_links_get_unique_positive_arrival_priority_in_wiring_order(self):
+        """Same-instant arrivals at one hub are ordered by the link that
+        carried them, so the tie-break must be a function of the topology:
+        trunks, then uplinks, then attachments, numbered from 1."""
+        topo = star_topology(talkers=["talker0", "talker1"])
+        testbed = Testbed(
+            topo, customized_config(topo.max_enabled_ports),
+            _flows(talkers=("talker0", "talker1")), slot_ns=SLOT,
+        )
+        testbed.build()
+        wiring = (
+            [f"{t.src}.p{t.src_port}->{t.dst}" for t in topo.trunks]
+            + [f"{u.host}->{u.dst}" for u in topo.uplinks]
+            + [f"{a.switch}.p{a.port}->{a.host}" for a in topo.attachments]
+        )
+        assert [link.name for link in testbed.links] == wiring
+        assert [link.arrival_priority for link in testbed.links] == list(
+            range(1, len(wiring) + 1)
+        )
+
     def test_different_seed_changes_background_phases(self):
         def be_latencies(seed):
             _, result = _run(

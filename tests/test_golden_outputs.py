@@ -35,11 +35,9 @@ from pathlib import Path
 import pytest
 
 from repro.network.scenario import ScenarioSpec
-from repro.sim.shard import _trace_sort_key, run_sharded
 from repro.sim.trace import Tracer
 from repro.switch.packet import reset_frame_ids
 from repro.switch.scheduler import DeficitRoundRobinScheduler
-from tests.sim.test_shard import RING as SHARD_RING, STAR as SHARD_STAR
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_outputs.json"
 
@@ -141,6 +139,29 @@ SCENARIOS = {
 
 ROWS = ("flip", "table")
 
+# The golden file's "sharded" section is named after where these two rows
+# were first captured: a partitioned run, which plain runs reproduce hash
+# for hash.
+PLAIN = {
+    "ring": {
+        "name": "golden-plain-ring",
+        "topology": {"kind": "ring", "switch_count": 4, **_TALKERS},
+        "flows": {"ts_count": 4, "period_us": 1_000, "size_bytes": 64,
+                  "rc_mbps": 50, "be_mbps": 50},
+        "duration_ms": 4,
+        "propagation_ns": 50_000,
+        "seed": 3,
+    },
+    "star": {
+        "name": "golden-plain-star",
+        "topology": {"kind": "star", "child_count": 3, **_TALKERS},
+        "flows": {"ts_count": 4, "period_us": 1_000, "size_bytes": 64},
+        "duration_ms": 4,
+        "propagation_ns": 50_000,
+        "seed": 5,
+    },
+}
+
 
 def _drr_factory():
     return DeficitRoundRobinScheduler(weights={5: 2, 4: 2, 3: 2, 0: 1})
@@ -151,6 +172,10 @@ def _sha(value) -> str:
         value, sort_keys=True, default=repr
     )
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _trace_sort_key(record) -> tuple:
+    return (record.time, record.category, record.message, repr(record.fields))
 
 
 def _sorted_trace(result) -> list:
@@ -195,7 +220,7 @@ def _hashes(result, trace=None) -> dict:
 
 def _run(label: str, gate_traced: bool):
     # The process-global frame-id counter feeds the trace; start every run
-    # from the same point (as repro.sim.shard does per replica).
+    # from the same point.
     reset_frame_ids()
     spec = ScenarioSpec.from_dict(SCENARIOS[label])
     if label == "ring_drr":
@@ -204,6 +229,14 @@ def _run(label: str, gate_traced: bool):
     if not gate_traced:
         tracer.disable("gate")
     return spec.run(tracer=tracer)
+
+
+@functools.lru_cache(maxsize=None)
+def _plain(label: str) -> dict:
+    reset_frame_ids()
+    result = ScenarioSpec.from_dict(PLAIN[label]).run(tracer=Tracer())
+    assert result.analyzer.received() > 0
+    return _hashes(result)
 
 
 def _posted(result) -> int:
@@ -245,10 +278,7 @@ def _capture() -> dict:
             f"{label}/{row}": hashes
             for label in SCENARIOS for row, hashes in _rows(label).items()
         },
-        "sharded": {
-            label: _hashes(run_sharded(doc, shards=1, trace=True))
-            for label, doc in (("ring", SHARD_RING), ("star", SHARD_STAR))
-        },
+        "sharded": {label: _plain(label) for label in PLAIN},
     }
 
 
@@ -279,13 +309,9 @@ def test_frer_scenario_actually_replicates():
     )
 
 
-@pytest.mark.parametrize("shards", (1, 2))
-@pytest.mark.parametrize(
-    "label,doc", (("ring", SHARD_RING), ("star", SHARD_STAR))
-)
-def test_sharded_outputs_match_parent_capture(golden, label, doc, shards):
-    result = run_sharded(doc, shards=shards, trace=True)
-    assert _hashes(result) == golden["sharded"][label]
+@pytest.mark.parametrize("label", sorted(PLAIN))
+def test_plain_outputs_match_first_capture(golden, label):
+    assert _plain(label) == golden["sharded"][label]
 
 
 if __name__ == "__main__":
