@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-obs bench-campaign bench-kernel bench-sched bench-shard bench-e2e bench-check bench-full examples lint-rtl outputs clean
+.PHONY: install test bench bench-obs bench-campaign bench-kernel bench-sched bench-e2e bench-check bench-full examples lint-rtl outputs clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -24,9 +24,6 @@ bench-kernel:
 
 bench-sched:
 	$(PYTHON) benchmarks/bench_sched.py --output BENCH_sched.json
-
-bench-shard:
-	$(PYTHON) benchmarks/bench_shard.py --output BENCH_shard.json
 
 # The repo benchmark (BENCHMARK.json): every workload in a fresh child,
 # untraced + traced, then compared against the committed baseline run.

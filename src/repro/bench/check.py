@@ -20,17 +20,8 @@ and compares with noise-aware thresholds:
   deterministic greedy-vs-exact ``gap`` section must match the baseline
   exactly (the backends are seeded and wall-clock-free, so any drift
   there is a behaviour change, not noise).
-* **shard** -- the 1-shard and 4-shard critical-path throughputs of the
-  partitioned-ring workload must stay within ``tolerance`` (default 25%)
-  of the baseline (smoke compares against ``smoke_reference``, the same
-  sizes), and full-scale checks additionally require the re-measured
-  4-shard critical-path speedup to clear ``SHARD_SPEEDUP_FLOOR`` (2x) --
-  the acceptance claim of the sharded-simulation work.  Critical-path
-  rates, not wall-clock: on a box with fewer cores than shards the wall
-  clock serializes shard compute and would gate the machine, not the
-  partition (see :mod:`repro.bench.shard`).
 
-Shared-runner noise protection in both suites: a measurement that looks
+Shared-runner noise protection in every suite: a measurement that looks
 regressed is re-taken a few more times and judged on the best sample seen
 -- a real regression cannot luck its way back above the bar, a descheduled
 burst usually can.
@@ -49,19 +40,15 @@ from typing import Optional, Union
 from . import kernel as bench_kernel
 from . import obs as bench_obs
 from . import sched as bench_sched
-from . import shard as bench_shard
 
 __all__ = [
     "KERNEL_TOLERANCE",
     "OBS_TOLERANCE",
     "HEADROOM_TOLERANCE",
     "SCHED_TOLERANCE",
-    "SHARD_TOLERANCE",
-    "SHARD_SPEEDUP_FLOOR",
     "check_kernel",
     "check_obs",
     "check_sched",
-    "check_shard",
     "run_check",
 ]
 
@@ -79,16 +66,6 @@ HEADROOM_TOLERANCE = 0.02
 
 #: Allowed fractional throughput regression for the scheduling backends.
 SCHED_TOLERANCE = 0.25
-
-#: Allowed fractional critical-path throughput regression for the
-#: sharded-simulation curve points.
-SHARD_TOLERANCE = 0.25
-
-#: Minimum re-measured 4-shard critical-path speedup at full scale --
-#: the sharded-simulation acceptance bar.  Not applied to smoke runs:
-#: the smoke fabric is deliberately small enough that coordination
-#: overhead can eat the parallelism.
-SHARD_SPEEDUP_FLOOR = 2.0
 
 #: Remeasure attempts before a regressed-looking sample is believed.
 NOISE_RETRIES = 4
@@ -296,76 +273,12 @@ def check_sched(
     return 0
 
 
-def check_shard(
-    baseline_path: Union[str, Path],
-    smoke: bool = False,
-    tolerance: Optional[float] = None,
-    repeats: int = 3,
-) -> int:
-    """Gate the sharded-simulation curve against ``BENCH_shard.json``.
-
-    Two gates: the 1- and 4-shard critical-path throughputs must stay
-    within ``tolerance`` of the baseline (noise-tolerant, same
-    remeasure-on-regression protocol as the kernel suite), and at full
-    scale the re-measured 4-shard critical-path speedup must clear
-    :data:`SHARD_SPEEDUP_FLOOR`.
-    """
-    tolerance = SHARD_TOLERANCE if tolerance is None else tolerance
-    baseline = _load_baseline(baseline_path, "shard")
-    if baseline is None:
-        return 2
-    section = "smoke_reference" if smoke else "after"
-    reference = baseline.get(section, {})
-    if not reference:
-        print(f"# bench check [shard]: baseline has no {section!r} "
-              f"section", file=sys.stderr)
-        return 2
-    fns = bench_shard.samplers(smoke)
-    best = bench_shard.measure_gated(smoke, repeats)
-    failures = []
-    for name, key in bench_shard.GATED:
-        ref = reference.get(name, {}).get(key)
-        if ref is None:
-            continue
-        retries = 0
-        while best[name][key] / ref < 1.0 - tolerance \
-                and retries < NOISE_RETRIES:
-            fresh = fns[name][0]()
-            if fresh[key] > best[name][key]:
-                best[name] = fresh
-            retries += 1
-        ratio = best[name][key] / ref
-        status = "ok" if ratio >= 1.0 - tolerance else "REGRESSED"
-        print(f"# check {name}.{key}: {best[name][key]:,.0f} vs baseline "
-              f"{ref:,.0f} ({(ratio - 1) * 100:+.1f}%, "
-              f"{retries} remeasure(s)) {status}", file=sys.stderr)
-        if ratio < 1.0 - tolerance:
-            failures.append(name)
-    if not smoke and "shards_1" in best and "shards_4" in best:
-        # The acceptance claim, recomputed from the best samples above
-        # (the throughput retries already absorbed scheduler noise).
-        speedup = (best["shards_1"]["critical_path_s"]
-                   / best["shards_4"]["critical_path_s"])
-        status = "ok" if speedup >= SHARD_SPEEDUP_FLOOR else "REGRESSED"
-        print(f"# check shard speedup: {speedup:.2f}x critical-path at "
-              f"4 shards (floor {SHARD_SPEEDUP_FLOOR:.1f}x) {status}",
-              file=sys.stderr)
-        if speedup < SHARD_SPEEDUP_FLOOR:
-            failures.append("speedup")
-    if failures:
-        print(f"# shard regression in: {', '.join(failures)}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def run_check(
     suite: str = "all",
     smoke: bool = False,
     kernel_baseline: Union[str, Path] = "BENCH_kernel.json",
     obs_baseline: Union[str, Path] = "BENCH_obs.json",
     sched_baseline: Union[str, Path] = "BENCH_sched.json",
-    shard_baseline: Union[str, Path] = "BENCH_shard.json",
     tolerance: Optional[float] = None,
 ) -> int:
     """Run the selected suite(s); worst exit status wins."""
@@ -381,9 +294,5 @@ def run_check(
     if suite in ("sched", "all"):
         statuses.append(
             check_sched(sched_baseline, smoke=smoke, tolerance=tolerance)
-        )
-    if suite in ("shard", "all"):
-        statuses.append(
-            check_shard(shard_baseline, smoke=smoke, tolerance=tolerance)
         )
     return max(statuses) if statuses else 2

@@ -93,30 +93,19 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     try:
         # Expansion already validated the document; strict would only
         # re-check it in every worker.
-        if payload["scenario"].get("shard"):
-            # Partitioned run: there is no single kernel to attach the
-            # flight recorder / event budget / heartbeat probes to, so
-            # those per-run observers are skipped; rows stay identical to
-            # the unsharded run's (the shard determinism contract).
-            from repro.sim.shard import run_sharded
+        spec = ScenarioSpec.from_dict(payload["scenario"], strict=False)
+        testbed = spec.build_testbed()
+        sim = testbed.sim
+        if payload.get("flight_dir"):
+            from repro.obs.flight import FlightRecorder
 
-            result = run_sharded(payload["scenario"])
-            config = result.base_config
-        else:
-            spec = ScenarioSpec.from_dict(payload["scenario"], strict=False)
-            testbed = spec.build_testbed()
-            sim = testbed.sim
-            if payload.get("flight_dir"):
-                from repro.obs.flight import FlightRecorder
-
-                recorder = FlightRecorder()
-                sim.flight = recorder
-            if payload.get("event_budget"):
-                sim.event_budget = int(payload["event_budget"])
-            telemetry.attach(sim, spec.duration_ns)
-            config = testbed.base_config
-            result = testbed.run(duration_ns=spec.duration_ns)
-        row.update(_measurements(result, config))
+            recorder = FlightRecorder()
+            sim.flight = recorder
+        if payload.get("event_budget"):
+            sim.event_budget = int(payload["event_budget"])
+        telemetry.attach(sim, spec.duration_ns)
+        result = testbed.run(duration_ns=spec.duration_ns)
+        row.update(_measurements(result, testbed.base_config))
         row["status"] = "ok"
     except RunTimeout:
         row["status"] = "timeout"

@@ -217,11 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "observed-vs-provisioned resource headroom "
                                "report to stderr (also embedded in the "
                                "summary JSON)")
-    simulate.add_argument("--shards", type=int, default=None,
-                          help="partition the run across N worker "
-                               "processes with conservative-lookahead "
-                               "synchronization (byte-identical results "
-                               "for any N; see docs/sharding.md)")
     simulate.add_argument("--no-strict", action="store_true",
                           help="skip strict scenario validation (unknown "
                                "keys pass through to the testbed)")
@@ -369,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
              "committed baselines; exit 1 on regression",
     )
     bench_check.add_argument("--suite",
-                             choices=["kernel", "obs", "sched", "shard",
-                                      "all"],
+                             choices=["kernel", "obs", "sched", "all"],
                              default="all",
                              help="which baseline(s) to gate (default: all)")
     bench_check.add_argument("--smoke", action="store_true",
@@ -388,10 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                              default=Path("BENCH_sched.json"),
                              help="scheduling-backend baseline file "
                                   "(default: BENCH_sched.json)")
-    bench_check.add_argument("--shard-baseline", type=Path,
-                             default=Path("BENCH_shard.json"),
-                             help="shard-scaling baseline file "
-                                  "(default: BENCH_shard.json)")
     bench_check.add_argument("--tolerance", type=float, default=None,
                              help="override the regression tolerance "
                                   "fraction (default: suite-specific)")
@@ -513,8 +503,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"{len(violations) - len(errors)} warning(s)",
               file=sys.stderr)
         return 1 if errors else 0
-    if args.shards is not None:
-        return _simulate_sharded(args, spec)
     from repro.obs.flowspans import FlowSpanRecorder, flow_stats
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profiler import WallClockProfiler
@@ -623,59 +611,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(result.port_report(), file=sys.stderr)
     if profiler is not None:
         print(profiler.render(), file=sys.stderr)
-    ts = summary["classes"]["TS"]
-    if ts.get("received") and ts["loss"] == 0.0:
-        print("# TS: zero loss", file=sys.stderr)
-    return 0
-
-
-def _simulate_sharded(args: argparse.Namespace, spec) -> int:
-    """``simulate --shards N``: the partitioned-run path.
-
-    The shard coordinator merges only the deterministic observables;
-    observers that need one kernel (metrics, profiles, spans, probes,
-    flight recorder) are rejected up front instead of silently ignored.
-    """
-    incompatible = [
-        ("--metrics", args.metrics),
-        ("--chrome-trace", args.chrome_trace),
-        ("--profile", args.profile),
-        ("--flow-spans", args.flow_spans),
-        ("--timeseries", args.timeseries),
-        ("--prom", args.prom),
-        ("--flight", args.flight),
-        ("--headroom", args.headroom),
-    ]
-    offending = [flag for flag, value in incompatible if value]
-    if offending:
-        print(f"error: --shards cannot be combined with "
-              f"{', '.join(offending)} (single-kernel observers; "
-              f"see docs/sharding.md)", file=sys.stderr)
-        return 2
-    from repro.sim.shard import run_sharded
-
-    result = run_sharded(
-        spec, shards=args.shards, trace=bool(args.jsonl_trace)
-    )
-    summary = result_summary(result)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if args.summary_json:
-        args.summary_json.write_text(
-            json.dumps(summary, indent=2, sort_keys=True)
-        )
-    if args.jsonl_trace:
-        from repro.obs.chrome_trace import trace_to_jsonl
-
-        trace_to_jsonl(result.tracer.records, args.jsonl_trace)
-        print(f"# jsonl trace: {args.jsonl_trace}", file=sys.stderr)
-    if args.drops:
-        print(result.drop_report(), file=sys.stderr)
-        print(result.port_report(), file=sys.stderr)
-    timing = result.shard_timing
-    print(f"# shards: {timing['shards']}, epochs: {timing['epochs']}, "
-          f"wall {timing['wall_s']:.3f}s, "
-          f"critical path {timing['critical_path_s']:.3f}s",
-          file=sys.stderr)
     ts = summary["classes"]["TS"]
     if ts.get("received") and ts["loss"] == 0.0:
         print("# TS: zero loss", file=sys.stderr)
@@ -980,7 +915,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         kernel_baseline=args.kernel_baseline,
         obs_baseline=args.obs_baseline,
         sched_baseline=args.sched_baseline,
-        shard_baseline=args.shard_baseline,
         tolerance=args.tolerance,
     )
 

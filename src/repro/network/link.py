@@ -89,10 +89,8 @@ class Link:
         #: every link a unique positive priority in wiring order, so two
         #: frames landing on the same component in the same nanosecond are
         #: ordered by *which link* carried them -- a property of the
-        #: topology -- rather than by event-posting order, which differs
-        #: between single-process and sharded execution.
+        #: topology -- rather than by event-posting order.
         self.arrival_priority = 0
-        self._divert: Optional[Callable[[int, EthernetFrame], None]] = None
         src.attach(self._carry)
 
     # -------------------------------------------------------------- failure
@@ -186,30 +184,18 @@ class Link:
             # dataclasses.replace's re-validation.
             frame = frame.corrupted()
         self.frames_carried += 1
-        if self._divert is not None:
-            # Sharded execution: the receiver lives in another worker.  All
-            # loss/corruption accounting above has already happened on this
-            # (owning) side; the divert hook ships ``(arrival_ns, frame)``
-            # across the shard boundary instead of posting locally.
-            self._divert(self._sim.now + self.propagation_ns, frame)
-            return
         self._sim.post(
             self.propagation_ns,
             lambda: self._receive(frame),
             self.arrival_priority,
         )
 
-    def divert(self, handoff: Callable[[int, EthernetFrame], None]) -> None:
-        """Route carried frames to *handoff(arrival_ns, frame)* instead of
-        delivering locally.  Used by the shard coordinator for cut links."""
-        self._divert = handoff
-
     def deliver(self, frame: EthernetFrame) -> None:
         """Hand *frame* to this link's receiver right now.
 
-        The import side of a shard boundary: the destination worker posts
-        an event at the frame's arrival time (with this link's
-        ``arrival_priority``) whose action calls ``deliver``.
+        Nothing in the simulator calls this: a carried frame's arrival event
+        calls the receiver directly.  It stays because the traced end-to-end
+        benchmark wraps ``Link.deliver`` by name.
         """
         self._receive(frame)
 

@@ -72,11 +72,15 @@ _TOPOLOGY_BUILDERS = {
 _KNOWN_TOP_KEYS = frozenset({
     "name", "topology", "flows", "config", "slot_us", "duration_ms",
     "seed", "gate_mechanism", "use_itp", "injection_phase", "slo",
-    "faults", "sched", "shard",
+    "faults", "sched",
 })
 
-#: Keys a ``"shard"`` stanza may carry (see :mod:`repro.sim.shard`).
-_KNOWN_SHARD_KEYS = frozenset({"count", "assign"})
+#: The problem reported for a top-level key that is no longer accepted, in
+#: place of a nearest-key hint that would point at an unrelated stanza.
+_REMOVED_TOP_KEYS = {
+    "shard": 'sharded runs were removed; see docs/performance.md '
+             '"Why there is no sharded run"',
+}
 
 #: Flow-stanza keys consumed by :meth:`ScenarioSpec.build_flows`.
 _KNOWN_FLOW_KEYS = frozenset(
@@ -169,9 +173,12 @@ def validate_scenario_dict(data: Mapping[str, Any]) -> List[str]:
     extras = _extra_defaults()
     known_top = _KNOWN_TOP_KEYS | set(extras)
     for key in sorted(set(data) - known_top):
-        problems.append(
-            f"{key}: unknown scenario key{_suggest(key, known_top)}"
-        )
+        if key in _REMOVED_TOP_KEYS:
+            problems.append(f"{key}: {_REMOVED_TOP_KEYS[key]}")
+        else:
+            problems.append(
+                f"{key}: unknown scenario key{_suggest(key, known_top)}"
+            )
     for key in sorted(set(data) & set(extras)):
         _check_extra(problems, key, data[key], extras[key])
     for key in ("name", "topology", "flows"):
@@ -207,36 +214,6 @@ def validate_scenario_dict(data: Mapping[str, Any]) -> List[str]:
         from repro.sched import validate_sched_dict
 
         problems.extend(validate_sched_dict(data["sched"]))
-    if "shard" in data and data["shard"] is not None:
-        shard = data["shard"]
-        if not isinstance(shard, Mapping):
-            _check_type(problems, "shard", shard, Mapping, "an object")
-        else:
-            for key in sorted(set(shard) - _KNOWN_SHARD_KEYS):
-                problems.append(
-                    f"shard.{key}: unknown shard key"
-                    f"{_suggest(key, _KNOWN_SHARD_KEYS)}"
-                )
-            count = shard.get("count")
-            if count is not None:
-                _check_type(problems, "shard.count", count, int, "an integer")
-                if isinstance(count, int) and not isinstance(count, bool) \
-                        and count < 1:
-                    problems.append(
-                        f"shard.count: expected >= 1, got {count}"
-                    )
-            assign = shard.get("assign")
-            if assign is not None:
-                if not isinstance(assign, Mapping):
-                    _check_type(
-                        problems, "shard.assign", assign, Mapping, "an object"
-                    )
-                else:
-                    for switch, index in assign.items():
-                        _check_type(
-                            problems, f"shard.assign.{switch}", index,
-                            int, "an integer",
-                        )
 
     topology = data.get("topology")
     if topology is not None:
@@ -343,7 +320,6 @@ class ScenarioSpec:
     slo: Optional[Dict[str, Any]] = None  # SLO policy stanza (see obs.slo)
     faults: Optional[Dict[str, Any]] = None  # fault plan (see repro.faults)
     sched: Optional[Dict[str, Any]] = None  # scheduling policy (repro.sched)
-    shard: Optional[Dict[str, Any]] = None  # partitioned run (repro.sim.shard)
     rc_mbps: Optional[int] = None  # legacy alias; prefer flows.rc_mbps
     extras: Dict[str, Any] = field(default_factory=dict)
 
@@ -411,8 +387,6 @@ class ScenarioSpec:
             data["faults"] = self.faults
         if self.sched is not None:
             data["sched"] = self.sched
-        if self.shard is not None:
-            data["shard"] = self.shard
         data.update(self.extras)
         return data
 

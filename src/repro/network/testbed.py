@@ -613,10 +613,10 @@ class Testbed:
             )
         # Unique positive arrival priority per link, in wiring order (a
         # pure function of the topology spec).  Same-instant arrivals are
-        # then ordered identically whether the run is single-process or
-        # sharded -- posting order is execution-dependent, link identity is
-        # not.  Positive keeps them after gate/fault events (negative
-        # priorities) and ordinary zero-priority events at the same time.
+        # then ordered by which link carried them, a property of the
+        # topology, not by the order their events were posted.  Positive
+        # keeps them after gate/fault events (negative priorities) and
+        # ordinary zero-priority events at the same time.
         for index, link in enumerate(self.links):
             link.arrival_priority = index + 1
 

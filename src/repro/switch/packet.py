@@ -55,10 +55,10 @@ _frame_ids = itertools.count()
 def reset_frame_ids() -> None:
     """Restart the global frame-id counter from zero.
 
-    Frame ids are debugging handles, never part of any observable (traces,
-    reports, rows all omit them), but a forked shard worker must restart
-    the counter so that its builds do not inherit however far the parent's
-    counter had advanced.
+    Frame ids are debugging handles that reports and rows omit, but trace
+    records carry them.  Restarting the counter gives every run in a
+    process the same frame ids, whatever ran before it, which is what the
+    golden traces need.
     """
     global _frame_ids
     _frame_ids = itertools.count()

@@ -6,6 +6,11 @@ import pytest
 
 from repro.cli import build_parser, main
 
+REMOVED_SHARD = (
+    'shard: sharded runs were removed; see docs/performance.md '
+    '"Why there is no sharded run"'
+)
+
 
 class TestParser:
     def test_requires_command(self):
@@ -452,6 +457,16 @@ class TestSweep:
         assert main(["sweep", str(path)]) == 2
         assert "ts_count" in capsys.readouterr().err
 
+    def test_removed_shard_stanza_fails_at_expansion(self, tmp_path, capsys):
+        path = self._sweep(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["base"]["shard"] = {"count": 2}
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", str(path), "--out", str(out_dir)]) == 2
+        assert REMOVED_SHARD in capsys.readouterr().err
+        assert not out_dir.exists()     # no run (and no worker) started
+
     def test_failed_runs_exit_1(self, tmp_path, capsys):
         path = self._sweep(tmp_path, grid={"config": [42]})
         out_dir = tmp_path / "out"
@@ -475,6 +490,23 @@ class TestSimulateStrict:
         assert main(["simulate", str(path)]) == 2
         err = capsys.readouterr().err
         assert "flows.ts_cout" in err and "ts_count" in err
+
+    def test_removed_shard_stanza_is_named_not_misspelt(self, tmp_path,
+                                                        capsys):
+        path = TestSimulate()._scenario(tmp_path, shard={"count": 2})
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert REMOVED_SHARD in err and "did you mean" not in err
+
+    @pytest.mark.parametrize("argv", (
+        ["simulate", "scenario.json", "--shards", "2"],
+        ["bench", "check", "--suite", "shard"],
+    ))
+    def test_removed_shard_flags_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestSweepObservability:
