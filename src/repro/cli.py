@@ -146,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--size-bytes", type=int, default=64)
     size.add_argument("--slot-us", type=float, default=62.5)
     size.add_argument("--gate-mechanism", choices=["cqf", "qbv"],
-                      default="cqf")
+                      default="cqf",
+                      help="gate tables to size (--optimize sizes CQF)")
     size.add_argument("--optimize", action="store_true",
                       help="search slot sizes for the cheapest "
                            "deadline-feasible configuration instead of "
@@ -410,6 +411,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_size(args: argparse.Namespace) -> int:
+    # A flag that does nothing in the chosen mode is refused, not ignored.
+    if args.optimize and args.gate_mechanism == "qbv":
+        print("error: --gate-mechanism qbv cannot be combined with "
+              "--optimize (the search sizes CQF gate tables)",
+              file=sys.stderr)
+        return 2
+    if not args.optimize:
+        for flag, given in (("--deadline-us", args.deadline_us is not None),
+                            ("--aggregate", args.aggregate)):
+            if given:
+                print(f"error: {flag} only applies with --optimize",
+                      file=sys.stderr)
+                return 2
     builder = _TOPOLOGIES[args.topology]
     if args.topology == "star":
         topology = builder()

@@ -13,7 +13,7 @@ either simulation components or Verilog parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional
 
 from . import bram, resources
@@ -49,10 +49,11 @@ class EntryWidths:
     queue_metadata: int = resources.QUEUE_METADATA_WIDTH
 
     def validate(self) -> None:
-        for name, value in asdict(self).items():
+        for entry in fields(self):
+            value = getattr(self, entry.name)
             if value <= 0:
                 raise ConfigurationError(
-                    f"entry width {name} must be positive, got {value}"
+                    f"entry width {entry.name} must be positive, got {value}"
                 )
 
 

@@ -28,21 +28,25 @@ _MAX_CYCLE_NS = 10 * 10**9
 
 
 def scheduling_cycle_ns(periods_ns: Iterable[int]) -> int:
-    """The scheduling cycle: LCM of all flow periods (ns)."""
+    """The scheduling cycle: LCM of all flow periods (ns).
+
+    Folds over the distinct periods in first-seen order: a repeated period
+    cannot change the LCM, and the first non-positive period and the
+    period that first breaks the cycle cap are the same either way.
+    """
+    distinct = dict.fromkeys(periods_ns)
+    if not distinct:
+        raise SchedulingError("cannot compute a cycle for zero flows")
     cycle = 1
-    seen = False
-    for period in periods_ns:
+    for period in distinct:
         if period <= 0:
             raise SchedulingError(f"flow period must be positive, got {period}")
         cycle = math.lcm(cycle, period)
-        seen = True
         if cycle > _MAX_CYCLE_NS:
             raise SchedulingError(
                 f"scheduling cycle exceeds {_MAX_CYCLE_NS}ns; flow periods "
                 "are pathologically co-prime"
             )
-    if not seen:
-        raise SchedulingError("cannot compute a cycle for zero flows")
     return cycle
 
 

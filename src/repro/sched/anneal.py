@@ -139,10 +139,12 @@ class _State:
     def _add(self, demand: FlowDemand, offset: int) -> None:
         slot_frames = self.slot_frames
         slots_with = self._slots_with
+        # Fields read once: a named-tuple field read costs a descriptor call.
+        occupancy = demand.occupancy_bytes
         for s in range(offset, self.slot_count, demand.period_slots):
             frames = slot_frames[s]
             slot_frames[s] = frames + 1
-            self.slot_bytes[s] += demand.occupancy_bytes
+            self.slot_bytes[s] += occupancy
             slots_with[frames] -= 1
             slots_with[frames + 1] += 1
             self._smooth += 2 * frames + 1
@@ -152,10 +154,11 @@ class _State:
     def _remove(self, demand: FlowDemand, offset: int) -> None:
         slot_frames = self.slot_frames
         slots_with = self._slots_with
+        occupancy = demand.occupancy_bytes
         for s in range(offset, self.slot_count, demand.period_slots):
             frames = slot_frames[s]
             slot_frames[s] = frames - 1
-            self.slot_bytes[s] -= demand.occupancy_bytes
+            self.slot_bytes[s] -= occupancy
             slots_with[frames] -= 1
             slots_with[frames - 1] += 1
             self._smooth -= 2 * frames - 1
@@ -182,8 +185,10 @@ class _State:
         ]
 
     def fits(self, demand: FlowDemand, offset: int) -> bool:
+        room = self.budget - demand.occupancy_bytes
+        slot_bytes = self.slot_bytes
         return all(
-            self.slot_bytes[s] + demand.occupancy_bytes <= self.budget
+            slot_bytes[s] <= room
             for s in range(offset, self.slot_count, demand.period_slots)
         )
 

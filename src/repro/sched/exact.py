@@ -261,14 +261,16 @@ class _Search:
     def _try_place(
         self, demand: FlowDemand, offset: int, peak: int
     ) -> Optional[int]:
+        # Fields read once: a named-tuple field read costs a descriptor call.
+        occupancy = demand.occupancy_bytes
         touched = range(offset, self.slot_count, demand.period_slots)
         for s in touched:
-            if self.slot_bytes[s] + demand.occupancy_bytes > self.budget:
+            if self.slot_bytes[s] + occupancy > self.budget:
                 return None
         new_peak = peak
         for s in touched:
             self.slot_frames[s] += 1
-            self.slot_bytes[s] += demand.occupancy_bytes
+            self.slot_bytes[s] += occupancy
             if self.slot_frames[s] > new_peak:
                 new_peak = self.slot_frames[s]
         self.offsets[demand.flow_id] = offset
@@ -276,6 +278,7 @@ class _Search:
 
     def _unplace(self, demand: FlowDemand, offset: int) -> None:
         del self.offsets[demand.flow_id]
+        occupancy = demand.occupancy_bytes
         for s in range(offset, self.slot_count, demand.period_slots):
             self.slot_frames[s] -= 1
-            self.slot_bytes[s] -= demand.occupancy_bytes
+            self.slot_bytes[s] -= occupancy

@@ -14,11 +14,15 @@ full-scan planner as the oracle).
 
 Cost: an offset ``r`` of a period-``p`` flow is judged by the maxima over
 the slots ``= r (mod p)``, and loads only ever grow, so the planner keeps
-those maxima in one table per distinct period instead of re-deriving them:
-choosing an offset is one C-level minimum over ``p`` entries, placing a
-flow updates ``(slots / p) x (distinct periods)`` entries.  The per-flow
-rescan this replaced was ``O(slots)`` interpreted work per flow and 80 % of
-a 1024-flow ``derive_config``.  The tables live and die inside one
+those maxima in one table per distinct period instead of re-deriving them,
+and beside each table a lazy min-heap of ``(frames, bytes, residue)``
+entries: every raise of a table entry pushes its new value, and an entry
+that no longer equals its table value is stale and popped when it
+surfaces.  The valid top is the table's first minimum, so choosing an
+offset costs ``O(log)`` heap work instead of a pass over ``p`` entries;
+placing a flow updates ``(slots / p) x (distinct periods)`` entries.  Only
+when that winner would overflow the byte budget does a filtered pass over
+the ``p`` table entries run.  Tables and heaps live and die inside one
 ``solve()`` call; nothing is remembered between problems.
 
 Under ``objective="min_peak"`` a flow with no budget-feasible offset makes
@@ -34,6 +38,7 @@ showing what injection planning buys.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from .problem import SchedulePlan, SchedulingProblem
@@ -54,11 +59,20 @@ class GreedyScheduler:
         # tables[p][r] = (max frames, max bytes) over the slots = r (mod p):
         # exactly the key an offset r of a period-p flow is judged by.
         # Loads only grow, so each placement refreshes the entries it
-        # raised and nothing is ever rescanned.
+        # raised and nothing is ever rescanned.  heaps[p] holds a
+        # (frames, bytes, r) entry for every value tables[p][r] has taken;
+        # values strictly grow, so the one equal to the table is the live
+        # entry and every other is stale.  A sorted list is a valid heap.
+        periods = {d.period_slots for d in problem.demands}
         tables: Dict[int, List[Tuple[int, int]]] = {
-            period: [(0, 0)] * period
-            for period in {d.period_slots for d in problem.demands}
+            period: [(0, 0)] * period for period in periods
         }
+        heaps: Dict[int, List[Tuple[int, int, int]]] = {
+            period: [(0, 0, r) for r in range(period)] for period in periods
+        }
+        watched = [
+            (period, tables[period], heaps[period]) for period in periods
+        ]
         offsets: Dict[int, int] = {}
         rejected: List[int] = []
         reason: Optional[str] = None
@@ -70,9 +84,14 @@ class GreedyScheduler:
             period = demand.period_slots
             occupancy = demand.occupancy_bytes
             table = tables[period]
-            # index() finds the first minimum: ties go to the lowest offset.
-            offset: Optional[int] = table.index(min(table))
-            if table[offset][1] + occupancy > budget_bytes:
+            heap = heaps[period]
+            # Pop stale tops; the live top is the table's first minimum,
+            # ties to the lowest offset.
+            least_frames, least_bytes, offset = heap[0]
+            while table[offset] != (least_frames, least_bytes):
+                heappop(heap)
+                least_frames, least_bytes, offset = heap[0]
+            if least_bytes + occupancy > budget_bytes:
                 # The least-loaded residue class would overflow; only now
                 # can the budget filter name a different winner (or none).
                 offset = min(
@@ -97,14 +116,16 @@ class GreedyScheduler:
             for s in range(offset, slot_count, period):
                 frames = slot_frames[s] = slot_frames[s] + 1
                 load = slot_bytes[s] = slot_bytes[s] + occupancy
-                for modulus, residues in tables.items():
+                for modulus, residues, pending in watched:
                     r = s % modulus
                     worst_frames, worst_bytes = residues[r]
                     if frames > worst_frames or load > worst_bytes:
-                        residues[r] = (
-                            max(frames, worst_frames),
-                            max(load, worst_bytes),
-                        )
+                        if worst_frames < frames:
+                            worst_frames = frames
+                        if worst_bytes < load:
+                            worst_bytes = load
+                        residues[r] = (worst_frames, worst_bytes)
+                        heappush(pending, (worst_frames, worst_bytes, r))
             offsets[demand.flow_id] = offset
         if rejected and problem.objective == "min_peak":
             status = "infeasible"

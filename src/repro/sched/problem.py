@@ -32,7 +32,7 @@ surface (the *worst* system decides the required queue depth).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import SchedulingError
 from repro.core.units import GIGABIT, serialization_ns, wire_bytes
@@ -56,9 +56,13 @@ OBJECTIVES: Tuple[str, ...] = ("min_peak", "max_admission")
 STATUSES: Tuple[str, ...] = ("optimal", "feasible", "infeasible", "unknown")
 
 
-@dataclass(frozen=True)
-class FlowDemand:
-    """One TS flow's load, as the slot planner sees it."""
+class FlowDemand(NamedTuple):
+    """One TS flow's load, as the slot planner sees it.
+
+    A named tuple, not a frozen dataclass: ``from_flows`` builds one per
+    TS flow for every sizing call and optimizer candidate, and a frozen
+    dataclass pays one ``object.__setattr__`` per field to construct.
+    """
 
     flow_id: int
     period_slots: int      # the flow's period expressed in slots
@@ -208,9 +212,10 @@ class SchedulePlan:
             offset = self.offsets.get(demand.flow_id)
             if offset is None:
                 continue
+            occupancy = demand.occupancy_bytes
             for s in range(offset, slot_count, demand.period_slots):
                 frames[s] += 1
-                load[s] += demand.occupancy_bytes
+                load[s] += occupancy
         self._slot_frames.extend(frames)
         self._slot_bytes.extend(load)
 

@@ -378,6 +378,19 @@ class TestSizeOptimize:
                      "--deadline-us", "10"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--deadline-us", "1"], "--deadline-us"),
+        (["--aggregate"], "--aggregate"),
+        (["--optimize", "--gate-mechanism", "qbv"], "--gate-mechanism"),
+    ], ids=["deadline-without-optimize", "aggregate-without-optimize",
+            "optimize-with-qbv"])
+    def test_flag_without_effect_is_refused(self, capsys, argv, flag):
+        assert main(["size", "--flows", "16", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and flag in line
+
 
 class TestSimulateCheck:
     def _scenario(self, tmp_path, **overrides):

@@ -1,5 +1,7 @@
 """Scheduling cycle and slotting."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +34,39 @@ class TestCycle:
         periods = [p * 10**6 for p in periods_ms]
         cycle = scheduling_cycle_ns(periods)
         assert all(cycle % p == 0 for p in periods)
+
+    @given(st.lists(
+        st.sampled_from([-3, 0, 1, 6, 10**6, 4 * 10**6, 999_999_937,
+                         999_999_893]),
+        max_size=12,
+    ))
+    def test_distinct_fold_matches_a_fold_over_every_period(self, periods):
+        # The fold over every period, repeats included, is the reference:
+        # same cycle, same error for the same offending period.
+        def outcome(fn):
+            try:
+                return fn(periods)
+            except SchedulingError as exc:
+                return str(exc)
+
+        def fold_every_period(values):
+            cycle = 1
+            for period in values:
+                if period <= 0:
+                    raise SchedulingError(
+                        f"flow period must be positive, got {period}"
+                    )
+                cycle = math.lcm(cycle, period)
+                if cycle > 10 * 10**9:
+                    raise SchedulingError(
+                        "scheduling cycle exceeds 10000000000ns; flow "
+                        "periods are pathologically co-prime"
+                    )
+            if not values:
+                raise SchedulingError("cannot compute a cycle for zero flows")
+            return cycle
+
+        assert outcome(scheduling_cycle_ns) == outcome(fold_every_period)
 
 
 class TestSlots:
