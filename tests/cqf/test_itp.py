@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import SchedulingError
 from repro.core.units import ms
-from repro.cqf.itp import ItpPlan
 from repro.cqf.schedule import CqfSchedule
-from repro.sched import SchedulingProblem, make_scheduler
+from repro.sched import SchedulePlan, SchedulingProblem, make_scheduler
 from repro.traffic.flows import FlowSpec, TrafficClass
 
 SLOT = 62_500
@@ -25,7 +24,7 @@ def _plan(flows, schedule=SCHEDULE, backend="greedy"):
     problem = SchedulingProblem.from_flows(flows, schedule)
     plan = make_scheduler(backend).solve(problem)
     plan.raise_if_infeasible()
-    return plan.to_itp_plan()
+    return plan
 
 
 class TestGreedyBalance:
@@ -63,7 +62,7 @@ class TestGreedyBalance:
             FlowSpec(100, TrafficClass.BE, "t", "l", 1024, rate_bps=10**6)
         ]
         plan = _plan(flows)
-        assert 100 not in plan.assignments
+        assert 100 not in plan.offsets
 
     def test_unaligned_period_rejected(self):
         flow = FlowSpec(0, TrafficClass.TS, "t", "l", 64, period_ns=ms(10) + 1)
@@ -81,17 +80,17 @@ class TestPhases:
         plan = _plan(_ts_flows(161))
         # one slot holds two flows; their phases must differ
         by_slot = {}
-        for a in plan.assignments.values():
-            by_slot.setdefault(a.offset_slot % SCHEDULE.slot_count, []).append(
-                a.phase_ns
+        for flow_id, offset in plan.offsets.items():
+            by_slot.setdefault(offset % SCHEDULE.slot_count, []).append(
+                plan.phase_ns(flow_id)
             )
         doubled = [v for v in by_slot.values() if len(v) > 1]
         assert doubled and all(len(set(v)) == len(v) for v in doubled)
 
     def test_phase_stays_inside_slot(self):
         plan = _plan(_ts_flows(1024))
-        for a in plan.assignments.values():
-            assert 0 <= a.phase_ns < SLOT
+        for flow_id in plan.offsets:
+            assert 0 <= plan.phase_ns(flow_id) < SLOT
 
 
 class TestInjectionTimes:
@@ -99,11 +98,12 @@ class TestInjectionTimes:
         flows = _ts_flows(8)
         plan = _plan(flows)
         flow = flows[3]
-        t0 = plan.injection_ns(flow, 0)
-        t1 = plan.injection_ns(flow, 1)
+        t0 = plan.injection_offset_ns(flow.flow_id)
+        t1 = plan.injection_offset_ns(flow.flow_id) + flow.period_ns
         assert t1 - t0 == flow.period_ns
-        assignment = plan.assignments[flow.flow_id]
-        assert t0 == assignment.offset_slot * SLOT + assignment.phase_ns
+        assert t0 == (
+            plan.offsets[flow.flow_id] * SLOT + plan.phase_ns(flow.flow_id)
+        )
 
 
 class TestProperties:
@@ -129,17 +129,24 @@ class TestProperties:
         assert plan.max_frames_per_slot == optimal
 
 
+def _zero_demand_plan(schedule):
+    problem = SchedulingProblem(schedule, demands=(), budget_bytes=0)
+    return SchedulePlan(problem, offsets={}, backend="none", status="optimal")
+
+
 class TestLoadBalanceRatio:
     def test_empty_plan_is_level(self):
-        plan = ItpPlan(SCHEDULE, slot_frames=[], slot_bytes=[])
+        plan = _zero_demand_plan(SCHEDULE)
         assert plan.load_balance_ratio() == 1.0
 
     def test_zero_ts_load_is_level(self):
-        plan = ItpPlan(SCHEDULE, slot_frames=[0, 0, 0], slot_bytes=[0, 0, 0])
+        plan = _zero_demand_plan(CqfSchedule(SLOT, 3 * SLOT))
+        assert plan.slot_frames == [0, 0, 0]
         assert plan.load_balance_ratio() == 1.0
 
     def test_sched_plan_matches_itp_semantics(self):
         problem = SchedulingProblem.from_flows(_ts_flows(160), SCHEDULE)
         plan = make_scheduler("greedy").solve(problem)
         assert plan.load_balance_ratio() == 1.0
-        assert plan.to_itp_plan().load_balance_ratio() == 1.0
+        frames = plan.slot_frames
+        assert max(frames) / (sum(frames) / len(frames)) == 1.0
