@@ -18,7 +18,7 @@ from repro.core.presets import customized_config
 from repro.core.units import ms
 from repro.cqf.schedule import CqfSchedule
 from repro.network.topology import ring_topology
-from repro.sched import SchedulingProblem, make_scheduler
+from repro.sched import SchedPolicy, SchedulingProblem, make_scheduler
 from repro.traffic.iec60802 import production_cell_flows
 
 from conftest import SLOT_NS, run_scenario
@@ -57,9 +57,11 @@ def test_ablation_itp_loss(benchmark, scale):
     topology = ring_topology(switch_count=3, talkers=["talker0"])
 
     def run_both():
-        with_itp = run_scenario(topology, scale, use_itp=True)
+        with_itp = run_scenario(topology, scale)
         topology2 = ring_topology(switch_count=3, talkers=["talker0"])
-        without = run_scenario(topology2, scale, use_itp=False)
+        without = run_scenario(
+            topology2, scale, sched=SchedPolicy(backend="unplanned")
+        )
         return with_itp, without
 
     with_itp, without = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -41,7 +41,7 @@ def test_extension_cqf_vs_qbv(benchmark, scale):
     def run_both():
         cqf = _run(scale, "cqf", gate_size=2)
         # pre-size the Qbv gate tables from the plan the CQF run produced
-        qbv_gate_size = estimate_gate_size(cqf.itp_plan)
+        qbv_gate_size = estimate_gate_size(cqf.sched_plan)
         qbv = _run(scale, "qbv", gate_size=qbv_gate_size)
         return cqf, qbv, qbv_gate_size
 

@@ -43,7 +43,7 @@ def main(flow_count: int, window_ms: int) -> None:
     testbed = Testbed(topology, config, flows, slot_ns=SLOT_NS)
     result = testbed.run(duration_ns=ms(window_ms))
 
-    plan = result.itp_plan
+    plan = result.sched_plan
     print(f"\nITP: worst slot carries {plan.max_frames_per_slot} frames "
           f"(queue depth {config.queue_depth} configured), "
           f"balance ratio {plan.load_balance_ratio():.2f}")

@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Union
 
+from repro.sched.problem import SchedulePlan
 from repro.traffic.flows import TrafficClass
 from .stats import SweepSeries
 
@@ -100,13 +101,14 @@ def result_summary(result) -> Dict:
         summary["faults"] = faults.as_dict()
     if getattr(result, "headroom", None) is not None:
         summary["headroom"] = result.headroom_report().as_dict()
-    if result.itp_plan is not None:
+    plan = result.sched_plan
+    if isinstance(plan, SchedulePlan):  # one slot grid: not under multi_cqf
         summary["itp"] = {
-            "max_frames_per_slot": result.itp_plan.max_frames_per_slot,
-            "load_balance_ratio": result.itp_plan.load_balance_ratio(),
+            "max_frames_per_slot": plan.max_frames_per_slot,
+            "load_balance_ratio": plan.load_balance_ratio(),
         }
-    if getattr(result, "sched_plan", None) is not None:
-        summary["sched"] = result.sched_plan.summary()
+    if plan is not None:
+        summary["sched"] = plan.summary()
     return summary
 
 

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.core.errors import TsnBuilderError
+from repro.sched.problem import SchedulePlan
 from repro.sim.kernel import EventBudgetExceeded
 
 __all__ = ["execute_run", "RunTimeout"]
@@ -185,12 +186,12 @@ def _measurements(result, config) -> Dict[str, Any]:
         "max_buffer_high_water": result.max_buffer_high_water(),
         "qos_ok": qos_ok,
     }
-    if result.itp_plan is not None:
+    plan = result.sched_plan
+    if isinstance(plan, SchedulePlan):  # one slot grid: not under multi_cqf
         measurements["depth_margin_frames"] = (
-            config.queue_depth - result.itp_plan.required_queue_depth
+            config.queue_depth - plan.required_queue_depth
         )
-    if result.sched_plan is not None:
-        plan = result.sched_plan
+    if plan is not None:
         measurements["sched"] = {
             "backend": plan.backend,
             "status": plan.status,

@@ -93,7 +93,7 @@ from repro.core.presets import (
     table1_case2,
 )
 from repro.core.sizing import derive_config
-from repro.core.units import us
+from repro.core.units import GIGABIT, us
 from repro.network.scenario import ScenarioSpec
 from repro.network.topology import (
     linear_topology,
@@ -504,10 +504,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         topology = spec.build_topology()
         flows = spec.build_flows()
         config = spec.build_config(topology, flows)
+        # Judge the plan the run will use: its policy and line rate.
         violations = check_deployment(
             config, topology, flows, spec.slot_ns,
             gate_mechanism=spec.gate_mechanism,
             aggregate_routes=bool(spec.extras.get("aggregate_routes")),
+            rate_bps=spec.extras.get("rate_bps", GIGABIT),
+            sched=spec.build_run_policy(),
         )
         for violation in violations:
             print(violation)
@@ -747,12 +750,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_sched(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.sched import SchedPolicy, available_backends, plan_flows
+    from repro.sched import available_backends, plan_flows
 
     spec = ScenarioSpec.from_file(args.scenario, strict=not args.no_strict)
-    policy = spec.build_sched_policy() or SchedPolicy(
-        backend="greedy" if spec.use_itp else "unplanned"
-    )
+    policy = spec.build_run_policy()
     topology = spec.build_topology()
     flows = spec.build_flows()
     backends = (

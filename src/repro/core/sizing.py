@@ -11,7 +11,8 @@ paper's five guidelines:
    compresses this to exactly 2.
 3. **CBS map/CBS tables** (per port): one entry per RC queue.
 4. **Queues/buffers**: each queue must hold every packet arriving in one
-   slot -- obtained from the ITP plan's worst per-slot load -- and the
+   slot -- the worst per-slot load of the scheduler's plan
+   (:class:`~repro.sched.SchedulePlan`, the injection-time plan) -- and the
    per-port buffer pool backs all queues at full depth
    (``buffer_num = queue_depth * queue_num``, which is exactly how the
    paper's 16x8 -> 128 and 12x8 -> 96 figures decompose).
@@ -29,13 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Union
 
-from repro.cqf.itp import ItpPlan
 from repro.cqf.schedule import CqfSchedule, scheduling_cycle_ns
 from repro.traffic.flows import FlowSet
 from .config import SwitchConfig
 from .errors import SchedulingError
+
+if TYPE_CHECKING:
+    from repro.sched import MultiSchedulePlan, SchedPolicy, SchedulePlan
 
 __all__ = [
     "SizingResult",
@@ -51,14 +54,10 @@ class SizingResult:
 
     config: SwitchConfig
     schedule: CqfSchedule
-    itp_plan: Optional[ItpPlan]
     required_queue_depth: int
-    #: The scheduling-layer plan behind guideline 4 (a
-    #: :class:`~repro.sched.SchedulePlan`, or a
-    #: :class:`~repro.sched.MultiSchedulePlan` under the multi_cqf shaper,
-    #: where ``itp_plan`` has no faithful single-schedule projection and
-    #: is ``None``).
-    sched_plan: Optional[object] = None
+    #: The plan behind guideline 4, as the scheduler returned it (one
+    #: plan per CQF system under the multi_cqf shaper).
+    sched_plan: Union["SchedulePlan", "MultiSchedulePlan"]
 
     @property
     def depth_margin_frames(self) -> int:
@@ -173,7 +172,6 @@ def derive_config(
     each needing its own classification/forwarding/meter entry, so pass 2.
     """
     from repro.sched import SchedPolicy, plan_flows
-    from repro.sched.problem import SchedulePlan
 
     if gate_mechanism not in ("cqf", "qbv"):
         raise SchedulingError(
@@ -250,9 +248,6 @@ def derive_config(
     return SizingResult(
         config=config,
         schedule=schedule,
-        itp_plan=(
-            plan.to_itp_plan() if isinstance(plan, SchedulePlan) else None
-        ),
         required_queue_depth=required_depth,
         sched_plan=plan,
     )

@@ -29,7 +29,7 @@ from repro.core.config import SwitchConfig
 from repro.core.errors import SchedulingError
 from repro.cqf.bounds import cqf_bounds
 from repro.cqf.schedule import CqfSchedule
-from repro.sched import plan_flows
+from repro.sched import SchedPolicy, plan_flows
 from repro.traffic.flows import FlowSet, TrafficClass
 
 __all__ = ["Severity", "Violation", "check_deployment"]
@@ -58,8 +58,14 @@ def check_deployment(
     gate_mechanism: str = "cqf",
     aggregate_routes: bool = False,
     rate_bps: int = 10**9,
+    sched: Optional[SchedPolicy] = None,
 ) -> List[Violation]:
-    """Every mismatch between *config* and the planned deployment."""
+    """Every mismatch between *config* and the planned deployment.
+
+    ``sched`` is the policy the deployment plans with, as for
+    :func:`~repro.core.sizing.derive_config` (default: greedy ITP); the
+    queue checks judge that plan, not some other one.
+    """
     violations: List[Violation] = []
 
     def error(subject: str, message: str) -> None:
@@ -115,7 +121,7 @@ def check_deployment(
     if gate_mechanism == "cqf" and config.gate_size < 2:
         error("gate_tbl", "CQF needs 2 gate entries per list")
     try:
-        plan = plan_flows(list(flows), slot_ns, rate_bps)
+        plan = plan_flows(list(flows), slot_ns, rate_bps, policy=sched)
         plan.raise_if_infeasible()
     except SchedulingError as exc:
         error("itp", str(exc))

@@ -93,7 +93,7 @@ _KNOWN_GROUP_KEYS = frozenset({"ts_count", "period_us", "size_bytes"})
 #: Testbed kwargs the spec explicitly threads; everything else in the
 #: Testbed signature is a legal pass-through "extra".
 _EXPLICIT_TESTBED_KWARGS = frozenset({
-    "self", "topology", "config", "flows", "slot_ns", "seed", "use_itp",
+    "self", "topology", "config", "flows", "slot_ns", "seed",
     "gate_mechanism", "injection_phase", "tracer", "metrics", "profiler",
     "spans", "slo_policy", "fault_plan", "headroom", "sched",
 })
@@ -489,14 +489,24 @@ class ScenarioSpec:
     def build_sched_policy(self):
         """The parsed ``"sched"`` stanza, or ``None`` when absent.
 
-        ``None`` lets downstream consumers apply their historic defaults
-        (greedy ITP when ``use_itp`` is set, unplanned otherwise).
+        ``None`` lets sizing apply its default, greedy ITP -- even for a
+        ``use_itp: false`` document, whose run alone goes unplanned (see
+        :meth:`build_run_policy`).
         """
         if self.sched is None:
             return None
         from repro.sched import SchedPolicy
 
         return SchedPolicy.from_dict(self.sched)
+
+    def build_run_policy(self):
+        """The policy the run plans with: the ``"sched"`` stanza, else
+        greedy ITP, or the unplanned ablation when ``use_itp`` is off."""
+        from repro.sched import SchedPolicy
+
+        return self.build_sched_policy() or SchedPolicy(
+            backend="greedy" if self.use_itp else "unplanned"
+        )
 
     def build_testbed(
         self,
@@ -530,8 +540,7 @@ class ScenarioSpec:
             slot_ns=self.slot_ns,
             seed=self.seed,
             gate_mechanism=self.gate_mechanism,
-            use_itp=self.use_itp,
-            sched=self.build_sched_policy(),
+            sched=self.build_run_policy(),
             injection_phase=self.injection_phase,
             tracer=tracer if tracer is not None else NULL_TRACER,
             metrics=metrics,

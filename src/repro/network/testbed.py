@@ -33,7 +33,6 @@ from repro.cqf.gcl_gen import (
     csqf_port_program,
     multi_cqf_port_program,
 )
-from repro.cqf.itp import ItpPlan
 from repro.sched import SchedPolicy, plan_flows
 from repro.sched.problem import MultiSchedulePlan, SchedulePlan
 from repro.faults.injector import FaultInjector, FaultReport
@@ -75,7 +74,6 @@ class ScenarioResult:
     analyzer: TsnAnalyzer
     flows: FlowSet
     switches: Dict[str, TsnSwitch]
-    itp_plan: Optional[ItpPlan]
     sched_plan: Optional[Union[SchedulePlan, MultiSchedulePlan]] = None
     metrics: Optional[MetricsRegistry] = None
     tracer: Tracer = NULL_TRACER
@@ -252,13 +250,10 @@ class Testbed:
         propagation_ns: int = DEFAULT_PROPAGATION_NS,
         trunk_error_rate: float = 0.0,
         seed: int = 0,
-        use_itp: bool = True,
         gate_mechanism: str = "cqf",
         injection_phase: str = "planned",
         aggregate_routes: bool = False,
         frer_ts: bool = False,
-        enable_metering: bool = True,
-        poisson_be: bool = False,
         ts_queue_pair: Tuple[int, int] = DEFAULT_TS_QUEUE_PAIR,
         sched: Optional[SchedPolicy] = None,
         scheduler_factory: Optional[Callable] = None,
@@ -286,14 +281,10 @@ class Testbed:
         self.rate_bps = rate_bps
         self.propagation_ns = propagation_ns
         self.trunk_error_rate = trunk_error_rate
-        self.use_itp = use_itp
-        # The scheduling policy: backend + shaper + objective.  ``use_itp``
-        # remains the legacy knob -- consulted only when no explicit policy
-        # is given, so ``use_itp=False`` still means the unplanned ablation.
-        if sched is None:
-            sched = SchedPolicy(backend="greedy" if use_itp else "unplanned")
-        self.sched = sched
-        self.shaper = sched.shaper
+        # The scheduling policy: backend + shaper + objective.  The
+        # unplanned ablation is ``SchedPolicy(backend="unplanned")``.
+        self.sched = sched or SchedPolicy()
+        self.shaper = self.sched.shaper
         if gate_mechanism not in ("cqf", "qbv"):
             raise ConfigurationError(
                 f"gate_mechanism must be 'cqf' or 'qbv', "
@@ -324,8 +315,6 @@ class Testbed:
             )
         self.frer_eliminators: Dict[str, "FrerEliminator"] = {}
         self._replica_vids: Dict[int, int] = {}
-        self.enable_metering = enable_metering
-        self.poisson_be = poisson_be
         self.ts_queue_pair = ts_queue_pair
         # Per-shaper queue layout.  Classic CQF keeps the historical map
         # (TS pair high, RC on 5/4/3 = their PCPs, BE on 0).  CSQF claims a
@@ -389,7 +378,6 @@ class Testbed:
         self._flow_vids: Dict[int, int] = {}
         self._rc_queue_of: Dict[int, int] = {}
         self.analyzer: Optional[TsnAnalyzer] = None
-        self.itp_plan: Optional[ItpPlan] = None
         self.sched_plan: Optional[
             Union[SchedulePlan, MultiSchedulePlan]
         ] = None
@@ -647,7 +635,7 @@ class Testbed:
                 )
 
     def _program_gates_qbv(self) -> None:
-        """Per-port Time-Aware Shaper windows synthesized from the ITP plan.
+        """Per-port Time-Aware Shaper windows synthesized from the plan.
 
         Qbv gates the egress only; in-gates stay open (no CQF queue pair),
         and TS frames flow through each hop inside its transmission window
@@ -657,11 +645,13 @@ class Testbed:
         """
         from repro.qbv.synthesis import PortTraffic, TasSynthesizer
 
-        if self.itp_plan is None:
+        plan = self.sched_plan
+        if plan is None:
             raise ConfigurationError(
                 "gate_mechanism='qbv' needs TS flows to synthesize windows"
             )
-        schedule = self.itp_plan.schedule
+        # Qbv implies the classic 'cqf' shaper: one schedule, one plan.
+        schedule = plan.problem.schedule
         synthesizer = TasSynthesizer(
             schedule,
             rate_bps=self.rate_bps,
@@ -673,13 +663,13 @@ class Testbed:
         slot_flows: Dict[Tuple[str, int], Dict[int, List[FlowSpec]]] = {}
         hop_depths: Dict[Tuple[str, int], set] = {}
         for flow in self.flows.ts_flows:
-            if flow.flow_id not in self.itp_plan.assignments:
+            offset = plan.offsets.get(flow.flow_id)
+            if offset is None:
                 continue  # rejected by a max_admission plan
-            assignment = self.itp_plan.assignments[flow.flow_id]
             slots = range(
-                assignment.offset_slot,
+                offset,
                 schedule.slot_count,
-                assignment.period_slots,
+                flow.period_ns // schedule.slot_ns,
             )
             for hop, port_key in enumerate(self._flow_hop_ports(flow)):
                 hop_depths.setdefault(port_key, set()).add(hop)
@@ -834,10 +824,7 @@ class Testbed:
             # guideline sets meter_size to the flow count, so overflow only
             # happens in deliberate undersizing runs).
             switch = self.switches[switch_name]
-            if (
-                not self.enable_metering
-                or meter_ids[switch_name] >= switch.config.meter_size
-            ):
+            if meter_ids[switch_name] >= switch.config.meter_size:
                 return -1
             meter_id = meter_ids[switch_name]
             meter_ids[switch_name] += 1
@@ -907,11 +894,6 @@ class Testbed:
         )
         plan.raise_if_infeasible()
         self.sched_plan = plan
-        if isinstance(plan, SchedulePlan):
-            # Single-system plans keep the legacy view alive (Qbv window
-            # synthesis, sizing evidence, exports); Multi-CQF has no
-            # faithful single-schedule projection.
-            self.itp_plan = plan.to_itp_plan()
 
     def _create_analyzer(self) -> None:
         from repro.frer.elimination import FrerEliminator
@@ -984,11 +966,6 @@ class Testbed:
                         start_ns=rng.randrange(max(1, gap_hint)),
                         vlan_id=vid,
                         pcp=flow.effective_pcp,
-                        poisson=(
-                            self.poisson_be
-                            and flow.traffic_class is TrafficClass.BE
-                        ),
-                        rng=self.rng.stream(f"flow{flow.flow_id}.gaps"),
                         spans=self.spans,
                     )
                 )
@@ -1095,7 +1072,6 @@ class Testbed:
             analyzer=self.analyzer,
             flows=self.flows,
             switches=self.switches,
-            itp_plan=self.itp_plan,
             sched_plan=self.sched_plan,
             metrics=self.metrics,
             tracer=self.tracer,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import SchedulingError
 from repro.core.units import GIGABIT, serialization_ns, wire_bytes
@@ -38,6 +38,9 @@ from repro.cqf.schedule import CqfSchedule
 from repro.switch.tables import GateEntry
 from repro.traffic.flows import FlowSpec
 from .windows import GateWindow, WindowSet, compile_gcl, guard_band_ns
+
+if TYPE_CHECKING:
+    from repro.sched.problem import SchedulePlan
 
 __all__ = ["PortTraffic", "TasPortSchedule", "TasSynthesizer"]
 
@@ -166,8 +169,11 @@ class TasSynthesizer:
         return max((s.gate_size for s in schedules), default=1)
 
 
-def estimate_gate_size(plan) -> int:
+def estimate_gate_size(plan: SchedulePlan) -> int:
     """Upper bound on per-port gate-table entries for a planned flow set.
+
+    *plan* is the scheduler's :class:`~repro.sched.SchedulePlan`; only its
+    per-slot frame counts (``slot_frames``) are read.
 
     Each active slot compiles to at most three GCL entries (guard band, TS
     window, background segment) plus one trailing background entry -- the

@@ -19,10 +19,11 @@ independent of how it is answered:
 
 Backends return a :class:`SchedulePlan`: offsets, rejected flows, a
 status (``"optimal"`` and ``"infeasible"`` are *proofs* only when the
-exact backend emits them), and search-effort counters.  The plan converts
-losslessly to the legacy :class:`~repro.cqf.itp.ItpPlan` -- including the
-phase-stagger arithmetic -- so everything downstream of the old planner
-(testbed sources, Qbv synthesis, sizing) keeps working unchanged.
+exact backend emits them), and search-effort counters.  It is the one
+plan representation: sizing, the testbed's sources and Qbv window
+synthesis, exports and sweep rows all read it directly -- per-slot load
+(``slot_frames``, ``required_queue_depth``), offsets, and the
+phase-stagger arithmetic (``phase_ns``, ``injection_offset_ns``).
 
 Multi-CQF scenarios solve one problem per CQF system and aggregate the
 per-system plans in a :class:`MultiSchedulePlan` with the same reporting
@@ -317,29 +318,6 @@ class SchedulePlan:
                 or f"backend {self.backend!r} produced no feasible plan "
                    f"(status {self.status!r})"
             )
-
-    # ---------------------------------------------------------- conversion
-
-    def to_itp_plan(self) -> "ItpPlan":
-        """The legacy representation consumed downstream of the planner."""
-        from repro.cqf.itp import ItpAssignment, ItpPlan
-
-        plan = ItpPlan(
-            self.problem.schedule,
-            slot_frames=list(self._slot_frames),
-            slot_bytes=list(self._slot_bytes),
-        )
-        for demand in self.problem.demands:
-            offset = self.offsets.get(demand.flow_id)
-            if offset is None:
-                continue
-            plan.assignments[demand.flow_id] = ItpAssignment(
-                demand.flow_id,
-                offset,
-                phase_ns=self._phases[demand.flow_id],
-                period_slots=demand.period_slots,
-            )
-        return plan
 
     def summary(self) -> Dict[str, object]:
         """JSON-ready digest (CLI, sweep rows, export)."""

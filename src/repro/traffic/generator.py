@@ -8,8 +8,7 @@ processes attached to a host's NIC:
   ITP-planned slot offset (or a caller-chosen phase).
 * :class:`RateSource` -- RC/BE background: frames spaced to sustain a target
   bit rate, with optional randomized start phase so multiple background
-  flows do not beat against each other, and an optional Poisson mode for
-  bursty best-effort traffic.
+  flows do not beat against each other.
 
 Generators do not touch the network directly; they call an ``inject``
 callable (the host NIC's entry point) with fully formed frames.
@@ -18,8 +17,6 @@ callable (the host NIC's entry point) with fully formed frames.
 from __future__ import annotations
 
 from typing import Callable, Optional
-
-import random
 
 from repro.core.errors import ConfigurationError
 from repro.obs.flowspans import FlowSpanRecorder
@@ -137,10 +134,9 @@ class PeriodicSource(_SourceBase):
 class RateSource(_SourceBase):
     """An RC/BE background flow sustaining ``rate_bps``.
 
-    Deterministic mode spaces frames exactly ``size * 8e9 / rate`` ns apart;
-    Poisson mode draws exponential gaps with that mean (bursty BE).  A zero
-    rate is allowed and produces nothing, letting sweeps include a 0-load
-    point without special-casing.
+    Frames are spaced exactly ``size * 8e9 / rate`` ns apart.  A zero rate
+    is allowed and produces nothing, letting sweeps include a 0-load point
+    without special-casing.
     """
 
     def __init__(
@@ -155,8 +151,6 @@ class RateSource(_SourceBase):
         start_ns: int = 0,
         vlan_id: int = 1,
         pcp: int = 0,
-        poisson: bool = False,
-        rng: Optional[random.Random] = None,
         until_ns: Optional[int] = None,
         spans: Optional[FlowSpanRecorder] = None,
     ) -> None:
@@ -166,12 +160,8 @@ class RateSource(_SourceBase):
         )
         if rate_bps < 0:
             raise ConfigurationError(f"rate must be >= 0, got {rate_bps}")
-        if poisson and rng is None:
-            raise ConfigurationError("poisson mode needs an rng")
         self.rate_bps = rate_bps
         self.start_ns = start_ns
-        self.poisson = poisson
-        self._rng = rng
         self.until_ns = until_ns
 
     @property
@@ -184,16 +174,10 @@ class RateSource(_SourceBase):
             return
         self._sim.post(self.start_ns, self._tick)
 
-    def _next_gap(self) -> int:
-        if not self.poisson:
-            return self.mean_gap_ns
-        assert self._rng is not None
-        return max(1, round(self._rng.expovariate(1.0 / self.mean_gap_ns)))
-
     def _tick(self) -> None:
         if self._stopped:
             return
         if self.until_ns is not None and self._sim.now >= self.until_ns:
             return
         self._emit()
-        self._sim.post(self._next_gap(), self._tick)
+        self._sim.post(self.mean_gap_ns, self._tick)

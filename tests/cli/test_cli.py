@@ -1,10 +1,14 @@
 """Command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.network.scenario import ScenarioSpec
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 REMOVED_SHARD = (
     'shard: sharded runs were removed; see docs/performance.md '
@@ -424,6 +428,25 @@ class TestSimulateCheck:
         assert main(["simulate", str(path), "--check"]) == 1
         out = capsys.readouterr().out
         assert "class_tbl" in out
+
+    def test_check_judges_the_plan_the_run_uses(self, tmp_path, capsys):
+        # The mixed cell plans with the exact backend: 9 frames per slot,
+        # where greedy needs 10.  Depth 9 runs drop-free, so the check
+        # must not flag it against the greedy plan.
+        doc = json.loads((EXAMPLES / "sched_mixed_cell.json").read_text())
+        spec = ScenarioSpec.from_dict(doc)
+        config = spec.build_config(spec.build_topology(), spec.build_flows())
+        explicit = config.with_updates(
+            queue_depth=9, buffer_num=9 * config.queue_num
+        ).to_dict()
+        del explicit["name"]
+        path = tmp_path / "mixed9.json"
+        path.write_text(json.dumps({**doc, "config": explicit}))
+        assert main(["simulate", str(path), "--check"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[warning] queue_depth: configured depth equals the ITP bound "
+            "(9); any phase error drops packets",
+        ]
 
 
 class TestSweep:

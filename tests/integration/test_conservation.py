@@ -17,6 +17,7 @@ from repro.core.presets import customized_config
 from repro.core.units import mbps, ms
 from repro.network.testbed import Testbed
 from repro.network.topology import ring_topology
+from repro.sched import SchedPolicy
 from repro.traffic.flows import TrafficClass
 from repro.traffic.iec60802 import background_flows, production_cell_flows
 
@@ -74,7 +75,8 @@ class TestConservation:
         config = customized_config(1, queue_depth=1, buffer_num=8)
         testbed, result = _build(
             count=48, size=64, rc=0, be=0, seed=0, config=config,
-            use_itp=False,  # slam everything into slot 0
+            # slam everything into slot 0
+            sched=SchedPolicy(backend="unplanned"),
         )
         emitted, delivered, switch_drops, link_losses = _accounting(
             testbed, result

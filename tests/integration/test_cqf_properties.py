@@ -63,7 +63,7 @@ class TestCqfProperties:
     )
     def test_observed_occupancy_matches_itp_plan(self, flow_count, slot_ns):
         testbed, result = _run(flow_count, 64, 2, slot_ns, seed=0)
-        plan = result.itp_plan
+        plan = result.sched_plan
         assert plan is not None
         # the gathering queues never exceed -- and do reach -- the plan's
         # worst per-slot load

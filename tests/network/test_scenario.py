@@ -85,6 +85,25 @@ class TestBuilding:
         with pytest.raises(ConfigurationError):
             spec.build_config(spec.build_topology(), spec.build_flows())
 
+    @pytest.mark.parametrize("overrides,backend", [
+        ({}, "greedy"),
+        ({"use_itp": False}, "unplanned"),
+        ({"use_itp": False, "sched": {"backend": "exact"}}, "exact"),
+    ])
+    def test_use_itp_sizes_by_itp_and_runs_the_run_policy(
+        self, overrides, backend
+    ):
+        # The DESIGN.md ablation: use_itp off still sizes by greedy ITP,
+        # only the run goes unplanned; a sched stanza wins over the key.
+        spec = ScenarioSpec.from_dict(_spec_dict(**overrides))
+        planned = ScenarioSpec.from_dict(_spec_dict())
+        testbed = spec.build_testbed()
+        assert spec.build_run_policy().backend == backend
+        assert testbed.sched.backend == backend
+        assert testbed.base_config == planned.build_config(
+            planned.build_topology(), planned.build_flows()
+        )
+
 
 class TestRunning:
     def test_run_end_to_end(self):

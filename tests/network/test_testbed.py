@@ -8,6 +8,7 @@ from repro.core.units import mbps, ms
 from repro.cqf.bounds import cqf_bounds
 from repro.network.testbed import Testbed
 from repro.network.topology import ring_topology, star_topology
+from repro.sched import SchedPolicy
 from repro.traffic.flows import TrafficClass
 from repro.traffic.iec60802 import background_flows, production_cell_flows
 
@@ -151,7 +152,8 @@ class TestItpToggle:
         config = customized_config(1, queue_depth=12, buffer_num=96)
         testbed = Testbed(
             ring_topology(switch_count=3, talkers=["talker0"]),
-            config, flows, slot_ns=SLOT, use_itp=False,
+            config, flows, slot_ns=SLOT,
+            sched=SchedPolicy(backend="unplanned"),
         )
         result = testbed.run(duration_ns=ms(30))
         assert result.ts_loss > 0.0

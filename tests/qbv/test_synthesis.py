@@ -84,7 +84,7 @@ class TestSynthesizePort:
             PortTraffic(slot_flows={}, hop_indices=())
 
     def test_estimate_gate_size(self):
-        plan = plan_flows(_flows(16), SLOT).to_itp_plan()
+        plan = plan_flows(_flows(16), SLOT)
         assert estimate_gate_size(plan) == 3 * 16 + 1
 
 

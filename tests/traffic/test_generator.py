@@ -1,7 +1,5 @@
 """Traffic sources."""
 
-import random
-
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -112,35 +110,6 @@ class TestRateSource:
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             _rate(Simulator(), lambda f: None, rate_bps=-1)
-
-    def test_poisson_requires_rng(self):
-        with pytest.raises(ConfigurationError):
-            _rate(Simulator(), lambda f: None, poisson=True)
-
-    def test_poisson_reproducible(self):
-        def run(seed):
-            sim = Simulator()
-            times = []
-            src = _rate(sim, lambda f: times.append(sim.now),
-                        poisson=True, rng=random.Random(seed),
-                        until_ns=500_000)
-            src.start()
-            sim.run()
-            return times
-
-        assert run(42) == run(42)
-        assert run(42) != run(43)
-
-    def test_poisson_mean_rate_approximates_target(self):
-        sim = Simulator()
-        count = [0]
-        src = _rate(sim, lambda f: count.__setitem__(0, count[0] + 1),
-                    poisson=True, rng=random.Random(7),
-                    until_ns=100_000_000)
-        src.start()
-        sim.run()
-        # 1000 expected frames over 100 ms at one per 100 us
-        assert count[0] == pytest.approx(1000, rel=0.15)
 
     def test_start_offset(self):
         sim = Simulator()
