@@ -13,7 +13,7 @@ import pytest
 from repro.analysis.report import render_table
 from repro.core.presets import customized_config
 from repro.core.units import ms
-from repro.network.testbed import Testbed
+from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import dual_path_topology
 from repro.traffic.flows import TrafficClass
 from repro.traffic.iec60802 import production_cell_flows
@@ -29,8 +29,8 @@ def _run(scale, frer, cut):
         ["talker0"], "listener", flow_count=min(scale.ts_flows, 128)
     )
     config = customized_config(2, flow_count=4 * len(flows))
-    testbed = Testbed(topology, config, flows, slot_ns=SLOT_NS,
-                      frer_ts=frer)
+    testbed = Testbed(RunPlan(topology, config, flows, slot_ns=SLOT_NS,
+                              frer_ts=frer))
     testbed.build()
     if cut:
         trunk = next(

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.presets import customized_config
 from repro.core.units import ms
-from repro.network.testbed import Testbed
+from repro.network.testbed import RunPlan, Testbed
 from repro.traffic.iec60802 import background_flows, production_cell_flows
 
 SLOT_NS = 62_500  # paper: 65 us; snapped to divide the 10 ms period exactly
@@ -74,7 +74,7 @@ def run_scenario(
         for flow in background_flows(talkers, "listener", rc_bps, be_bps):
             flows.add(flow)
     config = config or customized_config(topology.max_enabled_ports)
-    testbed = Testbed(
+    testbed = Testbed(RunPlan(
         topology, config, flows, slot_ns=slot_ns, seed=seed, **testbed_kwargs
-    )
+    ))
     return testbed.run(duration_ns=scale.duration_ns)

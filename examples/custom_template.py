@@ -17,7 +17,7 @@ shows:
 Run:  python examples/custom_template.py
 """
 
-from repro import Testbed, ring_topology
+from repro import RunPlan, Testbed, ring_topology
 from repro.core.builder import TSNBuilder
 from repro.core.presets import customized_config
 from repro.core.templates import EgressSchedTemplate
@@ -68,13 +68,13 @@ def run(model):
     topology = ring_topology(
         switch_count=3, talkers=["talker0", "talker1"]
     )
-    testbed = Testbed(
+    testbed = Testbed(RunPlan(
         topology,
         model.config,
         flows=scenario_flows(),
         slot_ns=SLOT_NS,
         scheduler_factory=template.scheduler_factory,
-    )
+    ))
     return testbed.run(duration_ns=ms(40))
 
 

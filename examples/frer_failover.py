@@ -15,7 +15,7 @@ a third of the way into the run:
 Run:  python examples/frer_failover.py
 """
 
-from repro import Testbed, cqf_bounds
+from repro import RunPlan, Testbed, cqf_bounds
 from repro.core.presets import customized_config
 from repro.core.units import ms, us
 from repro.network.topology import dual_path_topology
@@ -31,7 +31,9 @@ def run(frer: bool, cut: bool):
     topology = dual_path_topology(chain_len=CHAIN)
     flows = production_cell_flows(["talker0"], "listener", flow_count=64)
     config = customized_config(2, flow_count=4 * len(flows))
-    testbed = Testbed(topology, config, flows, slot_ns=SLOT_NS, frer_ts=frer)
+    testbed = Testbed(
+        RunPlan(topology, config, flows, slot_ns=SLOT_NS, frer_ts=frer)
+    )
     testbed.build()
     if cut:
         trunk = next(l for l in testbed.links if l.name.startswith("head.p0"))

@@ -17,7 +17,7 @@ Run:  python examples/industrial_ring.py [--flows N] [--ms WINDOW]
 
 import argparse
 
-from repro import Testbed, cqf_bounds, ring_topology
+from repro import RunPlan, Testbed, cqf_bounds, ring_topology
 from repro.core.presets import customized_config
 from repro.core.units import mbps, ms, us
 from repro.traffic.flows import TrafficClass
@@ -40,7 +40,7 @@ def main(flow_count: int, window_ms: int) -> None:
     print(f"Per-node configuration: {config.total_bram_kb:g}Kb BRAM "
           f"(vs 10818Kb for the COTS baseline)")
 
-    testbed = Testbed(topology, config, flows, slot_ns=SLOT_NS)
+    testbed = Testbed(RunPlan(topology, config, flows, slot_ns=SLOT_NS))
     result = testbed.run(duration_ns=ms(window_ms))
 
     plan = result.sched_plan

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from repro import (
     MetricsRegistry,
+    RunPlan,
     Testbed,
     WallClockProfiler,
     ring_topology,
@@ -42,11 +43,14 @@ def main() -> None:
 
     topology = ring_topology(switch_count=3, talkers=["talker0"])
     flows = production_cell_flows(["talker0"], "listener", flow_count=64)
-    testbed = Testbed(
+    run_plan = RunPlan(
         topology,
         customized_config(topology.max_enabled_ports),
         flows,
         slot_ns=SLOT_NS,
+    )
+    testbed = Testbed(
+        run_plan,
         metrics=registry,
         tracer=tracer,
         profiler=profiler,

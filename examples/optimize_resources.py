@@ -21,7 +21,7 @@ loss, every packet inside Eq. (1) at the smaller slot.
 Run:  python examples/optimize_resources.py
 """
 
-from repro import Testbed, cqf_bounds, ring_topology
+from repro import RunPlan, Testbed, cqf_bounds, ring_topology
 from repro.core.optimizer import optimize
 from repro.core.presets import ring_config
 from repro.core.units import ms
@@ -76,7 +76,7 @@ def main() -> None:
     hops = 3
     topo = ring_topology(hops, talkers=["talker0"])
     flows = production_cell_flows(["talker0"], "listener", flow_count=256)
-    testbed = Testbed(topo, best.config, flows, slot_ns=slot)
+    testbed = Testbed(RunPlan(topo, best.config, flows, slot_ns=slot))
     run = testbed.run(duration_ns=ms(40))
     bounds = cqf_bounds(hops, slot)
     latencies = run.analyzer.class_latencies(TrafficClass.TS)

@@ -13,7 +13,7 @@ The TSN-Builder workflow in ~40 lines:
 Run:  python examples/quickstart.py
 """
 
-from repro import CustomizationAPI, Testbed, cqf_bounds, ring_topology
+from repro import CustomizationAPI, RunPlan, Testbed, cqf_bounds, ring_topology
 from repro.core.builder import TSNBuilder
 from repro.core.units import ms, us
 from repro.traffic.flows import TrafficClass
@@ -53,7 +53,7 @@ def run_ring(model):
     hops = 3
     topology = ring_topology(switch_count=hops, talkers=["talker0"])
     flows = production_cell_flows(["talker0"], "listener", flow_count=64)
-    testbed = Testbed(topology, model.config, flows, slot_ns=SLOT_NS)
+    testbed = Testbed(RunPlan(topology, model.config, flows, slot_ns=SLOT_NS))
     result = testbed.run(duration_ns=ms(50))
 
     summary = result.ts_summary

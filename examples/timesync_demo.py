@@ -16,7 +16,7 @@ Run:  python examples/timesync_demo.py
 
 import random
 
-from repro import Testbed, ring_topology
+from repro import RunPlan, Testbed, ring_topology
 from repro.core.presets import customized_config
 from repro.core.units import ms, us
 from repro.sim.clock import LocalClock
@@ -66,8 +66,8 @@ def ablation_demo() -> None:
     for label, kwargs in cases.items():
         topology = ring_topology(switch_count=3, talkers=["talker0"])
         flows = production_cell_flows(["talker0"], "listener", flow_count=64)
-        testbed = Testbed(topology, customized_config(1), flows,
-                          slot_ns=SLOT_NS, **kwargs)
+        testbed = Testbed(RunPlan(topology, customized_config(1), flows,
+                                  slot_ns=SLOT_NS, **kwargs))
         result = testbed.run(duration_ns=ms(40))
         summary = result.ts_summary
         sync_note = ""

@@ -10,7 +10,7 @@ does what the paper's Fig. 3/5 describe.
 Run:  python examples/trace_timeline.py
 """
 
-from repro import Testbed, ring_topology
+from repro import RunPlan, Testbed, ring_topology
 from repro.analysis.timeline import gate_timeline, render_timeline
 from repro.core.presets import customized_config
 from repro.core.units import ms, us
@@ -25,8 +25,10 @@ def main() -> None:
     tracer = Tracer(enabled={"gate", "tx"})
     topology = ring_topology(switch_count=2, talkers=["talker0"])
     flows = production_cell_flows(["talker0"], "listener", flow_count=48)
-    testbed = Testbed(topology, customized_config(1), flows,
-                      slot_ns=SLOT_NS, tracer=tracer)
+    testbed = Testbed(
+        RunPlan(topology, customized_config(1), flows, slot_ns=SLOT_NS),
+        tracer=tracer,
+    )
     result = testbed.run(duration_ns=ms(10))
 
     q6 = gate_timeline(tracer.records, "sw0.p0", 6, WINDOW_NS)

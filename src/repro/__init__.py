@@ -26,7 +26,7 @@ The public API groups into four layers:
 
 Quickstart::
 
-    from repro import CustomizationAPI, Testbed, ring_topology
+    from repro import CustomizationAPI, RunPlan, Testbed, ring_topology
     from repro.traffic.iec60802 import production_cell_flows
 
     api = CustomizationAPI("ring-node")
@@ -41,7 +41,7 @@ Quickstart::
 
     topo = ring_topology()
     flows = production_cell_flows(["talker0"], "listener", flow_count=64)
-    result = Testbed(topo, config, flows).run(duration_ns=50_000_000)
+    result = Testbed(RunPlan(topo, config, flows)).run(duration_ns=50_000_000)
     print(result.ts_summary)
 """
 
@@ -87,7 +87,7 @@ from .sched import (
 from .obs.chrome_trace import write_chrome_trace
 from .obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .obs.profiler import WallClockProfiler
-from .network.testbed import ScenarioResult, Testbed
+from .network.testbed import RunPlan, ScenarioResult, Testbed
 from .network.topology import (
     TopologySpec,
     dual_path_topology,
@@ -140,6 +140,7 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "FaultReport",
+    "RunPlan",
     "Testbed",
     "ScenarioResult",
     "ScenarioSpec",

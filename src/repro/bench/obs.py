@@ -35,7 +35,7 @@ def run_once(mode: str, ts_count: int, duration_ns: int) -> float:
     """One timed ring-scenario run in the given instrumentation mode."""
     from repro.core.presets import customized_config
     from repro.core.units import us
-    from repro.network.testbed import Testbed
+    from repro.network.testbed import RunPlan, Testbed
     from repro.network.topology import ring_topology
     from repro.obs.flowspans import FlowSpanRecorder
     from repro.obs.headroom import HeadroomRecorder
@@ -51,7 +51,7 @@ def run_once(mode: str, ts_count: int, duration_ns: int) -> float:
     headroom = (
         HeadroomRecorder() if mode in ("headroom", "full") else None
     )
-    testbed = Testbed(topology, config, flows, slot_ns=62_500,
+    testbed = Testbed(RunPlan(topology, config, flows, slot_ns=62_500),
                       metrics=registry, spans=spans, headroom=headroom)
     if mode == "full":
         sampler = TimeSeriesSampler(registry, testbed.sim,

@@ -93,7 +93,7 @@ from repro.core.presets import (
     table1_case2,
 )
 from repro.core.sizing import derive_config
-from repro.core.units import GIGABIT, us
+from repro.core.units import us
 from repro.network.scenario import ScenarioSpec
 from repro.network.topology import (
     linear_topology,
@@ -509,7 +509,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             config, topology, flows, spec.slot_ns,
             gate_mechanism=spec.gate_mechanism,
             aggregate_routes=bool(spec.extras.get("aggregate_routes")),
-            rate_bps=spec.extras.get("rate_bps", GIGABIT),
+            rate_bps=spec.rate_bps,
             sched=spec.build_run_policy(),
         )
         for violation in violations:
@@ -769,7 +769,9 @@ def _cmd_sched(args: argparse.Namespace) -> int:
             policy, backend=backend,
             options=policy.options if backend == policy.backend else {},
         )
-        plan = plan_flows(list(flows), spec.slot_ns, policy=per_backend)
+        plan = plan_flows(
+            list(flows), spec.slot_ns, spec.rate_bps, policy=per_backend
+        )
         entry = plan.summary()
         entry["shaper"] = per_backend.shaper
         try:
@@ -778,6 +780,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
                 name=f"{spec.name}-{backend}",
                 gate_mechanism=spec.gate_mechanism,
                 sched=per_backend,
+                plan=plan,
             )
             entry["configured_queue_depth"] = sizing.config.queue_depth
             entry["bram_kb"] = sizing.config.total_bram_kb

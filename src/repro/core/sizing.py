@@ -149,6 +149,7 @@ def derive_config(
     max_enabled_ports: Optional[int] = None,
     replication_factor: int = 1,
     sched: Optional["SchedPolicy"] = None,
+    plan: Optional[Union["SchedulePlan", "MultiSchedulePlan"]] = None,
 ) -> SizingResult:
     """Apply the five guidelines to one scenario.
 
@@ -166,6 +167,9 @@ def derive_config(
     figures byte for byte.  The shaper feeds back into guideline 2: CSQF's
     three-queue rotation needs 3 gate entries, Multi-CQF one entry per
     base slot of its merged hyper-cycle.
+
+    ``plan``, when given, is the plan of *flows* under ``sched`` at
+    ``rate_bps`` the caller already has (a scenario sizes from its run's).
 
     ``replication_factor`` scales the per-flow table entries for redundant
     transmission: FRER (802.1CB) sends each TS flow as two member streams,
@@ -212,7 +216,8 @@ def derive_config(
         gate_size = 2
 
     # Guideline 4: queue depth from the plan's worst per-slot load.
-    plan = plan_flows(list(flows), slot_ns, rate_bps, policy=sched)
+    if plan is None:
+        plan = plan_flows(list(flows), slot_ns, rate_bps, policy=sched)
     plan.raise_if_infeasible()
     if gate_mechanism != "cqf":
         # The Qbv synthesizer compiles up to three entries per active slot

@@ -31,24 +31,19 @@ from __future__ import annotations
 import difflib
 import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigurationError, SpecValidationError
 from repro.core.sizing import derive_config
-from repro.core.units import mbps, us
+from repro.core.units import GIGABIT, mbps, us
 from repro.faults.plan import FaultPlan, validate_faults_dict
-from repro.obs.flowspans import FlowSpanRecorder
-from repro.obs.headroom import HeadroomRecorder
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import WallClockProfiler
 from repro.obs.slo import SloPolicy
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.traffic.flows import FlowSet
 from repro.traffic.iec60802 import background_flows, production_cell_flows
-from .testbed import ScenarioResult, Testbed
+from .testbed import RunPlan, ScenarioResult, Testbed
 from .topology import (
     TopologySpec,
     dual_path_topology,
@@ -90,32 +85,26 @@ _KNOWN_FLOW_KEYS = frozenset(
 #: Keys a ``flows.groups[i]`` entry may carry.
 _KNOWN_GROUP_KEYS = frozenset({"ts_count", "period_us", "size_bytes"})
 
-#: Testbed kwargs the spec explicitly threads; everything else in the
-#: Testbed signature is a legal pass-through "extra".
-_EXPLICIT_TESTBED_KWARGS = frozenset({
-    "self", "topology", "config", "flows", "slot_ns", "seed",
-    "gate_mechanism", "injection_phase", "tracer", "metrics", "profiler",
-    "spans", "slo_policy", "fault_plan", "headroom", "sched",
+#: RunPlan fields the spec explicitly threads; every other RunPlan field
+#: is a legal pass-through "extra".
+_EXPLICIT_RUN_FIELDS = frozenset({
+    "topology", "config", "flows", "slot_ns", "seed", "gate_mechanism",
+    "injection_phase", "sched",
 })
 
 
 def _extra_defaults() -> Dict[str, Any]:
-    """Pass-through ``Testbed.__init__`` parameters and their defaults.
-
-    Derived from the live signature so a new Testbed knob is automatically
-    a legal scenario extra, held to the JSON kind of its default, without
-    touching the validator.  Parameters defaulting to ``None`` take objects
-    (a scheduler factory, a ``GptpConfig``) no document can spell.
-    """
-    params = inspect.signature(Testbed.__init__).parameters
+    """Pass-through :class:`RunPlan` fields and their defaults: a new run
+    knob is a legal scenario extra, held to the JSON kind of its default.
+    Fields defaulting to ``None`` take objects no document can spell."""
     return {
-        name: param.default for name, param in params.items()
-        if name not in _EXPLICIT_TESTBED_KWARGS and param.default is not None
+        f.name: f.default for f in fields(RunPlan)
+        if f.name not in _EXPLICIT_RUN_FIELDS and f.default is not None
     }
 
 
 def known_extra_keys() -> frozenset:
-    """Extra scenario keys accepted because ``Testbed.__init__`` takes them."""
+    """Extra scenario keys accepted because :class:`RunPlan` has them."""
     return frozenset(_extra_defaults())
 
 
@@ -139,7 +128,7 @@ def _check_type(problems: List[str], path: str, value: Any, kinds,
 
 def _check_extra(problems: List[str], key: str, value: Any,
                  default: Any) -> None:
-    """Hold an extra to the kind of the Testbed default it overrides."""
+    """Hold an extra to the kind of the RunPlan default it overrides."""
     if isinstance(default, bool):
         _check_type(problems, key, value, bool, "a boolean")
     elif isinstance(default, int):
@@ -336,8 +325,8 @@ class ScenarioSpec:
         :class:`~repro.core.errors.SpecValidationError` listing every
         offending path (with a nearest-key suggestion where one exists).
         ``strict=False`` restores the historical permissive behaviour --
-        unknown keys land in :attr:`extras` and fail only if the Testbed
-        rejects them at build time.
+        unknown keys land in :attr:`extras` and fail only if the
+        :class:`RunPlan` rejects them at build time.
         """
         if strict:
             problems = validate_scenario_dict(data)
@@ -400,6 +389,11 @@ class ScenarioSpec:
     def duration_ns(self) -> int:
         return us(self.duration_ms * 1000)
 
+    @property
+    def rate_bps(self) -> int:
+        """The run's line rate: the ``rate_bps`` extra, else 1 Gb/s."""
+        return self.extras.get("rate_bps", GIGABIT)
+
     def build_topology(self) -> TopologySpec:
         params = dict(self.topology)
         kind = params.pop("kind", None)
@@ -455,16 +449,19 @@ class ScenarioSpec:
             )
         return flow_set
 
-    def build_config(
-        self, topology: TopologySpec, flows: FlowSet
-    ) -> SwitchConfig:
+    def build_config(self, topology: TopologySpec, flows: FlowSet,
+                     plan=None) -> SwitchConfig:
+        """The explicit config, or one derived from *plan* (else planned
+        under the sizing policy at the run's line rate)."""
         if self.config == "derive":
             return derive_config(
                 topology, flows, self.slot_ns, name=self.name,
                 gate_mechanism=self.gate_mechanism,
+                rate_bps=self.rate_bps,
                 # FRER member streams double the per-flow table demand
                 replication_factor=2 if self.extras.get("frer_ts") else 1,
                 sched=self.build_sched_policy(),
+                plan=plan,
             ).config
         if isinstance(self.config, Mapping):
             return SwitchConfig.from_dict(
@@ -509,62 +506,47 @@ class ScenarioSpec:
         )
 
     def build_testbed(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        profiler: Optional[WallClockProfiler] = None,
-        spans: Optional[FlowSpanRecorder] = None,
-        slo_policy: Optional[SloPolicy] = None,
-        headroom: Optional[HeadroomRecorder] = None,
+        self, slo_policy: Optional[SloPolicy] = None, **observers
     ) -> Testbed:
-        """Instantiate the testbed, optionally with observability attached.
+        """Plan once, size, and instantiate the testbed with *observers*.
 
-        *metrics*, *tracer*, *profiler*, *spans* and *headroom* thread a
-        :class:`~repro.obs.metrics.MetricsRegistry`, an enabled
-        :class:`~repro.sim.trace.Tracer`, a wall-clock profiler, a
-        :class:`~repro.obs.flowspans.FlowSpanRecorder` and a
-        :class:`~repro.obs.headroom.HeadroomRecorder` through every device
-        -- the hooks behind ``repro simulate --metrics`` /
-        ``--chrome-trace`` / ``--flow-spans`` / ``--headroom``.
-        *slo_policy* overrides the spec's own ``"slo"`` stanza (used by
-        ``repro slo``); by default the stanza, if present, is parsed and
-        monitored.
+        The run policy plans at the run's line rate and a derived config
+        is sized from that same plan -- unless a ``use_itp: false``
+        document without a ``"sched"`` stanza sizes by greedy ITP but runs
+        unplanned (the DESIGN.md ablation).  *observers* are
+        :class:`Testbed` keywords (the hooks behind ``repro simulate
+        --metrics`` / ``--chrome-trace`` / ``--flow-spans`` /
+        ``--headroom``); *slo_policy* overrides the ``"slo"`` stanza.
         """
+        from repro.sched import plan_flows
+
         topology = self.build_topology()
         flows = self.build_flows()
-        config = self.build_config(topology, flows)
-        return Testbed(
-            topology,
-            config,
-            flows,
-            slot_ns=self.slot_ns,
-            seed=self.seed,
-            gate_mechanism=self.gate_mechanism,
-            sched=self.build_run_policy(),
-            injection_phase=self.injection_phase,
-            tracer=tracer if tracer is not None else NULL_TRACER,
-            metrics=metrics,
-            profiler=profiler,
-            spans=spans,
-            slo_policy=(
-                slo_policy if slo_policy is not None
-                else self.build_slo_policy()
-            ),
-            fault_plan=self.build_fault_plan(),
-            headroom=headroom,
+        policy = self.build_run_policy()
+        plan = None
+        if flows.ts_flows:
+            plan = plan_flows(
+                list(flows), self.slot_ns, self.rate_bps, policy=policy
+            )
+        config = self.build_config(
+            topology, flows,
+            plan=plan if self.sched is not None or self.use_itp else None,
+        )
+        run_plan = RunPlan(
+            topology, config, flows, slot_ns=self.slot_ns, seed=self.seed,
+            gate_mechanism=self.gate_mechanism, sched=policy,
+            injection_phase=self.injection_phase, sched_plan=plan,
             **self.extras,
         )
+        return Testbed(
+            run_plan,
+            slo_policy=slo_policy or self.build_slo_policy(),
+            fault_plan=self.build_fault_plan(),
+            **observers,
+        )
 
-    def run(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        profiler: Optional[WallClockProfiler] = None,
-        spans: Optional[FlowSpanRecorder] = None,
-        slo_policy: Optional[SloPolicy] = None,
-        headroom: Optional[HeadroomRecorder] = None,
-    ) -> ScenarioResult:
-        return self.build_testbed(
-            metrics=metrics, tracer=tracer, profiler=profiler,
-            spans=spans, slo_policy=slo_policy, headroom=headroom,
-        ).run(duration_ns=self.duration_ns)
+    def run(self, **observers) -> ScenarioResult:
+        """Build with *observers* (see :meth:`build_testbed`) and run."""
+        return self.build_testbed(**observers).run(
+            duration_ns=self.duration_ns
+        )

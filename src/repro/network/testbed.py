@@ -1,6 +1,7 @@
 """Scenario orchestration: topology + switches + flows -> measurements.
 
-:class:`Testbed` reproduces the paper's experiment workflow end to end:
+:class:`Testbed` reproduces the paper's experiment workflow end to end
+for one :class:`RunPlan` (topology, config, flows, knobs, schedule plan):
 
 1. instantiate one customized :class:`~repro.switch.device.TsnSwitch` per
    topology node (same :class:`~repro.core.config.SwitchConfig`, per-node
@@ -9,8 +10,9 @@
 3. program the control plane along every flow's path: per-flow VLAN ids,
    classification + unicast entries, token-bucket meters, CQF gate control
    lists, CBS reservations for the RC queues;
-4. run ITP to plan TS injection offsets, then attach generators
-   (the TSNNic role) and the analyzer (the TSN analyzer role);
+4. inject TS frames at the offsets of the :class:`RunPlan`'s schedule
+   plan -- planned once, before any device exists -- through generators
+   (the TSNNic role), and attach the analyzer (the TSN analyzer role);
 5. ``run()`` the schedule and return a :class:`ScenarioResult` with
    latency/jitter/loss summaries, switch counters, and occupancy high-water
    marks (the inputs to resource-sizing validation).
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.config import SwitchConfig
-from repro.core.errors import ConfigurationError, SchedulingError, TopologyError
+from repro.core.errors import ConfigurationError, TopologyError
 from repro.core.units import GIGABIT, ms, serialization_ns, wire_bytes
 from repro.cqf.gcl_gen import (
     DEFAULT_TS_QUEUE_PAIR,
@@ -56,7 +58,7 @@ from .host import Host
 from .link import DEFAULT_PROPAGATION_NS, Link
 from .topology import TopologySpec
 
-__all__ = ["Testbed", "ScenarioResult"]
+__all__ = ["RunPlan", "Testbed", "ScenarioResult"]
 
 #: RC traffic spreads over queues 5, 4, 3 (the paper's "three queues for RC
 #: flows in each port").
@@ -233,8 +235,110 @@ class ScenarioResult:
         return "\n\n".join(sections)
 
 
+@dataclass(frozen=True)
+class RunPlan:
+    """One run resolved before any device exists: topology, resource spec,
+    flows, every non-observer knob and *sched_plan*, the plan the run uses.
+
+    Construction checks the knobs and plans with :func:`plan_flows` only
+    when no plan was handed in; :meth:`Testbed.build` raises infeasibility.
+    """
+
+    topology: TopologySpec
+    config: SwitchConfig
+    flows: FlowSet
+    slot_ns: int = 62_500
+    rate_bps: int = GIGABIT
+    propagation_ns: int = DEFAULT_PROPAGATION_NS
+    trunk_error_rate: float = 0.0
+    seed: int = 0
+    gate_mechanism: str = "cqf"
+    injection_phase: str = "planned"
+    aggregate_routes: bool = False
+    # 802.1CB seamless redundancy: replicate every TS flow over two
+    # edge-disjoint paths (the destination needs two attachments, e.g.
+    # dual_path_topology) and eliminate duplicates at the listener.
+    frer_ts: bool = False
+    ts_queue_pair: Tuple[int, int] = DEFAULT_TS_QUEUE_PAIR
+    # The scheduling policy: backend + shaper + objective.  The
+    # unplanned ablation is ``SchedPolicy(backend="unplanned")``.
+    sched: SchedPolicy = field(default_factory=SchedPolicy)
+    scheduler_factory: Optional[Callable] = None
+    shared_buffers: bool = False
+    preemption_enabled: bool = False
+    clock_drift_ppm: float = 0.0
+    clock_offset_spread_ns: int = 0
+    enable_gptp: bool = False
+    gptp_config: Optional[GptpConfig] = None
+    gptp_warmup_ns: int = 2_000_000_000
+    sched_plan: Optional[Union[SchedulePlan, MultiSchedulePlan]] = None
+
+    def __post_init__(self) -> None:
+        self.topology.validate()
+        self.config.validate()
+        shaper = self.sched.shaper
+        if self.gate_mechanism not in ("cqf", "qbv"):
+            raise ConfigurationError(
+                f"gate_mechanism must be 'cqf' or 'qbv', "
+                f"got {self.gate_mechanism!r}"
+            )
+        if self.gate_mechanism != "cqf" and shaper != "cqf":
+            raise ConfigurationError(
+                f"shaper {shaper!r} requires gate_mechanism='cqf' "
+                f"(Qbv window synthesis assumes classic CQF slotting)"
+            )
+        if self.injection_phase not in ("planned", "uniform"):
+            raise ConfigurationError(
+                f"injection_phase must be 'planned' or 'uniform', "
+                f"got {self.injection_phase!r}"
+            )
+        if self.frer_ts and self.gate_mechanism != "cqf":
+            raise ConfigurationError("frer_ts currently requires CQF gating")
+        if self.frer_ts and shaper != "cqf":
+            raise ConfigurationError(
+                "frer_ts currently requires the classic 'cqf' shaper"
+            )
+        if shaper != "cqf":
+            ts_queue_groups, rc_queues = self.queue_layout
+            used = [q for group in ts_queue_groups for q in group]
+            used += [*rc_queues, BE_QUEUE]
+            if (
+                len(set(used)) != len(used)
+                or min(used) < 0
+                or max(used) >= self.config.queue_num
+            ):
+                raise ConfigurationError(
+                    f"shaper {shaper!r} queue layout {sorted(used)} "
+                    f"does not fit {self.config.queue_num} queues without "
+                    f"overlap"
+                )
+        if self.sched_plan is None and self.flows.ts_flows:
+            object.__setattr__(self, "sched_plan", plan_flows(
+                list(self.flows), self.slot_ns, self.rate_bps, self.sched
+            ))
+
+    @property
+    def queue_layout(self) -> Tuple[tuple, Tuple[int, ...]]:
+        """``(ts_queue_groups, rc_queues)``.  Classic CQF keeps the
+        historical map (TS pair high, RC on 5/4/3 = their PCPs, BE on 0);
+        CSQF claims a third TS queue and Multi-CQF a second queue group,
+        pushing the RC queues down, so RC flows get explicit
+        classification entries (a rank-preserving map)."""
+        high, low = self.ts_queue_pair
+        if self.sched.shaper == "cqf":
+            return ((high, low),), RC_QUEUES
+        if self.sched.shaper == "csqf":
+            return ((high - 1, high, low),), tuple(q - 1 for q in RC_QUEUES)
+        # multi_cqf: one queue group per CQF system
+        return (
+            ((high, low), (high - 2, low - 2)),
+            tuple(q - 2 for q in RC_QUEUES),
+        )
+
+
 class Testbed:
-    """Builds and runs one scenario."""
+    """Builds and runs one :class:`RunPlan` (never plans) with observers
+    and the fault actor attached by keyword."""
 
     # Read by benchmarks/e2e only (its ``testbed.frame_path`` flag, always
     # 0 = frame objects); goes with that flag in ROADMAP item 1c.
@@ -242,29 +346,9 @@ class Testbed:
 
     def __init__(
         self,
-        topology: TopologySpec,
-        config: SwitchConfig,
-        flows: FlowSet,
-        slot_ns: int = 62_500,
-        rate_bps: int = GIGABIT,
-        propagation_ns: int = DEFAULT_PROPAGATION_NS,
-        trunk_error_rate: float = 0.0,
-        seed: int = 0,
-        gate_mechanism: str = "cqf",
-        injection_phase: str = "planned",
-        aggregate_routes: bool = False,
-        frer_ts: bool = False,
-        ts_queue_pair: Tuple[int, int] = DEFAULT_TS_QUEUE_PAIR,
-        sched: Optional[SchedPolicy] = None,
-        scheduler_factory: Optional[Callable] = None,
-        shared_buffers: bool = False,
-        preemption_enabled: bool = False,
-        clock_drift_ppm: float = 0.0,
-        clock_offset_spread_ns: int = 0,
-        enable_gptp: bool = False,
-        gptp_config: Optional[GptpConfig] = None,
-        gptp_warmup_ns: int = 2_000_000_000,
-        tracer: Tracer = NULL_TRACER,
+        run_plan: RunPlan,
+        *,
+        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         profiler: Optional[WallClockProfiler] = None,
         spans: Optional[FlowSpanRecorder] = None,
@@ -272,94 +356,19 @@ class Testbed:
         fault_plan: Optional[FaultPlan] = None,
         headroom: Optional[HeadroomRecorder] = None,
     ) -> None:
-        topology.validate()
-        config.validate()
-        self.topology = topology
-        self.base_config = config
-        self.flows = flows
-        self.slot_ns = slot_ns
-        self.rate_bps = rate_bps
-        self.propagation_ns = propagation_ns
-        self.trunk_error_rate = trunk_error_rate
-        # The scheduling policy: backend + shaper + objective.  The
-        # unplanned ablation is ``SchedPolicy(backend="unplanned")``.
-        self.sched = sched or SchedPolicy()
+        self.run_plan = run_plan
+        self.topology = run_plan.topology
+        self.base_config = run_plan.config
+        self.flows = run_plan.flows
+        self.sched = run_plan.sched
         self.shaper = self.sched.shaper
-        if gate_mechanism not in ("cqf", "qbv"):
-            raise ConfigurationError(
-                f"gate_mechanism must be 'cqf' or 'qbv', "
-                f"got {gate_mechanism!r}"
-            )
-        if gate_mechanism != "cqf" and self.shaper != "cqf":
-            raise ConfigurationError(
-                f"shaper {self.shaper!r} requires gate_mechanism='cqf' "
-                f"(Qbv window synthesis assumes classic CQF slotting)"
-            )
-        self.gate_mechanism = gate_mechanism
-        if injection_phase not in ("planned", "uniform"):
-            raise ConfigurationError(
-                f"injection_phase must be 'planned' or 'uniform', "
-                f"got {injection_phase!r}"
-            )
-        self.injection_phase = injection_phase
-        self.aggregate_routes = aggregate_routes
-        # 802.1CB seamless redundancy: replicate every TS flow over two
-        # edge-disjoint paths (the destination needs two attachments, e.g.
-        # dual_path_topology) and eliminate duplicates at the listener.
-        self.frer_ts = frer_ts
-        if frer_ts and gate_mechanism != "cqf":
-            raise ConfigurationError("frer_ts currently requires CQF gating")
-        if frer_ts and self.shaper != "cqf":
-            raise ConfigurationError(
-                "frer_ts currently requires the classic 'cqf' shaper"
-            )
+        self.sched_plan = run_plan.sched_plan
+        self.ts_queue_pair = run_plan.ts_queue_pair
+        self.ts_queue_groups, self.rc_queues = run_plan.queue_layout
         self.frer_eliminators: Dict[str, "FrerEliminator"] = {}
         self._replica_vids: Dict[int, int] = {}
-        self.ts_queue_pair = ts_queue_pair
-        # Per-shaper queue layout.  Classic CQF keeps the historical map
-        # (TS pair high, RC on 5/4/3 = their PCPs, BE on 0).  CSQF claims a
-        # third TS queue and Multi-CQF a second queue group, pushing the RC
-        # queues down; RC PCPs then no longer equal their queue ids, so RC
-        # flows get explicit classification entries (rank-preserving map).
-        if self.shaper == "cqf":
-            self.ts_queue_groups: Tuple[Tuple[int, ...], ...] = (
-                tuple(ts_queue_pair),
-            )
-            self.rc_queues: Tuple[int, ...] = RC_QUEUES
-        elif self.shaper == "csqf":
-            self.ts_queue_groups = (
-                (ts_queue_pair[0] - 1, ts_queue_pair[0], ts_queue_pair[1]),
-            )
-            self.rc_queues = tuple(q - 1 for q in RC_QUEUES)
-        else:  # multi_cqf: one queue group per CQF system
-            self.ts_queue_groups = (
-                tuple(ts_queue_pair),
-                (ts_queue_pair[0] - 2, ts_queue_pair[1] - 2),
-            )
-            self.rc_queues = tuple(q - 2 for q in RC_QUEUES)
-        if self.shaper != "cqf":
-            used = [q for group in self.ts_queue_groups for q in group]
-            used += [*self.rc_queues, BE_QUEUE]
-            if (
-                len(set(used)) != len(used)
-                or min(used) < 0
-                or max(used) >= config.queue_num
-            ):
-                raise ConfigurationError(
-                    f"shaper {self.shaper!r} queue layout {sorted(used)} "
-                    f"does not fit {config.queue_num} queues without overlap"
-                )
-        self.scheduler_factory = scheduler_factory
-        self.shared_buffers = shared_buffers
-        self.preemption_enabled = preemption_enabled
-        self.clock_drift_ppm = clock_drift_ppm
-        self.clock_offset_spread_ns = clock_offset_spread_ns
-        self.enable_gptp = enable_gptp
-        self.gptp_config = gptp_config or GptpConfig()
-        self.gptp_warmup_ns = gptp_warmup_ns
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.profiler = profiler
         self.spans = spans
         self.slo_policy = slo_policy
         self.slo_monitor = None
@@ -367,7 +376,7 @@ class Testbed:
         self.fault_plan = fault_plan
         self.fault_injector: Optional[FaultInjector] = None
         self.sim = Simulator(profiler=profiler)
-        self.rng = RngFactory(seed)
+        self.rng = RngFactory(run_plan.seed)
         self.sync_domain: Optional[SyncDomain] = None
 
         self.switches: Dict[str, TsnSwitch] = {}
@@ -378,9 +387,6 @@ class Testbed:
         self._flow_vids: Dict[int, int] = {}
         self._rc_queue_of: Dict[int, int] = {}
         self.analyzer: Optional[TsnAnalyzer] = None
-        self.sched_plan: Optional[
-            Union[SchedulePlan, MultiSchedulePlan]
-        ] = None
         self._sources: List = []
         self._built = False
 
@@ -395,7 +401,8 @@ class Testbed:
         self._create_switches()
         self._create_hosts()
         self._wire_links()
-        self._plan_injections()  # before gates: Qbv windows need the plan
+        if self.sched_plan is not None:
+            self.sched_plan.raise_if_infeasible()
         self._program_gates()
         self._program_cbs()
         self._program_paths()
@@ -424,7 +431,7 @@ class Testbed:
             raise ConfigurationError(
                 f"{len(ts_flows)} TS flows exceed the 4094 usable VLAN ids"
             )
-        if self.frer_ts and 2 * len(ts_flows) > 4094:
+        if self.run_plan.frer_ts and 2 * len(ts_flows) > 4094:
             raise ConfigurationError(
                 f"FRER doubles the VID demand: {2 * len(ts_flows)} > 4094"
             )
@@ -435,7 +442,7 @@ class Testbed:
                 self._flow_vids[flow.flow_id] = next_vid
                 vid_for_dst.setdefault(flow.dst, next_vid)
                 next_vid += 1
-        if self.frer_ts:
+        if self.run_plan.frer_ts:
             # Replica VIDs sit in a second band so path-B routes and
             # classification entries stay distinct from path A's.
             for flow in self.flows.ts_flows:
@@ -456,13 +463,14 @@ class Testbed:
         local clock; gate schedules then only stay network-aligned if gPTP
         is enabled -- the time-sync ablation.
         """
+        plan = self.run_plan
         drift_rng = self.rng.stream("clock.drift")
         for index, (name, ports) in enumerate(
             self.topology.switch_ports.items()
         ):
             per_node = self.base_config.with_updates(name=name, port_num=ports)
             clock = None
-            if self.clock_drift_ppm or self.clock_offset_spread_ns:
+            if plan.clock_drift_ppm or plan.clock_offset_spread_ns:
                 is_grandmaster = index == 0
                 clock = LocalClock(
                     self.sim,
@@ -470,26 +478,27 @@ class Testbed:
                         0.0
                         if is_grandmaster
                         else drift_rng.uniform(
-                            -self.clock_drift_ppm, self.clock_drift_ppm
+                            -plan.clock_drift_ppm,
+                            plan.clock_drift_ppm,
                         )
                     ),
                     offset_ns=(
                         0
                         if is_grandmaster
                         else drift_rng.randint(
-                            -self.clock_offset_spread_ns,
-                            self.clock_offset_spread_ns,
+                            -plan.clock_offset_spread_ns,
+                            plan.clock_offset_spread_ns,
                         )
                     ),
                 )
             self.switches[name] = TsnSwitch(
                 self.sim,
                 per_node,
-                rate_bps=self.rate_bps,
+                rate_bps=plan.rate_bps,
                 clock=clock,
-                scheduler_factory=self.scheduler_factory,
-                shared_buffers=self.shared_buffers,
-                preemption_enabled=self.preemption_enabled,
+                scheduler_factory=plan.scheduler_factory,
+                shared_buffers=plan.shared_buffers,
+                preemption_enabled=plan.preemption_enabled,
                 express_queues=tuple(
                     q for group in self.ts_queue_groups for q in group
                 ),
@@ -499,12 +508,14 @@ class Testbed:
                 headroom=self.headroom,
                 name=name,
             )
-        if self.enable_gptp:
+        if plan.enable_gptp:
             self._build_sync_domain()
 
     def _build_sync_domain(self) -> None:
         """Sync tree over the trunk graph, rooted at the first switch."""
-        domain = SyncDomain(self.sim, self.gptp_config)
+        domain = SyncDomain(
+            self.sim, self.run_plan.gptp_config or GptpConfig()
+        )
         names = list(self.switches)
         root = names[0]
         domain.add_node(root, self.switches[root].clock)
@@ -523,7 +534,7 @@ class Testbed:
                     neighbor,
                     self.switches[neighbor].clock,
                     parent=current,
-                    link_delay_ns=self.propagation_ns,
+                    link_delay_ns=self.run_plan.propagation_ns,
                 )
                 frontier.append(neighbor)
         missing = [n for n in names if n not in domain.nodes]
@@ -541,7 +552,7 @@ class Testbed:
             self.hosts[host_name] = Host(
                 self.sim,
                 host_name,
-                rate_bps=self.rate_bps,
+                rate_bps=self.run_plan.rate_bps,
                 tracer=self.tracer,
                 spans=self.spans,
                 index=index,
@@ -557,11 +568,11 @@ class Testbed:
                     self.sim,
                     src_switch.ports[trunk.src_port],
                     dst_switch.receive,
-                    self.propagation_ns,
-                    error_rate=self.trunk_error_rate,
+                    self.run_plan.propagation_ns,
+                    error_rate=self.run_plan.trunk_error_rate,
                     rng=(
                         self.rng.stream(f"link.{name}.errors")
-                        if self.trunk_error_rate
+                        if self.run_plan.trunk_error_rate
                         else None
                     ),
                     name=name,
@@ -575,7 +586,7 @@ class Testbed:
                     self.sim,
                     host.nic,
                     self.switches[uplink.dst].receive,
-                    self.propagation_ns,
+                    self.run_plan.propagation_ns,
                     name=f"{uplink.host}->{uplink.dst}",
                     spans=self.spans,
                 )
@@ -588,7 +599,7 @@ class Testbed:
                     self.sim,
                     switch.ports[attachment.port],
                     host.receive,
-                    self.propagation_ns,
+                    self.run_plan.propagation_ns,
                     name=(
                         f"{attachment.switch}.p{attachment.port}"
                         f"->{attachment.host}"
@@ -609,22 +620,22 @@ class Testbed:
             link.arrival_priority = index + 1
 
     def _program_gates(self) -> None:
-        if self.gate_mechanism != "cqf":
+        if self.run_plan.gate_mechanism != "cqf":
             self._program_gates_qbv()
             return
         queue_num = self.base_config.queue_num
         if self.shaper == "cqf":
             in_entries, out_entries, groups = cqf_port_program(
-                self.slot_ns, self.ts_queue_pair, queue_num
+                self.run_plan.slot_ns, self.ts_queue_pair, queue_num
             )
         elif self.shaper == "csqf":
             in_entries, out_entries, groups = csqf_port_program(
-                self.slot_ns, self.ts_queue_groups[0], queue_num
+                self.run_plan.slot_ns, self.ts_queue_groups[0], queue_num
             )
         else:
             in_entries, out_entries, groups = multi_cqf_port_program(
-                self.slot_ns,
-                self.sched.slot2_ns(self.slot_ns),
+                self.run_plan.slot_ns,
+                self.sched.slot2_ns(self.run_plan.slot_ns),
                 self.ts_queue_groups,
                 queue_num,
             )
@@ -654,9 +665,9 @@ class Testbed:
         schedule = plan.problem.schedule
         synthesizer = TasSynthesizer(
             schedule,
-            rate_bps=self.rate_bps,
+            rate_bps=self.run_plan.rate_bps,
             processing_delay_ns=DEFAULT_PROCESSING_DELAY_NS,
-            propagation_ns=self.propagation_ns,
+            propagation_ns=self.run_plan.propagation_ns,
             queue_num=self.base_config.queue_num,
             ts_queue=self.ts_queue_pair[1],
         )
@@ -725,13 +736,15 @@ class Testbed:
                     self.rc_queues[:usable]
                 ):
                     reserved = per_queue_rate.get(queue_id, 0) * 2
-                    reserved = max(reserved, self.rate_bps // 100)
-                    reserved = min(reserved, self.rate_bps * 3 // 4)
+                    reserved = max(reserved, self.run_plan.rate_bps // 100)
+                    reserved = min(reserved, self.run_plan.rate_bps * 3 // 4)
                     switch.program_cbs(
                         port_id,
                         queue_id,
                         slot_index,
-                        CbsParams.for_reservation(reserved, self.rate_bps),
+                        CbsParams.for_reservation(
+                            reserved, self.run_plan.rate_bps
+                        ),
                     )
 
     def _queue_for(self, flow: FlowSpec) -> int:
@@ -841,7 +854,7 @@ class Testbed:
             if flow.traffic_class is TrafficClass.TS:
                 if not self._ts_admitted(flow):
                     continue  # rejected by a max_admission plan: no state
-                if self.frer_ts:
+                if self.run_plan.frer_ts:
                     replicas = list(
                         zip(
                             (vid, self._replica_vids[flow.flow_id]),
@@ -862,7 +875,8 @@ class Testbed:
                             src_mac, dst_mac, replica_vid, pcp, outport,
                             queue_id, meter_id,
                             aggregate_route=(
-                                self.aggregate_routes and not self.frer_ts
+                                self.run_plan.aggregate_routes
+                                and not self.run_plan.frer_ts
                             ),
                         )
             elif (
@@ -876,24 +890,15 @@ class Testbed:
                 for switch_name, outport in self._flow_hop_ports(flow):
                     self.switches[switch_name].program_flow(
                         src_mac, dst_mac, vid, pcp, outport, queue_id, -1,
-                        aggregate_route=self.aggregate_routes,
+                        aggregate_route=self.run_plan.aggregate_routes,
                     )
             else:  # RC/BE: forwarding route only, PCP default classifies
                 for switch_name, outport in self._flow_hop_ports(flow):
                     self.switches[switch_name].program_route(
                         dst_mac,
-                        None if self.aggregate_routes else vid,
+                        None if self.run_plan.aggregate_routes else vid,
                         outport,
                     )
-
-    def _plan_injections(self) -> None:
-        if not self.flows.ts_flows:
-            return
-        plan = plan_flows(
-            list(self.flows), self.slot_ns, self.rate_bps, policy=self.sched
-        )
-        plan.raise_if_infeasible()
-        self.sched_plan = plan
 
     def _create_analyzer(self) -> None:
         from repro.frer.elimination import FrerEliminator
@@ -906,7 +911,7 @@ class Testbed:
             self.analyzer.slo = self.slo_monitor
         for attachment in self.topology.attachments:
             host = self.hosts[attachment.host]
-            if self.frer_ts:
+            if self.run_plan.frer_ts:
                 if attachment.host not in self.frer_eliminators:
                     self.frer_eliminators[attachment.host] = FrerEliminator(
                         self.analyzer.record
@@ -931,7 +936,7 @@ class Testbed:
                     + self._injection_phase_ns(flow)
                 )
                 vids = [vid]
-                if self.frer_ts:
+                if self.run_plan.frer_ts:
                     # FRER replication: one source per member stream, same
                     # cadence, so replicas carry identical (flow, seq)
                     vids.append(self._replica_vids[flow.flow_id])
@@ -985,11 +990,13 @@ class Testbed:
         differ under Multi-CQF).
         """
         assert self.sched_plan is not None
-        if self.injection_phase == "planned":
+        if self.run_plan.injection_phase == "planned":
             return self.sched_plan.phase_ns(flow.flow_id)
         guard = (
-            serialization_ns(wire_bytes(flow.size_bytes), self.rate_bps)
-            + self.propagation_ns
+            serialization_ns(
+                wire_bytes(flow.size_bytes), self.run_plan.rate_bps
+            )
+            + self.run_plan.propagation_ns
             + DEFAULT_PROCESSING_DELAY_NS
             + 1_000
         )
@@ -1010,7 +1017,7 @@ class Testbed:
         if self.sync_domain is not None:
             # Let the servos lock before gates and traffic start.
             self.sync_domain.start()
-            self.sim.run(until=self.gptp_warmup_ns)
+            self.sim.run(until=self.run_plan.gptp_warmup_ns)
         start_ns = self.sim.now
         if self.fault_plan is not None:
             # Fault times are relative to traffic start so a plan means
@@ -1037,9 +1044,9 @@ class Testbed:
                 source.until_ns = start_ns + duration_ns
             source.start()
         drain_slot_ns = (
-            self.sched.slot2_ns(self.slot_ns)
+            self.sched.slot2_ns(self.run_plan.slot_ns)
             if self.shaper == "multi_cqf"
-            else self.slot_ns
+            else self.run_plan.slot_ns
         )
         self.sim.run(until=start_ns + duration_ns + drain_slots * drain_slot_ns)
         expected = {source.flow_id: source.emitted for source in self._sources}
@@ -1067,7 +1074,7 @@ class Testbed:
                 gauge.set(eliminator.duplicates_eliminated, listener=listener)
         return ScenarioResult(
             duration_ns=duration_ns,
-            slot_ns=self.slot_ns,
+            slot_ns=self.run_plan.slot_ns,
             expected_by_flow=expected,
             analyzer=self.analyzer,
             flows=self.flows,

@@ -20,9 +20,10 @@ partition onto per-system problems (a flow joins the long-slot system
 when its period is a multiple of ``slot2``) and the per-system plans
 aggregate into a :class:`~repro.sched.problem.MultiSchedulePlan`.
 
-Both the testbed and the sizing guidelines call :func:`plan_flows`, so a
-scenario's simulated queues and its derived BRAM figures always come from
-the same schedule.
+A scenario run plans once and hands that plan to both the sizing
+guidelines and the testbed, so a scenario's simulated queues and its
+derived BRAM figures always come from the same schedule (by design, the
+``use_itp: false`` ablation alone sizes by greedy ITP and runs unplanned).
 """
 
 from __future__ import annotations

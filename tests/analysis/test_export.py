@@ -14,7 +14,7 @@ from repro.analysis.stats import SweepPoint, SweepSeries
 from repro.core.presets import customized_config
 from repro.core.units import ms
 from repro.network.analyzer import LatencySummary
-from repro.network.testbed import Testbed
+from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import ring_topology
 from repro.traffic.flows import TrafficClass
 from repro.traffic.iec60802 import production_cell_flows
@@ -23,7 +23,9 @@ from repro.traffic.iec60802 import production_cell_flows
 def _result():
     topology = ring_topology(switch_count=2, talkers=["talker0"])
     flows = production_cell_flows(["talker0"], "listener", flow_count=8)
-    testbed = Testbed(topology, customized_config(1), flows, slot_ns=62_500)
+    testbed = Testbed(
+        RunPlan(topology, customized_config(1), flows, slot_ns=62_500)
+    )
     return testbed.run(duration_ns=ms(15))
 
 

@@ -6,7 +6,7 @@ from repro.analysis.timeline import GateTimeline, gate_timeline, render_timeline
 from repro.core.errors import SimulationError
 from repro.core.presets import customized_config
 from repro.core.units import ms
-from repro.network.testbed import Testbed
+from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import ring_topology
 from repro.sim.trace import TraceRecord, Tracer
 from repro.traffic.iec60802 import production_cell_flows
@@ -83,8 +83,10 @@ class TestEndToEnd:
         tracer = Tracer(enabled={"gate"})
         topology = ring_topology(switch_count=2, talkers=["talker0"])
         flows = production_cell_flows(["talker0"], "listener", flow_count=8)
-        testbed = Testbed(topology, customized_config(1), flows,
-                          slot_ns=62_500, tracer=tracer)
+        testbed = Testbed(
+            RunPlan(topology, customized_config(1), flows, slot_ns=62_500),
+            tracer=tracer,
+        )
         testbed.run(duration_ns=ms(2))
         q7 = gate_timeline(tracer.records, "sw0.p0", 7, ms(2))
         q6 = gate_timeline(tracer.records, "sw0.p0", 6, ms(2))

@@ -6,7 +6,7 @@ from repro.core.errors import ConfigurationError, TopologyError
 from repro.core.presets import customized_config
 from repro.core.units import ms
 from repro.cqf.bounds import cqf_bounds
-from repro.network.testbed import Testbed
+from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import dual_path_topology, ring_topology
 from repro.traffic.flows import TrafficClass
 from repro.traffic.iec60802 import production_cell_flows
@@ -20,7 +20,9 @@ def _testbed(frer=True, flow_count=24, topo=None):
     flows = production_cell_flows(["talker0"], "listener",
                                   flow_count=flow_count)
     config = customized_config(2, flow_count=4 * flow_count)
-    return Testbed(topology, config, flows, slot_ns=SLOT, frer_ts=frer)
+    return Testbed(
+        RunPlan(topology, config, flows, slot_ns=SLOT, frer_ts=frer)
+    )
 
 
 class TestTopology:
@@ -70,14 +72,14 @@ class TestReplication:
 
     def test_frer_requires_cqf(self):
         with pytest.raises(ConfigurationError, match="CQF"):
-            Testbed(
+            Testbed(RunPlan(
                 dual_path_topology(),
                 customized_config(2),
                 production_cell_flows(["talker0"], "listener", flow_count=4),
                 slot_ns=SLOT,
                 frer_ts=True,
                 gate_mechanism="qbv",
-            )
+            ))
 
 
 class TestSeamlessFailover:

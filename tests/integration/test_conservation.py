@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.presets import customized_config
 from repro.core.units import mbps, ms
-from repro.network.testbed import Testbed
+from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import ring_topology
 from repro.sched import SchedPolicy
 from repro.traffic.flows import TrafficClass
@@ -45,10 +45,10 @@ def _build(count, size, rc, be, seed, config=None, drain_slots=64, **kwargs):
         for flow in background_flows(["talker0"], "listener",
                                      mbps(rc), mbps(be)):
             flows.add(flow)
-    testbed = Testbed(
+    testbed = Testbed(RunPlan(
         topology, config or customized_config(1), flows, slot_ns=SLOT,
         seed=seed, **kwargs
-    )
+    ))
     result = testbed.run(duration_ns=ms(25), drain_slots=drain_slots)
     return testbed, result
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.presets import customized_config
 from repro.core.units import ms
 from repro.cqf.bounds import cqf_bounds
-from repro.network.testbed import Testbed
+from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import ring_topology
 from repro.traffic.flows import TrafficClass
 from repro.traffic.iec60802 import production_cell_flows
@@ -29,9 +29,9 @@ def _run(flow_count, size, hops, slot_ns, seed):
     topology = ring_topology(switch_count=hops, talkers=["talker0"])
     flows = production_cell_flows(["talker0"], "listener",
                                   flow_count=flow_count, size_bytes=size)
-    testbed = Testbed(
+    testbed = Testbed(RunPlan(
         topology, customized_config(1), flows, slot_ns=slot_ns, seed=seed
-    )
+    ))
     return testbed, testbed.run(duration_ns=ms(25))
 
 

@@ -12,7 +12,7 @@ from repro.core.presets import bcm53154_config, customized_config
 from repro.core.sizing import derive_config
 from repro.core.units import mbps, ms
 from repro.cqf.bounds import cqf_bounds
-from repro.network.testbed import Testbed
+from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import linear_topology, ring_topology, star_topology
 from repro.traffic.flows import TrafficClass
 from repro.traffic.iec60802 import background_flows, production_cell_flows
@@ -30,7 +30,7 @@ def _run(topo, rc=0, be=0, size=64, flow_count=FLOWS, slot=SLOT, **kwargs):
         for f in background_flows(talkers, "listener", rc, be):
             flows.add(f)
     config = customized_config(topo.max_enabled_ports)
-    testbed = Testbed(topo, config, flows, slot_ns=slot, **kwargs)
+    testbed = Testbed(RunPlan(topo, config, flows, slot_ns=slot, **kwargs))
     return testbed.run(duration_ns=DURATION)
 
 
@@ -146,7 +146,8 @@ class TestTable1Claim:
                 flows.add(f)
             config = customized_config(2, queue_depth=depth,
                                        buffer_num=buffers)
-            result = Testbed(topo, config, flows, slot_ns=SLOT).run(DURATION)
+            run_plan = RunPlan(topo, config, flows, slot_ns=SLOT)
+            result = Testbed(run_plan).run(DURATION)
             assert result.ts_loss == 0.0
             results[label] = result.ts_summary
         assert results["case1"].mean_ns == pytest.approx(

@@ -97,7 +97,7 @@ class TestAdmission:
         """Admission's promise: the accepted flows really fit."""
         from repro.core.presets import customized_config
         from repro.core.units import ms
-        from repro.network.testbed import Testbed
+        from repro.network.testbed import RunPlan, Testbed
         from repro.traffic.iec60802 import production_cell_flows
 
         rc_requests = FlowSet([_rc(900_000 + i, mbps(150), src="talker0")
@@ -108,7 +108,7 @@ class TestAdmission:
         for verdict in report.admitted:
             original = rc_requests[verdict.flow_id]
             flows.add(original)
-        result = Testbed(_topo(), customized_config(1), flows,
-                         slot_ns=62_500).run(duration_ns=ms(20))
+        result = Testbed(RunPlan(_topo(), customized_config(1), flows,
+                                 slot_ns=62_500)).run(duration_ns=ms(20))
         assert result.ts_loss == 0.0
         assert result.loss_rate(TrafficClass.RC) == 0.0

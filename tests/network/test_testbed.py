@@ -6,7 +6,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.presets import customized_config
 from repro.core.units import mbps, ms
 from repro.cqf.bounds import cqf_bounds
-from repro.network.testbed import Testbed
+from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import ring_topology, star_topology
 from repro.sched import SchedPolicy
 from repro.traffic.flows import TrafficClass
@@ -28,7 +28,7 @@ def _run(topo=None, flows=None, config=None, duration=ms(30), **kwargs):
     topo = topo or ring_topology(switch_count=3, talkers=["talker0"])
     flows = flows if flows is not None else _flows()
     config = config or customized_config(topo.max_enabled_ports)
-    testbed = Testbed(topo, config, flows, slot_ns=SLOT, **kwargs)
+    testbed = Testbed(RunPlan(topo, config, flows, slot_ns=SLOT, **kwargs))
     return testbed, testbed.run(duration_ns=duration)
 
 
@@ -96,11 +96,11 @@ class TestDeterminism:
 
         def macs():
             topo = star_topology(talkers=["talker0", "talker1", "talker2"])
-            testbed = Testbed(
+            testbed = Testbed(RunPlan(
                 topo, customized_config(topo.max_enabled_ports),
                 _flows(talkers=("talker0", "talker1", "talker2")),
                 slot_ns=SLOT,
-            )
+            ))
             testbed.build()
             return {name: host.mac for name, host in testbed.hosts.items()}
 
@@ -119,10 +119,10 @@ class TestDeterminism:
         carried them, so the tie-break must be a function of the topology:
         trunks, then uplinks, then attachments, numbered from 1."""
         topo = star_topology(talkers=["talker0", "talker1"])
-        testbed = Testbed(
+        testbed = Testbed(RunPlan(
             topo, customized_config(topo.max_enabled_ports),
             _flows(talkers=("talker0", "talker1")), slot_ns=SLOT,
-        )
+        ))
         testbed.build()
         wiring = (
             [f"{t.src}.p{t.src_port}->{t.dst}" for t in topo.trunks]
@@ -150,11 +150,11 @@ class TestItpToggle:
         customized queue depth -- the motivation for [24]."""
         flows = _flows(count=64)
         config = customized_config(1, queue_depth=12, buffer_num=96)
-        testbed = Testbed(
+        testbed = Testbed(RunPlan(
             ring_topology(switch_count=3, talkers=["talker0"]),
             config, flows, slot_ns=SLOT,
             sched=SchedPolicy(backend="unplanned"),
-        )
+        ))
         result = testbed.run(duration_ns=ms(30))
         assert result.ts_loss > 0.0
         drops = sum(
@@ -172,32 +172,32 @@ class TestValidationErrors:
     def test_duration_positive(self):
         testbed, _ = _run()
         with pytest.raises(ConfigurationError):
-            Testbed(
+            Testbed(RunPlan(
                 ring_topology(switch_count=2, talkers=["talker0"]),
                 customized_config(1),
                 _flows(count=4),
                 slot_ns=SLOT,
-            ).run(duration_ns=0)
+            )).run(duration_ns=0)
 
     def test_double_build_rejected(self):
-        testbed = Testbed(
+        testbed = Testbed(RunPlan(
             ring_topology(switch_count=2, talkers=["talker0"]),
             customized_config(1),
             _flows(count=4),
             slot_ns=SLOT,
-        )
+        ))
         testbed.build()
         with pytest.raises(ConfigurationError):
             testbed.build()
 
     def test_too_many_flows_for_vids(self):
         flows = _flows(count=8)
-        testbed = Testbed(
+        testbed = Testbed(RunPlan(
             ring_topology(switch_count=2, talkers=["talker0"]),
             customized_config(1),
             flows,
             slot_ns=SLOT,
-        )
+        ))
         testbed._flow_vids = {}
         # simulate the overflow check directly
         big = production_cell_flows(["talker0"], "listener", flow_count=1024)
@@ -207,12 +207,12 @@ class TestValidationErrors:
                 first_flow_id=(i + 1) * 10_000,
             ):
                 big.add(f)
-        bad = Testbed(
+        bad = Testbed(RunPlan(
             ring_topology(switch_count=2, talkers=["talker0"]),
             customized_config(1, flow_count=8192),
             big,
             slot_ns=SLOT,
-        )
+        ))
         with pytest.raises(ConfigurationError, match="VLAN"):
             bad.build()
 
@@ -252,13 +252,13 @@ class TestFailureInjection:
         """A lossy trunk breaks the zero-loss guarantee and the analyzer
         sees it -- the instrumentation the QoS claims rest on."""
         _, clean = _run(duration=ms(20))
-        testbed = Testbed(
+        testbed = Testbed(RunPlan(
             ring_topology(switch_count=3, talkers=["talker0"]),
             customized_config(1),
             _flows(),
             slot_ns=SLOT,
             trunk_error_rate=0.05,
-        )
+        ))
         lossy = testbed.run(duration_ns=ms(20))
         assert clean.ts_loss == 0.0
         assert lossy.ts_loss > 0.01
@@ -266,12 +266,12 @@ class TestFailureInjection:
         assert corrupted > 0
 
     def test_link_failure_blackholes_downstream(self):
-        testbed = Testbed(
+        testbed = Testbed(RunPlan(
             ring_topology(switch_count=3, talkers=["talker0"]),
             customized_config(1),
             _flows(),
             slot_ns=SLOT,
-        )
+        ))
         testbed.build()
         # cut the first trunk after half the window
         trunk = testbed.links[0]
@@ -286,17 +286,17 @@ class TestRouteAggregation:
         """guideline 1's aggregation: one forwarding entry per destination
         instead of per flow, with identical QoS."""
         flows = _flows(count=32)
-        per_flow_tb = Testbed(
+        per_flow_tb = Testbed(RunPlan(
             ring_topology(switch_count=2, talkers=["talker0"]),
             customized_config(1), flows, slot_ns=SLOT,
-        )
+        ))
         per_flow = per_flow_tb.run(duration_ns=ms(20))
         flows2 = _flows(count=32)
-        aggregated_tb = Testbed(
+        aggregated_tb = Testbed(RunPlan(
             ring_topology(switch_count=2, talkers=["talker0"]),
             customized_config(1), flows2, slot_ns=SLOT,
             aggregate_routes=True,
-        )
+        ))
         aggregated = aggregated_tb.run(duration_ns=ms(20))
         assert per_flow.ts_loss == aggregated.ts_loss == 0.0
         assert per_flow.ts_summary.mean_ns == pytest.approx(
@@ -314,10 +314,10 @@ class TestRouteAggregation:
         destination count."""
         flows = _flows(count=32)
         config = customized_config(1).with_updates(unicast_size=1)
-        testbed = Testbed(
+        testbed = Testbed(RunPlan(
             ring_topology(switch_count=2, talkers=["talker0"]),
             config, flows, slot_ns=SLOT, aggregate_routes=True,
-        )
+        ))
         result = testbed.run(duration_ns=ms(20))
         assert result.ts_loss == 0.0
 
@@ -336,12 +336,12 @@ class TestPortReport:
         assert "queue hw" in lines[1]
 
     def test_shared_pool_reported_consistently(self):
-        testbed = Testbed(
+        testbed = Testbed(RunPlan(
             ring_topology(switch_count=2, talkers=["talker0"]),
             customized_config(1),
             _flows(count=8),
             slot_ns=SLOT,
             shared_buffers=True,
-        )
+        ))
         result = testbed.run(duration_ns=ms(15))
         assert "/96" in result.port_report()  # pool slots shown per row

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.presets import customized_config
 from repro.core.units import ms
-from repro.network.testbed import Testbed
+from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import ring_topology
 from repro.obs.chrome_trace import chrome_trace_events
 from repro.obs.instruments import SwitchInstruments
@@ -97,8 +97,11 @@ def observed_run():
     tracer = Tracer(enabled={"gate", "queue", "tx", "drop"})
     profiler = WallClockProfiler()
     testbed = Testbed(
-        topo, customized_config(topo.max_enabled_ports), flows,
-        slot_ns=SLOT, tracer=tracer, metrics=registry, profiler=profiler,
+        RunPlan(
+            topo, customized_config(topo.max_enabled_ports), flows,
+            slot_ns=SLOT,
+        ),
+        tracer=tracer, metrics=registry, profiler=profiler,
     )
     result = testbed.run(duration_ns=ms(30))
     return registry, tracer, profiler, result
@@ -171,10 +174,10 @@ class TestEndToEnd:
 
         topo = ring_topology(switch_count=3, talkers=["talker0"])
         flows = production_cell_flows(["talker0"], "listener", flow_count=8)
-        testbed = Testbed(
+        testbed = Testbed(RunPlan(
             topo, customized_config(topo.max_enabled_ports), flows,
             slot_ns=SLOT,
-        )
+        ))
         result = testbed.run(duration_ns=ms(10))
         assert result.metrics is None
         assert result.tracer.records == []

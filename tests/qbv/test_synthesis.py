@@ -7,7 +7,7 @@ from repro.core.presets import customized_config
 from repro.core.units import mbps, ms
 from repro.cqf.bounds import cqf_bounds
 from repro.cqf.schedule import CqfSchedule
-from repro.network.testbed import Testbed
+from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import ring_topology
 from repro.qbv.synthesis import (
     PortTraffic,
@@ -94,8 +94,8 @@ class TestTestbedIntegration:
         flows = production_cell_flows(["talker0"], "listener",
                                       flow_count=count)
         config = customized_config(1).with_updates(gate_size=gate_size)
-        testbed = Testbed(topology, config, flows, slot_ns=SLOT,
-                          gate_mechanism=mechanism)
+        testbed = Testbed(RunPlan(topology, config, flows, slot_ns=SLOT,
+                                  gate_mechanism=mechanism))
         return testbed.run(duration_ns=ms(30))
 
     def test_qbv_lossless_and_fast(self):
@@ -139,7 +139,7 @@ class TestTestbedIntegration:
         topology = ring_topology(switch_count=2, talkers=["talker0"])
         flows = production_cell_flows(["talker0"], "listener", flow_count=4)
         with pytest.raises(ConfigurationError):
-            Testbed(topology, customized_config(1), flows, slot_ns=SLOT,
+            RunPlan(topology, customized_config(1), flows, slot_ns=SLOT,
                     gate_mechanism="tas")
 
     def test_qbv_without_ts_flows_rejected(self):
@@ -148,7 +148,7 @@ class TestTestbedIntegration:
 
         topology = ring_topology(switch_count=2, talkers=["talker0"])
         flows = background_flows(["talker0"], "listener", mbps(10), mbps(10))
-        testbed = Testbed(topology, customized_config(1), flows,
-                          slot_ns=SLOT, gate_mechanism="qbv")
+        testbed = Testbed(RunPlan(topology, customized_config(1), flows,
+                                  slot_ns=SLOT, gate_mechanism="qbv"))
         with pytest.raises(ConfigurationError, match="TS flows"):
             testbed.build()

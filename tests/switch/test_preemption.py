@@ -162,7 +162,7 @@ class TestPreemptionMechanics:
 class TestPreemptionEndToEnd:
     def test_jitter_collapse_under_background(self):
         from repro.core.presets import customized_config
-        from repro.network.testbed import Testbed
+        from repro.network.testbed import RunPlan, Testbed
         from repro.network.topology import ring_topology
         from repro.traffic.iec60802 import (
             background_flows,
@@ -176,8 +176,10 @@ class TestPreemptionEndToEnd:
             for flow in background_flows(["talker0"], "listener",
                                          mbps(200), mbps(200)):
                 flows.add(flow)
-            testbed = Testbed(topology, customized_config(1), flows,
-                              slot_ns=62_500, preemption_enabled=preempt)
+            testbed = Testbed(RunPlan(
+                topology, customized_config(1), flows,
+                slot_ns=62_500, preemption_enabled=preempt,
+            ))
             return testbed.run(duration_ns=ms(30))
 
         plain = run(False)

@@ -24,7 +24,7 @@ class TestPublicApi:
 
     def test_docstring_quickstart_is_runnable(self):
         """The __init__ docstring's example must not rot."""
-        from repro import CustomizationAPI, Testbed, ring_topology
+        from repro import CustomizationAPI, RunPlan, Testbed, ring_topology
         from repro.traffic.iec60802 import production_cell_flows
 
         api = CustomizationAPI("ring-node")
@@ -40,7 +40,9 @@ class TestPublicApi:
 
         topo = ring_topology(switch_count=2, talkers=["talker0"])
         flows = production_cell_flows(["talker0"], "listener", flow_count=8)
-        result = Testbed(topo, config, flows).run(duration_ns=15_000_000)
+        result = Testbed(RunPlan(topo, config, flows)).run(
+            duration_ns=15_000_000
+        )
         assert result.ts_loss == 0.0
 
     def test_scheduling_surface_exported(self):
