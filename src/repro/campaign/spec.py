@@ -35,14 +35,34 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Union
 
 from repro.core.errors import ConfigurationError, SpecValidationError
 from repro.network.scenario import validate_scenario_dict
+from repro.schema import INT, NAME, Field, ListOf, Obj, Range, Table, check
 
 __all__ = ["SweepSpec", "PlannedRun", "derive_seed", "set_path"]
 
-_KNOWN_SWEEP_KEYS = frozenset({"name", "base", "grid", "list", "seeds"})
+_VALUES = "expected a non-empty list of values"
+_SEEDS = "expected a positive integer, got {value!r}"
+
+#: The sweep document (``base`` is checked per expanded scenario).
+SWEEP = Table((
+    Field("name", NAME, "the campaign's name; seeds derive from it",
+          required=True, mismatch="required non-empty string"),
+    Field("base", Obj(), "the scenario document every run starts from",
+          required=True, mismatch="required object (a scenario document)"),
+    Field("grid", Obj(values=Field("values", ListOf(), bounds=Range(1),
+                                   mismatch=_VALUES, message=_VALUES)),
+          "dotted path -> values, expanded as a cross product",
+          mismatch="expected an object of path -> value list"),
+    Field("list", ListOf(Field("point", Obj(),
+                               mismatch="expected an override object")),
+          "override objects, appended after the grid's points",
+          mismatch="expected a list of override objects"),
+    Field("seeds", INT, "replicates per point, each with a derived seed", 1,
+          bounds=Range(1), mismatch=_SEEDS, message=_SEEDS),
+), unknown="unknown sweep key{hint}")
 
 
 def derive_seed(campaign: str, base_seed: int, signature: str) -> int:
@@ -123,53 +143,25 @@ class SweepSpec:
     def from_dict(
         cls, data: Mapping[str, Any], strict: bool = True
     ) -> "SweepSpec":
-        if not isinstance(data, Mapping):
+        problems = check(SWEEP, data)
+        if problems and (strict or not isinstance(data, Mapping)):
             raise SpecValidationError(
-                "sweep", [f"$: expected an object, got {type(data).__name__}"]
+                f"sweep {data.get('name', '?')!r}"
+                if isinstance(data, Mapping) else "sweep", problems
             )
-        problems: List[str] = []
-        for key in sorted(set(data) - _KNOWN_SWEEP_KEYS):
-            problems.append(f"{key}: unknown sweep key")
-        name = data.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append("name: required non-empty string")
-        base = data.get("base")
-        if not isinstance(base, Mapping):
-            problems.append("base: required object (a scenario document)")
-            base = {}
-        grid = data.get("grid", {})
-        if not isinstance(grid, Mapping):
-            problems.append("grid: expected an object of path -> value list")
-            grid = {}
-        else:
-            for path, values in grid.items():
-                if not isinstance(values, Sequence) or isinstance(
-                    values, (str, bytes)
-                ) or not values:
-                    problems.append(
-                        f"grid.{path}: expected a non-empty list of values"
-                    )
-        points = data.get("list", [])
-        if not isinstance(points, Sequence) or isinstance(points, (str, bytes)):
-            problems.append("list: expected a list of override objects")
-            points = []
-        else:
-            for i, point in enumerate(points):
-                if not isinstance(point, Mapping):
-                    problems.append(f"list[{i}]: expected an override object")
-        seeds = data.get("seeds", 1)
-        if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
-            problems.append(f"seeds: expected a positive integer, got {seeds!r}")
-            seeds = 1
-        if problems and strict:
-            raise SpecValidationError(f"sweep {data.get('name', '?')!r}", problems)
+        # Lax parsing keeps what is usable of a malformed document.
+        name, base, seeds = data.get("name"), data.get("base"), \
+            data.get("seeds", 1)
+        grid, points = data.get("grid", {}), data.get("list", [])
         return cls(
             name=name if isinstance(name, str) else "sweep",
-            base=dict(base),
+            base=dict(base) if isinstance(base, Mapping) else {},
             grid={k: list(v) for k, v in grid.items()
-                  if isinstance(v, Sequence) and not isinstance(v, (str, bytes))},
-            points=[dict(p) for p in points if isinstance(p, Mapping)],
-            seeds=seeds,
+                  if isinstance(v, (list, tuple))}
+            if isinstance(grid, Mapping) else {},
+            points=[dict(p) for p in points if isinstance(p, Mapping)]
+            if isinstance(points, (list, tuple)) else [],
+            seeds=seeds if type(seeds) is int and seeds >= 1 else 1,
         )
 
     @classmethod

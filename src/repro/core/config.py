@@ -13,11 +13,14 @@ either simulation components or Verilog parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.schema import NON_NEGATIVE, POSITIVE, check, described, \
+    fields_table, range_problems
+
 from . import bram, resources
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SpecValidationError
 from .resources import (
     BufferResource,
     Component,
@@ -41,20 +44,16 @@ class EntryWidths:
     changing the customization model.
     """
 
-    switch_tbl: int = resources.SWITCH_TBL_WIDTH
-    class_tbl: int = resources.CLASS_TBL_WIDTH
-    meter_tbl: int = resources.METER_TBL_WIDTH
-    gate_tbl: int = resources.GATE_TBL_WIDTH
-    cbs_tbl_total: int = resources.CBS_TBL_TOTAL_WIDTH
-    queue_metadata: int = resources.QUEUE_METADATA_WIDTH
+    switch_tbl: int = described(resources.SWITCH_TBL_WIDTH, POSITIVE)
+    class_tbl: int = described(resources.CLASS_TBL_WIDTH, POSITIVE)
+    meter_tbl: int = described(resources.METER_TBL_WIDTH, POSITIVE)
+    gate_tbl: int = described(resources.GATE_TBL_WIDTH, POSITIVE)
+    cbs_tbl_total: int = described(resources.CBS_TBL_TOTAL_WIDTH, POSITIVE)
+    queue_metadata: int = described(resources.QUEUE_METADATA_WIDTH, POSITIVE)
 
     def validate(self) -> None:
-        for entry in fields(self):
-            value = getattr(self, entry.name)
-            if value <= 0:
-                raise ConfigurationError(
-                    f"entry width {entry.name} must be positive, got {value}"
-                )
+        for problem in range_problems(self):
+            raise ConfigurationError(f"entry width {problem}")
 
 
 @dataclass(frozen=True)
@@ -80,51 +79,32 @@ class SwitchConfig:
     """
 
     name: str = "switch"
-    port_num: int = 1
+    port_num: int = described(1, POSITIVE, "enabled ports per switch")
     # Packet Switch
-    unicast_size: int = 1024
-    multicast_size: int = 0
+    unicast_size: int = described(1024, POSITIVE, "unicast table entries")
+    multicast_size: int = described(0, NON_NEGATIVE, "0 omits the table")
     # Ingress Filter
-    class_size: int = 1024
-    meter_size: int = 1024
+    class_size: int = described(1024, POSITIVE, "classification entries")
+    meter_size: int = described(1024, POSITIVE, "meter table entries")
     # Gate Ctrl
-    gate_size: int = 2
-    queue_num: int = 8
+    gate_size: int = described(2, POSITIVE, "gate control list entries")
+    queue_num: int = described(8, POSITIVE, "queues per port")
     # Egress Sched
-    cbs_map_size: int = 3
-    cbs_size: int = 3
+    cbs_map_size: int = described(3, POSITIVE, "CBS map entries, <= queues")
+    cbs_size: int = described(3, POSITIVE, "CBS shaper entries")
     # Queues / buffers
-    queue_depth: int = 8
-    buffer_num: int = 96
-    widths: EntryWidths = field(default_factory=EntryWidths)
+    queue_depth: int = described(8, POSITIVE, "descriptors per queue")
+    buffer_num: int = described(96, POSITIVE, "buffers per port, >= depth")
+    widths: EntryWidths = field(default_factory=EntryWidths,
+                                metadata={"doc": "entry bit widths"})
 
     # ---------------------------------------------------------------- checks
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on any inconsistent parameter."""
         self.widths.validate()
-        positive = {
-            "port_num": self.port_num,
-            "unicast_size": self.unicast_size,
-            "class_size": self.class_size,
-            "meter_size": self.meter_size,
-            "gate_size": self.gate_size,
-            "queue_num": self.queue_num,
-            "cbs_map_size": self.cbs_map_size,
-            "cbs_size": self.cbs_size,
-            "queue_depth": self.queue_depth,
-            "buffer_num": self.buffer_num,
-        }
-        for label, value in positive.items():
-            if value <= 0:
-                raise ConfigurationError(
-                    f"{self.name}: {label} must be positive, got {value}"
-                )
-        if self.multicast_size < 0:
-            raise ConfigurationError(
-                f"{self.name}: multicast_size must be >= 0, "
-                f"got {self.multicast_size}"
-            )
+        for problem in range_problems(self):
+            raise ConfigurationError(f"{self.name}: {problem}")
         if self.cbs_map_size > self.queue_num:
             raise ConfigurationError(
                 f"{self.name}: cbs_map_size ({self.cbs_map_size}) cannot "
@@ -270,17 +250,12 @@ class SwitchConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SwitchConfig":
-        """Rebuild from :meth:`to_dict` output; unknown keys are rejected."""
-        payload = dict(data)
-        widths_data = payload.pop("widths", None)
-        widths = EntryWidths(**widths_data) if widths_data else EntryWidths()
-        known = {f for f in cls.__dataclass_fields__ if f != "widths"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown SwitchConfig fields: {sorted(unknown)}"
-            )
-        return cls(widths=widths, **payload)
+        """Rebuild from :meth:`to_dict` output, checked against
+        :data:`CONFIG`."""
+        problems = check(CONFIG, data)
+        if problems:
+            raise SpecValidationError("switch config", problems)
+        return cls(**{**data, "widths": EntryWidths(**data.get("widths", {}))})
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -292,3 +267,19 @@ class SwitchConfig:
     def with_updates(self, **changes: Any) -> "SwitchConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
+
+
+def _consistent(data: Mapping[str, Any], path: str) -> List[str]:
+    """The rules of :meth:`SwitchConfig.validate` that span fields."""
+    try:
+        SwitchConfig(**{**data, "name": path or "$", "widths": EntryWidths(
+            **data.get("widths", {}))}).validate()
+    except ConfigurationError as exc:
+        return [str(exc)]
+    return []
+
+
+#: A SwitchConfig document: a scenario's explicit ``config``, or the file
+#: ``repro emit-rtl --config`` reads.
+CONFIG = fields_table(SwitchConfig, unknown="unknown SwitchConfig field{hint}",
+                      rules=(_consistent,))

@@ -17,31 +17,30 @@ every scenario regardless of warmup settings::
       ]
     }
 
-Validation follows the strict :class:`~repro.network.scenario.ScenarioSpec`
-machinery: :func:`validate_faults_dict` returns every problem as a
+Validation is the :mod:`repro.schema` walker over one table per event
+kind: :func:`validate_faults_dict` returns every problem as a
 ``"path: message"`` string (with nearest-key suggestions), and
 :meth:`FaultPlan.from_dict` raises one
 :class:`~repro.core.errors.SpecValidationError` listing all of them.
 
 Times accept ``*_us`` or ``*_ns`` suffixes (exclusive, like the SLO
-stanza).  Every event kind, its target field and its parameters are listed
-in :data:`FAULT_KINDS`.
+stanza) and must be whole nanoseconds.  Every event kind, its target field
+and its parameters are listed in :data:`FAULT_KINDS`.
 """
 
 from __future__ import annotations
 
-import difflib
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.errors import ConfigurationError, SpecValidationError
-from repro.core.units import us
+from repro.core.errors import SpecValidationError
+from repro.schema import INT, NAME, NUMBER, Field, ListOf, Range, Table, \
+    Tagged, Time, check
 
 __all__ = ["FAULT_KINDS", "FaultEvent", "FaultPlan", "validate_faults_dict"]
 
-#: kind -> (target field, required params, optional params).  Time fields
-#: (``at`` always, ``duration`` where listed) are handled separately
-#: because of the ``_us``/``_ns`` suffix choice.
+#: kind -> (target field, required params, optional params).
 FAULT_KINDS: Dict[str, Tuple[str, Tuple[str, ...], Tuple[str, ...]]] = {
     # link faults
     "link_down": ("link", (), ("duration",)),   # duration => auto-restore
@@ -57,162 +56,44 @@ FAULT_KINDS: Dict[str, Tuple[str, Tuple[str, ...], Tuple[str, ...]]] = {
     "buffer_shrink": ("switch", ("slots",), ("duration",)),
 }
 
-_TIME_PARAMS = ("at", "duration")
+_TIME = Time(("us", "ns"))
+
+#: Every event field but ``kind``, in checking order.
+_FIELDS = {f.name: f for f in (
+    Field("link", NAME, "the link, `<switch>.p<port>` or a unique prefix"),
+    Field("node", NAME, "the clock node (a switch)"),
+    Field("switch", NAME, "the switch whose buffer pools shrink"),
+    Field("at", _TIME, "when, after traffic start"),
+    Field("duration", Time(positive=True), "how long until it is undone"),
+    Field("rate", NUMBER, "share of frames lost or corrupted", 1.0,
+          bounds=Range(0, 1, lo_open=True),
+          message="expected a rate in (0, 1], got {value!r}"),
+    Field("offset_ns", INT, "phase jump of the node's clock"),
+    Field("drift_ppm", NUMBER, "the node's new oscillator error"),
+    Field("slots", INT, "buffer slots seized per pool", bounds=Range(1)),
+)}
 
 
-def _suggest(key: str, candidates) -> str:
-    matches = difflib.get_close_matches(key, sorted(candidates), n=1)
-    return f" (did you mean {matches[0]!r}?)" if matches else ""
+def _event_table(kind: str) -> Table:
+    target, required, optional = FAULT_KINDS[kind]
+    required += (target, "at")
+    return Table(tuple(
+        dataclasses.replace(f, required=name in required)
+        for name, f in _FIELDS.items() if name in required + optional
+    ), unknown=f"unknown parameter for {kind!r}{{hint}}", terse=True)
 
 
-def _read_time_ns(
-    problems: List[str],
-    path: str,
-    event: Mapping[str, Any],
-    base: str,
-    required: bool,
-) -> Optional[int]:
-    """Read ``{base}_us`` / ``{base}_ns`` (exclusive) as integer ns."""
-    us_key, ns_key = f"{base}_us", f"{base}_ns"
-    if us_key in event and ns_key in event:
-        problems.append(
-            f"{path}: give either {us_key!r} or {ns_key!r}, not both"
-        )
-        return None
-    if us_key not in event and ns_key not in event:
-        if required:
-            problems.append(f"{path}.{base}: required ({us_key} or {ns_key})")
-        return None
-    key = us_key if us_key in event else ns_key
-    value = event[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(
-            f"{path}.{key}: expected a number, "
-            f"got {type(value).__name__} {value!r}"
-        )
-        return None
-    if value < 0:
-        problems.append(f"{path}.{key}: must be >= 0, got {value!r}")
-        return None
-    return us(value) if key == us_key else int(value)
-
-
-def _event_problems(
-    problems: List[str], path: str, event: Any
-) -> Optional[Dict[str, Any]]:
-    """Validate one event dict; return normalized fields when clean."""
-    if not isinstance(event, Mapping):
-        problems.append(
-            f"{path}: expected an object, got {type(event).__name__}"
-        )
-        return None
-    kind = event.get("kind")
-    if kind not in FAULT_KINDS:
-        problems.append(
-            f"{path}.kind: expected one of {sorted(FAULT_KINDS)}, "
-            f"got {kind!r}{_suggest(str(kind), FAULT_KINDS)}"
-        )
-        return None
-    target_field, required, optional = FAULT_KINDS[kind]
-    scalar_params = tuple(
-        p for p in required + optional if p not in _TIME_PARAMS
-    )
-    known = {"kind", target_field} | set(scalar_params)
-    for base in _TIME_PARAMS:
-        if base == "at" or base in required + optional:
-            known |= {f"{base}_us", f"{base}_ns"}
-    for key in sorted(set(event) - known):
-        problems.append(
-            f"{path}.{key}: unknown parameter for {kind!r}"
-            f"{_suggest(key, known)}"
-        )
-
-    before = len(problems)
-    target = event.get(target_field)
-    if not isinstance(target, str) or not target:
-        problems.append(
-            f"{path}.{target_field}: required, expected a non-empty string, "
-            f"got {target!r}"
-        )
-    at_ns = _read_time_ns(problems, path, event, "at", required=True)
-    duration_ns = None
-    if "duration" in required + optional:
-        duration_ns = _read_time_ns(
-            problems, path, event, "duration",
-            required="duration" in required,
-        )
-        if duration_ns is not None and duration_ns <= 0:
-            problems.append(f"{path}: duration must be positive")
-
-    fields: Dict[str, Any] = {
-        "kind": kind, "target": target, "at_ns": at_ns,
-        "duration_ns": duration_ns,
-    }
-    if "rate" in scalar_params:
-        rate = event.get("rate", 1.0)
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-            problems.append(
-                f"{path}.rate: expected a number, got {rate!r}"
-            )
-        elif not 0.0 < rate <= 1.0:
-            problems.append(
-                f"{path}.rate: expected a rate in (0, 1], got {rate!r}"
-            )
-        else:
-            fields["rate"] = float(rate)
-    if "offset_ns" in scalar_params:
-        offset = event.get("offset_ns")
-        if isinstance(offset, bool) or not isinstance(offset, int):
-            problems.append(
-                f"{path}.offset_ns: required, expected an integer, "
-                f"got {offset!r}"
-            )
-        else:
-            fields["offset_ns"] = offset
-    if "drift_ppm" in scalar_params:
-        drift = event.get("drift_ppm")
-        if isinstance(drift, bool) or not isinstance(drift, (int, float)):
-            problems.append(
-                f"{path}.drift_ppm: required, expected a number, "
-                f"got {drift!r}"
-            )
-        else:
-            fields["drift_ppm"] = float(drift)
-    if "slots" in scalar_params:
-        slots = event.get("slots")
-        if isinstance(slots, bool) or not isinstance(slots, int):
-            problems.append(
-                f"{path}.slots: required, expected an integer, got {slots!r}"
-            )
-        elif slots < 1:
-            problems.append(f"{path}.slots: must be >= 1, got {slots}")
-        else:
-            fields["slots"] = slots
-    return fields if len(problems) == before else None
+FAULTS = Table((Field("events", ListOf(Field("event", Tagged(
+    "kind", {kind: _event_table(kind) for kind in FAULT_KINDS}
+))), "the timed fault events", required=True, bounds=Range(1),
+    message="declares no events; drop the stanza instead"),), terse=True)
 
 
 def validate_faults_dict(
     data: Any, prefix: str = "faults"
 ) -> List[str]:
     """Every problem the ``"faults"`` stanza has, as path-prefixed strings."""
-    problems: List[str] = []
-    if not isinstance(data, Mapping):
-        return [f"{prefix}: expected an object, got {type(data).__name__}"]
-    for key in sorted(set(data) - {"events"}):
-        problems.append(
-            f"{prefix}.{key}: unknown key{_suggest(key, ('events',))}"
-        )
-    events = data.get("events")
-    if events is None:
-        problems.append(f"{prefix}.events: required key is missing")
-    elif not isinstance(events, list):
-        problems.append(
-            f"{prefix}.events: expected a list, got {type(events).__name__}"
-        )
-    else:
-        for index, event in enumerate(events):
-            _event_problems(problems, f"{prefix}.events[{index}]", event)
-    return problems
+    return check(FAULTS, data, prefix)
 
 
 @dataclass(frozen=True)
@@ -277,34 +158,31 @@ class FaultPlan:
         problems = validate_faults_dict(data)
         if problems:
             raise SpecValidationError("fault plan", problems)
-        events = []
-        for index, event in enumerate(data["events"]):
-            fields = _event_problems([], f"faults.events[{index}]", event)
-            assert fields is not None  # validated above
-            events.append(FaultEvent(**fields))
-        if not events:
-            raise ConfigurationError(
-                "fault plan declares no events; drop the stanza instead"
+        return cls([
+            FaultEvent(
+                kind=event["kind"],
+                target=event[FAULT_KINDS[event["kind"]][0]],
+                at_ns=_TIME.ns("at", event),
+                duration_ns=_TIME.ns("duration", event),
+                rate=float(event.get("rate", 1.0)),
+                offset_ns=event.get("offset_ns", 0),
+                drift_ppm=float(event.get("drift_ppm", 0.0)),
+                slots=event.get("slots", 0),
             )
-        return cls(events)
+            for event in data["events"]
+        ])
 
     def to_dict(self) -> Dict[str, Any]:
         rows = []
         for event in self.events:
+            target, required, optional = FAULT_KINDS[event.kind]
             row: Dict[str, Any] = {
-                "kind": event.kind,
-                FAULT_KINDS[event.kind][0]: event.target,
+                "kind": event.kind, target: event.target,
                 "at_ns": event.at_ns,
             }
             if event.duration_ns is not None:
                 row["duration_ns"] = event.duration_ns
-            if event.kind in ("loss_burst", "corrupt_burst"):
-                row["rate"] = event.rate
-            if event.kind == "clock_step":
-                row["offset_ns"] = event.offset_ns
-            if event.kind == "freq_step":
-                row["drift_ppm"] = event.drift_ppm
-            if event.kind == "buffer_shrink":
-                row["slots"] = event.slots
+            row.update((name, getattr(event, name)) for name in _FIELDS
+                       if name in required + optional and name != "duration")
             rows.append(row)
         return {"events": rows}

@@ -28,22 +28,26 @@ declared flows; an object instead is interpreted as explicit
 
 from __future__ import annotations
 
-import difflib
+import dataclasses
 import inspect
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.core.config import SwitchConfig
+from repro.core.config import CONFIG, SwitchConfig
 from repro.core.errors import ConfigurationError, SpecValidationError
 from repro.core.sizing import derive_config
-from repro.core.units import GIGABIT, mbps, us
-from repro.faults.plan import FaultPlan, validate_faults_dict
-from repro.obs.slo import SloPolicy
+from repro.core.units import GIGABIT, mbps, ms, us
+from repro.faults.plan import FAULTS, FaultPlan
+from repro.obs.slo import SLO, SloPolicy
+from repro.schema import ANY, BOOL, INT, NAME, NON_NEGATIVE, NUMBER, STR, \
+    Field, ListOf, Obj, Range, Table, Tagged, Time, check, fields_table
+from repro.sched.policy import SCHED, SchedPolicy
 from repro.traffic.flows import FlowSet
-from repro.traffic.iec60802 import background_flows, production_cell_flows
-from .testbed import RunPlan, ScenarioResult, Testbed
+from repro.traffic.iec60802 import TS_SIZE_CHOICES, background_flows, \
+    production_cell_flows
+from .testbed import USABLE_VIDS, RunPlan, ScenarioResult, Testbed
 from .topology import (
     TopologySpec,
     dual_path_topology,
@@ -63,233 +67,151 @@ _TOPOLOGY_BUILDERS = {
     "frer_ring": frer_ring_topology,
 }
 
-#: Top-level scenario keys mapped onto ScenarioSpec fields directly.
-_KNOWN_TOP_KEYS = frozenset({
-    "name", "topology", "flows", "config", "slot_us", "duration_ms",
-    "seed", "gate_mechanism", "use_itp", "injection_phase", "slo",
-    "faults", "sched",
-})
+#: Most switches a topology may ask for: every switch is a simulated
+#: device, so a typo (``10**9``) must not reach a builder.
+MAX_SWITCHES = 1024
 
-#: The problem reported for a top-level key that is no longer accepted, in
-#: place of a nearest-key hint that would point at an unrelated stanza.
-_REMOVED_TOP_KEYS = {
-    "shard": 'sharded runs were removed; see docs/performance.md '
-             '"Why there is no sharded run"',
-}
+#: Every builder parameter; a count's lower bound is its builder's minimum.
+_TOPOLOGY_PARAMS = {f.name: f for f in (
+    Field("switch_count", INT, f"switches, at most {MAX_SWITCHES}"),
+    Field("chain_len", INT, "switches per path, the shared head included"),
+    Field("child_count", INT, "leaf switches around the core"),
+    Field("talkers", ListOf(Field("talker", NAME)), "talker host names",
+          bounds=Range(1), message="needs at least one talker"),
+    Field("listener", NAME, "the listener (analyzer) host name"),
+    Field("talker_switch_index", INT, "the talkers' switch",
+          bounds=NON_NEGATIVE),
+    Field("listener_child_index", INT, "the listener's leaf",
+          bounds=NON_NEGATIVE),
+)}
 
-#: Flow-stanza keys consumed by :meth:`ScenarioSpec.build_flows`.
-_KNOWN_FLOW_KEYS = frozenset(
-    {"ts_count", "period_us", "size_bytes", "rc_mbps", "be_mbps", "groups"}
-)
 
-#: Keys a ``flows.groups[i]`` entry may carry.
-_KNOWN_GROUP_KEYS = frozenset({"ts_count", "period_us", "size_bytes"})
+def _topology_table(kind: str, fewest: int) -> Table:
+    """*kind*'s builder parameters and defaults, >= *fewest* switches; an
+    attachment index must name one of them."""
+    table_fields = []
+    builder = _TOPOLOGY_BUILDERS[kind]
+    for param in inspect.signature(builder).parameters.values():
+        f = dataclasses.replace(_TOPOLOGY_PARAMS[param.name],
+                                default=param.default)
+        if f.kind is INT and f.bounds is None:
+            count = f
+            f = dataclasses.replace(f, bounds=Range(fewest, MAX_SWITCHES))
+        table_fields.append(f)
 
-#: RunPlan fields the spec explicitly threads; every other RunPlan field
-#: is a legal pass-through "extra".
-_EXPLICIT_RUN_FIELDS = frozenset({
+    indexes = [f.name for f in table_fields if f.name.endswith("_index")]
+
+    def index_in_range(data: Mapping[str, Any], path: str) -> List[str]:
+        switches = data.get(count.name, count.default)
+        return [f"{path}.{name}: must be < {count.name} ({switches}), got "
+                f"{data[name]}" for name in indexes
+                if data.get(name, 0) >= switches]
+
+    return Table(tuple(table_fields),
+                 rules=(index_in_range,) if indexes else (),
+                 unknown=f"unknown parameter for {kind!r} topology{{hint}}")
+
+
+_TS_COUNT = Field("ts_count", INT, "TS flows, one VLAN id each", 64,
+                  bounds=Range(0, USABLE_VIDS))
+_SIZE = Field("size_bytes", INT, "TS frame size (the IEC 60802 profiles)",
+              64, choices=TS_SIZE_CHOICES)
+_PERIOD = Field("period", Time(("us",), positive=True), "TS period", 10_000)
+
+#: One ``flows.groups[i]`` entry: a production-cell batch of TS flows.
+_GROUP = Table((dataclasses.replace(_TS_COUNT, default=1), _SIZE, _PERIOD),
+               unknown="unknown group parameter{hint}")
+
+
+def _groups_replace_uniform(data: Mapping[str, Any], path: str) -> List[str]:
+    overlap = sorted(set(data) & {"ts_count", "size_bytes", "period_us"})
+    if "groups" in data and overlap:
+        return [f"{path}.groups: cannot combine with {overlap} -- groups "
+                f"replace the uniform TS set"]
+    return []
+
+
+_FLOWS = Table((
+    _TS_COUNT, _SIZE, _PERIOD,
+    Field("rc_mbps", NUMBER, "total RC load, Mb/s", 0, bounds=NON_NEGATIVE),
+    Field("be_mbps", NUMBER, "total BE load, Mb/s", 0, bounds=NON_NEGATIVE),
+    Field("groups", ListOf(Field("group", Obj(_GROUP))),
+          "TS batches instead of the uniform TS set", bounds=Range(1),
+          message="needs at least one group"),
+), unknown="unknown flow parameter{hint}", rules=(_groups_replace_uniform,))
+
+
+#: RunPlan fields the spec threads itself, or that take objects no
+#: document can spell (default ``None``); every other field is a legal
+#: pass-through "extra" held to the kind of its default.
+_NOT_EXTRA = frozenset({
     "topology", "config", "flows", "slot_ns", "seed", "gate_mechanism",
     "injection_phase", "sched",
-})
+}) | {f.name for f in fields(RunPlan) if f.default is None}
+_EXTRAS = fields_table(RunPlan, exclude=_NOT_EXTRA)
+_RUN = {f.name: f for f in fields_table(RunPlan).fields}
 
 
-def _extra_defaults() -> Dict[str, Any]:
-    """Pass-through :class:`RunPlan` fields and their defaults: a new run
-    knob is a legal scenario extra, held to the JSON kind of its default.
-    Fields defaulting to ``None`` take objects no document can spell."""
-    return {
-        f.name: f.default for f in fields(RunPlan)
-        if f.name not in _EXPLICIT_RUN_FIELDS and f.default is not None
-    }
+def _vid_budget(data: Mapping[str, Any], path: str) -> List[str]:
+    """TS flows (doubled by FRER replicas) each take one VLAN id."""
+    groups = data["flows"].get("groups")
+    ts_count = sum(group.get("ts_count", 1) for group in groups) if groups \
+        else data["flows"].get("ts_count", 64)
+    vids = ts_count * (2 if data.get("frer_ts") else 1)
+    return [f"flows.{'groups' if groups else 'ts_count'}: {ts_count} TS "
+            f"flows need {vids} VLAN ids, more than the {USABLE_VIDS} "
+            f"usable"] if vids > USABLE_VIDS else []
+
+
+#: The scenario document.
+SCENARIO = Table(
+    (
+        Field("name", STR, "the run's name", required=True),
+        Field("slot", Time(("us",), positive=True), "CQF slot length", 62.5),
+        Field("duration", Time(("ms",), positive=True), "traffic time", 40),
+        Field("seed", INT, "seeds every stochastic choice", 0),
+        Field("use_itp", BOOL, "`false`: run the unplanned ablation", True),
+        dataclasses.replace(_RUN["gate_mechanism"], kind=ANY,
+                            message="expected 'cqf' or 'qbv', got {value!r}"),
+        dataclasses.replace(_RUN["injection_phase"], kind=ANY, message=(
+            "expected 'planned' or 'uniform', got {value!r}")),
+        Field("slo", Obj(SLO, also=(None,)), "SLO bounds checked per flow"),
+        Field("faults", Obj(FAULTS, also=(None,)), "timed fault events"),
+        Field("sched", Obj(SCHED, also=(None,)), "the scheduling policy"),
+        Field("topology", Tagged("kind", {
+            kind: _topology_table(kind, fewest) for kind, fewest in (
+                ("dual_path", 2), ("frer_ring", 3), ("linear", 2),
+                ("ring", 1), ("star", 2),
+            )
+        }), "the network layout", required=True),
+        Field("flows", Obj(_FLOWS), "the flow set", required=True),
+        Field("config", Obj(CONFIG, also=("derive",)),
+              '`"derive"` applies the sizing guidelines; an object gives '
+              "SwitchConfig fields", "derive",
+              mismatch="expected 'derive' or an object, got {value!r}"),
+        *_EXTRAS.fields,
+    ),
+    unknown="unknown scenario key{hint}",
+    # A key that is no longer accepted, reported in place of a
+    # nearest-key hint that would point at an unrelated stanza.
+    retired={"shard": 'sharded runs were removed; see docs/performance.md '
+                      '"Why there is no sharded run"'},
+    rules=(_vid_budget,),
+)
+
+#: The keys that are ScenarioSpec fields; the rest are RunPlan extras.
+_KNOWN_TOP_KEYS = frozenset(SCENARIO.index).difference(_EXTRAS.index)
 
 
 def known_extra_keys() -> frozenset:
     """Extra scenario keys accepted because :class:`RunPlan` has them."""
-    return frozenset(_extra_defaults())
-
-
-def _suggest(key: str, candidates) -> str:
-    matches = difflib.get_close_matches(key, sorted(candidates), n=1)
-    return f" (did you mean {matches[0]!r}?)" if matches else ""
-
-
-def _check_type(problems: List[str], path: str, value: Any, kinds,
-                label: str) -> None:
-    # bool is an int subclass; reject it wherever a number is expected.
-    if isinstance(value, bool) and bool not in (
-        kinds if isinstance(kinds, tuple) else (kinds,)
-    ):
-        problems.append(f"{path}: expected {label}, got bool {value!r}")
-    elif not isinstance(value, kinds):
-        problems.append(
-            f"{path}: expected {label}, got {type(value).__name__} {value!r}"
-        )
-
-
-def _check_extra(problems: List[str], key: str, value: Any,
-                 default: Any) -> None:
-    """Hold an extra to the kind of the RunPlan default it overrides."""
-    if isinstance(default, bool):
-        _check_type(problems, key, value, bool, "a boolean")
-    elif isinstance(default, int):
-        _check_type(problems, key, value, int, "an integer")
-    elif isinstance(default, float):
-        _check_type(problems, key, value, (int, float), "a number")
-    elif isinstance(default, str):
-        _check_type(problems, key, value, str, "a string")
-    elif isinstance(default, tuple) and not (
-        isinstance(value, (list, tuple))
-        and len(value) == len(default)
-        and all(type(item) is int for item in value)
-    ):
-        problems.append(
-            f"{key}: expected a list of {len(default)} integers, "
-            f"got {value!r}"
-        )
+    return frozenset(_EXTRAS.index)
 
 
 def validate_scenario_dict(data: Mapping[str, Any]) -> List[str]:
-    """Every problem a scenario document has, as ``"path: message"`` strings.
-
-    Checks unknown keys (with nearest-key suggestions) and value types at
-    the top level, inside ``topology`` (against the selected builder's
-    signature), inside ``flows``, and inside an explicit ``config`` object.
-    Returns an empty list for a valid document; never raises.
-    """
-    problems: List[str] = []
-    if not isinstance(data, Mapping):
-        return [f"$: expected an object, got {type(data).__name__}"]
-    extras = _extra_defaults()
-    known_top = _KNOWN_TOP_KEYS | set(extras)
-    for key in sorted(set(data) - known_top):
-        if key in _REMOVED_TOP_KEYS:
-            problems.append(f"{key}: {_REMOVED_TOP_KEYS[key]}")
-        else:
-            problems.append(
-                f"{key}: unknown scenario key{_suggest(key, known_top)}"
-            )
-    for key in sorted(set(data) & set(extras)):
-        _check_extra(problems, key, data[key], extras[key])
-    for key in ("name", "topology", "flows"):
-        if key not in data:
-            problems.append(f"{key}: required key is missing")
-
-    if "name" in data:
-        _check_type(problems, "name", data["name"], str, "a string")
-    for key in ("slot_us", "duration_ms"):
-        if key in data:
-            _check_type(problems, key, data[key], (int, float), "a number")
-    if "seed" in data:
-        _check_type(problems, "seed", data["seed"], int, "an integer")
-    if "use_itp" in data:
-        _check_type(problems, "use_itp", data["use_itp"], bool, "a boolean")
-    if "gate_mechanism" in data and data["gate_mechanism"] not in ("cqf", "qbv"):
-        problems.append(
-            f"gate_mechanism: expected 'cqf' or 'qbv', "
-            f"got {data['gate_mechanism']!r}"
-        )
-    if "injection_phase" in data and data["injection_phase"] not in (
-        "planned", "uniform"
-    ):
-        problems.append(
-            f"injection_phase: expected 'planned' or 'uniform', "
-            f"got {data['injection_phase']!r}"
-        )
-    if "slo" in data and data["slo"] is not None:
-        _check_type(problems, "slo", data["slo"], Mapping, "an object")
-    if "faults" in data and data["faults"] is not None:
-        problems.extend(validate_faults_dict(data["faults"]))
-    if "sched" in data and data["sched"] is not None:
-        from repro.sched import validate_sched_dict
-
-        problems.extend(validate_sched_dict(data["sched"]))
-
-    topology = data.get("topology")
-    if topology is not None:
-        if not isinstance(topology, Mapping):
-            _check_type(problems, "topology", topology, Mapping, "an object")
-        else:
-            kind = topology.get("kind")
-            if kind not in _TOPOLOGY_BUILDERS:
-                problems.append(
-                    f"topology.kind: expected one of "
-                    f"{sorted(_TOPOLOGY_BUILDERS)}, got {kind!r}"
-                )
-            else:
-                builder_params = set(
-                    inspect.signature(_TOPOLOGY_BUILDERS[kind]).parameters
-                )
-                for key in sorted(set(topology) - builder_params - {"kind"}):
-                    problems.append(
-                        f"topology.{key}: unknown parameter for "
-                        f"{kind!r} topology{_suggest(key, builder_params)}"
-                    )
-
-    flows = data.get("flows")
-    if flows is not None:
-        if not isinstance(flows, Mapping):
-            _check_type(problems, "flows", flows, Mapping, "an object")
-        else:
-            for key in sorted(set(flows) - _KNOWN_FLOW_KEYS):
-                problems.append(
-                    f"flows.{key}: unknown flow parameter"
-                    f"{_suggest(key, _KNOWN_FLOW_KEYS)}"
-                )
-            for key in ("ts_count", "size_bytes"):
-                if key in flows:
-                    _check_type(problems, f"flows.{key}", flows[key], int,
-                                "an integer")
-            for key in ("period_us", "rc_mbps", "be_mbps"):
-                if key in flows:
-                    _check_type(problems, f"flows.{key}", flows[key],
-                                (int, float), "a number")
-            if "groups" in flows:
-                groups = flows["groups"]
-                overlap = sorted(set(flows) & _KNOWN_GROUP_KEYS)
-                if overlap:
-                    problems.append(
-                        f"flows.groups: cannot combine with "
-                        f"{overlap} -- groups replace the uniform TS set"
-                    )
-                if not isinstance(groups, list):
-                    _check_type(problems, "flows.groups", groups, list,
-                                "a list")
-                elif not groups:
-                    problems.append("flows.groups: needs at least one group")
-                else:
-                    for i, group in enumerate(groups):
-                        if not isinstance(group, Mapping):
-                            _check_type(problems, f"flows.groups[{i}]",
-                                        group, Mapping, "an object")
-                            continue
-                        for key in sorted(set(group) - _KNOWN_GROUP_KEYS):
-                            problems.append(
-                                f"flows.groups[{i}].{key}: unknown group "
-                                f"parameter{_suggest(key, _KNOWN_GROUP_KEYS)}"
-                            )
-                        for key in ("ts_count", "size_bytes"):
-                            if key in group:
-                                _check_type(
-                                    problems, f"flows.groups[{i}].{key}",
-                                    group[key], int, "an integer")
-                        if "period_us" in group:
-                            _check_type(
-                                problems, f"flows.groups[{i}].period_us",
-                                group["period_us"], (int, float), "a number")
-
-    config = data.get("config", "derive")
-    if isinstance(config, Mapping):
-        known_config = set(SwitchConfig.__dataclass_fields__)
-        for key in sorted(set(config) - known_config):
-            problems.append(
-                f"config.{key}: unknown SwitchConfig field"
-                f"{_suggest(key, known_config)}"
-            )
-    elif config != "derive":
-        problems.append(
-            f"config: expected 'derive' or an object, got {config!r}"
-        )
-    return problems
+    """Every problem a scenario document has, as ``"path: message"`` strings
+    (see :data:`SCENARIO`); an empty list for a valid document."""
+    return check(SCENARIO, data)
 
 
 @dataclass
@@ -309,7 +231,6 @@ class ScenarioSpec:
     slo: Optional[Dict[str, Any]] = None  # SLO policy stanza (see obs.slo)
     faults: Optional[Dict[str, Any]] = None  # fault plan (see repro.faults)
     sched: Optional[Dict[str, Any]] = None  # scheduling policy (repro.sched)
-    rc_mbps: Optional[int] = None  # legacy alias; prefer flows.rc_mbps
     extras: Dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------- parsing
@@ -387,7 +308,7 @@ class ScenarioSpec:
 
     @property
     def duration_ns(self) -> int:
-        return us(self.duration_ms * 1000)
+        return ms(self.duration_ms)
 
     @property
     def rate_bps(self) -> int:
@@ -492,15 +413,11 @@ class ScenarioSpec:
         """
         if self.sched is None:
             return None
-        from repro.sched import SchedPolicy
-
         return SchedPolicy.from_dict(self.sched)
 
     def build_run_policy(self):
         """The policy the run plans with: the ``"sched"`` stanza, else
         greedy ITP, or the unplanned ablation when ``use_itp`` is off."""
-        from repro.sched import SchedPolicy
-
         return self.build_sched_policy() or SchedPolicy(
             backend="greedy" if self.use_itp else "unplanned"
         )

@@ -44,6 +44,8 @@ from repro.obs.headroom import HeadroomRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import WallClockProfiler
 from repro.obs.slo import SloMonitor, SloPolicy, SloReport
+from repro.schema import FRACTION, NON_NEGATIVE, POSITIVE, described, \
+    range_problems
 from repro.sim.clock import LocalClock
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngFactory
@@ -64,6 +66,9 @@ __all__ = ["RunPlan", "Testbed", "ScenarioResult"]
 #: flows in each port").
 RC_QUEUES: Tuple[int, ...] = (5, 4, 3)
 BE_QUEUE = 0
+
+#: VLAN ids a TS flow (or an FRER replica) can take: 1..4094, one each.
+USABLE_VIDS = 4094
 
 
 @dataclass
@@ -247,50 +252,49 @@ class RunPlan:
     topology: TopologySpec
     config: SwitchConfig
     flows: FlowSet
-    slot_ns: int = 62_500
-    rate_bps: int = GIGABIT
-    propagation_ns: int = DEFAULT_PROPAGATION_NS
-    trunk_error_rate: float = 0.0
+    slot_ns: int = described(62_500, POSITIVE)
+    rate_bps: int = described(GIGABIT, POSITIVE, "link rate, bit/s")
+    propagation_ns: int = described(DEFAULT_PROPAGATION_NS, NON_NEGATIVE,
+                                    "link propagation delay")
+    trunk_error_rate: float = described(0.0, FRACTION, "trunk frame loss")
     seed: int = 0
-    gate_mechanism: str = "cqf"
-    injection_phase: str = "planned"
-    aggregate_routes: bool = False
+    gate_mechanism: str = described("cqf", doc="gate control",
+                                    choices=("cqf", "qbv"))
+    injection_phase: str = described(
+        "planned", doc="TS frames at the planned offset or anywhere in its "
+        "slot", choices=("planned", "uniform"))
+    aggregate_routes: bool = described(False, doc="route per destination")
     # 802.1CB seamless redundancy: replicate every TS flow over two
     # edge-disjoint paths (the destination needs two attachments, e.g.
     # dual_path_topology) and eliminate duplicates at the listener.
-    frer_ts: bool = False
-    ts_queue_pair: Tuple[int, int] = DEFAULT_TS_QUEUE_PAIR
+    frer_ts: bool = described(False, doc="802.1CB replication of TS flows")
+    ts_queue_pair: Tuple[int, int] = described(
+        DEFAULT_TS_QUEUE_PAIR, doc="the CQF queues (high, low)")
     # The scheduling policy: backend + shaper + objective.  The
     # unplanned ablation is ``SchedPolicy(backend="unplanned")``.
     sched: SchedPolicy = field(default_factory=SchedPolicy)
     scheduler_factory: Optional[Callable] = None
-    shared_buffers: bool = False
-    preemption_enabled: bool = False
-    clock_drift_ppm: float = 0.0
-    clock_offset_spread_ns: int = 0
-    enable_gptp: bool = False
+    shared_buffers: bool = described(False, doc="one buffer pool per switch")
+    preemption_enabled: bool = described(False, doc="802.1Qbu preemption")
+    clock_drift_ppm: float = described(0.0, doc="drift drawn in [-x, x]")
+    clock_offset_spread_ns: int = described(0, NON_NEGATIVE,
+                                            "offsets drawn in [-x, x]")
+    enable_gptp: bool = described(False, doc="synchronize clocks by gPTP")
     gptp_config: Optional[GptpConfig] = None
-    gptp_warmup_ns: int = 2_000_000_000
+    gptp_warmup_ns: int = described(2_000_000_000, NON_NEGATIVE,
+                                    "gPTP settling before traffic")
     sched_plan: Optional[Union[SchedulePlan, MultiSchedulePlan]] = None
 
     def __post_init__(self) -> None:
+        for problem in range_problems(self):
+            raise ConfigurationError(problem)
         self.topology.validate()
         self.config.validate()
         shaper = self.sched.shaper
-        if self.gate_mechanism not in ("cqf", "qbv"):
-            raise ConfigurationError(
-                f"gate_mechanism must be 'cqf' or 'qbv', "
-                f"got {self.gate_mechanism!r}"
-            )
         if self.gate_mechanism != "cqf" and shaper != "cqf":
             raise ConfigurationError(
                 f"shaper {shaper!r} requires gate_mechanism='cqf' "
                 f"(Qbv window synthesis assumes classic CQF slotting)"
-            )
-        if self.injection_phase not in ("planned", "uniform"):
-            raise ConfigurationError(
-                f"injection_phase must be 'planned' or 'uniform', "
-                f"got {self.injection_phase!r}"
             )
         if self.frer_ts and self.gate_mechanism != "cqf":
             raise ConfigurationError("frer_ts currently requires CQF gating")
@@ -427,11 +431,11 @@ class Testbed:
         classification on the PCP fallback -- zero extra table entries.
         """
         ts_flows = self.flows.ts_flows
-        if len(ts_flows) > 4094:
+        if len(ts_flows) > USABLE_VIDS:
             raise ConfigurationError(
                 f"{len(ts_flows)} TS flows exceed the 4094 usable VLAN ids"
             )
-        if self.run_plan.frer_ts and 2 * len(ts_flows) > 4094:
+        if self.run_plan.frer_ts and 2 * len(ts_flows) > USABLE_VIDS:
             raise ConfigurationError(
                 f"FRER doubles the VID demand: {2 * len(ts_flows)} > 4094"
             )

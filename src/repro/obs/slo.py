@@ -23,7 +23,9 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, SpecValidationError
+from repro.schema import BOOL, FRACTION, NUMBER, POSITIVE, Field, Kind, \
+    Obj, Table, Time, check, described, range_problems
 from repro.traffic.flows import FlowSet, FlowSpec, TrafficClass
 
 __all__ = [
@@ -43,43 +45,47 @@ VIOLATION_KINDS = ("latency", "deadline", "jitter", "loss", "duplicate")
 _MAX_VIOLATIONS_LISTED = 64
 
 
-def _ns_field(data: Dict[str, Any], stem: str, flow: str) -> Optional[int]:
-    """Read ``<stem>_ns`` or ``<stem>_us`` (exclusive) from a spec dict."""
-    ns_key, us_key = f"{stem}_ns", f"{stem}_us"
-    if ns_key in data and us_key in data:
-        raise ConfigurationError(
-            f"SLO {flow}: give {ns_key} or {us_key}, not both"
-        )
-    if ns_key in data:
-        return int(data[ns_key])
-    if us_key in data:
-        return int(round(float(data[us_key]) * 1_000))
-    return None
+_TIME = Time(("ns", "us"), positive=True)
+
+#: One flow's bounds: ``slo.default``, ``slo.class.<class>``,
+#: ``slo.flows.<id>``.
+SLO_SPEC = Table((
+    Field("latency", _TIME, "per-frame end-to-end latency bound"),
+    Field("jitter", _TIME, "bound on the latency standard deviation"),
+    Field("deadline", _TIME, "per-frame deadline; misses are counted"),
+    Field("max_loss", NUMBER, "lost / expected frames", bounds=FRACTION),
+    Field("allow_duplicates", BOOL, "`false`: a duplicate violates", True),
+), unknown="unknown SLO key{hint}")
+_SPEC = Field("spec", Obj(SLO_SPEC))
+
+#: The ``"slo"`` stanza.
+SLO = Table((
+    Field("default", _SPEC.kind, "bounds for every flow"),
+    Field("class", Obj(values=_SPEC, key=Kind(
+        "a traffic class (TS, RC or BE)",
+        lambda key: str(key).upper() in TrafficClass.__members__,
+    )), "bounds per traffic class, over the default"),
+    Field("flows", Obj(values=_SPEC, key=Kind(
+        "a flow id", lambda key: str(key).lstrip("-").isdigit(),
+    )), "bounds per flow id, over its class"),
+), unknown="unknown SLO key{hint}")
 
 
 @dataclass(frozen=True)
 class SloSpec:
     """One flow's service-level bounds; ``None`` means unchecked."""
 
-    latency_ns: Optional[int] = None    # per-frame end-to-end bound
-    jitter_ns: Optional[int] = None     # latency stddev bound (population)
-    deadline_ns: Optional[int] = None   # per-frame deadline (counts misses)
-    max_loss: Optional[float] = None    # lost/expected budget, 0.0 = lossless
+    latency_ns: Optional[int] = described(None, POSITIVE)  # per frame
+    jitter_ns: Optional[int] = described(None, POSITIVE)   # latency stddev
+    deadline_ns: Optional[int] = described(None, POSITIVE)  # counts misses
+    max_loss: Optional[float] = described(None, FRACTION)  # 0.0 = lossless
     allow_duplicates: bool = True       # False: any duplicate seq violates
 
     _FIELDS = ("latency_ns", "jitter_ns", "deadline_ns", "max_loss")
 
     def __post_init__(self) -> None:
-        for name in ("latency_ns", "jitter_ns", "deadline_ns"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigurationError(
-                    f"SLO {name} must be positive, got {value}"
-                )
-        if self.max_loss is not None and not 0.0 <= self.max_loss <= 1.0:
-            raise ConfigurationError(
-                f"SLO max_loss must be in [0, 1], got {self.max_loss}"
-            )
+        for problem in range_problems(self):
+            raise ConfigurationError(f"SLO {problem}")
 
     @property
     def is_empty(self) -> bool:
@@ -103,24 +109,16 @@ class SloSpec:
         return replace(self, **changes)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any], flow: str = "spec") -> "SloSpec":
-        known = {
-            "latency_ns", "latency_us", "jitter_ns", "jitter_us",
-            "deadline_ns", "deadline_us", "max_loss", "allow_duplicates",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"SLO {flow}: unknown keys {sorted(unknown)}"
-            )
+    def from_dict(cls, data: Dict[str, Any], path: str = "slo") -> "SloSpec":
+        problems = check(SLO_SPEC, data, path)
+        if problems:
+            raise SpecValidationError("SLO spec", problems)
         return cls(
-            latency_ns=_ns_field(data, "latency", flow),
-            jitter_ns=_ns_field(data, "jitter", flow),
-            deadline_ns=_ns_field(data, "deadline", flow),
-            max_loss=(
-                float(data["max_loss"]) if "max_loss" in data else None
-            ),
-            allow_duplicates=bool(data.get("allow_duplicates", True)),
+            latency_ns=_TIME.ns("latency", data),
+            jitter_ns=_TIME.ns("jitter", data),
+            deadline_ns=_TIME.ns("deadline", data),
+            max_loss=float(data["max_loss"]) if "max_loss" in data else None,
+            allow_duplicates=data.get("allow_duplicates", True),
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -174,30 +172,19 @@ class SloPolicy:
              "class":   {"TS": {"latency_us": 500, "jitter_us": 100}},
              "flows":   {"0": {"latency_us": 50}}}
         """
-        unknown = set(data) - {"default", "class", "flows"}
-        if unknown:
-            raise ConfigurationError(
-                f"SLO policy: unknown keys {sorted(unknown)}"
-            )
-        per_class: Dict[TrafficClass, SloSpec] = {}
-        for class_name, spec_data in data.get("class", {}).items():
-            try:
-                traffic_class = TrafficClass[class_name.upper()]
-            except KeyError:
-                raise ConfigurationError(
-                    f"SLO policy: unknown traffic class {class_name!r}"
-                ) from None
-            per_class[traffic_class] = SloSpec.from_dict(
-                spec_data, f"class {class_name}"
-            )
-        per_flow = {
-            int(flow_id): SloSpec.from_dict(spec_data, f"flow {flow_id}")
-            for flow_id, spec_data in data.get("flows", {}).items()
-        }
+        problems = check(SLO, data, "slo")
+        if problems:
+            raise SpecValidationError("slo stanza", problems)
         return cls(
-            default=SloSpec.from_dict(data.get("default", {}), "default"),
-            per_class=per_class,
-            per_flow=per_flow,
+            default=SloSpec.from_dict(data.get("default", {})),
+            per_class={
+                TrafficClass[str(name).upper()]: SloSpec.from_dict(spec)
+                for name, spec in data.get("class", {}).items()
+            },
+            per_flow={
+                int(flow_id): SloSpec.from_dict(spec)
+                for flow_id, spec in data.get("flows", {}).items()
+            },
         )
 
 

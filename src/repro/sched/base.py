@@ -5,7 +5,8 @@ Every flow-scheduling backend is an object with a ``name`` and one method,
 directly; they go through :func:`make_scheduler`, which resolves a backend
 *name* against the registry and validates backend-specific options against
 the backend's constructor signature -- an unknown name or option fails
-with a nearest-match suggestion instead of a bare ``TypeError``.
+with a nearest-match suggestion instead of a bare ``TypeError`` (a
+scenario's ``options`` are held to the kinds of the signature's defaults).
 
 The registry ships with four backends:
 
@@ -22,7 +23,6 @@ valid scenario ``"sched": {"backend": ...}`` values automatically.
 
 from __future__ import annotations
 
-import difflib
 import inspect
 from typing import Callable, Dict, Tuple
 
@@ -32,6 +32,7 @@ except ImportError:  # pragma: no cover
     Protocol = object  # type: ignore[assignment]
 
 from repro.core.errors import SchedulingError
+from repro.schema import Field, Table, kind_of, suggest
 
 from .anneal import AnnealScheduler
 from .exact import ExactScheduler
@@ -43,6 +44,7 @@ __all__ = [
     "available_backends",
     "backend_options",
     "make_scheduler",
+    "options_table",
     "register_backend",
 ]
 
@@ -58,8 +60,8 @@ class Scheduler(Protocol):
         ...
 
 
-#: name -> (factory, the option names its signature accepts).
-_REGISTRY: Dict[str, Tuple[Callable[..., Scheduler], Tuple[str, ...]]] = {}
+#: name -> (factory, the table of options its signature accepts).
+_REGISTRY: Dict[str, Tuple[Callable[..., Scheduler], Table]] = {}
 
 
 def register_backend(name: str, factory: Callable[..., Scheduler]) -> None:
@@ -67,8 +69,15 @@ def register_backend(name: str, factory: Callable[..., Scheduler]) -> None:
     if not name or not isinstance(name, str):
         raise SchedulingError(f"backend name must be a string, got {name!r}")
     # Resolved here, once: make_scheduler runs under every plan_flows.
-    params = inspect.signature(factory).parameters
-    _REGISTRY[name] = (factory, tuple(p for p in params if p != "self"))
+    params = [p for p in inspect.signature(factory).parameters.values()
+              if p.name != "self"]
+    accepts = f"accepts {sorted(p.name for p in params)}" if params \
+        else "takes no options"
+    _REGISTRY[name] = (factory, Table(
+        tuple(Field(p.name, kind_of(p.default)) for p in params), terse=True,
+        unknown=f"unknown option for backend {name!r}{{hint}}; {name!r} "
+                f"{accepts}",
+    ))
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -76,10 +85,15 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+def options_table(name: str) -> Table:
+    """The table *name*'s options are checked against (a registered name)."""
+    return _REGISTRY[name][1]
+
+
 def backend_options(name: str) -> Tuple[str, ...]:
     """The option names *name*'s factory accepts (for validation/docs)."""
     entry = _REGISTRY.get(name)
-    return entry[1] if entry is not None else ()
+    return tuple(f.name for f in entry[1].fields) if entry else ()
 
 
 def make_scheduler(name: str, **options) -> Scheduler:
@@ -90,28 +104,21 @@ def make_scheduler(name: str, **options) -> Scheduler:
     """
     entry = _REGISTRY.get(name)
     if entry is None:
-        matches = difflib.get_close_matches(
-            str(name), available_backends(), n=1
-        )
-        hint = f" (did you mean {matches[0]!r}?)" if matches else ""
         raise SchedulingError(
-            f"unknown scheduling backend {name!r}{hint}; "
+            f"unknown scheduling backend {name!r}"
+            f"{suggest(name, available_backends())}; "
             f"available: {list(available_backends())}"
         )
-    factory, accepted = entry
-    allowed = set(accepted)
-    unknown = sorted(set(options) - allowed)
+    allowed = backend_options(name)
+    unknown = sorted(set(options) - set(allowed))
     if unknown:
-        problems = []
-        for key in unknown:
-            matches = difflib.get_close_matches(key, sorted(allowed), n=1)
-            hint = f" (did you mean {matches[0]!r}?)" if matches else ""
-            problems.append(f"{key!r}{hint}")
+        problems = ", ".join(f"{key!r}{suggest(key, allowed)}"
+                             for key in unknown)
         raise SchedulingError(
             f"backend {name!r} does not accept option(s) "
-            f"{', '.join(problems)}; accepted: {sorted(allowed)}"
+            f"{problems}; accepted: {sorted(allowed)}"
         )
-    return factory(**options)
+    return entry[0](**options)
 
 
 register_backend("greedy", GreedyScheduler)

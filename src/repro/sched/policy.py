@@ -11,11 +11,12 @@ A scenario selects its scheduling behaviour declaratively::
       "options": {"node_limit": 100000}   // backend-specific
     }
 
-:class:`SchedPolicy` is the parsed form, :func:`validate_sched_dict` the
-strict validator behind :class:`~repro.core.errors.SpecValidationError`
-(path-prefixed problems, nearest-key suggestions, per-backend option
-checks), and :func:`plan_flows` the one entry point that turns a flow set
-plus a policy into a plan -- including the Multi-CQF case, where flows
+:class:`SchedPolicy` is the parsed form; :func:`validate_sched_dict` is
+the :mod:`repro.schema` walker over :data:`SCHED` (path-prefixed problems,
+nearest-key suggestions; ``options`` are checked against the selected
+backend's signature, :func:`~repro.sched.base.options_table`); and
+:func:`plan_flows` is the one entry point that turns a flow set plus a
+policy into a plan -- including the Multi-CQF case, where flows
 partition onto per-system problems (a flow joins the long-slot system
 when its period is a multiple of ``slot2``) and the per-system plans
 aggregate into a :class:`~repro.sched.problem.MultiSchedulePlan`.
@@ -28,17 +29,18 @@ derived BRAM figures always come from the same schedule (by design, the
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.errors import SchedulingError
+from repro.core.errors import SchedulingError, SpecValidationError
 from repro.core.units import GIGABIT, us
 from repro.cqf.schedule import CqfSchedule
+from repro.schema import ANY, NUMBER, STR, Field, Obj, Range, Table, Time, \
+    check
 from repro.traffic.flows import FlowSpec, TrafficClass
 
-from .base import Scheduler, available_backends, backend_options, \
-    make_scheduler
+from .base import Scheduler, available_backends, make_scheduler, \
+    options_table
 from .problem import MultiSchedulePlan, OBJECTIVES, SchedulePlan, \
     SchedulingProblem
 
@@ -56,21 +58,33 @@ __all__ = [
 #: with distinct slot lengths.
 SHAPERS: Tuple[str, ...] = ("cqf", "csqf", "multi_cqf")
 
-_KNOWN_KEYS = (
-    "backend", "shaper", "objective", "utilization_limit", "slot2_us",
-    "options",
-)
 
-#: Expected types for the options of the built-in backends.
-_OPTION_TYPES: Dict[str, Dict[str, tuple]] = {
-    "exact": {"node_limit": (int,)},
-    "anneal": {
-        "seed": (int,),
-        "iterations": (int,),
-        "t0": (int, float),
-        "t_min": (int, float),
-    },
-}
+def _slot2_needs_multi_cqf(data: Mapping[str, Any], path: str) -> List[str]:
+    if "slot2_us" in data and data.get("shaper", "cqf") != "multi_cqf":
+        return [f"{path}.slot2_us: only valid with shaper 'multi_cqf'"]
+    return []
+
+
+def _backend_options(data: Mapping[str, Any], path: str) -> List[str]:
+    return check(options_table(data.get("backend", "greedy")),
+                 data.get("options", {}), f"{path}.options")
+
+
+#: The ``"sched"`` stanza.
+SCHED = Table((
+    Field("backend", STR, "the scheduling backend", "greedy",
+          choices=available_backends,
+          message="unknown backend {value!r}{hint}; available: {choices}"),
+    Field("shaper", ANY, "the CQF variant", "cqf", choices=SHAPERS),
+    Field("objective", ANY, "what to optimize", "min_peak",
+          choices=OBJECTIVES),
+    Field("utilization_limit", NUMBER, "TS share of a slot's wire time", 0.5,
+          bounds=Range(0, 1, lo_open=True)),
+    Field("slot2", Time(("us",), positive=True),
+          "`multi_cqf`: the long slot (default: twice the slot)"),
+    Field("options", Obj(), "the backend's keyword options, each of the "
+          "kind of its default"),
+), terse=True, rules=(_slot2_needs_multi_cqf, _backend_options))
 
 
 @dataclass(frozen=True)
@@ -85,20 +99,12 @@ class SchedPolicy:
     options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.shaper not in SHAPERS:
-            raise SchedulingError(
-                f"unknown shaper {self.shaper!r}; expected one of {SHAPERS}"
-            )
-        if self.objective not in OBJECTIVES:
-            raise SchedulingError(
-                f"unknown objective {self.objective!r}; "
-                f"expected one of {OBJECTIVES}"
-            )
-        if not 0 < self.utilization_limit <= 1:
-            raise SchedulingError(
-                f"utilization_limit must be in (0, 1], "
-                f"got {self.utilization_limit}"
-            )
+        problems = check(SCHED, {
+            "shaper": self.shaper, "objective": self.objective,
+            "utilization_limit": self.utilization_limit,
+        }, "sched")
+        if problems:
+            raise SchedulingError("; ".join(problems))
 
     @classmethod
     def from_dict(cls, data: Optional[Mapping[str, Any]]) -> "SchedPolicy":
@@ -106,17 +112,8 @@ class SchedPolicy:
             return cls()
         problems = validate_sched_dict(data)
         if problems:
-            from repro.core.errors import SpecValidationError
-
             raise SpecValidationError("sched stanza", problems)
-        return cls(
-            backend=data.get("backend", "greedy"),
-            shaper=data.get("shaper", "cqf"),
-            objective=data.get("objective", "min_peak"),
-            utilization_limit=data.get("utilization_limit", 0.5),
-            slot2_us=data.get("slot2_us"),
-            options=dict(data.get("options", {})),
-        )
+        return cls(**{**data, "options": dict(data.get("options", {}))})
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
@@ -146,90 +143,9 @@ class SchedPolicy:
         return slot2
 
 
-def _suggest(key: str, candidates) -> str:
-    matches = difflib.get_close_matches(str(key), sorted(candidates), n=1)
-    return f" (did you mean {matches[0]!r}?)" if matches else ""
-
-
 def validate_sched_dict(data: Any) -> List[str]:
     """Every problem the stanza has, as ``"sched.path: message"`` strings."""
-    if not isinstance(data, Mapping):
-        return [f"sched: expected an object, got {type(data).__name__}"]
-    problems: List[str] = []
-    for key in sorted(set(data) - set(_KNOWN_KEYS)):
-        problems.append(
-            f"sched.{key}: unknown key{_suggest(key, _KNOWN_KEYS)}"
-        )
-    backend = data.get("backend", "greedy")
-    if not isinstance(backend, str):
-        problems.append(
-            f"sched.backend: expected a string, got {backend!r}"
-        )
-    elif backend not in available_backends():
-        problems.append(
-            f"sched.backend: unknown backend {backend!r}"
-            f"{_suggest(backend, available_backends())}; "
-            f"available: {list(available_backends())}"
-        )
-    shaper = data.get("shaper", "cqf")
-    if shaper not in SHAPERS:
-        problems.append(
-            f"sched.shaper: expected one of {list(SHAPERS)}, got {shaper!r}"
-            f"{_suggest(str(shaper), SHAPERS)}"
-        )
-    objective = data.get("objective", "min_peak")
-    if objective not in OBJECTIVES:
-        problems.append(
-            f"sched.objective: expected one of {list(OBJECTIVES)}, "
-            f"got {objective!r}{_suggest(str(objective), OBJECTIVES)}"
-        )
-    limit = data.get("utilization_limit", 0.5)
-    if isinstance(limit, bool) or not isinstance(limit, (int, float)):
-        problems.append(
-            f"sched.utilization_limit: expected a number, got {limit!r}"
-        )
-    elif not 0 < limit <= 1:
-        problems.append(
-            f"sched.utilization_limit: must be in (0, 1], got {limit!r}"
-        )
-    if "slot2_us" in data:
-        slot2 = data["slot2_us"]
-        if isinstance(slot2, bool) or not isinstance(slot2, (int, float)) \
-                or slot2 <= 0:
-            problems.append(
-                f"sched.slot2_us: expected a positive number, got {slot2!r}"
-            )
-        if shaper != "multi_cqf":
-            problems.append(
-                "sched.slot2_us: only valid with shaper 'multi_cqf'"
-            )
-    options = data.get("options", {})
-    if not isinstance(options, Mapping):
-        problems.append(
-            f"sched.options: expected an object, "
-            f"got {type(options).__name__}"
-        )
-    elif isinstance(backend, str) and backend in available_backends():
-        allowed = backend_options(backend)
-        for key in sorted(set(options) - set(allowed)):
-            accepted = (
-                f"; {backend!r} accepts {sorted(allowed)}" if allowed
-                else f"; {backend!r} takes no options"
-            )
-            problems.append(
-                f"sched.options.{key}: unknown option for backend "
-                f"{backend!r}{_suggest(key, allowed)}{accepted}"
-            )
-        for key, kinds in _OPTION_TYPES.get(backend, {}).items():
-            if key in options:
-                value = options[key]
-                if isinstance(value, bool) or not isinstance(value, kinds):
-                    label = "an integer" if kinds == (int,) else "a number"
-                    problems.append(
-                        f"sched.options.{key}: expected {label}, "
-                        f"got {value!r}"
-                    )
-    return problems
+    return check(SCHED, data, "sched")
 
 
 # --------------------------------------------------------------- planning

@@ -527,6 +527,18 @@ class TestSimulateStrict:
         err = capsys.readouterr().err
         assert "flows.ts_cout" in err and "ts_count" in err
 
+    @pytest.mark.parametrize("overrides,path", [
+        ({"slot_us": 0}, "slot_us"),
+        ({"slo": {"class": {"TS": {"latency_us": None}}}},
+         "slo.class.TS.latency_us"),
+    ])
+    def test_malformed_value_exits_2_with_its_path(self, tmp_path, capsys,
+                                                   overrides, path):
+        scenario = TestSimulate()._scenario(tmp_path, **overrides)
+        assert main(["simulate", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and f"  - {path}: " in err
+
     def test_removed_shard_stanza_is_named_not_misspelt(self, tmp_path,
                                                         capsys):
         path = TestSimulate()._scenario(tmp_path, shard={"count": 2})
