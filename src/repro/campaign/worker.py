@@ -84,6 +84,7 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
         return row
     use_alarm = timeout_s is not None and _alarm_supported()
     recorder = None
+    testbed: Optional[Any] = None
     sim: Optional[Any] = None
     if use_alarm:
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
@@ -138,6 +139,11 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
                 signal.setitimer(
                     signal.ITIMER_REAL, remaining, prior_interval
                 )
+        if testbed is not None:
+            # After the alarm is disarmed, so it cannot interrupt this:
+            # frees the point's devices now, not at some later collection,
+            # and a worker's memory stays flat across points.
+            testbed.close()
     if recorder is not None and row["status"] != "ok":
         name = flight_dump_name(payload["run_id"], attempt)
         context = {

@@ -92,14 +92,14 @@ class Host:
             spans=spans,
             name=f"{name}.nic",
         )
-        self._gates.set_on_change(self.nic.kick)
         self._started = False
 
     def start(self) -> None:
-        """Start the NIC's (always-open) gate engine."""
+        """Start the NIC's (always-open) gate engine and arbitrate once."""
         if not self._started:
             self._started = True
             self._gates.start()
+            self.nic.kick()
 
     # --------------------------------------------------------------- traffic
 

@@ -23,6 +23,7 @@ seeds give bit-identical traces.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -52,7 +53,7 @@ from repro.sim.rng import RngFactory
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switch.device import DEFAULT_PROCESSING_DELAY_NS, TsnSwitch
 from repro.timesync.gptp import GptpConfig, SyncDomain
-from repro.switch.tables import CbsParams, GateEntry
+from repro.switch.tables import CbsParams, GateEntry, UnicastTable
 from repro.traffic.flows import FlowSet, FlowSpec, TrafficClass
 from repro.traffic.generator import PeriodicSource, RateSource
 from .analyzer import LatencySummary, TsnAnalyzer
@@ -340,9 +341,40 @@ class RunPlan:
         )
 
 
+def _teardown(
+    sim: Simulator,
+    switches: Dict[str, TsnSwitch],
+    hosts: Dict[str, Host],
+    sync_domain: Optional[SyncDomain],
+) -> None:
+    """Break every reference cycle a build or a run leaves among a
+    testbed's devices.
+
+    Module-level, and handed the devices rather than the testbed, so the
+    finalizer that calls it never keeps the testbed alive.
+    """
+    sim.clear()
+    for switch in switches.values():
+        switch.clock.clear_rate_listeners()
+        for port in switch.ports:
+            port.detach()
+    for host in hosts.values():
+        host.clock.clear_rate_listeners()
+        host.nic.detach()
+    if sync_domain is not None:
+        sync_domain.unlink()
+
+
 class Testbed:
     """Builds and runs one :class:`RunPlan` (never plans) with observers
-    and the fault actor attached by keyword."""
+    and the fault actor attached by keyword.
+
+    Reference counting frees a dropped testbed: a build leaves no
+    reference cycle but the trunk links' (port -> link -> switch -> port),
+    and a run adds the calendar, the clocks' rate listeners and the gPTP
+    tree.  :meth:`close` breaks all of them, and runs by itself when an
+    unclosed testbed is dropped.
+    """
 
     # Read by benchmarks/e2e only (its ``testbed.frame_path`` flag, always
     # 0 = frame objects); goes with that flag in ROADMAP item 1c.
@@ -381,7 +413,11 @@ class Testbed:
         self.fault_injector: Optional[FaultInjector] = None
         self.sim = Simulator(profiler=profiler)
         self.rng = RngFactory(run_plan.seed)
-        self.sync_domain: Optional[SyncDomain] = None
+        self.sync_domain: Optional[SyncDomain] = (
+            SyncDomain(self.sim, run_plan.gptp_config or GptpConfig())
+            if run_plan.enable_gptp
+            else None
+        )
 
         self.switches: Dict[str, TsnSwitch] = {}
         self.hosts: Dict[str, Host] = {}
@@ -393,11 +429,32 @@ class Testbed:
         self.analyzer: Optional[TsnAnalyzer] = None
         self._sources: List = []
         self._built = False
+        # Holds the parts, not the testbed: an explicit close() and a drop
+        # run the same teardown, once.
+        self._finalizer = weakref.finalize(
+            self, _teardown, self.sim, self.switches, self.hosts,
+            self.sync_domain,
+        )
+        self._finalizer.atexit = False
+
+    def close(self) -> None:
+        """Break the reference cycles among this testbed's devices.
+
+        Idempotent, and run by itself when an unclosed testbed is dropped.
+        A :class:`ScenarioResult` stays readable; :meth:`build` and
+        :meth:`run` afterwards raise :class:`ConfigurationError`.
+        """
+        self._finalizer()
+
+    def _check_open(self) -> None:
+        if not self._finalizer.alive:
+            raise ConfigurationError("testbed is closed")
 
     # ------------------------------------------------------------- building
 
     def build(self) -> None:
         """Construct devices, wire links, program the control plane."""
+        self._check_open()
         if self._built:
             raise ConfigurationError("testbed already built")
         self._built = True
@@ -517,9 +574,7 @@ class Testbed:
 
     def _build_sync_domain(self) -> None:
         """Sync tree over the trunk graph, rooted at the first switch."""
-        domain = SyncDomain(
-            self.sim, self.run_plan.gptp_config or GptpConfig()
-        )
+        domain = self.sync_domain
         names = list(self.switches)
         root = names[0]
         domain.add_node(root, self.switches[root].clock)
@@ -546,7 +601,6 @@ class Testbed:
             raise TopologyError(
                 f"gPTP tree cannot reach switches {missing} over trunks"
             )
-        self.sync_domain = domain
 
     def _create_hosts(self) -> None:
         # dict.fromkeys: a host may appear twice (e.g. a FRER listener with
@@ -734,22 +788,20 @@ class Testbed:
         usable = len(self.rc_queues)
         if self.base_config.cbs_map_size < usable:
             usable = self.base_config.cbs_map_size
+        rate_bps = self.run_plan.rate_bps
+        reservations = []  # (cbs slot, queue, params): the same on every port
+        for slot_index, queue_id in enumerate(self.rc_queues[:usable]):
+            reserved = per_queue_rate.get(queue_id, 0) * 2
+            reserved = max(reserved, rate_bps // 100)
+            reserved = min(reserved, rate_bps * 3 // 4)
+            reservations.append((
+                slot_index, queue_id,
+                CbsParams.for_reservation(reserved, rate_bps),
+            ))
         for switch in self.switches.values():
             for port_id in range(len(switch.ports)):
-                for slot_index, queue_id in enumerate(
-                    self.rc_queues[:usable]
-                ):
-                    reserved = per_queue_rate.get(queue_id, 0) * 2
-                    reserved = max(reserved, self.run_plan.rate_bps // 100)
-                    reserved = min(reserved, self.run_plan.rate_bps * 3 // 4)
-                    switch.program_cbs(
-                        port_id,
-                        queue_id,
-                        slot_index,
-                        CbsParams.for_reservation(
-                            reserved, self.run_plan.rate_bps
-                        ),
-                    )
+                for slot_index, queue_id, params in reservations:
+                    switch.program_cbs(port_id, queue_id, slot_index, params)
 
     def _queue_for(self, flow: FlowSpec) -> int:
         if flow.traffic_class is TrafficClass.TS:
@@ -833,22 +885,19 @@ class Testbed:
         them directly on the CBS-shaped queues (5..3) or the best-effort
         queue (0), consuming only a shared forwarding route.
         """
-        meter_ids: Dict[str, int] = {name: 0 for name in self.switches}
-
-        def next_meter(switch_name: str, rate_bps: int, burst: int) -> int:
-            # Meters are assigned first-come until the customized meter
-            # table fills; overflow flows run unmetered (the sizing
-            # guideline sets meter_size to the flow count, so overflow only
-            # happens in deliberate undersizing runs).
-            switch = self.switches[switch_name]
-            if meter_ids[switch_name] >= switch.config.meter_size:
-                return -1
-            meter_id = meter_ids[switch_name]
-            meter_ids[switch_name] += 1
-            switch.program_meter(meter_id, rate_bps=rate_bps,
-                                 burst_bytes=burst)
-            return meter_id
-
+        # Per switch: classification key -> (meter, queue), route pairs,
+        # meter id -> (rate, burst), and the meter table's size.  Meters
+        # are assigned first-come until the customized meter table fills;
+        # overflow flows run unmetered (the sizing guideline sets
+        # meter_size to the flow count, so overflow only happens in
+        # deliberate undersizing runs).
+        batches = {
+            name: ({}, [], {}, switch.config.meter_size)
+            for name, switch in self.switches.items()
+        }
+        wildcard = UnicastTable.WILDCARD_VID
+        aggregate = self.run_plan.aggregate_routes
+        frer = self.run_plan.frer_ts
         for flow in self.flows:
             vid = self._flow_vids[flow.flow_id]
             pcp = flow.effective_pcp
@@ -858,7 +907,7 @@ class Testbed:
             if flow.traffic_class is TrafficClass.TS:
                 if not self._ts_admitted(flow):
                     continue  # rejected by a max_admission plan: no state
-                if self.run_plan.frer_ts:
+                if frer:
                     replicas = list(
                         zip(
                             (vid, self._replica_vids[flow.flow_id]),
@@ -867,42 +916,48 @@ class Testbed:
                     )
                 else:
                     replicas = [(vid, self._flow_hop_ports(flow))]
+                meter = (
+                    max(64_000, flow.effective_rate_bps * 2),
+                    4 * flow.size_bytes,
+                )
                 for replica_vid, hop_ports in replicas:
-                    for switch_name, outport in hop_ports:
-                        switch = self.switches[switch_name]
-                        meter_id = next_meter(
-                            switch_name,
-                            max(64_000, flow.effective_rate_bps * 2),
-                            4 * flow.size_bytes,
-                        )
-                        switch.program_flow(
-                            src_mac, dst_mac, replica_vid, pcp, outport,
-                            queue_id, meter_id,
-                            aggregate_route=(
-                                self.run_plan.aggregate_routes
-                                and not self.run_plan.frer_ts
-                            ),
-                        )
-            elif (
-                flow.traffic_class is TrafficClass.RC
-                and self.shaper != "cqf"
-            ):
-                # The PCP fallback would land RC frames on a queue the
-                # shaper claimed; install explicit (unmetered)
-                # classification entries mapping them to the shifted RC
-                # queues instead.
-                for switch_name, outport in self._flow_hop_ports(flow):
-                    self.switches[switch_name].program_flow(
-                        src_mac, dst_mac, vid, pcp, outport, queue_id, -1,
-                        aggregate_route=self.run_plan.aggregate_routes,
-                    )
-            else:  # RC/BE: forwarding route only, PCP default classifies
-                for switch_name, outport in self._flow_hop_ports(flow):
-                    self.switches[switch_name].program_route(
+                    key = (src_mac, dst_mac, replica_vid, pcp)
+                    route = (
                         dst_mac,
-                        None if self.run_plan.aggregate_routes else vid,
-                        outport,
+                        wildcard if aggregate and not frer else replica_vid,
                     )
+                    for switch_name, outport in hop_ports:
+                        classes, routes, meters, meter_size = (
+                            batches[switch_name]
+                        )
+                        meter_id = len(meters)
+                        if meter_id < meter_size:
+                            meters[meter_id] = meter
+                        else:
+                            meter_id = -1
+                        classes[key] = (meter_id, queue_id)
+                        routes.append((route, outport))
+            else:
+                # RC/BE ride the PCP default and need only a route -- except
+                # RC under a non-classic shaper: the PCP fallback would land
+                # those frames on a queue the shaper claimed, so they get
+                # explicit (unmetered) classification entries mapping them
+                # to the shifted RC queues.
+                classified = (
+                    flow.traffic_class is TrafficClass.RC
+                    and self.shaper != "cqf"
+                )
+                key = (src_mac, dst_mac, vid, pcp)
+                route = (dst_mac, wildcard if aggregate else vid)
+                for switch_name, outport in self._flow_hop_ports(flow):
+                    classes, routes, _meters, _size = batches[switch_name]
+                    if classified:
+                        classes[key] = (-1, queue_id)
+                    routes.append((route, outport))
+        for name, (classes, routes, meters, _size) in batches.items():
+            self.switches[name].program_paths(
+                classes.items(), routes, meters.items()
+            )
 
     def _create_analyzer(self) -> None:
         from repro.frer.elimination import FrerEliminator
@@ -1012,6 +1067,7 @@ class Testbed:
 
     def run(self, duration_ns: int, drain_slots: int = 8) -> ScenarioResult:
         """Inject for *duration_ns*, drain, and collect results."""
+        self._check_open()
         if not self._built:
             self.build()
         if duration_ns <= 0:

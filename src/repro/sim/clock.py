@@ -150,6 +150,10 @@ class LocalClock:
         """
         self._rate_listeners.append(listener)
 
+    def clear_rate_listeners(self) -> None:
+        """Forget every :meth:`on_rate_change` listener (teardown)."""
+        self._rate_listeners.clear()
+
     def sim_delay_for_local(self, local_delta_ns: int) -> int:
         """Perfect-time delay corresponding to *local_delta_ns* local ns.
 

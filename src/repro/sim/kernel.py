@@ -354,6 +354,18 @@ class Simulator:
         heapq.heapify(heap)
         self.stats.compacted += before - len(heap)
 
+    def clear(self) -> None:
+        """Drop every pending event without firing it.
+
+        Teardown: the calendar is what keeps a finished run's devices
+        reachable from each other (self-posting actions, frames in
+        flight).  The clock and :attr:`stats` are left as they are.
+        """
+        if self._running:
+            raise SimulationError("clear() called from an event")
+        self._heap.clear()
+        self._live = 0
+
     # --------------------------------------------------------------- running
 
     def run(self, until: Optional[int] = None) -> None:

@@ -9,8 +9,8 @@ clock for Time Sync to discipline.
 Control-plane programming happens through the ``program_*`` methods, which
 are what the testbed (and a user's own orchestration) call after synthesis:
 
-* ``program_flow`` -- classification + unicast entry for one flow.
-* ``program_meter`` -- a token-bucket policer.
+* ``program_paths`` -- classification, unicast and meter entries in bulk;
+  ``program_flow`` / ``program_route`` / ``program_meter`` install one.
 * ``program_gcls`` -- the per-port in/out Gate Control Lists and CQF pairs.
 * ``program_cbs`` -- bind a queue to a credit-based shaper.
 
@@ -20,7 +20,7 @@ are what the testbed (and a user's own orchestration) call after synthesis:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigurationError, TopologyError
@@ -46,9 +46,11 @@ from .tables import (
     CbsMapTable,
     CbsParams,
     CbsTable,
+    ClassKey,
     ClassTarget,
     GateControlList,
     GateEntry,
+    RouteKey,
 )
 
 __all__ = ["TsnSwitch"]
@@ -183,7 +185,6 @@ class TsnSwitch:
             headroom=headroom_probes,
             name=f"{self.name}.p{port_id}",
         )
-        engine.set_on_change(port.kick)
         self.ports.append(port)
         self._gate_engines.append(engine)
         self.cbs_map_tables.append(CbsMapTable(config.cbs_map_size))
@@ -202,6 +203,86 @@ class TsnSwitch:
         self._local_hosts[local_id] = deliver
         return local_id
 
+    def program_paths(
+        self,
+        classes: Iterable[Tuple[ClassKey, Tuple[int, int]]] = (),
+        routes: Iterable[Tuple[RouteKey, int]] = (),
+        meters: Iterable[Tuple[int, Tuple[int, int]]] = (),
+    ) -> None:
+        """Install classification, forwarding and policing entries at once.
+
+        Each argument is an iterable of ``(key, value)`` pairs (a dict's
+        ``items()`` will do), installed in order:
+
+        * *classes*: (SMAC, DMAC, VID, PRI) -> (meter id, queue id);
+        * *routes*: (DMAC, VID) -> outport, with
+          ``UnicastTable.WILDCARD_VID`` for a VLAN-wildcard (aggregated)
+          entry.  An outport may be a TSN port (0..port_num-1) or a local
+          port id returned by :meth:`attach_host`.  A key may repeat with
+          the same outport;
+        * *meters*: meter id -> (rate bit/s, burst bytes).
+
+        Every check runs once per distinct value: port range per outport,
+        queue range per queue, route conflicts within the batch and
+        against installed entries (re-pointing a route another flow
+        depends on would corrupt that flow's path), then each table's
+        capacity.  Each table is written once.
+        """
+        fresh = self._fold_routes(routes)
+        for outport in set(fresh.values()):
+            if outport not in self._local_hosts:
+                self._check_port(outport)
+        targets = {
+            key: ClassTarget(meter_id, queue_id)
+            for key, (meter_id, queue_id) in classes
+        }
+        queue_num = self.config.queue_num
+        for queue_id in {target.queue_id for target in targets.values()}:
+            if not 0 <= queue_id < queue_num:
+                raise ConfigurationError(
+                    f"{self.name}: queue {queue_id} outside 0.."
+                    f"{queue_num - 1}"
+                )
+        pipeline = self.pipeline
+        pipeline.meters.insert_all({
+            meter_id: TokenBucketMeter(rate_bps, burst_bytes)
+            for meter_id, (rate_bps, burst_bytes) in meters
+        })
+        pipeline.classification.insert_all(targets)
+        pipeline.unicast.insert_all(fresh)
+
+    def _fold_routes(
+        self, routes: Iterable[Tuple[RouteKey, int]]
+    ) -> Dict[RouteKey, int]:
+        """The distinct routes of a batch, refusing any that contradicts
+        the batch so far or the installed table -- exactly what
+        installing them one by one would have refused."""
+        unicast = self.pipeline.unicast
+        wildcard = unicast.WILDCARD_VID
+        fresh: Dict[RouteKey, int] = {}
+        aggregated = False  # does *fresh* hold a wildcard entry yet?
+        for key, outport in routes:
+            existing = fresh.get(key)
+            if existing == outport:
+                continue
+            if existing is None:
+                # What a one-by-one install probed: the installed exact
+                # entry, else a wildcard, installed or earlier in the batch.
+                if unicast:
+                    existing = unicast.find_outport(*key)
+                if existing is None and aggregated:
+                    existing = fresh.get((key[0], wildcard))
+            if existing is not None and existing != outport:
+                vid = None if key[1] == wildcard else key[1]
+                raise ConfigurationError(
+                    f"{self.name}: route ({key[0]:#x}, vid {vid}) already "
+                    f"points at port {existing}, refusing to repoint to "
+                    f"{outport}"
+                )
+            fresh[key] = outport
+            aggregated = aggregated or key[1] == wildcard
+        return fresh
+
     def program_flow(
         self,
         src_mac: MacAddress,
@@ -215,24 +296,17 @@ class TsnSwitch:
     ) -> None:
         """Install classification + forwarding state for one flow.
 
-        *outport* may be a TSN port (0..port_num-1) or a local port id
-        returned by :meth:`attach_host`.  With *aggregate_route* the
-        forwarding entry is VLAN-wildcarded so every flow to the same
-        destination shares it (guideline 1's aggregation option); the
-        classification entry stays per-flow either way.
+        With *aggregate_route* the forwarding entry is VLAN-wildcarded so
+        every flow to the same destination shares it (guideline 1's
+        aggregation option); the classification entry stays per-flow
+        either way.  One entry each of :meth:`program_paths`.
         """
-        if outport not in self._local_hosts:
-            self._check_port(outport)
-        if not 0 <= queue_id < self.config.queue_num:
-            raise ConfigurationError(
-                f"{self.name}: queue {queue_id} outside 0.."
-                f"{self.config.queue_num - 1}"
-            )
-        self.pipeline.classification.program(
-            src_mac, dst_mac, vlan_id, pcp, ClassTarget(meter_id, queue_id)
+        route_vid = (
+            self.pipeline.unicast.WILDCARD_VID if aggregate_route else vlan_id
         )
-        self.program_route(
-            dst_mac, None if aggregate_route else vlan_id, outport
+        self.program_paths(
+            classes=[((src_mac, dst_mac, vlan_id, pcp), (meter_id, queue_id))],
+            routes=[((dst_mac, route_vid), outport)],
         )
 
     def program_route(
@@ -242,29 +316,17 @@ class TsnSwitch:
 
         ``vlan_id=None`` installs a VLAN-wildcard (aggregated) entry.  Used
         for traffic that rides the 802.1Q defaults -- e.g. background
-        aggregates whose queue comes from the PCP fallback.  Re-programming
-        an existing route must agree with it: silently flipping an entry
-        another flow depends on would corrupt that flow's path.
+        aggregates whose queue comes from the PCP fallback.  One entry of
+        :meth:`program_paths`.
         """
-        if outport not in self._local_hosts:
-            self._check_port(outport)
-        probe_vid = (
-            self.pipeline.unicast.WILDCARD_VID if vlan_id is None else vlan_id
-        )
-        existing = self.pipeline.unicast.find_outport(dst_mac, probe_vid)
-        if existing is not None and existing != outport:
-            raise ConfigurationError(
-                f"{self.name}: route ({dst_mac:#x}, vid {vlan_id}) already "
-                f"points at port {existing}, refusing to repoint to "
-                f"{outport}"
-            )
-        self.pipeline.unicast.program(dst_mac, vlan_id, outport)
+        if vlan_id is None:
+            vlan_id = self.pipeline.unicast.WILDCARD_VID
+        self.program_paths(routes=[((dst_mac, vlan_id), outport)])
 
     def program_meter(self, meter_id: int, rate_bps: int, burst_bytes: int) -> None:
-        """Install a token-bucket policer."""
-        self.pipeline.meters.program(
-            meter_id, TokenBucketMeter(rate_bps, burst_bytes)
-        )
+        """Install a token-bucket policer: one entry of
+        :meth:`program_paths`."""
+        self.program_paths(meters=[(meter_id, (rate_bps, burst_bytes))])
 
     def program_gcls(
         self,
@@ -293,12 +355,14 @@ class TsnSwitch:
         )
 
     def start(self) -> None:
-        """Launch the gate engines; the switch begins honoring schedules."""
+        """Launch the gate engines and arbitrate each port once; the switch
+        begins honoring schedules."""
         if self._started:
             raise ConfigurationError(f"{self.name}: already started")
         self._started = True
-        for engine in self._gate_engines:
+        for engine, port in zip(self._gate_engines, self.ports):
             engine.start()
+            port.kick()
 
     # ------------------------------------------------------------- dataplane
 

@@ -296,11 +296,6 @@ class GateEngine:
         expressed in local nanoseconds and converted through the clock, so a
         drifting unsynchronized clock visibly skews slot boundaries (which
         is what time sync exists to prevent).
-    on_change:
-        Called (with no arguments) once, at :meth:`start`, when the
-        programmed gate states take effect; the port's egress scheduler
-        hooks this to arbitrate.  Later re-arbitration is demand-driven
-        through :meth:`next_out_open_window` wake hints.
     tracer, instruments:
         If the tracer enables ``gate`` or *instruments* is given when the
         engine starts, every table boundary is narrated to them.
@@ -313,7 +308,6 @@ class GateEngine:
         out_gcl: GateControlList,
         clock: Optional[LocalClock] = None,
         cqf_pairs: Sequence[CqfGroup] = (),
-        on_change: Optional[Callable[[], None]] = None,
         tracer: Tracer = NULL_TRACER,
         instruments: Optional[PortInstruments] = None,
         name: str = "gate",
@@ -323,7 +317,6 @@ class GateEngine:
         self.in_gcl = in_gcl
         self.out_gcl = out_gcl
         self._cqf_pairs = list(cqf_pairs)
-        self._on_change = on_change
         self._tracer = tracer
         self._obs = instruments
         self._name = name
@@ -331,10 +324,6 @@ class GateEngine:
         self._out_table: Optional[_WindowTable] = None
 
     # ------------------------------------------------------------- lifecycle
-
-    def set_on_change(self, callback: Optional[Callable[[], None]]) -> None:
-        """Install the scheduler arbitration hook."""
-        self._on_change = callback
 
     def program(
         self,
@@ -355,6 +344,9 @@ class GateEngine:
         A real TAS aligns the cycle to a configured base time; the testbed
         starts all engines at the same simulation instant, which is the
         aligned case (time sync experiments perturb the clocks instead).
+        The owner of the port arbitrates it right after (``port.kick()``);
+        later re-arbitration is demand-driven through
+        :meth:`next_out_open_window` wake hints.
         """
         if self.started:
             raise ConfigurationError(f"{self._name}: engine already started")
@@ -369,10 +361,8 @@ class GateEngine:
         if subscribe is not None:
             subscribe(self._on_rate_change)
         if self._tracer.enabled_for("gate") or self._obs is not None:
-            self._narration(is_in=True)(boundary=False)
-            self._narration(is_in=False)(boundary=False)
-        if self._on_change is not None:
-            self._on_change()
+            self._narrate_in(boundary=False)
+            self._narrate_out(boundary=False)
 
     @property
     def started(self) -> bool:
@@ -391,28 +381,36 @@ class GateEngine:
 
     # ------------------------------------------------------------- narration
 
-    def _narration(self, is_in: bool) -> Callable[..., None]:
-        """The action that narrates one GCL's boundaries, one at a time.
+    def _narrate_in(self, boundary: bool = True) -> None:
+        """Narrate the in-GCL segment beginning now; post the next one."""
+        self._narrate(self._in_table, self._narrate_in, "in", boundary)
 
-        It reports the segment beginning now and posts itself for that
-        segment's end -- so a rate change re-times every boundary but the
+    def _narrate_out(self, boundary: bool = True) -> None:
+        """Narrate the out-GCL segment beginning now; post the next one."""
+        self._narrate(self._out_table, self._narrate_out, "out", boundary)
+
+    def _narrate(
+        self,
+        table: _WindowTable,
+        again: Callable[[], None],
+        direction: str,
+        boundary: bool,
+    ) -> None:
+        """Report the segment of *table* beginning now and post *again* for
+        its end -- so a rate change re-times every boundary but the
         committed one, exactly what the rebuilt table answers.
         """
-        sim, tracer, obs = self._sim, self._tracer, self._obs
-        direction = "in" if is_in else "out"
-        message = f"{self._name} {direction}-gates"
-
-        def narrate(boundary: bool = True) -> None:
-            now = sim.now
-            table = self._in_table if is_in else self._out_table
-            mask, end, _pos = table.locate(now)
-            sim.post(end - now, narrate, _NARRATION_PRIORITY)
-            if boundary and obs is not None:
-                obs.on_gate_flip(direction)
-            if tracer.active:
-                tracer.emit(now, "gate", message, mask=f"{mask:08b}")
-
-        return narrate
+        sim = self._sim
+        now = sim.now
+        mask, end, _pos = table.locate(now)
+        sim.post(end - now, again, _NARRATION_PRIORITY)
+        if boundary and self._obs is not None:
+            self._obs.on_gate_flip(direction)
+        if self._tracer.active:
+            self._tracer.emit(
+                now, "gate", f"{self._name} {direction}-gates",
+                mask=f"{mask:08b}",
+            )
 
     # --------------------------------------------------------------- queries
 

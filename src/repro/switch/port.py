@@ -164,6 +164,10 @@ class EgressPort:
             raise ConfigurationError(f"{self.name}: already attached to a link")
         self._deliver = deliver
 
+    def detach(self) -> None:
+        """Disconnect the transmit side (testbed teardown); idempotent."""
+        self._deliver = None
+
     @property
     def attached(self) -> bool:
         return self._deliver is not None

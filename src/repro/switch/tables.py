@@ -47,9 +47,10 @@ class FixedTable(Generic[K, V]):
     Models a hash/CAM lookup memory of ``capacity`` entries.  Re-inserting an
     existing key updates it in place without consuming a new entry.
 
-    ``on_write`` runs after every ``insert`` / ``remove`` / ``clear``:
-    whoever resolved entries of this table into a compiled form (the
-    pipeline's per-flow resolutions) hooks it to start over.
+    ``on_write`` runs after every ``insert`` / ``insert_all`` /
+    ``remove`` / ``clear``: whoever resolved entries of this table into a
+    compiled form (the pipeline's per-flow resolutions) hooks it to start
+    over.
     """
 
     def __init__(self, capacity: int, name: str = "table"):
@@ -79,12 +80,25 @@ class FixedTable(Generic[K, V]):
 
     def insert(self, key: K, value: V) -> None:
         """Program an entry; raises :class:`CapacityError` when full."""
-        if key not in self._entries and len(self._entries) >= self.capacity:
-            raise CapacityError(
-                f"{self.name}: capacity {self.capacity} exhausted "
-                f"inserting {key!r}"
-            )
-        self._entries[key] = value
+        self.insert_all({key: value})
+
+    def insert_all(self, entries: Dict[K, V]) -> None:
+        """Program *entries* in order as one write (one ``on_write``).
+
+        Raises :class:`CapacityError` naming the first new key that does
+        not fit -- the key a one-at-a-time insert would have failed on --
+        before anything is installed.
+        """
+        installed = self._entries
+        room = self.capacity - len(installed)
+        if len(entries) > room:
+            fresh = [key for key in entries if key not in installed]
+            if len(fresh) > room:
+                raise CapacityError(
+                    f"{self.name}: capacity {self.capacity} exhausted "
+                    f"inserting {fresh[room]!r}"
+                )
+        installed.update(entries)
         self.on_write()
 
     def remove(self, key: K) -> None:
@@ -103,8 +117,10 @@ class FixedTable(Generic[K, V]):
 
 # ---------------------------------------------------------------- Packet Switch
 
+RouteKey = Tuple[MacAddress, int]  # DMAC, VID (or UnicastTable.WILDCARD_VID)
 
-class UnicastTable(FixedTable[Tuple[MacAddress, int], int]):
+
+class UnicastTable(FixedTable[RouteKey, int]):
     """(Dst MAC, VID) -> outport.  The Packet Switch's forwarding table.
 
     Supports *aggregated* entries (paper Section III.C guideline 1: "some

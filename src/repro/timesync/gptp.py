@@ -102,6 +102,11 @@ class GptpNode:
             self._sim.post(self.config.turnaround_ns, respond)
         self._sim.post(self.link_delay_ns, at_parent)
 
+    def _pdelay_tick(self) -> None:
+        """The periodic pdelay process: one exchange, then the next tick."""
+        self.measure_path_delay()
+        self._sim.post(self.config.pdelay_interval_ns, self._pdelay_tick)
+
     # -------------------------------------------------------------- syncing
 
     def send_sync_to_children(self) -> None:
@@ -235,34 +240,37 @@ class SyncDomain:
         for node in self.nodes.values():
             if node.parent is not None:
                 node.measure_path_delay()
-            self._schedule_pdelay(node)
-        self._schedule_sync()
+            self._sim.post(self.config.pdelay_interval_ns, node._pdelay_tick)
+        self._sim.post(self.config.sync_interval_ns, self._sync_tick)
 
-    def _schedule_pdelay(self, node: GptpNode) -> None:
-        def tick() -> None:
-            node.measure_path_delay()
-            self._sim.post(self.config.pdelay_interval_ns, tick)
-        self._sim.post(self.config.pdelay_interval_ns, tick)
+    def _sync_tick(self) -> None:
+        """The periodic sync process, one sync interval per tick."""
+        # Announce supervision: a dead grandmaster stops announcing;
+        # after the timeout the survivors elect a new one.
+        assert self._grandmaster is not None
+        if self._grandmaster.name in self._failed:
+            self._missed_announces += 1
+            if self._missed_announces >= self.announce_timeout_intervals:
+                self._elect_new_grandmaster()
+        else:
+            self._missed_announces = 0
+        # Boundary-clock cascade: every non-leaf node masters its
+        # children off its own (already disciplined) clock.
+        for node in self.nodes.values():
+            if node.name in self._failed:
+                continue
+            node.send_sync_to_children()
+        self._sim.post(self.config.sync_interval_ns, self._sync_tick)
 
-    def _schedule_sync(self) -> None:
-        def tick() -> None:
-            # Announce supervision: a dead grandmaster stops announcing;
-            # after the timeout the survivors elect a new one.
-            assert self._grandmaster is not None
-            if self._grandmaster.name in self._failed:
-                self._missed_announces += 1
-                if self._missed_announces >= self.announce_timeout_intervals:
-                    self._elect_new_grandmaster()
-            else:
-                self._missed_announces = 0
-            # Boundary-clock cascade: every non-leaf node masters its
-            # children off its own (already disciplined) clock.
-            for node in self.nodes.values():
-                if node.name in self._failed:
-                    continue
-                node.send_sync_to_children()
-            self._sim.post(self.config.sync_interval_ns, tick)
-        self._sim.post(self.config.sync_interval_ns, tick)
+    def unlink(self) -> None:
+        """Dissolve the parent/child tree (teardown).
+
+        Nodes then reference no other node; clocks, offsets and the
+        failover record stay readable.  A domain cannot sync afterwards.
+        """
+        for node in self.nodes.values():
+            node.parent = None
+            node.children = []
 
     # ------------------------------------------------------------- failover
 

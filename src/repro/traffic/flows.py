@@ -39,7 +39,10 @@ class TrafficClass(enum.Enum):
         TS maps to PCP 7 (classified into the CQF queue pair 6/7), RC to
         PCP 5 (the top of the three RC queues 3..5), BE to PCP 0.
         """
-        return {TrafficClass.TS: 7, TrafficClass.RC: 5, TrafficClass.BE: 0}[self]
+        return _DEFAULT_PCP[self]
+
+
+_DEFAULT_PCP = {TrafficClass.TS: 7, TrafficClass.RC: 5, TrafficClass.BE: 0}
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from repro.network.host import Host
 from repro.network.link import Link
 from repro.sim.kernel import Simulator
 from repro.switch.packet import EthernetFrame, make_mac
+from repro.switch.port import EgressPort
 
 
 def _frame(host, pcp, size=64):
@@ -86,3 +87,18 @@ class TestHost:
         host = Host(sim, "h")
         host.start()
         host.start()  # must not raise
+
+    def test_start_arbitrates_the_nic_once(self, monkeypatch):
+        kicks = []
+        original = EgressPort.kick
+
+        def kick(port):
+            kicks.append(port.gates.started)
+            original(port)
+
+        monkeypatch.setattr(EgressPort, "kick", kick)
+        sim = Simulator()
+        host = Host(sim, "h")
+        host.start()
+        host.start()
+        assert kicks == [True]  # after its engine started, once

@@ -24,8 +24,8 @@ def _port(sim):
         [MetadataQueue(8, q) for q in range(8)],
         BufferPool(8), gates, StrictPriorityScheduler(), SwitchCounters(),
     )
-    gates.set_on_change(port.kick)
     gates.start()
+    port.kick()
     return port
 
 

@@ -8,7 +8,8 @@ from repro.cqf.gcl_gen import cqf_port_program
 from repro.sim.kernel import Simulator
 from repro.switch.device import TsnSwitch
 from repro.switch.packet import EthernetFrame, make_mac
-from repro.switch.tables import CbsParams, GateEntry
+from repro.switch.port import EgressPort
+from repro.switch.tables import CbsParams, GateEntry, UnicastTable
 
 
 def _config(**kwargs):
@@ -52,6 +53,70 @@ class TestControlPlane:
             switch.program_flow(make_mac(1), make_mac(2), 1, 7,
                                 outport=0, queue_id=8)
 
+    def test_program_paths_matches_one_entry_calls(self):
+        one_by_one = TsnSwitch(Simulator(), _config())
+        bulk = TsnSwitch(Simulator(), _config())
+        flows = [(1, 2, 5, 7, 0, 7, 0), (1, 3, 6, 7, 1, 6, 1),
+                 (4, 2, 5, 5, 0, 5, -1)]
+        for src, dst, vid, pcp, outport, queue_id, meter_id in flows:
+            one_by_one.program_meter(len(one_by_one.pipeline.meters),
+                                     8_000 * (vid + 1), 64 * pcp)
+            one_by_one.program_flow(make_mac(src), make_mac(dst), vid, pcp,
+                                    outport, queue_id, meter_id)
+        bulk.program_paths(
+            classes=[((make_mac(s), make_mac(d), v, p), (m, q))
+                     for s, d, v, p, _o, q, m in flows],
+            routes=[((make_mac(d), v), o) for _s, d, v, _p, o, _q, _m in flows],
+            meters=[(i, (8_000 * (v + 1), 64 * p))
+                    for i, (_s, _d, v, p, *_rest) in enumerate(flows)],
+        )
+        for table in ("classification", "unicast"):
+            assert list(getattr(bulk.pipeline, table)) == list(
+                getattr(one_by_one.pipeline, table)
+            )
+        assert [
+            (i, m.rate_bps, m.burst_bytes) for i, m in bulk.pipeline.meters
+        ] == [
+            (i, m.rate_bps, m.burst_bytes)
+            for i, m in one_by_one.pipeline.meters
+        ]
+
+    def test_program_paths_writes_each_table_once(self):
+        switch = TsnSwitch(Simulator(), _config())
+        writes = []
+        for name in ("classification", "unicast", "meters"):
+            table = getattr(switch.pipeline, name)
+            table.on_write = lambda name=name: writes.append(name)
+        switch.program_paths(
+            classes=[((make_mac(1), make_mac(2), v, 7), (v, 7))
+                     for v in range(8)],
+            routes=[((make_mac(2), v), 0) for v in range(8)] * 2,
+            meters=[(v, (64_000, 256)) for v in range(8)],
+        )
+        assert sorted(writes) == ["classification", "meters", "unicast"]
+        assert len(switch.pipeline.unicast) == 8
+
+    def test_program_paths_refuses_conflicting_routes(self):
+        wildcard = UnicastTable.WILDCARD_VID
+        switch = TsnSwitch(Simulator(), _config())
+        # Within one batch: the same key to two ports...
+        with pytest.raises(ConfigurationError, match="vid 5.*repoint to 1"):
+            switch.program_paths(routes=[((make_mac(2), 5), 0),
+                                         ((make_mac(2), 5), 1)])
+        # ...and an exact route after a wildcard pointing elsewhere, as
+        # one-by-one installs would refuse; the other order is allowed.
+        with pytest.raises(ConfigurationError, match="vid 5.*repoint to 1"):
+            switch.program_paths(routes=[((make_mac(2), wildcard), 0),
+                                         ((make_mac(2), 5), 1)])
+        switch.program_paths(routes=[((make_mac(2), 5), 1),
+                                     ((make_mac(2), wildcard), 0)])
+        # Against installed entries, exact or wildcard.
+        with pytest.raises(ConfigurationError, match="vid 5"):
+            switch.program_paths(routes=[((make_mac(2), 5), 0)])
+        with pytest.raises(ConfigurationError, match="vid 6.*repoint to 1"):
+            switch.program_route(make_mac(2), 6, outport=1)
+        assert len(switch.pipeline.unicast) == 2
+
     def test_program_cbs_installs_shaper(self):
         switch = TsnSwitch(Simulator(), _config())
         params = CbsParams.for_reservation(10**8, 10**9)
@@ -71,6 +136,23 @@ class TestControlPlane:
         switch.start()
         with pytest.raises(ConfigurationError):
             switch.start()
+
+    def test_start_arbitrates_each_port_once(self, monkeypatch):
+        # Each port right after its own engine started, in port order.
+        kicks = []
+        original = EgressPort.kick
+
+        def kick(port):
+            kicks.append((port.port_id, port.gates.started))
+            original(port)
+
+        monkeypatch.setattr(EgressPort, "kick", kick)
+        sim = Simulator()
+        switch = TsnSwitch(sim, _config(port_num=3))
+        switch.start()
+        assert kicks == [(0, True), (1, True), (2, True)]
+        sim.run(until=10_000)
+        assert len(kicks) == 3
 
 
 class TestDataplane:

@@ -40,8 +40,8 @@ def _port(sim, depth=4, buffers=8, out_entries=None, in_entries=None,
         counters=SwitchCounters(),
         tracer=tracer,
     )
-    gates.set_on_change(port.kick)
     gates.start()
+    port.kick()
     return port
 
 

@@ -35,8 +35,8 @@ def _port(sim, preemption=True):
         StrictPriorityScheduler(), SwitchCounters(),
         preemption_enabled=preemption, express_queues=(6, 7),
     )
-    gates.set_on_change(port.kick)
     gates.start()
+    port.kick()
     return port
 
 

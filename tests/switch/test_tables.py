@@ -54,6 +54,24 @@ class TestFixedTable:
         with pytest.raises(ConfigurationError):
             FixedTable(0)
 
+    def test_insert_all_keeps_order_and_writes_once(self):
+        table = FixedTable(4)
+        table.insert("b", 0)
+        writes = []
+        table.on_write = lambda: writes.append(len(table))
+        table.insert_all({"a": 1, "b": 2, "c": 3})
+        assert list(table) == [("b", 2), ("a", 1), ("c", 3)]
+        assert writes == [3]
+
+    def test_insert_all_names_the_first_key_past_capacity(self):
+        table = FixedTable(3, "t")
+        table.insert("a", 0)
+        with pytest.raises(CapacityError) as caught:
+            # "a" updates in place; "b" and "c" fill it; "d" does not fit.
+            table.insert_all({"b": 1, "a": 1, "c": 1, "d": 1, "e": 1})
+        assert str(caught.value) == "t: capacity 3 exhausted inserting 'd'"
+        assert list(table) == [("a", 0)]  # nothing installed
+
     @given(st.integers(min_value=1, max_value=64))
     def test_fill_exactly_to_capacity(self, capacity):
         table = FixedTable(capacity)
