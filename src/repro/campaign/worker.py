@@ -140,9 +140,10 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
                     signal.ITIMER_REAL, remaining, prior_interval
                 )
         if testbed is not None:
-            # After the alarm is disarmed, so it cannot interrupt this:
-            # frees the point's devices now, not at some later collection,
-            # and a worker's memory stays flat across points.
+            # Frees the point's devices here, even while an exception's
+            # traceback still holds the testbed, so a worker's memory
+            # stays flat across points; after the alarm is disarmed, so
+            # it cannot interrupt the teardown.
             testbed.close()
     if recorder is not None and row["status"] != "ok":
         name = flight_dump_name(payload["run_id"], attempt)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.campaign.spec import SweepSpec
 from repro.campaign.worker import execute_run
+from repro.network.testbed import Testbed
 from repro.switch.device import TsnSwitch
 
 #: The ``sweep_short`` document of the repo benchmark, seed 1.
@@ -45,6 +46,20 @@ ROWS_DIGEST = (
 
 
 @pytest.fixture
+def closes(monkeypatch):
+    """How many times ``Testbed.close`` was called from here on."""
+    calls = []
+    original = Testbed.close
+
+    def close(self):
+        calls.append(None)
+        original(self)
+
+    monkeypatch.setattr(Testbed, "close", close)
+    return calls
+
+
+@pytest.fixture
 def live_switches(monkeypatch):
     """Every TsnSwitch constructed from here on, held weakly."""
     alive = weakref.WeakSet()
@@ -71,14 +86,14 @@ def _run(payload):
     return row
 
 
-def test_no_switch_outlives_its_point(live_switches):
+def test_no_switch_outlives_its_point(live_switches, closes):
     rows = []
     for run in SweepSpec.from_dict(SWEEP).expand():
         row = _run(run.as_payload())
         assert row["status"] == "ok"
         assert len(live_switches) == 0, run.run_id
         rows.append(json.dumps(row, sort_keys=True))
-    assert len(rows) == 48
+    assert len(rows) == len(closes) == 48
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == ROWS_DIGEST
 
@@ -88,7 +103,7 @@ def _payload(**changes):
     return {**run.as_payload(), **changes}
 
 
-def test_error_point_frees_its_switches(live_switches):
+def test_error_point_frees_its_switches(live_switches, closes):
     payload = _payload()
     scenario = payload["scenario"]
     payload["scenario"] = {
@@ -104,19 +119,19 @@ def test_error_point_frees_its_switches(live_switches):
     row = _run(payload)
     assert row["status"] == "error"
     assert row["error_type"] == "CapacityError"
-    assert len(live_switches) == 0
+    assert len(live_switches) == 0 and len(closes) == 1
 
 
-def test_event_budget_point_frees_its_switches(live_switches):
+def test_event_budget_point_frees_its_switches(live_switches, closes):
     row = _run(_payload(event_budget=500))
     assert row["status"] == "timeout"
     assert "event budget" in row["error"]
-    assert len(live_switches) == 0
+    assert len(live_switches) == 0 and len(closes) == 1
 
 
-def test_wall_clock_timeout_point_frees_its_switches(live_switches):
+def test_wall_clock_timeout_point_frees_its_switches(live_switches, closes):
     payload = _payload(timeout_s=0.05)
     payload["scenario"] = {**payload["scenario"], "duration_ms": 10_000}
     row = _run(payload)
     assert row["status"] == "timeout"
-    assert len(live_switches) == 0
+    assert len(live_switches) == 0 and len(closes) == 1

@@ -8,11 +8,15 @@ a run adds (the calendar, the clocks' rate listeners, the gPTP tree).
 The matrix covers the shipped example scenarios and a star with gPTP under
 drift, with preemption and with Qbv gating, each bare and watched by
 metrics, headroom probes and flow spans, built only and built and run.
+
+A failing case's traceback is itself cyclic garbage once pytest lets go
+of it, so the cases after a genuine failure fail too: read the first.
 """
 
 import gc
 import json
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -59,6 +63,18 @@ def _observers(watched: bool) -> dict:
     }
 
 
+def cyclic_garbage() -> Counter:
+    """``gc.collect()``, reporting what it found by type (empty: 0)."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        found = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    return found
+
+
 @pytest.fixture(scope="module")
 def quiet_heap():
     """Collector off; the heap the suite built so far frozen out of sight,
@@ -91,7 +107,7 @@ def test_dropped_testbed_leaves_no_cyclic_garbage(
     switch = weakref.ref(next(iter(testbed.switches.values())))
     del testbed, result, spec
     assert switch() is None
-    assert gc.collect() == 0
+    assert not cyclic_garbage()
 
 
 def test_closed_result_stays_readable(no_collector):
@@ -109,7 +125,7 @@ def test_closed_result_stays_readable(no_collector):
     switch = weakref.ref(next(iter(result.switches.values())))
     del result
     assert switch() is None
-    assert gc.collect() == 0
+    assert not cyclic_garbage()
 
 
 def test_close_twice_is_a_no_op():
