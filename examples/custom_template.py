@@ -61,10 +61,7 @@ def scenario_flows():
 
 
 def run(model):
-    """Run the scenario with the model's Egress Sched template in charge."""
-    template = next(
-        t for t in model.templates if isinstance(t, EgressSchedTemplate)
-    )
+    """Run the scenario with the model's templates in charge."""
     topology = ring_topology(
         switch_count=3, talkers=["talker0", "talker1"]
     )
@@ -73,7 +70,7 @@ def run(model):
         model.config,
         flows=scenario_flows(),
         slot_ns=SLOT_NS,
-        scheduler_factory=template.scheduler_factory,
+        templates=tuple(model.templates),
     ))
     return testbed.run(duration_ns=ms(40))
 

@@ -46,7 +46,7 @@ Quickstart::
 """
 
 from .campaign import Campaign, SweepSpec
-from .core.api import CustomizationAPI, SwitchBuilder
+from .core.api import CustomizationAPI
 from .core.bram import allocate as allocate_bram
 from .core.config import EntryWidths, SwitchConfig
 from .core.errors import (
@@ -103,7 +103,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CustomizationAPI",
-    "SwitchBuilder",
     "Campaign",
     "SweepSpec",
     "SwitchConfig",

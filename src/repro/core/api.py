@@ -13,27 +13,33 @@ or into Verilog parameters -- that binding happens later, in
 
 Example
 -------
->>> api = CustomizationAPI("ring-node")
->>> api.set_switch_tbl(unicast_size=1024, multicast_size=0)
->>> api.set_class_tbl(class_size=1024)
->>> api.set_meter_tbl(meter_size=1024)
->>> api.set_gate_tbl(gate_size=2, queue_num=8, port_num=1)
->>> api.set_cbs_tbl(cbs_map_size=3, cbs_size=3, port_num=1)
->>> api.set_queues(queue_depth=12, queue_num=8, port_num=1)
->>> api.set_buffers(buffer_num=96, port_num=1)
->>> config = api.build()
+Every call returns the API, so a complete customization reads as one
+chained expression:
+
+>>> config = (
+...     CustomizationAPI("ring-node")
+...     .set_switch_tbl(unicast_size=1024, multicast_size=0)
+...     .set_class_tbl(class_size=1024)
+...     .set_meter_tbl(meter_size=1024)
+...     .set_gate_tbl(gate_size=2, queue_num=8, port_num=1)
+...     .set_cbs_tbl(cbs_map_size=3, cbs_size=3, port_num=1)
+...     .set_queues(queue_depth=12, queue_num=8, port_num=1)
+...     .set_buffers(buffer_num=96, port_num=1)
+...     .build()
+... )
 >>> round(config.total_bram_kb)
 2106
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
+from . import presets
 from .config import EntryWidths, SwitchConfig
 from .errors import ConfigurationError, IncompleteCustomizationError
 
-__all__ = ["CustomizationAPI", "SwitchBuilder", "PROFILES"]
+__all__ = ["CustomizationAPI", "PROFILES"]
 
 _ALL_CALLS = frozenset(
     {
@@ -46,6 +52,17 @@ _ALL_CALLS = frozenset(
         "set_buffers",
     }
 )
+
+#: Named reference parameter sets accepted by
+#: :meth:`CustomizationAPI.apply_profile`.
+PROFILES: Dict[str, Callable[[], SwitchConfig]] = {
+    "bcm53154": presets.bcm53154_config,
+    "star": presets.star_config,
+    "linear": presets.linear_config,
+    "ring": presets.ring_config,
+    "table1_case1": presets.table1_case1,
+    "table1_case2": presets.table1_case2,
+}
 
 
 class CustomizationAPI:
@@ -67,7 +84,7 @@ class CustomizationAPI:
 
     # ------------------------------------------------------------ helpers
 
-    def _set(self, call: str, **values: int) -> None:
+    def _set(self, call: str, **values: int) -> "CustomizationAPI":
         for key, value in values.items():
             if key in self._params and self._params[key] != value:
                 raise ConfigurationError(
@@ -76,55 +93,56 @@ class CustomizationAPI:
                 )
             self._params[key] = value
         self._called.add(call)
+        return self
 
     # -------------------------------------------------- the seven Table II APIs
 
-    def set_switch_tbl(self, unicast_size: int, multicast_size: int) -> None:
+    def set_switch_tbl(self, unicast_size: int, multicast_size: int) -> "CustomizationAPI":
         """Set the size of the unicast table and multicast table."""
-        self._set(
+        return self._set(
             "set_switch_tbl",
             unicast_size=unicast_size,
             multicast_size=multicast_size,
         )
 
-    def set_class_tbl(self, class_size: int) -> None:
+    def set_class_tbl(self, class_size: int) -> "CustomizationAPI":
         """Set the size of the classification table."""
-        self._set("set_class_tbl", class_size=class_size)
+        return self._set("set_class_tbl", class_size=class_size)
 
-    def set_meter_tbl(self, meter_size: int) -> None:
+    def set_meter_tbl(self, meter_size: int) -> "CustomizationAPI":
         """Set the size of the meter table."""
-        self._set("set_meter_tbl", meter_size=meter_size)
+        return self._set("set_meter_tbl", meter_size=meter_size)
 
-    def set_gate_tbl(self, gate_size: int, queue_num: int, port_num: int) -> None:
+    def set_gate_tbl(self, gate_size: int, queue_num: int, port_num: int) -> "CustomizationAPI":
         """Set each gate table's size, queues per port, and port count."""
-        self._set(
+        return self._set(
             "set_gate_tbl",
             gate_size=gate_size,
             queue_num=queue_num,
             port_num=port_num,
         )
 
-    def set_cbs_tbl(self, cbs_map_size: int, cbs_size: int, port_num: int) -> None:
+    def set_cbs_tbl(self, cbs_map_size: int, cbs_size: int, port_num: int) -> "CustomizationAPI":
         """Set the CBS map table and CBS table sizes, and the port count."""
-        self._set(
+        return self._set(
             "set_cbs_tbl",
             cbs_map_size=cbs_map_size,
             cbs_size=cbs_size,
             port_num=port_num,
         )
 
-    def set_queues(self, queue_depth: int, queue_num: int, port_num: int) -> None:
+    def set_queues(self, queue_depth: int, queue_num: int, port_num: int) -> "CustomizationAPI":
         """Set per-queue depth, queues per port, and the port count."""
-        self._set(
+        return self._set(
             "set_queues",
             queue_depth=queue_depth,
             queue_num=queue_num,
             port_num=port_num,
         )
 
-    def set_buffers(self, buffer_num: int, port_num: int) -> None:
+    def set_buffers(self, buffer_num: int, port_num: int) -> "CustomizationAPI":
         """Set per-port packet buffer count and the port count."""
-        self._set("set_buffers", buffer_num=buffer_num, port_num=port_num)
+        return self._set("set_buffers", buffer_num=buffer_num, port_num=port_num)
 
     # ------------------------------------------------------------- build
 
@@ -171,135 +189,21 @@ class CustomizationAPI:
                 f"unknown profile {profile!r}; expected one of "
                 f"{sorted(PROFILES)}"
             ) from None
-        self.replay(preset())
-        return self
+        return self.replay(preset())
 
     def replay(self, config: SwitchConfig) -> "CustomizationAPI":
         """Feed an existing config's parameters through the seven APIs."""
-        self.set_switch_tbl(config.unicast_size, config.multicast_size)
-        self.set_class_tbl(config.class_size)
-        self.set_meter_tbl(config.meter_size)
-        self.set_gate_tbl(config.gate_size, config.queue_num, config.port_num)
-        self.set_cbs_tbl(config.cbs_map_size, config.cbs_size, config.port_num)
-        self.set_queues(config.queue_depth, config.queue_num, config.port_num)
-        self.set_buffers(config.buffer_num, config.port_num)
-        return self
+        return (
+            self.set_switch_tbl(config.unicast_size, config.multicast_size)
+            .set_class_tbl(config.class_size)
+            .set_meter_tbl(config.meter_size)
+            .set_gate_tbl(config.gate_size, config.queue_num, config.port_num)
+            .set_cbs_tbl(config.cbs_map_size, config.cbs_size, config.port_num)
+            .set_queues(config.queue_depth, config.queue_num, config.port_num)
+            .set_buffers(config.buffer_num, config.port_num)
+        )
 
     @classmethod
     def from_config(cls, config: SwitchConfig) -> "CustomizationAPI":
         """Replay an existing config through the API (useful for tweaking)."""
         return cls(config.name, widths=config.widths).replay(config)
-
-
-def _profiles() -> Dict[str, Callable[[], SwitchConfig]]:
-    # Imported lazily: presets imports config, not api, so this is safe,
-    # but keeping it out of module import time avoids a cycle if presets
-    # ever grows an api dependency.
-    from . import presets
-
-    return {
-        "bcm53154": presets.bcm53154_config,
-        "star": presets.star_config,
-        "linear": presets.linear_config,
-        "ring": presets.ring_config,
-        "table1_case1": presets.table1_case1,
-        "table1_case2": presets.table1_case2,
-    }
-
-
-class _ProfileRegistry(Mapping):
-    """Lazy name -> preset-factory mapping (defers the presets import)."""
-
-    def _table(self) -> Dict[str, Callable[[], SwitchConfig]]:
-        return _profiles()
-
-    def __getitem__(self, key: str) -> Callable[[], SwitchConfig]:
-        return self._table()[key]
-
-    def __iter__(self):
-        return iter(self._table())
-
-    def __len__(self) -> int:
-        return len(self._table())
-
-
-#: Named reference parameter sets accepted by
-#: :meth:`CustomizationAPI.apply_profile` and ``SwitchBuilder.profile``.
-PROFILES: Mapping = _ProfileRegistry()
-
-
-class SwitchBuilder:
-    """Fluent facade over :class:`CustomizationAPI`.
-
-    Every ``set_*`` call returns the builder, so a complete customization
-    reads as one chained expression; :meth:`build` raises a single
-    :class:`~repro.core.errors.IncompleteCustomizationError` naming all
-    missing calls at once.  The underlying :class:`CustomizationAPI` keeps
-    its original imperative surface untouched -- this class only forwards.
-
-    Example
-    -------
-    >>> config = (
-    ...     SwitchBuilder("ring-node")
-    ...     .set_switch_tbl(unicast_size=1024, multicast_size=0)
-    ...     .set_class_tbl(class_size=1024)
-    ...     .set_meter_tbl(meter_size=1024)
-    ...     .set_gate_tbl(gate_size=2, queue_num=8, port_num=1)
-    ...     .set_cbs_tbl(cbs_map_size=3, cbs_size=3, port_num=1)
-    ...     .set_queues(queue_depth=12, queue_num=8, port_num=1)
-    ...     .set_buffers(buffer_num=96, port_num=1)
-    ...     .build()
-    ... )
-    >>> round(config.total_bram_kb)
-    2106
-    """
-
-    def __init__(self, name: str = "switch", widths: Optional[EntryWidths] = None):
-        self._api = CustomizationAPI(name, widths=widths)
-
-    @property
-    def api(self) -> CustomizationAPI:
-        """The wrapped imperative API (escape hatch)."""
-        return self._api
-
-    @property
-    def missing_calls(self) -> Set[str]:
-        return self._api.missing_calls
-
-    # Each facade method forwards to the identically named Table II call.
-
-    def set_switch_tbl(self, unicast_size: int, multicast_size: int) -> "SwitchBuilder":
-        self._api.set_switch_tbl(unicast_size, multicast_size)
-        return self
-
-    def set_class_tbl(self, class_size: int) -> "SwitchBuilder":
-        self._api.set_class_tbl(class_size)
-        return self
-
-    def set_meter_tbl(self, meter_size: int) -> "SwitchBuilder":
-        self._api.set_meter_tbl(meter_size)
-        return self
-
-    def set_gate_tbl(self, gate_size: int, queue_num: int, port_num: int) -> "SwitchBuilder":
-        self._api.set_gate_tbl(gate_size, queue_num, port_num)
-        return self
-
-    def set_cbs_tbl(self, cbs_map_size: int, cbs_size: int, port_num: int) -> "SwitchBuilder":
-        self._api.set_cbs_tbl(cbs_map_size, cbs_size, port_num)
-        return self
-
-    def set_queues(self, queue_depth: int, queue_num: int, port_num: int) -> "SwitchBuilder":
-        self._api.set_queues(queue_depth, queue_num, port_num)
-        return self
-
-    def set_buffers(self, buffer_num: int, port_num: int) -> "SwitchBuilder":
-        self._api.set_buffers(buffer_num, port_num)
-        return self
-
-    def profile(self, name: str) -> "SwitchBuilder":
-        """Apply a named reference profile (see :data:`PROFILES`)."""
-        self._api.apply_profile(name)
-        return self
-
-    def build(self) -> SwitchConfig:
-        return self._api.build()

@@ -8,25 +8,31 @@ The developer workflow reproduces paper Section III.C:
    :class:`~repro.core.api.CustomizationAPI` (or hand a finished
    :class:`~repro.core.config.SwitchConfig`, e.g. one derived by the
    :mod:`~repro.core.sizing` guidelines);
-3. ``synthesize()`` -- validate template coverage and parameters, and get a
-   :class:`SwitchModel` bound to a platform backend.
+3. ``synthesize()`` -- check template coverage and get a
+   :class:`SwitchModel` bound to a platform backend (``customize()``
+   already validated the parameters).
 
 The model is the platform-independence boundary: the same ``SwitchModel``
 can ``instantiate()`` a behavioural :class:`~repro.switch.device.TsnSwitch`
 for the simulation testbed, or ``emit_verilog()`` the parameterized RTL of
 the five templates (what the FPGA flow would synthesize).
+``instantiate()`` is the only place a ``TsnSwitch`` is built for a
+testbed: :class:`~repro.network.testbed.Testbed` synthesizes one model per
+distinct port count and instantiates every node from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
+
+from repro.switch.device import TsnSwitch
 
 from .api import CustomizationAPI
 from .config import SwitchConfig
 from .errors import SynthesisError
-from .resources import ResourceReport
+from .resources import Component, ResourceReport
 from .templates import (
     FunctionTemplate,
     check_complete,
@@ -62,27 +68,33 @@ class SwitchModel:
             for template in self.templates
         }
 
+    def __post_init__(self) -> None:
+        # Resolved once: every switch this model instantiates arbitrates
+        # through the Egress Sched template's factory.
+        by_component = {t.component: t for t in self.templates}
+        self._scheduler_factory = by_component[
+            Component.EGRESS_SCHED
+        ].scheduler_factory
+
     # ----------------------------------------------------------- sim backend
 
-    def instantiate(self, sim, **kwargs):
+    def instantiate(
+        self, sim, name: Optional[str] = None, **kwargs
+    ) -> TsnSwitch:
         """Build the behavioural switch for the simulation platform.
 
         The Egress Sched template supplies the per-port scheduler factory,
         so replacing that template changes the arbitration logic of every
-        instantiated switch.  Extra keyword arguments pass through to
+        instantiated switch.  *name* renames the switch and its config (a
+        testbed node); extra keyword arguments pass through to
         :class:`~repro.switch.device.TsnSwitch` (rate, clock, tracer, ...).
         """
-        from repro.core.resources import Component  # late: layering
-        from repro.switch.device import TsnSwitch
-
-        for template in self.templates:
-            if template.component is Component.EGRESS_SCHED and hasattr(
-                template, "scheduler_factory"
-            ):
-                kwargs.setdefault(
-                    "scheduler_factory", template.scheduler_factory
-                )
-        return TsnSwitch(sim, self.config, **kwargs)
+        config = self.config if name is None else self.config.with_updates(
+            name=name
+        )
+        return TsnSwitch(
+            sim, config, scheduler_factory=self._scheduler_factory, **kwargs
+        )
 
     # ----------------------------------------------------------- rtl backend
 
@@ -143,14 +155,15 @@ class TSNBuilder:
     # --------------------------------------------------------------- synthesis
 
     def synthesize(self) -> SwitchModel:
-        """Validate everything and freeze the switch model."""
+        """Check template coverage and freeze the switch model.
+
+        The config was validated when :meth:`customize` injected it.
+        """
         if self._config is None:
             raise SynthesisError(
                 "no resource configuration injected; call customize() first"
             )
         check_complete(self._templates)
-        for template in self._templates:
-            template.validate(self._config)
         return SwitchModel(
             config=self._config,
             templates=list(self._templates),

@@ -27,8 +27,8 @@ class IncompleteCustomizationError(ConfigurationError):
     """``build()`` was called before every mandatory resource was specified.
 
     Carries the full set of missing Table II calls in :attr:`missing_calls`
-    so tooling (and the fluent :class:`~repro.core.api.SwitchBuilder`) can
-    report every omission at once instead of one per attempt.
+    so tooling (and a chained :class:`~repro.core.api.CustomizationAPI`)
+    can report every omission at once instead of one per attempt.
     """
 
     def __init__(self, name: str, missing_calls):

@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Type
 
+from repro.switch.scheduler import StrictPriorityScheduler
+
 from .config import SwitchConfig
 from .errors import SynthesisError
 from .resources import (
@@ -79,10 +81,6 @@ class FunctionTemplate:
     def parameters(self, config: SwitchConfig) -> Dict[str, int]:
         """The injected resource parameters this template consumes."""
         return {}
-
-    def validate(self, config: SwitchConfig) -> None:
-        """Template-specific consistency checks beyond config.validate()."""
-        config.validate()
 
 
 class TimeSyncTemplate(FunctionTemplate):
@@ -172,7 +170,8 @@ class EgressSchedTemplate(FunctionTemplate):
     Subclass and override :meth:`scheduler_factory` to swap the arbitration
     logic (e.g. deficit round robin below the TS queues) while keeping the
     CBS resource parameters -- the "replace a template, reuse the rest"
-    workflow of the paper's developing model.
+    workflow of the paper's developing model.  A run picks the set up as
+    ``RunPlan(templates=...)``.
     """
 
     def __init__(self) -> None:
@@ -189,10 +188,8 @@ class EgressSchedTemplate(FunctionTemplate):
             "port_num": config.port_num,
         }
 
-    def scheduler_factory(self):
+    def scheduler_factory(self) -> StrictPriorityScheduler:
         """Build one port's egress arbiter (called per port at elaboration)."""
-        from repro.switch.scheduler import StrictPriorityScheduler
-
         return StrictPriorityScheduler()
 
 

@@ -146,13 +146,14 @@ def check_deployment(
              "queues can reference (guideline 4 sizes buffers = depth x "
              "queues)")
 
-    # --- deadlines (Eq. 1)
+    # --- deadlines (Eq. 1), each flow at the slot of the CQF system the
+    # plan put it on (Multi-CQF runs a second system at a longer slot)
     if topology is not None:
         for flow in ts_flows:
             if flow.deadline_ns is None:
                 continue
             hops = topology.hops(flow.src, flow.dst)
-            worst = cqf_bounds(hops, slot_ns).max_ns
+            worst = cqf_bounds(hops, plan.slot_ns_of(flow.flow_id)).max_ns
             if gate_mechanism == "cqf" and worst > flow.deadline_ns:
                 error("deadline",
                       f"flow {flow.flow_id}: Eq.(1) worst case {worst}ns "

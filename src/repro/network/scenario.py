@@ -142,11 +142,12 @@ _FLOWS = Table((
 
 
 #: RunPlan fields the spec threads itself, or that take objects no
-#: document can spell (default ``None``); every other field is a legal
-#: pass-through "extra" held to the kind of its default.
+#: document can spell (``templates``, and those defaulting to ``None``);
+#: every other field is a legal pass-through "extra" held to the kind of
+#: its default.
 _NOT_EXTRA = frozenset({
     "topology", "config", "flows", "slot_ns", "seed", "gate_mechanism",
-    "injection_phase", "sched",
+    "injection_phase", "sched", "templates",
 }) | {f.name for f in fields(RunPlan) if f.default is None}
 _EXTRAS = fields_table(RunPlan, exclude=_NOT_EXTRA)
 _RUN = {f.name: f for f in fields_table(RunPlan).fields}

@@ -3,9 +3,9 @@
 :class:`Testbed` reproduces the paper's experiment workflow end to end
 for one :class:`RunPlan` (topology, config, flows, knobs, schedule plan):
 
-1. instantiate one customized :class:`~repro.switch.device.TsnSwitch` per
-   topology node (same :class:`~repro.core.config.SwitchConfig`, per-node
-   port count);
+1. synthesize one :class:`~repro.core.builder.SwitchModel` per distinct
+   port count from the plan's templates and config, and instantiate one
+   :class:`~repro.switch.device.TsnSwitch` per topology node from it;
 2. wire trunk links, talker uplinks and the listener attachment;
 3. program the control plane along every flow's path: per-flow VLAN ids,
    classification + unicast entries, token-bucket meters, CQF gate control
@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
+from repro.core.builder import SwitchModel, TSNBuilder
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigurationError, TopologyError
+from repro.core.templates import FunctionTemplate, default_template_set
 from repro.core.units import GIGABIT, ms, serialization_ns, wire_bytes
 from repro.cqf.gcl_gen import (
     DEFAULT_TS_QUEUE_PAIR,
@@ -274,7 +276,11 @@ class RunPlan:
     # The scheduling policy: backend + shaper + objective.  The
     # unplanned ablation is ``SchedPolicy(backend="unplanned")``.
     sched: SchedPolicy = field(default_factory=SchedPolicy)
-    scheduler_factory: Optional[Callable] = None
+    # The function templates every switch is synthesized from; replacing
+    # the Egress Sched template swaps the arbitration logic.
+    templates: Tuple[FunctionTemplate, ...] = field(
+        default_factory=lambda: tuple(default_template_set())
+    )
     shared_buffers: bool = described(False, doc="one buffer pool per switch")
     preemption_enabled: bool = described(False, doc="802.1Qbu preemption")
     clock_drift_ppm: float = described(0.0, doc="drift drawn in [-x, x]")
@@ -420,6 +426,7 @@ class Testbed:
         )
 
         self.switches: Dict[str, TsnSwitch] = {}
+        self.models: Dict[int, SwitchModel] = {}
         self.hosts: Dict[str, Host] = {}
         self.links: List[Link] = []
         self._listener_ports: Dict[Tuple[str, str], int] = {}
@@ -519,6 +526,10 @@ class Testbed:
     def _create_switches(self) -> None:
         """Instantiate one customized switch per topology node.
 
+        Every switch comes out of :meth:`SwitchModel.instantiate`; one
+        model is synthesized per distinct enabled-port count (kept in
+        :attr:`models`) and renamed per node.
+
         With ``clock_drift_ppm`` set, every switch (except the first, which
         acts as gPTP grandmaster and time source) gets a drifting, offset
         local clock; gate schedules then only stay network-aligned if gPTP
@@ -529,7 +540,12 @@ class Testbed:
         for index, (name, ports) in enumerate(
             self.topology.switch_ports.items()
         ):
-            per_node = self.base_config.with_updates(name=name, port_num=ports)
+            model = self.models.get(ports)
+            if model is None:
+                builder = TSNBuilder()
+                builder.use_templates(plan.templates)
+                builder.customize(self.base_config.with_updates(port_num=ports))
+                model = self.models[ports] = builder.synthesize()
             clock = None
             if plan.clock_drift_ppm or plan.clock_offset_spread_ns:
                 is_grandmaster = index == 0
@@ -552,12 +568,11 @@ class Testbed:
                         )
                     ),
                 )
-            self.switches[name] = TsnSwitch(
+            self.switches[name] = model.instantiate(
                 self.sim,
-                per_node,
+                name,
                 rate_bps=plan.rate_bps,
                 clock=clock,
-                scheduler_factory=plan.scheduler_factory,
                 shared_buffers=plan.shared_buffers,
                 preemption_enabled=plan.preemption_enabled,
                 express_queues=tuple(
@@ -567,7 +582,6 @@ class Testbed:
                 metrics=self.metrics,
                 spans=self.spans,
                 headroom=self.headroom,
-                name=name,
             )
         if plan.enable_gptp:
             self._build_sync_domain()

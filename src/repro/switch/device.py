@@ -88,8 +88,8 @@ class TsnSwitch:
         self.clock = clock or LocalClock(sim)
         self.processing_delay_ns = processing_delay_ns
         # One fresh arbiter per port; default is the paper's strict
-        # priority.  The Egress Sched template's factory lands here when
-        # instantiating through SwitchModel.
+        # priority.  SwitchModel.instantiate, which builds every testbed
+        # switch, passes its Egress Sched template's factory here.
         self._scheduler_factory = scheduler_factory or StrictPriorityScheduler
         # Buffer organization: the paper allocates an exclusive pool per
         # enabled port (Table III's buffer row scales with ports); the

@@ -96,12 +96,10 @@ class TestFromConfig:
             api.set_queues(queue_depth=16, queue_num=8, port_num=2)
 
 
-class TestSwitchBuilder:
+class TestChainedCustomization:
     def test_chained_build_matches_imperative(self):
-        from repro.core.api import SwitchBuilder
-
         config = (
-            SwitchBuilder("ring-node")
+            CustomizationAPI("ring-node")
             .set_switch_tbl(unicast_size=1024, multicast_size=0)
             .set_class_tbl(class_size=1024)
             .set_meter_tbl(meter_size=1024)
@@ -113,20 +111,22 @@ class TestSwitchBuilder:
         )
         assert config == _complete_api("ring-node").build()
 
-    def test_every_setter_returns_the_builder(self):
-        from repro.core.api import SwitchBuilder
-
-        builder = SwitchBuilder()
-        assert builder.set_class_tbl(16) is builder
-        assert builder.set_meter_tbl(16) is builder
+    def test_every_setter_returns_self(self):
+        api = CustomizationAPI()
+        assert api.set_switch_tbl(16, 0) is api
+        assert api.set_class_tbl(16) is api
+        assert api.set_meter_tbl(16) is api
+        assert api.set_gate_tbl(2, 8, 1) is api
+        assert api.set_cbs_tbl(3, 3, 1) is api
+        assert api.set_queues(12, 8, 1) is api
+        assert api.set_buffers(96, 1) is api
 
     def test_incomplete_build_names_all_missing_calls(self):
-        from repro.core.api import SwitchBuilder
         from repro.core.errors import IncompleteCustomizationError
 
-        builder = SwitchBuilder("partial").set_class_tbl(16)
+        api = CustomizationAPI("partial").set_class_tbl(16)
         with pytest.raises(IncompleteCustomizationError) as excinfo:
-            builder.build()
+            api.build()
         missing = excinfo.value.missing_calls
         assert missing == {
             "set_switch_tbl", "set_meter_tbl", "set_gate_tbl",
@@ -138,26 +138,14 @@ class TestSwitchBuilder:
         assert excinfo.value.switch_name == "partial"
 
     def test_structured_error_is_a_configuration_error(self):
-        from repro.core.errors import (
-            ConfigurationError,
-            IncompleteCustomizationError,
-        )
+        from repro.core.errors import IncompleteCustomizationError
 
         assert issubclass(IncompleteCustomizationError, ConfigurationError)
 
-    def test_consistency_still_enforced_through_facade(self):
-        from repro.core.api import SwitchBuilder
-
-        builder = SwitchBuilder().set_gate_tbl(2, 8, 1)
+    def test_consistency_enforced_through_chain(self):
+        api = CustomizationAPI().set_gate_tbl(2, 8, 1)
         with pytest.raises(ConfigurationError, match="port_num"):
-            builder.set_buffers(96, 2)
-
-    def test_escape_hatch_exposes_wrapped_api(self):
-        from repro.core.api import SwitchBuilder
-
-        builder = SwitchBuilder("x")
-        assert isinstance(builder.api, CustomizationAPI)
-        assert builder.missing_calls == builder.api.missing_calls
+            api.set_queues(12, 8, 1).set_buffers(96, 2)
 
 
 class TestApplyProfile:
@@ -189,8 +177,5 @@ class TestApplyProfile:
             api.apply_profile("ring")
 
     def test_builder_profile_shortcut(self):
-        from repro.core.api import SwitchBuilder
-        from repro.core.presets import ring_config
-
-        config = SwitchBuilder("x").profile("ring").build()
+        config = CustomizationAPI("x").apply_profile("ring").build()
         assert config.total_bram_kb == ring_config().total_bram_kb

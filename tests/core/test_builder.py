@@ -7,8 +7,12 @@ from repro.core.builder import PLATFORMS, SwitchModel, TSNBuilder
 from repro.core.errors import SynthesisError
 from repro.core.presets import ring_config, star_config
 from repro.core.resources import Component
-from repro.core.templates import GateCtrlTemplate
+from repro.core.templates import EgressSchedTemplate, GateCtrlTemplate
 from repro.sim.kernel import Simulator
+from repro.switch.scheduler import (
+    DeficitRoundRobinScheduler,
+    StrictPriorityScheduler,
+)
 
 
 class TestTSNBuilder:
@@ -85,6 +89,36 @@ class TestSwitchModel:
         sim = Simulator()
         switch = self._model().instantiate(sim, rate_bps=100_000_000)
         assert switch.rate_bps == 100_000_000
+
+    def test_instantiate_names_the_switch_and_its_config(self):
+        model = self._model()
+        switch = model.instantiate(Simulator(), "sw3")
+        assert switch.name == switch.config.name == "sw3"
+        assert switch.config == model.config.with_updates(name="sw3")
+        # the model's own config is untouched
+        assert model.config == ring_config()
+
+    def test_egress_sched_template_arbitrates_every_port(self):
+        class Drr(EgressSchedTemplate):
+            def scheduler_factory(self):
+                return DeficitRoundRobinScheduler(weights={0: 1})
+
+        builder = TSNBuilder()
+        builder.replace_template(Drr())
+        builder.customize(star_config())
+        switch = builder.synthesize().instantiate(Simulator())
+        schedulers = [port.scheduler for port in switch.ports]
+        assert len(schedulers) == 3
+        assert all(isinstance(s, DeficitRoundRobinScheduler)
+                   for s in schedulers)
+        # one fresh arbiter per port
+        assert len({id(s) for s in schedulers}) == 3
+
+    def test_a_callers_scheduler_factory_cannot_override_the_template(self):
+        with pytest.raises(TypeError, match="scheduler_factory"):
+            self._model().instantiate(
+                Simulator(), scheduler_factory=StrictPriorityScheduler
+            )
 
     def test_emit_verilog(self, tmp_path):
         files = self._model().emit_verilog(tmp_path)

@@ -6,6 +6,7 @@ from repro.core.presets import customized_config, ring_config
 from repro.core.units import ms
 from repro.core.validation import Severity, check_deployment
 from repro.network.topology import ring_topology
+from repro.sched import SchedPolicy
 from repro.traffic.flows import FlowSet, FlowSpec, TrafficClass
 from repro.traffic.iec60802 import background_flows, production_cell_flows
 
@@ -134,6 +135,23 @@ class TestScheduleChecks:
             SLOT,
         )
         assert any(v.subject == "deadline" for v in _errors(violations))
+
+    def test_multi_cqf_deadline_judged_at_the_flows_slot(self):
+        # 375us sits between the Eq. (1) bound at the base slot, (3+1) x
+        # 62.5us = 250us, and the one at the slot2 system Multi-CQF plans
+        # these flows on, (3+1) x 125us = 500us.
+        flows = FlowSet(
+            [FlowSpec(i, TrafficClass.TS, "t0", "listener", 64,
+                      period_ns=ms(1), deadline_ns=375_000)
+             for i in range(8)]
+        )
+        violations = check_deployment(
+            customized_config(1, flow_count=64), _topo(), flows, SLOT,
+            sched=SchedPolicy(shaper="multi_cqf"),
+        )
+        deadlines = [v for v in _errors(violations) if v.subject == "deadline"]
+        assert len(deadlines) == 8
+        assert "500000ns" in deadlines[0].message
 
     def test_unaligned_slot_flagged(self):
         violations = check_deployment(

@@ -242,7 +242,8 @@ class TestStrictValidation:
         ("ts_queue_pair", "7,6"),
         ("ts_queue_pair", [6, 7, 5]),
         ("ts_queue_pair", [6, True]),
-        # objects no document can spell, and the knob that no longer exists
+        # objects no document can spell, and the knobs that no longer exist
+        ("templates", "drr"),
         ("scheduler_factory", "drr"),
         ("gptp_config", {"sync_interval_ns": 1000}),
         ("gate_events", "flip"),

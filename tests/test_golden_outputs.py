@@ -34,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.templates import EgressSchedTemplate, default_template_set
 from repro.network.scenario import ScenarioSpec
 from repro.sim.trace import Tracer
 from repro.switch.packet import reset_frame_ids
@@ -163,8 +164,17 @@ PLAIN = {
 }
 
 
-def _drr_factory():
-    return DeficitRoundRobinScheduler(weights={5: 2, 4: 2, 3: 2, 0: 1})
+class _DrrEgressSched(EgressSchedTemplate):
+    """Deficit round robin below the TS queues (the ``ring_drr`` row)."""
+
+    def scheduler_factory(self):
+        return DeficitRoundRobinScheduler(weights={5: 2, 4: 2, 3: 2, 0: 1})
+
+
+_DRR_TEMPLATES = tuple(
+    t for t in default_template_set()
+    if not isinstance(t, EgressSchedTemplate)
+) + (_DrrEgressSched(),)
 
 
 def _sha(value) -> str:
@@ -224,7 +234,7 @@ def _run(label: str, gate_traced: bool):
     reset_frame_ids()
     spec = ScenarioSpec.from_dict(SCENARIOS[label])
     if label == "ring_drr":
-        spec.extras["scheduler_factory"] = _drr_factory
+        spec.extras["templates"] = _DRR_TEMPLATES
     tracer = Tracer()
     if not gate_traced:
         tracer.disable("gate")
