@@ -63,31 +63,41 @@ class PortInstruments:
         self._gate_flips = gate_flips
         self._drops = drops
 
+    # Gauge and counter fields are written here directly (what
+    # ``GaugeSeries.set`` / ``CounterSeries.inc`` do): one call per event.
+
     def on_enqueue(self, queue_id: int, occupancy: int) -> None:
         series = self._queue_depth.get(queue_id)
         if series is not None:
-            series.set(occupancy)
+            series.value = occupancy
+            if occupancy > series.high_water:
+                series.high_water = occupancy
 
     def on_dequeue(self, queue_id: int, occupancy: int,
                    residence_ns: int) -> None:
         series = self._queue_depth.get(queue_id)
         if series is not None:
-            series.set(occupancy)
+            series.value = occupancy
+            if occupancy > series.high_water:
+                series.high_water = occupancy
         histogram = self._residence.get(queue_id)
         if histogram is not None:
             histogram.observe(residence_ns)
 
     def on_buffer(self, in_use: int) -> None:
-        self._buffer.set(in_use)
+        series = self._buffer
+        series.value = in_use
+        if in_use > series.high_water:
+            series.high_water = in_use
 
     def on_transmitted(self) -> None:
-        self._transmitted.inc()
+        self._transmitted.value += 1
 
     def on_gate_flip(self, direction: str) -> None:
-        self._gate_flips[direction].inc()
+        self._gate_flips[direction].value += 1
 
     def on_drop(self, reason: str) -> None:
-        self._drops[reason].inc()
+        self._drops[reason].value += 1
 
 
 class SwitchInstruments:
@@ -131,13 +141,13 @@ class SwitchInstruments:
     # --------------------------------------------------------- switch level
 
     def on_received(self) -> None:
-        self._received.inc()
+        self._received.value += 1
 
     def on_forwarded(self) -> None:
-        self._forwarded.inc()
+        self._forwarded.value += 1
 
     def on_meter(self, conformed: bool) -> None:
-        (self._conform if conformed else self._violate).inc()
+        (self._conform if conformed else self._violate).value += 1
 
     def _drop(self, reason: str) -> CounterSeries:
         series = self._drop_series.get(reason)
@@ -148,7 +158,7 @@ class SwitchInstruments:
         return series
 
     def on_drop(self, reason: str) -> None:
-        self._drop(reason).inc()
+        self._drop(reason).value += 1
 
     # ----------------------------------------------------------- port level
 

@@ -19,6 +19,7 @@ multi-millisecond CQF slot waits.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -120,21 +121,15 @@ class HistogramSeries:
         self.max: Optional[int] = None
 
     def observe(self, value: int) -> None:
-        index = self._bucket_index(value)
-        self.bucket_counts[index] += 1
+        # The first bucket whose bound is >= value; past the last bound,
+        # the overflow bucket.
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.sum += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    def _bucket_index(self, value: int) -> int:
-        # Buckets are few (tens); bisect would win only at hundreds.
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                return index
-        return len(self.bounds)
 
     @property
     def mean(self) -> float:
