@@ -10,6 +10,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    HistogramSeries,
     MetricsRegistry,
     log_buckets,
 )
@@ -216,6 +217,31 @@ class TestHistogram:
             Histogram("h", buckets=(10, 5))
         with pytest.raises(ConfigurationError):
             Histogram("h", buckets=())
+
+
+def _scan_bucket(bounds, value):
+    """The linear scan ``HistogramSeries`` placed observations with."""
+    for index, bound in enumerate(bounds):
+        if value <= bound:
+            return index
+    return len(bounds)
+
+
+class TestBucketPlacement:
+    @pytest.mark.parametrize("bounds", [
+        DEFAULT_LATENCY_BUCKETS_NS, (1, 2, 3), (5,), (10, 100, 1000, 10**6),
+    ])
+    def test_every_value_lands_where_the_scan_put_it(self, bounds):
+        values = {0, -1, bounds[-1] + 1, bounds[-1] * 2, 10**15}
+        for bound in bounds:
+            values |= {bound - 1, bound, bound + 1}
+        for value in sorted(values):
+            series = HistogramSeries(bounds)
+            series.observe(value)
+            assert series.bucket_counts.index(1) == _scan_bucket(
+                bounds, value
+            ), value
+            assert sum(series.bucket_counts) == 1
 
 
 class TestMetricsRegistry:

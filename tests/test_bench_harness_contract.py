@@ -63,6 +63,13 @@ def test_layer_entry_points_exist_and_a_run_is_attributed(spans):
     # repro.switch.port at GATE_EVENT_PRIORITY: that is how the harness
     # tells the two apart.
     assert {"gates.flip", "port.gate_wake", "gates.query"} <= set(log.names)
+    # Posted actions are attributed by the module that defines them: a
+    # ``functools.partial`` or an action moved to another module would
+    # silently turn hop time into ``other.event``.
+    assert {"link.arrive", "ingress.process", "port.tx_event"} <= set(
+        log.names
+    )
+    assert "other.event" not in log.names
     # What e2e_workloads.py reads off a finished run.
     assert hasattr(testbed, "batch") and testbed.batch is None
     assert testbed.sim.backend == "py"
