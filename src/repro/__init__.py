@@ -70,10 +70,10 @@ from .core.presets import (
 from .core.optimizer import optimize
 from .core.resources import ResourceReport
 from .core.sizing import derive_config
-from .core.validation import check_deployment
 from .cqf.bounds import CqfBounds, cqf_bounds
 from .cqf.schedule import CqfSchedule
 from .faults import FaultInjector, FaultPlan, FaultReport
+from .network.program import check_deployment
 from .network.scenario import ScenarioSpec
 from .sched import (
     SchedPolicy,

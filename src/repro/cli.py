@@ -499,19 +499,17 @@ def _cmd_emit_rtl(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = ScenarioSpec.from_file(args.scenario, strict=not args.no_strict)
     if args.check:
-        from repro.core.validation import Severity, check_deployment
+        from repro.core.errors import InfeasiblePlanError, SlotError
+        from repro.network.program import Severity, Violation, \
+            check_deployment
 
-        topology = spec.build_topology()
-        flows = spec.build_flows()
-        config = spec.build_config(topology, flows)
-        # Judge the plan the run will use: its policy and line rate.
-        violations = check_deployment(
-            config, topology, flows, spec.slot_ns,
-            gate_mechanism=spec.gate_mechanism,
-            aggregate_routes=bool(spec.extras.get("aggregate_routes")),
-            rate_bps=spec.rate_bps,
-            sched=spec.build_run_policy(),
-        )
+        try:  # the RunPlan the run would use, planned once
+            violations = check_deployment(spec.build_run_plan())
+        except (SlotError, InfeasiblePlanError) as exc:
+            # No plan to judge: the flows cannot be slotted, or a derived
+            # config cannot be sized from an infeasible plan.
+            subject = "slotting" if isinstance(exc, SlotError) else "itp"
+            violations = [Violation(Severity.ERROR, subject, str(exc))]
         for violation in violations:
             print(violation)
         errors = [v for v in violations

@@ -81,6 +81,14 @@ class SchedulingError(TsnBuilderError):
     """
 
 
+class SlotError(SchedulingError):
+    """The flows' periods cannot be slotted at the chosen slot size."""
+
+
+class InfeasiblePlanError(SchedulingError):
+    """A schedule plan is infeasible (``raise_if_infeasible``)."""
+
+
 class SimulationError(TsnBuilderError):
     """The discrete-event simulator was driven into an invalid state.
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.errors import SchedulingError
+from repro.core.errors import SchedulingError, SlotError
 
 __all__ = ["CqfSchedule", "scheduling_cycle_ns", "slots_in_cycle"]
 
@@ -55,7 +55,7 @@ def slots_in_cycle(cycle_ns: int, slot_ns: int) -> int:
     if slot_ns <= 0:
         raise SchedulingError(f"slot size must be positive, got {slot_ns}")
     if cycle_ns % slot_ns:
-        raise SchedulingError(
+        raise SlotError(
             f"slot {slot_ns}ns does not divide scheduling cycle {cycle_ns}ns"
         )
     return cycle_ns // slot_ns
@@ -80,7 +80,7 @@ class CqfSchedule:
         """Slot the LCM cycle of *periods_ns* into *slot_ns* slots."""
         cycle = scheduling_cycle_ns(periods_ns)
         if cycle % slot_ns:
-            raise SchedulingError(
+            raise SlotError(
                 f"slot {slot_ns}ns does not divide the flows' scheduling "
                 f"cycle {cycle}ns -- pick a slot that divides every period"
             )

@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.units import GIGABIT
-from repro.traffic.flows import FlowSet, FlowSpec, TrafficClass
+from repro.traffic.flows import FlowSet, TrafficClass
+from .program import HopResolver
 
 __all__ = ["AdmissionVerdict", "AdmissionReport", "admit_flows"]
 
@@ -111,16 +112,7 @@ def admit_flows(
     budget_per_port = int(rc_limit * (1.0 - ts_utilization) * rate_bps)
     report = AdmissionReport()
 
-    def hop_ports(flow: FlowSpec) -> List[Tuple[str, int]]:
-        path = topology.switch_path(flow.src, flow.dst)
-        ports = list(topology.egress_ports_on_path(path))
-        last = path[-1]
-        for attachment in topology.attachments:
-            if attachment.host == flow.dst and attachment.switch == last:
-                ports.append((attachment.switch, attachment.port))
-                break
-        return ports
-
+    hop_ports = HopResolver(topology)
     for flow in flows.by_class(TrafficClass.RC):
         reservation = int(flow.effective_rate_bps * reservation_margin)
         hops = hop_ports(flow)

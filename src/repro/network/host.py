@@ -29,18 +29,23 @@ from repro.switch.queueing import BufferPool, MetadataQueue
 from repro.switch.scheduler import StrictPriorityScheduler
 from repro.switch.tables import GateControlList, GateEntry
 
-__all__ = ["Host"]
+__all__ = ["Host", "host_mac"]
 
 #: Host queues hold DRAM descriptors; deep enough never to tail-drop.
 _HOST_QUEUE_DEPTH = 16384
 _HOST_BUFFERS = 32768
 
 
+def host_mac(index: int) -> MacAddress:
+    """The MAC of the host numbered *index* within its network."""
+    return make_mac(0x8000 + index)
+
+
 class Host:
     """One end device with a single NIC.
 
     *index* numbers the host within its network and fixes its MAC
-    (``make_mac(0x8000 + index)``); a :class:`~repro.network.testbed.Testbed`
+    (:func:`host_mac`); a :class:`~repro.network.testbed.Testbed`
     passes each host its position, so a scenario's MACs do not depend on
     what the process built before.  A standalone host takes the next
     number of a per-process counter instead.
@@ -65,7 +70,7 @@ class Host:
         if index is None:
             index = Host._next_index
             Host._next_index += 1
-        self.mac: MacAddress = make_mac(0x8000 + index)
+        self.mac: MacAddress = host_mac(index)
         self.clock = clock or LocalClock(sim)
         self.counters = SwitchCounters()
         self.on_receive: Optional[Callable[[EthernetFrame], None]] = None

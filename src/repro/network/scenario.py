@@ -47,7 +47,8 @@ from repro.sched.policy import SCHED, SchedPolicy
 from repro.traffic.flows import FlowSet
 from repro.traffic.iec60802 import TS_SIZE_CHOICES, background_flows, \
     production_cell_flows
-from .testbed import USABLE_VIDS, RunPlan, ScenarioResult, Testbed
+from .program import USABLE_VIDS
+from .testbed import RunPlan, ScenarioResult, Testbed
 from .topology import (
     TopologySpec,
     dual_path_topology,
@@ -423,18 +424,13 @@ class ScenarioSpec:
             backend="greedy" if self.use_itp else "unplanned"
         )
 
-    def build_testbed(
-        self, slo_policy: Optional[SloPolicy] = None, **observers
-    ) -> Testbed:
-        """Plan once, size, and instantiate the testbed with *observers*.
+    def build_run_plan(self) -> RunPlan:
+        """The :class:`RunPlan` ``repro simulate`` and its ``--check`` use.
 
-        The run policy plans at the run's line rate and a derived config
+        The run policy plans once, at the run's line rate, and a derived config
         is sized from that same plan -- unless a ``use_itp: false``
         document without a ``"sched"`` stanza sizes by greedy ITP but runs
-        unplanned (the DESIGN.md ablation).  *observers* are
-        :class:`Testbed` keywords (the hooks behind ``repro simulate
-        --metrics`` / ``--chrome-trace`` / ``--flow-spans`` /
-        ``--headroom``); *slo_policy* overrides the ``"slo"`` stanza.
+        unplanned (the DESIGN.md ablation).
         """
         from repro.sched import plan_flows
 
@@ -450,14 +446,21 @@ class ScenarioSpec:
             topology, flows,
             plan=plan if self.sched is not None or self.use_itp else None,
         )
-        run_plan = RunPlan(
+        return RunPlan(
             topology, config, flows, slot_ns=self.slot_ns, seed=self.seed,
             gate_mechanism=self.gate_mechanism, sched=policy,
             injection_phase=self.injection_phase, sched_plan=plan,
             **self.extras,
         )
+
+    def build_testbed(
+        self, slo_policy: Optional[SloPolicy] = None, **observers
+    ) -> Testbed:
+        """The testbed of :meth:`build_run_plan` with *observers*, the
+        :class:`Testbed` keywords behind ``repro simulate --metrics`` etc.;
+        *slo_policy* overrides the ``"slo"`` stanza."""
         return Testbed(
-            run_plan,
+            self.build_run_plan(),
             slo_policy=slo_policy or self.build_slo_policy(),
             fault_plan=self.build_fault_plan(),
             **observers,

@@ -7,9 +7,11 @@ for one :class:`RunPlan` (topology, config, flows, knobs, schedule plan):
    port count from the plan's templates and config, and instantiate one
    :class:`~repro.switch.device.TsnSwitch` per topology node from it;
 2. wire trunk links, talker uplinks and the listener attachment;
-3. program the control plane along every flow's path: per-flow VLAN ids,
-   classification + unicast entries, token-bucket meters, CQF gate control
-   lists, CBS reservations for the RC queues;
+3. install the plan's per-switch programs, compiled once by
+   :func:`~repro.network.program.compile_programs` (per-flow VLAN ids,
+   classification + unicast entries, token-bucket meters, CQF or Qbv gate
+   lists, CBS reservations for the RC queues), with one loop over the
+   switches;
 4. inject TS frames at the offsets of the :class:`RunPlan`'s schedule
    plan -- planned once, before any device exists -- through generators
    (the TSNNic role), and attach the analyzer (the TSN analyzer role);
@@ -32,12 +34,7 @@ from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigurationError, TopologyError
 from repro.core.templates import FunctionTemplate, default_template_set
 from repro.core.units import GIGABIT, ms, serialization_ns, wire_bytes
-from repro.cqf.gcl_gen import (
-    DEFAULT_TS_QUEUE_PAIR,
-    cqf_port_program,
-    csqf_port_program,
-    multi_cqf_port_program,
-)
+from repro.cqf.gcl_gen import DEFAULT_TS_QUEUE_PAIR
 from repro.sched import SchedPolicy, plan_flows
 from repro.sched.problem import MultiSchedulePlan, SchedulePlan
 from repro.faults.injector import FaultInjector, FaultReport
@@ -55,23 +52,16 @@ from repro.sim.rng import RngFactory
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switch.device import DEFAULT_PROCESSING_DELAY_NS, TsnSwitch
 from repro.timesync.gptp import GptpConfig, SyncDomain
-from repro.switch.tables import CbsParams, GateEntry, UnicastTable
 from repro.traffic.flows import FlowSet, FlowSpec, TrafficClass
 from repro.traffic.generator import PeriodicSource, RateSource
 from .analyzer import LatencySummary, TsnAnalyzer
 from .host import Host
 from .link import DEFAULT_PROPAGATION_NS, Link
+from .program import BE_QUEUE, RC_QUEUES, SwitchProgram, compile_programs, \
+    gate_overflow
 from .topology import TopologySpec
 
 __all__ = ["RunPlan", "Testbed", "ScenarioResult"]
-
-#: RC traffic spreads over queues 5, 4, 3 (the paper's "three queues for RC
-#: flows in each port").
-RC_QUEUES: Tuple[int, ...] = (5, 4, 3)
-BE_QUEUE = 0
-
-#: VLAN ids a TS flow (or an FRER replica) can take: 1..4094, one each.
-USABLE_VIDS = 4094
 
 
 @dataclass
@@ -406,9 +396,8 @@ class Testbed:
         self.shaper = self.sched.shaper
         self.sched_plan = run_plan.sched_plan
         self.ts_queue_pair = run_plan.ts_queue_pair
-        self.ts_queue_groups, self.rc_queues = run_plan.queue_layout
+        self.ts_queue_groups, _ = run_plan.queue_layout
         self.frer_eliminators: Dict[str, "FrerEliminator"] = {}
-        self._replica_vids: Dict[int, int] = {}
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.spans = spans
@@ -429,10 +418,6 @@ class Testbed:
         self.models: Dict[int, SwitchModel] = {}
         self.hosts: Dict[str, Host] = {}
         self.links: List[Link] = []
-        self._listener_ports: Dict[Tuple[str, str], int] = {}
-        self._hop_ports: Dict[Tuple[str, str], Tuple[Tuple[str, int], ...]] = {}
-        self._flow_vids: Dict[int, int] = {}
-        self._rc_queue_of: Dict[int, int] = {}
         self.analyzer: Optional[TsnAnalyzer] = None
         self._sources: List = []
         self._built = False
@@ -465,63 +450,35 @@ class Testbed:
         if self._built:
             raise ConfigurationError("testbed already built")
         self._built = True
-        self._assign_vids()
         self._create_switches()
         self._create_hosts()
         self._wire_links()
+        programs, vids = compile_programs(self.run_plan)
         if self.sched_plan is not None:
             self.sched_plan.raise_if_infeasible()
-        self._program_gates()
-        self._program_cbs()
-        self._program_paths()
+        self._install(programs)
+        del programs  # the sources need only the VIDs
         self._create_analyzer()
-        self._create_sources()
+        self._create_sources(vids)
 
-    #: VLAN used by background flows toward a destination no TS flow serves.
-    BACKGROUND_VID = 4095
-
-    def _assign_vids(self) -> None:
-        """Assign VLAN ids: per-flow for TS, shared for background.
-
-        TS flows get unique VIDs -- the classification key (SMAC, DMAC,
-        VID, PRI) distinguishes the 1024 flows by VID, which is exactly why
-        the paper's classification *and* unicast tables are sized at the TS
-        flow count (both are exactly full at the target workload).
-
-        Background (RC/BE) aggregates ride the 802.1Q defaults instead:
-        they reuse the VID of some TS flow to the same destination, so
-        forwarding shares that flow's unicast entry (per-destination
-        forwarding, as on real L2 silicon) while the PRI field keeps their
-        classification on the PCP fallback -- zero extra table entries.
-        """
-        ts_flows = self.flows.ts_flows
-        if len(ts_flows) > USABLE_VIDS:
-            raise ConfigurationError(
-                f"{len(ts_flows)} TS flows exceed the 4094 usable VLAN ids"
+    def _install(self, programs: Dict[str, SwitchProgram]) -> None:
+        """Load each switch's program; its tables in one call."""
+        for name, program in programs.items():
+            switch = self.switches[name]
+            overflow = gate_overflow(
+                self.run_plan, name, program, switch.config.gate_size
             )
-        if self.run_plan.frer_ts and 2 * len(ts_flows) > USABLE_VIDS:
-            raise ConfigurationError(
-                f"FRER doubles the VID demand: {2 * len(ts_flows)} > 4094"
+            if overflow is not None:
+                raise ConfigurationError(overflow)
+            for port_id, gates in program.gates.items():
+                switch.program_gcls(port_id, *gates)
+            for port_id in range(len(switch.ports)):
+                for slot_index, queue_id, params in program.cbs:
+                    switch.program_cbs(port_id, queue_id, slot_index, params)
+            switch.program_paths(
+                program.classes.items(), program.routes,
+                program.meters.items(),
             )
-        vid_for_dst: Dict[str, int] = {}
-        next_vid = 1
-        for flow in self.flows:
-            if flow.traffic_class is TrafficClass.TS:
-                self._flow_vids[flow.flow_id] = next_vid
-                vid_for_dst.setdefault(flow.dst, next_vid)
-                next_vid += 1
-        if self.run_plan.frer_ts:
-            # Replica VIDs sit in a second band so path-B routes and
-            # classification entries stay distinct from path A's.
-            for flow in self.flows.ts_flows:
-                self._replica_vids[flow.flow_id] = (
-                    self._flow_vids[flow.flow_id] + len(ts_flows)
-                )
-        for flow in self.flows:
-            if flow.traffic_class is not TrafficClass.TS:
-                self._flow_vids[flow.flow_id] = vid_for_dst.get(
-                    flow.dst, self.BACKGROUND_VID
-                )
 
     def _create_switches(self) -> None:
         """Instantiate one customized switch per topology node.
@@ -679,9 +636,6 @@ class Testbed:
                     spans=self.spans,
                 )
             )
-            self._listener_ports[(attachment.switch, attachment.host)] = (
-                attachment.port
-            )
         # Unique positive arrival priority per link, in wiring order (a
         # pure function of the topology spec).  Same-instant arrivals are
         # then ordered by which link carried them, a property of the
@@ -690,288 +644,6 @@ class Testbed:
         # ordinary zero-priority events at the same time.
         for index, link in enumerate(self.links):
             link.arrival_priority = index + 1
-
-    def _program_gates(self) -> None:
-        if self.run_plan.gate_mechanism != "cqf":
-            self._program_gates_qbv()
-            return
-        queue_num = self.base_config.queue_num
-        if self.shaper == "cqf":
-            in_entries, out_entries, groups = cqf_port_program(
-                self.run_plan.slot_ns, self.ts_queue_pair, queue_num
-            )
-        elif self.shaper == "csqf":
-            in_entries, out_entries, groups = csqf_port_program(
-                self.run_plan.slot_ns, self.ts_queue_groups[0], queue_num
-            )
-        else:
-            in_entries, out_entries, groups = multi_cqf_port_program(
-                self.run_plan.slot_ns,
-                self.sched.slot2_ns(self.run_plan.slot_ns),
-                self.ts_queue_groups,
-                queue_num,
-            )
-        for switch in self.switches.values():
-            for port_id in range(len(switch.ports)):
-                switch.program_gcls(
-                    port_id, list(in_entries), list(out_entries), groups
-                )
-
-    def _program_gates_qbv(self) -> None:
-        """Per-port Time-Aware Shaper windows synthesized from the plan.
-
-        Qbv gates the egress only; in-gates stay open (no CQF queue pair),
-        and TS frames flow through each hop inside its transmission window
-        rather than waiting out a slot.  ``gate_size`` must cover the
-        compiled schedule -- size it with
-        :func:`repro.qbv.synthesis.estimate_gate_size`.
-        """
-        from repro.qbv.synthesis import PortTraffic, TasSynthesizer
-
-        plan = self.sched_plan
-        if plan is None:
-            raise ConfigurationError(
-                "gate_mechanism='qbv' needs TS flows to synthesize windows"
-            )
-        # Qbv implies the classic 'cqf' shaper: one schedule, one plan.
-        schedule = plan.problem.schedule
-        synthesizer = TasSynthesizer(
-            schedule,
-            rate_bps=self.run_plan.rate_bps,
-            processing_delay_ns=DEFAULT_PROCESSING_DELAY_NS,
-            propagation_ns=self.run_plan.propagation_ns,
-            queue_num=self.base_config.queue_num,
-            ts_queue=self.ts_queue_pair[1],
-        )
-        slot_flows: Dict[Tuple[str, int], Dict[int, List[FlowSpec]]] = {}
-        hop_depths: Dict[Tuple[str, int], set] = {}
-        for flow in self.flows.ts_flows:
-            offset = plan.offsets.get(flow.flow_id)
-            if offset is None:
-                continue  # rejected by a max_admission plan
-            slots = range(
-                offset,
-                schedule.slot_count,
-                flow.period_ns // schedule.slot_ns,
-            )
-            for hop, port_key in enumerate(self._flow_hop_ports(flow)):
-                hop_depths.setdefault(port_key, set()).add(hop)
-                per_port = slot_flows.setdefault(port_key, {})
-                for slot in slots:
-                    per_port.setdefault(slot, []).append(flow)
-        always_open = [GateEntry(0xFF, 1_000_000)]
-        for (switch_name, port_id), per_slot in slot_flows.items():
-            traffic = PortTraffic(
-                slot_flows=per_slot,
-                hop_indices=tuple(sorted(hop_depths[(switch_name, port_id)])),
-            )
-            port_schedule = synthesizer.synthesize_port(traffic)
-            switch = self.switches[switch_name]
-            if port_schedule.gate_size > switch.config.gate_size:
-                raise ConfigurationError(
-                    f"{switch_name}: Qbv schedule needs "
-                    f"{port_schedule.gate_size} gate entries but gate_size "
-                    f"is {switch.config.gate_size}; size the config with "
-                    "repro.qbv.synthesis.estimate_gate_size"
-                )
-            switch.program_gcls(
-                port_id, list(always_open), port_schedule.entries, ()
-            )
-
-    def _program_cbs(self) -> None:
-        """Reserve CBS bandwidth for the RC queues on every port.
-
-        Each RC queue's idleSlope covers the aggregate rate of the flows
-        assigned to it with 100% headroom, clamped into (0, 75%] of the port
-        rate; queues with no RC flows get a token reservation so the CBS
-        map/table sizing of the config is exercised either way.
-        """
-        rc_flows = self.flows.rc_flows
-        per_queue_rate: Dict[int, int] = {q: 0 for q in self.rc_queues}
-        for flow in rc_flows:
-            pcp = flow.effective_pcp
-            if pcp not in RC_QUEUES:
-                raise ConfigurationError(
-                    f"RC flow {flow.flow_id}: PCP {pcp} does not map onto "
-                    f"an RC queue {RC_QUEUES}"
-                )
-            # Rank-preserving PCP -> queue map; the identity under 'cqf'.
-            queue = self.rc_queues[RC_QUEUES.index(pcp)]
-            self._rc_queue_of[flow.flow_id] = queue
-            per_queue_rate[queue] += flow.effective_rate_bps
-        usable = len(self.rc_queues)
-        if self.base_config.cbs_map_size < usable:
-            usable = self.base_config.cbs_map_size
-        rate_bps = self.run_plan.rate_bps
-        reservations = []  # (cbs slot, queue, params): the same on every port
-        for slot_index, queue_id in enumerate(self.rc_queues[:usable]):
-            reserved = per_queue_rate.get(queue_id, 0) * 2
-            reserved = max(reserved, rate_bps // 100)
-            reserved = min(reserved, rate_bps * 3 // 4)
-            reservations.append((
-                slot_index, queue_id,
-                CbsParams.for_reservation(reserved, rate_bps),
-            ))
-        for switch in self.switches.values():
-            for port_id in range(len(switch.ports)):
-                for slot_index, queue_id, params in reservations:
-                    switch.program_cbs(port_id, queue_id, slot_index, params)
-
-    def _queue_for(self, flow: FlowSpec) -> int:
-        if flow.traffic_class is TrafficClass.TS:
-            # Classification targets one member of the flow's CQF group;
-            # the gate engine redirects to whichever member is gathering.
-            # Under multi_cqf the flow's planned system picks the group.
-            if self.shaper == "multi_cqf" and self.sched_plan is not None:
-                system = self.sched_plan.system_of(flow.flow_id)
-                return self.ts_queue_groups[system][-1]
-            return self.ts_queue_groups[0][-1]
-        if flow.traffic_class is TrafficClass.RC:
-            return self._rc_queue_of[flow.flow_id]
-        return BE_QUEUE
-
-    def _ts_admitted(self, flow: FlowSpec) -> bool:
-        """False only for flows a ``max_admission`` plan rejected."""
-        return self.sched_plan is None or flow.flow_id in self.sched_plan.offsets
-
-    def _flow_hop_ports(self, flow: FlowSpec) -> Tuple[Tuple[str, int], ...]:
-        """(switch, egress port) for every hop including listener delivery.
-
-        Resolved once per distinct ``(src, dst)`` of this build.
-        """
-        key = (flow.src, flow.dst)
-        hop_ports = self._hop_ports.get(key)
-        if hop_ports is None:
-            topology = self.topology
-            last_switch = topology.host_switch(flow.dst)
-            _, egress = topology.route(
-                topology.host_switch(flow.src), last_switch
-            )
-            local_port = self._listener_ports.get((last_switch, flow.dst))
-            if local_port is None:
-                raise TopologyError(
-                    f"flow {flow.flow_id}: destination {flow.dst!r} is not "
-                    f"attached to {last_switch!r}"
-                )
-            hop_ports = egress + ((last_switch, local_port),)
-            self._hop_ports[key] = hop_ports
-        return hop_ports
-
-    def _frer_hop_port_sets(self, flow: FlowSpec) -> List[List[Tuple[str, int]]]:
-        """Two edge-disjoint hop-port lists toward the flow's destination.
-
-        One path per listener attachment (FRER needs the destination to be
-        attached at least twice); edge-disjointness is verified so a single
-        trunk failure cannot take out both replicas.
-        """
-        attachments = [
-            a for a in self.topology.attachments if a.host == flow.dst
-        ]
-        if len(attachments) < 2:
-            raise TopologyError(
-                f"FRER flow {flow.flow_id}: destination {flow.dst!r} needs "
-                f"two attachments, found {len(attachments)}"
-            )
-        paths: List[List[Tuple[str, int]]] = []
-        used_edges: set = set()
-        first = self.topology.host_switch(flow.src)
-        for attachment in attachments[:2]:
-            _, egress = self.topology.route(first, attachment.switch)
-            hop_ports = [*egress, (attachment.switch, attachment.port)]
-            edges = set(hop_ports)
-            overlap = edges & used_edges
-            if overlap:
-                raise TopologyError(
-                    f"FRER flow {flow.flow_id}: replica paths share trunk "
-                    f"ports {sorted(overlap)} -- not disjoint"
-                )
-            used_edges |= edges
-            paths.append(hop_ports)
-        return paths
-
-    def _program_paths(self) -> None:
-        """Install forwarding/classification/policing along every path.
-
-        TS flows get per-flow classification entries and meters -- the table
-        sizing the paper evaluates (class/meter size == TS flow count, so
-        the tables are exactly full at the target workload).  RC and BE
-        background ride the 802.1Q PCP default instead: their PCP lands
-        them directly on the CBS-shaped queues (5..3) or the best-effort
-        queue (0), consuming only a shared forwarding route.
-        """
-        # Per switch: classification key -> (meter, queue), route pairs,
-        # meter id -> (rate, burst), and the meter table's size.  Meters
-        # are assigned first-come until the customized meter table fills;
-        # overflow flows run unmetered (the sizing guideline sets
-        # meter_size to the flow count, so overflow only happens in
-        # deliberate undersizing runs).
-        batches = {
-            name: ({}, [], {}, switch.config.meter_size)
-            for name, switch in self.switches.items()
-        }
-        wildcard = UnicastTable.WILDCARD_VID
-        aggregate = self.run_plan.aggregate_routes
-        frer = self.run_plan.frer_ts
-        for flow in self.flows:
-            vid = self._flow_vids[flow.flow_id]
-            pcp = flow.effective_pcp
-            queue_id = self._queue_for(flow)
-            src_mac = self.hosts[flow.src].mac
-            dst_mac = self.hosts[flow.dst].mac
-            if flow.traffic_class is TrafficClass.TS:
-                if not self._ts_admitted(flow):
-                    continue  # rejected by a max_admission plan: no state
-                if frer:
-                    replicas = list(
-                        zip(
-                            (vid, self._replica_vids[flow.flow_id]),
-                            self._frer_hop_port_sets(flow),
-                        )
-                    )
-                else:
-                    replicas = [(vid, self._flow_hop_ports(flow))]
-                meter = (
-                    max(64_000, flow.effective_rate_bps * 2),
-                    4 * flow.size_bytes,
-                )
-                for replica_vid, hop_ports in replicas:
-                    key = (src_mac, dst_mac, replica_vid, pcp)
-                    route = (
-                        dst_mac,
-                        wildcard if aggregate and not frer else replica_vid,
-                    )
-                    for switch_name, outport in hop_ports:
-                        classes, routes, meters, meter_size = (
-                            batches[switch_name]
-                        )
-                        meter_id = len(meters)
-                        if meter_id < meter_size:
-                            meters[meter_id] = meter
-                        else:
-                            meter_id = -1
-                        classes[key] = (meter_id, queue_id)
-                        routes.append((route, outport))
-            else:
-                # RC/BE ride the PCP default and need only a route -- except
-                # RC under a non-classic shaper: the PCP fallback would land
-                # those frames on a queue the shaper claimed, so they get
-                # explicit (unmetered) classification entries mapping them
-                # to the shifted RC queues.
-                classified = (
-                    flow.traffic_class is TrafficClass.RC
-                    and self.shaper != "cqf"
-                )
-                key = (src_mac, dst_mac, vid, pcp)
-                route = (dst_mac, wildcard if aggregate else vid)
-                for switch_name, outport in self._flow_hop_ports(flow):
-                    classes, routes, _meters, _size = batches[switch_name]
-                    if classified:
-                        classes[key] = (-1, queue_id)
-                    routes.append((route, outport))
-        for name, (classes, routes, meters, _size) in batches.items():
-            self.switches[name].program_paths(
-                classes.items(), routes, meters.items()
-            )
 
     def _create_analyzer(self) -> None:
         from repro.frer.elimination import FrerEliminator
@@ -993,27 +665,23 @@ class Testbed:
             else:
                 host.on_receive = self.analyzer.record
 
-    def _create_sources(self) -> None:
+    def _create_sources(self, vids: Dict[int, Tuple[int, ...]]) -> None:
+        plan = self.sched_plan
         for flow in self.flows:
             host = self.hosts[flow.src]
             dst = self.hosts[flow.dst]
-            vid = self._flow_vids[flow.flow_id]
             if flow.traffic_class is TrafficClass.TS:
-                assert self.sched_plan is not None
-                if not self._ts_admitted(flow):
-                    continue  # rejected flows inject nothing
-                plan = self.sched_plan
+                assert plan is not None
+                if flow.flow_id not in plan.offsets:
+                    continue  # rejected by a max_admission plan
                 offset = (
                     plan.offsets[flow.flow_id]
                     * plan.slot_ns_of(flow.flow_id)
                     + self._injection_phase_ns(flow)
                 )
-                vids = [vid]
-                if self.run_plan.frer_ts:
-                    # FRER replication: one source per member stream, same
-                    # cadence, so replicas carry identical (flow, seq)
-                    vids.append(self._replica_vids[flow.flow_id])
-                for member_vid in vids:
+                # FRER replication: one source per member stream, same
+                # cadence, so replicas carry identical (flow, seq)
+                for member_vid in vids[flow.flow_id]:
                     self._sources.append(
                         PeriodicSource(
                             self.sim,
@@ -1042,7 +710,7 @@ class Testbed:
                         size_bytes=flow.size_bytes,
                         rate_bps=flow.effective_rate_bps,
                         start_ns=rng.randrange(max(1, gap_hint)),
-                        vlan_id=vid,
+                        vlan_id=vids[flow.flow_id][0],
                         pcp=flow.effective_pcp,
                         spans=self.spans,
                     )

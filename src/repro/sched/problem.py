@@ -35,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.errors import SchedulingError
+from repro.core.errors import InfeasiblePlanError, SchedulingError, \
+    SlotError
 from repro.core.units import GIGABIT, serialization_ns, wire_bytes
 from repro.cqf.schedule import CqfSchedule
 from repro.traffic.flows import FlowSpec, TrafficClass
@@ -78,7 +79,7 @@ class FlowDemand(NamedTuple):
                 f"flow {flow.flow_id}: TS flow without a period"
             )
         if flow.period_ns % slot_ns:
-            raise SchedulingError(
+            raise SlotError(
                 f"flow {flow.flow_id}: period {flow.period_ns}ns is not a "
                 f"multiple of the slot {slot_ns}ns"
             )
@@ -311,9 +312,10 @@ class SchedulePlan:
         )
 
     def raise_if_infeasible(self) -> None:
-        """Raise :class:`SchedulingError` unless the plan is usable."""
+        """Raise :class:`InfeasiblePlanError` (a :class:`SchedulingError`)
+        unless the plan is usable."""
         if self.status in ("infeasible", "unknown"):
-            raise SchedulingError(
+            raise InfeasiblePlanError(
                 self.reason
                 or f"backend {self.backend!r} produced no feasible plan "
                    f"(status {self.status!r})"

@@ -448,6 +448,104 @@ class TestSimulateCheck:
             "(9); any phase error drops packets",
         ]
 
+    @staticmethod
+    def _sized(doc, **sizes):
+        """*doc* with its derived config made explicit, *sizes* applied."""
+        spec = ScenarioSpec.from_dict(doc)
+        config = spec.build_config(spec.build_topology(), spec.build_flows())
+        explicit = config.with_updates(**sizes).to_dict()
+        del explicit["name"]
+        return {**doc, "config": explicit}
+
+    def _check_and_run(self, tmp_path, capsys, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        checked = main(["simulate", str(path), "--check"])
+        check_out = capsys.readouterr()
+        ran = main(["simulate", str(path)])
+        return checked, check_out, ran, capsys.readouterr().err
+
+    def test_frer_replicas_count_against_the_tables(self, tmp_path, capsys):
+        # The talker's switch carries both replicas of all 8 flows: 16
+        # classification and 16 unicast entries where 8 fit.
+        doc = json.loads((EXAMPLES / "faults_ring.json").read_text())
+        del doc["faults"], doc["slo"]
+        doc = self._sized(doc, class_size=8, unicast_size=8, meter_size=8)
+        checked, out, ran, err = self._check_and_run(tmp_path, capsys, doc)
+        assert checked == 1 and ran == 2
+        for table in ("class_tbl", "unicast_tbl"):
+            assert f"[error] {table}: sw0: 16 entries but the table holds " \
+                "8; flow 4 is the first that does not fit" in \
+                out.out.splitlines()
+        assert "classification table: capacity 8 exhausted" in err
+
+    def test_qbv_gate_lists_count_against_the_gate_table(
+        self, tmp_path, capsys
+    ):
+        doc = self._sized({
+            "name": "qbv-gates",
+            "topology": {"kind": "linear", "switch_count": 3,
+                         "talkers": ["talker0"], "listener": "listener"},
+            "flows": {"ts_count": 32, "size_bytes": 128},
+            "config": "derive",
+            "slot_us": 62.5,
+            "duration_ms": 5,
+            "gate_mechanism": "qbv",
+        }, gate_size=4)
+        checked, out, ran, err = self._check_and_run(tmp_path, capsys, doc)
+        assert checked == 1 and ran == 2
+        message = (
+            "sw0 port 0: Qbv schedule needs 96 gate entries but gate_size "
+            "is 4; size the config with "
+            "repro.qbv.synthesis.estimate_gate_size"
+        )
+        assert f"[error] gate_tbl: {message}" in out.out.splitlines()
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("doc,refusal", [
+        ({**json.loads((EXAMPLES / "faults_ring.json").read_text()),
+          "gate_mechanism": "qbv"},
+         "frer_ts currently requires CQF gating"),
+        ({"name": "qbv-csqf",
+          "topology": {"kind": "ring", "switch_count": 2,
+                       "talkers": ["talker0"], "listener": "listener"},
+          "flows": {"ts_count": 8}, "config": "derive", "slot_us": 62.5,
+          "duration_ms": 5, "gate_mechanism": "qbv",
+          "sched": {"shaper": "csqf"}},
+         "shaper 'csqf' requires gate_mechanism='cqf'"),
+    ], ids=["frer_qbv", "csqf_qbv_derived"])
+    def test_check_refuses_what_the_run_refuses(
+        self, tmp_path, capsys, doc, refusal
+    ):
+        checked, out, ran, err = self._check_and_run(tmp_path, capsys, doc)
+        assert checked == ran == 2
+        assert out.out == ""
+        assert out.err == err == f"error: {refusal}\n"
+
+    @pytest.mark.parametrize("config", ["derive", "explicit"])
+    def test_unplannable_slot_and_infeasible_plan_are_violations(
+        self, tmp_path, capsys, config
+    ):
+        explicit = {
+            "port_num": 1, "unicast_size": 4096, "multicast_size": 0,
+            "class_size": 4096, "meter_size": 4096, "gate_size": 2,
+            "queue_num": 8, "cbs_map_size": 3, "cbs_size": 3,
+            "queue_depth": 8, "buffer_num": 64,
+        }
+        extra = {} if config == "derive" else {"config": explicit}
+        slot = self._scenario(tmp_path, slot_us=65, **extra)
+        assert main(["simulate", str(slot), "--check"]) == 1
+        assert capsys.readouterr().out.startswith(
+            "[error] slotting: slot 65000ns does not divide"
+        )
+        overloaded = self._scenario(
+            tmp_path, flows={"ts_count": 4000, "size_bytes": 1500}, **extra
+        )
+        assert main(["simulate", str(overloaded), "--check"]) == 1
+        assert capsys.readouterr().out.startswith(
+            "[error] itp: flow 320: no injection slot"
+        )
+
 
 class TestSweep:
     def _sweep(self, tmp_path, **overrides):

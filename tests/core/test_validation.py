@@ -1,12 +1,13 @@
-"""Pre-flight deployment checks."""
+"""Pre-flight deployment checks: ``check_deployment(RunPlan(...))``."""
 
 import pytest
 
 from repro.core.presets import customized_config, ring_config
 from repro.core.units import ms
-from repro.core.validation import Severity, check_deployment
+from repro.network.program import Severity, check_deployment
+from repro.network.testbed import RunPlan
 from repro.network.topology import ring_topology
-from repro.sched import SchedPolicy
+from repro.sched import SchedPolicy, plan_flows
 from repro.traffic.flows import FlowSet, FlowSpec, TrafficClass
 from repro.traffic.iec60802 import background_flows, production_cell_flows
 
@@ -30,13 +31,19 @@ def _topo(hops=3):
     return ring_topology(hops, talkers=["t0"])
 
 
+def _check(config, topology, flows, slot_ns=SLOT, **knobs):
+    return check_deployment(
+        RunPlan(topology, config, flows, slot_ns=slot_ns, **knobs)
+    )
+
+
 def _errors(violations):
     return [v for v in violations if v.severity is Severity.ERROR]
 
 
 class TestCleanDeployments:
     def test_paper_configuration_is_clean(self):
-        violations = check_deployment(
+        violations = _check(
             customized_config(1, flow_count=64), _topo(), _flows(), SLOT
         )
         assert _errors(violations) == []
@@ -47,22 +54,22 @@ class TestCleanDeployments:
         flows = _flows(count=256)
         result = derive_config(_topo(), flows, SLOT)
         assert _errors(
-            check_deployment(result.config, _topo(), flows, SLOT)
+            _check(result.config, _topo(), flows, SLOT)
         ) == []
 
 
 class TestTableChecks:
     def test_undersized_classification_flagged(self):
         config = customized_config(1, flow_count=32)
-        violations = check_deployment(config, _topo(), _flows(64), SLOT)
+        violations = _check(config, _topo(), _flows(64), SLOT)
         assert any(v.subject == "class_tbl" for v in _errors(violations))
 
     def test_aggregation_relaxes_unicast_requirement(self):
         config = customized_config(1, flow_count=64).with_updates(
             unicast_size=1
         )
-        plain = check_deployment(config, _topo(), _flows(), SLOT)
-        aggregated = check_deployment(
+        plain = _check(config, _topo(), _flows(), SLOT)
+        aggregated = _check(
             config, _topo(), _flows(), SLOT, aggregate_routes=True
         )
         assert any(v.subject == "unicast_tbl" for v in _errors(plain))
@@ -74,7 +81,7 @@ class TestTableChecks:
         config = customized_config(1, flow_count=64).with_updates(
             meter_size=8
         )
-        violations = check_deployment(config, _topo(), _flows(), SLOT)
+        violations = _check(config, _topo(), _flows(), SLOT)
         meter = [v for v in violations if v.subject == "meter_tbl"]
         assert meter and meter[0].severity is Severity.WARNING
 
@@ -85,14 +92,14 @@ class TestCapacityChecks:
         from repro.network.topology import star_topology
 
         topo = star_topology(talkers=("t0",))
-        violations = check_deployment(config, topo, _flows(), SLOT)
+        violations = _check(config, topo, _flows(), SLOT)
         assert any(v.subject == "ports" for v in _errors(violations))
 
     def test_queue_depth_below_itp_bound_flagged(self):
         config = customized_config(1, flow_count=640).with_updates(
             queue_depth=2, buffer_num=96
         )
-        violations = check_deployment(config, _topo(), _flows(640), SLOT)
+        violations = _check(config, _topo(), _flows(640), SLOT)
         assert any(v.subject == "queue_depth" for v in _errors(violations))
 
     def test_exact_depth_warns(self):
@@ -100,7 +107,7 @@ class TestCapacityChecks:
         config = customized_config(1, flow_count=640).with_updates(
             queue_depth=4, buffer_num=96
         )
-        violations = check_deployment(config, _topo(), _flows(640), SLOT)
+        violations = _check(config, _topo(), _flows(640), SLOT)
         depth = [v for v in violations if v.subject == "queue_depth"]
         assert depth and depth[0].severity is Severity.WARNING
 
@@ -108,7 +115,7 @@ class TestCapacityChecks:
         config = customized_config(1, flow_count=64).with_updates(
             buffer_num=500
         )
-        violations = check_deployment(config, _topo(), _flows(), SLOT)
+        violations = _check(config, _topo(), _flows(), SLOT)
         assert any(
             v.subject == "buffers" and v.severity is Severity.WARNING
             for v in violations
@@ -122,13 +129,13 @@ class TestCapacityChecks:
         # spread RC over 2 queues via explicit PCPs
         flows.add(FlowSpec(999_000, TrafficClass.RC, "t0", "listener",
                            1024, rate_bps=10**7, pcp=4))
-        violations = check_deployment(config, _topo(), flows, SLOT)
+        violations = _check(config, _topo(), flows, SLOT)
         assert any(v.subject == "cbs" for v in _errors(violations))
 
 
 class TestScheduleChecks:
     def test_deadline_violation_flagged(self):
-        violations = check_deployment(
+        violations = _check(
             customized_config(1, flow_count=64),
             _topo(hops=6),
             _flows(deadline_ns=200_000),  # (6+1)*62.5us = 437.5us > 200us
@@ -145,7 +152,7 @@ class TestScheduleChecks:
                       period_ns=ms(1), deadline_ns=375_000)
              for i in range(8)]
         )
-        violations = check_deployment(
+        violations = _check(
             customized_config(1, flow_count=64), _topo(), flows, SLOT,
             sched=SchedPolicy(shaper="multi_cqf"),
         )
@@ -154,9 +161,11 @@ class TestScheduleChecks:
         assert "500000ns" in deadlines[0].message
 
     def test_unaligned_slot_flagged(self):
-        violations = check_deployment(
-            customized_config(1, flow_count=16), _topo(), _flows(16),
-            slot_ns=65_000,
+        # Planning itself refuses a 65us slot, so the plan is handed in.
+        flows = _flows(16)
+        violations = _check(
+            customized_config(1, flow_count=16), _topo(), flows,
+            slot_ns=65_000, sched_plan=plan_flows(list(flows), SLOT),
         )
         assert any(v.subject == "slotting" for v in _errors(violations))
 
@@ -165,20 +174,20 @@ class TestScheduleChecks:
             [FlowSpec(i, TrafficClass.TS, "t0", "listener", 1500,
                       period_ns=ms(10)) for i in range(4000)]
         )
-        violations = check_deployment(
+        violations = _check(
             customized_config(1, flow_count=4096), _topo(), flows, SLOT
         )
         assert any(v.subject == "itp" for v in _errors(violations))
 
     def test_no_ts_flows_short_circuits(self):
         flows = background_flows(["t0"], "listener", 10**7, 10**7)
-        violations = check_deployment(
+        violations = _check(
             customized_config(1), _topo(), FlowSet(list(flows)), SLOT
         )
         assert not any(v.subject == "queue_depth" for v in violations)
 
     def test_violation_str(self):
-        violations = check_deployment(
+        violations = _check(
             customized_config(1, flow_count=32), _topo(), _flows(64), SLOT
         )
         text = str(_errors(violations)[0])
@@ -190,7 +199,7 @@ class TestRcAdmissionCheck:
         from repro.core.units import mbps
 
         flows = _flows(count=16, rc=mbps(800), be=0)
-        violations = check_deployment(
+        violations = _check(
             customized_config(1, flow_count=16), _topo(), flows, SLOT
         )
         assert any(
@@ -201,7 +210,7 @@ class TestRcAdmissionCheck:
         from repro.core.units import mbps
 
         flows = _flows(count=16, rc=mbps(100), be=0)
-        violations = check_deployment(
+        violations = _check(
             customized_config(1, flow_count=16), _topo(), flows, SLOT
         )
         assert not any(v.subject == "rc_admission" for v in violations)

@@ -6,6 +6,7 @@ from repro.core.errors import ConfigurationError, TopologyError
 from repro.core.presets import customized_config
 from repro.core.units import ms
 from repro.cqf.bounds import cqf_bounds
+from repro.network.program import compile_programs
 from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import dual_path_topology, ring_topology
 from repro.traffic.flows import TrafficClass
@@ -60,9 +61,16 @@ class TestReplication:
 
     def test_replica_paths_disjoint_by_construction(self):
         testbed = _testbed()
-        testbed.build()
+        programs, vids = compile_programs(testbed.run_plan)
         flow = testbed.flows.ts_flows[0]
-        path_a, path_b = testbed._frer_hop_port_sets(flow)
+        path_a, path_b = (
+            [(name, outport)
+             for name, program in programs.items()
+             for (_, route_vid), outport in program.routes
+             if route_vid == vid]
+            for vid in vids[flow.flow_id]
+        )
+        assert path_a and path_b
         assert not (set(path_a) & set(path_b))
 
     def test_single_attachment_destination_rejected(self):

@@ -12,7 +12,8 @@ routes, an FRER ring (two replica VLANs per flow), RC flows on a CSQF
 shaper, whose shifted RC queues need explicit classification entries,
 and a meter table too small for the flows (the overflow runs unmetered).
 A table too small to build at all fails with the first key that does not
-fit, pinned verbatim.
+fit, pinned verbatim.  The same digests are recomputed from
+``compile_programs``' output: the programs are the tables a build installs.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import CapacityError
+from repro.network.program import compile_programs
 from repro.network.scenario import ScenarioSpec
 
 EXAMPLES = Path(__file__).parents[2] / "examples"
@@ -101,6 +103,11 @@ OVERFLOWS = {
 }
 
 
+def _digest(tables) -> str:
+    text = json.dumps(tables, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def table_digest(testbed) -> str:
     """sha256 over every switch's entries, in insertion order."""
     tables = {}
@@ -119,8 +126,29 @@ def table_digest(testbed) -> str:
                 for meter_id, meter in pipeline.meters
             ],
         }
-    text = json.dumps(tables, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _digest(tables)
+
+
+def program_digest(programs) -> str:
+    """:func:`table_digest` of the tables *programs* fill: a route key
+    that repeats is one unicast entry, at its first position."""
+    return _digest({
+        name: {
+            "classification": [
+                [list(key), list(target)]
+                for key, target in program.classes.items()
+            ],
+            "unicast": [
+                [list(key), outport]
+                for key, outport in dict(program.routes).items()
+            ],
+            "meter": [
+                [meter_id, list(meter)]
+                for meter_id, meter in program.meters.items()
+            ],
+        }
+        for name, program in programs.items()
+    })
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -128,6 +156,13 @@ def test_installed_tables_match_the_per_flow_installer(cell):
     testbed = ScenarioSpec.from_dict(CELLS[cell]).build_testbed()
     testbed.build()
     assert table_digest(testbed) == TABLE_DIGESTS[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_compiled_programs_are_the_installed_tables(cell):
+    run_plan = ScenarioSpec.from_dict(CELLS[cell]).build_run_plan()
+    programs, _ = compile_programs(run_plan)
+    assert program_digest(programs) == TABLE_DIGESTS[cell]
 
 
 @pytest.mark.parametrize("size_key", sorted(OVERFLOWS))

@@ -6,6 +6,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.presets import customized_config
 from repro.core.units import mbps, ms
 from repro.cqf.bounds import cqf_bounds
+from repro.network.program import compile_programs
 from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import ring_topology, star_topology
 from repro.sched import SchedPolicy
@@ -191,15 +192,6 @@ class TestValidationErrors:
             testbed.build()
 
     def test_too_many_flows_for_vids(self):
-        flows = _flows(count=8)
-        testbed = Testbed(RunPlan(
-            ring_topology(switch_count=2, talkers=["talker0"]),
-            customized_config(1),
-            flows,
-            slot_ns=SLOT,
-        ))
-        testbed._flow_vids = {}
-        # simulate the overflow check directly
         big = production_cell_flows(["talker0"], "listener", flow_count=1024)
         for i in range(4):
             for f in production_cell_flows(
@@ -207,14 +199,14 @@ class TestValidationErrors:
                 first_flow_id=(i + 1) * 10_000,
             ):
                 big.add(f)
-        bad = Testbed(RunPlan(
+        run_plan = RunPlan(
             ring_topology(switch_count=2, talkers=["talker0"]),
             customized_config(1, flow_count=8192),
             big,
             slot_ns=SLOT,
-        ))
+        )
         with pytest.raises(ConfigurationError, match="VLAN"):
-            bad.build()
+            compile_programs(run_plan)
 
 
 class TestTimeSync:

@@ -3,7 +3,7 @@
 Runs the CLI in a child interpreter in which ``import networkx`` fails (the
 routing layer used to need it without declaring it), through parse,
 validate, build, simulate and summarise on two shipped scenarios, plus one
-FRER build so the replica-path resolver is covered too.
+FRER compile so the replica-path resolver is covered too.
 """
 
 import json
@@ -18,6 +18,7 @@ _CHILD = """
 import contextlib, io, json, sys
 sys.modules["networkx"] = None          # any import of it raises
 import repro.cli
+from repro.network.program import compile_programs
 from repro.network.scenario import ScenarioSpec
 
 summaries = {}
@@ -28,15 +29,19 @@ for path in sys.argv[1:]:
     assert status == 0, (path, status)
     summaries[path] = json.loads(out.getvalue())
 
-frer = ScenarioSpec.from_dict({
+run_plan = ScenarioSpec.from_dict({
     "name": "frer", "frer_ts": True,
     "topology": {"kind": "frer_ring", "switch_count": 4,
                  "talkers": ["talker0"], "listener": "listener"},
     "flows": {"ts_count": 4, "period_us": 2000, "size_bytes": 64},
     "config": "derive", "slot_us": 62.5, "duration_ms": 4, "seed": 7,
-}).build_testbed()
-frer.build()
-arcs = frer._frer_hop_port_sets(frer.flows.ts_flows[0])
+}).build_run_plan()
+programs, vids = compile_programs(run_plan)
+arcs = [
+    [(name, outport) for name, program in programs.items()
+     for (_, route_vid), outport in program.routes if route_vid == vid]
+    for vid in vids[run_plan.flows.ts_flows[0].flow_id]
+]
 assert "networkx" not in {name.partition(".")[0] for name, module
                           in sys.modules.items() if module is not None}
 print(json.dumps({"summaries": summaries, "frer_arcs": arcs}))
