@@ -17,6 +17,7 @@ from repro.core.presets import customized_config
 from repro.core.units import mbps
 from repro.cqf.bounds import cqf_bounds
 from repro.network.topology import ring_topology
+from repro.cqf.gating import DISCIPLINES
 from repro.qbv.synthesis import estimate_gate_size
 
 from conftest import SLOT_NS, run_scenario
@@ -33,7 +34,7 @@ def _run(scale, mechanism, gate_size):
         config=config,
         rc_bps=mbps(50),
         be_bps=mbps(50),
-        gate_mechanism=mechanism,
+        discipline=DISCIPLINES[mechanism],
     )
 
 

@@ -21,6 +21,7 @@ from repro.analysis.report import render_table3
 from repro.core.presets import bcm53154_config
 from repro.core.sizing import derive_config
 from repro.core.units import us
+from repro.cqf.gating import QBV
 from repro.network.topology import linear_topology, ring_topology, star_topology
 from repro.traffic.iec60802 import production_cell_flows
 
@@ -68,7 +69,7 @@ def main() -> None:
     print(f"  512 flows  -> {result.config.total_bram_kb:g}Kb "
           f"(tables shrink with the flow count)")
     qbv = derive_config(ring_topology(6, talkers=TALKERS), flows, SLOT_NS,
-                        name="ring, plain Qbv", gate_mechanism="qbv")
+                        name="ring, plain Qbv", discipline=QBV)
     print(f"  plain Qbv  -> {qbv.config.total_bram_kb:g}Kb "
           f"(gate tables need {qbv.config.gate_size} entries/port)")
 

@@ -94,6 +94,7 @@ from repro.core.presets import (
 )
 from repro.core.sizing import derive_config
 from repro.core.units import us
+from repro.cqf import gating
 from repro.network.scenario import ScenarioSpec
 from repro.network.topology import (
     linear_topology,
@@ -145,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--period-us", type=float, default=10_000.0)
     size.add_argument("--size-bytes", type=int, default=64)
     size.add_argument("--slot-us", type=float, default=62.5)
-    size.add_argument("--gate-mechanism", choices=["cqf", "qbv"],
-                      default="cqf",
+    size.add_argument("--gate-mechanism", choices=gating.GATE_MECHANISMS,
+                      default=gating.CQF.gate_mechanism,
                       help="gate tables to size (--optimize sizes CQF)")
     size.add_argument("--optimize", action="store_true",
                       help="search slot sizes for the cheapest "
@@ -412,7 +413,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_size(args: argparse.Namespace) -> int:
     # A flag that does nothing in the chosen mode is refused, not ignored.
-    if args.optimize and args.gate_mechanism == "qbv":
+    discipline = gating.from_document(args.gate_mechanism)
+    if args.optimize and discipline is not gating.CQF:
         print("error: --gate-mechanism qbv cannot be combined with "
               "--optimize (the search sizes CQF gate tables)",
               file=sys.stderr)
@@ -463,7 +465,7 @@ def _cmd_size(args: argparse.Namespace) -> int:
             flows,
             us(args.slot_us),
             name=f"sized-{args.topology}",
-            gate_mechanism=args.gate_mechanism,
+            discipline=discipline,
         )
         config = result.config
         note = (
@@ -752,6 +754,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
 
     spec = ScenarioSpec.from_file(args.scenario, strict=not args.no_strict)
     policy = spec.build_run_policy()
+    discipline = spec.build_discipline()
     topology = spec.build_topology()
     flows = spec.build_flows()
     backends = (
@@ -768,15 +771,16 @@ def _cmd_sched(args: argparse.Namespace) -> int:
             options=policy.options if backend == policy.backend else {},
         )
         plan = plan_flows(
-            list(flows), spec.slot_ns, spec.rate_bps, policy=per_backend
+            list(flows), spec.slot_ns, spec.rate_bps, policy=per_backend,
+            discipline=discipline,
         )
         entry = plan.summary()
-        entry["shaper"] = per_backend.shaper
+        entry["shaper"] = discipline.shaper
         try:
             sizing = derive_config(
                 topology, flows, spec.slot_ns,
                 name=f"{spec.name}-{backend}",
-                gate_mechanism=spec.gate_mechanism,
+                discipline=discipline,
                 sched=per_backend,
                 plan=plan,
             )
@@ -790,7 +794,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         payload = {
             "scenario": spec.name,
             "slot_us": spec.slot_us,
-            "shaper": policy.shaper,
+            "shaper": discipline.shaper,
             "plans": rows,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))

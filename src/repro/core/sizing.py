@@ -32,12 +32,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.cqf.schedule import CqfSchedule, scheduling_cycle_ns
+from repro.cqf.schedule import CqfSchedule
 from repro.traffic.flows import FlowSet
 from .config import SwitchConfig
 from .errors import SchedulingError
 
 if TYPE_CHECKING:
+    from repro.cqf.gating import Discipline
     from repro.sched import MultiSchedulePlan, SchedPolicy, SchedulePlan
 
 __all__ = [
@@ -140,7 +141,7 @@ def derive_config(
     flows: FlowSet,
     slot_ns: int,
     name: str = "derived",
-    gate_mechanism: str = "cqf",
+    discipline: Optional["Discipline"] = None,
     rc_queue_num: int = 3,
     queue_num: int = 8,
     queue_depth_margin: float = 1.5,
@@ -157,35 +158,27 @@ def derive_config(
     loosely to keep :mod:`repro.core` import-light); pass
     ``max_enabled_ports`` explicitly to size without a topology object.
 
-    ``gate_mechanism`` selects guideline 2's arithmetic: ``"cqf"`` gives the
-    two-entry gate tables of the evaluation; ``"qbv"`` sizes for a general
-    802.1Qbv schedule with one entry per slot of the scheduling cycle, or
-    the synthesizer's ``3 * active_slots + 1`` bound when that is larger.
+    ``discipline`` (:mod:`repro.cqf.gating`, default classic CQF) sizes
+    guideline 2: the entries its gate lists hold -- the two of the
+    evaluation under CQF (:meth:`~repro.cqf.gating.Discipline.gate_size`).
 
-    ``sched`` is the flow-scheduling policy (backend, shaper, objective)
-    behind guideline 4 -- the default reproduces the historic greedy ITP
-    figures byte for byte.  The shaper feeds back into guideline 2: CSQF's
-    three-queue rotation needs 3 gate entries, Multi-CQF one entry per
-    base slot of its merged hyper-cycle.
+    ``sched`` is the flow-scheduling policy (backend, objective) behind
+    guideline 4 -- the default reproduces the historic greedy ITP figures
+    byte for byte.
 
-    ``plan``, when given, is the plan of *flows* under ``sched`` at
-    ``rate_bps`` the caller already has (a scenario sizes from its run's).
+    ``plan``, when given, is the plan of *flows* under ``sched`` and
+    ``discipline`` at ``rate_bps`` the caller already has (a scenario
+    sizes from its run's).
 
     ``replication_factor`` scales the per-flow table entries for redundant
     transmission: FRER (802.1CB) sends each TS flow as two member streams,
     each needing its own classification/forwarding/meter entry, so pass 2.
     """
+    from repro.cqf.gating import CQF
     from repro.sched import SchedPolicy, plan_flows
 
-    if gate_mechanism not in ("cqf", "qbv"):
-        raise SchedulingError(
-            f"unknown gate mechanism {gate_mechanism!r}; use 'cqf' or 'qbv'"
-        )
     sched = sched or SchedPolicy()
-    if gate_mechanism == "qbv" and sched.shaper != "cqf":
-        raise SchedulingError(
-            f"shaper {sched.shaper!r} requires gate_mechanism='cqf'"
-        )
+    discipline = discipline or CQF
     if max_enabled_ports is None:
         max_enabled_ports = topology.max_enabled_ports
     if replication_factor < 1:
@@ -196,36 +189,19 @@ def derive_config(
     if flow_count == 0:
         raise SchedulingError("cannot size a switch for zero flows")
 
-    # Guideline 2: scheduling cycle and gate-table size.
+    # The scheduling cycle, slotted (guideline 2 counts its slots).
     periods = flows.ts_periods()
     if not periods:
         raise SchedulingError("sizing needs at least one TS flow")
-    cycle_ns = scheduling_cycle_ns(periods)
     schedule = CqfSchedule.for_flows(periods, slot_ns)
-    if gate_mechanism != "cqf":
-        gate_size = schedule.slot_count
-    elif sched.shaper == "csqf":
-        gate_size = 3
-    elif sched.shaper == "multi_cqf":
-        from repro.cqf.gcl_gen import multi_cqf_gate_entry_count
-
-        gate_size = multi_cqf_gate_entry_count(
-            slot_ns, sched.slot2_ns(slot_ns)
-        )
-    else:
-        gate_size = 2
 
     # Guideline 4: queue depth from the plan's worst per-slot load.
     if plan is None:
-        plan = plan_flows(list(flows), slot_ns, rate_bps, policy=sched)
+        plan = plan_flows(list(flows), slot_ns, rate_bps, policy=sched,
+                          discipline=discipline)
     plan.raise_if_infeasible()
-    if gate_mechanism != "cqf":
-        # The Qbv synthesizer compiles up to three entries per active slot
-        # (guard band, TS window, background), which outgrows one entry
-        # per slot once most slots carry a flow.
-        from repro.qbv.synthesis import estimate_gate_size
-
-        gate_size = max(gate_size, estimate_gate_size(plan))
+    # Guideline 2: the gate lists the discipline programs.
+    gate_size = discipline.gate_size(schedule, plan, queue_num)
     required_depth = max(1, plan.required_queue_depth)
     depth = _round_up(
         max(required_depth, math.ceil(required_depth * queue_depth_margin)),

@@ -6,7 +6,7 @@ equals to the least common multiple of all flow periods."
 
 :class:`CqfSchedule` captures one network-wide slotting: the slot size, the
 scheduling cycle, and the resulting slot count.  It is the shared input to
-GCL generation (:mod:`repro.cqf.gcl_gen`), injection-time planning
+GCL generation (:mod:`repro.cqf.gating`), injection-time planning
 (:mod:`repro.sched`), and the sizing guidelines
 (:mod:`repro.core.sizing` -- general 802.1Qbv gate tables need one entry per
 slot in the cycle; CQF compresses that to 2).

@@ -27,7 +27,6 @@ from .base import (
 from .policy import (
     SHAPERS,
     SchedPolicy,
-    partition_for_multi_cqf,
     plan_flows,
     validate_sched_dict,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "available_backends",
     "backend_options",
     "make_scheduler",
-    "partition_for_multi_cqf",
     "plan_flows",
     "register_backend",
     "validate_sched_dict",

@@ -35,7 +35,7 @@ the chain does not exist.
 Under CQF the two lists each have two entries that alternate a pair of TS
 queues every time slot: while queue A's in-gate is open (absorbing arrivals),
 queue B's out-gate is open (draining last slot's arrivals); next slot they
-swap.  :func:`repro.cqf.gcl_gen` generates exactly those entries.
+swap.  :mod:`repro.cqf.gating` generates exactly those entries.
 
 Non-TS queues are simply left open in every entry's mask, so RC/BE traffic
 is gated only by priority and CBS credit.

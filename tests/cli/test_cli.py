@@ -477,7 +477,9 @@ class TestSimulateCheck:
             assert f"[error] {table}: sw0: 16 entries but the table holds " \
                 "8; flow 4 is the first that does not fit" in \
                 out.out.splitlines()
-        assert "classification table: capacity 8 exhausted" in err
+        # the run refuses with the same text
+        assert err == "error: class_tbl: sw0: 16 entries but the table " \
+            "holds 8; flow 4 is the first that does not fit\n"
 
     def test_qbv_gate_lists_count_against_the_gate_table(
         self, tmp_path, capsys
@@ -505,14 +507,17 @@ class TestSimulateCheck:
     @pytest.mark.parametrize("doc,refusal", [
         ({**json.loads((EXAMPLES / "faults_ring.json").read_text()),
           "gate_mechanism": "qbv"},
-         "frer_ts currently requires CQF gating"),
+         "scenario 'faults-frer-ring' failed validation with 1 problem(s):"
+         "\n  - frer_ts: FRER replicas run over 'cqf' gating only, not "
+         "'qbv'"),
         ({"name": "qbv-csqf",
           "topology": {"kind": "ring", "switch_count": 2,
                        "talkers": ["talker0"], "listener": "listener"},
           "flows": {"ts_count": 8}, "config": "derive", "slot_us": 62.5,
           "duration_ms": 5, "gate_mechanism": "qbv",
           "sched": {"shaper": "csqf"}},
-         "shaper 'csqf' requires gate_mechanism='cqf'"),
+         "scenario 'qbv-csqf' failed validation with 1 problem(s):\n  - "
+         "gate_mechanism: 'qbv' does not run with sched.shaper 'csqf'"),
     ], ids=["frer_qbv", "csqf_qbv_derived"])
     def test_check_refuses_what_the_run_refuses(
         self, tmp_path, capsys, doc, refusal
@@ -521,6 +526,52 @@ class TestSimulateCheck:
         assert checked == ran == 2
         assert out.out == ""
         assert out.err == err == f"error: {refusal}\n"
+
+    def test_csqf_deadlines_are_judged_with_two_slots_per_hop(
+        self, tmp_path, capsys
+    ):
+        # 12 hops: (12 + 1) x 62.5us fits the 1 ms deadline, but CSQF's
+        # (2 x 12 + 1) x 62.5us does not -- and the run misses it.
+        doc = {"name": "csqf-line",
+               "topology": {"kind": "linear", "switch_count": 12},
+               "flows": {"ts_count": 16, "period_us": 10000,
+                         "size_bytes": 64},
+               "config": "derive", "slot_us": 62.5,
+               "sched": {"shaper": "csqf"}}
+        path = tmp_path / "csqf.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--check"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"[error] deadline: flow {flow}: csqf worst case 1562500ns over "
+            "12 hops exceeds the 1000000ns deadline" for flow in (2, 13)
+        ]
+        result = ScenarioSpec.from_dict(doc).run()
+        late = [latency for flow in result.flows.ts_flows
+                if flow.deadline_ns is not None
+                for latency in result.analyzer.records[
+                    flow.flow_id].latencies_ns
+                if latency > flow.deadline_ns]
+        assert len(late) == 8
+
+    def test_config_port_num_does_not_bound_the_topology(
+        self, tmp_path, capsys
+    ):
+        # Each switch model is synthesized with its own port count, so an
+        # explicit port_num below the star's 3 ports builds and runs.
+        doc = self._sized({
+            "name": "star-one-port",
+            "topology": {"kind": "star", "talkers": ["talker0", "talker1"],
+                         "listener": "listener"},
+            "flows": {"ts_count": 8}, "config": "derive",
+            "slot_us": 62.5, "duration_ms": 5,
+        }, port_num=1)
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--check"]) == 0
+        assert "0 error(s)" in capsys.readouterr().err
+        assert main(["simulate", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["classes"]["TS"]["loss"] == 0.0
 
     @pytest.mark.parametrize("config", ["derive", "explicit"])
     def test_unplannable_slot_and_infeasible_plan_are_violations(

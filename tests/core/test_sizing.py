@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.errors import SchedulingError
+from repro.core.errors import ConfigurationError, SchedulingError
 from repro.core.presets import bcm53154_config, ring_config
 from repro.core.sizing import derive_config
+from repro.cqf.gating import QBV, from_document
 from repro.network.topology import linear_topology, ring_topology, star_topology
 from repro.traffic.flows import FlowSet, FlowSpec, TrafficClass
 from repro.traffic.iec60802 import production_cell_flows
@@ -65,7 +66,7 @@ class TestGuidelineMechanics:
 
     def test_qbv_gate_size_is_slots_per_cycle(self):
         result = derive_config(
-            ring_topology(2), _paper_flows(32), SLOT, gate_mechanism="qbv"
+            ring_topology(2), _paper_flows(32), SLOT, discipline=QBV
         )
         # cycle = 10ms, slot = 62.5us -> 160 entries (> 3 * 32 + 1)
         assert result.config.gate_size == 160
@@ -74,14 +75,14 @@ class TestGuidelineMechanics:
         # 64 flows land in 64 slots; each compiles to up to three entries
         # (guard, window, background), which outgrows one entry per slot.
         result = derive_config(
-            ring_topology(2), _paper_flows(64), SLOT, gate_mechanism="qbv"
+            ring_topology(2), _paper_flows(64), SLOT, discipline=QBV
         )
         assert result.config.gate_size == 3 * 64 + 1
 
     def test_unknown_gate_mechanism_rejected(self):
-        with pytest.raises(SchedulingError):
+        with pytest.raises(ConfigurationError, match="'tas'"):
             derive_config(ring_topology(2), _paper_flows(8), SLOT,
-                          gate_mechanism="tas")
+                          discipline=from_document("tas"))
 
     def test_buffer_is_depth_times_queues(self):
         result = derive_config(ring_topology(2), _paper_flows(), SLOT)

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.presets import customized_config, ring_config
 from repro.core.units import ms
+from repro.cqf.gating import MULTI_CQF
 from repro.network.program import Severity, check_deployment
 from repro.network.testbed import RunPlan
 from repro.network.topology import ring_topology
-from repro.sched import SchedPolicy, plan_flows
+from repro.sched import plan_flows
 from repro.traffic.flows import FlowSet, FlowSpec, TrafficClass
 from repro.traffic.iec60802 import background_flows, production_cell_flows
 
@@ -87,13 +88,14 @@ class TestTableChecks:
 
 
 class TestCapacityChecks:
-    def test_port_shortfall_flagged(self):
+    def test_port_num_below_the_topology_is_not_flagged(self):
+        # Each switch is synthesized with its own port count; a config's
+        # port_num does not bound the topology.
         config = customized_config(1, flow_count=64)
         from repro.network.topology import star_topology
 
         topo = star_topology(talkers=("t0",))
-        violations = _check(config, topo, _flows(), SLOT)
-        assert any(v.subject == "ports" for v in _errors(violations))
+        assert _errors(_check(config, topo, _flows(), SLOT)) == []
 
     def test_queue_depth_below_itp_bound_flagged(self):
         config = customized_config(1, flow_count=640).with_updates(
@@ -154,7 +156,7 @@ class TestScheduleChecks:
         )
         violations = _check(
             customized_config(1, flow_count=64), _topo(), flows, SLOT,
-            sched=SchedPolicy(shaper="multi_cqf"),
+            discipline=MULTI_CQF,
         )
         deadlines = [v for v in _errors(violations) if v.subject == "deadline"]
         assert len(deadlines) == 8

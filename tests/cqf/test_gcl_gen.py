@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import SchedulingError
-from repro.cqf.gcl_gen import cqf_gcl_entries, cqf_port_program
+from repro.cqf.gating import cqf_gcl_entries, cqf_port_program
 
 
 class TestEntries:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.errors import ConfigurationError, TopologyError
+from repro.core.errors import SpecValidationError, TopologyError
 from repro.core.presets import customized_config
 from repro.core.units import ms
 from repro.cqf.bounds import cqf_bounds
 from repro.network.program import compile_programs
+from repro.network.scenario import ScenarioSpec
 from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import dual_path_topology, ring_topology
 from repro.traffic.flows import TrafficClass
@@ -79,15 +80,22 @@ class TestReplication:
             testbed.build()
 
     def test_frer_requires_cqf(self):
-        with pytest.raises(ConfigurationError, match="CQF"):
-            Testbed(RunPlan(
-                dual_path_topology(),
-                customized_config(2),
-                production_cell_flows(["talker0"], "listener", flow_count=4),
-                slot_ns=SLOT,
-                frer_ts=True,
-                gate_mechanism="qbv",
-            ))
+        # The schema refuses it, with the path of the rule.
+        for keys, name in (({"gate_mechanism": "qbv"}, "qbv"),
+                           ({"sched": {"shaper": "csqf"}}, "csqf"),
+                           ({"sched": {"shaper": "multi_cqf"}}, "multi_cqf")):
+            with pytest.raises(SpecValidationError) as caught:
+                ScenarioSpec.from_dict({
+                    "name": "frer-gating",
+                    "topology": {"kind": "dual_path", "chain_len": CHAIN},
+                    "flows": {"ts_count": 4},
+                    "frer_ts": True,
+                    **keys,
+                })
+            assert caught.value.problems == [
+                f"frer_ts: FRER replicas run over 'cqf' gating only, not "
+                f"{name!r}"
+            ]
 
 
 class TestSeamlessFailover:

@@ -57,9 +57,9 @@ def plan_calls(monkeypatch):
     """Every ``plan_flows`` call, through whichever name it was made."""
     calls = []
 
-    def counting(flows, slot_ns, rate_bps=10**9, policy=None):
+    def counting(flows, slot_ns, rate_bps=10**9, policy=None, **discipline):
         calls.append(policy)
-        return plan_flows(flows, slot_ns, rate_bps, policy)
+        return plan_flows(flows, slot_ns, rate_bps, policy, **discipline)
 
     monkeypatch.setattr(sched_module, "plan_flows", counting)
     monkeypatch.setattr(testbed_module, "plan_flows", counting)

@@ -6,6 +6,7 @@ from repro.core.errors import ConfigurationError, SchedulingError
 from repro.core.presets import customized_config
 from repro.core.units import mbps, ms
 from repro.cqf.bounds import cqf_bounds
+from repro.cqf.gating import DISCIPLINES, QBV, from_document
 from repro.cqf.schedule import CqfSchedule
 from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import ring_topology
@@ -95,7 +96,7 @@ class TestTestbedIntegration:
                                       flow_count=count)
         config = customized_config(1).with_updates(gate_size=gate_size)
         testbed = Testbed(RunPlan(topology, config, flows, slot_ns=SLOT,
-                                  gate_mechanism=mechanism))
+                                  discipline=DISCIPLINES[mechanism]))
         return testbed.run(duration_ns=ms(30))
 
     def test_qbv_lossless_and_fast(self):
@@ -140,7 +141,7 @@ class TestTestbedIntegration:
         flows = production_cell_flows(["talker0"], "listener", flow_count=4)
         with pytest.raises(ConfigurationError):
             RunPlan(topology, customized_config(1), flows, slot_ns=SLOT,
-                    gate_mechanism="tas")
+                    discipline=from_document("tas"))
 
     def test_qbv_without_ts_flows_rejected(self):
         from repro.traffic.flows import FlowSet
@@ -149,6 +150,6 @@ class TestTestbedIntegration:
         topology = ring_topology(switch_count=2, talkers=["talker0"])
         flows = background_flows(["talker0"], "listener", mbps(10), mbps(10))
         testbed = Testbed(RunPlan(topology, customized_config(1), flows,
-                                  slot_ns=SLOT, gate_mechanism="qbv"))
+                                  slot_ns=SLOT, discipline=QBV))
         with pytest.raises(ConfigurationError, match="TS flows"):
             testbed.build()

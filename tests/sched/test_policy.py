@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.errors import SchedulingError, SpecValidationError
+from repro.core.errors import SpecValidationError
+from repro.cqf.gating import MULTI_CQF, from_document
 from repro.network.scenario import ScenarioSpec, validate_scenario_dict
 from repro.sched import SchedPolicy, validate_sched_dict
 
@@ -61,8 +62,9 @@ class TestSchedPolicy:
     def test_defaults_match_historic_greedy(self):
         policy = SchedPolicy()
         assert policy.backend == "greedy"
-        assert policy.shaper == "cqf"
         assert policy.utilization_limit == 0.5
+        # the shaper belongs to the gating discipline, classic CQF by default
+        assert not hasattr(policy, "shaper")
 
     def test_roundtrip(self):
         policy = SchedPolicy.from_dict({
@@ -72,16 +74,16 @@ class TestSchedPolicy:
         assert SchedPolicy.from_dict(policy.to_dict()) == policy
 
     def test_bad_shaper_raises(self):
-        with pytest.raises(SchedulingError, match="shaper"):
-            SchedPolicy(shaper="qbv")
+        with pytest.raises(SpecValidationError, match="sched.shaper"):
+            SchedPolicy.from_dict({"shaper": "qbv"})
 
     def test_from_dict_raises_spec_validation_error(self):
         with pytest.raises(SpecValidationError, match="sched.backend"):
             SchedPolicy.from_dict({"backend": "cplex"})
 
     def test_slot2_defaults_to_double_slot(self):
-        assert SchedPolicy(shaper="multi_cqf").slot2_ns(50_000) == 100_000
-        assert SchedPolicy(
+        assert MULTI_CQF.slot2_ns(50_000) == 100_000
+        assert from_document(
             shaper="multi_cqf", slot2_us=200.0
         ).slot2_ns(50_000) == 200_000
 

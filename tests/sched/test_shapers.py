@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.errors import ConfigurationError, SchedulingError
-from repro.cqf.gcl_gen import (
+from repro.core.errors import ConfigurationError, SchedulingError, \
+    SpecValidationError
+from repro.cqf.gating import (
     csqf_gcl_entries,
     csqf_port_program,
     multi_cqf_gate_entry_count,
@@ -119,6 +120,23 @@ class TestShaperEndToEnd:
             <= result.sched_plan.required_queue_depth
         )
 
+    def test_deep_csqf_line_drains_what_it_injected(self):
+        # CSQF spends two slots a hop: 12 hops take up to 25 slots, far
+        # past a fixed 8-slot drain, which left 5 % of the frames in flight.
+        result = ScenarioSpec.from_dict({
+            "name": "csqf-deep",
+            "topology": {"kind": "linear", "switch_count": 12},
+            "flows": {"ts_count": 32, "period_us": 1000, "size_bytes": 256},
+            "config": "derive",
+            "slot_us": 62.5,
+            "duration_ms": 20,
+            "injection_phase": "uniform",
+            "sched": {"shaper": "csqf"},
+        }).run()
+        assert sum(s.counters.dropped_total
+                   for s in result.switches.values()) == 0
+        assert result.ts_loss == 0.0
+
     def test_gate_size_per_shaper(self):
         spec_csqf = _scenario("csqf")
         config = spec_csqf.build_config(
@@ -132,6 +150,8 @@ class TestShaperEndToEnd:
         assert config.gate_size == 4
 
     def test_qbv_refuses_non_cqf_shaper(self):
-        spec = _scenario("csqf", gate_mechanism="qbv")
-        with pytest.raises(SchedulingError, match="gate_mechanism"):
-            spec.build_config(spec.build_topology(), spec.build_flows())
+        with pytest.raises(SpecValidationError) as caught:
+            _scenario("csqf", gate_mechanism="qbv")
+        assert caught.value.problems == [
+            "gate_mechanism: 'qbv' does not run with sched.shaper 'csqf'"
+        ]

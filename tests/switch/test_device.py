@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigurationError, TopologyError
-from repro.cqf.gcl_gen import cqf_port_program
+from repro.cqf.gating import cqf_port_program
 from repro.sim.kernel import Simulator
 from repro.switch.device import TsnSwitch
 from repro.switch.packet import EthernetFrame, make_mac

@@ -84,7 +84,7 @@ def _free_gcls(draw):
 
 @st.composite
 def _cqf_gcls(draw):
-    """The two-entry alternating pair ``repro.cqf.gcl_gen`` emits."""
+    """The two-entry alternating pair ``repro.cqf.gating`` emits."""
     slot = draw(_interval)
     base = draw(st.integers(0, 0x3F))
     return (
