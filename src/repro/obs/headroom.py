@@ -146,14 +146,8 @@ class PortHeadroomProbes:
     __slots__ = ("queues", "pool")
 
     def __init__(self, queues: List[OccupancyProbe], pool: OccupancyProbe):
-        self.queues = queues
+        self.queues = queues  # indexed by queue id
         self.pool = pool
-
-    def on_queue(self, queue_id: int, occupancy: int, now_ns: int) -> None:
-        self.queues[queue_id].update(now_ns, occupancy)
-
-    def on_buffer(self, in_use: int, now_ns: int) -> None:
-        self.pool.update(now_ns, in_use)
 
 
 class HeadroomRecorder:

@@ -3,9 +3,10 @@
 The observability layer's core: a :class:`MetricsRegistry` hands out named
 :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments, each of
 which fans out into one *series* per label set (``switch=sw0, port=0,
-queue=7``).  The dataplane binds its series once at build time and the hot
-path touches only plain integer fields -- no dict lookups, no string
-formatting, nothing allocated per frame.
+queue=7``).  The dataplane binds its series once at build time.  Where it
+already counts a quantity itself (a queue's length, a pool's slots in use,
+frames received), the series is a :class:`SeriesView` that reads that count
+when the registry is read, so the hot path pushes nothing for it.
 
 Conventions follow the Prometheus data model loosely (monotonic counters,
 set/inc gauges with high-water tracking, cumulative histogram buckets) but
@@ -32,6 +33,7 @@ __all__ = [
     "Histogram",
     "HistogramSeries",
     "MetricsRegistry",
+    "SeriesView",
     "log_buckets",
     "DEFAULT_LATENCY_BUCKETS_NS",
 ]
@@ -156,6 +158,28 @@ class HistogramSeries:
         return self.max
 
 
+class SeriesView:
+    """A read-only series whose fields are read from state kept elsewhere.
+
+    *value* (and, for a gauge, *high_water*) are zero-argument callables
+    over counts the dataplane keeps anyway; nothing is pushed per frame.
+    """
+
+    __slots__ = ("_value", "_high_water")
+
+    def __init__(self, value, high_water=None) -> None:
+        self._value = value
+        self._high_water = high_water
+
+    @property
+    def value(self):
+        return self._value()
+
+    @property
+    def high_water(self):
+        return self._high_water()
+
+
 class _Instrument:
     """Shared naming/series bookkeeping of one registered instrument."""
 
@@ -180,6 +204,11 @@ class _Instrument:
         if series is None:
             series = self._series[key] = self._new_series()
         return series
+
+    def view(self, view: SeriesView, **labels: Any) -> SeriesView:
+        """Install *view* as the series of this label set."""
+        self._series[_label_key(labels)] = view
+        return view
 
     def series(self) -> Iterator[Tuple[LabelKey, Any]]:
         return iter(sorted(self._series.items()))

@@ -111,14 +111,14 @@ class TsnSwitch:
         # Opt-in occupancy probes (repro.obs.headroom); None keeps the
         # uninstrumented fast path, same contract as metrics/spans.
         self._headroom = headroom
+        self.counters = SwitchCounters()
         # One SwitchInstruments per device binds this switch's label space
         # in the (shared) registry; None keeps the uninstrumented fast path.
         self.instruments: Optional[SwitchInstruments] = (
-            SwitchInstruments(metrics, self.name)
+            SwitchInstruments(metrics, self.name, self.counters)
             if metrics is not None
             else None
         )
-        self.counters = SwitchCounters()
         self.pipeline = SwitchPipeline(
             config, self.counters, instruments=self.instruments
         )
@@ -146,8 +146,16 @@ class TsnSwitch:
         in_gcl.program(list(always_open))
         out_gcl.program(list(always_open))
         scheduler = self._scheduler_factory()
+        engine = GateEngine(
+            self._sim,
+            in_gcl,
+            out_gcl,
+            clock=self.clock,
+            tracer=self._tracer,
+            name=f"{self.name}.p{port_id}",
+        )
         port_instruments: Optional[PortInstruments] = (
-            self.instruments.for_port(port_id, range(config.queue_num))
+            self.instruments.for_port(port_id, queues, pool, engine)
             if self.instruments is not None
             else None
         )
@@ -158,15 +166,6 @@ class TsnSwitch:
             )
             if self._headroom is not None
             else None
-        )
-        engine = GateEngine(
-            self._sim,
-            in_gcl,
-            out_gcl,
-            clock=self.clock,
-            tracer=self._tracer,
-            instruments=port_instruments,
-            name=f"{self.name}.p{port_id}",
         )
         port = EgressPort(
             sim=self._sim,
@@ -371,8 +370,6 @@ class TsnSwitch:
     ) -> None:
         """A frame arrived (fully, store-and-forward) from a link."""
         self.counters.received += 1
-        if self.instruments is not None:
-            self.instruments.on_received()
         if self._spans is not None:
             self._spans.record(self._sim._now, "ingress", self.name, frame)
         if not frame.fcs_ok:
@@ -412,10 +409,6 @@ class TsnSwitch:
                 local(frame)
             elif self.ports[outport].enqueue(frame, queue_id):
                 counters.forwarded += 1
-            else:
-                continue
-            if self.instruments is not None:
-                self.instruments.on_forwarded()
 
     # --------------------------------------------------------------- helpers
 

@@ -23,14 +23,17 @@ when arbitration blocks on a gate, :meth:`GateEngine.out_wait` also says
 when the next usable window opens, and the port posts itself a single
 wakeup at that boundary (at :data:`GATE_EVENT_PRIORITY`).
 
-Observers that want every transition get *narration*: when, at
-:meth:`GateEngine.start`, the tracer enables ``gate`` or port instruments
-are attached, a chain of one event per table boundary emits the ``gate``
-trace record and bumps ``gate_flips_total``.  A narration event changes no
-state and wakes nobody -- frame-level behaviour is the same with and
-without it -- and it fires one priority step ahead of the port wakeups of
-its instant, so a streamed trace reads gate-then-tx.  Without a subscriber
-the chain does not exist.
+``gate_flips_total`` is a view over the same tables: each table carries
+the boundaries crossed before its anchor, so :meth:`GateEngine.flips` is
+one bisect at the instant it is read, and a rebuild carries the count on.
+
+A tracer that enables ``gate`` at :meth:`GateEngine.start` gets
+*narration*: a chain of one event per table boundary, each emitting the
+``gate`` trace record.  A narration event changes no state and
+wakes nobody -- frame-level behaviour is the same with and without it --
+and it fires one priority step ahead of the port wakeups of its instant,
+so a streamed trace reads gate-then-tx.  Without that tracer the chain
+does not exist.
 
 Under CQF the two lists each have two entries that alternate a pair of TS
 queues every time slot: while queue A's in-gate is open (absorbing arrivals),
@@ -47,7 +50,6 @@ from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.obs.instruments import PortInstruments
 from repro.sim.clock import LocalClock
 from repro.sim.kernel import Simulator
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -123,11 +125,14 @@ class _WindowTable:
     Each entry is converted on its own, ``max(1, round(interval / rate))``,
     and the results accumulated -- not a rounded cumulative sum -- so a
     boundary is where a per-entry timer chain would put it.
+
+    ``flips_before`` counts the boundaries crossed before the anchor: -1
+    for the table built at start, whose anchor is the start itself.
     """
 
     __slots__ = (
         "entries", "count", "offsets", "masks", "cycle_ns", "anchor_ns",
-        "base_index", "pre_mask", "_closes", "fits",
+        "base_index", "pre_mask", "flips_before", "_closes", "fits",
     )
 
     def __init__(
@@ -137,6 +142,7 @@ class _WindowTable:
         anchor_ns: int,
         base_index: int = 0,
         pre_mask: Optional[int] = None,
+        flips_before: int = -1,
     ) -> None:
         self.entries = entries
         n = self.count = len(entries)
@@ -154,6 +160,7 @@ class _WindowTable:
         self.anchor_ns = anchor_ns
         self.base_index = base_index
         self.pre_mask = pre_mask
+        self.flips_before = flips_before
         self._closes: dict = {}  # queue_id -> see :meth:`closes`
         #: (queue_id, needed_ns) -> see :meth:`fit`; a port asks for a
         #: handful of frame lengths per queue.
@@ -183,6 +190,16 @@ class _WindowTable:
             self.offsets[j + 1] if j + 1 < self.count else self.cycle_ns
         ) + cycle_start
         return self.masks[j], end, j
+
+    def flips(self, now: int) -> int:
+        """Boundaries crossed from the engine's start through *now*."""
+        if now < self.anchor_ns:
+            return self.flips_before
+        cycles, pos = divmod(now - self.anchor_ns, self.cycle_ns)
+        return (
+            self.flips_before + cycles * self.count
+            + bisect_right(self.offsets, pos)
+        )
 
     def _duration(self, pos: int) -> int:
         nxt = self.offsets[pos + 1] if pos + 1 < self.count else self.cycle_ns
@@ -294,18 +311,19 @@ class _WindowTable:
         for it); everything after is re-derived at the new rate.
         """
         mask, end, j = self.locate(now)
+        flips = self.flips(now)
         if j < 0:
             # Still inside a previous rebuild's pre-anchor stretch: keep
             # the same committed boundary, refresh the rates beyond it.
             return _WindowTable(
                 self.entries, clock, self.anchor_ns, self.base_index,
-                self.pre_mask,
+                self.pre_mask, flips,
             )
         entry_index = (self.base_index + j) % self.count
         return _WindowTable(
             self.entries, clock, anchor_ns=end,
             base_index=(entry_index + 1) % self.count,
-            pre_mask=mask,
+            pre_mask=mask, flips_before=flips,
         )
 
 
@@ -319,9 +337,9 @@ class GateEngine:
         expressed in local nanoseconds and converted through the clock, so a
         drifting unsynchronized clock visibly skews slot boundaries (which
         is what time sync exists to prevent).
-    tracer, instruments:
-        If the tracer enables ``gate`` or *instruments* is given when the
-        engine starts, every table boundary is narrated to them.
+    tracer:
+        If it enables ``gate`` when the engine starts, every table boundary
+        is narrated to it.
     """
 
     def __init__(
@@ -332,7 +350,6 @@ class GateEngine:
         clock: Optional[LocalClock] = None,
         cqf_pairs: Sequence[CqfGroup] = (),
         tracer: Tracer = NULL_TRACER,
-        instruments: Optional[PortInstruments] = None,
         name: str = "gate",
     ) -> None:
         self._sim = sim
@@ -341,7 +358,6 @@ class GateEngine:
         self.out_gcl = out_gcl
         self._set_groups(cqf_pairs)
         self._tracer = tracer
-        self._obs = instruments
         self._name = name
         self._in_table: Optional[_WindowTable] = None
         self._out_table: Optional[_WindowTable] = None
@@ -390,9 +406,9 @@ class GateEngine:
         subscribe = getattr(self._clock, "on_rate_change", None)
         if subscribe is not None:
             subscribe(self._on_rate_change)
-        if self._tracer.enabled_for("gate") or self._obs is not None:
-            self._narrate_in(boundary=False)
-            self._narrate_out(boundary=False)
+        if self._tracer.enabled_for("gate"):
+            self._narrate_in()
+            self._narrate_out()
 
     @property
     def started(self) -> bool:
@@ -411,20 +427,19 @@ class GateEngine:
 
     # ------------------------------------------------------------- narration
 
-    def _narrate_in(self, boundary: bool = True) -> None:
+    def _narrate_in(self) -> None:
         """Narrate the in-GCL segment beginning now; post the next one."""
-        self._narrate(self._in_table, self._narrate_in, "in", boundary)
+        self._narrate(self._in_table, self._narrate_in, "in")
 
-    def _narrate_out(self, boundary: bool = True) -> None:
+    def _narrate_out(self) -> None:
         """Narrate the out-GCL segment beginning now; post the next one."""
-        self._narrate(self._out_table, self._narrate_out, "out", boundary)
+        self._narrate(self._out_table, self._narrate_out, "out")
 
     def _narrate(
         self,
         table: _WindowTable,
         again: Callable[[], None],
         direction: str,
-        boundary: bool,
     ) -> None:
         """Report the segment of *table* beginning now and post *again* for
         its end -- so a rate change re-times every boundary but the
@@ -434,8 +449,6 @@ class GateEngine:
         now = sim._now
         mask, end, _pos = table.locate(now)
         sim.post(end - now, again, _NARRATION_PRIORITY)
-        if boundary and self._obs is not None:
-            self._obs.on_gate_flip(direction)
         if self._tracer.active:
             self._tracer.emit(
                 now, "gate", f"{self._name} {direction}-gates",
@@ -443,6 +456,12 @@ class GateEngine:
             )
 
     # --------------------------------------------------------------- queries
+
+    def flips(self, direction: str) -> int:
+        """Boundaries the ``"in"`` or ``"out"`` GCL crossed since
+        :meth:`start` (``gate_flips_total``); 0 before it."""
+        table = self._in_table if direction == "in" else self._out_table
+        return 0 if table is None else table.flips(self._sim._now)
 
     @property
     def in_mask(self) -> int:

@@ -232,13 +232,10 @@ class EgressPort:
         per_queue[target_id] = per_queue.get(target_id, 0) + 1
         if self._watched:
             occupancy = len(queue._fifo)
-            in_use = pool.in_use
-            if self._obs is not None:
-                self._obs.on_enqueue(target_id, occupancy)
-                self._obs.on_buffer(in_use)
-            if self._headroom is not None:
-                self._headroom.on_queue(target_id, occupancy, now)
-                self._headroom.on_buffer(in_use, now)
+            headroom = self._headroom
+            if headroom is not None:
+                headroom.queues[target_id].update(now, occupancy)
+                headroom.pool.update(now, pool.in_use)
             if self._spans is not None:
                 self._spans.record(now, "enqueue", self.name, frame, target_id)
             if self._tracer.active:
@@ -424,13 +421,12 @@ class EgressPort:
         queue_id = queue.queue_id
         now = self._sim._now
         if self._watched:
-            occupancy = len(queue._fifo)
             if self._obs is not None:
-                self._obs.on_dequeue(
-                    queue_id, occupancy, now - descriptor.enqueued_ns
+                self._obs.residence[queue_id].observe(
+                    now - descriptor.enqueued_ns
                 )
             if self._headroom is not None:
-                self._headroom.on_queue(queue_id, occupancy, now)
+                self._headroom.queues[queue_id].update(now, len(queue._fifo))
             if self._spans is not None:
                 self._spans.record(
                     now, "dequeue", self.name, descriptor.frame, queue_id
@@ -544,12 +540,8 @@ class EgressPort:
         self.counters.transmitted += 1
         now = self._sim._now
         if self._watched:
-            in_use = pool.in_use
-            if self._obs is not None:
-                self._obs.on_buffer(in_use)
-                self._obs.on_transmitted()
             if self._headroom is not None:
-                self._headroom.on_buffer(in_use, now)
+                self._headroom.pool.update(now, pool.in_use)
             if self._spans is not None:
                 self._spans.record(
                     now, "tx", self.name, descriptor.frame, tx.queue_id

@@ -7,7 +7,8 @@ itself when an unclosed testbed is dropped -- breaks those and every cycle
 a run adds (the calendar, the clocks' rate listeners, the gPTP tree).
 The matrix covers the shipped example scenarios and a star with gPTP under
 drift, with preemption and with Qbv gating, each bare and watched by
-metrics, headroom probes and flow spans, built only and built and run.
+metrics, headroom probes and flow spans, built only and built and run.  A
+registry held past the testbed keeps answering and keeps no switch alive.
 
 A failing case's traceback is itself cyclic garbage once pytest lets go
 of it, so the cases after a genuine failure fail too: read the first.
@@ -125,6 +126,28 @@ def test_closed_result_stays_readable(no_collector):
     switch = weakref.ref(next(iter(result.switches.values())))
     del result
     assert switch() is None
+    assert not cyclic_garbage()
+
+
+@pytest.mark.parametrize("ending", ["close", "drop"])
+@pytest.mark.parametrize("scenario", ["slo_star", "slo_star_gptp"])
+def test_held_registry_outlives_its_switches(no_collector, scenario, ending):
+    # The registry's gauges and counters read the dataplane's own state:
+    # once the testbed is gone they still answer, and hold no switch.
+    registry = MetricsRegistry()
+    spec = ScenarioSpec.from_dict(SCENARIOS[scenario])
+    testbed = spec.build_testbed(metrics=registry)
+    result = testbed.run(RUN_NS)
+    snapshot = registry.snapshot()
+    assert registry.counter("gate_flips_total").total() > 0
+    assert registry.counter("frames_total").total() > 0
+    switch = weakref.ref(next(iter(testbed.switches.values())))
+    if ending == "close":
+        testbed.close()
+        assert registry.snapshot() == snapshot
+    del testbed, result, spec
+    assert switch() is None
+    assert registry.snapshot() == snapshot
     assert not cyclic_garbage()
 
 

@@ -104,7 +104,7 @@ class TestHeadroomRecorder:
 
         recorder = HeadroomRecorder()
         probes = recorder.for_port("sw0", 0, 1, 4, BufferPool(8))
-        probes.on_queue(0, 2, 100)
+        probes.queues[0].update(100, 2)
         recorder.finalize(300)
         assert recorder.end_ns == 300
         assert probes.queues[0].observed_ns == 300

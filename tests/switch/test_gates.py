@@ -243,6 +243,30 @@ class TestWakeHints:
         assert _narrated_at(engine, "in") == boundaries
         assert _narrated_at(engine, "out") == boundaries
 
+    def test_flips_count_the_narrated_boundaries(self):
+        # ``gate_flips_total`` reads the window tables: the boundaries
+        # crossed through now, carried over every rebuild -- one mid-entry,
+        # one inside the pre-anchor stretch it leaves, one on a boundary.
+        sim = Simulator()
+        clocks = [LocalClock(sim), LocalClock(sim)]
+        narrated, quiet = (
+            _cqf_engine(sim, slot=1000, clock=clock, narrated=flag)
+            for clock, flag in zip(clocks, (True, False))
+        )
+        assert quiet.flips("in") == quiet.flips("out") == 0
+        narrated.start()
+        quiet.start()
+        for at, ppm in ((500, 100_000), (800, -50_000), (1000, 20_000)):
+            for clock in clocks:
+                sim.post(at, lambda clock=clock, ppm=ppm: clock.adjust_rate(ppm))
+        for until in range(0, 6_000, 7):
+            sim.run(until=until)
+            for direction in ("in", "out"):
+                expected = len(_narrated_at(narrated, direction))
+                assert narrated.flips(direction) == expected
+                assert quiet.flips(direction) == expected
+        assert quiet.flips("in") >= 5
+
     @narrated_or_not
     def test_guard_band_keeps_committed_boundary_after_slew(self, narrated):
         # Two 100 us out-entries, the clock slewed +200 ppm half-way into

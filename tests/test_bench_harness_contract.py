@@ -13,6 +13,7 @@ import pytest
 
 from repro.network.scenario import ScenarioSpec
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.trace import Tracer
 
 HARNESS = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 
@@ -54,7 +55,10 @@ def test_layer_entry_points_exist_and_a_run_is_attributed(spans):
     log = spans.SpanLog()
     patches = spans.install(log)
     spec = ScenarioSpec.from_dict(SMALLEST_STAR)
-    testbed = spec.build_testbed(metrics=MetricsRegistry())
+    # The registry posts no event; a gate tracer is what narrates.
+    testbed = spec.build_testbed(
+        metrics=MetricsRegistry(), tracer=Tracer(enabled={"gate"})
+    )
     testbed.build()
     result = testbed.run(duration_ns=spec.duration_ns)
     patches.undo()

@@ -26,7 +26,8 @@ _LINE = {"talkers": ["talker0"], "listener": "listener"}
 _COMMON = {"config": "derive", "slot_us": 62.5, "seed": 1}
 
 #: name -> (document, observed, ceiling in calls per switch-hop).  The
-#: measured counts were 39.0, 47.8 and 63.5.
+#: measured counts were 39.0, 47.8 and 49.7 (63.5 while the registry's
+#: gauges and counters were pushed from every hop).
 WORKLOADS = {
     "ring_deep": (
         {
@@ -56,7 +57,7 @@ WORKLOADS = {
                       "rc_mbps": 100, "be_mbps": 100},
         },
         True,
-        69.9,
+        54.7,
     ),
 }
 
