@@ -69,10 +69,10 @@ def test_layer_entry_points_exist_and_a_run_is_attributed(spans):
     assert {"gates.flip", "port.gate_wake", "gates.query"} <= set(log.names)
     # Posted actions are attributed by the module that defines them: a
     # ``functools.partial`` or an action moved to another module would
-    # silently turn hop time into ``other.event``.
-    assert {"link.arrive", "ingress.process", "port.tx_event"} <= set(
-        log.names
-    )
+    # silently turn hop time into ``other.event``.  A hop's arrival and its
+    # switch pipeline are one event, posted by the link.
+    assert {"link.arrive", "port.tx_event"} <= set(log.names)
+    assert "ingress.process" not in log.names
     assert "other.event" not in log.names
     # What e2e_workloads.py reads off a finished run.
     assert hasattr(testbed, "batch") and testbed.batch is None

@@ -14,7 +14,9 @@ two views of one run and no hash may differ from the capture:
 ``<label>/table``
     the same run's trace without the narrated (post-start) ``gate``
     records; a run whose tracer leaves ``gate`` off emits exactly the
-    remaining records, equal reports, and ``scheduled + elided`` events.
+    remaining records and equal reports, and its ``scheduled + elided``
+    events plus one per frame a switch passed to its pipeline (arrival and
+    processing were two events at capture time, one now) equal the pin.
 
 ``faulted_star`` and ``frer_ring`` (and every row's ``latencies`` hash) were
 captured while frames also travelled as integer handles into a column
@@ -254,6 +256,19 @@ def _posted(result) -> int:
     return stats["scheduled"] + stats["elided"]
 
 
+def _fused(result) -> int:
+    """Switch arrivals that were an event of their own at capture time.
+
+    A link now posts a frame's arrival and the switch's 480 ns pipeline as
+    one event; every frame a switch checked and passed to the pipeline used
+    to cost one more.
+    """
+    return sum(
+        switch.counters.received - switch.counters.dropped_corrupt
+        for switch in result.switches.values()
+    )
+
+
 @functools.lru_cache(maxsize=1)
 def _rows(label: str) -> dict:
     """Both rows of *label*, from one gate-traced and one unwatched run."""
@@ -276,10 +291,16 @@ def _rows(label: str) -> dict:
     # start records, every narrated boundary -- posted the next narration.
     gate_records = sum(r.category == "gate" for r in trace)
     assert _posted(narrated) == _posted(unwatched) + gate_records
-    # ``scheduled`` predates the demand-driven port: exact-count proof that
-    # only never-posted idle events disappeared since.
+    # ``scheduled`` predates the demand-driven port and the one-event hop:
+    # exact-count proof that only never-posted idle events and the separate
+    # processing events disappeared since.
     assert unwatched.sim_stats["elided"] > 0
-    return {"flip": flip, "table": {**table, "scheduled": _posted(unwatched)}}
+    return {
+        "flip": flip,
+        "table": {
+            **table, "scheduled": _posted(unwatched) + _fused(unwatched),
+        },
+    }
 
 
 def _capture() -> dict:

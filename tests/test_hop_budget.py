@@ -1,18 +1,23 @@
-"""Python calls per switch-hop stay within a budget.
+"""Python calls and kernel events per switch-hop stay within a budget.
 
-A timing gate reads the host as much as the code; a call count does not.
-Each document below is a smoke-size run of one end-to-end benchmark
-workload (``benchmarks/e2e``): its ``Testbed.run`` is profiled with
-``sys.setprofile`` and every Python function entered is counted, then
-divided by the frames that completed serialization on a switch port.
+A timing gate reads the host as much as the code; a call count or an event
+count does not.  Each document below is a smoke-size run of one end-to-end
+benchmark workload (``benchmarks/e2e``): its ``Testbed.run`` is profiled
+with ``sys.setprofile`` and every Python function entered is counted, then
+divided by the frames that completed serialization on a switch port; the
+events the kernel fired are divided by the same hops.
 
-The ceilings are the counts measured when they were set plus 10 %.  A
+The call ceilings are the counts measured when they were set plus 10 %.  A
 change that puts a call back on every hop -- a property read, a helper
 split out of the port, a second gate query per arbitration -- fails here
-on any machine.  A change that makes the hop cheaper should lower them.
+on any machine.  Event counts are deterministic, so their ceilings carry
+no slack: a second event per frame's arrival, or any new per-hop event,
+fails at once.  A change that makes the hop cheaper should lower both.
 """
 
+import functools
 import sys
+from typing import Tuple
 
 import pytest
 
@@ -25,9 +30,13 @@ _LINE = {"talkers": ["talker0"], "listener": "listener"}
 
 _COMMON = {"config": "derive", "slot_us": 62.5, "seed": 1}
 
-#: name -> (document, observed, ceiling in calls per switch-hop).  The
-#: measured counts were 39.0, 47.8 and 49.7 (63.5 while the registry's
-#: gauges and counters were pushed from every hop).
+#: name -> (document, observed, ceiling in calls per switch-hop, ceiling
+#: in kernel events per switch-hop).  The measured calls were 35.7, 44.8
+#: and 46.7 (38.7, 47.8 and 49.7 while a link's arrival and the switch's
+#: processing were two events; 63.5 on the observed line while the
+#: registry's gauges and counters were pushed from every hop).  The events
+#: are exact: 3.20, 3.5952 and 2.6190 (4.20, 4.5952 and 3.6190 with the
+#: two-event arrival).
 WORKLOADS = {
     "ring_deep": (
         {
@@ -36,7 +45,8 @@ WORKLOADS = {
             "flows": {"ts_count": 16, "period_us": 1000, "size_bytes": 64},
         },
         False,
-        42.9,
+        39.3,
+        3.20,
     ),
     "star_dense": (
         {
@@ -46,7 +56,8 @@ WORKLOADS = {
                       "rc_mbps": 100, "be_mbps": 100},
         },
         False,
-        52.6,
+        49.3,
+        3.60,
     ),
     "linear_qbv_observed": (
         {
@@ -57,12 +68,16 @@ WORKLOADS = {
                       "rc_mbps": 100, "be_mbps": 100},
         },
         True,
-        54.7,
+        51.4,
+        2.62,
     ),
 }
 
 
-def calls_per_hop(document: dict, observed: bool) -> float:
+@functools.lru_cache(maxsize=None)
+def per_hop(name: str) -> Tuple[float, float]:
+    """(Python calls, kernel events) per switch-hop of one run of *name*."""
+    document, observed = WORKLOADS[name][:2]
     spec = ScenarioSpec.from_dict(dict(_COMMON, name="hop-budget", **document))
     observers = (
         {
@@ -89,14 +104,24 @@ def calls_per_hop(document: dict, observed: bool) -> float:
         sys.setprofile(previous)
     hops = sum(s.counters.transmitted for s in result.switches.values())
     assert hops > 500, "the run carried too little traffic to measure"
-    return calls / hops
+    return calls / hops, result.sim_stats["fired"] / hops
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_calls_per_switch_hop_stay_under_the_ceiling(name):
-    document, observed, ceiling = WORKLOADS[name]
-    measured = calls_per_hop(document, observed)
+    ceiling = WORKLOADS[name][2]
+    measured = per_hop(name)[0]
     assert measured <= ceiling, (
         f"{name}: {measured:.2f} Python calls per switch-hop, "
+        f"ceiling {ceiling}"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_events_per_switch_hop_stay_under_the_ceiling(name):
+    ceiling = WORKLOADS[name][3]
+    measured = per_hop(name)[1]
+    assert measured <= ceiling, (
+        f"{name}: {measured:.4f} kernel events per switch-hop, "
         f"ceiling {ceiling}"
     )
