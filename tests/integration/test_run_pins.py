@@ -59,13 +59,13 @@ CELLS = {
 
 SUMMARY_DIGESTS = {
     "mixed_exact":
-        "a7dbfbd14e2cc6f3713a3d40b9711f7fb8f171b1050e890f3d666722d462803b",
+        "96926c6354aaa8ab63a0fb1a3f1e89352cc6c138a8a0b0c9c2b5ee0bfececa84",
     "mixed_anneal":
-        "668914f08d4818c79b105465b9ff2c226eaccdd23942c51afe24a0db1067b47b",
+        "f32e81bc9e9b56f6f2171120f6ed48e9c79a3bd98ea62d3abfee391b282c8319",
     "ring_unplanned":
-        "2309ed55b0d27058667ab570b3c112d79e25bf39ddf995d47dcf2991473eac72",
+        "d8c4036215b325bef4bd532e3f10ce703b6e367e6e452abee196aa1def0e9577",
     "explicit_uniform":
-        "6106bb6272c07249c2901be6efdbd82874bad093674f7e68cd8712961f599bbc",
+        "e41d8a9972f8642f736d7740825a35babadd48b92a6681e1128abe512bfd468f",
 }
 
 
