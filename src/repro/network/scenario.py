@@ -181,6 +181,21 @@ def _one_discipline(data: Mapping[str, Any], path: str) -> List[str]:
     return []
 
 
+#: Topology kinds that attach the listener twice, once per FRER replica.
+_FRER_KINDS = ("dual_path", "frer_ring")
+
+
+def _frer_two_paths(data: Mapping[str, Any], path: str) -> List[str]:
+    """FRER replicas take two disjoint paths, so the listener must be
+    attached twice; on any other layout the build would refuse the run."""
+    kind = data["topology"]["kind"]
+    if data.get("frer_ts") and kind not in _FRER_KINDS:
+        return [f"frer_ts: FRER replicas need two paths to the listener; "
+                f"topology {kind!r} has one (use "
+                f"{' or '.join(map(repr, _FRER_KINDS))})"]
+    return []
+
+
 #: The scenario document.
 SCENARIO = Table(
     (
@@ -215,7 +230,7 @@ SCENARIO = Table(
     # nearest-key hint that would point at an unrelated stanza.
     retired={"shard": 'sharded runs were removed; see docs/performance.md '
                       '"Why there is no sharded run"'},
-    rules=(_vid_budget, _one_discipline),
+    rules=(_vid_budget, _one_discipline, _frer_two_paths),
 )
 
 #: The keys that are ScenarioSpec fields; the rest are RunPlan extras.

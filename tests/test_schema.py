@@ -108,10 +108,30 @@ class TestBoundedParameters:
         ]
 
     def test_frer_replicas_double_the_vlan_demand(self):
-        assert _problems(_doc(flows={"ts_count": 3000}, frer_ts=True)) == [
+        assert _problems(_doc(
+            topology={"kind": "dual_path"}, flows={"ts_count": 3000},
+            frer_ts=True,
+        )) == [
             "flows.ts_count: 3000 TS flows need 6000 VLAN ids, more than "
             "the 4094 usable"
         ]
+
+    @pytest.mark.parametrize("kind", ["linear", "ring", "star"])
+    def test_frer_needs_a_listener_attached_twice(self, kind):
+        assert _problems(_doc(topology={"kind": kind}, frer_ts=True)) == [
+            f"frer_ts: FRER replicas need two paths to the listener; "
+            f"topology {kind!r} has one (use 'dual_path' or 'frer_ring')"
+        ]
+
+    @pytest.mark.parametrize("kind", ["dual_path", "frer_ring"])
+    def test_frer_topologies_pass(self, kind):
+        ScenarioSpec.from_dict(_doc(topology={"kind": kind}, frer_ts=True))
+
+    def test_frer_rule_is_silent_on_an_unknown_topology_kind(self):
+        problems = _problems(_doc(topology={"kind": "mesh"}, frer_ts=True))
+        assert problems and not any(
+            p.startswith("frer_ts:") for p in problems
+        )
 
 
 class TestOneRulePerRange:

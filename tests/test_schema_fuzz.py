@@ -11,8 +11,7 @@ import re
 
 import pytest
 
-from repro.core.errors import SchedulingError, SpecValidationError, \
-    TopologyError
+from repro.core.errors import SchedulingError, SpecValidationError
 from repro.network.scenario import ScenarioSpec
 from tests.schema_cases import extra_cases, node_cases
 
@@ -24,8 +23,6 @@ CROSS_FIELD_RULES = (
      "a period must be a multiple of the slot: the same rule"),
     (SchedulingError, "cannot size a switch for zero flows",
      "a flow set with no flows at all: ts_count, groups, rc and be"),
-    (TopologyError, "needs two attachments",
-     "frer_ts on a topology whose listener has no second attachment"),
 )
 
 PATH = re.compile(r"^(\$|[A-Za-z_]\w*(\.\w+|\[\d+\])*): ")
