@@ -107,6 +107,18 @@ class _ActiveTx:
 class EgressPort:
     """The transmit side of one enabled TSN port."""
 
+    # A dataplane object built once per port: slots keep it at a fixed size
+    # instead of a per-instance dict (which outgrows CPython's key-sharing
+    # layout past 30 keys).
+    __slots__ = (
+        "_sim", "port_id", "rate_bps", "_serialization_ns", "queues", "pool",
+        "gates", "scheduler", "counters", "preemption_enabled",
+        "express_queues", "preemptions", "_tracer", "_obs", "_spans",
+        "_headroom", "name", "_deliver", "_busy_until", "_retry_armed_at",
+        "_gate_wake_at", "_active", "_suspended", "_resident", "_idle_seq",
+        "_queue_by_id", "_express_list", "_shapers", "_watched",
+    )
+
     def __init__(
         self,
         sim: Simulator,
