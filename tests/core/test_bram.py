@@ -76,6 +76,67 @@ class TestAllocator:
         assert candidates[0].kb == 126
 
 
+#: One structure per aspect ratio: (width, depth) -> the primitive, the
+#: aspect (depth x width), the blocks and the Kb the allocator chooses.  A
+#: RAMB18 shape here is strictly cheaper in bits than every other shape; a
+#: RAMB36 shape always costs exactly what two RAMB18 halves cost, so each
+#: one here wins on blocks (one against two), never on the depth tie-break.
+ASPECT_PINS = [
+    # RAMB18
+    (1, 16384, 18, (16384, 1), 1, 18),
+    (2, 8192, 18, (8192, 2), 1, 18),
+    (4, 4096, 18, (4096, 4), 1, 18),
+    (9, 2048, 18, (2048, 9), 1, 18),
+    (18, 1024, 18, (1024, 18), 1, 18),
+    (36, 512, 18, (512, 36), 1, 18),
+    # RAMB36
+    (1, 32768, 36, (32768, 1), 1, 36),
+    (2, 16384, 36, (16384, 2), 1, 36),
+    (4, 8192, 36, (8192, 4), 1, 36),
+    (9, 4096, 36, (4096, 9), 1, 36),
+    (18, 2048, 36, (2048, 18), 1, 36),
+    (36, 1024, 36, (1024, 36), 1, 36),
+    (72, 512, 36, (512, 72), 1, 36),
+]
+
+
+class TestEveryAspect:
+    """Each primitive shape is the cheapest packing of some structure, so a
+    wrong shape in the aspect tables changes a pinned cost."""
+
+    @pytest.mark.parametrize(
+        "width,depth,primitive_kb,aspect,blocks,kb", ASPECT_PINS,
+        ids=[f"RAMB{p[2]}-{p[3][0]}x{p[3][1]}" for p in ASPECT_PINS],
+    )
+    def test_chosen_packing(self, width, depth, primitive_kb, aspect,
+                            blocks, kb):
+        alloc = bram.allocate(width, depth)
+        assert (alloc.aspect.primitive_kb,
+                (alloc.aspect.depth, alloc.aspect.width),
+                alloc.blocks, alloc.kb) == (primitive_kb, aspect, blocks, kb)
+
+    def test_every_aspect_is_pinned(self):
+        pinned = {(p[2], p[3]) for p in ASPECT_PINS}
+        assert pinned == {
+            (a.primitive_kb, (a.depth, a.width)) for a in bram.ALL_ASPECTS
+        }
+
+    @pytest.mark.parametrize(
+        "width,depth,primitive_kb", [p[:3] for p in ASPECT_PINS],
+        ids=[f"RAMB{p[2]}-{p[3][0]}x{p[3][1]}" for p in ASPECT_PINS],
+    )
+    def test_choice_is_not_a_tie(self, width, depth, primitive_kb):
+        costs = sorted(
+            (a.blocks_for(width, depth) * a.primitive_bits,
+             a.blocks_for(width, depth))
+            for a in bram.ALL_ASPECTS
+        )
+        if primitive_kb == bram.RAMB18_KB:
+            assert costs[0][0] < costs[1][0]
+        else:
+            assert costs[0] < costs[1]
+
+
 class TestNaiveAllocator:
     def test_never_cheaper_than_optimal(self):
         for width, depth in [(117, 1024), (17, 2), (68, 512), (32, 12)]:
