@@ -228,10 +228,12 @@ class FlowSpanRecorder:
     def journeys(self) -> List[FrameJourney]:
         """One :class:`FrameJourney` per observed frame.
 
-        Events keep recording order, which is simulation-time order (the
-        kernel's clock is monotonic), so each journey's event list is
-        already causal.  Sorted by (flow, seq, frame) so FRER member
-        streams of the same (flow, seq) stay adjacent.
+        Events keep recording order, so each journey's event list is
+        causal.  The flat list is not globally time-sorted: a switch
+        appends a frame's ``ingress`` record when its 480 ns pipeline
+        finishes, stamped with the arrival instant, after records of other
+        frames from inside that window.  Sorted by (flow, seq, frame) so
+        FRER member streams of the same (flow, seq) stay adjacent.
         """
         by_frame: Dict[int, FrameJourney] = {}
         for time_ns, kind, node, frame_id, flow_id, seq, detail in self.events:

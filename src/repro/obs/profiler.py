@@ -26,7 +26,7 @@ def categorize(action: Callable[..., Any]) -> str:
     """A stable category for an event action.
 
     Named functions/methods report their qualified name; closures and
-    lambdas are attributed to the enclosing function (``TsnSwitch.receive``
+    lambdas are attributed to the enclosing function (``Link._carry``
     rather than an anonymous ``<lambda>``), which is where the scheduling
     decision lives.
     """
