@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigurationError, TopologyError
+from repro.obs.flowspans import FlowSpanRecorder
 from repro.cqf.gating import cqf_port_program
 from repro.sim.kernel import Simulator
 from repro.switch.device import TsnSwitch
@@ -188,6 +189,27 @@ class TestDataplane:
         sim.run(until=1_000_000)
         # 480 ns processing + 512 ns serialization
         assert arrivals == [480 + 512]
+
+    def test_ingress_counts_at_pipeline_end_and_stamps_arrival(self):
+        sim = Simulator()
+        spans = FlowSpanRecorder()
+        switch = TsnSwitch(sim, _config(), processing_delay_ns=480,
+                           spans=spans, name="sw")
+        self._wire(switch)
+        switch.program_flow(make_mac(1), make_mac(2), 5, 7, 0, 7)
+        switch.start()
+        sim.run(until=100)
+        switch.receive(_frame())
+        switch.receive(_frame().corrupted())
+        sim.run(until=579)
+        assert switch.counters.received == 0
+        sim.run(until=580)
+        assert switch.counters.received == 2
+        assert switch.counters.dropped_corrupt == 1
+        assert [(t, kind) for t, kind, *_ in spans.events
+                if kind in ("ingress", "drop")] == [
+            (100, "ingress"), (100, "ingress"), (100, "drop"),
+        ]
 
     def test_unknown_dst_dropped(self):
         sim = Simulator()
