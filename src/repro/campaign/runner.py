@@ -130,14 +130,13 @@ class Campaign:
 
     # ------------------------------------------------------------- running
 
-    def plan(self, strict: bool = True) -> List[PlannedRun]:
-        return self.spec.expand(strict=strict)
+    def plan(self) -> List[PlannedRun]:
+        return self.spec.expand()
 
     def run(
         self,
         jsonl: Union[None, str, Path, IO[str]] = None,
         progress: Optional[Progress] = None,
-        strict: bool = True,
     ) -> Dict[str, Any]:
         """Execute all runs; returns the aggregate summary document.
 
@@ -152,7 +151,7 @@ class Campaign:
             flag_stragglers,
         )
 
-        runs = self.plan(strict=strict)
+        runs = self.plan()
         payloads = [run.as_payload() for run in runs]
         status_path = (
             str(self.status_file) if self.status_file is not None else None

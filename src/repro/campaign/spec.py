@@ -39,7 +39,8 @@ from typing import Any, Dict, List, Mapping, Union
 
 from repro.core.errors import ConfigurationError, SpecValidationError
 from repro.network.scenario import validate_scenario_dict
-from repro.schema import INT, NAME, Field, ListOf, Obj, Range, Table, check
+from repro.schema import INT, NAME, Field, ListOf, Obj, Range, Table, check, \
+    load_json
 
 __all__ = ["SweepSpec", "PlannedRun", "derive_seed", "set_path"]
 
@@ -140,39 +141,28 @@ class SweepSpec:
     # ------------------------------------------------------------- parsing
 
     @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], strict: bool = True
-    ) -> "SweepSpec":
+    def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
         problems = check(SWEEP, data)
-        if problems and (strict or not isinstance(data, Mapping)):
+        if problems:
             raise SpecValidationError(
                 f"sweep {data.get('name', '?')!r}"
                 if isinstance(data, Mapping) else "sweep", problems
             )
-        # Lax parsing keeps what is usable of a malformed document.
-        name, base, seeds = data.get("name"), data.get("base"), \
-            data.get("seeds", 1)
-        grid, points = data.get("grid", {}), data.get("list", [])
         return cls(
-            name=name if isinstance(name, str) else "sweep",
-            base=dict(base) if isinstance(base, Mapping) else {},
-            grid={k: list(v) for k, v in grid.items()
-                  if isinstance(v, (list, tuple))}
-            if isinstance(grid, Mapping) else {},
-            points=[dict(p) for p in points if isinstance(p, Mapping)]
-            if isinstance(points, (list, tuple)) else [],
-            seeds=seeds if type(seeds) is int and seeds >= 1 else 1,
+            name=data["name"],
+            base=dict(data["base"]),
+            grid={k: list(v) for k, v in data.get("grid", {}).items()},
+            points=[dict(p) for p in data.get("list", [])],
+            seeds=data.get("seeds", 1),
         )
 
     @classmethod
-    def from_json(cls, text: str, strict: bool = True) -> "SweepSpec":
-        return cls.from_dict(json.loads(text), strict=strict)
+    def from_json(cls, text: str) -> "SweepSpec":
+        return cls.from_dict(load_json(text, "sweep"))
 
     @classmethod
-    def from_file(
-        cls, path: Union[str, Path], strict: bool = True
-    ) -> "SweepSpec":
-        return cls.from_json(Path(path).read_text(), strict=strict)
+    def from_file(cls, path: Union[str, Path]) -> "SweepSpec":
+        return cls.from_json(Path(path).read_text())
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"name": self.name, "base": self.base}
@@ -204,10 +194,10 @@ class SweepSpec:
         combos.extend(dict(point) for point in self.points)
         return combos
 
-    def expand(self, strict: bool = True) -> List[PlannedRun]:
+    def expand(self) -> List[PlannedRun]:
         """Expand into concrete runs; validates every materialized scenario.
 
-        With *strict*, each expanded scenario document is checked via
+        Each expanded scenario document is checked via
         :func:`~repro.network.scenario.validate_scenario_dict` and all
         problems across all runs raise as one
         :class:`~repro.core.errors.SpecValidationError`.
@@ -233,9 +223,8 @@ class SweepSpec:
                         self.name, base_seed, f"{signature}|rep={replicate}"
                     )
                 scenario["seed"] = seed
-                if strict:
-                    for problem in validate_scenario_dict(scenario):
-                        problems.append(f"run {run_id}: {problem}")
+                for problem in validate_scenario_dict(scenario):
+                    problems.append(f"run {run_id}: {problem}")
                 runs.append(
                     PlannedRun(
                         index=index,

@@ -93,9 +93,7 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
         # (minus our elapsed time) so an outer watchdog keeps ticking.
         prior_timer = signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        # Expansion already validated the document; strict would only
-        # re-check it in every worker.
-        spec = ScenarioSpec.from_dict(payload["scenario"], strict=False)
+        spec = ScenarioSpec.from_dict(payload["scenario"])
         testbed = spec.build_testbed()
         sim = testbed.sim
         if payload.get("flight_dir"):

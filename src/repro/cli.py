@@ -219,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "observed-vs-provisioned resource headroom "
                                "report to stderr (also embedded in the "
                                "summary JSON)")
-    simulate.add_argument("--no-strict", action="store_true",
-                          help="skip strict scenario validation (unknown "
-                               "keys pass through to the testbed)")
 
     metrics = commands.add_parser(
         "metrics",
@@ -252,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="queue-depth margin for the cheapest "
                                "sufficient config (default: 1.5, the "
                                "sizing guideline)")
-    headroom.add_argument("--no-strict", action="store_true",
-                          help="skip strict scenario validation (unknown "
-                               "keys pass through to the testbed)")
 
     slo = commands.add_parser(
         "slo",
@@ -275,9 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--json", action="store_true",
                         help="emit the fault report (and SLO report) as "
                              "JSON instead of tables")
-    faults.add_argument("--no-strict", action="store_true",
-                        help="skip strict scenario validation (unknown "
-                             "keys pass through to the testbed)")
 
     sched = commands.add_parser(
         "sched",
@@ -294,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the greedy-vs-optimal gaps")
     sched.add_argument("--json", action="store_true",
                        help="emit the plan summaries as JSON")
-    sched.add_argument("--no-strict", action="store_true",
-                       help="skip strict scenario validation (unknown "
-                            "keys pass through to the testbed)")
 
     sweep = commands.add_parser(
         "sweep",
@@ -318,9 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--list", action="store_true", dest="list_runs",
                        help="print the expanded run table and exit "
                             "(no execution)")
-    sweep.add_argument("--no-strict", action="store_true",
-                       help="skip strict document validation (unknown keys "
-                            "pass through)")
     sweep.add_argument("--event-budget", type=int, default=None, metavar="N",
                        help="deterministic per-run kill switch: abort a run "
                             "(status 'timeout') after N kernel events -- "
@@ -499,7 +484,7 @@ def _cmd_emit_rtl(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec = ScenarioSpec.from_file(args.scenario, strict=not args.no_strict)
+    spec = ScenarioSpec.from_file(args.scenario)
     if args.check:
         from repro.core.errors import InfeasiblePlanError, SlotError
         from repro.network.program import Severity, Violation, \
@@ -638,7 +623,7 @@ def _cmd_headroom(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_headroom, render_port_occupancy
     from repro.obs.headroom import HeadroomRecorder
 
-    spec = ScenarioSpec.from_file(args.scenario, strict=not args.no_strict)
+    spec = ScenarioSpec.from_file(args.scenario)
     recorder = HeadroomRecorder()
     result = spec.run(headroom=recorder)
     report = result.headroom_report(queue_depth_margin=args.margin)
@@ -694,7 +679,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_faults, render_slo
     from repro.obs.slo import SloPolicy
 
-    spec = ScenarioSpec.from_file(args.scenario, strict=not args.no_strict)
+    spec = ScenarioSpec.from_file(args.scenario)
     if spec.faults is None:
         print(f"error: {args.scenario} declares no 'faults' stanza",
               file=sys.stderr)
@@ -752,7 +737,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
 
     from repro.sched import available_backends, plan_flows
 
-    spec = ScenarioSpec.from_file(args.scenario, strict=not args.no_strict)
+    spec = ScenarioSpec.from_file(args.scenario)
     policy = spec.build_run_policy()
     discipline = spec.build_discipline()
     topology = spec.build_topology()
@@ -840,8 +825,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(render_status(read_status(status_path)))
         return 0
 
-    strict = not args.no_strict
-    spec = SweepSpec.from_file(args.spec, strict=strict)
+    spec = SweepSpec.from_file(args.spec)
     heartbeat_interval_ns = (
         int(args.heartbeat_interval_us * 1000)
         if args.heartbeat_interval_us else None
@@ -857,7 +841,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         flight_dir=args.flight_dir,
         heartbeat_interval_ns=heartbeat_interval_ns,
     )
-    runs = campaign.plan(strict=strict)
+    runs = campaign.plan()
     if args.list_runs:
         for run in runs:
             params = json.dumps(run.overrides, sort_keys=True)
@@ -876,8 +860,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"# [{finished}/{total}] {row['run_id']} {status}{note}",
               file=sys.stderr)
 
-    summary = campaign.run(jsonl=jsonl_path, progress=progress,
-                           strict=strict)
+    summary = campaign.run(jsonl=jsonl_path, progress=progress)
     summary_path.write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )

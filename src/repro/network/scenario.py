@@ -30,20 +30,20 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.core.config import CONFIG, SwitchConfig
-from repro.core.errors import ConfigurationError, SpecValidationError
+from repro.core.errors import SpecValidationError
 from repro.core.sizing import derive_config
 from repro.core.units import GIGABIT, mbps, ms, us
 from repro.cqf import gating
 from repro.faults.plan import FAULTS, FaultPlan
 from repro.obs.slo import SLO, SloPolicy
 from repro.schema import ANY, BOOL, INT, NAME, NON_NEGATIVE, NUMBER, STR, \
-    Field, ListOf, Obj, Range, Table, Tagged, Time, check, fields_table
+    Field, ListOf, Obj, Range, Table, Tagged, Time, check, fields_table, \
+    load_json
 from repro.sched.policy import SCHED, SchedPolicy
 from repro.traffic.flows import FlowSet
 from repro.traffic.iec60802 import TS_SIZE_CHOICES, background_flows, \
@@ -270,47 +270,34 @@ class ScenarioSpec:
     # ------------------------------------------------------------- parsing
 
     @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], strict: bool = True
-    ) -> "ScenarioSpec":
-        """Parse a scenario document.
+    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
+        """Parse a scenario document, validated against :data:`SCENARIO`.
 
-        With ``strict`` (the default) the document is validated first:
-        unknown keys and wrong-typed values raise one
+        Unknown keys and wrong-typed values raise one
         :class:`~repro.core.errors.SpecValidationError` listing every
-        offending path (with a nearest-key suggestion where one exists).
-        ``strict=False`` restores the historical permissive behaviour --
-        unknown keys land in :attr:`extras` and fail only if the
-        :class:`RunPlan` rejects them at build time.
+        offending path (with a nearest-key suggestion where one exists);
+        the keys that are not spec fields become :attr:`extras`.
         """
-        if strict:
-            problems = validate_scenario_dict(data)
-            if problems:
-                raise SpecValidationError(
-                    f"scenario {data.get('name', '?')!r}"
-                    if isinstance(data, Mapping) else "scenario",
-                    problems,
-                )
+        problems = validate_scenario_dict(data)
+        if problems:
+            raise SpecValidationError(
+                f"scenario {data.get('name', '?')!r}"
+                if isinstance(data, Mapping) else "scenario",
+                problems,
+            )
         payload = dict(data)
         extras = {
             k: payload.pop(k) for k in list(payload) if k not in _KNOWN_TOP_KEYS
         }
-        missing = {"name", "topology", "flows"} - set(payload)
-        if missing:
-            raise ConfigurationError(
-                f"scenario is missing required keys: {sorted(missing)}"
-            )
         return cls(extras=extras, **payload)
 
     @classmethod
-    def from_json(cls, text: str, strict: bool = True) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text), strict=strict)
+    def from_json(cls, text: str) -> "ScenarioSpec":
+        return cls.from_dict(load_json(text, "scenario"))
 
     @classmethod
-    def from_file(
-        cls, path: Union[str, Path], strict: bool = True
-    ) -> "ScenarioSpec":
-        return cls.from_json(Path(path).read_text(), strict=strict)
+    def from_file(cls, path: Union[str, Path]) -> "ScenarioSpec":
+        return cls.from_json(Path(path).read_text())
 
     def to_dict(self) -> Dict[str, Any]:
         data = {
@@ -351,20 +338,13 @@ class ScenarioSpec:
 
     def build_topology(self) -> TopologySpec:
         params = dict(self.topology)
-        kind = params.pop("kind", None)
-        builder = _TOPOLOGY_BUILDERS.get(kind)
-        if builder is None:
-            raise ConfigurationError(
-                f"unknown topology kind {kind!r}; expected one of "
-                f"{sorted(_TOPOLOGY_BUILDERS)}"
-            )
-        return builder(**params)
+        return _TOPOLOGY_BUILDERS[params.pop("kind")](**params)
 
     def build_flows(self) -> FlowSet:
-        params = dict(self.flows)
+        params = self.flows
         talkers = self.topology.get("talkers", ["talker0"])
         listener = self.topology.get("listener", "listener")
-        groups = params.pop("groups", None)
+        groups = params.get("groups")
         if groups is not None:
             # Heterogeneous TS set: one production-cell batch per group,
             # flow ids partitioned in blocks of 1000 per group.
@@ -387,21 +367,16 @@ class ScenarioSpec:
             flow_set = production_cell_flows(
                 talkers,
                 listener,
-                flow_count=params.pop("ts_count", 64),
-                period_ns=us(params.pop("period_us", 10_000)),
-                size_bytes=params.pop("size_bytes", 64),
+                flow_count=params.get("ts_count", 64),
+                period_ns=us(params.get("period_us", 10_000)),
+                size_bytes=params.get("size_bytes", 64),
             )
-        rc = params.pop("rc_mbps", 0)
-        be = params.pop("be_mbps", 0)
+        rc, be = params.get("rc_mbps", 0), params.get("be_mbps", 0)
         if rc or be:
             for flow in background_flows(
                 talkers, listener, mbps(rc), mbps(be)
             ):
                 flow_set.add(flow)
-        if params:
-            raise ConfigurationError(
-                f"unknown flow parameters: {sorted(params)}"
-            )
         return flow_set
 
     def build_discipline(self) -> gating.Discipline:
@@ -426,13 +401,7 @@ class ScenarioSpec:
                 sched=self.build_sched_policy(),
                 plan=plan,
             ).config
-        if isinstance(self.config, Mapping):
-            return SwitchConfig.from_dict(
-                {"name": self.name, **self.config}
-            )
-        raise ConfigurationError(
-            f"config must be 'derive' or an object, got {self.config!r}"
-        )
+        return SwitchConfig.from_dict({"name": self.name, **self.config})
 
     def build_slo_policy(self) -> Optional[SloPolicy]:
         """The parsed ``"slo"`` stanza, or ``None`` when absent."""

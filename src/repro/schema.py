@@ -13,16 +13,18 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import functools
+import json
 from collections.abc import Mapping
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, \
     Tuple
 
+from repro.core.errors import SpecValidationError
 from repro.core.units import ms, ns, us
 
 __all__ = [
     "ANY", "BOOL", "INT", "NAME", "NUMBER", "STR", "Field", "Kind", "ListOf",
     "Obj", "Range", "Table", "Tagged", "Time", "check", "described",
-    "fields_table", "kind_of", "range_problems", "suggest",
+    "fields_table", "kind_of", "load_json", "range_problems", "suggest",
 ]
 
 
@@ -326,6 +328,18 @@ def check(table: Table, data: Any, path: str = "") -> List[str]:
         for rule in table.rules:
             problems += rule(data, path)
     return problems
+
+
+def load_json(text: str, what: str) -> Any:
+    """*text* decoded; malformed JSON raises
+    :class:`~repro.core.errors.SpecValidationError` for *what* with one
+    ``$:`` problem giving the decoder's message, line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecValidationError(what, [
+            f"$: invalid JSON: {exc.msg} (line {exc.lineno}, column "
+            f"{exc.colno})"]) from None
 
 
 def _format(template: str, value: Any, choices=()) -> str:

@@ -133,22 +133,25 @@ class TestFailurePaths:
         assert campaign.rows[0]["attempts"] == 3
         assert summary["status"] == {"timeout": 1}
 
+    # A 1 us slot validates but leaves no injection slot for the TS load,
+    # so the point fails at build time, inside its worker.
     def test_error_row_from_bad_scenario(self):
-        doc = _sweep_doc(grid={"config": [42]})
+        doc = _sweep_doc(grid={"slot_us": [1.0]})
         spec = SweepSpec.from_dict(doc)
         campaign = Campaign(spec, workers=1)
-        summary = campaign.run(strict=False)
+        summary = campaign.run()
         row = campaign.rows[0]
         assert row["status"] == "error"
-        assert row["error_type"] == "ConfigurationError"
+        assert row["error_type"] == "InfeasiblePlanError"
+        assert "no injection slot" in row["error"]
         assert summary["status"] == {"error": 1}
         assert summary["pareto"] == []
 
     def test_pool_mode_survives_failures(self):
-        doc = _sweep_doc(grid={"config": [42, "derive"]})
+        doc = _sweep_doc(grid={"slot_us": [1.0, 62.5]})
         spec = SweepSpec.from_dict(doc)
         campaign = Campaign(spec, workers=2)
-        summary = campaign.run(strict=False)
+        summary = campaign.run()
         assert summary["status"] == {"error": 1, "ok": 1}
 
     def test_invalid_worker_and_retry_counts(self):

@@ -37,10 +37,6 @@ class TestParsing:
         with pytest.raises(SpecValidationError, match="gird"):
             SweepSpec.from_dict(_sweep(gird={"slot_us": [1]}))
 
-    def test_unknown_sweep_key_tolerated_when_lax(self):
-        spec = SweepSpec.from_dict(_sweep(gird={}), strict=False)
-        assert spec.grid == {}
-
     def test_empty_grid_axis_rejected(self):
         with pytest.raises(SpecValidationError, match="grid.slot_us"):
             SweepSpec.from_dict(_sweep(grid={"slot_us": []}))
@@ -107,19 +103,12 @@ class TestExpansion:
         assert len(set(names)) == len(names)
 
     def test_invalid_expanded_scenario_lists_run_and_path(self):
-        spec = SweepSpec.from_dict(
-            _sweep(grid={"flows.ts_cout": [4, 8]}), strict=True
-        )
+        spec = SweepSpec.from_dict(_sweep(grid={"flows.ts_cout": [4, 8]}))
         with pytest.raises(SpecValidationError) as excinfo:
             spec.expand()
         message = str(excinfo.value)
         assert "unit-sweep:0000" in message
         assert "ts_cout" in message and "ts_count" in message  # suggestion
-
-    def test_lax_expansion_skips_validation(self):
-        spec = SweepSpec.from_dict(_sweep(grid={"flows.ts_cout": [4]}))
-        runs = spec.expand(strict=False)
-        assert runs[0].scenario["flows"]["ts_cout"] == 4
 
 
 class TestSetPath:

@@ -653,28 +653,50 @@ class TestSweep:
         assert not out_dir.exists()     # no run (and no worker) started
 
     def test_failed_runs_exit_1(self, tmp_path, capsys):
-        path = self._sweep(tmp_path, grid={"config": [42]})
+        # Validates, then fails at build: a 1 us slot fits no TS frame.
+        path = self._sweep(tmp_path, grid={"slot_us": [1.0]})
         out_dir = tmp_path / "out"
-        assert main(["sweep", str(path), "--no-strict",
-                     "--out", str(out_dir)]) == 1
+        assert main(["sweep", str(path), "--out", str(out_dir)]) == 1
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["status"] == {"error": 1}
 
 
 class TestSimulateStrict:
-    def test_typo_in_scenario_exits_2_with_paths(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", (
+        "simulate", "headroom", "faults", "sched", "sweep",
+    ))
+    def test_typo_in_scenario_exits_2_with_paths(self, tmp_path, capsys,
+                                                 command):
         data = {
             "name": "typo",
             "topology": {"kind": "ring", "switch_count": 2,
                          "talkers": ["talker0"], "listener": "listener"},
             "flows": {"ts_cout": 8},
             "duration_ms": 5,
+            "rate_bsp": 1,
         }
-        path = tmp_path / "scenario.json"
+        if command == "sweep":
+            data = {"name": "typo-sweep", "base": data}
+        path = tmp_path / "doc.json"
         path.write_text(json.dumps(data))
-        assert main(["simulate", str(path)]) == 2
+        assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert "flows.ts_cout" in err and "ts_count" in err
+        assert ("rate_bsp: unknown scenario key (did you mean 'rate_bps'?)"
+                in err)
+
+    @pytest.mark.parametrize("command,document", (
+        ("simulate", "scenario"), ("sweep", "sweep"),
+    ))
+    def test_malformed_json_exits_2_with_its_position(self, tmp_path, capsys,
+                                                      command, document):
+        path = tmp_path / "doc.json"
+        path.write_text('{"name": "x",,}')
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {document} failed validation with 1 problem(s):\n"
+            "  - $: invalid JSON: Expecting property name enclosed in "
+            "double quotes (line 1, column 14)\n")
 
     @pytest.mark.parametrize("overrides,path", [
         ({"slot_us": 0}, "slot_us"),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, SpecValidationError
 from repro.network.scenario import ScenarioSpec
 
 
@@ -36,7 +36,8 @@ class TestParsing:
         assert spec.topology["kind"] == "ring"
 
     def test_missing_required_keys(self):
-        with pytest.raises(ConfigurationError, match="missing"):
+        with pytest.raises(SpecValidationError,
+                           match="- topology: required key is missing"):
             ScenarioSpec.from_dict({"name": "x"})
 
     def test_extras_forwarded(self):
@@ -47,19 +48,19 @@ class TestParsing:
 
 
 class TestBuilding:
+    # The builders trust a validated document: each refusal below is the
+    # schema's, at the offending path, before any builder runs.
     def test_unknown_topology_kind(self):
-        spec = ScenarioSpec.from_dict(
-            _spec_dict(topology={"kind": "mesh"}), strict=False
-        )
-        with pytest.raises(ConfigurationError, match="topology kind"):
-            spec.build_topology()
+        with pytest.raises(SpecValidationError,
+                           match=r"- topology\.kind: expected one of .*"
+                                 r"got 'mesh'"):
+            ScenarioSpec.from_dict(_spec_dict(topology={"kind": "mesh"}))
 
     def test_unknown_flow_parameter(self):
-        spec = ScenarioSpec.from_dict(
-            _spec_dict(flows={"ts_count": 4, "bogus": 1}), strict=False
-        )
-        with pytest.raises(ConfigurationError, match="bogus"):
-            spec.build_flows()
+        with pytest.raises(SpecValidationError,
+                           match=r"- flows\.bogus: unknown flow parameter"):
+            ScenarioSpec.from_dict(_spec_dict(flows={"ts_count": 4,
+                                                     "bogus": 1}))
 
     def test_derived_config(self):
         spec = ScenarioSpec.from_dict(_spec_dict())
@@ -81,9 +82,10 @@ class TestBuilding:
         assert config.unicast_size == 64
 
     def test_invalid_config_value(self):
-        spec = ScenarioSpec.from_dict(_spec_dict(config=42), strict=False)
-        with pytest.raises(ConfigurationError):
-            spec.build_config(spec.build_topology(), spec.build_flows())
+        with pytest.raises(SpecValidationError,
+                           match="- config: expected 'derive' or an object, "
+                                 "got 42"):
+            ScenarioSpec.from_dict(_spec_dict(config=42))
 
     @pytest.mark.parametrize("overrides,backend", [
         ({}, "greedy"),
@@ -179,14 +181,10 @@ class TestFrerScenario:
 
 class TestStrictValidation:
     def test_unknown_top_key_suggests_nearest(self):
-        from repro.core.errors import SpecValidationError
-
         with pytest.raises(SpecValidationError, match="duration_ms"):
             ScenarioSpec.from_dict(_spec_dict(duration_mss=5))
 
     def test_all_problems_reported_at_once(self):
-        from repro.core.errors import SpecValidationError
-
         with pytest.raises(SpecValidationError) as excinfo:
             ScenarioSpec.from_dict(_spec_dict(
                 slot_us="fast",
@@ -199,30 +197,22 @@ class TestStrictValidation:
         assert {"slot_us", "seed", "flows.ts_cout", "topology.kind"} <= paths
 
     def test_flow_typo_suggestion(self):
-        from repro.core.errors import SpecValidationError
-
         with pytest.raises(SpecValidationError, match="ts_count"):
             ScenarioSpec.from_dict(_spec_dict(flows={"ts_cout": 4}))
 
     def test_topology_params_checked_against_builder(self):
-        from repro.core.errors import SpecValidationError
-
         with pytest.raises(SpecValidationError, match="switch_count"):
             ScenarioSpec.from_dict(_spec_dict(
                 topology={"kind": "ring", "switch_cout": 2}
             ))
 
     def test_config_object_fields_checked(self):
-        from repro.core.errors import SpecValidationError
-
         with pytest.raises(SpecValidationError, match="queue_depth"):
             ScenarioSpec.from_dict(_spec_dict(
                 config={"queue_dept": 12}
             ))
 
     def test_bool_rejected_where_number_expected(self):
-        from repro.core.errors import SpecValidationError
-
         with pytest.raises(SpecValidationError, match="slot_us"):
             ScenarioSpec.from_dict(_spec_dict(slot_us=True))
 
@@ -249,8 +239,6 @@ class TestStrictValidation:
         ("gate_events", "flip"),
     ])
     def test_extras_are_held_to_the_testbed_defaults_kind(self, key, value):
-        from repro.core.errors import SpecValidationError
-
         with pytest.raises(SpecValidationError, match=rf"- {key}: "):
             ScenarioSpec.from_dict(_spec_dict(**{key: value}))
 
@@ -259,12 +247,6 @@ class TestStrictValidation:
             clock_drift_ppm=20, ts_queue_pair=[6, 7], enable_gptp=False,
         ))
         assert spec.build_testbed().ts_queue_pair == [6, 7]
-
-    def test_escape_hatch_allows_anything(self):
-        spec = ScenarioSpec.from_dict(
-            _spec_dict(totally_unknown=1), strict=False
-        )
-        assert spec.extras["totally_unknown"] == 1
 
     def test_validate_scenario_dict_returns_paths(self):
         from repro.network.scenario import validate_scenario_dict
@@ -282,8 +264,6 @@ class TestStrictValidation:
         assert "topology" not in keys and "metrics" not in keys
 
     def test_spec_validation_error_is_configuration_error(self):
-        from repro.core.errors import SpecValidationError
-
         assert issubclass(SpecValidationError, ConfigurationError)
 
 
@@ -308,8 +288,6 @@ class TestFaultsStanza:
         assert ScenarioSpec.from_dict(_spec_dict()).build_fault_plan() is None
 
     def test_invalid_faults_rejected_strictly(self):
-        from repro.core.errors import SpecValidationError
-
         bad = {"events": [{"kind": "link_dwn", "link": "x", "at_us": 1}]}
         with pytest.raises(SpecValidationError,
                            match="did you mean 'link_down'"):
