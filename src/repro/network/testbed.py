@@ -172,9 +172,10 @@ class ScenarioResult:
         One row per switch, one column per drop stage (lookup miss,
         policer, Qci gate filter, queue tail, buffer exhaustion, ingress
         FCS rejection) -- the where-did-loss-come-from view the
-        undersizing ablations read.  Runs with link faults or FRER active
-        append the link-level losses and the eliminations under their own
-        distinct reasons instead of folding them into switch loss.
+        undersizing ablations read.  Runs with link faults, trunk bit
+        errors or FRER active append the link-level losses and the
+        eliminations under their own distinct reasons instead of folding
+        them into switch loss.
         """
         from repro.analysis.report import render_table
 
@@ -196,26 +197,24 @@ class ScenarioResult:
                 title="Drops by reason",
             )
         ]
-        link_rows = [
-            [
-                link.name,
-                str(link.frames_blackholed),
-                str(link.frames_fault_lost),
-                str(link.frames_fault_corrupted),
+        # Link-level losses, each cause under its own title: fault windows
+        # and pulled cables, then the random trunk_error_rate bit errors.
+        for title, counts in (
+            ("Link losses", {"blackholed": "frames_blackholed",
+                             "fault lost": "frames_fault_lost",
+                             "fault corrupted": "frames_fault_corrupted"}),
+            ("Link bit errors (trunk_error_rate)",
+             {"corrupted": "frames_corrupted"}),
+        ):
+            rows = [
+                [link.name] + [str(getattr(link, a)) for a in counts.values()]
+                for link in self.links
+                if any(getattr(link, a) for a in counts.values())
             ]
-            for link in self.links
-            if link.frames_blackholed
-            or link.frames_fault_lost
-            or link.frames_fault_corrupted
-        ]
-        if link_rows:
-            sections.append(
-                render_table(
-                    ["link", "blackholed", "fault lost", "fault corrupted"],
-                    link_rows,
-                    title="Link losses",
+            if rows:
+                sections.append(
+                    render_table(["link", *counts], rows, title=title)
                 )
-            )
         frer_rows = [
             [
                 listener,

@@ -7,6 +7,7 @@ from repro.core.presets import customized_config
 from repro.core.units import mbps, ms
 from repro.cqf.bounds import cqf_bounds
 from repro.network.program import compile_programs
+from repro.network.scenario import ScenarioSpec
 from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import ring_topology, star_topology
 from repro.sched import SchedPolicy
@@ -256,6 +257,22 @@ class TestFailureInjection:
         assert lossy.ts_loss > 0.01
         corrupted = sum(l.frames_corrupted for l in testbed.links)
         assert corrupted > 0
+
+    def test_drop_report_lists_trunk_bit_errors(self):
+        result = ScenarioSpec.from_dict({
+            "name": "trunk-errors",
+            "topology": {"kind": "ring", "switch_count": 4,
+                         "talkers": ["talker0"], "listener": "listener"},
+            "flows": {"ts_count": 16, "period_us": 1000},
+            "trunk_error_rate": 0.05, "seed": 3, "duration_ms": 5,
+        }).run()
+        assert result.ts_loss == pytest.approx(0.0875)
+        report = result.drop_report()
+        rows = report.split("Link bit errors (trunk_error_rate)\n")[1]
+        assert rows.splitlines()[2:] == [
+            "sw0.p0->sw1  2", "sw1.p0->sw2  4", "sw2.p0->sw3  1",
+        ]
+        assert "Link losses\n" not in report
 
     def test_link_failure_blackholes_downstream(self):
         testbed = Testbed(RunPlan(
