@@ -762,12 +762,9 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         entry = plan.summary()
         entry["shaper"] = discipline.shaper
         try:
-            sizing = derive_config(
-                topology, flows, spec.slot_ns,
+            sizing = spec.derive_sizing(
+                topology, flows, plan, sched=per_backend,
                 name=f"{spec.name}-{backend}",
-                discipline=discipline,
-                sched=per_backend,
-                plan=plan,
             )
             entry["configured_queue_depth"] = sizing.config.queue_depth
             entry["bram_kb"] = sizing.config.total_bram_kb

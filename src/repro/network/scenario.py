@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.core.config import CONFIG, SwitchConfig
 from repro.core.errors import SpecValidationError
-from repro.core.sizing import derive_config
+from repro.core.sizing import SizingResult, derive_config
 from repro.core.units import GIGABIT, mbps, ms, us
 from repro.cqf import gating
 from repro.faults.plan import FAULTS, FaultPlan
@@ -387,20 +387,28 @@ class ScenarioSpec:
                                     sched.get("shaper", "cqf"),
                                     sched.get("slot2_us"))
 
+    def derive_sizing(self, topology: TopologySpec, flows: FlowSet,
+                      plan=None, sched=None, name=None) -> SizingResult:
+        """The sizing guidelines applied to this document's run: its slot,
+        line rate and discipline, and two member streams per TS flow under
+        FRER.  *sched* (default: the ``"sched"`` stanza) and *plan* are
+        what ``repro sched`` varies per backend."""
+        return derive_config(
+            topology, flows, self.slot_ns, name=name or self.name,
+            discipline=self.build_discipline(),
+            rate_bps=self.rate_bps,
+            # FRER member streams double the per-flow table demand
+            replication_factor=2 if self.extras.get("frer_ts") else 1,
+            sched=self.build_sched_policy() if sched is None else sched,
+            plan=plan,
+        )
+
     def build_config(self, topology: TopologySpec, flows: FlowSet,
                      plan=None) -> SwitchConfig:
         """The explicit config, or one derived from *plan* (else planned
         under the sizing policy at the run's line rate)."""
         if self.config == "derive":
-            return derive_config(
-                topology, flows, self.slot_ns, name=self.name,
-                discipline=self.build_discipline(),
-                rate_bps=self.rate_bps,
-                # FRER member streams double the per-flow table demand
-                replication_factor=2 if self.extras.get("frer_ts") else 1,
-                sched=self.build_sched_policy(),
-                plan=plan,
-            ).config
+            return self.derive_sizing(topology, flows, plan).config
         return SwitchConfig.from_dict({"name": self.name, **self.config})
 
     def build_slo_policy(self) -> Optional[SloPolicy]:

@@ -152,6 +152,23 @@ class TestRunRate:
             == run.sched_plan.max_frames_per_slot
         )
 
+    def test_repro_sched_sizes_frer_like_the_run(self, tmp_path, capsys):
+        doc = {
+            "name": "frer",
+            "topology": {"kind": "dual_path", "talkers": ["talker0"],
+                         "listener": "listener"},
+            "flows": {"ts_count": 600}, "frer_ts": True,
+            "config": "derive", "duration_ms": 5,
+        }
+        path = tmp_path / "frer.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sched", str(path), "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["plans"]
+        config = ScenarioSpec.from_dict(doc).build_run_plan().config
+        # two member streams per TS flow: 1 200 table entries
+        assert (config.unicast_size, config.total_bram_kb) == (1200, 3024)
+        assert row["bram_kb"] == config.total_bram_kb
+
 
 class TestRunPlan:
     def test_testbed_takes_only_a_run_plan_and_observers(self):
