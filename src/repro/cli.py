@@ -48,9 +48,8 @@ Five commands wrap the library's main workflows:
     also writes a deterministic run *ledger* (``ledger.jsonl``) and a
     wall-clock ``telemetry.json`` with straggler flags; ``--status-file``
     streams live heartbeats, ``--flight-dir`` arms a flight recorder that
-    dumps the last kernel events of any failed run, ``--event-budget``
-    adds a deterministic per-run kill switch, and ``--status`` renders
-    the progress of an existing (possibly still running) sweep.
+    dumps the last kernel events of any failed run, and
+    ``--event-budget`` adds a deterministic per-run kill switch.
 ``tail``
     Render the live progress + ETA view of a sweep's ``--status-file``
     (optionally following it like ``tail -f``).
@@ -324,9 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--no-ledger", action="store_true",
                        help="skip writing the run ledger "
                             "(<out>/ledger.jsonl)")
-    sweep.add_argument("--status", action="store_true",
-                       help="render the progress of the sweep in --out "
-                            "(from its status file) and exit, no execution")
 
     tail = commands.add_parser(
         "tail",
@@ -810,17 +806,6 @@ def _cmd_sched(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.campaign import Campaign, SweepSpec
-
-    if args.status:
-        from repro.obs.campaign import read_status, render_status
-
-        status_path = args.status_file or args.out / "status.jsonl"
-        if not status_path.exists():
-            print(f"error: no status file at {status_path} (run the sweep "
-                  f"with --status-file)", file=sys.stderr)
-            return 2
-        print(render_status(read_status(status_path)))
-        return 0
 
     spec = SweepSpec.from_file(args.spec)
     heartbeat_interval_ns = (

@@ -793,23 +793,6 @@ class TestSweepObservability:
         assert summary["status"] == {"timeout": 2}
         assert list((out_dir / "flight").glob("*.json"))
 
-    def test_status_flag_renders_and_exits(self, tmp_path, capsys):
-        path = self._sweep(tmp_path)
-        out_dir = tmp_path / "out"
-        assert main(["sweep", str(path), "--out", str(out_dir),
-                     "--status-file", str(out_dir / "status.jsonl")]) == 0
-        capsys.readouterr()
-        assert main(["sweep", str(path), "--out", str(out_dir),
-                     "--status"]) == 0
-        out = capsys.readouterr().out
-        assert "obs-cli" in out and "[complete]" in out
-
-    def test_status_flag_without_file_exits_2(self, tmp_path, capsys):
-        path = self._sweep(tmp_path)
-        assert main(["sweep", str(path), "--out", str(tmp_path / "empty"),
-                     "--status"]) == 2
-        assert "no status file" in capsys.readouterr().err
-
 
 class TestTailCommand:
     def test_renders_status_dir(self, tmp_path, capsys):
@@ -823,8 +806,22 @@ class TestTailCommand:
         out = capsys.readouterr().out
         assert "obs-cli" in out and "[complete]" in out
 
+    def test_renders_status_file(self, tmp_path, capsys):
+        sweep = TestSweepObservability()._sweep(tmp_path)
+        status = tmp_path / "out" / "status.jsonl"
+        assert main(["sweep", str(sweep), "--out", str(tmp_path / "out"),
+                     "--status-file", str(status)]) == 0
+        capsys.readouterr()
+        assert main(["tail", str(status)]) == 0
+        out = capsys.readouterr().out
+        assert "obs-cli" in out and "[complete]" in out
+
     def test_missing_status_file_exits_2(self, tmp_path, capsys):
         assert main(["tail", str(tmp_path / "nope.jsonl")]) == 2
+        assert "no status file" in capsys.readouterr().err
+
+    def test_out_dir_without_status_file_exits_2(self, tmp_path, capsys):
+        assert main(["tail", str(tmp_path)]) == 2
         assert "no status file" in capsys.readouterr().err
 
 
