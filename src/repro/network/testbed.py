@@ -206,14 +206,14 @@ class ScenarioResult:
             ("Link bit errors (trunk_error_rate)",
              {"corrupted": "frames_corrupted"}),
         ):
-            rows = [
+            link_rows = [
                 [link.name] + [str(getattr(link, a)) for a in counts.values()]
                 for link in self.links
                 if any(getattr(link, a) for a in counts.values())
             ]
-            if rows:
+            if link_rows:
                 sections.append(
-                    render_table(["link", *counts], rows, title=title)
+                    render_table(["link", *counts], link_rows, title=title)
                 )
         frer_rows = [
             [

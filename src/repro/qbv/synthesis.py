@@ -7,8 +7,9 @@ where the slot's frame batch actually arrives, so frames flow through
 without waiting out the slot -- at the cost of gate tables sized to the
 schedule (paper guideline 2: entries grow with the slots of the scheduling
 cycle).  This module synthesizes such schedules for ITP-planned flow sets;
-the ``bench_extension_qbv`` benchmark contrasts the two mechanisms, making
-the latency/gate-table trade-off the paper's guideline describes concrete.
+``tests/paper/test_extensions.py::test_cqf_vs_qbv`` contrasts the two
+mechanisms, making the latency/gate-table trade-off the paper's guideline
+describes concrete.
 
 Window placement per port and slot ``s`` (all times within the cycle):
 

@@ -28,8 +28,12 @@ MIXED = json.loads(
 )
 
 #: The mixed cell on a 600 Mb/s line: exact proves peak 9 optimal at
-#: 1 Gb/s, but at the run's own rate the best it finds is a feasible 10.
-SLOW_MIXED = {**MIXED, "duration_ms": 4, "rate_bps": 600_000_000}
+#: 1 Gb/s (in ~1 500 nodes), but at the run's own rate the best it finds
+#: within 20 000 nodes is a feasible 12.
+SLOW_MIXED = {
+    **MIXED, "duration_ms": 4, "rate_bps": 600_000_000,
+    "sched": {"backend": "exact", "options": {"node_limit": 20_000}},
+}
 
 RING = {
     "name": "ring",
@@ -136,7 +140,7 @@ class TestRunRate:
         assert (
             result.sched_plan.max_frames_per_slot
             == sizing.sched_plan.max_frames_per_slot
-            == 10
+            == 12
         )
         assert result.max_queue_high_water() <= sizing.config.queue_depth
 
@@ -145,12 +149,9 @@ class TestRunRate:
         path.write_text(json.dumps(SLOW_MIXED))
         assert main(["sched", str(path), "--json"]) == 0
         (row,) = json.loads(capsys.readouterr().out)["plans"]
-        run = ScenarioSpec.from_dict(SLOW_MIXED).run()
-        assert row["status"] == run.sched_plan.status == "feasible"
-        assert (
-            row["peak_frames_per_slot"]
-            == run.sched_plan.max_frames_per_slot
-        )
+        plan = ScenarioSpec.from_dict(SLOW_MIXED).build_run_plan().sched_plan
+        assert row["status"] == plan.status == "feasible"
+        assert row["peak_frames_per_slot"] == plan.max_frames_per_slot
 
     def test_repro_sched_sizes_frer_like_the_run(self, tmp_path, capsys):
         doc = {

@@ -23,6 +23,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.report import render_series
@@ -48,8 +49,6 @@ SLOT_NS = 62_500  # paper: 65 us; snapped to divide the 10 ms period exactly
 
 PINS_PATH = Path(__file__).parents[1] / "data" / "paper_outputs.json"
 
-#: Exact integers of every point added since its series was last shown.
-_measured: dict = {}
 #: Set by a capture run: shown points are collected here, not compared.
 captured = None
 
@@ -69,45 +68,53 @@ def run(topology, config=None, rc_bps=0, be_bps=0, size_bytes=64,
     return Testbed(run_plan).run(duration_ns=DURATION_NS)
 
 
-def add(series: SweepSeries, x, result, label=None) -> None:
-    """Append *result* to *series* and note its exact TS integers."""
-    label = str(x) if label is None else label
-    series.add(SweepPoint(x, label, result.ts_summary, result.ts_loss))
-    latencies = result.analyzer.class_latencies(TrafficClass.TS)
-    expected = sum(
-        result.expected_by_flow.get(flow.flow_id, 0)
-        for flow in result.flows.by_class(TrafficClass.TS)
-    )
-    _measured[f"{series.name} @ {label}"] = {
-        "received": len(latencies),
-        "lost": expected - len(latencies),
-        "min_ns": min(latencies, default=0),
-        "max_ns": max(latencies, default=0),
-        "sum_ns": sum(latencies),
-        "sum_sq_ns2": sum(x * x for x in latencies),
-    }
-
-
 @functools.lru_cache(maxsize=None)
 def _pins() -> dict:
     return json.loads(PINS_PATH.read_text())
 
 
-def show(series: SweepSeries) -> None:
-    """Print *series*; at the tier-1 scale its points must equal the pins."""
-    print("\n" + render_series(series))
-    keys = [f"{series.name} @ {point.label}" for point in series.points]
-    measured = {key: _measured.pop(key) for key in keys}
-    if FULL:
-        return
-    if captured is not None:
-        captured.update(measured)
-        return
-    # Raised, not asserted: ``python -O`` strips asserts outside test modules.
-    moved = {key: (measured[key], _pins().get(key)) for key in keys
-             if measured[key] != _pins().get(key)}
-    if moved:
-        raise AssertionError(f"measured vs pinned in {PINS_PATH.name}: {moved}")
+@dataclass
+class Panel(SweepSeries):
+    """One figure panel whose points also keep their exact TS integers."""
+
+    exact: dict = field(default_factory=dict)
+
+    def record(self, x, result, label=None) -> None:
+        """Append *result* as the point at *x*."""
+        label = str(x) if label is None else label
+        self.add(SweepPoint(x, label, result.ts_summary, result.ts_loss))
+        latencies = result.analyzer.class_latencies(TrafficClass.TS)
+        expected = sum(
+            result.expected_by_flow.get(flow.flow_id, 0)
+            for flow in result.flows.by_class(TrafficClass.TS)
+        )
+        self.exact[f"{self.name} @ {label}"] = {
+            "received": len(latencies),
+            "lost": expected - len(latencies),
+            "min_ns": min(latencies, default=0),
+            "max_ns": max(latencies, default=0),
+            "sum_ns": sum(latencies),
+            "sum_sq_ns2": sum(ns * ns for ns in latencies),
+        }
+
+    def show(self) -> None:
+        """Print the panel; at the tier-1 scale its points must equal the
+        pins."""
+        print("\n" + render_series(self))
+        if FULL:
+            return
+        if captured is not None:
+            captured.update(self.exact)
+            return
+        # Raised, not asserted: ``python -O`` strips asserts outside test
+        # modules.
+        moved = {key: (value, _pins().get(key))
+                 for key, value in self.exact.items()
+                 if value != _pins().get(key)}
+        if moved:
+            raise AssertionError(
+                f"measured vs pinned in {PINS_PATH.name}: {moved}"
+            )
 
 
 if __name__ == "__main__":

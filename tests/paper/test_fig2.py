@@ -9,12 +9,11 @@ configurations coincide -- the motivation for resource customization.
 
 import pytest
 
-from repro.analysis.stats import SweepSeries
 from repro.core.presets import customized_config
 from repro.core.units import mbps
 from repro.network.topology import linear_topology
 
-from .harness import SLOT_NS, add, run, show
+from .harness import SLOT_NS, Panel, run
 
 #: Background loads (total across talkers), the figure's x-axis.
 LOADS_MBPS = (0, 100, 200, 400, 600)
@@ -26,8 +25,8 @@ CASES = {"case1": (16, 128), "case2": (12, 96)}
 def test_fig2(background):
     means = {}
     for case, (depth, buffers) in CASES.items():
-        series = SweepSeries(f"Fig 2 ({background} background, {case})",
-                             "load(Mbps)")
+        series = Panel(f"Fig 2 ({background} background, {case})",
+                       "load(Mbps)")
         config = customized_config(2, name=case, queue_depth=depth,
                                    buffer_num=buffers)
         for load in LOADS_MBPS:
@@ -41,8 +40,8 @@ def test_fig2(background):
             for counters in result.counters().values():
                 assert counters["dropped_tail"] == 0
                 assert counters["dropped_no_buffer"] == 0
-            add(series, load, result)
-        show(series)
+            series.record(load, result)
+        series.show()
         # The claim: latency/jitter of TS flows unaffected by background load.
         assert series.is_flat(key="mean", tolerance=0.02)
         assert all(j < SLOT_NS / 10 for j in series.jitters_ns)

@@ -20,7 +20,6 @@ Every panel also asserts Eq. (1) containment packet-by-packet.
 
 import pytest
 
-from repro.analysis.stats import SweepSeries
 from repro.core.sizing import derive_config
 from repro.core.units import mbps
 from repro.cqf.bounds import cqf_bounds
@@ -28,7 +27,7 @@ from repro.network.topology import linear_topology, ring_topology
 from repro.traffic.flows import TrafficClass
 from repro.traffic.iec60802 import production_cell_flows
 
-from .harness import SLOT_NS, TS_FLOWS, add, run, scaled, show
+from .harness import SLOT_NS, TS_FLOWS, Panel, run, scaled
 
 HOPS = 3  # panels (b)-(d) fix the path length
 
@@ -48,15 +47,14 @@ def _contained(result, hops, slot_ns=SLOT_NS):
 
 @pytest.mark.parametrize("phase,jitter_cap", [
     ("uniform", SLOT_NS / 2), ("planned", SLOT_NS / 10),
-])
+], ids=["uniform", "planned"])
 def test_fig7a_hops(phase, jitter_cap):
-    series = SweepSeries(f"Fig 7(a): latency vs hops, {phase} injection",
-                         "hops")
+    series = Panel(f"Fig 7(a): latency vs hops, {phase} injection", "hops")
     for hops in (1, 2, 3, 4):
         result = run(_ring(hops), injection_phase=phase)
         _contained(result, hops)
-        add(series, hops, result)
-    show(series)
+        series.record(hops, result)
+    series.show()
     assert series.is_monotonic_increasing()
     # mean grows ~ one slot per hop (Eq. 1 centre = hop * slot)
     deltas = [b - a for a, b in zip(series.means_ns, series.means_ns[1:])]
@@ -68,21 +66,21 @@ def test_fig7a_hops(phase, jitter_cap):
 
 
 def test_fig7b_packet_size():
-    series = SweepSeries("Fig 7(b): latency vs packet size", "bytes")
+    series = Panel("Fig 7(b): latency vs packet size", "bytes")
     for size in (64, 128, 256, 512, 1024, 1500):
         # the paper's 1024-flow set exceeds 1 Gbps at 1500 B (see
         # EXPERIMENTS.md): at most 128 flows here
         result = run(_ring(), size_bytes=size, ts_flows=min(TS_FLOWS, 128))
         _contained(result, HOPS)
-        add(series, size, result)
-    show(series)
+        series.record(size, result)
+    series.show()
     assert series.is_monotonic_increasing()
     # "increases slightly": the full sweep moves less than one slot
     assert series.means_ns[-1] - series.means_ns[0] < SLOT_NS
 
 
 def test_fig7c_slot_size():
-    series = SweepSeries("Fig 7(c): latency vs slot size", "slot(us)")
+    series = Panel("Fig 7(c): latency vs slot size", "slot(us)")
     cell = production_cell_flows(["talker0"], "listener", flow_count=TS_FLOWS)
     for slot in (31_250, 62_500, 125_000, 250_000):
         # guideline 4: bigger slots gather more frames per slot, so the
@@ -92,8 +90,8 @@ def test_fig7c_slot_size():
         result = run(_ring(), config=config, slot_ns=slot,
                      injection_phase="uniform")
         _contained(result, HOPS, slot)
-        add(series, slot / 1000, result, f"{slot / 1000:g}")
-    show(series)
+        series.record(slot / 1000, result, f"{slot / 1000:g}")
+    series.show()
     # "average latency and jitter are increased manyfold": the mean doubles
     # with each doubling of the slot (ratio ~8 across the 8x sweep) and
     # jitter grows with it (uniform in-slot injection spread).
@@ -107,16 +105,15 @@ def test_fig7c_slot_size():
 
 
 def test_fig7d_background():
-    series = SweepSeries("Fig 7(d): latency vs background load",
-                         "load(Mbps)")
+    series = Panel("Fig 7(d): latency vs background load", "load(Mbps)")
     for load in (0, 100, 200, 400, 800):
         # equal RC and BE shares, as in the paper; on fewer than 96 flows
         # the HOL term moves the mean by more than 5 %
         result = run(_ring(), rc_bps=mbps(load) // 2, be_bps=mbps(load) // 2,
                      injection_phase="uniform", ts_flows=scaled(96))
         _contained(result, HOPS)
-        add(series, load, result)
-    show(series)
+        series.record(load, result)
+    series.show()
     # "there is no affection on the latency and jitter of critical TS flows"
     # (residual head-of-line blocking behind one in-flight background MTU
     # moves the mean by <5% of itself -- well inside the Eq.1 window)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.units import mbps, ms
 from repro.sim.kernel import Simulator
 from repro.switch.counters import SwitchCounters
 from repro.switch.gates import GateEngine
@@ -157,37 +156,6 @@ class TestPreemptionMechanics:
         sim.run(until=100_000)
         assert port.pool.in_use == 0
         assert port.pool.stats.releases == port.pool.stats.allocations == 2
-
-
-class TestPreemptionEndToEnd:
-    def test_jitter_collapse_under_background(self):
-        from repro.core.presets import customized_config
-        from repro.network.testbed import RunPlan, Testbed
-        from repro.network.topology import ring_topology
-        from repro.traffic.iec60802 import (
-            background_flows,
-            production_cell_flows,
-        )
-
-        def run(preempt):
-            topology = ring_topology(switch_count=3, talkers=["talker0"])
-            flows = production_cell_flows(["talker0"], "listener",
-                                          flow_count=48)
-            for flow in background_flows(["talker0"], "listener",
-                                         mbps(200), mbps(200)):
-                flows.add(flow)
-            testbed = Testbed(RunPlan(
-                topology, customized_config(1), flows,
-                slot_ns=62_500, preemption_enabled=preempt,
-            ))
-            return testbed.run(duration_ns=ms(30))
-
-        plain = run(False)
-        preempted = run(True)
-        assert plain.ts_loss == preempted.ts_loss == 0.0
-        assert preempted.ts_summary.jitter_ns < plain.ts_summary.jitter_ns / 4
-        # BE throughput is preserved (fragments all arrive)
-        assert preempted.analyzer.received() == plain.analyzer.received()
 
 
 class TestPreemptionProperties:
