@@ -8,10 +8,11 @@ Life of a frame here:
 
 ``enqueue()``  gate-selects the target queue (CQF redirects to the gathering
 queue of the current slot), claims a buffer slot, appends the descriptor,
-and arbitrates.  ``_start_transmission()`` dequeues the winner, occupies the
-wire for the frame's serialization time plus preamble/IFG overhead, hands
-the frame to the attached link at last-bit time, releases the buffer slot,
-and re-arbitrates.
+and arbitrates (a lone frame on an idle port asks only its own gate).
+``_start_transmission()`` dequeues the winner, occupies the wire for the
+frame's serialization time plus preamble/IFG overhead, hands the frame to
+the attached link at last-bit time, releases the buffer slot, and
+re-arbitrates.
 
 Optionally the port implements **frame preemption** (802.1Qbu / 802.3br):
 queues in ``express_queues`` form the express MAC; everything else is
@@ -61,6 +62,9 @@ CUT_TAIL_BYTES = 16
 
 #: Wire overhead of an unfragmented frame (preamble/SFD + IFG).
 _FRAME_OVERHEAD_BYTES = wire_bytes(0)
+
+#: Fastest port whose 20 B preamble/IFG still takes >= 1 ns on the wire.
+_MAX_RATE_BPS = 160 * 10**9
 
 #: Shared idle decision for ports without express queues.
 _NO_EXPRESS = SchedulerDecision(None)
@@ -116,7 +120,8 @@ class EgressPort:
         "express_queues", "preemptions", "_tracer", "_obs", "_spans",
         "_headroom", "name", "_deliver", "_busy_until", "_retry_armed_at",
         "_gate_wake_at", "_active", "_suspended", "_resident", "_idle_seq",
-        "_queue_by_id", "_express_list", "_shapers", "_watched",
+        "_queue_by_id", "_express_list", "_shapers", "_watched", "_on_wire",
+        "_strict",
     )
 
     def __init__(
@@ -137,8 +142,8 @@ class EgressPort:
         headroom: Optional[PortHeadroomProbes] = None,
         name: str = "port",
     ) -> None:
-        if rate_bps <= 0:
-            raise ConfigurationError(f"port rate must be positive, got {rate_bps}")
+        if not 0 < rate_bps <= _MAX_RATE_BPS:
+            raise ConfigurationError(f"port rate must be in (0, 160 Gb/s], got {rate_bps}")
         if not queues:
             raise ConfigurationError("port needs at least one queue")
         self._sim = sim
@@ -168,6 +173,8 @@ class EgressPort:
         self._gate_wake_at: Optional[int] = None
         self._active: Optional[_ActiveTx] = None
         self._suspended: Optional[_ActiveTx] = None
+        #: The fragment whose data-done event is pending.
+        self._on_wire: Optional[_ActiveTx] = None
         #: Descriptors resident in ``queues`` (only ``enqueue`` and
         #: ``_start_transmission`` move them); zero means nothing to
         #: arbitrate.
@@ -190,6 +197,8 @@ class EgressPort:
             instruments is not None or spans is not None
             or headroom is not None or tracer.active
         )
+        #: Strict priority keeps no arbitration state: a lone frame skips it.
+        self._strict = type(scheduler) is StrictPriorityScheduler
 
     # ---------------------------------------------------------------- wiring
 
@@ -263,6 +272,21 @@ class EgressPort:
             shaper = self._shapers.get(target_id)
             if shaper is not None:
                 shaper.set_backlog(now, True)
+        if (self._resident == 1 and now >= self._busy_until
+                and not self.preemption_enabled):
+            # The sole backlog: any arbitration would examine this queue
+            # alone and end in its one gate query.
+            wait = self.gates.out_wait(
+                target_id, self._serialization_ns(frame.size_bytes)
+            )
+            if wait is None:
+                return True  # no window ever fits the frame
+            if wait:
+                self._arm_gate_wake(wait)
+                return True
+            if self._strict and target_id not in self._shapers:
+                self._start_transmission(queue)
+                return True
         self.kick()
         return True
 
@@ -275,7 +299,8 @@ class EgressPort:
     # ---------------------------------------------------------------- egress
 
     def kick(self) -> None:
-        """(Re-)arbitrate; called on enqueue, gate wakeups, tx completion.
+        """(Re-)arbitrate; called on gate wakeups, retries, tx completion,
+        and on an enqueue that :meth:`enqueue` cannot settle by itself.
 
         While a preemptable fragment occupies the wire, an eligible express
         frame triggers a preemption cut instead of waiting.  When idle, the
@@ -410,9 +435,10 @@ class EgressPort:
         tx.fragment_data_bytes = data_bytes
         tx.cut_scheduled = False
         self._busy_until = now + wire_time
+        self._on_wire = tx
         if self.preemption_enabled:
             tx.data_done_handle = sim.schedule(
-                data_time, lambda: self._fragment_data_done(tx)
+                data_time, self._fragment_data_done
             )
             tx.idle_handle = sim.schedule(wire_time, self._tx_idle)
             self._active = tx
@@ -420,7 +446,7 @@ class EgressPort:
         # Only a preemption cut ever cancels these, so without preemption
         # they go fire-and-forget -- and the idle event only if there is
         # backlog for it to arbitrate; otherwise see :meth:`kick`.
-        sim.post(data_time, lambda: self._fragment_data_done(tx))
+        sim.post(data_time, self._fragment_data_done)
         if self._resident:
             sim.post(wire_time, self._tx_idle)
             self._idle_seq = None
@@ -539,8 +565,10 @@ class EgressPort:
 
     # ----------------------------------------------------------- completion
 
-    def _fragment_data_done(self, tx: _ActiveTx) -> None:
+    def _fragment_data_done(self) -> None:
         """Last data bit of the fragment left; final fragments deliver."""
+        tx = self._on_wire
+        self._on_wire = None
         tx.bytes_done += tx.fragment_data_bytes
         descriptor = tx.descriptor
         if tx.bytes_done < descriptor.size_bytes:

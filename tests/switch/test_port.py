@@ -10,7 +10,10 @@ from repro.switch.gates import CqfPair, GateEngine
 from repro.switch.packet import EthernetFrame, make_mac
 from repro.switch.port import EgressPort
 from repro.switch.queueing import BufferPool, MetadataQueue
-from repro.switch.scheduler import StrictPriorityScheduler
+from repro.switch.scheduler import (
+    DeficitRoundRobinScheduler,
+    StrictPriorityScheduler,
+)
 from repro.switch.tables import GateControlList, GateEntry
 
 GBPS = 10**9
@@ -21,7 +24,7 @@ def _frame(size=64, pcp=7):
 
 
 def _port(sim, depth=4, buffers=8, out_entries=None, in_entries=None,
-          pairs=(), tracer=NULL_TRACER):
+          pairs=(), tracer=NULL_TRACER, scheduler=None, **options):
     queues = [MetadataQueue(depth, q) for q in range(8)]
     in_gcl, out_gcl = GateControlList(2), GateControlList(3)
     in_gcl.program(in_entries or [GateEntry(0xFF, 1_000_000)])
@@ -36,9 +39,10 @@ def _port(sim, depth=4, buffers=8, out_entries=None, in_entries=None,
         queues=queues,
         buffer_pool=BufferPool(buffers),
         gates=gates,
-        scheduler=StrictPriorityScheduler(),
+        scheduler=scheduler or StrictPriorityScheduler(),
         counters=SwitchCounters(),
         tracer=tracer,
+        **options,
     )
     gates.start()
     port.kick()
@@ -149,6 +153,14 @@ class TestWiring:
         with pytest.raises(ConfigurationError):
             port.attach(lambda f: None)
 
+    @pytest.mark.parametrize("rate_bps", [0, 160 * GBPS + 1])
+    def test_rate_the_ns_clock_cannot_carry_rejected(self, rate_bps):
+        # Above 160 Gb/s the 20 B preamble/IFG can round to 0 ns: the next
+        # frame could start before the last one's data-done event fired.
+        with pytest.raises(ConfigurationError, match="port rate"):
+            EgressPort(Simulator(), 0, rate_bps, [MetadataQueue(4, 7)],
+                       BufferPool(1), None, StrictPriorityScheduler())
+
     def test_backlog_accounting(self):
         sim = Simulator()
         port = _port(sim, out_entries=[GateEntry(0x00, 1_000_000)])
@@ -249,3 +261,57 @@ class TestDemandDrivenEgress:
 
         port.scheduler = Exploding()
         port.kick()
+
+
+class TestSoleBacklog:
+    """An enqueue that leaves one frame on an idle port asks that frame's
+    gate, and arbitrates only when the arbiter could differ."""
+
+    # Slot 0: queue 7 drains, queue 6 gathers; they swap every 1 000 ns.
+    BASE = 0b0011_1111
+    CQF = dict(
+        in_entries=[GateEntry(BASE | 0x40, 1000), GateEntry(BASE | 0x80, 1000)],
+        out_entries=[GateEntry(BASE | 0x80, 1000),
+                     GateEntry(BASE | 0x40, 1000)],
+        pairs=[CqfPair(6, 7)],
+    )
+
+    def test_frame_into_closed_gathering_queue_arms_one_wake(
+        self, monkeypatch
+    ):
+        sim = Simulator()
+        port = _port(sim, **self.CQF)
+        delivered = []
+        port.attach(lambda f: delivered.append(sim.now))
+
+        def no_arbitration(self):
+            raise AssertionError("a lone frame ran the arbiter")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(EgressPort, "kick", no_arbitration)
+            port.enqueue(_frame(), 7)
+        assert len(port.queues[6]) == 1
+        assert sim.pending == 1 and sim.peek() == 1000  # the slot boundary
+        sim.run(until=100_000)
+        assert delivered == [1000 + 512]
+
+    def test_drr_winner_is_arbitrated(self):
+        # The DRR stage books a winner's deficit and moves its rotation; a
+        # port whose every enqueue arbitrates (preemption without express
+        # queues) shows what that bookkeeping must read afterwards.
+        def drr_port(**options):
+            sim = Simulator()
+            port = _port(
+                sim, scheduler=DeficitRoundRobinScheduler(), **options
+            )
+            port.attach(lambda f: None)
+            port.enqueue(_frame(pcp=2), 2)
+            assert port.counters.transmitted == 0 and port.busy
+            return port.scheduler
+
+        kicked = drr_port(preemption_enabled=True, express_queues=())
+        assert kicked._rotation != 0 and kicked._deficits
+        sole = drr_port()
+        assert (sole._deficits, sole._rotation) == (
+            kicked._deficits, kicked._rotation
+        )
