@@ -145,10 +145,6 @@ class TestNaiveAllocator:
                 >= bram.allocate(width, depth).bits
             )
 
-    def test_classification_penalty(self):
-        # The ablation's headline case: 144Kb naive vs 126Kb optimal.
-        assert bram.naive_allocate(117, 1024).kb == 144
-
 
 class TestAllocatorProperties:
     shapes = st.tuples(
