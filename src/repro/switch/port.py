@@ -143,7 +143,8 @@ class EgressPort:
         name: str = "port",
     ) -> None:
         if not 0 < rate_bps <= _MAX_RATE_BPS:
-            raise ConfigurationError(f"port rate must be in (0, 160 Gb/s], got {rate_bps}")
+            raise ConfigurationError(
+                f"port rate must be in (0, 160 Gb/s], got {rate_bps}")
         if not queues:
             raise ConfigurationError("port needs at least one queue")
         self._sim = sim

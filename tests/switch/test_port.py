@@ -270,7 +270,8 @@ class TestSoleBacklog:
     # Slot 0: queue 7 drains, queue 6 gathers; they swap every 1 000 ns.
     BASE = 0b0011_1111
     CQF = dict(
-        in_entries=[GateEntry(BASE | 0x40, 1000), GateEntry(BASE | 0x80, 1000)],
+        in_entries=[GateEntry(BASE | 0x40, 1000),
+                    GateEntry(BASE | 0x80, 1000)],
         out_entries=[GateEntry(BASE | 0x80, 1000),
                      GateEntry(BASE | 0x40, 1000)],
         pairs=[CqfPair(6, 7)],

@@ -12,8 +12,8 @@ change that puts a call back on every hop -- a property read, a helper
 split out of the port, a second gate query per arbitration -- fails here
 on any machine.  Event counts are deterministic, so their ceilings carry
 no slack: a second event per frame's arrival, or any new per-hop event,
-fails at once.  A change that makes the hop cheaper should lower both; re-measure with
-``PYTHONPATH=src python -m tests.test_hop_budget``.
+fails at once.  A change that makes the hop cheaper should lower both;
+re-measure with ``PYTHONPATH=src python -m tests.test_hop_budget``.
 """
 
 import functools
@@ -36,9 +36,8 @@ _COMMON = {"config": "derive", "slot_us": 62.5, "seed": 1}
 #: and 43.9 (35.7, 44.8 and 46.7 while every enqueue ran the arbiter; 38.7,
 #: 47.8 and 49.7 while a link's arrival and the switch's processing were
 #: two events; 63.5 on the observed line while the registry's gauges and
-#: counters were pushed from every hop).  The events
-#: are exact: 3.20, 3.5952 and 2.6190 (4.20, 4.5952 and 3.6190 with the
-#: two-event arrival).
+#: counters were pushed from every hop).  The events are exact: 3.20,
+#: 3.5952 and 2.6190 (4.20, 4.5952 and 3.6190 with the two-event arrival).
 WORKLOADS = {
     "ring_deep": (
         {
