@@ -798,6 +798,14 @@ class Testbed:
         )
         if self.headroom is not None:
             self.headroom.finalize(self.sim.now)
+        if self.spans is not None:
+            # Hop records are written at last bit out: the frames still
+            # held keep the partial hops they reached.
+            for switch in self.switches.values():
+                for port in switch.ports:
+                    port.record_held_spans()
+            for host in self.hosts.values():
+                host.nic.record_held_spans()
         if self.metrics is not None and self.frer_eliminators:
             gauge = self.metrics.gauge(
                 "frer_duplicates_eliminated",

@@ -13,9 +13,14 @@ Design constraints mirror the rest of the observability layer:
 
 * **Zero cost when off.**  Every dataplane hook is a single
   ``if self._spans is not None`` guard; the default is ``None``.
-* **Cheap when on.**  The hot path appends one plain tuple per event to a
-  flat list -- no objects, no dict lookups, no per-frame allocation beyond
-  the tuple itself.  Reconstruction into journeys happens after the run.
+* **Cheap when on.**  An egress port writes one *hop record* per frame it
+  carries, when the frame's last bit leaves: tx, enqueue and dequeue
+  instants, port, queue and the frame's identity in one flat tuple.  The
+  switch's ingress event folds into it (arrival = enqueue instant minus
+  the switch's processing delay) for every frame the pipeline hands to
+  exactly one port.  Sources, hosts, links and the other ingress cases
+  append one flat event tuple each.  Events and journeys are rebuilt from
+  these records when read.
 * **Bounded.**  ``max_events`` caps memory on long heavy-traffic runs;
   overflow is counted (``dropped_events``), never silently ignored.
 
@@ -29,7 +34,7 @@ analyzer's aggregate counters approximate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 
@@ -51,9 +56,25 @@ EVENT_KINDS = (
     "gen", "inject", "ingress", "enqueue", "dequeue", "tx", "rx", "drop",
 )
 
+#: Where each kind sorts among one frame's events at the same instant: the
+#: order a frame meets them along its path (with zero propagation and
+#: processing delay, a tx, the next ingress, its enqueue and its dequeue
+#: can share one instant).
+_CAUSAL_RANK = {
+    "gen": 0, "inject": 1, "tx": 2, "ingress": 3, "enqueue": 4,
+    "dequeue": 5, "drop": 6, "rx": 6,
+}
+
 #: Default event cap: ~8 events per hop per frame; 2**20 covers ~20k frames
 #: over a 6-hop path while bounding the recorder to tens of MB.
 DEFAULT_MAX_EVENTS = 1 << 20
+
+#: One flat event: (time_ns, kind, node, frame_id, flow_id, seq, detail).
+EventRow = Tuple[int, str, str, int, int, int, int]
+
+
+def _causal_order(row: EventRow) -> Tuple[int, int]:
+    return row[0], _CAUSAL_RANK[row[1]]
 
 
 @dataclass(frozen=True)
@@ -189,11 +210,21 @@ class FlowSpanRecorder:
     """Collects hop events; the journey layer's hot-path handle.
 
     Components receive this via their ``spans=`` parameter (``None`` keeps
-    the uninstrumented fast path).  :meth:`record` is the only method the
-    dataplane calls; everything else is post-run reconstruction.
+    the uninstrumented fast path).  An egress port writes :meth:`hop`
+    records; sources, hosts, links and switches write :meth:`record`
+    events; everything else is post-run reconstruction.
+
+    ``len()`` and ``max_events`` count events, a hop record as the events
+    it yields (enqueue, dequeue, tx, plus the folded ingress at a switch
+    port).  A record is kept whole or not at all: one that would take the
+    count past ``max_events`` is shed, and every event it would have
+    yielded counts in ``dropped_events``.
     """
 
-    __slots__ = ("max_events", "events", "dropped_events")
+    __slots__ = (
+        "max_events", "dropped_events", "_count", "_flat", "_hops",
+        "_switch_of", "_unfolded",
+    )
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
         if max_events <= 0:
@@ -201,12 +232,33 @@ class FlowSpanRecorder:
                 f"max_events must be positive, got {max_events}"
             )
         self.max_events = max_events
-        #: Flat (time_ns, kind, node, frame_id, flow_id, seq, detail) tuples.
-        self.events: List[Tuple[int, str, str, int, int, int, int]] = []
         self.dropped_events = 0
+        self._count = 0
+        #: Flat event rows: gen, inject, rx, drop and the ingress events
+        #: no hop record folds.
+        self._flat: List[EventRow] = []
+        #: Hop records: (tx_ns, port, frame_id, flow_id, seq, queue_id,
+        #: enqueued_ns, dequeued_ns); -1 marks an instant a frame held at
+        #: the end of the run had not reached.
+        self._hops: List[Tuple[int, str, int, int, int, int, int, int]] = []
+        #: Switch port name -> (switch name, processing delay ns): a hop
+        #: record there folds the switch's ingress event.
+        self._switch_of: Dict[str, Tuple[str, int]] = {}
+        #: (frame_id, switch, enqueued_ns) -> ports, in the order handed
+        #: over, of each frame a switch handed to more than one port: it
+        #: recorded their ingress itself.
+        self._unfolded: Dict[Tuple[int, str, int], Tuple[str, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._count
+
+    # -------------------------------------------------------------- wiring
+
+    def add_switch_port(
+        self, port: str, switch: str, processing_delay_ns: int
+    ) -> None:
+        """Hop records of *port* fold *switch*'s ingress event."""
+        self._switch_of[port] = (switch, processing_delay_ns)
 
     # -------------------------------------------------------------- hot path
 
@@ -214,39 +266,110 @@ class FlowSpanRecorder:
                detail: int = -1) -> None:
         """Append one hop event for *frame* (any object with
         ``frame_id``/``flow_id``/``seq`` attributes)."""
-        events = self.events
-        if len(events) >= self.max_events:
+        if self._count >= self.max_events:
             self.dropped_events += 1
             return
-        events.append(
+        self._count += 1
+        self._flat.append(
             (time_ns, kind, node, frame.frame_id, frame.flow_id, frame.seq,
              detail)
         )
 
+    def hop(self, record: Tuple[int, str, int, int, int, int, int, int]
+            ) -> None:
+        """Append one egress port's handling of a frame: ``(tx_ns, port,
+        frame_id, flow_id, seq, queue_id, enqueued_ns, dequeued_ns)``,
+        with ``-1`` for an instant not reached by the end of the run."""
+        events = 1 + (record[0] >= 0) + (record[7] >= 0)
+        origin = self._switch_of.get(record[1])
+        if origin is not None and (
+            record[2], origin[0], record[6]
+        ) not in self._unfolded:
+            events += 1
+        count = self._count + events
+        if count > self.max_events:
+            self.dropped_events += events
+            return
+        self._count = count
+        self._hops.append(record)
+
+    def unfold(self, frame, switch: str, enqueued_ns: int,
+               ports: Sequence[str]) -> None:
+        """*switch* handed *frame* to *ports*, in that order, at
+        *enqueued_ns* and recorded its ingress itself: their hop records
+        fold none."""
+        self._unfolded[(frame.frame_id, switch, enqueued_ns)] = tuple(ports)
+
     # -------------------------------------------------------- reconstruction
+
+    def _rows(self) -> Iterator[EventRow]:
+        """Every recorded event as a flat row, hop records unfolded."""
+        yield from self._flat
+        switch_of = self._switch_of
+        unfolded = self._unfolded
+        for (tx_ns, port, frame_id, flow_id, seq, queue_id, enqueued_ns,
+             dequeued_ns) in self._hops:
+            origin = switch_of.get(port)
+            if origin is not None and (
+                frame_id, origin[0], enqueued_ns
+            ) not in unfolded:
+                yield (enqueued_ns - origin[1], "ingress", origin[0],
+                       frame_id, flow_id, seq, -1)
+            yield (enqueued_ns, "enqueue", port, frame_id, flow_id, seq,
+                   queue_id)
+            if dequeued_ns >= 0:
+                yield (dequeued_ns, "dequeue", port, frame_id, flow_id, seq,
+                       queue_id)
+            if tx_ns >= 0:
+                yield (tx_ns, "tx", port, frame_id, flow_id, seq, queue_id)
+
+    @property
+    def events(self) -> List[EventRow]:
+        """Every event as a flat ``(time_ns, kind, node, frame_id, flow_id,
+        seq, detail)`` tuple, rebuilt on each read: in time order, a
+        frame's events at one instant in the order it met them."""
+        return sorted(self._rows(), key=_causal_order)
 
     def journeys(self) -> List[FrameJourney]:
         """One :class:`FrameJourney` per observed frame.
 
-        Events keep recording order, so each journey's event list is
-        causal.  The flat list is not globally time-sorted: a switch
-        appends a frame's ``ingress`` record when its 480 ns pipeline
-        finishes, stamped with the arrival instant, after records of other
-        frames from inside that window.  Sorted by (flow, seq, frame) so
-        FRER member streams of the same (flow, seq) stay adjacent.
+        A journey's events are in causal order: by instant, and at one
+        instant in the order a frame meets them along its path -- at the
+        instant a switch hands it to several ports, port by port in the
+        order handed over.  (Events of such a frame's copies on different
+        ports at a later common instant keep kind order.)  Sorted by
+        (flow, seq, frame) so FRER member streams of the same (flow, seq)
+        stay adjacent.
         """
-        by_frame: Dict[int, FrameJourney] = {}
-        for time_ns, kind, node, frame_id, flow_id, seq, detail in self.events:
-            journey = by_frame.get(frame_id)
-            if journey is None:
-                journey = by_frame[frame_id] = FrameJourney(
-                    frame_id, flow_id, seq
-                )
-            journey.events.append(HopEvent(time_ns, kind, node, detail))
-        return sorted(
-            by_frame.values(),
-            key=lambda j: (j.flow_id, j.seq, j.frame_id),
-        )
+        by_frame: Dict[int, List[EventRow]] = {}
+        for row in self._rows():
+            rows = by_frame.get(row[3])
+            if rows is None:
+                rows = by_frame[row[3]] = []
+            rows.append(row)
+        # frame_id -> (instant, port) -> place among the ports handed over.
+        handed: Dict[int, Dict[Tuple[int, str], int]] = {}
+        for (frame_id, _, enqueued_ns), ports in self._unfolded.items():
+            places = handed.setdefault(frame_id, {})
+            for place, port in enumerate(ports):
+                places[(enqueued_ns, port)] = place
+        journeys = []
+        for frame_id, rows in by_frame.items():
+            places = handed.get(frame_id)
+            if places is None:
+                rows.sort(key=_causal_order)
+            else:
+                rows.sort(key=lambda row: (
+                    row[0], places.get((row[0], row[2]), -1),
+                    _CAUSAL_RANK[row[1]],
+                ))
+            journeys.append(FrameJourney(
+                frame_id, rows[0][4], rows[0][5],
+                [HopEvent(time_ns, kind, node, detail)
+                 for time_ns, kind, node, _, _, _, detail in rows],
+            ))
+        journeys.sort(key=lambda j: (j.flow_id, j.seq, j.frame_id))
+        return journeys
 
     def flow_journeys(self) -> Dict[int, List[FrameJourney]]:
         result: Dict[int, List[FrameJourney]] = {}

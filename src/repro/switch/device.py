@@ -185,6 +185,10 @@ class TsnSwitch:
             headroom=headroom_probes,
             name=f"{self.name}.p{port_id}",
         )
+        if self._spans is not None:
+            self._spans.add_switch_port(
+                port.name, self.name, self.processing_delay_ns
+            )
         self.ports.append(port)
         self._gate_engines.append(engine)
         self.cbs_map_tables.append(CbsMapTable(config.cbs_map_size))
@@ -383,15 +387,14 @@ class TsnSwitch:
 
         Nothing is decided on arrival, so a hop costs one calendar entry;
         the ``received`` count ticks now, while the ingress span and an FCS
-        drop keep the arrival instant.
+        drop keep the arrival instant.  A frame handed to exactly one port
+        has its ingress span folded into that port's hop record; every
+        other frame's is recorded here.
         """
         counters = self.counters
         counters.received += 1
         now = self._sim._now
-        if self._spans is not None:
-            self._spans.record(
-                now - self.processing_delay_ns, "ingress", self.name, frame
-            )
+        spans = self._spans
         if not frame.fcs_ok:
             # The MAC's FCS check rejects bit-errored frames before the
             # pipeline ever sees them, exactly like real ingress silicon.
@@ -402,8 +405,9 @@ class TsnSwitch:
                     arrived, "drop", f"{self.name} corrupt_fcs",
                     flow=frame.flow_id,
                 )
-            if self._spans is not None:
-                self._spans.record(arrived, "drop", self.name, frame)
+            if spans is not None:
+                spans.record(arrived, "ingress", self.name, frame)
+                spans.record(arrived, "drop", self.name, frame)
             return
         decision = self.pipeline.process(frame, now)
         if decision.drop_reason is not None:
@@ -414,16 +418,40 @@ class TsnSwitch:
                     f"{self.name} {decision.drop_reason}",
                     flow=frame.flow_id,
                 )
-            if self._spans is not None:
-                self._spans.record(now, "drop", self.name, frame)
+            if spans is not None:
+                spans.record(
+                    now - self.processing_delay_ns, "ingress", self.name,
+                    frame,
+                )
+                spans.record(now, "drop", self.name, frame)
             return
-        for outport, queue_id in decision.targets:
+        targets = decision.targets
+        if spans is not None and (
+            len(targets) > 1 or targets[0][0] in self._local_hosts
+        ):
+            spans.record(
+                now - self.processing_delay_ns, "ingress", self.name, frame
+            )
+            if len(targets) > 1:
+                spans.unfold(frame, self.name, now, [
+                    self.ports[outport].name for outport, _ in targets
+                    if outport not in self._local_hosts
+                ])
+            spans = None  # recorded: no port admission records it again
+        for outport, queue_id in targets:
             local = self._local_hosts.get(outport)
             if local is not None:
                 counters.forwarded += 1
                 local(frame)
             elif self.ports[outport].enqueue(frame, queue_id):
                 counters.forwarded += 1
+            elif spans is not None:
+                # Refused at admission (the port recorded the drop): no
+                # hop record will fold this frame's ingress.
+                spans.record(
+                    now - self.processing_delay_ns, "ingress", self.name,
+                    frame,
+                )
 
     # --------------------------------------------------------------- helpers
 

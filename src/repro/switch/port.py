@@ -87,22 +87,24 @@ class _ActiveTx:
     """Bookkeeping of the fragment currently on the wire."""
 
     __slots__ = (
-        "descriptor", "queue_id", "preemptable", "bytes_done",
+        "descriptor", "queue_id", "preemptable", "dequeued_ns", "bytes_done",
         "fragment_start_ns", "fragment_data_bytes", "data_done_handle",
         "idle_handle", "cut_scheduled",
     )
 
     def __init__(
-        self, descriptor: Descriptor, queue_id: int, preemptable: bool
+        self, descriptor: Descriptor, queue_id: int, preemptable: bool,
+        dequeued_ns: int,
     ) -> None:
         self.descriptor = descriptor
         self.queue_id = queue_id
         self.preemptable = preemptable
+        self.dequeued_ns = dequeued_ns  # the first fragment's start
         self.bytes_done = 0  # frame bytes completed in earlier fragments
-        # Set per fragment by ``_begin_fragment``; the handles only under
-        # preemption (the one thing that cancels them).
-        self.fragment_start_ns = 0
-        self.fragment_data_bytes = 0  # frame bytes this fragment carries
+        # ``fragment_start_ns`` and ``fragment_data_bytes`` (the frame
+        # bytes this fragment carries) are set per fragment by
+        # ``_begin_fragment``; the handles only under preemption (the one
+        # thing that cancels them).
         self.data_done_handle: Optional[EventHandle] = None
         self.idle_handle: Optional[EventHandle] = None
         self.cut_scheduled = False
@@ -116,9 +118,9 @@ class EgressPort:
     # layout past 30 keys).
     __slots__ = (
         "_sim", "port_id", "rate_bps", "_serialization_ns", "queues", "pool",
-        "gates", "scheduler", "counters", "preemption_enabled",
+        "gates", "_scheduler", "counters", "preemption_enabled",
         "express_queues", "preemptions", "_tracer", "_obs", "_spans",
-        "_headroom", "name", "_deliver", "_busy_until", "_retry_armed_at",
+        "_span_hop", "_headroom", "name", "_deliver", "_busy_until", "_retry_armed_at",
         "_gate_wake_at", "_active", "_suspended", "_resident", "_idle_seq",
         "_queue_by_id", "_express_list", "_shapers", "_watched", "_on_wire",
         "_strict",
@@ -158,7 +160,7 @@ class EgressPort:
         self.queues = queues
         self.pool = buffer_pool
         self.gates = gates
-        self.scheduler = scheduler
+        self._scheduler = scheduler
         self.counters = counters or SwitchCounters()
         self.preemption_enabled = preemption_enabled
         self.express_queues: Set[int] = set(express_queues)
@@ -166,6 +168,8 @@ class EgressPort:
         self._tracer = tracer
         self._obs = instruments
         self._spans = spans
+        #: The recorder's hop sink: one record per frame this port carries.
+        self._span_hop = spans.hop if spans is not None else None
         self._headroom = headroom
         self.name = name
         self._deliver: Optional[DeliverFn] = None
@@ -200,6 +204,13 @@ class EgressPort:
         )
         #: Strict priority keeps no arbitration state: a lone frame skips it.
         self._strict = type(scheduler) is StrictPriorityScheduler
+
+    @property
+    def scheduler(self) -> StrictPriorityScheduler:
+        """The arbiter this port was built around.  Read-only: the port
+        derives its shaper map and its strict-priority shortcut from it
+        once, at construction."""
+        return self._scheduler
 
     # ---------------------------------------------------------------- wiring
 
@@ -258,8 +269,6 @@ class EgressPort:
             if headroom is not None:
                 headroom.queues[target_id].update(now, occupancy)
                 headroom.pool.update(now, pool.in_use)
-            if self._spans is not None:
-                self._spans.record(now, "enqueue", self.name, frame, target_id)
             if self._tracer.active:
                 self._tracer.emit(
                     now,
@@ -366,7 +375,7 @@ class EgressPort:
                 if express.gate_wake_delay_ns is not None:
                     self._arm_gate_wake(express.gate_wake_delay_ns)
                 return  # preemptable MAC is committed to the suspended frame
-        decision = self.scheduler.select(
+        decision = self._scheduler.select(
             now, self.queues, self.gates, self._serialization_ns
         )
         if decision.queue_id is not None:
@@ -381,7 +390,7 @@ class EgressPort:
         """Arbitration over the express queues only."""
         if not self._express_list:
             return _NO_EXPRESS
-        return self.scheduler.select(
+        return self._scheduler.select(
             self._sim._now,
             self._express_list,
             self.gates,
@@ -466,10 +475,6 @@ class EgressPort:
                 )
             if self._headroom is not None:
                 self._headroom.queues[queue_id].update(now, len(queue._fifo))
-            if self._spans is not None:
-                self._spans.record(
-                    now, "dequeue", self.name, descriptor.frame, queue_id
-                )
             if self._tracer.active:
                 self._tracer.emit(
                     now,
@@ -488,7 +493,7 @@ class EgressPort:
             and queue_id not in self.express_queues
         )
         self._begin_fragment(
-            _ActiveTx(descriptor, queue_id, preemptable),
+            _ActiveTx(descriptor, queue_id, preemptable, now),
             data_bytes=descriptor.size_bytes,
             overhead_bytes=_FRAME_OVERHEAD_BYTES,
         )
@@ -583,10 +588,12 @@ class EgressPort:
         if self._watched:
             if self._headroom is not None:
                 self._headroom.pool.update(now, pool.in_use)
-            if self._spans is not None:
-                self._spans.record(
-                    now, "tx", self.name, descriptor.frame, tx.queue_id
-                )
+            if self._span_hop is not None:
+                frame = descriptor.frame
+                self._span_hop((
+                    now, self.name, frame.frame_id, frame.flow_id, frame.seq,
+                    tx.queue_id, descriptor.enqueued_ns, tx.dequeued_ns,
+                ))
         if self._shapers:
             shaper = self._shapers.get(tx.queue_id)
             if shaper is not None:
@@ -601,6 +608,25 @@ class EgressPort:
         if self._active is not None and not self._active.cut_scheduled:
             self._active = None
         self.kick()
+
+    def record_held_spans(self) -> None:
+        """Write the hop records of the frames this port still holds (the
+        run is over): a queued frame's has no dequeue or tx instant, a
+        frame on the wire or suspended by a preemption no tx instant."""
+        hop = self._span_hop
+        if hop is None:
+            return
+        held = [(d, -1) for queue in self.queues for d in queue]
+        on_wire = self._on_wire
+        if on_wire is not None:
+            held.append((on_wire.descriptor, on_wire.dequeued_ns))
+        suspended = self._suspended
+        if suspended is not None and suspended is not on_wire:
+            held.append((suspended.descriptor, suspended.dequeued_ns))
+        for descriptor, dequeued_ns in held:
+            frame = descriptor.frame
+            hop((-1, self.name, frame.frame_id, frame.flow_id, frame.seq,
+                 descriptor.queue_id, descriptor.enqueued_ns, dequeued_ns))
 
     # --------------------------------------------------------------- queries
 

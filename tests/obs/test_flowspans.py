@@ -67,6 +67,87 @@ class TestRecorder:
         with pytest.raises(ConfigurationError):
             FlowSpanRecorder(max_events=0)
 
+    def test_hop_records_rebuild_port_events_and_fold_switch_ingress(self):
+        recorder = FlowSpanRecorder()
+        recorder.add_switch_port("sw0.p1", "sw0", 480)
+        frame = _Frame(1, flow_id=2, seq=3)
+        recorder.record(0, "gen", "flow2", frame)
+        recorder.record(0, "inject", "talker0", frame)
+        recorder.hop((600, "talker0.nic", 1, 2, 3, 7, 0, 88))
+        recorder.hop((2_000, "sw0.p1", 1, 2, 3, 6, 1_100, 1_400))
+        recorder.record(2_050, "rx", "listener", frame)
+        [journey] = recorder.journeys()
+        assert [(e.time_ns, e.kind, e.node, e.detail)
+                for e in journey.events] == [
+            (0, "gen", "flow2", -1),
+            (0, "inject", "talker0", -1),
+            (0, "enqueue", "talker0.nic", 7),
+            (88, "dequeue", "talker0.nic", 7),
+            (600, "tx", "talker0.nic", 7),
+            (620, "ingress", "sw0", -1),
+            (1_100, "enqueue", "sw0.p1", 6),
+            (1_400, "dequeue", "sw0.p1", 6),
+            (2_000, "tx", "sw0.p1", 6),
+            (2_050, "rx", "listener", -1),
+        ]
+        assert len(recorder) == len(recorder.events) == 10
+
+    def test_same_instant_events_keep_path_order(self):
+        # Zero propagation and processing delay: tx, the next ingress, its
+        # enqueue and dequeue share an instant.
+        recorder = FlowSpanRecorder()
+        recorder.add_switch_port("sw0.p0", "sw0", 0)
+        recorder.hop((562, "sw0.p0", 1, 0, 0, 7, 50, 50))
+        recorder.hop((50, "h.nic", 1, 0, 0, 7, 0, 0))
+        recorder.record(562, "rx", "listener", _Frame(1))
+        assert [kind for _, kind, *_ in recorder.events] == [
+            "enqueue", "dequeue", "tx", "ingress", "enqueue", "dequeue",
+            "tx", "rx",
+        ]
+
+    def test_held_hop_records_yield_the_instants_reached(self):
+        recorder = FlowSpanRecorder()
+        recorder.add_switch_port("sw0.p0", "sw0", 480)
+        recorder.hop((-1, "sw0.p0", 1, 0, 0, 7, 980, -1))  # still queued
+        recorder.hop((-1, "sw0.p0", 2, 0, 1, 7, 990, 1_000))  # on the wire
+        assert len(recorder) == 5
+        queued, on_wire = recorder.journeys()
+        assert [e.kind for e in queued.events] == ["ingress", "enqueue"]
+        assert [e.kind for e in on_wire.events] == [
+            "ingress", "enqueue", "dequeue",
+        ]
+        [span] = on_wire.hop_spans()
+        assert span.arrived_ns == 510 and span.tx_ns is None
+
+    def test_cap_sheds_a_hop_record_whole(self):
+        recorder = FlowSpanRecorder(max_events=5)
+        recorder.add_switch_port("sw0.p0", "sw0", 480)
+        frame = _Frame(1)
+        recorder.record(0, "gen", "n", frame)
+        recorder.record(0, "inject", "n", frame)
+        recorder.hop((900, "sw0.p0", 1, 0, 0, 7, 500, 500))  # 4 events
+        assert len(recorder) == 2 and recorder.dropped_events == 4
+        recorder.hop((600, "n.nic", 1, 0, 0, 7, 0, 0))  # 3 events: fit
+        recorder.record(950, "rx", "l", frame)
+        assert len(recorder) == 5 and recorder.dropped_events == 5
+        assert len(recorder.events) == 5
+
+    def test_unfolded_frames_keep_their_recorded_ingress(self):
+        recorder = FlowSpanRecorder()
+        recorder.add_switch_port("sw0.p0", "sw0", 480)
+        recorder.add_switch_port("sw0.p1", "sw0", 480)
+        frame = _Frame(1)
+        recorder.record(20, "ingress", "sw0", frame)
+        recorder.unfold(frame, "sw0", 500, ["sw0.p0", "sw0.p1"])
+        recorder.hop((900, "sw0.p0", 1, 0, 0, 7, 500, 500))
+        recorder.hop((-1, "sw0.p1", 1, 0, 0, 7, 500, -1))
+        assert len(recorder) == 1 + 3 + 1
+        [journey] = recorder.journeys()
+        assert [(e.kind, e.node) for e in journey.events] == [
+            ("ingress", "sw0"), ("enqueue", "sw0.p0"), ("dequeue", "sw0.p0"),
+            ("enqueue", "sw0.p1"), ("tx", "sw0.p0"),
+        ]
+
     def test_frer_replicas_stay_distinct_journeys(self):
         # Same (flow, seq), different frames: two member streams.
         recorder = FlowSpanRecorder()

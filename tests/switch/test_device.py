@@ -206,6 +206,10 @@ class TestDataplane:
         sim.run(until=580)
         assert switch.counters.received == 2
         assert switch.counters.dropped_corrupt == 1
+        # The good frame is on the wire: its ingress folds into the hop
+        # record its port writes for it at run end.
+        for port in switch.ports:
+            port.record_held_spans()
         assert [(t, kind) for t, kind, *_ in spans.events
                 if kind in ("ingress", "drop")] == [
             (100, "ingress"), (100, "ingress"), (100, "drop"),
@@ -307,6 +311,49 @@ class TestBufferSharing:
         config = _config(port_num=3, buffer_num=8)
         switch = TsnSwitch(sim, config, shared_buffers=True)
         assert switch.ports[0].pool.slots == 24
+
+
+class TestFlowSpans:
+    """Every switch receive yields exactly one ingress event, whether a
+    hop record folds it or the switch records it."""
+
+    def test_one_ingress_event_per_receive(self):
+        sim = Simulator()
+        spans = FlowSpanRecorder()
+        switch = TsnSwitch(sim, _config(multicast_size=8, queue_depth=1),
+                           spans=spans, name="sw")
+        for port in switch.ports:
+            port.attach(lambda f: None)
+        local = switch.attach_host(lambda f: None)
+        switch.program_flow(make_mac(1), make_mac(2), 5, 7, 0, 7)
+        switch.program_flow(make_mac(1), make_mac(3), 5, 7, local, 7)
+        switch.pipeline.multicast.program(7, (0, 1))
+        switch.start()
+        sim.run(until=100)
+        frames = [
+            _frame(),             # forwarded: its hop record folds ingress
+            _frame(),             # queued behind it
+            _frame(),             # refused at admission (depth 1)
+            _frame().corrupted(),  # FCS drop
+            _frame(dst=9),         # lookup miss
+            _frame(dst=3),         # local host
+            EthernetFrame(make_mac(1), (1 << 40) | 7, 5, 6, 64),  # 2 ports
+        ]
+        for frame in frames:
+            switch.receive(frame)
+        sim.run(until=1_000_000)
+        assert switch.counters.received == len(frames)
+        assert switch.counters.dropped_tail == 1
+        journeys = {j.frame_id: j for j in spans.journeys()}
+        for frame in frames:
+            ingress = [(e.time_ns, e.node) for e in
+                       journeys[frame.frame_id].events
+                       if e.kind == "ingress"]
+            assert ingress == [(100, "sw")]
+        assert len(spans) == len(spans.events)
+        multicast = journeys[frames[-1].frame_id]
+        assert [(e.kind, e.node) for e in multicast.events
+                if e.kind == "tx"] == [("tx", "sw.p1"), ("tx", "sw.p0")]
 
 
 class TestMulticast:

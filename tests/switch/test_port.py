@@ -252,15 +252,22 @@ class TestDemandDrivenEgress:
         assert seen == [3, 0, 7]
 
     def test_kick_on_empty_port_skips_the_scheduler(self):
-        sim = Simulator()
-        port = _port(sim)
-
         class Exploding(StrictPriorityScheduler):
             def select(self, *args):
                 raise AssertionError("arbitrated an empty port")
 
-        port.scheduler = Exploding()
+        port = _port(Simulator(), scheduler=Exploding())
         port.kick()
+
+    def test_scheduler_is_read_only(self):
+        # The port derives its shaper map and strict-priority shortcut
+        # from the arbiter it was built with; a swapped one would leave
+        # both stale.
+        port = _port(Simulator())
+        built_with = port.scheduler
+        with pytest.raises(AttributeError):
+            port.scheduler = DeficitRoundRobinScheduler()
+        assert port.scheduler is built_with
 
 
 class TestSoleBacklog:

@@ -14,10 +14,17 @@ on any machine.  Event counts are deterministic, so their ceilings carry
 no slack: a second event per frame's arrival, or any new per-hop event,
 fails at once.  A change that makes the hop cheaper should lower both;
 re-measure with ``PYTHONPATH=src python -m tests.test_hop_budget``.
+
+The flow-span recorder's memory is held the same way: the bytes a run on
+the observed document keeps alive with a recorder attached, less those it
+keeps without one, per switch-hop (``tracemalloc``), stay under the
+measured figure plus 10 %.
 """
 
 import functools
+import gc
 import sys
+import tracemalloc
 from typing import Tuple
 
 import pytest
@@ -26,6 +33,7 @@ from repro.network.scenario import ScenarioSpec
 from repro.obs.flowspans import FlowSpanRecorder
 from repro.obs.headroom import HeadroomRecorder
 from repro.obs.metrics import MetricsRegistry
+from repro.switch.packet import reset_frame_ids
 
 _LINE = {"talkers": ["talker0"], "listener": "listener"}
 
@@ -33,10 +41,11 @@ _COMMON = {"config": "derive", "slot_us": 62.5, "seed": 1}
 
 #: name -> (document, observed, ceiling in calls per switch-hop, ceiling
 #: in kernel events per switch-hop).  The measured calls were 31.5, 41.7
-#: and 43.9 (35.7, 44.8 and 46.7 while every enqueue ran the arbiter; 38.7,
-#: 47.8 and 49.7 while a link's arrival and the switch's processing were
-#: two events; 63.5 on the observed line while the registry's gauges and
-#: counters were pushed from every hop).  The events are exact: 3.20,
+#: and 40.6 (43.9 on the observed line while the span recorder took four
+#: records per port-hop; 35.7, 44.8 and 46.7 while every enqueue ran the
+#: arbiter; 38.7, 47.8 and 49.7 while a link's arrival and the switch's
+#: processing were two events; 63.5 on the observed line while the
+#: registry's gauges and counters were pushed from every hop).  The events are exact: 3.20,
 #: 3.5952 and 2.6190 (4.20, 4.5952 and 3.6190 with the two-event arrival).
 WORKLOADS = {
     "ring_deep": (
@@ -69,10 +78,20 @@ WORKLOADS = {
                       "rc_mbps": 100, "be_mbps": 100},
         },
         True,
-        48.3,
+        44.7,
         2.62,
     ),
 }
+
+
+#: Span-recorder bytes per switch-hop on ``linear_qbv_observed``: 277 when
+#: set (645 while a port-hop took four event tuples and the switch a fifth).
+SPAN_BYTES_CEILING = 305
+
+
+def _observed_spec() -> ScenarioSpec:
+    document = WORKLOADS["linear_qbv_observed"][0]
+    return ScenarioSpec.from_dict(dict(_COMMON, name="hop-budget", **document))
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,6 +127,36 @@ def per_hop(name: str) -> Tuple[float, float]:
     return calls / hops, result.sim_stats["fired"] / hops
 
 
+def _retained(spans: bool) -> Tuple[int, int]:
+    """(bytes a run of the observed document keeps alive, switch-hops)."""
+    spec = _observed_spec()
+    reset_frame_ids()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        observers = {"metrics": MetricsRegistry(),
+                     "headroom": HeadroomRecorder()}
+        if spans:
+            observers["spans"] = FlowSpanRecorder()
+        result = spec.build_testbed(**observers).run(spec.duration_ns)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    hops = sum(s.counters.transmitted for s in result.switches.values())
+    return retained, hops
+
+
+def span_bytes_per_hop() -> float:
+    """Bytes the span recorder keeps per switch-hop."""
+    _retained(True)  # warm-up: first-use caches are no recorder's bytes
+    with_spans, hops = _retained(True)
+    without, same_hops = _retained(False)
+    assert hops == same_hops > 500
+    return (with_spans - without) / hops
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_calls_per_switch_hop_stay_under_the_ceiling(name):
     ceiling = WORKLOADS[name][2]
@@ -115,6 +164,14 @@ def test_calls_per_switch_hop_stay_under_the_ceiling(name):
     assert measured <= ceiling, (
         f"{name}: {measured:.2f} Python calls per switch-hop, "
         f"ceiling {ceiling}"
+    )
+
+
+def test_span_recorder_bytes_per_switch_hop_stay_under_the_ceiling():
+    measured = span_bytes_per_hop()
+    assert measured <= SPAN_BYTES_CEILING, (
+        f"flow spans keep {measured:.0f} B per switch-hop, ceiling "
+        f"{SPAN_BYTES_CEILING}"
     )
 
 
@@ -133,3 +190,5 @@ if __name__ == "__main__":
         calls, events = per_hop(name)
         print(f"{name}: {calls:.2f} calls, {events:.4f} events per "
               f"switch-hop")
+    print(f"linear_qbv_observed: {span_bytes_per_hop():.0f} B of flow "
+          f"spans per switch-hop")
