@@ -177,9 +177,10 @@ def _measurements(result, config) -> Dict[str, Any]:
     # (high waters, table fills), so rows stay byte-identical at any worker
     # count and the probes' overhead is never paid inside campaigns.
     # ``observed_bram_kb`` is the cheapest single sufficient config, the
-    # same one-customization cost basis as ``bram_kb``.
+    # same one-customization cost basis as ``bram_kb``.  Both read the
+    # report's own costing: each distinct sizing is costed once a point.
     headroom = result.headroom_report()
-    bram_kb = config.total_bram_kb  # each a full BRAM report: ask once
+    bram_kb = headroom.total_kb(config)
     observed_kb = headroom.cheapest_kb
     measurements: Dict[str, Any] = {
         "bram_kb": bram_kb,

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import SwitchConfig
+from repro.core.resources import ResourceReport
 from repro.core.sizing import ObservedDemand, sufficient_config
 
 __all__ = [
@@ -262,6 +263,10 @@ class HeadroomReport:
     sufficient_kb: float                 # network total at sufficient sizes
     timeweighted: bool                   # recorder attached?
     duration_ns: Optional[int] = None    # probe-covered span (recorder only)
+    #: The BRAM report of each distinct sizing costed so far (name aside).
+    costed: Dict[SwitchConfig, ResourceReport] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def wasted_kb(self) -> float:
@@ -270,7 +275,12 @@ class HeadroomReport:
     @property
     def cheapest_kb(self) -> float:
         """BRAM cost of one switch at the cheapest sufficient config."""
-        return self.cheapest_config.total_bram_kb
+        return self.total_kb(self.cheapest_config)
+
+    def total_kb(self, config: SwitchConfig) -> float:
+        """``config.total_bram_kb``, reusing the report's own costing: a
+        sizing this report already costed is not costed again."""
+        return _costed(config, self.costed).total_kb
 
     def switch_structures(self, switch: str) -> List[StructureHeadroom]:
         return [s for s in self.structures if s.switch == switch]
@@ -479,17 +489,22 @@ def _merge_demand(demands: List[ObservedDemand]) -> ObservedDemand:
     )
 
 
-def _kb_by_row(
-    config: SwitchConfig, costed: Dict[SwitchConfig, Dict[str, float]]
-) -> Dict[str, float]:
-    """Kb per resource row; each distinct sizing is costed once per report."""
+def _costed(
+    config: SwitchConfig, costed: Dict[SwitchConfig, ResourceReport]
+) -> ResourceReport:
+    """*config*'s BRAM report; each distinct sizing is costed once."""
     sizing = config.with_updates(name="")  # the name only titles the report
-    rows = costed.get(sizing)
-    if rows is None:
-        rows = costed[sizing] = {
-            row.resource: row.kb for row in config.resource_report().rows
-        }
-    return rows
+    report = costed.get(sizing)
+    if report is None:
+        report = costed[sizing] = config.resource_report()
+    return report
+
+
+def _kb_by_row(
+    config: SwitchConfig, costed: Dict[SwitchConfig, ResourceReport]
+) -> Dict[str, float]:
+    """Kb per resource row of *config*."""
+    return {row.resource: row.kb for row in _costed(config, costed).rows}
 
 
 def build_headroom_report(
@@ -512,7 +527,7 @@ def build_headroom_report(
     demands: List[ObservedDemand] = []
     provisioned_total = 0.0
     sufficient_total = 0.0
-    costed: Dict[SwitchConfig, Dict[str, float]] = {}
+    costed: Dict[SwitchConfig, ResourceReport] = {}
 
     for name, switch in result.switches.items():
         config = switch.config
@@ -650,4 +665,5 @@ def build_headroom_report(
         sufficient_kb=sufficient_total,
         timeweighted=recorder is not None,
         duration_ns=recorder.end_ns if recorder is not None else None,
+        costed=costed,
     )

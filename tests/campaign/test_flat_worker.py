@@ -16,6 +16,7 @@ import pytest
 
 from repro.campaign.spec import SweepSpec
 from repro.campaign.worker import execute_run
+from repro.core.config import SwitchConfig
 from repro.network.testbed import Testbed
 from repro.switch.device import TsnSwitch
 
@@ -135,3 +136,23 @@ def test_wall_clock_timeout_point_frees_its_switches(live_switches, closes):
     row = _run(payload)
     assert row["status"] == "timeout"
     assert len(live_switches) == 0 and len(closes) == 1
+
+
+def test_each_configuration_is_costed_once_per_point(monkeypatch):
+    # The headroom report costs the provisioned and the sufficient
+    # sizing; the row's ``bram_kb`` and ``observed_bram_kb`` read those
+    # costs instead of working out a full BRAM report again.  That the
+    # rows are unchanged is ``ROWS_DIGEST``'s to say.
+    costed = []
+    original = SwitchConfig.resource_report
+
+    def resource_report(self, title=None):
+        costed.append(self.with_updates(name=""))
+        return original(self, title)
+
+    monkeypatch.setattr(SwitchConfig, "resource_report", resource_report)
+    for run in SweepSpec.from_dict(SWEEP).expand()[::6]:
+        costed.clear()
+        row = _run(run.as_payload())
+        assert row["status"] == "ok"
+        assert costed and len(costed) == len(set(costed)), run.run_id

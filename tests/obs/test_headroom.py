@@ -149,7 +149,8 @@ class TestReportWithoutRecorder:
         self, plain_result, monkeypatch
     ):
         """Switches that differ only in name share one BRAM report, and a
-        sweep row adds exactly two (its config's total, the cheapest's)."""
+        sweep row costs its own report's sizings and at most the cheapest
+        one besides -- its config's total is read, not costed again."""
         from repro.campaign.worker import _measurements
         from repro.core.config import SwitchConfig
 
@@ -174,8 +175,12 @@ class TestReportWithoutRecorder:
         del costed[:]
         config = plain_result.switches["core"].config
         row = _measurements(plain_result, config)
-        assert len(costed) == len(sizings) + 2
+        cheapest = report.cheapest_config
+        assert sorted(costed, key=repr) == sorted(
+            sizings | {cheapest.with_updates(name="")}, key=repr
+        )
         assert row["bram_kb"] == real(config).total_kb
+        assert row["observed_bram_kb"] == round(real(cheapest).total_kb, 3)
         assert row["wasted_bram_kb"] == round(
             row["bram_kb"] - report.cheapest_kb, 3
         )
