@@ -91,10 +91,9 @@ class SwitchInstruments:
         )
         self._conform = meter.labels(switch=switch, decision="conform")
         self._violate = meter.labels(switch=switch, decision="violate")
-        # The help text is part of every snapshot; it keeps its wording
-        # though the count now reads the window tables.
         self._gate_flips = registry.counter(
-            "gate_flips_total", help="GCL boundaries narrated per port"
+            "gate_flips_total",
+            help="Gate window-table boundaries crossed per port",
         )
         self._queue_depth = registry.gauge(
             "queue_depth", help="Instantaneous queue occupancy (descriptors)"
