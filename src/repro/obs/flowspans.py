@@ -211,8 +211,9 @@ class FlowSpanRecorder:
 
     Components receive this via their ``spans=`` parameter (``None`` keeps
     the uninstrumented fast path).  An egress port writes :meth:`hop`
-    records; sources, hosts, links and switches write :meth:`record`
-    events; everything else is post-run reconstruction.
+    records, a switch the :meth:`ingress` events no hop record folds, and
+    :meth:`record` takes every other event (gen, inject, rx, drop);
+    everything else is post-run reconstruction.
 
     ``len()`` and ``max_events`` count events, a hop record as the events
     it yields (enqueue, dequeue, tx, plus the folded ingress at a switch
@@ -244,9 +245,9 @@ class FlowSpanRecorder:
         #: Switch port name -> (switch name, processing delay ns): a hop
         #: record there folds the switch's ingress event.
         self._switch_of: Dict[str, Tuple[str, int]] = {}
-        #: (frame_id, switch, enqueued_ns) -> ports, in the order handed
+        #: (frame_id, switch, arrival ns) -> ports, in the order handed
         #: over, of each frame a switch handed to more than one port: it
-        #: recorded their ingress itself.
+        #: recorded the ingress itself.
         self._unfolded: Dict[Tuple[int, str, int], Tuple[str, ...]] = {}
 
     def __len__(self) -> int:
@@ -283,7 +284,7 @@ class FlowSpanRecorder:
         events = 1 + (record[0] >= 0) + (record[7] >= 0)
         origin = self._switch_of.get(record[1])
         if origin is not None and (
-            record[2], origin[0], record[6]
+            record[2], origin[0], record[6] - origin[1]
         ) not in self._unfolded:
             events += 1
         count = self._count + events
@@ -293,12 +294,15 @@ class FlowSpanRecorder:
         self._count = count
         self._hops.append(record)
 
-    def unfold(self, frame, switch: str, enqueued_ns: int,
-               ports: Sequence[str]) -> None:
-        """*switch* handed *frame* to *ports*, in that order, at
-        *enqueued_ns* and recorded its ingress itself: their hop records
-        fold none."""
-        self._unfolded[(frame.frame_id, switch, enqueued_ns)] = tuple(ports)
+    def ingress(self, time_ns: int, switch: str, frame,
+                ports: Sequence[str] = ()) -> None:
+        """Append the ingress event of a frame that arrived at *switch* at
+        *time_ns* and that no hop record folds: dropped before or at port
+        admission, delivered locally, or handed to several *ports* (in
+        that order), whose hop records then fold none."""
+        self.record(time_ns, "ingress", switch, frame)
+        if len(ports) > 1:
+            self._unfolded[(frame.frame_id, switch, time_ns)] = tuple(ports)
 
     # -------------------------------------------------------- reconstruction
 
@@ -310,11 +314,11 @@ class FlowSpanRecorder:
         for (tx_ns, port, frame_id, flow_id, seq, queue_id, enqueued_ns,
              dequeued_ns) in self._hops:
             origin = switch_of.get(port)
-            if origin is not None and (
-                frame_id, origin[0], enqueued_ns
-            ) not in unfolded:
-                yield (enqueued_ns - origin[1], "ingress", origin[0],
-                       frame_id, flow_id, seq, -1)
+            if origin is not None:
+                arrived_ns = enqueued_ns - origin[1]
+                if (frame_id, origin[0], arrived_ns) not in unfolded:
+                    yield (arrived_ns, "ingress", origin[0], frame_id,
+                           flow_id, seq, -1)
             yield (enqueued_ns, "enqueue", port, frame_id, flow_id, seq,
                    queue_id)
             if dequeued_ns >= 0:
@@ -349,9 +353,10 @@ class FlowSpanRecorder:
             rows.append(row)
         # frame_id -> (instant, port) -> place among the ports handed over.
         handed: Dict[int, Dict[Tuple[int, str], int]] = {}
-        for (frame_id, _, enqueued_ns), ports in self._unfolded.items():
+        for (frame_id, _, arrived_ns), ports in self._unfolded.items():
             places = handed.setdefault(frame_id, {})
             for place, port in enumerate(ports):
+                enqueued_ns = arrived_ns + self._switch_of[port][1]
                 places[(enqueued_ns, port)] = place
         journeys = []
         for frame_id, rows in by_frame.items():

@@ -406,7 +406,7 @@ class TsnSwitch:
                     flow=frame.flow_id,
                 )
             if spans is not None:
-                spans.record(arrived, "ingress", self.name, frame)
+                spans.ingress(arrived, self.name, frame)
                 spans.record(arrived, "drop", self.name, frame)
             return
         decision = self.pipeline.process(frame, now)
@@ -419,24 +419,17 @@ class TsnSwitch:
                     flow=frame.flow_id,
                 )
             if spans is not None:
-                spans.record(
-                    now - self.processing_delay_ns, "ingress", self.name,
-                    frame,
-                )
+                spans.ingress(now - self.processing_delay_ns, self.name, frame)
                 spans.record(now, "drop", self.name, frame)
             return
         targets = decision.targets
         if spans is not None and (
             len(targets) > 1 or targets[0][0] in self._local_hosts
         ):
-            spans.record(
-                now - self.processing_delay_ns, "ingress", self.name, frame
-            )
-            if len(targets) > 1:
-                spans.unfold(frame, self.name, now, [
-                    self.ports[outport].name for outport, _ in targets
-                    if outport not in self._local_hosts
-                ])
+            spans.ingress(now - self.processing_delay_ns, self.name, frame, [
+                self.ports[outport].name for outport, _ in targets
+                if outport not in self._local_hosts
+            ])
             spans = None  # recorded: no port admission records it again
         for outport, queue_id in targets:
             local = self._local_hosts.get(outport)
@@ -448,10 +441,7 @@ class TsnSwitch:
             elif spans is not None:
                 # Refused at admission (the port recorded the drop): no
                 # hop record will fold this frame's ingress.
-                spans.record(
-                    now - self.processing_delay_ns, "ingress", self.name,
-                    frame,
-                )
+                spans.ingress(now - self.processing_delay_ns, self.name, frame)
 
     # --------------------------------------------------------------- helpers
 

@@ -137,8 +137,7 @@ class TestRecorder:
         recorder.add_switch_port("sw0.p0", "sw0", 480)
         recorder.add_switch_port("sw0.p1", "sw0", 480)
         frame = _Frame(1)
-        recorder.record(20, "ingress", "sw0", frame)
-        recorder.unfold(frame, "sw0", 500, ["sw0.p0", "sw0.p1"])
+        recorder.ingress(20, "sw0", frame, ["sw0.p0", "sw0.p1"])
         recorder.hop((900, "sw0.p0", 1, 0, 0, 7, 500, 500))
         recorder.hop((-1, "sw0.p1", 1, 0, 0, 7, 500, -1))
         assert len(recorder) == 1 + 3 + 1
