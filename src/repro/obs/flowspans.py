@@ -72,6 +72,11 @@ DEFAULT_MAX_EVENTS = 1 << 20
 #: One flat event: (time_ns, kind, node, frame_id, flow_id, seq, detail).
 EventRow = Tuple[int, str, str, int, int, int, int]
 
+#: One port-hop: (tx_ns, port, frame_id, flow_id, seq, queue_id,
+#: enqueued_ns, dequeued_ns); -1 marks an instant a frame held at the end
+#: of the run had not reached.
+HopRecord = Tuple[int, str, int, int, int, int, int, int]
+
 
 def _causal_order(row: EventRow) -> Tuple[int, int]:
     return row[0], _CAUSAL_RANK[row[1]]
@@ -238,10 +243,7 @@ class FlowSpanRecorder:
         #: Flat event rows: gen, inject, rx, drop and the ingress events
         #: no hop record folds.
         self._flat: List[EventRow] = []
-        #: Hop records: (tx_ns, port, frame_id, flow_id, seq, queue_id,
-        #: enqueued_ns, dequeued_ns); -1 marks an instant a frame held at
-        #: the end of the run had not reached.
-        self._hops: List[Tuple[int, str, int, int, int, int, int, int]] = []
+        self._hops: List[HopRecord] = []
         #: Switch port name -> (switch name, processing delay ns): a hop
         #: record there folds the switch's ingress event.
         self._switch_of: Dict[str, Tuple[str, int]] = {}
@@ -276,11 +278,10 @@ class FlowSpanRecorder:
              detail)
         )
 
-    def hop(self, record: Tuple[int, str, int, int, int, int, int, int]
-            ) -> None:
-        """Append one egress port's handling of a frame: ``(tx_ns, port,
-        frame_id, flow_id, seq, queue_id, enqueued_ns, dequeued_ns)``,
-        with ``-1`` for an instant not reached by the end of the run."""
+    def hop(self, record: HopRecord) -> None:
+        """Append one egress port's handling of a frame (a
+        :data:`HopRecord`), written when its last bit leaves or, for a
+        frame the port still holds, when the run ends."""
         events = 1 + (record[0] >= 0) + (record[7] >= 0)
         origin = self._switch_of.get(record[1])
         if origin is not None and (
@@ -298,10 +299,11 @@ class FlowSpanRecorder:
                 ports: Sequence[str] = ()) -> None:
         """Append the ingress event of a frame that arrived at *switch* at
         *time_ns* and that no hop record folds: dropped before or at port
-        admission, delivered locally, or handed to several *ports* (in
-        that order), whose hop records then fold none."""
+        admission, delivered locally, or handed to *ports* (in that order)
+        besides another port or a local host: their hop records then fold
+        none."""
         self.record(time_ns, "ingress", switch, frame)
-        if len(ports) > 1:
+        if ports:
             self._unfolded[(frame.frame_id, switch, time_ns)] = tuple(ports)
 
     # -------------------------------------------------------- reconstruction

@@ -120,10 +120,10 @@ class EgressPort:
         "_sim", "port_id", "rate_bps", "_serialization_ns", "queues", "pool",
         "gates", "_scheduler", "counters", "preemption_enabled",
         "express_queues", "preemptions", "_tracer", "_obs", "_spans",
-        "_span_hop", "_headroom", "name", "_deliver", "_busy_until", "_retry_armed_at",
-        "_gate_wake_at", "_active", "_suspended", "_resident", "_idle_seq",
-        "_queue_by_id", "_express_list", "_shapers", "_watched", "_on_wire",
-        "_strict",
+        "_span_hop", "_headroom", "name", "_deliver", "_busy_until",
+        "_retry_armed_at", "_gate_wake_at", "_active", "_suspended",
+        "_resident", "_idle_seq", "_queue_by_id", "_express_list", "_shapers",
+        "_watched", "_on_wire", "_strict",
     )
 
     def __init__(

@@ -328,6 +328,7 @@ class TestFlowSpans:
         switch.program_flow(make_mac(1), make_mac(2), 5, 7, 0, 7)
         switch.program_flow(make_mac(1), make_mac(3), 5, 7, local, 7)
         switch.pipeline.multicast.program(7, (0, 1))
+        switch.pipeline.multicast.program(8, (local, 1))
         switch.start()
         sim.run(until=100)
         frames = [
@@ -337,6 +338,7 @@ class TestFlowSpans:
             _frame().corrupted(),  # FCS drop
             _frame(dst=9),         # lookup miss
             _frame(dst=3),         # local host
+            EthernetFrame(make_mac(1), (1 << 40) | 8, 5, 5, 64),  # local + 1
             EthernetFrame(make_mac(1), (1 << 40) | 7, 5, 6, 64),  # 2 ports
         ]
         for frame in frames:
