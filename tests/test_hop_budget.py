@@ -42,11 +42,12 @@ _COMMON = {"config": "derive", "slot_us": 62.5, "seed": 1}
 #: name -> (document, observed, ceiling in calls per switch-hop, ceiling
 #: in kernel events per switch-hop).  The measured calls were 31.5, 41.7
 #: and 40.6 (43.9 on the observed line while the span recorder took four
-#: records per port-hop; 35.7, 44.8 and 46.7 while every enqueue ran the
+#: records per switch-hop; 35.7, 44.8 and 46.7 while every enqueue ran the
 #: arbiter; 38.7, 47.8 and 49.7 while a link's arrival and the switch's
 #: processing were two events; 63.5 on the observed line while the
-#: registry's gauges and counters were pushed from every hop).  The events are exact: 3.20,
-#: 3.5952 and 2.6190 (4.20, 4.5952 and 3.6190 with the two-event arrival).
+#: registry's gauges and counters were pushed from every hop).  The events
+#: are exact: 3.20, 3.5952 and 2.6190 (4.20, 4.5952 and 3.6190 with the
+#: two-event arrival).
 WORKLOADS = {
     "ring_deep": (
         {
@@ -85,13 +86,8 @@ WORKLOADS = {
 
 
 #: Span-recorder bytes per switch-hop on ``linear_qbv_observed``: 277 when
-#: set (645 while a port-hop took four event tuples and the switch a fifth).
+#: set (645 while every switch-hop took four event tuples).
 SPAN_BYTES_CEILING = 305
-
-
-def _observed_spec() -> ScenarioSpec:
-    document = WORKLOADS["linear_qbv_observed"][0]
-    return ScenarioSpec.from_dict(dict(_COMMON, name="hop-budget", **document))
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,7 +125,8 @@ def per_hop(name: str) -> Tuple[float, float]:
 
 def _retained(spans: bool) -> Tuple[int, int]:
     """(bytes a run of the observed document keeps alive, switch-hops)."""
-    spec = _observed_spec()
+    document = WORKLOADS["linear_qbv_observed"][0]
+    spec = ScenarioSpec.from_dict(dict(_COMMON, name="hop-budget", **document))
     reset_frame_ids()
     gc.collect()
     tracemalloc.start()
