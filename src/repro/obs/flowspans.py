@@ -280,20 +280,33 @@ class FlowSpanRecorder:
 
     def hop(self, record: HopRecord) -> None:
         """Append one egress port's handling of a frame (a
-        :data:`HopRecord`), written when its last bit leaves or, for a
-        frame the port still holds, when the run ends."""
-        events = 1 + (record[0] >= 0) + (record[7] >= 0)
-        origin = self._switch_of.get(record[1])
-        if origin is not None and (
-            record[2], origin[0], record[6] - origin[1]
-        ) not in self._unfolded:
-            events += 1
-        count = self._count + events
+        :data:`HopRecord`), written when its last bit leaves."""
+        count = self._count + 3
+        if record[1] in self._switch_of and (
+            not self._unfolded or self._folds_ingress(record)
+        ):
+            count += 1
         if count > self.max_events:
-            self.dropped_events += events
+            self.dropped_events += count - self._count
             return
         self._count = count
         self._hops.append(record)
+
+    def hold(self, record: HopRecord) -> None:
+        """Append the partial hop of a frame a port still holds when the
+        run ends: tx instant -1, and dequeue instant -1 if it is queued."""
+        events = 1 + (record[7] >= 0) + self._folds_ingress(record)
+        if self._count + events > self.max_events:
+            self.dropped_events += events
+            return
+        self._count += events
+        self._hops.append(record)
+
+    def _folds_ingress(self, record: HopRecord) -> bool:
+        origin = self._switch_of.get(record[1])
+        return origin is not None and (
+            record[2], origin[0], record[6] - origin[1]
+        ) not in self._unfolded
 
     def ingress(self, time_ns: int, switch: str, frame,
                 ports: Sequence[str] = ()) -> None:

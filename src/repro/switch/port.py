@@ -613,8 +613,7 @@ class EgressPort:
         """Write the hop records of the frames this port still holds (the
         run is over): a queued frame's has no dequeue or tx instant, a
         frame on the wire or suspended by a preemption no tx instant."""
-        hop = self._span_hop
-        if hop is None:
+        if self._spans is None:
             return
         held = [(d, -1) for queue in self.queues for d in queue]
         on_wire = self._on_wire
@@ -625,8 +624,10 @@ class EgressPort:
             held.append((suspended.descriptor, suspended.dequeued_ns))
         for descriptor, dequeued_ns in held:
             frame = descriptor.frame
-            hop((-1, self.name, frame.frame_id, frame.flow_id, frame.seq,
-                 descriptor.queue_id, descriptor.enqueued_ns, dequeued_ns))
+            self._spans.hold((
+                -1, self.name, frame.frame_id, frame.flow_id, frame.seq,
+                descriptor.queue_id, descriptor.enqueued_ns, dequeued_ns,
+            ))
 
     # --------------------------------------------------------------- queries
 

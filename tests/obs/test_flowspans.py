@@ -108,8 +108,8 @@ class TestRecorder:
     def test_held_hop_records_yield_the_instants_reached(self):
         recorder = FlowSpanRecorder()
         recorder.add_switch_port("sw0.p0", "sw0", 480)
-        recorder.hop((-1, "sw0.p0", 1, 0, 0, 7, 980, -1))  # still queued
-        recorder.hop((-1, "sw0.p0", 2, 0, 1, 7, 990, 1_000))  # on the wire
+        recorder.hold((-1, "sw0.p0", 1, 0, 0, 7, 980, -1))  # still queued
+        recorder.hold((-1, "sw0.p0", 2, 0, 1, 7, 990, 1_000))  # on the wire
         assert len(recorder) == 5
         queued, on_wire = recorder.journeys()
         assert [e.kind for e in queued.events] == ["ingress", "enqueue"]
@@ -139,7 +139,7 @@ class TestRecorder:
         frame = _Frame(1)
         recorder.ingress(20, "sw0", frame, ["sw0.p0", "sw0.p1"])
         recorder.hop((900, "sw0.p0", 1, 0, 0, 7, 500, 500))
-        recorder.hop((-1, "sw0.p1", 1, 0, 0, 7, 500, -1))
+        recorder.hold((-1, "sw0.p1", 1, 0, 0, 7, 500, -1))
         assert len(recorder) == 1 + 3 + 1
         [journey] = recorder.journeys()
         assert [(e.kind, e.node) for e in journey.events] == [
