@@ -248,8 +248,8 @@ class FlowSpanRecorder:
         #: record there folds the switch's ingress event.
         self._switch_of: Dict[str, Tuple[str, int]] = {}
         #: (frame_id, switch, arrival ns) -> ports, in the order handed
-        #: over, of each frame a switch handed to more than one port: it
-        #: recorded the ingress itself.
+        #: over, of each frame a switch handed to more than one target
+        #: (ports or local hosts): it recorded the ingress itself.
         self._unfolded: Dict[Tuple[int, str, int], Tuple[str, ...]] = {}
 
     def __len__(self) -> int:
