@@ -45,119 +45,98 @@ Quickstart::
     print(result.ts_summary)
 """
 
-from .campaign import Campaign, SweepSpec
-from .core.api import CustomizationAPI
-from .core.bram import allocate as allocate_bram
-from .core.config import EntryWidths, SwitchConfig
-from .core.errors import (
-    CapacityError,
-    ConfigurationError,
-    IncompleteCustomizationError,
-    SchedulingError,
-    SpecValidationError,
-    SimulationError,
-    SynthesisError,
-    TopologyError,
-    TsnBuilderError,
-)
-from .core.presets import (
-    bcm53154_config,
-    customized_config,
-    linear_config,
-    ring_config,
-    star_config,
-)
-from .core.optimizer import optimize
-from .core.resources import ResourceReport
-from .core.sizing import derive_config
-from .cqf.bounds import CqfBounds, cqf_bounds
-from .cqf.schedule import CqfSchedule
-from .faults import FaultInjector, FaultPlan, FaultReport
-from .network.program import check_deployment
-from .network.scenario import ScenarioSpec
-from .sched import (
-    SchedPolicy,
-    SchedulePlan,
-    SchedulingProblem,
-    Scheduler,
-    available_backends,
-    make_scheduler,
-    plan_flows,
-)
-from .obs.chrome_trace import write_chrome_trace
-from .obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .obs.profiler import WallClockProfiler
-from .network.testbed import RunPlan, ScenarioResult, Testbed
-from .network.topology import (
-    TopologySpec,
-    dual_path_topology,
-    frer_ring_topology,
-    linear_topology,
-    ring_topology,
-    star_topology,
-)
-from .switch.device import TsnSwitch
-from .traffic.flows import FlowSet, FlowSpec, TrafficClass
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CustomizationAPI",
-    "Campaign",
-    "SweepSpec",
-    "SwitchConfig",
-    "EntryWidths",
-    "ResourceReport",
-    "TsnBuilderError",
-    "ConfigurationError",
-    "IncompleteCustomizationError",
-    "SpecValidationError",
-    "CapacityError",
-    "SchedulingError",
-    "SimulationError",
-    "SynthesisError",
-    "TopologyError",
-    "allocate_bram",
-    "bcm53154_config",
-    "customized_config",
-    "star_config",
-    "linear_config",
-    "ring_config",
-    "CqfBounds",
-    "cqf_bounds",
-    "CqfSchedule",
-    "TsnSwitch",
-    "FlowSpec",
-    "FlowSet",
-    "TrafficClass",
-    "TopologySpec",
-    "ring_topology",
-    "linear_topology",
-    "star_topology",
-    "dual_path_topology",
-    "frer_ring_topology",
-    "FaultPlan",
-    "FaultInjector",
-    "FaultReport",
-    "RunPlan",
-    "Testbed",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "derive_config",
-    "optimize",
-    "check_deployment",
-    "Scheduler",
-    "SchedPolicy",
-    "SchedulePlan",
-    "SchedulingProblem",
-    "available_backends",
-    "make_scheduler",
-    "plan_flows",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "WallClockProfiler",
-    "write_chrome_trace",
-    "__version__",
-]
+#: Public name -> the submodule defining it (``module:attribute`` where the
+#: attribute is named differently).  ``import repro`` loads none of them:
+#: :func:`__getattr__` imports a name's module the first time it is read.
+_EXPORTS = {
+    "CustomizationAPI": "core.api",
+    "Campaign": "campaign",
+    "SweepSpec": "campaign",
+    "SwitchConfig": "core.config",
+    "EntryWidths": "core.config",
+    "ResourceReport": "core.resources",
+    "TsnBuilderError": "core.errors",
+    "ConfigurationError": "core.errors",
+    "IncompleteCustomizationError": "core.errors",
+    "SpecValidationError": "core.errors",
+    "CapacityError": "core.errors",
+    "SchedulingError": "core.errors",
+    "SimulationError": "core.errors",
+    "SynthesisError": "core.errors",
+    "TopologyError": "core.errors",
+    "allocate_bram": "core.bram:allocate",
+    "bcm53154_config": "core.presets",
+    "customized_config": "core.presets",
+    "star_config": "core.presets",
+    "linear_config": "core.presets",
+    "ring_config": "core.presets",
+    "CqfBounds": "cqf.bounds",
+    "cqf_bounds": "cqf.bounds",
+    "CqfSchedule": "cqf.schedule",
+    "TsnSwitch": "switch.device",
+    "FlowSpec": "traffic.flows",
+    "FlowSet": "traffic.flows",
+    "TrafficClass": "traffic.flows",
+    "TopologySpec": "network.topology",
+    "ring_topology": "network.topology",
+    "linear_topology": "network.topology",
+    "star_topology": "network.topology",
+    "dual_path_topology": "network.topology",
+    "frer_ring_topology": "network.topology",
+    "FaultPlan": "faults",
+    "FaultInjector": "faults",
+    "FaultReport": "faults",
+    "RunPlan": "network.testbed",
+    "Testbed": "network.testbed",
+    "ScenarioResult": "network.testbed",
+    "ScenarioSpec": "network.scenario",
+    "derive_config": "core.sizing",
+    "optimize": "core.optimizer",
+    "check_deployment": "network.program",
+    "Scheduler": "sched",
+    "SchedPolicy": "sched",
+    "SchedulePlan": "sched",
+    "SchedulingProblem": "sched",
+    "available_backends": "sched",
+    "make_scheduler": "sched",
+    "plan_flows": "sched",
+    "MetricsRegistry": "obs.metrics",
+    "Counter": "obs.metrics",
+    "Gauge": "obs.metrics",
+    "Histogram": "obs.metrics",
+    "WallClockProfiler": "obs.profiler",
+    "write_chrome_trace": "obs.chrome_trace",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def _lazy_exports(namespace: dict, exports: dict):
+    """A package's module ``__getattr__`` and ``__dir__`` (PEP 562): each
+    name of *exports* is imported on first read and kept in *namespace*."""
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        target = exports.get(name)
+        if target is None:
+            # Lets ``from repro import sched`` fall back to the submodule.
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        module, _, attribute = target.partition(":")
+        value = getattr(importlib.import_module(f".{module}", package),
+                        attribute or name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -7,7 +7,6 @@ downstream tooling needs no dependency on this package.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Dict, List, Union
@@ -29,6 +28,8 @@ PathLike = Union[str, Path]
 
 def series_to_csv(series: SweepSeries, path: PathLike) -> Path:
     """One row per sweep point: x, mean, jitter, min, max, p99, loss (ns)."""
+    import csv
+
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -47,6 +48,8 @@ def series_to_csv(series: SweepSeries, path: PathLike) -> Path:
 
 def latencies_to_csv(result, traffic_class: TrafficClass, path: PathLike) -> Path:
     """Per-packet latencies of one class from a ScenarioResult."""
+    import csv
+
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)

@@ -24,29 +24,36 @@ aggregated, and heartbeats stream to a separate status file.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
-from typing import Any, Callable, Dict, IO, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, IO, List, Optional, \
+    Union
 
+from repro.obs.campaign import HeartbeatWriter, LedgerWriter, \
+    flag_stragglers
 from .pareto import aggregate_rows
 from .spec import PlannedRun, SweepSpec
 from .worker import execute_run
+
+if TYPE_CHECKING:
+    from multiprocessing.context import BaseContext
 
 __all__ = ["Campaign", "pool_context"]
 
 Progress = Callable[[Dict[str, Any], int, int], None]
 
 
-def pool_context() -> multiprocessing.context.BaseContext:
+def pool_context() -> BaseContext:
     """The explicit multiprocessing context campaign pools run under.
 
     ``fork`` where the platform offers it (cheap, and the worker payload
     is picklable either way), ``spawn`` elsewhere -- but always *chosen*,
     never the interpreter default, so behaviour cannot silently change
-    with the Python version's default start method.
+    with the Python version's default start method.  Imported here: a
+    process that builds no pool never loads ``multiprocessing``.
     """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
@@ -145,12 +152,6 @@ class Campaign:
         with ``(row, finished_count, total)`` after each run.  The full row
         list is available afterwards as :attr:`rows`.
         """
-        from repro.obs.campaign import (
-            HeartbeatWriter,
-            LedgerWriter,
-            flag_stragglers,
-        )
-
         runs = self.plan()
         payloads = [run.as_payload() for run in runs]
         status_path = (
@@ -293,6 +294,9 @@ class Campaign:
     def _run_pool(
         self, payloads: List[Dict[str, Any]], finish: Callable
     ) -> None:
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
+            wait
+
         with ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=pool_context(),

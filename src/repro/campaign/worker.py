@@ -30,6 +30,8 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.core.errors import TsnBuilderError
+from repro.network.scenario import ScenarioSpec
+from repro.obs.campaign import WorkerTelemetry, flight_dump_name
 from repro.sched.problem import SchedulePlan
 from repro.sim.kernel import EventBudgetExceeded
 
@@ -54,9 +56,6 @@ def _raise_timeout(signum, frame):  # pragma: no cover - trivial
 
 def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one expanded scenario and digest the result into a JSONL row."""
-    from repro.network.scenario import ScenarioSpec
-    from repro.obs.campaign import WorkerTelemetry, flight_dump_name
-
     attempt = payload.get("attempt", 1)
     row: Dict[str, Any] = {
         "run_id": payload["run_id"],

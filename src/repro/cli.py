@@ -77,46 +77,25 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import __version__
-from repro.analysis.export import result_summary
-from repro.analysis.report import render_table1, render_table3
-from repro.core.builder import TSNBuilder
-from repro.core.config import SwitchConfig
 from repro.core.errors import TsnBuilderError
-from repro.core.optimizer import optimize
-from repro.core.presets import (
-    bcm53154_config,
-    linear_config,
-    ring_config,
-    star_config,
-    table1_case1,
-    table1_case2,
-)
-from repro.core.sizing import derive_config
-from repro.core.units import us
 from repro.cqf import gating
-from repro.network.scenario import ScenarioSpec
-from repro.network.topology import (
-    linear_topology,
-    ring_topology,
-    star_topology,
-)
-from repro.traffic.flows import FlowSet
-from repro.traffic.iec60802 import production_cell_flows
 
 __all__ = ["main", "build_parser"]
 
+# The parser imports nothing it runs: each ``_cmd_*`` handler imports its
+# own modules, so ``repro --help`` loads no simulator.
+
+#: Preset name -> its factory in :mod:`repro.core.presets`.
 _PRESETS = {
-    "commercial": bcm53154_config,
-    "star": star_config,
-    "linear": linear_config,
-    "ring": ring_config,
+    "commercial": "bcm53154_config",
+    "star": "star_config",
+    "linear": "linear_config",
+    "ring": "ring_config",
 }
 
-_TOPOLOGIES = {
-    "ring": ring_topology,
-    "linear": linear_topology,
-    "star": star_topology,
-}
+#: The topologies ``size`` builds, ``<name>_topology`` in
+#: :mod:`repro.network.topology`.
+_TOPOLOGIES = ("ring", "linear", "star")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,6 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table1, render_table3
+    from repro.core.presets import (
+        bcm53154_config,
+        linear_config,
+        ring_config,
+        star_config,
+        table1_case1,
+        table1_case2,
+    )
+
     baseline = bcm53154_config().resource_report("Commercial (4 ports)")
     customized = [
         star_config().resource_report("Star (3 ports)"),
@@ -393,6 +382,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_size(args: argparse.Namespace) -> int:
+    from repro.core.optimizer import optimize
+    from repro.core.sizing import derive_config
+    from repro.core.units import us
+    from repro.network import topology as topologies
+    from repro.traffic.flows import FlowSet
+    from repro.traffic.iec60802 import production_cell_flows
+
     # A flag that does nothing in the chosen mode is refused, not ignored.
     discipline = gating.from_document(args.gate_mechanism)
     if args.optimize and discipline is not gating.CQF:
@@ -407,7 +403,7 @@ def _cmd_size(args: argparse.Namespace) -> int:
                 print(f"error: {flag} only applies with --optimize",
                       file=sys.stderr)
                 return 2
-    builder = _TOPOLOGIES[args.topology]
+    builder = getattr(topologies, f"{args.topology}_topology")
     if args.topology == "star":
         topology = builder()
     else:
@@ -466,8 +462,12 @@ def _cmd_size(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_rtl(args: argparse.Namespace) -> int:
+    from repro.core import presets
+    from repro.core.builder import TSNBuilder
+    from repro.core.config import SwitchConfig
+
     if args.preset:
-        config = _PRESETS[args.preset]()
+        config = getattr(presets, _PRESETS[args.preset])()
     else:
         config = SwitchConfig.from_json(args.config.read_text())
     builder = TSNBuilder(platform="rtl")
@@ -480,6 +480,8 @@ def _cmd_emit_rtl(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.network.scenario import ScenarioSpec
+
     spec = ScenarioSpec.from_file(args.scenario)
     if args.check:
         from repro.core.errors import InfeasiblePlanError, SlotError
@@ -501,6 +503,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"{len(violations) - len(errors)} warning(s)",
               file=sys.stderr)
         return 1 if errors else 0
+    from repro.analysis.export import result_summary
     from repro.obs.flowspans import FlowSpanRecorder, flow_stats
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profiler import WallClockProfiler
@@ -617,6 +620,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_headroom(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_headroom, render_port_occupancy
+    from repro.network.scenario import ScenarioSpec
     from repro.obs.headroom import HeadroomRecorder
 
     spec = ScenarioSpec.from_file(args.scenario)
@@ -652,6 +656,7 @@ def _cmd_headroom(args: argparse.Namespace) -> int:
 
 def _cmd_slo(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_slo
+    from repro.network.scenario import ScenarioSpec
     from repro.obs.slo import SloPolicy
 
     spec = ScenarioSpec.from_file(args.scenario)
@@ -673,6 +678,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_faults, render_slo
+    from repro.network.scenario import ScenarioSpec
     from repro.obs.slo import SloPolicy
 
     spec = ScenarioSpec.from_file(args.scenario)
@@ -731,6 +737,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_sched(args: argparse.Namespace) -> int:
     import dataclasses
 
+    from repro.network.scenario import ScenarioSpec
     from repro.sched import available_backends, plan_flows
 
     spec = ScenarioSpec.from_file(args.scenario)

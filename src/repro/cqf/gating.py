@@ -37,13 +37,12 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, \
 
 from repro.core.errors import ConfigurationError, SchedulingError
 from repro.core.units import us
-from repro.switch.gates import CqfGroup, CqfPair
-from repro.switch.tables import GateEntry
 from .bounds import CqfBounds, cqf_bounds
 from .schedule import CqfSchedule
 
 if TYPE_CHECKING:
     from repro.network.testbed import RunPlan
+    from repro.switch.tables import GateEntry
 
 __all__ = [
     "BY_DOCUMENT", "CQF", "CSQF", "DEFAULT_MULTI_CQF_GROUPS",
@@ -66,7 +65,7 @@ DEFAULT_MULTI_CQF_GROUPS: Tuple[Tuple[int, int], ...] = ((6, 7), (4, 5))
 RC_QUEUES: Tuple[int, ...] = (5, 4, 3)
 BE_QUEUE = 0
 
-Lists = Tuple[List[GateEntry], List[GateEntry]]
+Lists = Tuple[List["GateEntry"], List["GateEntry"]]
 PortGates = tuple  # (in entries, out entries, CQF groups)
 
 
@@ -89,6 +88,10 @@ def rotation_gcl_entries(
         if not 0 <= queue < queue_num:
             raise SchedulingError(f"TS queue {queue} outside the {queue_num} "
                                   f"configured queues")
+    # The dataplane's types are imported where a list is built, so that
+    # reading the discipline table (the CLI's choices) loads no switch.
+    from repro.switch.tables import GateEntry
+
     non_ts = sum(1 << q for q in range(queue_num) if q not in flat)
     cycle = math.lcm(*(len(g) * s for g, s in zip(groups, slots)))
     in_entries: List[GateEntry] = []
@@ -113,6 +116,8 @@ def cqf_gcl_entries(slot_ns: int, pair=DEFAULT_TS_QUEUE_PAIR,
 def cqf_port_program(slot_ns: int, pair=DEFAULT_TS_QUEUE_PAIR,
                      queue_num: int = 8) -> PortGates:
     """Everything ``program_gcls`` needs for one CQF port."""
+    from repro.switch.gates import CqfPair
+
     return (*cqf_gcl_entries(slot_ns, pair, queue_num), [CqfPair(*pair)])
 
 
@@ -130,6 +135,8 @@ def csqf_gcl_entries(slot_ns: int, triple=DEFAULT_TS_QUEUE_TRIPLE,
 def csqf_port_program(slot_ns: int, triple=DEFAULT_TS_QUEUE_TRIPLE,
                       queue_num: int = 8) -> PortGates:
     """Everything ``program_gcls`` needs for one CSQF port."""
+    from repro.switch.gates import CqfGroup
+
     return (*csqf_gcl_entries(slot_ns, triple, queue_num), [CqfGroup(*triple)])
 
 
@@ -166,6 +173,8 @@ def multi_cqf_port_program(slot_ns: int, slot2_ns: int,
     """Everything ``program_gcls`` needs for one Multi-CQF port; the
     groups are ordered (base system, long-slot system), the system indices
     of :meth:`Discipline.systems`."""
+    from repro.switch.gates import CqfGroup
+
     return (*multi_cqf_gcl_entries(slot_ns, slot2_ns, groups, queue_num),
             [CqfGroup(*g) for g in groups])
 
@@ -231,6 +240,8 @@ class Discipline:
                  queue_num: int) -> PortGates:
         """The gate lists of every port: each TS queue group turns at its
         system's slot."""
+        from repro.switch.gates import CqfGroup
+
         groups, _ = self.queue_layout(ts_queue_pair)
         slots = (slot_ns, self.slot2_ns(slot_ns))[:len(groups)]
         return (*rotation_gcl_entries(slot_ns, groups, slots, queue_num),
@@ -268,6 +279,7 @@ def _synthesized_gates(
     crosses keep the model's default lists."""
     from repro.qbv.synthesis import PortTraffic, TasSynthesizer
     from repro.switch.device import DEFAULT_PROCESSING_DELAY_NS
+    from repro.switch.tables import GateEntry
 
     plan = run_plan.sched_plan
     if plan is None:

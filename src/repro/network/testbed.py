@@ -41,6 +41,7 @@ from repro.sched import SchedPolicy, plan_flows
 from repro.sched.problem import MultiSchedulePlan, SchedulePlan
 from repro.faults.injector import FaultInjector, FaultReport
 from repro.faults.plan import FaultPlan
+from repro.frer.elimination import FrerEliminator
 from repro.obs.flowspans import FlowSpanRecorder
 from repro.obs.headroom import HeadroomRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -631,8 +632,6 @@ class Testbed:
             link.arrival_priority = index + 1
 
     def _create_analyzer(self) -> None:
-        from repro.frer.elimination import FrerEliminator
-
         self.analyzer = TsnAnalyzer(self.sim, self.flows)
         if self.slo_policy is not None:
             self.slo_monitor = SloMonitor(

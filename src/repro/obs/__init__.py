@@ -23,89 +23,57 @@ See ``docs/observability.md`` for the metric catalogue and exporter
 formats, and ``docs/campaigns.md`` for the sweep-level artifacts.
 """
 
-from .campaign import (
-    HeartbeatWriter,
-    LedgerWriter,
-    WorkerTelemetry,
-    flag_stragglers,
-    read_ledger,
-    read_status,
-    render_status,
-    robust_z_scores,
-    sweep_spec_hash,
-    telemetry_summary,
-)
-from .chrome_trace import (
-    chrome_trace_events,
-    gate_span_events,
-    instant_events,
-    trace_to_jsonl,
-    write_chrome_trace,
-)
-from .flowspans import FlowSpanRecorder, FrameJourney, flow_stats
-from .headroom import (
-    HeadroomRecorder,
-    HeadroomReport,
-    OccupancyProbe,
-    PortHeadroomProbes,
-    build_headroom_report,
-)
-from .instruments import PortInstruments, SwitchInstruments
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS_NS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    log_buckets,
-)
-from .flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
-from .profiler import NULL_PROFILER, NullProfiler, WallClockProfiler
-from .slo import SloMonitor, SloPolicy, SloReport, SloSpec
-from .timeseries import RingBuffer, TimeSeriesSampler, prometheus_exposition
+from repro import _lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "log_buckets",
-    "DEFAULT_LATENCY_BUCKETS_NS",
-    "SwitchInstruments",
-    "PortInstruments",
-    "WallClockProfiler",
-    "NullProfiler",
-    "NULL_PROFILER",
-    "chrome_trace_events",
-    "gate_span_events",
-    "instant_events",
-    "write_chrome_trace",
-    "trace_to_jsonl",
-    "FlowSpanRecorder",
-    "FrameJourney",
-    "flow_stats",
-    "HeadroomRecorder",
-    "HeadroomReport",
-    "OccupancyProbe",
-    "PortHeadroomProbes",
-    "build_headroom_report",
-    "SloSpec",
-    "SloPolicy",
-    "SloMonitor",
-    "SloReport",
-    "RingBuffer",
-    "TimeSeriesSampler",
-    "prometheus_exposition",
-    "FlightRecorder",
-    "DEFAULT_FLIGHT_CAPACITY",
-    "LedgerWriter",
-    "HeartbeatWriter",
-    "WorkerTelemetry",
-    "sweep_spec_hash",
-    "read_ledger",
-    "read_status",
-    "render_status",
-    "robust_z_scores",
-    "flag_stragglers",
-    "telemetry_summary",
-]
+#: Public name -> the submodule defining it, imported the first time the
+#: name is read: ``from repro.obs.flowspans import ...`` loads the span
+#: recorder alone.
+_EXPORTS = {
+    "MetricsRegistry": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "log_buckets": "metrics",
+    "DEFAULT_LATENCY_BUCKETS_NS": "metrics",
+    "SwitchInstruments": "instruments",
+    "PortInstruments": "instruments",
+    "WallClockProfiler": "profiler",
+    "NullProfiler": "profiler",
+    "NULL_PROFILER": "profiler",
+    "chrome_trace_events": "chrome_trace",
+    "gate_span_events": "chrome_trace",
+    "instant_events": "chrome_trace",
+    "write_chrome_trace": "chrome_trace",
+    "trace_to_jsonl": "chrome_trace",
+    "FlowSpanRecorder": "flowspans",
+    "FrameJourney": "flowspans",
+    "flow_stats": "flowspans",
+    "HeadroomRecorder": "headroom",
+    "HeadroomReport": "headroom",
+    "OccupancyProbe": "headroom",
+    "PortHeadroomProbes": "headroom",
+    "build_headroom_report": "headroom",
+    "SloSpec": "slo",
+    "SloPolicy": "slo",
+    "SloMonitor": "slo",
+    "SloReport": "slo",
+    "RingBuffer": "timeseries",
+    "TimeSeriesSampler": "timeseries",
+    "prometheus_exposition": "timeseries",
+    "FlightRecorder": "flight",
+    "DEFAULT_FLIGHT_CAPACITY": "flight",
+    "LedgerWriter": "campaign",
+    "HeartbeatWriter": "campaign",
+    "WorkerTelemetry": "campaign",
+    "sweep_spec_hash": "campaign",
+    "read_ledger": "campaign",
+    "read_status": "campaign",
+    "render_status": "campaign",
+    "robust_z_scores": "campaign",
+    "flag_stragglers": "campaign",
+    "telemetry_summary": "campaign",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

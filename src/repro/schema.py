@@ -11,7 +11,6 @@ read both by their constructors (:func:`range_problems`) and by
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import functools
 import json
 from collections.abc import Mapping
@@ -30,6 +29,8 @@ __all__ = [
 
 def suggest(key: Any, candidates) -> str:
     """``" (did you mean 'x'?)"`` for the nearest candidate, else ``""``."""
+    import difflib  # only a refused key pays for it
+
     matches = difflib.get_close_matches(str(key), sorted(map(str, candidates)),
                                         n=1)
     return f" (did you mean {matches[0]!r}?)" if matches else ""
