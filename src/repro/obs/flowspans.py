@@ -160,55 +160,38 @@ class FrameJourney:
     def hop_spans(self) -> List[HopSpan]:
         """Per-port spans reconstructed from enqueue/dequeue/tx triples.
 
-        An ``ingress`` event is attached to the next ``enqueue`` (the
-        switch-level receive that preceded the port-level admit); a hop cut
-        short by a drop or the end of the run yields a partial span with
-        ``None`` fields.
+        A switch port's span (``<switch>.p<n>``) takes the switch's latest
+        ``ingress`` as its arrival, so every port a switch hands a frame to
+        gets the same one (a host NIC has none).  Each port's hop stays
+        open until its own ``tx``, so each copy of a frame handed to
+        several ports gets a whole span; a hop cut short by a drop or the
+        end of the run yields a partial span with ``None`` fields.  Spans
+        are in enqueue order.
         """
-        spans: List[HopSpan] = []
-        pending_ingress: Optional[HopEvent] = None
-        open_hop: Optional[Dict] = None
-
-        def close(hop: Dict) -> None:
-            spans.append(
-                HopSpan(
-                    node=hop["node"],
-                    queue_id=hop["queue_id"],
-                    arrived_ns=hop["arrived_ns"],
-                    enqueued_ns=hop["enqueued_ns"],
-                    dequeued_ns=hop.get("dequeued_ns"),
-                    tx_ns=hop.get("tx_ns"),
-                )
-            )
-
+        hops: List[Dict] = []
+        open_hops: Dict[str, Dict] = {}  # port -> its hop awaiting tx
+        arrived: Dict[str, int] = {}  # switch -> latest ingress instant
         for event in self.events:
             if event.kind == "ingress":
-                pending_ingress = event
+                arrived[event.node] = event.time_ns
             elif event.kind == "enqueue":
-                if open_hop is not None:
-                    close(open_hop)
-                open_hop = {
-                    "node": event.node,
-                    "queue_id": event.detail,
-                    "arrived_ns": (
-                        pending_ingress.time_ns
-                        if pending_ingress is not None
-                        else None
-                    ),
-                    "enqueued_ns": event.time_ns,
-                }
-                pending_ingress = None
-            elif event.kind == "dequeue":
-                if open_hop is not None and open_hop["node"] == event.node:
-                    open_hop["dequeued_ns"] = event.time_ns
-            elif event.kind == "tx":
-                if open_hop is not None and open_hop["node"] == event.node:
-                    open_hop["tx_ns"] = event.time_ns
-                    close(open_hop)
-                    open_hop = None
-        if open_hop is not None:
-            close(open_hop)
-        return spans
+                owner = event.node.rpartition(".")[0]
+                hop = {"node": event.node, "queue_id": event.detail,
+                       "arrived_ns": arrived.get(owner),
+                       "enqueued_ns": event.time_ns}
+                hops.append(hop)
+                open_hops[event.node] = hop
+            elif event.kind in ("dequeue", "tx"):
+                hop = open_hops.get(event.node)
+                if hop is not None:
+                    hop[event.kind] = event.time_ns
+                    if event.kind == "tx":
+                        del open_hops[event.node]
+        return [
+            HopSpan(hop["node"], hop["queue_id"], hop["arrived_ns"],
+                    hop["enqueued_ns"], hop.get("dequeue"), hop.get("tx"))
+            for hop in hops
+        ]
 
 
 class FlowSpanRecorder:

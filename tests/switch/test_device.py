@@ -356,6 +356,12 @@ class TestFlowSpans:
         multicast = journeys[frames[-1].frame_id]
         assert [(e.kind, e.node) for e in multicast.events
                 if e.kind == "tx"] == [("tx", "sw.p1"), ("tx", "sw.p0")]
+        # Each copy's span is whole and carries the one recorded ingress.
+        hops = {span.node: span for span in multicast.hop_spans()}
+        assert sorted(hops) == ["sw.p0", "sw.p1"]
+        for span in hops.values():
+            assert span.arrived_ns == 100
+            assert span.dequeued_ns is not None and span.tx_ns is not None
 
 
 class TestMulticast:
