@@ -116,10 +116,11 @@ class TsnAnalyzer:
             raise SimulationError(
                 f"frame of flow {frame.flow_id} carries no injection timestamp"
             )
-        latency_ns = self._sim.now - frame.created_ns
+        now = self._sim._now
+        latency_ns = now - frame.created_ns
         record.note(latency_ns, frame.seq)
         if self.slo is not None:
-            self.slo.observe(frame.flow_id, frame.seq, latency_ns, self._sim.now)
+            self.slo.observe(frame.flow_id, frame.seq, latency_ns, now)
 
     # ------------------------------------------------------------ statistics
 

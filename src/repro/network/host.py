@@ -111,7 +111,7 @@ class Host:
     def inject(self, frame: EthernetFrame) -> bool:
         """Queue a locally generated frame for transmission (by PCP)."""
         if self._spans is not None:
-            self._spans.record(self._sim.now, "inject", self.name, frame)
+            self._spans.record(self._sim._now, "inject", self.name, frame)
         return self.nic.enqueue(frame, frame.pcp)
 
     def receive(self, frame: EthernetFrame) -> None:
@@ -120,10 +120,10 @@ class Host:
             # NIC FCS check: bit-errored frames never reach the stack.
             self.counters.dropped_corrupt += 1
             if self._spans is not None:
-                self._spans.record(self._sim.now, "drop", self.name, frame)
+                self._spans.record(self._sim._now, "drop", self.name, frame)
             return
         self.received += 1
         if self._spans is not None:
-            self._spans.record(self._sim.now, "rx", self.name, frame)
+            self._spans.record(self._sim._now, "rx", self.name, frame)
         if self.on_receive is not None:
             self.on_receive(frame)

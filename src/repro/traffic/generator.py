@@ -68,6 +68,7 @@ class _SourceBase:
         self._stopped = True
 
     def _emit(self) -> None:
+        now = self._sim._now
         frame = EthernetFrame(
             src_mac=self.src_mac,
             dst_mac=self.dst_mac,
@@ -76,11 +77,11 @@ class _SourceBase:
             size_bytes=self.size_bytes,
             flow_id=self.flow_id,
             seq=self.emitted,
-            created_ns=self._sim.now,
+            created_ns=now,
         )
         self.emitted += 1
         if self._spans is not None:
-            self._spans.record(self._sim.now, "gen", f"flow{self.flow_id}", frame)
+            self._spans.record(now, "gen", f"flow{self.flow_id}", frame)
         self._inject(frame)
 
 
@@ -177,7 +178,7 @@ class RateSource(_SourceBase):
     def _tick(self) -> None:
         if self._stopped:
             return
-        if self.until_ns is not None and self._sim.now >= self.until_ns:
+        if self.until_ns is not None and self._sim._now >= self.until_ns:
             return
         self._emit()
         self._sim.post(self.mean_gap_ns, self._tick)

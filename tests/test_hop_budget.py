@@ -40,14 +40,15 @@ _LINE = {"talkers": ["talker0"], "listener": "listener"}
 _COMMON = {"config": "derive", "slot_us": 62.5, "seed": 1}
 
 #: name -> (document, observed, ceiling in calls per switch-hop, ceiling
-#: in kernel events per switch-hop).  The measured calls were 31.5, 41.7
-#: and 40.6 (43.9 on the observed line while the span recorder took four
-#: records per switch-hop; 35.7, 44.8 and 46.7 while every enqueue ran the
-#: arbiter; 38.7, 47.8 and 49.7 while a link's arrival and the switch's
-#: processing were two events; 63.5 on the observed line while the
-#: registry's gauges and counters were pushed from every hop).  The events
-#: are exact: 3.20, 3.5952 and 2.6190 (4.20, 4.5952 and 3.6190 with the
-#: two-event arrival).
+#: in kernel events per switch-hop).  The measured calls were 31.33, 40.73
+#: and 39.65 (31.5, 41.7 and 40.6 while sources, the analyzer and hosts
+#: read the kernel's ``now`` property per frame; 43.9 on the observed line
+#: while the span recorder took four records per switch-hop; 35.7, 44.8
+#: and 46.7 while every enqueue ran the arbiter; 38.7, 47.8 and 49.7 while
+#: a link's arrival and the switch's processing were two events; 63.5 on
+#: the observed line while the registry's gauges and counters were pushed
+#: from every hop).  The events are exact: 3.20, 3.5952 and 2.6190 (4.20,
+#: 4.5952 and 3.6190 with the two-event arrival).
 WORKLOADS = {
     "ring_deep": (
         {
@@ -56,7 +57,7 @@ WORKLOADS = {
             "flows": {"ts_count": 16, "period_us": 1000, "size_bytes": 64},
         },
         False,
-        34.6,
+        34.5,
         3.20,
     ),
     "star_dense": (
@@ -67,7 +68,7 @@ WORKLOADS = {
                       "rc_mbps": 100, "be_mbps": 100},
         },
         False,
-        45.8,
+        44.8,
         3.60,
     ),
     "linear_qbv_observed": (
@@ -79,7 +80,7 @@ WORKLOADS = {
                       "rc_mbps": 100, "be_mbps": 100},
         },
         True,
-        44.7,
+        43.6,
         2.62,
     ),
 }
