@@ -40,6 +40,7 @@ def _loaded(modules, prefixes):
 _COMMANDS = """
 import contextlib, io, json, runpy, sys
 import repro
+assert set(repro.__all__) <= set(dir(repro))   # dir() imports nothing
 after_import = [m for m in sys.modules if m.startswith("repro.")]
 seen = {}
 for flag in sys.argv[1:]:
