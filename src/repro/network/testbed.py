@@ -25,6 +25,7 @@ seeds give bit-identical traces.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -650,6 +651,9 @@ class Testbed:
                 host.on_receive = self.analyzer.record
 
     def _create_sources(self, vids: Dict[int, Tuple[int, ...]]) -> None:
+        # One counter per testbed: its frames are numbered 0, 1, ... in
+        # emission order, whatever else ran in the process.
+        next_frame_id = itertools.count().__next__
         plan = self.sched_plan
         for flow in self.flows:
             host = self.hosts[flow.src]
@@ -670,6 +674,7 @@ class Testbed:
                         PeriodicSource(
                             self.sim,
                             host.inject,
+                            next_frame_id,
                             flow.flow_id,
                             host.mac,
                             dst.mac,
@@ -688,6 +693,7 @@ class Testbed:
                     RateSource(
                         self.sim,
                         host.inject,
+                        next_frame_id,
                         flow.flow_id,
                         host.mac,
                         dst.mac,

@@ -18,8 +18,7 @@ buffer stores packet payload"):
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.units import ETH_MIN_FRAME_BYTES
 
@@ -49,27 +48,15 @@ def is_multicast(mac: MacAddress) -> bool:
     return bool(mac & _MULTICAST_BIT)
 
 
-_frame_ids = itertools.count()
-
-
-def reset_frame_ids() -> None:
-    """Restart the global frame-id counter from zero.
-
-    Frame ids are debugging handles that reports and rows omit, but trace
-    records carry them.  Restarting the counter gives every run in a
-    process the same frame ids, whatever ran before it, which is what the
-    golden traces need.
-    """
-    global _frame_ids
-    _frame_ids = itertools.count()
-
-
 @dataclass(frozen=True)
 class EthernetFrame:
     """One frame on the wire.
 
     ``size_bytes`` counts DA through FCS, matching the paper's "packet size"
-    axis in Fig. 7(b) ({64 ... 1500} B).
+    axis in Fig. 7(b) ({64 ... 1500} B).  ``frame_id`` is a debugging
+    handle that spans, journeys and trace records carry: a testbed numbers
+    the frames its sources emit 0, 1, ... in emission order, and a frame
+    built by hand keeps -1.
     """
 
     src_mac: MacAddress
@@ -82,7 +69,7 @@ class EthernetFrame:
     created_ns: int = -1          # measurement: injection timestamp
     fcs_ok: bool = True           # False = bit errors on the wire; the
                                   # receiving MAC drops it at ingress
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    frame_id: int = -1            # the testbed's emission number
 
     def __post_init__(self) -> None:
         if not 0 <= self.pcp <= 7:
@@ -102,9 +89,9 @@ class EthernetFrame:
     def corrupted(self) -> "EthernetFrame":
         """A per-hop copy of this frame with ``fcs_ok=False``.
 
-        Equivalent to ``dataclasses.replace(self, fcs_ok=False)`` (the
-        ``frame_id`` is preserved, no fresh id is drawn) but skips the
-        re-validation pass -- links corrupt frames on the hot path.
+        Equivalent to ``dataclasses.replace(self, fcs_ok=False)``, so the
+        copy keeps the ``frame_id``, but skips the re-validation pass --
+        links corrupt frames on the hot path.
         """
         clone = object.__new__(EthernetFrame)
         clone.__dict__.update(self.__dict__)

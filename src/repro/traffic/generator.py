@@ -11,7 +11,8 @@ processes attached to a host's NIC:
   flows do not beat against each other.
 
 Generators do not touch the network directly; they call an ``inject``
-callable (the host NIC's entry point) with fully formed frames.
+callable (the host NIC's entry point) with fully formed frames, numbered
+by a ``next_frame_id`` callable that the testbed's sources share.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class _SourceBase:
         self,
         sim: Simulator,
         inject: InjectFn,
+        next_frame_id: Callable[[], int],
         flow_id: int,
         src_mac: MacAddress,
         dst_mac: MacAddress,
@@ -46,13 +48,12 @@ class _SourceBase:
         # A probe frame runs the frame's own field checks once, here, with
         # the flow named -- not at the first emission, inside the event loop.
         try:
-            EthernetFrame(
-                src_mac, dst_mac, vlan_id, pcp, size_bytes, frame_id=-1
-            )
+            EthernetFrame(src_mac, dst_mac, vlan_id, pcp, size_bytes)
         except ValueError as exc:
             raise ConfigurationError(f"flow {flow_id}: {exc}") from None
         self._sim = sim
         self._inject = inject
+        self._next_frame_id = next_frame_id
         self._spans = spans
         self.flow_id = flow_id
         self.src_mac = src_mac
@@ -78,6 +79,7 @@ class _SourceBase:
             flow_id=self.flow_id,
             seq=self.emitted,
             created_ns=now,
+            frame_id=self._next_frame_id(),
         )
         self.emitted += 1
         if self._spans is not None:
@@ -97,6 +99,7 @@ class PeriodicSource(_SourceBase):
         self,
         sim: Simulator,
         inject: InjectFn,
+        next_frame_id: Callable[[], int],
         flow_id: int,
         src_mac: MacAddress,
         dst_mac: MacAddress,
@@ -109,8 +112,8 @@ class PeriodicSource(_SourceBase):
         spans: Optional[FlowSpanRecorder] = None,
     ) -> None:
         super().__init__(
-            sim, inject, flow_id, src_mac, dst_mac, vlan_id, pcp, size_bytes,
-            spans=spans,
+            sim, inject, next_frame_id, flow_id, src_mac, dst_mac, vlan_id,
+            pcp, size_bytes, spans=spans,
         )
         if period_ns <= 0:
             raise ConfigurationError(f"period must be positive, got {period_ns}")
@@ -144,6 +147,7 @@ class RateSource(_SourceBase):
         self,
         sim: Simulator,
         inject: InjectFn,
+        next_frame_id: Callable[[], int],
         flow_id: int,
         src_mac: MacAddress,
         dst_mac: MacAddress,
@@ -156,8 +160,8 @@ class RateSource(_SourceBase):
         spans: Optional[FlowSpanRecorder] = None,
     ) -> None:
         super().__init__(
-            sim, inject, flow_id, src_mac, dst_mac, vlan_id, pcp, size_bytes,
-            spans=spans,
+            sim, inject, next_frame_id, flow_id, src_mac, dst_mac, vlan_id,
+            pcp, size_bytes, spans=spans,
         )
         if rate_bps < 0:
             raise ConfigurationError(f"rate must be >= 0, got {rate_bps}")

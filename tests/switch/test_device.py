@@ -1,5 +1,7 @@
 """The integrated TsnSwitch device."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import SwitchConfig
@@ -341,6 +343,10 @@ class TestFlowSpans:
             EthernetFrame(make_mac(1), (1 << 40) | 8, 5, 5, 64),  # local + 1
             EthernetFrame(make_mac(1), (1 << 40) | 7, 5, 6, 64),  # 2 ports
         ]
+        # Hand-built frames are unnumbered; the recorder tells them apart
+        # by frame id, as a testbed's numbering would.
+        frames = [dataclasses.replace(frame, frame_id=index)
+                  for index, frame in enumerate(frames)]
         for frame in frames:
             switch.receive(frame)
         sim.run(until=1_000_000)

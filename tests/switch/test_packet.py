@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.network.scenario import ScenarioSpec
+from repro.obs.flowspans import FlowSpanRecorder
 from repro.switch.packet import (
     BROADCAST_MAC,
     Descriptor,
@@ -50,7 +52,31 @@ class TestFrameValidation:
             _frame(size_bytes=63)
 
     def test_frame_ids_unique(self):
-        assert _frame().frame_id != _frame().frame_id
+        """A frame built by hand is unnumbered; a testbed numbers the frames
+        its sources emit 0..n-1 in emission order, each testbed its own."""
+        assert _frame().frame_id == -1
+        document = {
+            "name": "frame-ids",
+            "topology": {"kind": "ring", "switch_count": 2,
+                         "talkers": ["talker0"], "listener": "listener"},
+            "flows": {"ts_count": 4, "period_us": 500, "size_bytes": 64,
+                      "rc_mbps": 50, "be_mbps": 50},
+            "duration_ms": 2,
+        }
+        spec = ScenarioSpec.from_dict(document)
+        recorders = [FlowSpanRecorder(), FlowSpanRecorder()]
+        testbeds = [spec.build_testbed(spans=spans) for spans in recorders]
+        for testbed in testbeds:
+            testbed.build()
+        for testbed in reversed(testbeds):
+            testbed.run(spec.duration_ns)
+        emitted = [
+            [row[3] for row in spans.events if row[1] == "gen"]
+            for spans in recorders
+        ]
+        # Background flows as well as TS flows emitted.
+        assert len({row[4] for row in recorders[0].events}) > 4
+        assert emitted[0] == emitted[1] == list(range(len(emitted[0])))
 
     def test_multicast_dst(self):
         assert _frame(dst_mac=BROADCAST_MAC).is_multicast

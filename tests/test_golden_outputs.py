@@ -39,7 +39,6 @@ import pytest
 from repro.core.templates import EgressSchedTemplate, default_template_set
 from repro.network.scenario import ScenarioSpec
 from repro.sim.trace import Tracer
-from repro.switch.packet import reset_frame_ids
 from repro.switch.scheduler import DeficitRoundRobinScheduler
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_outputs.json"
@@ -231,9 +230,8 @@ def _hashes(result, trace=None) -> dict:
 
 
 def _run(label: str, gate_traced: bool):
-    # The process-global frame-id counter feeds the trace; start every run
-    # from the same point.
-    reset_frame_ids()
+    # Each testbed numbers its frames from 0, so a run's trace does not
+    # depend on the runs before it in the process.
     spec = ScenarioSpec.from_dict(SCENARIOS[label])
     if label == "ring_drr":
         spec.extras["templates"] = _DRR_TEMPLATES
@@ -245,7 +243,6 @@ def _run(label: str, gate_traced: bool):
 
 @functools.lru_cache(maxsize=None)
 def _plain(label: str) -> dict:
-    reset_frame_ids()
     result = ScenarioSpec.from_dict(PLAIN[label]).run(tracer=Tracer())
     assert result.analyzer.received() > 0
     return _hashes(result)

@@ -33,16 +33,17 @@ from repro.network.scenario import ScenarioSpec
 from repro.obs.flowspans import FlowSpanRecorder
 from repro.obs.headroom import HeadroomRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.switch.packet import reset_frame_ids
 
 _LINE = {"talkers": ["talker0"], "listener": "listener"}
 
 _COMMON = {"config": "derive", "slot_us": 62.5, "seed": 1}
 
 #: name -> (document, observed, ceiling in calls per switch-hop, ceiling
-#: in kernel events per switch-hop).  The measured calls were 31.33, 40.73
-#: and 39.65 (31.5, 41.7 and 40.6 while sources, the analyzer and hosts
-#: read the kernel's ``now`` property per frame; 43.9 on the observed line
+#: in kernel events per switch-hop).  The measured calls were 31.27, 40.40
+#: and 39.48 (31.33, 40.73 and 39.65 while every frame drew its id from a
+#: process-global counter through a dataclass default factory; 31.5, 41.7
+#: and 40.6 while sources, the analyzer and hosts read the kernel's
+#: ``now`` property per frame; 43.9 on the observed line
 #: while the span recorder took four records per switch-hop; 35.7, 44.8
 #: and 46.7 while every enqueue ran the arbiter; 38.7, 47.8 and 49.7 while
 #: a link's arrival and the switch's processing were two events; 63.5 on
@@ -57,7 +58,7 @@ WORKLOADS = {
             "flows": {"ts_count": 16, "period_us": 1000, "size_bytes": 64},
         },
         False,
-        34.5,
+        34.4,
         3.20,
     ),
     "star_dense": (
@@ -68,7 +69,7 @@ WORKLOADS = {
                       "rc_mbps": 100, "be_mbps": 100},
         },
         False,
-        44.8,
+        44.4,
         3.60,
     ),
     "linear_qbv_observed": (
@@ -80,7 +81,7 @@ WORKLOADS = {
                       "rc_mbps": 100, "be_mbps": 100},
         },
         True,
-        43.6,
+        43.4,
         2.62,
     ),
 }
@@ -128,7 +129,6 @@ def _retained(spans: bool) -> Tuple[int, int]:
     """(bytes a run of the observed document keeps alive, switch-hops)."""
     document = WORKLOADS["linear_qbv_observed"][0]
     spec = ScenarioSpec.from_dict(dict(_COMMON, name="hop-budget", **document))
-    reset_frame_ids()
     gc.collect()
     tracemalloc.start()
     try:

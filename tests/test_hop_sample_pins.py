@@ -31,7 +31,6 @@ import pytest
 
 from repro.analysis.export import result_summary
 from repro.network.scenario import ScenarioSpec
-from repro.switch.packet import reset_frame_ids
 from tests.test_golden_outputs import _sha, latency_tuples
 
 PINS_PATH = Path(__file__).parent / "data" / "hop_sample_pins.json"
@@ -98,7 +97,6 @@ def sample() -> dict:
 
 
 def pins(document: dict) -> dict:
-    reset_frame_ids()
     result = ScenarioSpec.from_dict(document).run()
     summary = result_summary(result)
     summary.pop("sim", None)

@@ -29,7 +29,6 @@ import pytest
 from repro.network.scenario import ScenarioSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesSampler
-from repro.switch.packet import reset_frame_ids
 from tests.test_golden_outputs import (
     _DRR_TEMPLATES,
     PLAIN,
@@ -61,7 +60,6 @@ def _sha(text: str) -> str:
 
 
 def pins(label: str) -> dict:
-    reset_frame_ids()
     spec = ScenarioSpec.from_dict(SCENARIOS[label])
     if label == "golden/ring_drr":
         spec.extras["templates"] = _DRR_TEMPLATES

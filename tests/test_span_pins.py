@@ -38,8 +38,13 @@ import pytest
 from repro.network.scenario import ScenarioSpec
 from repro.obs.chrome_trace import write_chrome_trace
 from repro.obs.flowspans import FlowSpanRecorder, flow_stats
-from repro.switch.packet import reset_frame_ids
-from tests.test_golden_outputs import _DRR_TEMPLATES, SCENARIOS, _sha
+from tests.test_golden_outputs import (
+    _DRR_TEMPLATES,
+    SCENARIOS,
+    _hashes,
+    _run,
+    _sha,
+)
 from tests.test_hop_sample_pins import sample
 
 PINS_PATH = Path(__file__).parent / "data" / "span_pins.json"
@@ -62,12 +67,23 @@ def documents() -> dict:
 
 
 def pins(label: str, document: dict) -> dict:
-    reset_frame_ids()
+    return _read(label, *_built(label, document))
+
+
+def _built(label: str, document: dict) -> tuple:
+    """(spec, span recorder, built testbed) of one pinned document."""
     spec = ScenarioSpec.from_dict(document)
     if label == "golden/ring_drr":
         spec.extras["templates"] = _DRR_TEMPLATES
     spans = FlowSpanRecorder()
-    result = spec.build_testbed(spans=spans).run(
+    testbed = spec.build_testbed(spans=spans)
+    testbed.build()
+    return spec, spans, testbed
+
+
+def _read(label: str, spec, spans: FlowSpanRecorder, testbed) -> dict:
+    """Run a :func:`_built` testbed and hash what its recorder reads."""
+    result = testbed.run(
         spec.duration_ns,
         drain_slots=0 if label.startswith("hop_sample_cut/") else None,
     )
@@ -111,6 +127,25 @@ def test_the_documents_are_the_pinned_ones(pinned):
 def test_span_reads_match_pins(pinned, label):
     entry = pinned[label]
     assert pins(label, entry["document"]) == entry["hashes"]
+
+
+def test_a_document_reads_the_same_on_a_second_run():
+    """A testbed numbers its own frames, so what a run reads depends on
+    its document alone: not on the runs before it in the process, nor on
+    a testbed built beside it."""
+    star = SCENARIOS["star_cqf"]
+    first = pins("golden/star_cqf", star)
+    assert pins("golden/star_cqf", star) == first
+    ring = SCENARIOS["ring_drr"]
+    solo_ring = pins("golden/ring_drr", ring)
+    built_star = _built("golden/star_cqf", star)
+    built_ring = _built("golden/ring_drr", ring)
+    assert _read("golden/ring_drr", *built_ring) == solo_ring
+    assert _read("golden/star_cqf", *built_star) == first
+    assert len({
+        _hashes(_run("star_cqf", gate_traced=True))["trace"]
+        for _ in range(2)
+    }) == 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Traffic sources."""
 
+import itertools
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -14,7 +16,8 @@ def _periodic(sim, sink, **kwargs):
         size_bytes=64, period_ns=1000,
     )
     defaults.update(kwargs)
-    return PeriodicSource(sim, sink, **defaults)
+    return PeriodicSource(sim, sink, itertools.count().__next__,
+                          **defaults)
 
 
 def _rate(sim, sink, **kwargs):
@@ -23,7 +26,8 @@ def _rate(sim, sink, **kwargs):
         size_bytes=1024, rate_bps=81_920_000,  # gap = 100 us
     )
     defaults.update(kwargs)
-    return RateSource(sim, sink, **defaults)
+    return RateSource(sim, sink, itertools.count().__next__,
+                      **defaults)
 
 
 class TestPeriodicSource:
@@ -43,6 +47,7 @@ class TestPeriodicSource:
         src.start()
         sim.run()
         assert [f.seq for f in frames] == [0, 1]
+        assert [f.frame_id for f in frames] == [0, 1]
         assert frames[1].created_ns == 1000
         assert frames[0].flow_id == 1 and frames[0].pcp == 7
 
