@@ -10,7 +10,7 @@ surface collected:
   care about),
 * the per-queue residence-time histograms with bucketed p50/p99,
 * the kernel's calendar accounting and hottest wall-clock categories,
-* a Chrome trace-event file (open metrics_dashboard_trace.json in
+* a Chrome trace-event file (open build/metrics_dashboard_trace.json in
   https://ui.perfetto.dev or chrome://tracing to see the gates breathe).
 
 Run:  python examples/metrics_dashboard.py
@@ -33,7 +33,7 @@ from repro.sim.trace import Tracer
 from repro.traffic.iec60802 import production_cell_flows
 
 SLOT_NS = us(62.5)
-TRACE_PATH = Path(__file__).with_name("metrics_dashboard_trace.json")
+TRACE_PATH = Path("build") / "metrics_dashboard_trace.json"
 
 
 def main() -> None:
@@ -86,9 +86,10 @@ def main() -> None:
     print(profiler.render())
 
     # ---- 4. the zoomable timeline -----------------------------------------
+    TRACE_PATH.parent.mkdir(parents=True, exist_ok=True)
     write_chrome_trace(tracer.records, TRACE_PATH,
                        end_ns=result.duration_ns)
-    print(f"\nwrote {TRACE_PATH.name} ({len(tracer.records)} trace records)"
+    print(f"\nwrote {TRACE_PATH} ({len(tracer.records)} trace records)"
           " -- load it in https://ui.perfetto.dev")
 
     assert result.ts_loss == 0.0
