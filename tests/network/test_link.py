@@ -29,8 +29,8 @@ def _port(sim):
     return port
 
 
-def _frame():
-    return EthernetFrame(make_mac(1), make_mac(2), 1, 7, 64)
+def _frame(frame_id=-1):
+    return EthernetFrame(make_mac(1), make_mac(2), 1, 7, 64, frame_id=frame_id)
 
 
 class TestLink:
@@ -55,13 +55,12 @@ class TestLink:
     def test_preserves_order(self):
         sim = Simulator()
         port = _port(sim)
-        seqs = []
-        Link(sim, port, lambda f: seqs.append(f.frame_id))
-        first, second = _frame(), _frame()
-        port.enqueue(first, 7)
-        port.enqueue(second, 7)
+        ids = []
+        Link(sim, port, lambda f: ids.append(f.frame_id))
+        port.enqueue(_frame(0), 7)
+        port.enqueue(_frame(1), 7)
         sim.run(until=10_000)
-        assert seqs == [first.frame_id, second.frame_id]
+        assert ids == [0, 1]
 
     def test_negative_propagation_rejected(self):
         sim = Simulator()

@@ -132,7 +132,9 @@ def test_span_reads_match_pins(pinned, label):
 def test_a_document_reads_the_same_on_a_second_run():
     """A testbed numbers its own frames, so what a run reads depends on
     its document alone: not on the runs before it in the process, nor on
-    a testbed built beside it."""
+    a testbed built beside it.  The golden trace records carry no frame
+    id, so the last assertion holds at a process-global counter too: it
+    guards only against the gate trace gaining frame ids."""
     star = SCENARIOS["star_cqf"]
     first = pins("golden/star_cqf", star)
     assert pins("golden/star_cqf", star) == first
