@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Five commands wrap the library's main workflows:
+The commands wrap the library's main workflows:
 
 ``report``
     Print the paper's Table III (and optionally Table I) from the published
@@ -53,11 +53,6 @@ Five commands wrap the library's main workflows:
 ``tail``
     Render the live progress + ETA view of a sweep's ``--status-file``
     (optionally following it like ``tail -f``).
-``bench check``
-    Re-measure the tracked benchmark workloads and compare them against
-    the committed baselines (``BENCH_kernel.json`` / ``BENCH_obs.json``
-    / ``BENCH_sched.json``) with noise-aware thresholds; exit 1 on
-    regression.  This is the CI regression gate.
 ``faults``
     Run a scenario that declares a ``"faults"`` stanza (see
     :mod:`repro.faults`) and print the recovery summary: the executed
@@ -314,39 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="keep re-rendering until the sweep ends")
     tail.add_argument("--interval", type=float, default=2.0, metavar="S",
                       help="refresh interval for --follow (default: 2s)")
-
-    bench = commands.add_parser(
-        "bench",
-        help="tracked-benchmark utilities (regression gating)",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_check = bench_sub.add_parser(
-        "check",
-        help="re-measure tracked workloads and compare against the "
-             "committed baselines; exit 1 on regression",
-    )
-    bench_check.add_argument("--suite",
-                             choices=["kernel", "obs", "sched", "all"],
-                             default="all",
-                             help="which baseline(s) to gate (default: all)")
-    bench_check.add_argument("--smoke", action="store_true",
-                             help="small workloads for CI (compared against "
-                                  "the smoke_reference baseline section)")
-    bench_check.add_argument("--kernel-baseline", type=Path,
-                             default=Path("BENCH_kernel.json"),
-                             help="kernel baseline file "
-                                  "(default: BENCH_kernel.json)")
-    bench_check.add_argument("--obs-baseline", type=Path,
-                             default=Path("BENCH_obs.json"),
-                             help="obs-overhead baseline file "
-                                  "(default: BENCH_obs.json)")
-    bench_check.add_argument("--sched-baseline", type=Path,
-                             default=Path("BENCH_sched.json"),
-                             help="scheduling-backend baseline file "
-                                  "(default: BENCH_sched.json)")
-    bench_check.add_argument("--tolerance", type=float, default=None,
-                             help="override the regression tolerance "
-                                  "fraction (default: suite-specific)")
 
     return parser
 
@@ -898,19 +860,6 @@ def _cmd_tail(args: argparse.Namespace) -> int:
         print()
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.check import run_check
-
-    return run_check(
-        suite=args.suite,
-        smoke=args.smoke,
-        kernel_baseline=args.kernel_baseline,
-        obs_baseline=args.obs_baseline,
-        sched_baseline=args.sched_baseline,
-        tolerance=args.tolerance,
-    )
-
-
 _HANDLERS = {
     "report": _cmd_report,
     "size": _cmd_size,
@@ -923,7 +872,6 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
     "faults": _cmd_faults,
     "tail": _cmd_tail,
-    "bench": _cmd_bench,
 }
 
 

@@ -1,11 +1,9 @@
 """Backend equivalence and gap properties of the scheduling layer."""
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.bench import sched as bench_sched
 from repro.core.errors import SchedulingError
 from repro.cqf.schedule import CqfSchedule
 from repro.network.scenario import ScenarioSpec
@@ -41,12 +39,35 @@ def gap_flows():
     )
 
 
-def gap_problem(objective="min_peak"):
-    flows = gap_flows()
+def _problem(flows, objective="min_peak"):
     schedule = CqfSchedule.for_flows([f.period_ns for f in flows], SLOT_NS)
     return SchedulingProblem.from_flows(
         flows, schedule, 10**9, objective=objective
     )
+
+
+def gap_problem(objective="min_peak"):
+    return _problem(gap_flows(), objective)
+
+
+def tight_problem(count, period_ns):
+    """Near-MTU flows of distinct sizes: two fill a slot's byte budget, so
+    placements conflict by bytes and the exact search has to branch."""
+    return _problem([_ts(i, period_ns, 1400 + 4 * i) for i in range(count)])
+
+
+def uniform_problem(count, period_ns):
+    """*count* 64 B flows of one period: greedy places every one."""
+    return _problem([_ts(i, period_ns, 64) for i in range(count)])
+
+
+def mixed_problem():
+    """64 flows of two periods and four sizes, which anneal levels to the
+    pigeonhole bound of 20 frames per slot."""
+    return _problem([
+        _ts(i, 100_000 if i % 2 else 400_000, 64 + 16 * (i % 4))
+        for i in range(64)
+    ])
 
 
 def overload_problem():
@@ -150,17 +171,29 @@ class TestCapacityBound:
         assert plan.nodes_explored < 20_000
 
     def test_sched_benchmark_instances_search_as_recorded(self):
-        # exact_capped and exact_proof have no greedy incumbent, so the
+        # The capped and proof instances have no greedy incumbent, so the
         # bound never runs there; gap has one and proves in as many nodes.
-        recorded = json.loads((ROOT / "BENCH_sched.json").read_text())
-        capped = bench_sched.bench_exact_capped(200_000)
-        assert (capped["status"], capped["nodes"]) == ("unknown", 200_000)
-        proof = bench_sched.bench_exact_proof()
-        assert (proof["status"], proof["nodes"]) == ("infeasible", 29_460)
-        assert proof["nodes"] == recorded["workloads"]["exact_proof"]["nodes"]
-        gap = bench_sched.gap()
-        assert (gap["exact_status"], gap["exact_nodes"]) == ("optimal", 13)
-        assert gap == recorded["gap"]
+        capped = make_scheduler("exact", node_limit=200_000).solve(
+            tight_problem(13, 300_000)
+        )
+        assert (capped.status, capped.nodes_explored) == ("unknown", 200_000)
+        proof = make_scheduler("exact").solve(tight_problem(9, 200_000))
+        assert (proof.status, proof.nodes_explored) == ("infeasible", 29_460)
+        greedy = make_scheduler("greedy").solve(gap_problem())
+        exact = make_scheduler("exact").solve(gap_problem())
+        assert {
+            "exact_depth": exact.required_queue_depth,
+            "exact_nodes": exact.nodes_explored,
+            "exact_status": exact.status,
+            "greedy_depth": greedy.required_queue_depth,
+            "peak_lower_bound": gap_problem().peak_lower_bound(),
+        } == {
+            "exact_depth": 2,
+            "exact_nodes": 13,
+            "exact_status": "optimal",
+            "greedy_depth": 3,
+            "peak_lower_bound": 2,
+        }
 
 
 class TestAdmission:
