@@ -170,20 +170,15 @@ class TestJourney:
         assert journey.end_to_end_ns is None
 
     def test_hop_span_reconstruction(self):
-        journey = _journey(
-            [
-                (0, "gen", "flow0"),
-                (1, "inject", "talker0"),
-                (2, "enqueue", "talker0.nic", 7),
-                (3, "dequeue", "talker0.nic", 7),
-                (5, "tx", "talker0.nic", 7),
-                (6, "ingress", "sw0"),
-                (8, "enqueue", "sw0.p1", 6),
-                (70, "dequeue", "sw0.p1", 6),
-                (75, "tx", "sw0.p1", 6),
-                (80, "rx", "listener"),
-            ]
-        )
+        recorder = FlowSpanRecorder()
+        recorder.add_switch_port("sw0.p1", "sw0", 2)
+        frame = _Frame(0)
+        recorder.record(0, "gen", "flow0", frame)
+        recorder.record(1, "inject", "talker0", frame)
+        recorder.hop((5, "talker0.nic", 0, 0, 0, 7, 2, 3))
+        recorder.hop((75, "sw0.p1", 0, 0, 0, 6, 8, 70))
+        recorder.record(80, "rx", "listener", frame)
+        [journey] = recorder.journeys()
         nic, hop = journey.hop_spans()
         assert nic.node == "talker0.nic" and nic.arrived_ns is None
         assert nic.gate_wait_ns == 1 and nic.residence_ns == 3
@@ -192,9 +187,10 @@ class TestJourney:
         assert hop.gate_wait_ns == 62 and hop.residence_ns == 67
 
     def test_partial_hop_closed_without_tx(self):
-        journey = _journey(
-            [(0, "enqueue", "sw0.p0", 7), (4, "dequeue", "sw0.p0", 7)]
-        )
+        recorder = FlowSpanRecorder()
+        recorder.add_switch_port("sw0.p0", "sw0", 0)
+        recorder.hold((-1, "sw0.p0", 0, 0, 0, 7, 0, 4))
+        [journey] = recorder.journeys()
         [span] = journey.hop_spans()
         assert span.dequeued_ns == 4 and span.tx_ns is None
         assert span.residence_ns is None

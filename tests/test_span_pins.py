@@ -31,6 +31,7 @@ import dataclasses
 import hashlib
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -81,12 +82,18 @@ def _built(label: str, document: dict) -> tuple:
     return spec, spans, testbed
 
 
-def _read(label: str, spec, spans: FlowSpanRecorder, testbed) -> dict:
-    """Run a :func:`_built` testbed and hash what its recorder reads."""
-    result = testbed.run(
+def _ran(label: str, spec, testbed):
+    """Run a :func:`_built` testbed; the ``hop_sample_cut/`` documents
+    stop with no drain."""
+    return testbed.run(
         spec.duration_ns,
         drain_slots=0 if label.startswith("hop_sample_cut/") else None,
     )
+
+
+def _read(label: str, spec, spans: FlowSpanRecorder, testbed) -> dict:
+    """Run a :func:`_built` testbed and hash what its recorder reads."""
+    result = _ran(label, spec, testbed)
     journeys = spans.journeys()
     with tempfile.TemporaryDirectory() as scratch:
         trace = write_chrome_trace(
@@ -127,6 +134,25 @@ def test_the_documents_are_the_pinned_ones(pinned):
 def test_span_reads_match_pins(pinned, label):
     entry = pinned[label]
     assert pins(label, entry["document"]) == entry["hashes"]
+
+
+@pytest.mark.parametrize("label", sorted(documents()))
+def test_one_hop_span_per_hop_record(label):
+    """A journey's hop spans are its frame's hop records, one span each,
+    and a switch port's arrival is its enqueue instant less the switch's
+    processing delay (a host NIC's is ``None``)."""
+    spec, spans, testbed = _built(label, documents()[label])
+    _ran(label, spec, testbed)
+    records = Counter(record[2] for record in spans._hops)
+    for journey in spans.journeys():
+        hop_spans = journey.hop_spans()
+        assert len(hop_spans) == records[journey.frame_id]
+        for span in hop_spans:
+            origin = spans._switch_of.get(span.node)
+            if origin is None:
+                assert span.arrived_ns is None
+            else:
+                assert span.arrived_ns == span.enqueued_ns - origin[1]
 
 
 def test_a_document_reads_the_same_on_a_second_run():
