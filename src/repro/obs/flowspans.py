@@ -20,7 +20,7 @@ Design constraints mirror the rest of the observability layer:
   the switch's processing delay) for every frame the pipeline hands to
   exactly one port.  Sources, hosts, links and the other ingress cases
   append one flat event tuple each.  Events and journeys are rebuilt from
-  these records when read.
+  these records when read; a journey's hop spans read its hop records.
 * **Bounded.**  ``max_events`` caps memory on long heavy-traffic runs;
   overflow is counted (``dropped_events``), never silently ignored.
 
@@ -120,12 +120,16 @@ class HopSpan:
 
 @dataclass
 class FrameJourney:
-    """Every observed event of one frame, in causal order."""
+    """Every observed event of one frame, in causal order, and its hop
+    records, in enqueue order."""
 
     frame_id: int
     flow_id: int
     seq: int
     events: List[HopEvent] = field(default_factory=list)
+    #: (hop record, the switch's processing delay ns or None at a host
+    #: NIC), one per port that handled the frame.
+    hops: List[Tuple[HopRecord, Optional[int]]] = field(default_factory=list)
 
     @property
     def start_ns(self) -> int:
@@ -158,39 +162,20 @@ class FrameJourney:
         return self.events[-1].time_ns - self.events[0].time_ns
 
     def hop_spans(self) -> List[HopSpan]:
-        """Per-port spans reconstructed from enqueue/dequeue/tx triples.
+        """One span per hop record, in enqueue order.
 
-        A switch port's span (``<switch>.p<n>``) takes the switch's latest
-        ``ingress`` as its arrival, so every port a switch hands a frame to
-        gets the same one (a host NIC has none).  Each port's hop stays
-        open until its own ``tx``, so each copy of a frame handed to
-        several ports gets a whole span; a hop cut short by a drop or the
-        end of the run yields a partial span with ``None`` fields.  Spans
-        are in enqueue order.
+        A switch port's arrival is its enqueue instant less the switch's
+        processing delay (a host NIC has none); an instant a frame held at
+        the end of the run had not reached reads ``None``.
         """
-        hops: List[Dict] = []
-        open_hops: Dict[str, Dict] = {}  # port -> its hop awaiting tx
-        arrived: Dict[str, int] = {}  # switch -> latest ingress instant
-        for event in self.events:
-            if event.kind == "ingress":
-                arrived[event.node] = event.time_ns
-            elif event.kind == "enqueue":
-                owner = event.node.rpartition(".")[0]
-                hop = {"node": event.node, "queue_id": event.detail,
-                       "arrived_ns": arrived.get(owner),
-                       "enqueued_ns": event.time_ns}
-                hops.append(hop)
-                open_hops[event.node] = hop
-            elif event.kind in ("dequeue", "tx"):
-                hop = open_hops.get(event.node)
-                if hop is not None:
-                    hop[event.kind] = event.time_ns
-                    if event.kind == "tx":
-                        del open_hops[event.node]
         return [
-            HopSpan(hop["node"], hop["queue_id"], hop["arrived_ns"],
-                    hop["enqueued_ns"], hop.get("dequeue"), hop.get("tx"))
-            for hop in hops
+            HopSpan(port, queue_id,
+                    None if delay is None else enqueued_ns - delay,
+                    enqueued_ns,
+                    None if dequeued_ns < 0 else dequeued_ns,
+                    None if tx_ns < 0 else tx_ns)
+            for (tx_ns, port, _, _, _, queue_id, enqueued_ns, dequeued_ns),
+                delay in self.hops
         ]
 
 
@@ -341,7 +326,8 @@ class FlowSpanRecorder:
         order handed over.  (Events of such a frame's copies on different
         ports at a later common instant keep kind order.)  Sorted by
         (flow, seq, frame) so FRER member streams of the same (flow, seq)
-        stay adjacent.
+        stay adjacent.  A journey's hop records are in enqueue order, and
+        at one instant in the order handed over.
         """
         by_frame: Dict[int, List[EventRow]] = {}
         for row in self._rows():
@@ -349,6 +335,12 @@ class FlowSpanRecorder:
             if rows is None:
                 rows = by_frame[row[3]] = []
             rows.append(row)
+        hops_of: Dict[int, List[Tuple[HopRecord, Optional[int]]]] = {}
+        for record in self._hops:
+            origin = self._switch_of.get(record[1])
+            hops_of.setdefault(record[2], []).append(
+                (record, None if origin is None else origin[1])
+            )
         # frame_id -> (instant, port) -> place among the ports handed over.
         handed: Dict[int, Dict[Tuple[int, str], int]] = {}
         for (frame_id, _, arrived_ns), ports in self._unfolded.items():
@@ -358,18 +350,23 @@ class FlowSpanRecorder:
                 places[(enqueued_ns, port)] = place
         journeys = []
         for frame_id, rows in by_frame.items():
-            places = handed.get(frame_id)
-            if places is None:
-                rows.sort(key=_causal_order)
-            else:
+            places = handed.get(frame_id, {})
+            if places:
                 rows.sort(key=lambda row: (
                     row[0], places.get((row[0], row[2]), -1),
                     _CAUSAL_RANK[row[1]],
                 ))
+            else:
+                rows.sort(key=_causal_order)
+            hops = hops_of.get(frame_id, [])
+            hops.sort(key=lambda hop: (
+                hop[0][6], places.get((hop[0][6], hop[0][1]), -1),
+            ))
             journeys.append(FrameJourney(
                 frame_id, rows[0][4], rows[0][5],
                 [HopEvent(time_ns, kind, node, detail)
                  for time_ns, kind, node, _, _, _, detail in rows],
+                hops,
             ))
         journeys.sort(key=lambda j: (j.flow_id, j.seq, j.frame_id))
         return journeys
