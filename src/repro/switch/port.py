@@ -161,6 +161,7 @@ class EgressPort:
         self.pool = buffer_pool
         self.gates = gates
         self._scheduler = scheduler
+        scheduler.ordered(queues)
         self.counters = counters or SwitchCounters()
         self.preemption_enabled = preemption_enabled
         self.express_queues: Set[int] = set(express_queues)

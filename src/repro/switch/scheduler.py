@@ -21,7 +21,6 @@ exactly the boundary that makes the frame eligible and at no other.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
 from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -51,12 +50,6 @@ _FIFO = attrgetter("_fifo")
 _IDLE = SchedulerDecision(None)
 
 
-@lru_cache(maxsize=None)
-def _wins(queue_id: int) -> SchedulerDecision:
-    """The one shared "queue *queue_id* transmits" decision."""
-    return SchedulerDecision(queue_id)
-
-
 class EgressScheduler:
     """Base arbiter: gate/guard/credit eligibility shared by all variants.
 
@@ -70,20 +63,28 @@ class EgressScheduler:
         self.shapers: Dict[int, CreditBasedShaper] = dict(shapers or {})
         self._order_src: Optional[Sequence[MetadataQueue]] = None
         self._order: Sequence[MetadataQueue] = ()
+        #: queue id -> the one shared "that queue transmits" decision.
+        self._wins: Dict[int, SchedulerDecision] = {}
 
-    def _ordered(
+    def ordered(
         self, queues: Sequence[MetadataQueue]
     ) -> Sequence[MetadataQueue]:
-        """*queues* sorted by descending id, resolved once per queue set.
+        """*queues* sorted by descending id, resolved once per queue set,
+        with the win decisions of their ids.
 
         A port arbitrates with the same queue list on every transmission
-        opportunity; re-sorting it each time showed up in profiles.
+        opportunity; re-sorting it each time showed up in profiles.  A
+        port resolves its queues at construction, so no run pays for it.
         """
         if self._order_src is not queues:
             self._order = sorted(
                 queues, key=lambda q: q.queue_id, reverse=True
             )
             self._order_src = queues
+            wins = self._wins
+            for queue in queues:
+                if queue.queue_id not in wins:
+                    wins[queue.queue_id] = SchedulerDecision(queue.queue_id)
         return self._order
 
     def _arbitrate(
@@ -127,7 +128,7 @@ class EgressScheduler:
                         retry = wait
                     continue
             if eligible is None:
-                return _wins(queue_id)
+                return self._wins[queue_id]
             eligible.append(queue)
         if retry is None and gate_wake is None:
             return _IDLE
@@ -160,7 +161,7 @@ class StrictPriorityScheduler(EgressScheduler):
         this port (the guard-band check needs it).
         """
         if self._order_src is not queues:
-            self._ordered(queues)
+            self.ordered(queues)
         return self._arbitrate(
             now_ns, self._order, gates, serialization_ns_of
         )
@@ -206,7 +207,7 @@ class DeficitRoundRobinScheduler(EgressScheduler):
         gates: GateEngine,
         serialization_ns_of: Callable[[int], int],
     ) -> SchedulerDecision:
-        ordered = self._ordered(queues)
+        ordered = self.ordered(queues)
         if self._stages_src is not ordered:
             floor = self.priority_floor
             self._stages = (
@@ -258,4 +259,4 @@ class DeficitRoundRobinScheduler(EgressScheduler):
             self._deficits.get(winner.queue_id, 0) - head.size_bytes
         )
         self._rotation = (self._rotation + step_won + 1) % count
-        return _wins(winner.queue_id)
+        return self._wins[winner.queue_id]

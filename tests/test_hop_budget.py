@@ -43,8 +43,12 @@ measured figure plus 10 %.
 
 import functools
 import gc
+import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from typing import Tuple
 
 import pytest
@@ -61,6 +65,8 @@ from tests.sched.test_backends import (
     uniform_problem,
 )
 
+REPO = Path(__file__).resolve().parents[1]
+
 _LINE = {"talkers": ["talker0"], "listener": "listener"}
 
 _COMMON = {"config": "derive", "slot_us": 62.5, "seed": 1}
@@ -75,10 +81,11 @@ _QBV_LINE = {
 
 #: name -> (document, observers attached, ceiling in calls per switch-hop,
 #: ceiling in kernel events per switch-hop).  The measured calls were
-#: 31.26, 40.40, and 32.48 / 33.59 / 37.73 / 39.48 on the Qbv line as the
-#: observers are added (31.33, 40.73 and 39.65 while every frame drew its
-#: id from a process-global counter through a dataclass default factory;
-#: 31.5, 41.7 and 40.6 while sources, the analyzer and hosts read the
+#: 31.15, 40.36, and 32.44 / 33.56 / 37.69 / 39.44 on the Qbv line as the
+#: observers are added (31.26, 40.40, and 32.48 / 33.59 / 37.73 / 39.48
+#: while each arbiter sorted its queues on its first hop; 31.33, 40.73
+#: and 39.65 while every frame drew its id from a process-global counter
+#: through a dataclass default factory; 31.5, 41.7 and 40.6 while sources, the analyzer and hosts read the
 #: kernel's ``now`` property per frame; 43.9 on the observed line
 #: while the span recorder took four records per switch-hop; 35.7, 44.8
 #: and 46.7 while every enqueue ran the arbiter; 38.7, 47.8 and 49.7 while
@@ -94,7 +101,7 @@ WORKLOADS = {
             "flows": {"ts_count": 16, "period_us": 1000, "size_bytes": 64},
         },
         (),
-        34.4,
+        34.3,
         3.20,
     ),
     "star_dense": (
@@ -150,27 +157,25 @@ def count_calls(fn, *args):
     return calls, result
 
 
+def counted_run(name: str) -> Tuple[int, int, int]:
+    """(Python calls, switch-hops, kernel events) of one run of *name*."""
+    document, observers = WORKLOADS[name][:2]
+    spec = ScenarioSpec.from_dict(dict(_COMMON, name="hop-budget", **document))
+    testbed = spec.build_testbed(
+        **{observer: OBSERVERS[observer][0]() for observer in observers}
+    )
+    testbed.build()
+    calls, result = count_calls(testbed.run, spec.duration_ns)
+    hops = sum(s.counters.transmitted for s in result.switches.values())
+    return calls, hops, result.sim_stats["fired"]
+
+
 @functools.lru_cache(maxsize=None)
 def per_hop(name: str) -> Tuple[float, float]:
     """(Python calls, kernel events) per switch-hop of one run of *name*."""
-    document, observers = WORKLOADS[name][:2]
-    spec = ScenarioSpec.from_dict(dict(_COMMON, name="hop-budget", **document))
-
-    def built():
-        testbed = spec.build_testbed(
-            **{observer: OBSERVERS[observer][0]() for observer in observers}
-        )
-        testbed.build()
-        return testbed
-
-    # Warm-up: what the process caches on first use (the arbiter's shared
-    # decisions) is no hop's calls, and the count must not depend on what
-    # ran before.
-    built().run(spec.duration_ns)
-    calls, result = count_calls(built().run, spec.duration_ns)
-    hops = sum(s.counters.transmitted for s in result.switches.values())
+    calls, hops, fired = counted_run(name)
     assert hops > 500, "the run carried too little traffic to measure"
-    return calls / hops, result.sim_stats["fired"] / hops
+    return calls / hops, fired / hops
 
 
 def _chain(via: str) -> Tuple[float, dict]:
@@ -312,6 +317,25 @@ def test_events_per_switch_hop_stay_under_the_ceiling(name):
         f"{name}: {measured:.4f} kernel events per switch-hop, "
         f"ceiling {ceiling}"
     )
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_a_first_run_counts_the_same_as_a_repeat(name):
+    """Nothing a run builds outlives it, so the first run in a fresh
+    interpreter makes as many calls as the same run repeated: a count
+    needs no warm-up and does not depend on what ran before it."""
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "from tests.test_hop_budget import counted_run\n"
+         "print(json.dumps([counted_run(sys.argv[1]) for _ in range(2)]))",
+         name],
+        capture_output=True, text=True, cwd=REPO, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+    )
+    assert child.returncode == 0, child.stderr
+    first, repeat = json.loads(child.stdout)
+    assert first == repeat
 
 
 @pytest.mark.parametrize("observer", list(OBSERVERS))
