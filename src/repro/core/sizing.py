@@ -66,8 +66,10 @@ class SizingResult:
         return self.config.queue_depth - self.required_queue_depth
 
 
-def _round_up(value: int, multiple: int) -> int:
-    return -(-value // multiple) * multiple
+def _margined_depth(required: int, margin: float) -> int:
+    """*required* frames scaled by *margin* (never below it), rounded up
+    to the paper's multiple of 4."""
+    return -(-max(required, math.ceil(required * margin)) // 4) * 4
 
 
 @dataclass(frozen=True)
@@ -96,24 +98,19 @@ def sufficient_config(
     base: SwitchConfig,
     observed: ObservedDemand,
     queue_depth_margin: float = 1.5,
-    depth_round_to: int = 4,
 ) -> SwitchConfig:
     """The cheapest configuration that would have carried *observed* demand.
 
     Applies the same engineering-margin policy :func:`derive_config` uses
     for queue depth (scale the requirement by ``queue_depth_margin``, round
-    up to a multiple of ``depth_round_to``) and the paper's buffer
+    up to a multiple of 4) and the paper's buffer
     decomposition ``buffer_num = queue_depth * queue_num``, so a sufficient
     config for the Table I Case 2 workload (7 frames/slot observed)
     reproduces the published 12 x 8 -> 96 figures.  Tables are sized to
     their observed fill (minimum 1 entry -- a zero-entry BRAM does not
     exist); a multicast table the base config omitted stays omitted.
     """
-    required_depth = max(1, observed.queue_depth)
-    depth = _round_up(
-        max(required_depth, math.ceil(required_depth * queue_depth_margin)),
-        depth_round_to,
-    )
+    depth = _margined_depth(max(1, observed.queue_depth), queue_depth_margin)
     # The pool must back every queue at the margined depth *and* the worst
     # pool occupancy actually seen (which can momentarily exceed the sum of
     # queue peaks while a frame is on the wire).
@@ -145,7 +142,6 @@ def derive_config(
     rc_queue_num: int = 3,
     queue_num: int = 8,
     queue_depth_margin: float = 1.5,
-    depth_round_to: int = 4,
     rate_bps: int = 10**9,
     max_enabled_ports: Optional[int] = None,
     replication_factor: int = 1,
@@ -203,10 +199,7 @@ def derive_config(
     # Guideline 2: the gate lists the discipline programs.
     gate_size = discipline.gate_size(schedule, plan, queue_num)
     required_depth = max(1, plan.required_queue_depth)
-    depth = _round_up(
-        max(required_depth, math.ceil(required_depth * queue_depth_margin)),
-        depth_round_to,
-    )
+    depth = _margined_depth(required_depth, queue_depth_margin)
     buffer_num = depth * queue_num
 
     config = SwitchConfig(

@@ -135,9 +135,7 @@ class ScenarioResult:
         )
 
     def headroom_report(
-        self,
-        queue_depth_margin: float = 1.5,
-        depth_round_to: int = 4,
+        self, queue_depth_margin: float = 1.5
     ) -> "HeadroomReport":
         """Observed-vs-provisioned accounting for this run.
 
@@ -148,10 +146,7 @@ class ScenarioResult:
         from repro.obs.headroom import build_headroom_report
 
         return build_headroom_report(
-            self,
-            self.headroom,
-            queue_depth_margin=queue_depth_margin,
-            depth_round_to=depth_round_to,
+            self, self.headroom, queue_depth_margin=queue_depth_margin
         )
 
     def port_report(self) -> str:

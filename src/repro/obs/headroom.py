@@ -511,7 +511,6 @@ def build_headroom_report(
     result: Any,
     recorder: Optional[HeadroomRecorder] = None,
     queue_depth_margin: float = 1.5,
-    depth_round_to: int = 4,
 ) -> HeadroomReport:
     """Join a :class:`ScenarioResult`'s demand evidence into a report.
 
@@ -534,9 +533,7 @@ def build_headroom_report(
         demand = _switch_demand(switch)
         demands.append(demand)
         suff = sufficient_config(
-            config, demand,
-            queue_depth_margin=queue_depth_margin,
-            depth_round_to=depth_round_to,
+            config, demand, queue_depth_margin=queue_depth_margin
         )
         sufficient[name] = suff
         prov_kb = _kb_by_row(config, costed)
@@ -651,9 +648,7 @@ def build_headroom_report(
     else:
         base = SwitchConfig(name="network")
     cheapest = sufficient_config(
-        base, network_demand,
-        queue_depth_margin=queue_depth_margin,
-        depth_round_to=depth_round_to,
+        base, network_demand, queue_depth_margin=queue_depth_margin
     )
     return HeadroomReport(
         structures=structures,

@@ -91,10 +91,10 @@ class TestGuidelineMechanics:
 
     def test_margin_knob(self):
         tight = derive_config(
-            ring_topology(2), _paper_flows(), SLOT,
-            queue_depth_margin=1.0, depth_round_to=1,
+            ring_topology(2), _paper_flows(), SLOT, queue_depth_margin=1.0
         )
-        assert tight.config.queue_depth == tight.required_queue_depth == 7
+        assert tight.required_queue_depth == 7
+        assert tight.config.queue_depth == 8  # the multiple of 4 above
 
     def test_explicit_port_override(self):
         result = derive_config(
