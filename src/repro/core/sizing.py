@@ -103,12 +103,12 @@ def sufficient_config(
 
     Applies the same engineering-margin policy :func:`derive_config` uses
     for queue depth (scale the requirement by ``queue_depth_margin``, round
-    up to a multiple of 4) and the paper's buffer
-    decomposition ``buffer_num = queue_depth * queue_num``, so a sufficient
-    config for the Table I Case 2 workload (7 frames/slot observed)
-    reproduces the published 12 x 8 -> 96 figures.  Tables are sized to
-    their observed fill (minimum 1 entry -- a zero-entry BRAM does not
-    exist); a multicast table the base config omitted stays omitted.
+    up to a multiple of 4) and the paper's buffer decomposition
+    ``buffer_num = queue_depth * queue_num``, so a sufficient config for
+    the Table I Case 2 workload (7 frames/slot observed) reproduces the
+    published 12 x 8 -> 96 figures.  Tables are sized to their observed
+    fill (minimum 1 entry -- a zero-entry BRAM does not exist); a
+    multicast table the base config omitted stays omitted.
     """
     depth = _margined_depth(max(1, observed.queue_depth), queue_depth_margin)
     # The pool must back every queue at the margined depth *and* the worst
