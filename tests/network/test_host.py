@@ -93,12 +93,16 @@ class TestHost:
         original = EgressPort.kick
 
         def kick(port):
-            kicks.append(port.gates.started)
+            kicks.append(port.name)
             original(port)
 
         monkeypatch.setattr(EgressPort, "kick", kick)
         sim = Simulator()
         host = Host(sim, "h")
+        Link(sim, host.nic, lambda f: None, propagation_ns=0)
         host.start()
         host.start()
-        assert kicks == [True]  # after its engine started, once
+        assert kicks == ["h.nic"]  # once
+        # A frame queued on the started NIC goes on the wire at once.
+        assert host.inject(_frame(host, pcp=0))
+        assert host.nic.busy and host.nic.backlog_frames() == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.sim.kernel import Simulator
 from repro.switch.counters import SwitchCounters
 from repro.switch.gates import GateEngine
@@ -21,6 +22,15 @@ GBPS = 10**9
 def _frame(pcp, size=64, flow=None):
     return EthernetFrame(make_mac(1), make_mac(2), 1, pcp, size,
                          flow_id=flow if flow is not None else pcp)
+
+
+def _assert_each_slot_released_once(pool):
+    """Every slot the run handed out is free again, and freeing it a
+    second time raises: each was released exactly once."""
+    assert pool.stats.high_water > 0
+    for slot in range(pool.stats.high_water):
+        with pytest.raises(ConfigurationError, match="double release"):
+            pool.release(slot)
 
 
 def _port(sim, preemption=True):
@@ -155,7 +165,7 @@ class TestPreemptionMechanics:
         port.enqueue(_frame(7, size=64, flow=200), 7)
         sim.run(until=100_000)
         assert port.pool.in_use == 0
-        assert port.pool.stats.releases == port.pool.stats.allocations == 2
+        _assert_each_slot_released_once(port.pool)
 
 
 class TestPreemptionProperties:
@@ -187,4 +197,4 @@ class TestPreemptionProperties:
         for index in range(len(express_times)):
             assert delivered.count(200 + index) == 1
         assert port.pool.in_use == 0
-        assert port.pool.stats.releases == port.pool.stats.allocations
+        _assert_each_slot_released_once(port.pool)

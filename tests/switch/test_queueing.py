@@ -156,10 +156,7 @@ class _EagerPool:
         self.slot_bytes = slot_bytes
         self._free = list(range(slots - 1, -1, -1))
         self._is_free = bytearray(b"\x01") * slots
-        self.stats = dict(
-            allocations=0, allocated_bytes=0, releases=0,
-            exhaustion_drops=0, high_water=0,
-        )
+        self.stats = dict(exhaustion_drops=0, high_water=0)
 
     @property
     def free_count(self):
@@ -180,8 +177,6 @@ class _EagerPool:
             return None
         slot = self._free.pop()
         self._is_free[slot] = 0
-        self.stats["allocations"] += 1
-        self.stats["allocated_bytes"] += size_bytes
         in_use = self.slots - len(self._free)
         if in_use > self.stats["high_water"]:
             self.stats["high_water"] = in_use
@@ -194,7 +189,6 @@ class _EagerPool:
             raise ConfigurationError(f"double release of slot {slot}")
         self._free.append(slot)
         self._is_free[slot] = 1
-        self.stats["releases"] += 1
 
     def seize(self, count):
         if count < 0:
@@ -282,9 +276,6 @@ class TestBufferPoolMatchesEagerFreeList:
                 )
             stats = pool.stats
             assert dict(
-                allocations=stats.allocations,
-                allocated_bytes=stats.allocated_bytes,
-                releases=stats.releases,
                 exhaustion_drops=stats.exhaustion_drops,
                 high_water=stats.high_water,
             ) == ref.stats
