@@ -11,10 +11,10 @@ this workload in N fewer BRAM Kb under the same sizing policy".
 Two layers:
 
 * :class:`HeadroomRecorder` -- opt-in, cheap always-on occupancy probes.
-  Each :class:`OccupancyProbe` keeps a time-weighted occupancy integral
-  and a five-band time-in-occupancy histogram (empty, then quartiles of
-  capacity), updated with a handful of integer ops per queue/pool
-  transition.  Attached via ``Testbed(headroom=...)`` the same way as
+  Each :class:`OccupancyProbe` keeps the time spent at each occupancy,
+  one add per queue/pool transition; the time-weighted occupancy integral
+  and the five-band time-in-occupancy histogram (empty, then quartiles of
+  capacity) are derived from it when read.  Attached via ``Testbed(headroom=...)`` the same way as
   metrics/spans; when absent the dataplane pays nothing.
 
 * :func:`build_headroom_report` -- joins peak demand (queue/pool
@@ -74,20 +74,19 @@ class OccupancyProbe:
     """Time-weighted occupancy accounting of one bounded resource.
 
     Each :meth:`update` charges the time since the previous transition to
-    the occupancy (and band) that was in effect -- an exact integral, not a
-    sampling approximation.  The band of every possible occupancy is
-    precomputed so the per-event cost is a subtraction, two adds and a
-    list index.
+    the occupancy that was in effect: ``time_at[occupancy]`` is the exact
+    time spent at each occupancy, not a sampling approximation.  The
+    integral ``weighted_ns`` and the five-band ``band_ns`` histogram are
+    derived from it when read, so the per-event cost is one subtraction,
+    one add and a list index.
     """
 
     __slots__ = (
         "capacity",
         "occupancy",
         "peak",
-        "weighted_ns",
-        "band_ns",
+        "time_at",
         "_last_ns",
-        "_band",
         "_band_of",
     )
 
@@ -95,23 +94,17 @@ class OccupancyProbe:
         self.capacity = capacity
         self.occupancy = 0
         self.peak = 0
-        self.weighted_ns = 0            # integral of occupancy over time
-        self.band_ns = [0] * len(BAND_LABELS)
+        self.time_at = [0] * (capacity + 1)  # ns spent at each occupancy
         self._last_ns = start_ns
-        self._band = 0
         self._band_of = tuple(
             0 if occ == 0 else min(4, -(-4 * occ // capacity))
             for occ in range(capacity + 1)
         )
 
     def update(self, now_ns: int, occupancy: int) -> None:
-        dt = now_ns - self._last_ns
-        if dt:
-            self.weighted_ns += self.occupancy * dt
-            self.band_ns[self._band] += dt
-            self._last_ns = now_ns
+        self.time_at[self.occupancy] += now_ns - self._last_ns
+        self._last_ns = now_ns
         self.occupancy = occupancy
-        self._band = self._band_of[occupancy]
         if occupancy > self.peak:
             self.peak = occupancy
 
@@ -120,9 +113,22 @@ class OccupancyProbe:
         self.update(end_ns, self.occupancy)
 
     @property
+    def weighted_ns(self) -> int:
+        """Integral of occupancy over time."""
+        return sum(occ * t for occ, t in enumerate(self.time_at))
+
+    @property
+    def band_ns(self) -> List[int]:
+        """Time spent in each occupancy band (see :data:`BAND_LABELS`)."""
+        bands = [0] * len(BAND_LABELS)
+        for t, band in zip(self.time_at, self._band_of):
+            bands[band] += t
+        return bands
+
+    @property
     def observed_ns(self) -> int:
         """Total time covered by the integral (0 before any update)."""
-        return sum(self.band_ns)
+        return sum(self.time_at)
 
     def mean(self) -> float:
         """Time-weighted mean occupancy over the observed span."""

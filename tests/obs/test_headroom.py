@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.presets import table1_case2
 from repro.core.sizing import ObservedDemand, sufficient_config
@@ -85,6 +86,73 @@ class TestOccupancyProbe:
         probe.finalize(100)
         assert probe.observed_ns == 100
         assert probe.mean() == pytest.approx(2.0)
+
+
+class _IncrementalProbe:
+    """The probe as it was first written: the integral and the band
+    histogram pushed on every update.  The oracle for the derived reads."""
+
+    def __init__(self, capacity, start_ns=0):
+        self.occupancy = 0
+        self.weighted_ns = 0
+        self.band_ns = [0] * len(BAND_LABELS)
+        self._last_ns = start_ns
+        self._band = 0
+        self._band_of = tuple(
+            0 if occ == 0 else min(4, -(-4 * occ // capacity))
+            for occ in range(capacity + 1)
+        )
+
+    def update(self, now_ns, occupancy):
+        dt = now_ns - self._last_ns
+        if dt:
+            self.weighted_ns += self.occupancy * dt
+            self.band_ns[self._band] += dt
+            self._last_ns = now_ns
+        self.occupancy = occupancy
+        self._band = self._band_of[occupancy]
+
+    def mean(self):
+        total = sum(self.band_ns)
+        return self.weighted_ns / total if total else 0.0
+
+    def band_fractions(self):
+        total = sum(self.band_ns)
+        if not total:
+            return [0.0] * len(BAND_LABELS)
+        return [t / total for t in self.band_ns]
+
+
+class TestDerivedReadsMatchTheIncrementalProbe:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 10**6),
+        st.lists(
+            st.tuples(st.integers(0, 10**7), st.floats(0, 1)), max_size=60
+        ),
+        st.integers(0, 10**7),
+    )
+    def test_integral_bands_mean_and_fractions(
+        self, capacity, start_ns, steps, tail_ns
+    ):
+        probe = OccupancyProbe(capacity, start_ns)
+        oracle = _IncrementalProbe(capacity, start_ns)
+        now = start_ns
+        for gap, level in steps:
+            now += gap
+            occupancy = round(level * capacity)
+            probe.update(now, occupancy)
+            oracle.update(now, occupancy)
+            assert probe.weighted_ns == oracle.weighted_ns
+            assert probe.band_ns == oracle.band_ns
+        probe.finalize(now + tail_ns)
+        oracle.update(now + tail_ns, oracle.occupancy)
+        assert probe.weighted_ns == oracle.weighted_ns
+        assert probe.band_ns == oracle.band_ns
+        assert probe.observed_ns == sum(oracle.band_ns)
+        assert probe.mean() == oracle.mean()
+        assert probe.band_fractions() == oracle.band_fractions()
 
 
 class TestHeadroomRecorder:
