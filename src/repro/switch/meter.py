@@ -29,9 +29,7 @@ class MeterStats:
     """Conform/violate counters of one meter."""
 
     conformed_frames: int = 0
-    conformed_bytes: int = 0
     violated_frames: int = 0
-    violated_bytes: int = 0
 
     @property
     def offered_frames(self) -> int:
@@ -82,15 +80,12 @@ class TokenBucketMeter:
                 tokens = self.burst_bytes * _SCALE
             self._last_ns = now_ns
         cost = frame_bytes * _SCALE
-        stats = self.stats
         if tokens >= cost:
             self._tokens = tokens - cost
-            stats.conformed_frames += 1
-            stats.conformed_bytes += frame_bytes
+            self.stats.conformed_frames += 1
             return True
         self._tokens = tokens
-        stats.violated_frames += 1
-        stats.violated_bytes += frame_bytes
+        self.stats.violated_frames += 1
         return False
 
     @property

@@ -23,9 +23,6 @@ __all__ = ["MetadataQueue", "BufferPool", "QueueStats", "PoolStats"]
 class QueueStats:
     """Occupancy and drop accounting of one queue."""
 
-    enqueued: int = 0
-    enqueued_bytes: int = 0
-    dequeued: int = 0
     tail_drops: int = 0
     gate_drops: int = 0          # arrived while the in-gate was closed
     high_water: int = 0
@@ -65,8 +62,6 @@ class MetadataQueue:
             stats.tail_drops += 1
             return False
         fifo.append(descriptor)
-        stats.enqueued += 1
-        stats.enqueued_bytes += descriptor.size_bytes
         if len(fifo) > stats.high_water:
             stats.high_water = len(fifo)
         return True
@@ -77,25 +72,19 @@ class MetadataQueue:
 
     def dequeue(self) -> Descriptor:
         """Remove and return the head; IndexError if empty."""
-        descriptor = self._fifo.popleft()
-        self.stats.dequeued += 1
-        return descriptor
+        return self._fifo.popleft()
 
     def drain(self) -> List[Descriptor]:
         """Remove everything (used when tearing a scenario down)."""
         items = list(self._fifo)
         self._fifo.clear()
-        self.stats.dequeued += len(items)
         return items
 
 
 @dataclass
 class PoolStats:
-    """Allocation accounting of one buffer pool."""
+    """Exhaustion and high-water accounting of one buffer pool."""
 
-    allocations: int = 0
-    allocated_bytes: int = 0
-    releases: int = 0
     exhaustion_drops: int = 0
     high_water: int = 0
 
@@ -173,8 +162,6 @@ class BufferPool:
         self._is_free[slot] = 0
         self.in_use = in_use = self.in_use + 1
         stats = self.stats
-        stats.allocations += 1
-        stats.allocated_bytes += size_bytes
         if in_use > stats.high_water:
             stats.high_water = in_use
         return slot
@@ -188,7 +175,6 @@ class BufferPool:
         self._free.append(slot)
         self._is_free[slot] = 1
         self.in_use -= 1
-        self.stats.releases += 1
 
     # --------------------------------------------------------- fault windows
 
