@@ -105,10 +105,19 @@ class Descriptor:
     The reproduction keeps a Python reference to the frame for convenience;
     the *modelled* width is the configured 32 bits (buffer slot id, length,
     and flags), which is what the BRAM cost model charges for.
+
+    Once the egress port dequeues it, the same object is the frame's
+    transmission record: ``dequeued_ns`` (the first fragment's start),
+    ``bytes_done`` (frame bytes sent in earlier fragments) and
+    ``fragment_data_bytes``, and under preemption ``fragment_start_ns``,
+    ``cut_scheduled`` and the fragment's two event handles.  The port sets
+    them; none exists before the dequeue.
     """
 
     __slots__ = ("frame", "buffer_slot", "enqueued_ns", "queue_id",
-                 "size_bytes")
+                 "size_bytes", "dequeued_ns", "bytes_done",
+                 "fragment_data_bytes", "fragment_start_ns", "cut_scheduled",
+                 "data_done_handle", "idle_handle")
 
     def __init__(self, frame: EthernetFrame, buffer_slot: int,
                  enqueued_ns: int, queue_id: int):

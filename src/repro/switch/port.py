@@ -83,33 +83,6 @@ class _WireTime(dict):
         return ns
 
 
-class _ActiveTx:
-    """Bookkeeping of the fragment currently on the wire."""
-
-    __slots__ = (
-        "descriptor", "queue_id", "preemptable", "dequeued_ns", "bytes_done",
-        "fragment_start_ns", "fragment_data_bytes", "data_done_handle",
-        "idle_handle", "cut_scheduled",
-    )
-
-    def __init__(
-        self, descriptor: Descriptor, queue_id: int, preemptable: bool,
-        dequeued_ns: int,
-    ) -> None:
-        self.descriptor = descriptor
-        self.queue_id = queue_id
-        self.preemptable = preemptable
-        self.dequeued_ns = dequeued_ns  # the first fragment's start
-        self.bytes_done = 0  # frame bytes completed in earlier fragments
-        # ``fragment_start_ns`` and ``fragment_data_bytes`` (the frame
-        # bytes this fragment carries) are set per fragment by
-        # ``_begin_fragment``; the handles only under preemption (the one
-        # thing that cancels them).
-        self.data_done_handle: Optional[EventHandle] = None
-        self.idle_handle: Optional[EventHandle] = None
-        self.cut_scheduled = False
-
-
 class EgressPort:
     """The transmit side of one enabled TSN port."""
 
@@ -177,10 +150,13 @@ class EgressPort:
         self._busy_until = 0
         self._retry_armed_at: Optional[int] = None
         self._gate_wake_at: Optional[int] = None
-        self._active: Optional[_ActiveTx] = None
-        self._suspended: Optional[_ActiveTx] = None
-        #: The fragment whose data-done event is pending.
-        self._on_wire: Optional[_ActiveTx] = None
+        #: Under preemption, the descriptor whose fragment occupies the
+        #: wire until its ``_tx_idle``; a preempted one waits in
+        #: ``_suspended`` for its resumption.
+        self._active: Optional[Descriptor] = None
+        self._suspended: Optional[Descriptor] = None
+        #: The descriptor whose fragment's data-done event is pending.
+        self._on_wire: Optional[Descriptor] = None
         #: Descriptors resident in ``queues`` (only ``enqueue`` and
         #: ``_start_transmission`` move them); zero means nothing to
         #: arbitrate.
@@ -338,11 +314,11 @@ class EgressPort:
             if self._resident and self._idle_seq is not None:
                 seq, self._idle_seq = self._idle_seq, None
                 sim.post_reserved(self._busy_until, seq, self._tx_idle)
+            active = self._active
             if (
-                self.preemption_enabled
-                and self._active is not None
-                and self._active.preemptable
-                and not self._active.cut_scheduled
+                active is not None
+                and active.queue_id not in self.express_queues
+                and not active.cut_scheduled
             ):
                 express = self._express_select()
                 if express.queue_id is not None:
@@ -365,7 +341,7 @@ class EgressPort:
                 wait = self.gates.out_wait(
                     suspended.queue_id,
                     self._serialization_ns(
-                        suspended.descriptor.size_bytes - suspended.bytes_done
+                        suspended.size_bytes - suspended.bytes_done
                     ),
                 )
                 if wait == 0:
@@ -431,23 +407,24 @@ class EgressPort:
 
     def _begin_fragment(
         self,
-        tx: _ActiveTx,
+        tx: Descriptor,
         data_bytes: int,
         overhead_bytes: int,
     ) -> None:
-        """Put one fragment (possibly the whole frame) on the wire."""
+        """Put one fragment (possibly the whole frame) of *tx* on the
+        wire."""
         if self._deliver is None:
             raise SimulationError(f"{self.name}: transmitting with no link")
         sim = self._sim
         now = sim._now
         data_time = self._serialization_ns(data_bytes)
         wire_time = self._serialization_ns(data_bytes + overhead_bytes)
-        tx.fragment_start_ns = now
         tx.fragment_data_bytes = data_bytes
-        tx.cut_scheduled = False
         self._busy_until = now + wire_time
         self._on_wire = tx
         if self.preemption_enabled:
+            tx.fragment_start_ns = now
+            tx.cut_scheduled = False
             tx.data_done_handle = sim.schedule(
                 data_time, self._fragment_data_done
             )
@@ -489,20 +466,18 @@ class EgressPort:
             shaper = self._shapers.get(queue_id)
             if shaper is not None:
                 shaper.begin_transmission(now)
-        preemptable = (
-            self.preemption_enabled
-            and queue_id not in self.express_queues
-        )
+        descriptor.dequeued_ns = now  # the first fragment's start
+        descriptor.bytes_done = 0  # frame bytes sent in earlier fragments
         self._begin_fragment(
-            _ActiveTx(descriptor, queue_id, preemptable, now),
+            descriptor,
             data_bytes=descriptor.size_bytes,
             overhead_bytes=_FRAME_OVERHEAD_BYTES,
         )
 
-    def _resume(self, tx: _ActiveTx) -> None:
+    def _resume(self, tx: Descriptor) -> None:
         """Continue a preempted frame with a continuation fragment."""
         self._suspended = None
-        remaining = tx.descriptor.size_bytes - tx.bytes_done
+        remaining = tx.size_bytes - tx.bytes_done
         shaper = self._shapers.get(tx.queue_id)
         if shaper is not None:
             shaper.begin_transmission(self._sim.now)
@@ -512,7 +487,7 @@ class EgressPort:
                 "tx",
                 f"{self.name} resume",
                 queue=tx.queue_id,
-                flow=tx.descriptor.frame.flow_id,
+                flow=tx.frame.flow_id,
                 remaining=remaining,
             )
         self._begin_fragment(
@@ -537,7 +512,7 @@ class EgressPort:
             * MIN_FRAGMENT_BYTES,
         )
         total_done_after = tx.bytes_done + cut_data
-        if tx.descriptor.size_bytes - total_done_after < MIN_FRAGMENT_BYTES:
+        if tx.size_bytes - total_done_after < MIN_FRAGMENT_BYTES:
             return  # too close to the end; let the frame finish
         if cut_data >= tx.fragment_data_bytes:
             return
@@ -550,7 +525,7 @@ class EgressPort:
         self._sim.post_at(cut_time, lambda: self._execute_cut(tx, cut_data))
         self._sim.post_at(cut_time + tail_time, self._tx_idle)
 
-    def _execute_cut(self, tx: _ActiveTx, cut_data: int) -> None:
+    def _execute_cut(self, tx: Descriptor, cut_data: int) -> None:
         tx.bytes_done += cut_data
         self.preemptions += 1
         shaper = self._shapers.get(tx.queue_id)
@@ -564,7 +539,7 @@ class EgressPort:
                 "tx",
                 f"{self.name} preempt",
                 queue=tx.queue_id,
-                flow=tx.descriptor.frame.flow_id,
+                flow=tx.frame.flow_id,
                 done=tx.bytes_done,
             )
         self._active = None
@@ -574,11 +549,10 @@ class EgressPort:
 
     def _fragment_data_done(self) -> None:
         """Last data bit of the fragment left; final fragments deliver."""
-        tx = self._on_wire
+        descriptor = self._on_wire
         self._on_wire = None
-        tx.bytes_done += tx.fragment_data_bytes
-        descriptor = tx.descriptor
-        if tx.bytes_done < descriptor.size_bytes:
+        if (descriptor.bytes_done + descriptor.fragment_data_bytes
+                < descriptor.size_bytes):
             raise SimulationError(
                 f"{self.name}: fragment accounting out of sync"
             )
@@ -593,13 +567,15 @@ class EgressPort:
                 frame = descriptor.frame
                 self._span_hop((
                     now, self.name, frame.frame_id, frame.flow_id, frame.seq,
-                    tx.queue_id, descriptor.enqueued_ns, tx.dequeued_ns,
+                    descriptor.queue_id, descriptor.enqueued_ns,
+                    descriptor.dequeued_ns,
                 ))
         if self._shapers:
-            shaper = self._shapers.get(tx.queue_id)
+            queue_id = descriptor.queue_id
+            shaper = self._shapers.get(queue_id)
             if shaper is not None:
                 shaper.end_transmission(
-                    now, bool(self._queue_by_id[tx.queue_id]._fifo)
+                    now, bool(self._queue_by_id[queue_id]._fifo)
                 )
         assert self._deliver is not None
         self._deliver(descriptor.frame)
@@ -619,10 +595,10 @@ class EgressPort:
         held = [(d, -1) for queue in self.queues for d in queue]
         on_wire = self._on_wire
         if on_wire is not None:
-            held.append((on_wire.descriptor, on_wire.dequeued_ns))
+            held.append((on_wire, on_wire.dequeued_ns))
         suspended = self._suspended
         if suspended is not None and suspended is not on_wire:
-            held.append((suspended.descriptor, suspended.dequeued_ns))
+            held.append((suspended, suspended.dequeued_ns))
         for descriptor, dequeued_ns in held:
             frame = descriptor.frame
             self._spans.hold((
