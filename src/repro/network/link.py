@@ -91,6 +91,10 @@ class Link:
         self._fault_loss_rng: Optional[random.Random] = None
         self._fault_corrupt_rate = 0.0
         self._fault_corrupt_rng: Optional[random.Random] = None
+        #: Can this link lose or corrupt a frame right now?  Kept up to
+        #: date by every setter above, so a clean link carries a frame
+        #: after one test.
+        self._impaired = error_rate > 0.0
         #: Same-instant tie-break for arrival events.  The testbed assigns
         #: every link a unique positive priority in wiring order, so two
         #: frames landing on the same component in the same nanosecond are
@@ -110,9 +114,17 @@ class Link:
         if self._up:
             self._up = False
             self.down_count += 1
+            self._impaired = True
 
     def restore(self) -> None:
         self._up = True
+        self._note_impairment()
+
+    def _note_impairment(self) -> None:
+        self._impaired = not self._up or bool(
+            self.error_rate or self._fault_loss_rate
+            or self._fault_corrupt_rate
+        )
 
     def set_fault_loss(
         self, rate: float, rng: Optional[random.Random] = None
@@ -132,6 +144,7 @@ class Link:
             )
         self._fault_loss_rate = rate
         self._fault_loss_rng = rng
+        self._note_impairment()
 
     def set_fault_corrupt(
         self, rate: float, rng: Optional[random.Random] = None
@@ -153,6 +166,7 @@ class Link:
             )
         self._fault_corrupt_rate = rate
         self._fault_corrupt_rng = rng
+        self._note_impairment()
 
     # ------------------------------------------------------------- carrying
 
@@ -162,21 +176,37 @@ class Link:
 
     def _carry(self, frame: EthernetFrame) -> None:
         """Called by the port at last-bit-out; deliver after propagation."""
+        if self._impaired:
+            frame = self._impair(frame)
+            if frame is None:
+                return
+        self.frames_carried += 1
+        # One calendar entry per frame, at the end of the receiver's fixed
+        # ingress latency: arrival itself decides nothing.
+        self._sim.post(
+            self._arrival_delay_ns,
+            lambda: self._receive(frame),
+            self.arrival_priority,
+        )
+
+    def _impair(self, frame: EthernetFrame) -> Optional[EthernetFrame]:
+        """*frame* as this impaired link carries it: None if lost, a
+        corrupted copy, or the frame itself."""
         if not self._up:
             self.frames_blackholed += 1
             self._note_drop(frame)
-            return
+            return None
         if self._fault_loss_rate and (
             self._fault_loss_rate >= 1.0
             or self._fault_loss_rng.random() < self._fault_loss_rate
         ):
             self.frames_fault_lost += 1
             self._note_drop(frame)
-            return
+            return None
         if self.error_rate and self._rng.random() < self.error_rate:
             self.frames_corrupted += 1
             self._note_drop(frame)
-            return
+            return None
         if self._fault_corrupt_rate and (
             self._fault_corrupt_rate >= 1.0
             or self._fault_corrupt_rng.random() < self._fault_corrupt_rate
@@ -188,15 +218,8 @@ class Link:
             # intact.  Clean frames are passed through by reference -- no
             # observer needs a per-hop object -- and ``corrupted()`` skips
             # dataclasses.replace's re-validation.
-            frame = frame.corrupted()
-        self.frames_carried += 1
-        # One calendar entry per frame, at the end of the receiver's fixed
-        # ingress latency: arrival itself decides nothing.
-        self._sim.post(
-            self._arrival_delay_ns,
-            lambda: self._receive(frame),
-            self.arrival_priority,
-        )
+            return frame.corrupted()
+        return frame
 
     def deliver(self, frame: EthernetFrame) -> None:
         """Hand *frame* to this link's receiver right now.

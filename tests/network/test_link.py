@@ -120,3 +120,28 @@ class TestFailureInjection:
         port.enqueue(_frame(), 7)
         sim.run(until=20_000)
         assert len(arrivals) == 1
+
+    def test_restore_keeps_an_open_fault_window(self):
+        """Each impairment is undone by its own setter only: a restored
+        cable still loses frames to an open loss window, and closing the
+        window makes the link clean again."""
+        sim = Simulator()
+        port = _port(sim)
+        arrivals = []
+        link = Link(sim, port, lambda f: arrivals.append(sim.now))
+        link.set_fault_loss(1.0)
+        link.fail()
+        link.restore()
+        port.enqueue(_frame(), 7)
+        sim.run(until=10_000)
+        assert arrivals == [] and link.frames_fault_lost == 1
+        link.set_fault_corrupt(1.0)
+        link.set_fault_loss(0.0)
+        port.enqueue(_frame(), 7)
+        sim.run(until=20_000)
+        assert len(arrivals) == 1 and link.frames_fault_corrupted == 1
+        link.set_fault_corrupt(0.0)
+        port.enqueue(_frame(), 7)
+        sim.run(until=30_000)
+        assert len(arrivals) == 2
+        assert link.frames_carried == 2 and link.frames_fault_corrupted == 1
