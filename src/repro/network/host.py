@@ -2,7 +2,8 @@
 
 A :class:`Host` owns a NIC modelled with the same
 :class:`~repro.switch.port.EgressPort` machinery as a switch port -- eight
-PCP-mapped queues under strict priority with always-open gates -- so a
+PCP-mapped queues under strict priority with always-open gates (a gate
+engine that is never started, so it runs no window table) -- so a
 talker's TS frames overtake its own queued BE backlog exactly as on the real
 TSNNic, leaving at most one in-flight background frame of head-of-line
 blocking.  Queue depth and buffer count are generous (host DRAM, not
@@ -27,7 +28,7 @@ from repro.switch.packet import EthernetFrame, MacAddress, make_mac
 from repro.switch.port import EgressPort
 from repro.switch.queueing import BufferPool, MetadataQueue
 from repro.switch.scheduler import StrictPriorityScheduler
-from repro.switch.tables import GateControlList, GateEntry
+from repro.switch.tables import GateControlList
 
 __all__ = ["Host", "host_mac"]
 
@@ -77,20 +78,15 @@ class Host:
         self.received = 0
 
         queues = [MetadataQueue(_HOST_QUEUE_DEPTH, q) for q in range(8)]
-        in_gcl = GateControlList(1, f"{name}.nic.in")
-        out_gcl = GateControlList(1, f"{name}.nic.out")
-        in_gcl.program([GateEntry(0xFF, 1_000_000)])
-        out_gcl.program([GateEntry(0xFF, 1_000_000)])
-        self._gates = GateEngine(
-            sim, in_gcl, out_gcl, clock=self.clock, name=f"{name}.nic"
-        )
+        # Never started: an unstarted engine answers every gate open.
+        gcl = GateControlList(1, f"{name}.nic")
         self.nic = EgressPort(
             sim=sim,
             port_id=0,
             rate_bps=rate_bps,
             queues=queues,
             buffer_pool=BufferPool(_HOST_BUFFERS),
-            gates=self._gates,
+            gates=GateEngine(sim, gcl, gcl, name=f"{name}.nic"),
             scheduler=StrictPriorityScheduler(),
             counters=self.counters,
             tracer=tracer,
@@ -100,10 +96,9 @@ class Host:
         self._started = False
 
     def start(self) -> None:
-        """Start the NIC's (always-open) gate engine and arbitrate once."""
+        """Arbitrate the NIC once."""
         if not self._started:
             self._started = True
-            self._gates.start()
             self.nic.kick()
 
     # --------------------------------------------------------------- traffic
