@@ -96,7 +96,7 @@ class EgressPort:
         "_span_hop", "_headroom", "name", "_deliver", "_busy_until",
         "_retry_armed_at", "_gate_wake_at", "_active", "_suspended",
         "_resident", "_idle_seq", "_queue_by_id", "_express_list", "_shapers",
-        "_watched", "_on_wire", "_strict",
+        "_watched", "_on_wire", "_strict", "_lone_queue",
     )
 
     def __init__(
@@ -181,6 +181,9 @@ class EgressPort:
         )
         #: Strict priority keeps no arbitration state: a lone frame skips it.
         self._strict = type(scheduler) is StrictPriorityScheduler
+        #: The queue of the port's only descriptor, which ``enqueue`` armed
+        #: a gate wakeup for; any dequeue clears it.
+        self._lone_queue: Optional[MetadataQueue] = None
 
     @property
     def scheduler(self) -> StrictPriorityScheduler:
@@ -268,10 +271,13 @@ class EgressPort:
             )
             if wait is None:
                 return True  # no window ever fits the frame
+            direct = self._strict and target_id not in self._shapers
             if wait:
                 self._arm_gate_wake(wait)
+                if direct:
+                    self._lone_queue = queue
                 return True
-            if self._strict and target_id not in self._shapers:
+            if direct:
                 self._start_transmission(queue)
                 return True
         self.kick()
@@ -401,6 +407,19 @@ class EgressPort:
 
     def _gate_wake_fire(self) -> None:
         self._gate_wake_at = None
+        queue = self._lone_queue
+        if queue is not None and self._resident == 1:
+            # Still the sole backlog of the enqueue that armed this wake:
+            # any arbitration would end in its queue's one gate query.
+            wait = self.gates.out_wait(
+                queue.queue_id,
+                self._serialization_ns(queue._fifo[0].size_bytes),
+            )
+            if wait == 0:
+                self._start_transmission(queue)
+            elif wait is not None:
+                self._arm_gate_wake(wait)
+            return
         self.kick()
 
     # -------------------------------------------------------- transmission
@@ -444,6 +463,7 @@ class EgressPort:
     def _start_transmission(self, queue: MetadataQueue) -> None:
         descriptor = queue.dequeue()
         self._resident -= 1
+        self._lone_queue = None
         queue_id = queue.queue_id
         now = self._sim._now
         if self._watched:
