@@ -79,7 +79,13 @@ class CreditBasedShaper:
         return self._credit >= 0
 
     def set_backlog(self, now_ns: int, has_backlog: bool) -> None:
-        """Scheduler reports the shaped queue's emptiness after en/dequeue."""
+        """Scheduler reports the shaped queue's emptiness after en/dequeue.
+
+        Backlog changes nothing while WAITING or SENDING: credit accrues
+        linearly there, so it is settled at the next read alone.
+        """
+        if has_backlog and self._mode is not ShaperMode.IDLE:
+            return
         self._accumulate(now_ns)
         if self._mode is ShaperMode.SENDING:
             return  # transition resolved at end_transmission
