@@ -134,7 +134,6 @@ class EgressPort:
         self.pool = buffer_pool
         self.gates = gates
         self._scheduler = scheduler
-        scheduler.ordered(queues)
         self.counters = counters or SwitchCounters()
         self.preemption_enabled = preemption_enabled
         self.express_queues: Set[int] = set(express_queues)
@@ -170,6 +169,9 @@ class EgressPort:
         self._express_list = [
             q for q in queues if q.queue_id in self.express_queues
         ]
+        if preemption_enabled and self._express_list:
+            scheduler.ordered(self._express_list)
+        scheduler.ordered(queues)
         #: The scheduler's shaper map itself: ``program_cbs`` fills it in
         #: place, and an empty map skips every credit update.
         self._shapers = scheduler.shapers

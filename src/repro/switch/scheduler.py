@@ -63,28 +63,38 @@ class EgressScheduler:
         self.shapers: Dict[int, CreditBasedShaper] = dict(shapers or {})
         self._order_src: Optional[Sequence[MetadataQueue]] = None
         self._order: Sequence[MetadataQueue] = ()
+        #: id of each queue list resolved so far -> (the list, its order).
+        self._orders: Dict[
+            int, Tuple[Sequence[MetadataQueue], Sequence[MetadataQueue]]
+        ] = {}
         #: queue id -> the one shared "that queue transmits" decision.
         self._wins: Dict[int, SchedulerDecision] = {}
 
     def ordered(
         self, queues: Sequence[MetadataQueue]
     ) -> Sequence[MetadataQueue]:
-        """*queues* sorted by descending id, resolved once per queue set,
+        """*queues* sorted by descending id, resolved once per queue list,
         with the win decisions of their ids.
 
         A port arbitrates with the same queue list on every transmission
-        opportunity; re-sorting it each time showed up in profiles.  A
-        port resolves its queues at construction, so no run pays for it.
+        opportunity -- a preempting port with two, its express queues and
+        all its queues, by turns; re-sorting showed up in profiles.  A port
+        resolves its lists at construction, so no run pays for it.
         """
         if self._order_src is not queues:
-            self._order = sorted(
-                queues, key=lambda q: q.queue_id, reverse=True
-            )
-            self._order_src = queues
-            wins = self._wins
-            for queue in queues:
-                if queue.queue_id not in wins:
-                    wins[queue.queue_id] = SchedulerDecision(queue.queue_id)
+            resolved = self._orders.get(id(queues))
+            if resolved is None or resolved[0] is not queues:
+                resolved = self._orders[id(queues)] = (
+                    queues,
+                    sorted(queues, key=lambda q: q.queue_id, reverse=True),
+                )
+                wins = self._wins
+                for queue in queues:
+                    if queue.queue_id not in wins:
+                        wins[queue.queue_id] = SchedulerDecision(
+                            queue.queue_id
+                        )
+            self._order_src, self._order = resolved
         return self._order
 
     def _arbitrate(

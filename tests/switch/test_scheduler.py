@@ -1,5 +1,7 @@
 """Strict-priority arbitration with gates and CBS."""
 
+import repro.switch.scheduler as scheduler_module
+from repro.network.scenario import ScenarioSpec
 from repro.sim.kernel import Simulator
 from repro.switch.gates import GateEngine
 from repro.switch.packet import Descriptor, EthernetFrame, make_mac
@@ -7,6 +9,7 @@ from repro.switch.queueing import MetadataQueue
 from repro.switch.scheduler import StrictPriorityScheduler
 from repro.switch.shaper import CreditBasedShaper
 from repro.switch.tables import CbsParams, GateControlList, GateEntry
+from tests.test_golden_outputs import SCENARIOS
 
 GBPS = 10**9
 
@@ -203,3 +206,24 @@ class TestDeficitRoundRobin:
         _load(queues[6])
         decision = StrictPriorityScheduler().select(0, queues, _gates(sim), _ser)
         assert decision.queue_id == 6
+
+
+def test_a_preempting_port_sorts_its_queues_only_when_built(monkeypatch):
+    """A preempting port arbitrates its express queues and all its queues
+    by turns; both orders are resolved when the port is built, so the run
+    sorts nothing."""
+    spec = ScenarioSpec.from_dict(SCENARIOS["ring_cqf_gptp_preempt"])
+    testbed = spec.build_testbed()
+    testbed.build()
+    sorts = []
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler_module, "sorted", counting_sorted,
+                        raising=False)
+    result = testbed.run(spec.duration_ns)
+    assert sum(port.preemptions for switch in result.switches.values()
+               for port in switch.ports) > 0
+    assert len(sorts) == 0
