@@ -78,7 +78,6 @@ class Host:
         self.received = 0
 
         queues = [MetadataQueue(_HOST_QUEUE_DEPTH, q) for q in range(8)]
-        # Never started: an unstarted engine answers every gate open.
         gcl = GateControlList(1, f"{name}.nic")
         self.nic = EgressPort(
             sim=sim,
@@ -86,7 +85,7 @@ class Host:
             rate_bps=rate_bps,
             queues=queues,
             buffer_pool=BufferPool(_HOST_BUFFERS),
-            gates=GateEngine(sim, gcl, gcl, name=f"{name}.nic"),
+            gates=GateEngine(sim, gcl, gcl, self.clock, name=f"{name}.nic"),
             scheduler=StrictPriorityScheduler(),
             counters=self.counters,
             tracer=tracer,

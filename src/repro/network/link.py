@@ -91,9 +91,7 @@ class Link:
         self._fault_loss_rng: Optional[random.Random] = None
         self._fault_corrupt_rate = 0.0
         self._fault_corrupt_rng: Optional[random.Random] = None
-        #: Can this link lose or corrupt a frame right now?  Kept up to
-        #: date by every setter above, so a clean link carries a frame
-        #: after one test.
+        #: Can this link lose or corrupt a frame?  Every setter keeps it.
         self._impaired = error_rate > 0.0
         #: Same-instant tie-break for arrival events.  The testbed assigns
         #: every link a unique positive priority in wiring order, so two
@@ -114,7 +112,7 @@ class Link:
         if self._up:
             self._up = False
             self.down_count += 1
-            self._impaired = True
+            self._note_impairment()
 
     def restore(self) -> None:
         self._up = True
@@ -177,9 +175,33 @@ class Link:
     def _carry(self, frame: EthernetFrame) -> None:
         """Called by the port at last-bit-out; deliver after propagation."""
         if self._impaired:
-            frame = self._impair(frame)
-            if frame is None:
+            if not self._up:
+                self.frames_blackholed += 1
+                self._note_drop(frame)
                 return
+            if self._fault_loss_rate and (
+                self._fault_loss_rate >= 1.0
+                or self._fault_loss_rng.random() < self._fault_loss_rate
+            ):
+                self.frames_fault_lost += 1
+                self._note_drop(frame)
+                return
+            if self.error_rate and self._rng.random() < self.error_rate:
+                self.frames_corrupted += 1
+                self._note_drop(frame)
+                return
+            if self._fault_corrupt_rate and (
+                self._fault_corrupt_rate >= 1.0
+                or self._fault_corrupt_rng.random() < self._fault_corrupt_rate
+            ):
+                self.frames_fault_corrupted += 1
+                # Corruption is the one per-hop copy the link ever makes: a
+                # *distinct* frame must exist because replicated (FRER /
+                # multicast) copies of the same frame traverse other links
+                # intact.  Clean frames are passed through by reference --
+                # no observer needs a per-hop object -- and ``corrupted()``
+                # skips dataclasses.replace's re-validation.
+                frame = frame.corrupted()
         self.frames_carried += 1
         # One calendar entry per frame, at the end of the receiver's fixed
         # ingress latency: arrival itself decides nothing.
@@ -188,38 +210,6 @@ class Link:
             lambda: self._receive(frame),
             self.arrival_priority,
         )
-
-    def _impair(self, frame: EthernetFrame) -> Optional[EthernetFrame]:
-        """*frame* as this impaired link carries it: None if lost, a
-        corrupted copy, or the frame itself."""
-        if not self._up:
-            self.frames_blackholed += 1
-            self._note_drop(frame)
-            return None
-        if self._fault_loss_rate and (
-            self._fault_loss_rate >= 1.0
-            or self._fault_loss_rng.random() < self._fault_loss_rate
-        ):
-            self.frames_fault_lost += 1
-            self._note_drop(frame)
-            return None
-        if self.error_rate and self._rng.random() < self.error_rate:
-            self.frames_corrupted += 1
-            self._note_drop(frame)
-            return None
-        if self._fault_corrupt_rate and (
-            self._fault_corrupt_rate >= 1.0
-            or self._fault_corrupt_rng.random() < self._fault_corrupt_rate
-        ):
-            self.frames_fault_corrupted += 1
-            # Corruption is the one per-hop copy the link ever makes: a
-            # *distinct* frame must exist because replicated (FRER /
-            # multicast) copies of the same frame traverse other links
-            # intact.  Clean frames are passed through by reference -- no
-            # observer needs a per-hop object -- and ``corrupted()`` skips
-            # dataclasses.replace's re-validation.
-            return frame.corrupted()
-        return frame
 
     def deliver(self, frame: EthernetFrame) -> None:
         """Hand *frame* to this link's receiver right now.

@@ -323,7 +323,6 @@ def _teardown(
         for port in switch.ports:
             port.detach()
     for host in hosts.values():
-        host.clock.clear_rate_listeners()
         host.nic.detach()
     if sync_domain is not None:
         sync_domain.unlink()
