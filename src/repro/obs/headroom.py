@@ -73,12 +73,10 @@ STRUCTURE_SLUGS: Dict[str, str] = {
 class OccupancyProbe:
     """Time-weighted occupancy accounting of one bounded resource.
 
-    Each :meth:`update` charges the time since the previous transition to
-    the occupancy that was in effect: ``time_at[occupancy]`` is the exact
-    time spent at each occupancy, not a sampling approximation.  The
-    integral ``weighted_ns`` and the five-band ``band_ns`` histogram are
-    derived from it when read, so the per-event cost is one subtraction,
-    one add and a list index.
+    Each :meth:`update` adds the time since the previous transition to
+    ``time_at`` of the occupancy that was in effect -- exact, not sampled.
+    The integral ``weighted_ns`` and the band histogram ``band_ns`` are
+    derived from it when read.
     """
 
     __slots__ = (

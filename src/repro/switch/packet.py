@@ -106,12 +106,8 @@ class Descriptor:
     the *modelled* width is the configured 32 bits (buffer slot id, length,
     and flags), which is what the BRAM cost model charges for.
 
-    Once the egress port dequeues it, the same object is the frame's
-    transmission record: ``dequeued_ns`` (the first fragment's start),
-    ``bytes_done`` (frame bytes sent in earlier fragments) and
-    ``fragment_data_bytes``, and under preemption ``fragment_start_ns``,
-    ``cut_scheduled`` and the fragment's two event handles.  The port sets
-    them; none exists before the dequeue.
+    From its dequeue on it is also the frame's transmission record: the
+    egress port sets the fields after ``size_bytes`` then.
     """
 
     __slots__ = ("frame", "buffer_slot", "enqueued_ns", "queue_id",

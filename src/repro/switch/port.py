@@ -8,11 +8,12 @@ Life of a frame here:
 
 ``enqueue()``  gate-selects the target queue (CQF redirects to the gathering
 queue of the current slot), claims a buffer slot, appends the descriptor,
-and arbitrates (a lone frame on an idle port asks only its own gate).
-``_start_transmission()`` dequeues the winner, occupies the wire for the
-frame's serialization time plus preamble/IFG overhead, hands the frame to
-the attached link at last-bit time, releases the buffer slot, and
-re-arbitrates.
+and arbitrates (a lone frame on an idle port asks only its own gate, and
+so does the gate wakeup it arms).  ``_start_transmission()`` dequeues the
+winner, whose descriptor from then on is the transmission's one record,
+occupies the wire for the frame's serialization time plus preamble/IFG
+overhead, hands the frame to the attached link at last-bit time, releases
+the buffer slot, and re-arbitrates.
 
 Optionally the port implements **frame preemption** (802.1Qbu / 802.3br):
 queues in ``express_queues`` form the express MAC; everything else is
@@ -34,7 +35,7 @@ from repro.core.units import serialization_ns, wire_bytes
 from repro.obs.flowspans import FlowSpanRecorder
 from repro.obs.headroom import PortHeadroomProbes
 from repro.obs.instruments import PortInstruments
-from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.trace import NULL_TRACER, Tracer
 from .counters import SwitchCounters
 from .gates import GATE_EVENT_PRIORITY, GateEngine
@@ -149,9 +150,7 @@ class EgressPort:
         self._busy_until = 0
         self._retry_armed_at: Optional[int] = None
         self._gate_wake_at: Optional[int] = None
-        #: Under preemption, the descriptor whose fragment occupies the
-        #: wire until its ``_tx_idle``; a preempted one waits in
-        #: ``_suspended`` for its resumption.
+        #: Preemption only: the transmission up to its ``_tx_idle``.
         self._active: Optional[Descriptor] = None
         self._suspended: Optional[Descriptor] = None
         #: The descriptor whose fragment's data-done event is pending.
@@ -323,11 +322,8 @@ class EgressPort:
                 seq, self._idle_seq = self._idle_seq, None
                 sim.post_reserved(self._busy_until, seq, self._tx_idle)
             active = self._active
-            if (
-                active is not None
-                and active.queue_id not in self.express_queues
-                and not active.cut_scheduled
-            ):
+            if (active is not None and not active.cut_scheduled
+                    and active.queue_id not in self.express_queues):
                 express = self._express_select()
                 if express.queue_id is not None:
                     self._schedule_cut()
@@ -411,8 +407,7 @@ class EgressPort:
         self._gate_wake_at = None
         queue = self._lone_queue
         if queue is not None and self._resident == 1:
-            # Still the sole backlog of the enqueue that armed this wake:
-            # any arbitration would end in its queue's one gate query.
+            # Still the sole backlog: arbitrating ends in this one query.
             wait = self.gates.out_wait(
                 queue.queue_id,
                 self._serialization_ns(queue._fifo[0].size_bytes),
@@ -432,8 +427,7 @@ class EgressPort:
         data_bytes: int,
         overhead_bytes: int,
     ) -> None:
-        """Put one fragment (possibly the whole frame) of *tx* on the
-        wire."""
+        """Put one fragment (possibly the whole frame) on the wire."""
         if self._deliver is None:
             raise SimulationError(f"{self.name}: transmitting with no link")
         sim = self._sim

@@ -63,10 +63,8 @@ class EgressScheduler:
         self.shapers: Dict[int, CreditBasedShaper] = dict(shapers or {})
         self._order_src: Optional[Sequence[MetadataQueue]] = None
         self._order: Sequence[MetadataQueue] = ()
-        #: id of each queue list resolved so far -> (the list, its order).
-        self._orders: Dict[
-            int, Tuple[Sequence[MetadataQueue], Sequence[MetadataQueue]]
-        ] = {}
+        #: id of each queue list resolved -> (that list, kept alive; order).
+        self._orders: Dict[int, tuple] = {}
         #: queue id -> the one shared "that queue transmits" decision.
         self._wins: Dict[int, SchedulerDecision] = {}
 
@@ -76,24 +74,21 @@ class EgressScheduler:
         """*queues* sorted by descending id, resolved once per queue list,
         with the win decisions of their ids.
 
-        A port arbitrates with the same queue list on every transmission
-        opportunity -- a preempting port with two, its express queues and
-        all its queues, by turns; re-sorting showed up in profiles.  A port
-        resolves its lists at construction, so no run pays for it.
+        A port arbitrates with the same list on every transmission
+        opportunity (a preempting port with two, by turns); re-sorting
+        showed up in profiles.  A port resolves its lists when built.
         """
         if self._order_src is not queues:
             resolved = self._orders.get(id(queues))
-            if resolved is None or resolved[0] is not queues:
+            if resolved is None:
                 resolved = self._orders[id(queues)] = (
                     queues,
                     sorted(queues, key=lambda q: q.queue_id, reverse=True),
                 )
-                wins = self._wins
                 for queue in queues:
-                    if queue.queue_id not in wins:
-                        wins[queue.queue_id] = SchedulerDecision(
-                            queue.queue_id
-                        )
+                    self._wins.setdefault(
+                        queue.queue_id, SchedulerDecision(queue.queue_id)
+                    )
             self._order_src, self._order = resolved
         return self._order
 

@@ -79,11 +79,8 @@ class CreditBasedShaper:
         return self._credit >= 0
 
     def set_backlog(self, now_ns: int, has_backlog: bool) -> None:
-        """Scheduler reports the shaped queue's emptiness after en/dequeue.
-
-        Backlog changes nothing while WAITING or SENDING: credit accrues
-        linearly there, so it is settled at the next read alone.
-        """
+        """Scheduler reports the shaped queue's emptiness after en/dequeue;
+        backlog changes nothing while WAITING or SENDING (credit is linear)."""
         if has_backlog and self._mode is not ShaperMode.IDLE:
             return
         self._accumulate(now_ns)
