@@ -14,8 +14,9 @@ Two layers:
   Each :class:`OccupancyProbe` keeps the time spent at each occupancy,
   one add per queue/pool transition; the time-weighted occupancy integral
   and the five-band time-in-occupancy histogram (empty, then quartiles of
-  capacity) are derived from it when read.  Attached via ``Testbed(headroom=...)`` the same way as
-  metrics/spans; when absent the dataplane pays nothing.
+  capacity) are derived from it when read.  Attached via
+  ``Testbed(headroom=...)`` the same way as metrics/spans; when absent
+  the dataplane pays nothing.
 
 * :func:`build_headroom_report` -- joins peak demand (queue/pool
   high-water marks, table fills, exercised meters -- all available from
