@@ -261,8 +261,8 @@ class EgressPort:
                 )
         if self._shapers:
             shaper = self._shapers.get(target_id)
-            if shaper is not None and len(queue._fifo) == 1:
-                shaper.set_backlog(now, True)  # the empty-to-backlogged edge
+            if shaper is not None:
+                shaper.set_backlog(now, True)
         if (self._resident == 1 and now >= self._busy_until
                 and not self.preemption_enabled):
             # The sole backlog: any arbitration would examine this queue

@@ -79,10 +79,7 @@ class CreditBasedShaper:
         return self._credit >= 0
 
     def set_backlog(self, now_ns: int, has_backlog: bool) -> None:
-        """Scheduler reports the shaped queue's emptiness after en/dequeue;
-        backlog changes nothing while WAITING or SENDING (credit is linear)."""
-        if has_backlog and self._mode is not ShaperMode.IDLE:
-            return
+        """Scheduler reports the shaped queue's emptiness after en/dequeue."""
         self._accumulate(now_ns)
         if self._mode is ShaperMode.SENDING:
             return  # transition resolved at end_transmission

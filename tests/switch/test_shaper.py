@@ -76,20 +76,6 @@ class TestModeTracking:
         shaper.set_backlog(100, True)
         assert shaper.mode is ShaperMode.SENDING
 
-    @pytest.mark.parametrize("sending", [False, True])
-    def test_backlog_while_backlogged_leaves_credit_as_it_accrues(
-        self, sending
-    ):
-        told, untold = _shaper(), _shaper()
-        for shaper in (told, untold):
-            shaper.set_backlog(0, True)
-            if sending:
-                shaper.begin_transmission(300)
-        told.set_backlog(700, True)
-        for now in (700, 1_000, 5_000):
-            assert told.credit_bits(now) == untold.credit_bits(now)
-            assert told.mode is untold.mode
-
     def test_ns_until_eligible_none_when_ok(self):
         assert _shaper().ns_until_eligible(0) is None
 
