@@ -8,12 +8,12 @@ Life of a frame here:
 
 ``enqueue()``  gate-selects the target queue (CQF redirects to the gathering
 queue of the current slot), claims a buffer slot, appends the descriptor,
-and arbitrates (a lone frame on an idle port asks only its own gate, and
-so does the gate wakeup it arms).  ``_start_transmission()`` dequeues the
-winner, whose descriptor from then on is the transmission's one record,
-occupies the wire for the frame's serialization time plus preamble/IFG
-overhead, hands the frame to the attached link at last-bit time, releases
-the buffer slot, and re-arbitrates.
+and arbitrates (a lone frame on an idle port asks only its own gate).
+``_start_transmission()`` dequeues the winner, whose descriptor from then
+on is the transmission's one record, occupies the wire for the frame's
+serialization time plus preamble/IFG overhead, hands the frame to the
+attached link at last-bit time, releases the buffer slot, and
+re-arbitrates.
 
 Optionally the port implements **frame preemption** (802.1Qbu / 802.3br):
 queues in ``express_queues`` form the express MAC; everything else is
@@ -97,7 +97,7 @@ class EgressPort:
         "_span_hop", "_headroom", "name", "_deliver", "_busy_until",
         "_retry_armed_at", "_gate_wake_at", "_active", "_suspended",
         "_resident", "_idle_seq", "_queue_by_id", "_express_list", "_shapers",
-        "_watched", "_on_wire", "_strict", "_lone_queue",
+        "_watched", "_on_wire", "_strict",
     )
 
     def __init__(
@@ -182,9 +182,6 @@ class EgressPort:
         )
         #: Strict priority keeps no arbitration state: a lone frame skips it.
         self._strict = type(scheduler) is StrictPriorityScheduler
-        #: The queue of the port's only descriptor, which ``enqueue`` armed
-        #: a gate wakeup for; any dequeue clears it.
-        self._lone_queue: Optional[MetadataQueue] = None
 
     @property
     def scheduler(self) -> StrictPriorityScheduler:
@@ -272,13 +269,10 @@ class EgressPort:
             )
             if wait is None:
                 return True  # no window ever fits the frame
-            direct = self._strict and target_id not in self._shapers
             if wait:
                 self._arm_gate_wake(wait)
-                if direct:
-                    self._lone_queue = queue
                 return True
-            if direct:
+            if self._strict and target_id not in self._shapers:
                 self._start_transmission(queue)
                 return True
         self.kick()
@@ -405,18 +399,6 @@ class EgressPort:
 
     def _gate_wake_fire(self) -> None:
         self._gate_wake_at = None
-        queue = self._lone_queue
-        if queue is not None and self._resident == 1:
-            # Still the sole backlog: arbitrating ends in this one query.
-            wait = self.gates.out_wait(
-                queue.queue_id,
-                self._serialization_ns(queue._fifo[0].size_bytes),
-            )
-            if wait == 0:
-                self._start_transmission(queue)
-            elif wait is not None:
-                self._arm_gate_wake(wait)
-            return
         self.kick()
 
     # -------------------------------------------------------- transmission
@@ -459,7 +441,6 @@ class EgressPort:
     def _start_transmission(self, queue: MetadataQueue) -> None:
         descriptor = queue.dequeue()
         self._resident -= 1
-        self._lone_queue = None
         queue_id = queue.queue_id
         now = self._sim._now
         if self._watched:

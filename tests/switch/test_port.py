@@ -303,42 +303,6 @@ class TestSoleBacklog:
         sim.run(until=100_000)
         assert delivered == [1000 + 512]
 
-    def test_wake_for_the_lone_frame_starts_it_without_arbitrating(
-        self, monkeypatch
-    ):
-        sim = Simulator()
-        port = _port(sim, **self.CQF)
-        delivered = []
-        port.attach(lambda f: delivered.append(sim.now))
-
-        def no_arbitration(*args):
-            raise AssertionError("a lone frame ran the arbiter")
-
-        monkeypatch.setattr(EgressPort, "kick", no_arbitration)
-        monkeypatch.setattr(StrictPriorityScheduler, "select", no_arbitration)
-        port.enqueue(_frame(), 7)
-        sim.run(until=100_000)
-        assert delivered == [1000 + 512]
-
-    def test_wake_arbitrates_once_a_second_frame_arrived(self, monkeypatch):
-        sim = Simulator()
-        port = _port(sim, **self.CQF)
-        delivered = []
-        port.attach(lambda f: delivered.append(sim.now))
-        kicks = []
-        original = EgressPort.kick
-
-        def kick(port):
-            kicks.append(sim.now)
-            original(port)
-
-        monkeypatch.setattr(EgressPort, "kick", kick)
-        port.enqueue(_frame(), 7)
-        sim.schedule(500, lambda: port.enqueue(_frame(), 7))
-        sim.run(until=100_000)
-        assert kicks[:2] == [500, 1000]  # the second enqueue, the wake
-        assert len(delivered) == 2 and delivered[0] == 1000 + 512
-
     def test_drr_winner_is_arbitrated(self):
         # The DRR stage books a winner's deficit and moves its rotation; a
         # port whose every enqueue arbitrates (preemption without express

@@ -81,14 +81,13 @@ _QBV_LINE = {
 
 #: name -> (document, observers attached, ceiling in calls per switch-hop,
 #: ceiling in kernel events per switch-hop).  The measured calls were
-#: 27.07, 38.95, and 31.22 / 32.33 / 36.46 / 38.22 on the Qbv line as the
+#: 30.07, 38.95, and 31.25 / 32.37 / 36.50 / 38.25 on the Qbv line as the
 #: observers are added (31.15, 40.36, and 32.44 / 33.56 / 37.69 / 39.44
-#: while each transmission allocated a record beside its descriptor, a
-#: lone frame's gate wakeup ran the arbiter and a host NIC started a
-#: window table; 31.26, 40.40, and 32.48 / 33.59 / 37.73 / 39.48
-#: while each arbiter sorted its queues on its first hop; 31.33, 40.73
-#: and 39.65 while every frame drew its id from a process-global counter
-#: through a dataclass default factory; 31.5, 41.7 and 40.6 while sources, the analyzer and hosts read the
+#: while each transmission allocated a record beside its descriptor and
+#: a host NIC started a window table; 31.26, 40.40, and 32.48 / 33.59 /
+#: 37.73 / 39.48 while each arbiter sorted its queues on its first hop;
+#: 31.33, 40.73 and 39.65 while every frame drew its id from a
+#: process-global counter through a dataclass default factory; 31.5, 41.7 and 40.6 while sources, the analyzer and hosts read the
 #: kernel's ``now`` property per frame; 43.9 on the observed line
 #: while the span recorder took four records per switch-hop; 35.7, 44.8
 #: and 46.7 while every enqueue ran the arbiter; 38.7, 47.8 and 49.7 while
@@ -104,7 +103,7 @@ WORKLOADS = {
             "flows": {"ts_count": 16, "period_us": 1000, "size_bytes": 64},
         },
         (),
-        29.8,
+        33.1,
         3.20,
     ),
     "star_dense": (
@@ -118,11 +117,11 @@ WORKLOADS = {
         42.8,
         3.60,
     ),
-    "linear_qbv_bare": (_QBV_LINE, (), 34.3, 2.62),
+    "linear_qbv_bare": (_QBV_LINE, (), 34.4, 2.62),
     "linear_qbv_metrics": (_QBV_LINE, ("metrics",), 35.6, 2.62),
-    "linear_qbv_headroom": (_QBV_LINE, ("metrics", "headroom"), 40.1, 2.62),
+    "linear_qbv_headroom": (_QBV_LINE, ("metrics", "headroom"), 40.2, 2.62),
     "linear_qbv_observed": (
-        _QBV_LINE, ("metrics", "headroom", "spans"), 42.0, 2.62,
+        _QBV_LINE, ("metrics", "headroom", "spans"), 42.1, 2.62,
     ),
 }
 
