@@ -61,9 +61,8 @@ class EgressScheduler:
 
     def __init__(self, shapers: Optional[Dict[int, CreditBasedShaper]] = None):
         self.shapers: Dict[int, CreditBasedShaper] = dict(shapers or {})
-        self._order_src: Optional[Sequence[MetadataQueue]] = None
-        self._order: Sequence[MetadataQueue] = ()
-        #: id of each queue list resolved -> (that list, kept alive; order).
+        #: id of each queue list resolved -> (that list, kept alive so the
+        #: id stays its own; the list sorted by descending id).
         self._orders: Dict[int, tuple] = {}
         #: queue id -> the one shared "that queue transmits" decision.
         self._wins: Dict[int, SchedulerDecision] = {}
@@ -78,19 +77,17 @@ class EgressScheduler:
         opportunity (a preempting port with two, by turns); re-sorting
         showed up in profiles.  A port resolves its lists when built.
         """
-        if self._order_src is not queues:
-            resolved = self._orders.get(id(queues))
-            if resolved is None:
-                resolved = self._orders[id(queues)] = (
-                    queues,
-                    sorted(queues, key=lambda q: q.queue_id, reverse=True),
+        resolved = self._orders.get(id(queues))
+        if resolved is None:
+            resolved = self._orders[id(queues)] = (
+                queues,
+                sorted(queues, key=lambda q: q.queue_id, reverse=True),
+            )
+            for queue in queues:
+                self._wins.setdefault(
+                    queue.queue_id, SchedulerDecision(queue.queue_id)
                 )
-                for queue in queues:
-                    self._wins.setdefault(
-                        queue.queue_id, SchedulerDecision(queue.queue_id)
-                    )
-            self._order_src, self._order = resolved
-        return self._order
+        return resolved[1]
 
     def _arbitrate(
         self,
@@ -165,10 +162,12 @@ class StrictPriorityScheduler(EgressScheduler):
         *serialization_ns_of* maps a frame byte count to its wire time on
         this port (the guard-band check needs it).
         """
-        if self._order_src is not queues:
-            self.ordered(queues)
+        resolved = self._orders.get(id(queues))
         return self._arbitrate(
-            now_ns, self._order, gates, serialization_ns_of
+            now_ns,
+            self.ordered(queues) if resolved is None else resolved[1],
+            gates,
+            serialization_ns_of,
         )
 
 
