@@ -76,7 +76,7 @@ class Link:
         self._receive = receive
         self.propagation_ns = propagation_ns
         self._arrival_delay_ns = propagation_ns + ingress_delay_ns
-        self.error_rate = error_rate
+        self._error_rate = error_rate
         self._rng = rng
         self.name = name
         self._spans = spans
@@ -104,6 +104,11 @@ class Link:
     # -------------------------------------------------------------- failure
 
     @property
+    def error_rate(self) -> float:
+        """The FCS-corruption rate, fixed when the link is built."""
+        return self._error_rate
+
+    @property
     def up(self) -> bool:
         return self._up
 
@@ -120,7 +125,7 @@ class Link:
 
     def _note_impairment(self) -> None:
         self._impaired = not self._up or bool(
-            self.error_rate or self._fault_loss_rate
+            self._error_rate or self._fault_loss_rate
             or self._fault_corrupt_rate
         )
 
@@ -186,7 +191,7 @@ class Link:
                 self.frames_fault_lost += 1
                 self._note_drop(frame)
                 return
-            if self.error_rate and self._rng.random() < self.error_rate:
+            if self._error_rate and self._rng.random() < self._error_rate:
                 self.frames_corrupted += 1
                 self._note_drop(frame)
                 return
