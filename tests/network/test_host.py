@@ -103,6 +103,8 @@ class TestHost:
         host.start()
         host.start()
         assert kicks == ["h.nic"]  # once
+        # Unstarted, the NIC's gate engine answers "open" with no table.
+        assert not host.nic.gates.started
         # A frame queued on the started NIC goes on the wire at once.
         assert host.inject(_frame(host, pcp=0))
         assert host.nic.busy and host.nic.backlog_frames() == 0
