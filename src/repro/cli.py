@@ -530,11 +530,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"# jsonl trace: {args.jsonl_trace}", file=sys.stderr)
     if spans is not None:
         stats = flow_stats(spans.journeys(), result.expected_by_flow)
-        lost = sum(s.lost for s in stats.values())
-        dup = sum(s.duplicates for s in stats.values())
+        lost, dropped, in_flight, dup = (
+            sum(getattr(s, name) for s in stats.values())
+            for name in ("lost", "dropped", "in_flight", "duplicates")
+        )
         print(f"# flow spans: {len(spans)} events, "
               f"{sum(s.frames for s in stats.values())} journeys, "
-              f"{lost} lost, {dup} duplicate", file=sys.stderr)
+              f"{lost} lost ({dropped} dropped, {in_flight} in flight), "
+              f"{dup} duplicate", file=sys.stderr)
         if spans.dropped_events:
             print(f"# flow spans: {spans.dropped_events} events beyond the "
                   f"recorder cap were not recorded", file=sys.stderr)

@@ -6,22 +6,34 @@ instrument: hook :meth:`TsnAnalyzer.record` to a listener host's
 ``on_receive`` and it timestamps every arrival against the frame's injection
 time.
 
-Definitions match the paper's usage:
+Its :class:`FlowRecord` is the one per-flow account of arrivals; the SLO
+monitor (:mod:`repro.obs.slo`) reads it, and the span reader
+(:func:`repro.obs.flowspans.flow_stats`) counts journeys by the same
+definitions.  A flow's sequence numbers are dense from 0, so *expected* is
+the number of frames its generator emitted.
 
 * **latency** -- arrival time minus injection time (``created_ns``), end to
-  end across the whole path including NICs and links;
+  end across the whole path including NICs and links, of a seq's first
+  arrival;
+* **received** -- the number of distinct seqs that arrived;
+* **duplicate** -- any arrival of a seq already received;
+* **reorder** -- a first arrival below the highest seq received so far;
+* **lost** -- expected - received, and packet loss is lost/expected
+  (1 - received/expected);
+* **in flight** -- the part of lost that no drop was seen to end: still
+  queued when the run stopped.  Only frame journeys can tell it from a
+  drop;
 * **jitter** -- the *standard deviation* of latency ("Here we use the
   standard deviation of latency to describe the jitter", Section IV.C),
-  reported both per flow and across all packets of a class;
-* **packet loss** -- 1 - received/expected, with expected counts supplied by
-  the generators at the end of a run.
+  :meth:`LatencySummary.of`'s, reported both per flow and across all
+  packets of a class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.core.errors import SimulationError
 from repro.sim.kernel import Simulator
@@ -33,7 +45,7 @@ __all__ = ["FlowRecord", "LatencySummary", "TsnAnalyzer"]
 
 @dataclass
 class FlowRecord:
-    """Arrival bookkeeping of one flow."""
+    """Arrival bookkeeping of one flow, by the module's definitions."""
 
     flow_id: int
     latencies_ns: List[int] = field(default_factory=list)
@@ -41,17 +53,29 @@ class FlowRecord:
     deadline_misses: int = 0
     duplicates: int = 0
     reorders: int = 0
-    _last_seq: int = -1
+    #: One past the highest seq received so far.
+    _next_seq: int = 0
+    #: The seqs below ``_next_seq`` not received yet.
+    _skipped: Set[int] = field(default_factory=set)
 
-    def note(self, latency_ns: int, seq: int) -> None:
+    def note(self, latency_ns: int, seq: int) -> bool:
+        """Count one arrival; True when it is a duplicate."""
+        next_seq = self._next_seq
+        if seq == next_seq:
+            self._next_seq = seq + 1
+        elif seq > next_seq:
+            self._skipped.update(range(next_seq, seq))
+            self._next_seq = seq + 1
+        elif seq in self._skipped:
+            self._skipped.remove(seq)
+            self.reorders += 1
+        else:
+            self.duplicates += 1
+            return True
         self.latencies_ns.append(latency_ns)
         if self.deadline_ns is not None and latency_ns > self.deadline_ns:
             self.deadline_misses += 1
-        if seq == self._last_seq:
-            self.duplicates += 1
-        elif seq < self._last_seq:
-            self.reorders += 1
-        self._last_seq = max(self._last_seq, seq)
+        return False
 
     @property
     def received(self) -> int:
@@ -93,11 +117,12 @@ class TsnAnalyzer:
 
     def __init__(self, sim: Simulator, flows: FlowSet):
         self._sim = sim
-        self._flows = flows
+        self.flows = flows
         self.records: Dict[int, FlowRecord] = {}
         self.unknown_frames = 0
-        #: Optional :class:`~repro.obs.slo.SloMonitor`; when set, every
-        #: recorded arrival also streams through the SLO checks.
+        #: The :class:`~repro.obs.slo.SloMonitor` attached to this
+        #: analyzer, if any: every recorded arrival also streams through
+        #: its per-frame checks.
         self.slo = None
         for flow in flows:
             self.records[flow.flow_id] = FlowRecord(
@@ -118,16 +143,17 @@ class TsnAnalyzer:
             )
         now = self._sim._now
         latency_ns = now - frame.created_ns
-        record.note(latency_ns, frame.seq)
+        duplicate = record.note(latency_ns, frame.seq)
         if self.slo is not None:
-            self.slo.observe(frame.flow_id, frame.seq, latency_ns, now)
+            self.slo.observe(frame.flow_id, frame.seq, latency_ns, now,
+                             duplicate)
 
     # ------------------------------------------------------------ statistics
 
     def class_latencies(self, traffic_class: TrafficClass) -> List[int]:
         """All packet latencies of one traffic class, in arrival order."""
         result: List[int] = []
-        for flow in self._flows.by_class(traffic_class):
+        for flow in self.flows.by_class(traffic_class):
             result.extend(self.records[flow.flow_id].latencies_ns)
         return result
 
@@ -137,25 +163,11 @@ class TsnAnalyzer:
     def flow_summary(self, flow_id: int) -> LatencySummary:
         return LatencySummary.of(self.records[flow_id].latencies_ns)
 
-    def per_flow_jitter_ns(self, traffic_class: TrafficClass) -> List[float]:
-        """Each flow's own latency standard deviation.
-
-        Under CQF this is near zero (every packet of a flow takes the same
-        slot-aligned path); the cross-flow spread shows up only in
-        :meth:`class_summary`'s jitter.
-        """
-        result = []
-        for flow in self._flows.by_class(traffic_class):
-            latencies = self.records[flow.flow_id].latencies_ns
-            if len(latencies) >= 2:
-                result.append(LatencySummary.of(latencies).jitter_ns)
-        return result
-
     def received(self, traffic_class: Optional[TrafficClass] = None) -> int:
         flows = (
-            list(self._flows)
+            list(self.flows)
             if traffic_class is None
-            else self._flows.by_class(traffic_class)
+            else self.flows.by_class(traffic_class)
         )
         return sum(self.records[f.flow_id].received for f in flows)
 
@@ -164,14 +176,11 @@ class TsnAnalyzer:
     ) -> float:
         """1 - received/expected over a class; *expected_by_flow* comes from
         the generators' emitted counts."""
-        flows = self._flows.by_class(traffic_class)
+        flows = self.flows.by_class(traffic_class)
         expected = sum(expected_by_flow.get(f.flow_id, 0) for f in flows)
         if expected == 0:
             return 0.0
-        got = sum(
-            min(self.records[f.flow_id].received, expected_by_flow.get(f.flow_id, 0))
-            for f in flows
-        )
+        got = sum(self.records[f.flow_id].received for f in flows)
         return 1.0 - got / expected
 
     def class_digest(
@@ -205,5 +214,5 @@ class TsnAnalyzer:
     def deadline_misses(self, traffic_class: TrafficClass) -> int:
         return sum(
             self.records[f.flow_id].deadline_misses
-            for f in self._flows.by_class(traffic_class)
+            for f in self.flows.by_class(traffic_class)
         )

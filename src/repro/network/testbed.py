@@ -630,9 +630,8 @@ class Testbed:
         self.analyzer = TsnAnalyzer(self.sim, self.flows)
         if self.slo_policy is not None:
             self.slo_monitor = SloMonitor(
-                self.slo_policy, self.flows, metrics=self.metrics
+                self.slo_policy, self.analyzer, metrics=self.metrics
             )
-            self.analyzer.slo = self.slo_monitor
         for attachment in self.topology.attachments:
             host = self.hosts[attachment.host]
             if self.run_plan.frer_ts:

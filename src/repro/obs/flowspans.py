@@ -26,14 +26,15 @@ Design constraints mirror the rest of the observability layer:
 
 Journeys feed three consumers: the Chrome-trace exporter (async "flow"
 events, so Perfetto shows a frame's whole path on one track), the SLO layer
-(per-hop attribution of a deadline miss), and :func:`flow_stats` (loss and
-duplicate detection from sequence gaps -- the frame-level ground truth the
-analyzer's aggregate counters approximate).
+(per-hop attribution of a deadline miss), and :func:`flow_stats` (the
+analyzer's received / duplicate / lost accounting, plus the frames dropped
+and still in flight, which only journeys can tell apart).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -380,21 +381,29 @@ class FlowSpanRecorder:
 
 @dataclass
 class FlowJourneyStats:
-    """Frame-level accounting of one flow, from journey reconstruction."""
+    """Frame-level accounting of one flow, from journey reconstruction,
+    by the definitions in :mod:`repro.network.analyzer`.
+
+    ``lost`` (expected - delivered) counts seqs; ``dropped`` and
+    ``in_flight`` count the journeys that did not arrive: one per lost
+    seq, except where FRER replicas of a seq travel as journeys of their
+    own.
+    """
 
     flow_id: int
     frames: int                      # distinct frames observed
-    delivered: int                   # unique sequence numbers that arrived
-    duplicates: int                  # extra arrivals of an already-seen seq
+    delivered: int                   # distinct seqs that arrived
+    duplicates: int                  # extra arrivals of a delivered seq
     dropped: int                     # journeys ending in an observed drop
     in_flight: int                   # neither delivered nor dropped
-    missing_seqs: Tuple[int, ...]    # sequence gaps (bounded listing)
+    missing_seqs: Tuple[int, ...]    # the lost seqs (bounded listing)
     max_end_to_end_ns: Optional[int]
     mean_end_to_end_ns: Optional[float]
+    #: Frames the generator emitted, or one past the highest seq observed.
+    expected: InitVar[int]
 
-    @property
-    def lost(self) -> int:
-        return len(self.missing_seqs)
+    def __post_init__(self, expected: int) -> None:
+        self.lost = expected - self.delivered
 
 
 #: Cap the per-flow missing-sequence listing (a wholly lost flow would
@@ -410,8 +419,8 @@ def flow_stats(
     journeys.
 
     *expected_by_flow* (flow -> frames emitted, as reported by the
-    generators) extends gap detection past the highest sequence number that
-    arrived; without it only interior gaps are visible.
+    generators) extends loss past the highest sequence number observed;
+    without it a seq above every journey's is not seen lost.
     """
     by_flow: Dict[int, List[FrameJourney]] = {}
     for journey in journeys:
@@ -419,27 +428,26 @@ def flow_stats(
     stats: Dict[int, FlowJourneyStats] = {}
     for flow_id, flow_journeys in sorted(by_flow.items()):
         seen: set = set()
-        duplicates = dropped = in_flight = 0
+        duplicates = dropped = in_flight = horizon = 0
         latencies: List[int] = []
         for journey in flow_journeys:
+            horizon = max(horizon, journey.seq + 1)
             if journey.delivered:
                 if journey.seq in seen:
                     duplicates += 1
                 else:
                     seen.add(journey.seq)
-                    latency = journey.end_to_end_ns
-                    if latency is not None:
-                        latencies.append(latency)
+                    latencies.append(journey.end_to_end_ns)
             elif journey.dropped:
                 dropped += 1
             else:
                 in_flight += 1
-        horizon = max(seen) + 1 if seen else 0
         if expected_by_flow is not None:
             horizon = max(horizon, expected_by_flow.get(flow_id, 0))
-        missing = tuple(
-            seq for seq in range(horizon) if seq not in seen
-        )[:_MAX_MISSING_LISTED]
+        missing = tuple(islice(
+            (seq for seq in range(horizon) if seq not in seen),
+            _MAX_MISSING_LISTED,
+        ))
         stats[flow_id] = FlowJourneyStats(
             flow_id=flow_id,
             frames=len(flow_journeys),
@@ -452,5 +460,6 @@ def flow_stats(
             mean_end_to_end_ns=(
                 sum(latencies) / len(latencies) if latencies else None
             ),
+            expected=horizon,
         )
     return stats

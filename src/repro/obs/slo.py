@@ -12,21 +12,25 @@ hook; at the end :meth:`SloMonitor.report` adds the population checks
 loss from sequence accounting) and returns an :class:`SloReport` of
 per-flow pass/fail verdicts with worst-case watermarks.
 
-Streaming checks keep O(1) state per flow (sum, sum of squares, seen-seq
-set); violation listings are bounded so a wholly broken flow cannot grow
-the report without bound -- overflow is counted, never dropped silently.
+The monitor keeps only what must be seen at arrival: the per-frame
+violations with their instants and seqs, and their counts.  Received,
+duplicate and lost frames, latency and jitter are the analyzer's
+:class:`~repro.network.analyzer.FlowRecord`, read at report time by the
+definitions in :mod:`repro.network.analyzer`.  Violation listings are
+bounded so a wholly broken flow cannot grow the report without bound --
+overflow is counted, never dropped silently.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, SpecValidationError
+from repro.network.analyzer import LatencySummary, TsnAnalyzer
 from repro.schema import BOOL, FRACTION, NUMBER, POSITIVE, Field, Kind, \
     Obj, Table, Time, check, described, range_problems
-from repro.traffic.flows import FlowSet, FlowSpec, TrafficClass
+from repro.traffic.flows import FlowSpec, TrafficClass
 
 __all__ = [
     "SloSpec",
@@ -212,25 +216,17 @@ class SloViolation:
 
 
 class _FlowState:
-    """Streaming per-flow accumulator (O(1) memory besides the seq set)."""
+    """The violations one flow's arrivals raised, and their true counts."""
 
     __slots__ = (
-        "spec", "received", "duplicates", "latency_sum", "latency_sumsq",
-        "max_latency_ns", "max_latency_seq", "deadline_misses",
-        "latency_violations", "seen_seqs", "violations", "suppressed",
+        "spec", "deadline_misses", "latency_violations", "violations",
+        "suppressed",
     )
 
     def __init__(self, spec: SloSpec) -> None:
         self.spec = spec
-        self.received = 0
-        self.duplicates = 0
-        self.latency_sum = 0
-        self.latency_sumsq = 0
-        self.max_latency_ns: Optional[int] = None
-        self.max_latency_seq = -1
         self.deadline_misses = 0
         self.latency_violations = 0
-        self.seen_seqs: set = set()
         self.violations: List[SloViolation] = []
         self.suppressed = 0
 
@@ -239,21 +235,6 @@ class _FlowState:
             self.violations.append(violation)
         else:
             self.suppressed += 1
-
-    @property
-    def jitter_ns(self) -> Optional[float]:
-        """Population standard deviation of latency (the paper's jitter)."""
-        if self.received < 2:
-            return None
-        mean = self.latency_sum / self.received
-        variance = self.latency_sumsq / self.received - mean * mean
-        return math.sqrt(max(0.0, variance))
-
-    @property
-    def mean_latency_ns(self) -> Optional[float]:
-        if not self.received:
-            return None
-        return self.latency_sum / self.received
 
 
 @dataclass(frozen=True)
@@ -357,19 +338,22 @@ class SloReport:
 class SloMonitor:
     """Streams per-frame checks; finalizes population checks on report.
 
-    Hooked into :class:`~repro.network.analyzer.TsnAnalyzer` (which already
-    computes each arrival's end-to-end latency); optionally mirrors
-    violation counts into a ``slo_violations_total`` registry counter so
-    the time-series layer can plot violation rate over time.
+    Attaches itself to a :class:`~repro.network.analyzer.TsnAnalyzer`,
+    which computes each arrival's end-to-end latency and tells whether it
+    is a duplicate, and reads the analyzer's records at report time;
+    optionally mirrors violation counts into a ``slo_violations_total``
+    registry counter so the time-series layer can plot violation rate over
+    time.
     """
 
     def __init__(
         self,
         policy: SloPolicy,
-        flows: FlowSet,
+        analyzer: TsnAnalyzer,
         metrics: Optional["Any"] = None,
     ) -> None:
         self.policy = policy
+        self._records = analyzer.records
         self._states: Dict[int, _FlowState] = {}
         self._flows: Dict[int, FlowSpec] = {}
         self._violation_counter = (
@@ -379,35 +363,27 @@ class SloMonitor:
             if metrics is not None
             else None
         )
-        for flow in flows:
+        for flow in analyzer.flows:
             self._flows[flow.flow_id] = flow
             self._states[flow.flow_id] = _FlowState(policy.resolve(flow))
+        analyzer.slo = self
 
     # ------------------------------------------------------------- streaming
 
     def observe(self, flow_id: int, seq: int, latency_ns: int,
-                now_ns: int) -> None:
-        """One arrival: latency/deadline/duplicate checks, watermarks."""
-        state = self._states.get(flow_id)
-        if state is None:
-            return
+                now_ns: int, duplicate: bool) -> None:
+        """One arrival of a known flow: latency/deadline/duplicate checks."""
+        state = self._states[flow_id]
         spec = state.spec
-        if seq in state.seen_seqs:
-            state.duplicates += 1
+        if duplicate:
             if not spec.allow_duplicates:
                 self._violate(
                     state,
                     SloViolation(flow_id, "duplicate", now_ns,
-                                 observed=state.duplicates, bound=0, seq=seq),
+                                 observed=self._records[flow_id].duplicates,
+                                 bound=0, seq=seq),
                 )
             return
-        state.seen_seqs.add(seq)
-        state.received += 1
-        state.latency_sum += latency_ns
-        state.latency_sumsq += latency_ns * latency_ns
-        if state.max_latency_ns is None or latency_ns > state.max_latency_ns:
-            state.max_latency_ns = latency_ns
-            state.max_latency_seq = seq
         if spec.latency_ns is not None and latency_ns > spec.latency_ns:
             state.latency_violations += 1
             self._violate(
@@ -443,10 +419,15 @@ class SloMonitor:
         report = SloReport()
         for flow_id, state in sorted(self._states.items()):
             spec = state.spec
+            record = self._records[flow_id]
             expected = expected_by_flow.get(flow_id, 0)
-            lost = max(0, expected - state.received)
+            lost = expected - record.received
             loss_rate = lost / expected if expected else 0.0
-            jitter = state.jitter_ns
+            summary = (
+                LatencySummary.of(record.latencies_ns)
+                if record.received else None
+            )
+            jitter = summary.jitter_ns if record.received >= 2 else None
             if (
                 spec.jitter_ns is not None
                 and jitter is not None
@@ -469,12 +450,12 @@ class SloMonitor:
                 traffic_class=flow.traffic_class.name,
                 spec=spec,
                 expected=expected,
-                received=state.received,
-                duplicates=state.duplicates,
+                received=record.received,
+                duplicates=record.duplicates,
                 lost=lost,
                 loss_rate=loss_rate,
-                max_latency_ns=state.max_latency_ns,
-                mean_latency_ns=state.mean_latency_ns,
+                max_latency_ns=summary.max_ns if summary else None,
+                mean_latency_ns=summary.mean_ns if summary else None,
                 jitter_ns=jitter,
                 deadline_misses=state.deadline_misses,
                 latency_violations=state.latency_violations,

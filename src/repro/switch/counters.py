@@ -42,11 +42,6 @@ class SwitchCounters:
             + self.dropped_corrupt
         )
 
-    def note_enqueue(self, queue_id: int) -> None:
-        self.per_queue_enqueued[queue_id] = (
-            self.per_queue_enqueued.get(queue_id, 0) + 1
-        )
-
     def as_dict(self) -> Dict[str, int]:
         """Flat counter dump (used by reports and failure diagnostics).
 

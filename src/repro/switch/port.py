@@ -238,7 +238,7 @@ class EgressPort:
             self._note_drop("tail", frame)
             return False
         self._resident += 1
-        # ``counters.note_enqueue``, inlined: once per frame per hop.
+        # The switch's per-queue enqueue count: once per frame per hop.
         per_queue = self.counters.per_queue_enqueued
         per_queue[target_id] = per_queue.get(target_id, 0) + 1
         if self._watched:
@@ -611,6 +611,3 @@ class EgressPort:
 
     def backlog_frames(self) -> int:
         return self._resident
-
-    def backlog_bytes(self) -> int:
-        return sum(d.size_bytes for q in self.queues for d in q)

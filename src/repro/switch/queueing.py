@@ -66,19 +66,9 @@ class MetadataQueue:
             stats.high_water = len(fifo)
         return True
 
-    def head(self) -> Optional[Descriptor]:
-        """Peek the head descriptor without removing it."""
-        return self._fifo[0] if self._fifo else None
-
     def dequeue(self) -> Descriptor:
         """Remove and return the head; IndexError if empty."""
         return self._fifo.popleft()
-
-    def drain(self) -> List[Descriptor]:
-        """Remove everything (used when tearing a scenario down)."""
-        items = list(self._fifo)
-        self._fifo.clear()
-        return items
 
 
 @dataclass

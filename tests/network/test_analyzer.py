@@ -7,6 +7,8 @@ import pytest
 from repro.core.errors import SimulationError
 from repro.core.units import ms
 from repro.network.analyzer import LatencySummary, TsnAnalyzer
+from repro.obs.flowspans import FlowSpanRecorder, flow_stats
+from repro.obs.slo import SloMonitor, SloPolicy
 from repro.sim.kernel import Simulator
 from repro.switch.packet import EthernetFrame, make_mac
 from repro.traffic.flows import FlowSet, FlowSpec, TrafficClass
@@ -108,8 +110,20 @@ class TestAnalyzer:
             _arrive(sim, analyzer, 0, seq, 0, t)
         sim.run()
         record = analyzer.records[0]
-        assert record.duplicates == 1
-        assert record.reorders == 1
+        # Both late arrivals repeat a seq already received.
+        assert record.duplicates == 2
+        assert record.reorders == 0
+        assert record.received == 2 and record.latencies_ns == [100, 200]
+
+    def test_a_skipped_seq_arriving_late_is_a_reorder(self):
+        sim = Simulator()
+        analyzer = TsnAnalyzer(sim, _flows())
+        for seq, t in [(0, 100), (3, 200), (1, 300), (2, 400), (1, 500)]:
+            _arrive(sim, analyzer, 0, seq, 0, t)
+        sim.run()
+        record = analyzer.records[0]
+        assert record.reorders == 2 and record.duplicates == 1
+        assert record.received == 4
 
     def test_per_flow_jitter_near_zero_for_constant_latency(self):
         sim = Simulator()
@@ -117,5 +131,35 @@ class TestAnalyzer:
         for k in range(4):
             _arrive(sim, analyzer, 0, k, k * ms(10), k * ms(10) + 500)
         sim.run()
-        jitters = analyzer.per_flow_jitter_ns(TrafficClass.TS)
-        assert jitters == [0.0]
+        assert analyzer.flow_summary(0).jitter_ns == 0.0
+
+
+def test_analyzer_monitor_and_span_reader_agree_on_a_duplicate():
+    """Seqs 0, 1, 0 of 3 expected: every reader counts 2 received, 1
+    duplicate, 0 reorders and 1 lost."""
+    sim = Simulator()
+    analyzer = TsnAnalyzer(sim, _flows())
+    monitor = SloMonitor(SloPolicy(), analyzer)
+    spans = FlowSpanRecorder()
+    for frame_id, seq in enumerate((0, 1, 0)):
+        frame = EthernetFrame(make_mac(1), make_mac(2), 1, 7, 64, flow_id=0,
+                              seq=seq, created_ns=frame_id * 100,
+                              frame_id=frame_id)
+        spans.record(frame.created_ns, "gen", "flow0", frame)
+
+        def arrive(frame=frame):
+            spans.record(sim.now, "rx", "listener", frame)
+            analyzer.record(frame)
+
+        sim.schedule_at(frame.created_ns + 50, arrive)
+    sim.run()
+    expected = {0: 3}
+    record = analyzer.records[0]
+    assert (record.received, record.duplicates, record.reorders) == (2, 1, 0)
+    assert analyzer.loss_rate(expected, TrafficClass.TS) == pytest.approx(
+        1 / 3
+    )
+    verdict = monitor.report(expected).verdicts[0]
+    assert (verdict.received, verdict.duplicates, verdict.lost) == (2, 1, 1)
+    stats = flow_stats(spans.journeys(), expected)[0]
+    assert (stats.delivered, stats.duplicates, stats.lost) == (2, 1, 1)

@@ -231,6 +231,16 @@ class TestFlowStats:
         stats = flow_stats(journeys)
         assert stats[0].in_flight == 1 and stats[0].delivered == 0
 
+    def test_every_undelivered_seq_is_lost_past_the_listing_cap(self):
+        journeys = [
+            _journey([(0, "gen", "f"), (2, "enqueue", "n", 7)],
+                     seq=s, frame_id=s)
+            for s in range(300)
+        ]
+        [stats] = flow_stats(journeys, expected_by_flow={0: 300}).values()
+        assert stats.lost == 300 and stats.in_flight == 300
+        assert stats.dropped == 0 and len(stats.missing_seqs) == 256
+
     def test_latency_watermarks(self):
         journeys = [
             _journey([(0, "gen", "f"), (100, "rx", "l")], seq=0, frame_id=0),

@@ -4,8 +4,11 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.units import ms
+from repro.network.analyzer import TsnAnalyzer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloMonitor, SloPolicy, SloSpec
+from repro.sim.kernel import Simulator
+from repro.switch.packet import EthernetFrame, make_mac
 from repro.traffic.flows import FlowSet, FlowSpec, TrafficClass
 
 
@@ -83,14 +86,29 @@ class TestPolicy:
             SloPolicy.from_dict({"class": {"XX": {}}})
 
 
-def _monitor(policy, flows=None, metrics=None):
-    flow_set = FlowSet(flows or [_flow(0)])
-    return SloMonitor(policy, flow_set, metrics=metrics)
+class _Monitored:
+    """An analyzer with a monitor attached; arrivals go through the
+    analyzer's ``record`` hook, as in a run."""
+
+    def __init__(self, policy, flows=None, metrics=None):
+        self.sim = Simulator()
+        self.analyzer = TsnAnalyzer(self.sim, FlowSet(flows or [_flow(0)]))
+        self.monitor = SloMonitor(policy, self.analyzer, metrics=metrics)
+
+    def observe(self, flow_id, seq, latency_ns, now_ns):
+        frame = EthernetFrame(make_mac(1), make_mac(2), 1, 7, 64,
+                              flow_id=flow_id, seq=seq,
+                              created_ns=now_ns - latency_ns)
+        self.sim.schedule_at(now_ns, lambda: self.analyzer.record(frame))
+        self.sim.run()
+
+    def report(self, expected_by_flow, end_ns=0):
+        return self.monitor.report(expected_by_flow, end_ns=end_ns)
 
 
 class TestMonitor:
     def test_latency_violation_recorded(self):
-        monitor = _monitor(SloPolicy(default=SloSpec(latency_ns=100)))
+        monitor = _Monitored(SloPolicy(default=SloSpec(latency_ns=100)))
         monitor.observe(0, seq=0, latency_ns=99, now_ns=99)
         monitor.observe(0, seq=1, latency_ns=150, now_ns=250)
         report = monitor.report({0: 2})
@@ -100,15 +118,16 @@ class TestMonitor:
         assert violation.seq == 1 and violation.observed == 150
 
     def test_max_latency_watermark(self):
-        monitor = _monitor(SloPolicy(default=SloSpec(latency_ns=1000)))
+        monitor = _Monitored(SloPolicy(default=SloSpec(latency_ns=1000)))
         for seq, latency in enumerate((10, 400, 200)):
-            monitor.observe(0, seq=seq, latency_ns=latency, now_ns=latency)
+            monitor.observe(0, seq=seq, latency_ns=latency,
+                            now_ns=1000 * seq + latency)
         verdict = monitor.report({0: 3}).verdicts[0]
         assert verdict.passed
         assert verdict.max_latency_ns == 400
 
     def test_jitter_checked_at_report_time(self):
-        monitor = _monitor(SloPolicy(default=SloSpec(jitter_ns=10)))
+        monitor = _Monitored(SloPolicy(default=SloSpec(jitter_ns=10)))
         monitor.observe(0, seq=0, latency_ns=100, now_ns=100)
         monitor.observe(0, seq=1, latency_ns=300, now_ns=300)
         report = monitor.report({0: 2}, end_ns=1000)
@@ -118,7 +137,7 @@ class TestMonitor:
         assert verdict.violations[0].time_ns == 1000
 
     def test_loss_budget(self):
-        monitor = _monitor(
+        monitor = _Monitored(
             SloPolicy(default=SloSpec(max_loss=0.4))
         )
         monitor.observe(0, seq=0, latency_ns=1, now_ns=1)
@@ -128,7 +147,7 @@ class TestMonitor:
         assert report.verdicts[0].lost == 2
 
     def test_duplicates_tolerated_by_default_but_not_redelivered(self):
-        monitor = _monitor(SloPolicy(default=SloSpec(max_loss=0.0)))
+        monitor = _Monitored(SloPolicy(default=SloSpec(max_loss=0.0)))
         monitor.observe(0, seq=0, latency_ns=1, now_ns=1)
         monitor.observe(0, seq=0, latency_ns=2, now_ns=2)
         verdict = monitor.report({0: 1}).verdicts[0]
@@ -136,7 +155,7 @@ class TestMonitor:
         assert verdict.received == 1 and verdict.duplicates == 1
 
     def test_duplicate_violation_when_disallowed(self):
-        monitor = _monitor(
+        monitor = _Monitored(
             SloPolicy(default=SloSpec(allow_duplicates=False))
         )
         monitor.observe(0, seq=0, latency_ns=1, now_ns=1)
@@ -146,20 +165,20 @@ class TestMonitor:
 
     def test_deadline_misses_counted(self):
         flow = _flow(0, deadline_ns=100)
-        monitor = _monitor(SloPolicy(), flows=[flow])
+        monitor = _Monitored(SloPolicy(), flows=[flow])
         monitor.observe(0, seq=0, latency_ns=150, now_ns=150)
         verdict = monitor.report({0: 1}).verdicts[0]
         assert verdict.deadline_misses == 1
         assert verdict.failures == ("deadline",)
 
     def test_unknown_flow_ignored(self):
-        monitor = _monitor(SloPolicy(default=SloSpec(latency_ns=1)))
+        monitor = _Monitored(SloPolicy(default=SloSpec(latency_ns=1)))
         monitor.observe(999, seq=0, latency_ns=100, now_ns=100)
         assert 999 not in monitor.report({}).verdicts
 
     def test_violations_mirror_into_registry(self):
         registry = MetricsRegistry()
-        monitor = _monitor(
+        monitor = _Monitored(
             SloPolicy(default=SloSpec(latency_ns=10)), metrics=registry
         )
         monitor.observe(0, seq=0, latency_ns=100, now_ns=100)
@@ -167,7 +186,7 @@ class TestMonitor:
         assert counter.value(flow=0, kind="latency") == 1
 
     def test_report_shape_round_trips_to_json(self):
-        monitor = _monitor(SloPolicy(default=SloSpec(latency_ns=10)))
+        monitor = _Monitored(SloPolicy(default=SloSpec(latency_ns=10)))
         monitor.observe(0, seq=0, latency_ns=100, now_ns=100)
         report = monitor.report({0: 1})
         data = report.as_dict()
@@ -176,7 +195,7 @@ class TestMonitor:
         assert data["flows"]["0"]["failures"] == ["latency"]
 
     def test_empty_policy_unmonitored_flow_passes(self):
-        monitor = _monitor(SloPolicy())
+        monitor = _Monitored(SloPolicy())
         monitor.observe(0, seq=0, latency_ns=10**9, now_ns=10**9)
         report = monitor.report({0: 1})
         assert report.passed

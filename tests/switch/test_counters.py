@@ -1,6 +1,27 @@
 """Switch counters."""
 
+from repro.sim.kernel import Simulator
 from repro.switch.counters import SwitchCounters
+from repro.switch.gates import GateEngine
+from repro.switch.packet import EthernetFrame, make_mac
+from repro.switch.port import EgressPort
+from repro.switch.queueing import BufferPool, MetadataQueue
+from repro.switch.scheduler import StrictPriorityScheduler
+from repro.switch.tables import GateControlList
+
+
+def _counted(queue_ids):
+    """The counters of a port that admitted one frame per queue id."""
+    sim = Simulator()
+    gcl = GateControlList(1)
+    port = EgressPort(sim, 0, 10**9,
+                      [MetadataQueue(4, q) for q in range(8)], BufferPool(8),
+                      GateEngine(sim, gcl, gcl), StrictPriorityScheduler())
+    port.attach(lambda frame: None)
+    for queue_id in queue_ids:
+        port.enqueue(EthernetFrame(make_mac(1), make_mac(2), 1, 7, 64),
+                     queue_id)
+    return port.counters
 
 
 class TestSwitchCounters:
@@ -15,11 +36,8 @@ class TestSwitchCounters:
         )
         assert counters.dropped_total == 21
 
-    def test_note_enqueue_accumulates_per_queue(self):
-        counters = SwitchCounters()
-        counters.note_enqueue(7)
-        counters.note_enqueue(7)
-        counters.note_enqueue(0)
+    def test_port_enqueues_accumulate_per_queue(self):
+        counters = _counted([7, 7, 0])
         assert counters.per_queue_enqueued == {7: 2, 0: 1}
 
     def test_as_dict_round_numbers(self):
@@ -35,11 +53,7 @@ class TestSwitchCounters:
         }
 
     def test_as_dict_includes_per_queue_enqueued(self):
-        counters = SwitchCounters()
-        counters.note_enqueue(7)
-        counters.note_enqueue(7)
-        counters.note_enqueue(0)
-        data = counters.as_dict()
+        data = _counted([7, 7, 0]).as_dict()
         assert data["enqueued_q7"] == 2
         assert data["enqueued_q0"] == 1
         # Flat keys keep the dump Dict[str, int] for JSON summaries.

@@ -168,7 +168,7 @@ class TestWiring:
         port.enqueue(_frame(size=100), 7)
         port.enqueue(_frame(size=200), 3)
         assert port.backlog_frames() == 2
-        assert port.backlog_bytes() == 300
+        assert sum(d.size_bytes for q in port.queues for d in q) == 300
 
 
 class TestDemandDrivenEgress:

@@ -33,16 +33,6 @@ class TestMetadataQueue:
         assert queue.stats.tail_drops == 1
         assert len(queue) == 2
 
-    def test_head_peek_nondestructive(self):
-        queue = MetadataQueue(2)
-        desc = _desc()
-        queue.enqueue(desc)
-        assert queue.head() is desc
-        assert len(queue) == 1
-
-    def test_head_empty(self):
-        assert MetadataQueue(2).head() is None
-
     def test_high_water(self):
         queue = MetadataQueue(8)
         for _ in range(5):
@@ -51,13 +41,6 @@ class TestMetadataQueue:
             queue.dequeue()
         queue.enqueue(_desc())
         assert queue.stats.high_water == 5
-
-    def test_drain(self):
-        queue = MetadataQueue(8)
-        for _ in range(3):
-            queue.enqueue(_desc())
-        assert len(queue.drain()) == 3
-        assert queue.empty
 
     def test_zero_depth_rejected(self):
         with pytest.raises(ConfigurationError):
