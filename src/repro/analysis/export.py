@@ -7,20 +7,16 @@ downstream tooling needs no dependency on this package.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List, Union
 
 from repro.sched.problem import SchedulePlan
-from repro.traffic.flows import TrafficClass
 from .stats import SweepSeries
 
 __all__ = [
     "series_to_csv",
-    "latencies_to_csv",
     "latency_cdf",
     "result_summary",
-    "write_summary_json",
 ]
 
 PathLike = Union[str, Path]
@@ -43,21 +39,6 @@ def series_to_csv(series: SweepSeries, path: PathLike) -> Path:
                 [point.x, summary.mean_ns, summary.jitter_ns, summary.min_ns,
                  summary.max_ns, summary.p99_ns, point.loss]
             )
-    return path
-
-
-def latencies_to_csv(result, traffic_class: TrafficClass, path: PathLike) -> Path:
-    """Per-packet latencies of one class from a ScenarioResult."""
-    import csv
-
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["flow_id", "latency_ns"])
-        for flow in result.flows.by_class(traffic_class):
-            record = result.analyzer.records[flow.flow_id]
-            for latency in record.latencies_ns:
-                writer.writerow([flow.flow_id, latency])
     return path
 
 
@@ -114,9 +95,3 @@ def result_summary(result) -> Dict:
         summary["sched"] = plan.summary()
     return summary
 
-
-def write_summary_json(result, path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(result_summary(result), indent=2,
-                               sort_keys=True))
-    return path

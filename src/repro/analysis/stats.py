@@ -1,21 +1,18 @@
-"""Sweep containers and statistics helpers for the experiment harness.
+"""Sweep containers for the paper's figures.
 
-The benchmarks regenerate the paper's figures as *series*: an x-axis
-(hops, packet size, slot size, background load) against latency summaries.
-:class:`SweepSeries` is that structure plus shape checks the harness
-asserts on (monotonicity, flatness, bound containment) -- the quantitative
-version of "who wins, by roughly what factor, where crossovers fall".
+A figure is a *series*: an x-axis (hops, packet size, slot size,
+background load) against latency summaries, which
+:func:`repro.analysis.report.render_series` prints as a table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List
 
-from repro.core.errors import SimulationError
 from repro.network.analyzer import LatencySummary
 
-__all__ = ["SweepPoint", "SweepSeries", "relative_spread"]
+__all__ = ["SweepPoint", "SweepSeries"]
 
 
 @dataclass(frozen=True)
@@ -26,10 +23,6 @@ class SweepPoint:
     label: str
     summary: LatencySummary
     loss: float = 0.0
-
-    @property
-    def mean_us(self) -> float:
-        return self.summary.mean_ns / 1000.0
 
     @property
     def jitter_us(self) -> float:
@@ -48,52 +41,5 @@ class SweepSeries:
         self.points.append(point)
 
     @property
-    def xs(self) -> List[float]:
-        return [p.x for p in self.points]
-
-    @property
-    def means_ns(self) -> List[float]:
-        return [p.summary.mean_ns for p in self.points]
-
-    @property
-    def jitters_ns(self) -> List[float]:
-        return [p.summary.jitter_ns for p in self.points]
-
-    @property
     def losses(self) -> List[float]:
         return [p.loss for p in self.points]
-
-    # ----------------------------------------------------------- shape checks
-
-    def is_monotonic_increasing(self, key: str = "mean") -> bool:
-        """Means (or jitters) never decrease along the sweep."""
-        values = self.means_ns if key == "mean" else self.jitters_ns
-        return all(b >= a for a, b in zip(values, values[1:]))
-
-    def is_flat(self, key: str = "mean", tolerance: float = 0.05) -> bool:
-        """Max relative deviation from the series mean stays in tolerance.
-
-        This is Fig 2 / Fig 7(d)'s claim -- background load does not move TS
-        latency -- made checkable.
-        """
-        values = self.means_ns if key == "mean" else self.jitters_ns
-        return relative_spread(values) <= tolerance
-
-    def scaling_factor(self) -> float:
-        """last mean / first mean -- the "increased manyfold" observation."""
-        if len(self.points) < 2:
-            raise SimulationError("need at least two points for a scaling factor")
-        first = self.points[0].summary.mean_ns
-        if first == 0:
-            raise SimulationError("first point has zero mean latency")
-        return self.points[-1].summary.mean_ns / first
-
-
-def relative_spread(values: Sequence[float]) -> float:
-    """(max - min) / mean of *values*; 0.0 for constant series."""
-    if not values:
-        raise SimulationError("no values")
-    mean = sum(values) / len(values)
-    if mean == 0:
-        return 0.0
-    return (max(values) - min(values)) / mean

@@ -113,12 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     size.add_argument("--topology", choices=sorted(_TOPOLOGIES),
                       default="ring")
-    size.add_argument("--switches", type=int, default=6,
-                      help="switch count (ring/linear)")
+    size.add_argument("--switches", type=int, default=None,
+                      help="switch count (ring/linear; default 6)")
     size.add_argument("--flows", type=int, default=1024)
     size.add_argument("--period-us", type=float, default=10_000.0)
     size.add_argument("--size-bytes", type=int, default=64)
-    size.add_argument("--slot-us", type=float, default=62.5)
+    size.add_argument("--slot-us", type=float, default=None,
+                      help="the slot the guidelines size for (default 62.5; "
+                           "--optimize searches it)")
     size.add_argument("--gate-mechanism", choices=gating.GATE_MECHANISMS,
                       default=gating.CQF.gate_mechanism,
                       help="gate tables to size (--optimize sizes CQF)")
@@ -353,23 +355,36 @@ def _cmd_size(args: argparse.Namespace) -> int:
 
     # A flag that does nothing in the chosen mode is refused, not ignored.
     discipline = gating.from_document(args.gate_mechanism)
+    refusal = None
     if args.optimize and discipline is not gating.CQF:
-        print("error: --gate-mechanism qbv cannot be combined with "
-              "--optimize (the search sizes CQF gate tables)",
-              file=sys.stderr)
-        return 2
-    if not args.optimize:
+        refusal = ("--gate-mechanism qbv cannot be combined with --optimize "
+                   "(the search sizes CQF gate tables)")
+    elif args.optimize and args.slot_us is not None:
+        refusal = "--slot-us cannot be combined with --optimize (the " \
+            "search picks the slot)"
+    elif args.topology == "star" and args.switches is not None:
+        refusal = "--switches does not apply to --topology star"
+    elif not args.optimize:
         for flag, given in (("--deadline-us", args.deadline_us is not None),
                             ("--aggregate", args.aggregate)):
             if given:
-                print(f"error: {flag} only applies with --optimize",
-                      file=sys.stderr)
-                return 2
+                refusal = f"{flag} only applies with --optimize"
+                break
+    if refusal is None:
+        try:
+            slot_ns = us(62.5 if args.slot_us is None else args.slot_us)
+        except ValueError as exc:
+            refusal = f"--slot-us: {exc}"
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
     builder = getattr(topologies, f"{args.topology}_topology")
     if args.topology == "star":
         topology = builder()
     else:
-        topology = builder(switch_count=args.switches)
+        topology = builder(
+            switch_count=6 if args.switches is None else args.switches
+        )
     talkers = [u.host for u in topology.uplinks]
     flows = production_cell_flows(
         talkers,
@@ -402,7 +417,7 @@ def _cmd_size(args: argparse.Namespace) -> int:
         result = derive_config(
             topology,
             flows,
-            us(args.slot_us),
+            slot_ns,
             name=f"sized-{args.topology}",
             discipline=discipline,
         )

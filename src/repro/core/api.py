@@ -202,8 +202,3 @@ class CustomizationAPI:
             .set_queues(config.queue_depth, config.queue_num, config.port_num)
             .set_buffers(config.buffer_num, config.port_num)
         )
-
-    @classmethod
-    def from_config(cls, config: SwitchConfig) -> "CustomizationAPI":
-        """Replay an existing config through the API (useful for tweaking)."""
-        return cls(config.name, widths=config.widths).replay(config)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import ConfigurationError
 from .units import KIB
@@ -51,7 +51,6 @@ __all__ = [
     "BUFFER_SLOT_OVERHEAD_BYTES",
     "BUFFER_SLOT_COST_BITS",
     "allocate",
-    "bram_bits",
     "bram_kb",
     "buffer_pool_bits",
     "naive_allocate",
@@ -191,11 +190,6 @@ def naive_allocate(width: int, depth: int) -> BramAllocation:
     return BramAllocation(width, depth, widest, widest.blocks_for(width, depth))
 
 
-def bram_bits(width: int, depth: int) -> int:
-    """Shortcut: consumed BRAM bits of the optimal packing."""
-    return allocate(width, depth).bits
-
-
 def bram_kb(width: int, depth: int) -> float:
     """Shortcut: consumed BRAM Kb of the optimal packing."""
     return allocate(width, depth).kb
@@ -236,13 +230,3 @@ def total_kb(allocations: Iterable[BramAllocation]) -> float:
     """Sum the Kb cost of several allocations."""
     return sum(alloc.kb for alloc in allocations)
 
-
-def pareto_aspects(width: int, depth: int) -> List[BramAllocation]:
-    """All candidate packings sorted by cost -- useful for reports/ablations."""
-    _check_shape(width, depth)
-    candidates = [
-        BramAllocation(width, depth, aspect, aspect.blocks_for(width, depth))
-        for aspect in ALL_ASPECTS
-    ]
-    candidates.sort(key=lambda alloc: _cost_key(alloc.aspect, alloc.blocks))
-    return candidates

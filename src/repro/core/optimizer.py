@@ -27,10 +27,10 @@ deployer can also pick a point with latency headroom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.cqf.bounds import cqf_bounds
-from repro.cqf.schedule import CqfSchedule, scheduling_cycle_ns
+from repro.cqf.schedule import scheduling_cycle_ns
 from repro.traffic.flows import FlowSet
 from .config import SwitchConfig
 from .errors import SchedulingError
@@ -72,10 +72,6 @@ class OptimizationResult:
     best: CandidatePoint
     pareto: List[CandidatePoint]
     rejected_slots: List[int]
-
-    @property
-    def best_config(self) -> SwitchConfig:
-        return self.best.config
 
 
 def _slot_candidates(cycle_ns: int, max_hops: int,

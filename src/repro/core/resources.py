@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from . import bram
 from .errors import ConfigurationError
@@ -114,10 +114,6 @@ class TableResource:
     @property
     def kb(self) -> float:
         return self.bits / KIB
-
-    @property
-    def total_entries(self) -> int:
-        return self.size * self.instances
 
 
 @dataclass(frozen=True)

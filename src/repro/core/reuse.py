@@ -38,14 +38,6 @@ class FileDiff:
     total_lines: int
     changed_lines: int
 
-    @property
-    def identical_lines(self) -> int:
-        return self.total_lines - self.changed_lines
-
-    @property
-    def reuse_ratio(self) -> float:
-        return self.identical_lines / self.total_lines if self.total_lines else 1.0
-
 
 @dataclass
 class ReuseReport:

@@ -100,11 +100,6 @@ KIB = 1024          # the paper's "Kb"
 MIB = 1024 * 1024
 
 
-def bits_from_bytes(n_bytes: int) -> int:
-    """Size in bits of *n_bytes* bytes."""
-    return n_bytes * BYTE
-
-
 def kib(bits: Number) -> Fraction:
     """Exact kibibit count of *bits* bits (may be fractional)."""
     return Fraction(bits) / KIB
@@ -138,14 +133,6 @@ def mbps(value: Number) -> int:
     result = Fraction(value) * MEGABIT_PER_S
     if result.denominator != 1:
         raise ValueError(f"{value} Mbps is not an integral bit rate")
-    return int(result)
-
-
-def gbps(value: Number) -> int:
-    """Return *value* Gbps as bits per second."""
-    result = Fraction(value) * GIGABIT_PER_S
-    if result.denominator != 1:
-        raise ValueError(f"{value} Gbps is not an integral bit rate")
     return int(result)
 
 

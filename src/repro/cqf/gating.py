@@ -3,8 +3,8 @@ fact -- in one table.
 
 The paper's evaluation "put[s] a static configuration on the In/Out Gate
 Control list to implement [the] Cyclic Queuing and Forwarding model (CQF)"
--- hence ``gate_size = 2`` in Table III.  :func:`cqf_gcl_entries` builds it
-for a TS queue pair (A, B):
+-- hence ``gate_size = 2`` in Table III.  :meth:`Discipline.rotation` builds
+it for a TS queue pair (A, B):
 
 =========  ====================  ====================
 slot       in-gates open         out-gates open
@@ -45,21 +45,13 @@ if TYPE_CHECKING:
     from repro.switch.tables import GateEntry
 
 __all__ = [
-    "BY_DOCUMENT", "CQF", "CSQF", "DEFAULT_MULTI_CQF_GROUPS",
-    "DEFAULT_TS_QUEUE_PAIR", "DEFAULT_TS_QUEUE_TRIPLE", "DISCIPLINES",
+    "BY_DOCUMENT", "CQF", "CSQF", "DEFAULT_TS_QUEUE_PAIR", "DISCIPLINES",
     "Discipline", "GATE_MECHANISMS", "MULTI_CQF", "QBV", "SHAPERS",
-    "cqf_gcl_entries", "cqf_port_program", "csqf_gcl_entries",
-    "csqf_port_program", "from_document", "multi_cqf_gate_entry_count",
-    "multi_cqf_gcl_entries", "multi_cqf_port_program",
-    "rotation_gcl_entries",
+    "from_document", "multi_cqf_gate_entry_count", "rotation_gcl_entries",
 ]
 
 #: The evaluation maps TS traffic to the two highest-priority queues.
 DEFAULT_TS_QUEUE_PAIR: Tuple[int, int] = (6, 7)
-#: CSQF claims one more high-priority queue for its three-way rotation.
-DEFAULT_TS_QUEUE_TRIPLE: Tuple[int, int, int] = (5, 6, 7)
-#: Multi-CQF queue groups: (base-slot system, long-slot system).
-DEFAULT_MULTI_CQF_GROUPS: Tuple[Tuple[int, int], ...] = ((6, 7), (4, 5))
 #: RC traffic spreads over queues 5, 4, 3 (the paper's "three queues for RC
 #: flows in each port").
 RC_QUEUES: Tuple[int, ...] = (5, 4, 3)
@@ -107,39 +99,6 @@ def rotation_gcl_entries(
     return in_entries, out_entries
 
 
-def cqf_gcl_entries(slot_ns: int, pair=DEFAULT_TS_QUEUE_PAIR,
-                    queue_num: int = 8) -> Lists:
-    """The two-entry CQF lists, ready for :meth:`TsnSwitch.program_gcls`."""
-    return rotation_gcl_entries(slot_ns, (pair,), (slot_ns,), queue_num)
-
-
-def cqf_port_program(slot_ns: int, pair=DEFAULT_TS_QUEUE_PAIR,
-                     queue_num: int = 8) -> PortGates:
-    """Everything ``program_gcls`` needs for one CQF port."""
-    from repro.switch.gates import CqfPair
-
-    return (*cqf_gcl_entries(slot_ns, pair, queue_num), [CqfPair(*pair)])
-
-
-def csqf_gcl_entries(slot_ns: int, triple=DEFAULT_TS_QUEUE_TRIPLE,
-                     queue_num: int = 8) -> Lists:
-    """The three-entry CSQF lists: entry ``i`` gathers into ``triple[i]``
-    and drains ``triple[(i + 1) % 3]``."""
-    if len(triple) != 3:
-        raise SchedulingError(
-            f"CSQF needs exactly three queues, got {tuple(triple)}"
-        )
-    return rotation_gcl_entries(slot_ns, (triple,), (slot_ns,), queue_num)
-
-
-def csqf_port_program(slot_ns: int, triple=DEFAULT_TS_QUEUE_TRIPLE,
-                      queue_num: int = 8) -> PortGates:
-    """Everything ``program_gcls`` needs for one CSQF port."""
-    from repro.switch.gates import CqfGroup
-
-    return (*csqf_gcl_entries(slot_ns, triple, queue_num), [CqfGroup(*triple)])
-
-
 def multi_cqf_gate_entry_count(slot_ns: int, slot2_ns: int) -> int:
     """Entries per GCL of a Multi-CQF port: the hyper-cycle
     ``lcm(2 * slot, 2 * slot2) = 2 * slot2`` in base slots."""
@@ -151,32 +110,6 @@ def multi_cqf_gate_entry_count(slot_ns: int, slot2_ns: int) -> int:
             f"of the base slot ({slot_ns}ns)"
         )
     return 2 * (slot2_ns // slot_ns)
-
-
-def multi_cqf_gcl_entries(slot_ns: int, slot2_ns: int,
-                          groups=DEFAULT_MULTI_CQF_GROUPS,
-                          queue_num: int = 8) -> Lists:
-    """Merged lists of two CQF systems on one port: ``groups[0]`` turns
-    every ``slot_ns``, ``groups[1]`` every ``slot2_ns``."""
-    multi_cqf_gate_entry_count(slot_ns, slot2_ns)
-    if len(groups) != 2 or any(len(group) != 2 for group in groups):
-        raise SchedulingError(
-            f"multi_cqf needs two queue groups of two queues, got {groups}"
-        )
-    return rotation_gcl_entries(slot_ns, groups, (slot_ns, slot2_ns),
-                                queue_num)
-
-
-def multi_cqf_port_program(slot_ns: int, slot2_ns: int,
-                           groups=DEFAULT_MULTI_CQF_GROUPS,
-                           queue_num: int = 8) -> PortGates:
-    """Everything ``program_gcls`` needs for one Multi-CQF port; the
-    groups are ordered (base system, long-slot system), the system indices
-    of :meth:`Discipline.systems`."""
-    from repro.switch.gates import CqfGroup
-
-    return (*multi_cqf_gcl_entries(slot_ns, slot2_ns, groups, queue_num),
-            [CqfGroup(*g) for g in groups])
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,8 @@ def slots_in_cycle(cycle_ns: int, slot_ns: int) -> int:
         raise SchedulingError(f"slot size must be positive, got {slot_ns}")
     if cycle_ns % slot_ns:
         raise SlotError(
-            f"slot {slot_ns}ns does not divide scheduling cycle {cycle_ns}ns"
+            f"slot {slot_ns}ns does not divide the flows' scheduling cycle "
+            f"{cycle_ns}ns -- pick a slot that divides every period"
         )
     return cycle_ns // slot_ns
 
@@ -69,7 +70,7 @@ class CqfSchedule:
     cycle_ns: int
 
     def __post_init__(self) -> None:
-        slots_in_cycle(self.cycle_ns, self.slot_ns)  # validates divisibility
+        slots_in_cycle(self.cycle_ns, self.slot_ns)  # a positive divisor
 
     @property
     def slot_count(self) -> int:
@@ -78,13 +79,7 @@ class CqfSchedule:
     @classmethod
     def for_flows(cls, periods_ns: Sequence[int], slot_ns: int) -> "CqfSchedule":
         """Slot the LCM cycle of *periods_ns* into *slot_ns* slots."""
-        cycle = scheduling_cycle_ns(periods_ns)
-        if cycle % slot_ns:
-            raise SlotError(
-                f"slot {slot_ns}ns does not divide the flows' scheduling "
-                f"cycle {cycle}ns -- pick a slot that divides every period"
-            )
-        return cls(slot_ns, cycle)
+        return cls(slot_ns, scheduling_cycle_ns(periods_ns))
 
     def slot_of(self, time_ns: int) -> int:
         """Index (within the cycle) of the slot containing *time_ns*."""

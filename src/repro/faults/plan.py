@@ -145,14 +145,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.events)
 
-    @property
-    def horizon_ns(self) -> int:
-        """Latest instant any event is still acting (ns after start)."""
-        horizon = 0
-        for event in self.events:
-            horizon = max(horizon, event.end_ns or event.at_ns)
-        return horizon
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
         problems = validate_faults_dict(data)

@@ -160,9 +160,6 @@ class TsnAnalyzer:
     def class_summary(self, traffic_class: TrafficClass) -> LatencySummary:
         return LatencySummary.of(self.class_latencies(traffic_class))
 
-    def flow_summary(self, flow_id: int) -> LatencySummary:
-        return LatencySummary.of(self.records[flow_id].latencies_ns)
-
     def received(self, traffic_class: Optional[TrafficClass] = None) -> int:
         flows = (
             list(self.flows)

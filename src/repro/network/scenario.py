@@ -59,7 +59,7 @@ from .topology import (
     star_topology,
 )
 
-__all__ = ["ScenarioSpec", "validate_scenario_dict", "known_extra_keys"]
+__all__ = ["ScenarioSpec", "validate_scenario_dict"]
 
 _TOPOLOGY_BUILDERS = {
     "ring": ring_topology,
@@ -235,11 +235,6 @@ SCENARIO = Table(
 
 #: The keys that are ScenarioSpec fields; the rest are RunPlan extras.
 _KNOWN_TOP_KEYS = frozenset(SCENARIO.index).difference(_EXTRAS.index)
-
-
-def known_extra_keys() -> frozenset:
-    """Extra scenario keys accepted because :class:`RunPlan` has them."""
-    return frozenset(_EXTRAS.index)
 
 
 def validate_scenario_dict(data: Mapping[str, Any]) -> List[str]:

@@ -301,19 +301,6 @@ class TopologySpec:
         )
         return list(chain)
 
-    def egress_ports_on_path(self, path: Sequence[str]) -> List[Tuple[str, int]]:
-        """(switch, egress port) hops along a switch path (len(path)-1 pairs)."""
-        ports = self._routes.ports
-        pairs = []
-        for src, dst in zip(path, path[1:]):
-            try:
-                pairs.append((src, ports[src][dst]))
-            except KeyError:
-                raise TopologyError(
-                    f"{self.name}: no trunk {src!r} -> {dst!r}"
-                ) from None
-        return pairs
-
     def hops(self, src_host: str, dst_host: str) -> int:
         """Number of TSN switches a flow traverses (Fig. 7a's x-axis)."""
         return len(self.switch_path(src_host, dst_host))

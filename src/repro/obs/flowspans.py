@@ -149,13 +149,6 @@ class FrameJourney:
         return any(event.kind == "drop" for event in self.events)
 
     @property
-    def drop_node(self) -> Optional[str]:
-        for event in self.events:
-            if event.kind == "drop":
-                return event.node
-        return None
-
-    @property
     def end_to_end_ns(self) -> Optional[int]:
         """Generation (or first observation) to listener arrival."""
         if not self.delivered:

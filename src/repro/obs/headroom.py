@@ -134,13 +134,6 @@ class OccupancyProbe:
         total = self.observed_ns
         return self.weighted_ns / total if total else 0.0
 
-    def band_fractions(self) -> List[float]:
-        """Fraction of observed time spent in each occupancy band."""
-        total = self.observed_ns
-        if not total:
-            return [0.0] * len(BAND_LABELS)
-        return [t / total for t in self.band_ns]
-
 
 class PortHeadroomProbes:
     """The probe set of one egress port: one per queue, one for the pool.
@@ -286,9 +279,6 @@ class HeadroomReport:
         """``config.total_bram_kb``, reusing the report's own costing: a
         sizing this report already costed is not costed again."""
         return _costed(config, self.costed).total_kb
-
-    def switch_structures(self, switch: str) -> List[StructureHeadroom]:
-        return [s for s in self.structures if s.switch == switch]
 
     def utilization_digest(self) -> Dict[str, float]:
         """Worst per-structure utilization across switches (slug-keyed)."""

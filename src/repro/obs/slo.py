@@ -336,7 +336,7 @@ class SloReport:
 
 
 class SloMonitor:
-    """Streams per-frame checks; finalizes population checks on report.
+    """Streams per-frame checks; runs the population checks on report.
 
     Attaches itself to a :class:`~repro.network.analyzer.TsnAnalyzer`,
     which computes each arrival's end-to-end latency and tells whether it
@@ -356,6 +356,8 @@ class SloMonitor:
         self._records = analyzer.records
         self._states: Dict[int, _FlowState] = {}
         self._flows: Dict[int, FlowSpec] = {}
+        #: ``(flow, kind)`` of the population violations already counted.
+        self._counted: set = set()
         self._violation_counter = (
             metrics.counter(
                 "slo_violations_total", "SLO violations by flow and kind"
@@ -415,7 +417,12 @@ class SloMonitor:
         expected_by_flow: Dict[int, int],
         end_ns: int = 0,
     ) -> SloReport:
-        """Run the end-of-run checks (jitter, loss) and build the report."""
+        """Run the end-of-run checks (jitter, loss) and build the report.
+
+        A read: the arrivals' violations are not extended, so a second call
+        returns an equal report, and ``slo_violations_total`` counts each
+        end-of-run violation once, the first time a report finds it.
+        """
         report = SloReport()
         for flow_id, state in sorted(self._states.items()):
             spec = state.spec
@@ -428,22 +435,31 @@ class SloMonitor:
                 if record.received else None
             )
             jitter = summary.jitter_ns if record.received >= 2 else None
+            found = []
             if (
                 spec.jitter_ns is not None
                 and jitter is not None
                 and jitter > spec.jitter_ns
             ):
-                self._violate(
-                    state,
-                    SloViolation(flow_id, "jitter", end_ns,
-                                 observed=jitter, bound=spec.jitter_ns),
-                )
+                found.append(SloViolation(flow_id, "jitter", end_ns,
+                                          observed=jitter,
+                                          bound=spec.jitter_ns))
             if spec.max_loss is not None and loss_rate > spec.max_loss:
-                self._violate(
-                    state,
-                    SloViolation(flow_id, "loss", end_ns,
-                                 observed=loss_rate, bound=spec.max_loss),
-                )
+                found.append(SloViolation(flow_id, "loss", end_ns,
+                                          observed=loss_rate,
+                                          bound=spec.max_loss))
+            for violation in found:
+                key = (flow_id, violation.kind)
+                if self._violation_counter is not None \
+                        and key not in self._counted:
+                    self._counted.add(key)
+                    self._violation_counter.inc(flow=flow_id,
+                                                kind=violation.kind)
+            # The first violations up to the cap are listed, the rest
+            # counted (the arrivals' list suppresses only once it is full).
+            listed = (state.violations + found)[:_MAX_VIOLATIONS_LISTED]
+            suppressed = state.suppressed + len(state.violations) \
+                + len(found) - len(listed)
             flow = self._flows[flow_id]
             report.verdicts[flow_id] = FlowVerdict(
                 flow_id=flow_id,
@@ -459,7 +475,7 @@ class SloMonitor:
                 jitter_ns=jitter,
                 deadline_misses=state.deadline_misses,
                 latency_violations=state.latency_violations,
-                violations=tuple(state.violations),
-                suppressed_violations=state.suppressed,
+                violations=tuple(listed),
+                suppressed_violations=suppressed,
             )
         return report

@@ -29,7 +29,6 @@ infeasibility a Qbv GCL synthesis tool ([20] in the paper) would report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -163,11 +162,6 @@ class TasSynthesizer:
             rate_bps=self.rate_bps,
         )
         return TasPortSchedule(entries, window_set)
-
-    @staticmethod
-    def required_gate_size(schedules: Sequence[TasPortSchedule]) -> int:
-        """The gate-table size the synthesized network needs per port."""
-        return max((s.gate_size for s in schedules), default=1)
 
 
 def estimate_gate_size(plan: SchedulePlan) -> int:

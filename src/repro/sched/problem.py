@@ -155,12 +155,6 @@ class SchedulingProblem:
     def slot_count(self) -> int:
         return self.schedule.slot_count
 
-    def demand_of(self, flow_id: int) -> FlowDemand:
-        for demand in self.demands:
-            if demand.flow_id == flow_id:
-                return demand
-        raise KeyError(flow_id)
-
     def frame_slots(self, demand: FlowDemand) -> int:
         """Slots one cycle of *demand* occupies (frames per cycle)."""
         return self.slot_count // demand.period_slots

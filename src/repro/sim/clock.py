@@ -34,7 +34,7 @@ from typing import Callable, List, Optional
 from repro.core.errors import SimulationError
 from .kernel import Simulator
 
-__all__ = ["LocalClock", "PerfectClock"]
+__all__ = ["LocalClock"]
 
 
 def _rate_from_ppm(ppm: float) -> Fraction:
@@ -82,11 +82,6 @@ class LocalClock:
     def rate(self) -> Fraction:
         """Current local-seconds-per-perfect-second ratio."""
         return self._rate
-
-    @property
-    def nominal_rate(self) -> Fraction:
-        """The free-running oscillator rate (before servo correction)."""
-        return self._nominal_rate
 
     @property
     def rate_correction_ppm(self) -> float:
@@ -173,10 +168,3 @@ class LocalClock:
         if twice > num or (twice == num and quotient & 1):
             quotient += 1
         return max(1, quotient)
-
-
-class PerfectClock(LocalClock):
-    """A drift-free clock: always equal to simulation time."""
-
-    def __init__(self, sim: Simulator) -> None:
-        super().__init__(sim, drift_ppm=0.0, offset_ns=0)

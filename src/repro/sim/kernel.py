@@ -245,11 +245,6 @@ class Simulator:
         return self._high
 
     @property
-    def events_executed(self) -> int:
-        """Count of events fired so far (for progress/benchmark reporting)."""
-        return self._fired()
-
-    @property
     def pending(self) -> int:
         """Number of scheduled-and-not-cancelled events.  O(1)."""
         return len(self._heap) - self._dead
@@ -472,22 +467,3 @@ class Simulator:
             self._fire(entry[0], action)
             return True
         return False
-
-    def peek(self) -> Optional[int]:
-        """Timestamp of the next live event, or None if the calendar is empty.
-
-        Dead (cancelled) heads are discarded on the way -- part of lazy
-        deletion, and invisible to :class:`SimStats`: the high-water mark is
-        a monotonic maximum and cancellations were already counted.
-        """
-        heap = self._heap
-        self._raise_high_water()
-        while heap:
-            payload = heap[0][3]
-            if type(payload) is list and payload[0] is None:
-                heappop(heap)
-                self._dead -= 1
-                self._gone += 1
-                continue
-            return heap[0][0]
-        return None

@@ -451,11 +451,6 @@ class TsnSwitch:
                 f"{self.name}: port {port_id} outside 0..{len(self.ports) - 1}"
             )
 
-    def gate_engine(self, port_id: int) -> GateEngine:
-        """The Gate Ctrl engine of one port (inspection/testing)."""
-        self._check_port(port_id)
-        return self._gate_engines[port_id]
-
     def queue_high_water(self) -> Dict[Tuple[int, int], int]:
         """(port, queue) -> observed maximum occupancy, for sizing studies."""
         return {

@@ -15,7 +15,6 @@ frame of L bytes costs ``L * 8e9 / R`` wall-nanoseconds of tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.errors import ConfigurationError
 
@@ -92,16 +91,3 @@ class TokenBucketMeter:
     def exercised(self) -> bool:
         """True once any frame has been offered (meter state is "in use")."""
         return self.stats.offered_frames > 0
-
-    def tokens_bytes(self, now_ns: Optional[int] = None) -> float:
-        """Bucket level in bytes, replenished up to *now_ns* if given;
-        reading it changes no meter state."""
-        tokens = self._tokens
-        if now_ns is not None:
-            if now_ns < self._last_ns:
-                raise ConfigurationError("meter observed time moving backwards")
-            tokens = min(
-                self.burst_bytes * _SCALE,
-                tokens + (now_ns - self._last_ns) * self.rate_bps // 8,
-            )
-        return tokens / _SCALE

@@ -608,6 +608,3 @@ class EgressPort:
     @property
     def busy(self) -> bool:
         return self._sim.now < self._busy_until
-
-    def backlog_frames(self) -> int:
-        return self._resident

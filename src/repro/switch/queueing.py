@@ -112,10 +112,6 @@ class BufferPool:
         self.in_use = 0
         self.stats = PoolStats()
 
-    @property
-    def free_count(self) -> int:
-        return self.slots - self.in_use
-
     def _take(self) -> Optional[int]:
         """Pop the next free slot; None when there is none."""
         if self._free:

@@ -298,22 +298,6 @@ class GateControlList:
             raise ConfigurationError(f"{self.name}: cannot program empty GCL")
         self._entries = list(entries)
 
-    @property
-    def cycle_ns(self) -> int:
-        """Sum of entry intervals -- the schedule repeats with this period."""
-        return sum(entry.interval_ns for entry in self._entries)
-
-    def state_at(self, time_in_cycle_ns: int) -> GateEntry:
-        """The entry active at an offset into the cycle."""
-        if not self._entries:
-            raise ConfigurationError(f"{self.name}: GCL not programmed")
-        offset = time_in_cycle_ns % self.cycle_ns
-        for entry in self._entries:
-            if offset < entry.interval_ns:
-                return entry
-            offset -= entry.interval_ns
-        raise AssertionError("unreachable: offset within cycle by construction")
-
 
 # ----------------------------------------------------------------- Egress Sched
 
@@ -326,9 +310,6 @@ class CbsMapTable(FixedTable[int, int]):
 
     def program(self, queue_id: int, cbs_id: int) -> None:
         self.insert(queue_id, cbs_id)
-
-    def shaper_for(self, queue_id: int) -> Optional[int]:
-        return self.lookup(queue_id)
 
 
 @dataclass(frozen=True)

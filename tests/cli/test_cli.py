@@ -386,8 +386,12 @@ class TestSizeOptimize:
         (["--deadline-us", "1"], "--deadline-us"),
         (["--aggregate"], "--aggregate"),
         (["--optimize", "--gate-mechanism", "qbv"], "--gate-mechanism"),
+        (["--optimize", "--slot-us", "50"], "--slot-us"),
+        (["--topology", "star", "--switches", "3"], "--switches"),
+        (["--slot-us", "0.0001"], "--slot-us"),
     ], ids=["deadline-without-optimize", "aggregate-without-optimize",
-            "optimize-with-qbv"])
+            "optimize-with-qbv", "slot-with-optimize", "switches-on-star",
+            "slot-finer-than-a-nanosecond"])
     def test_flag_without_effect_is_refused(self, capsys, argv, flag):
         assert main(["size", "--flows", "16", *argv]) == 2
         captured = capsys.readouterr()

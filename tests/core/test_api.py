@@ -85,13 +85,17 @@ class TestCrossCallConsistency:
         api.set_cbs_tbl(3, 3, 1)
 
 
+def _replayed(config):
+    return CustomizationAPI(config.name, widths=config.widths).replay(config)
+
+
 class TestFromConfig:
     def test_roundtrip(self):
-        api = CustomizationAPI.from_config(ring_config())
+        api = _replayed(ring_config())
         assert api.build().total_bram_kb == 2106
 
     def test_tweak_after_replay(self):
-        api = CustomizationAPI.from_config(ring_config())
+        api = _replayed(ring_config())
         with pytest.raises(ConfigurationError):
             api.set_queues(queue_depth=16, queue_num=8, port_num=2)
 

@@ -36,7 +36,9 @@ class TestTSNBuilder:
 
     def test_synthesize_from_api(self):
         builder = TSNBuilder()
-        builder.customize(CustomizationAPI.from_config(star_config()))
+        config = star_config()
+        builder.customize(CustomizationAPI(config.name, widths=config.widths)
+                          .replay(config))
         assert builder.synthesize().total_bram_kb == 5778
 
     def test_replace_template(self):

@@ -31,7 +31,6 @@ class TestTableResource:
 
     def test_instances_multiply(self):
         assert _switch_tbl(instances=4).kb == 4 * 72
-        assert _switch_tbl(instances=4).total_entries == 4096
 
     def test_rejects_zero_size(self):
         with pytest.raises(ConfigurationError):

@@ -54,7 +54,7 @@ class TestReuseReport:
             d.changed_lines for d in report.file_diffs
         )
         for diff in report.file_diffs:
-            assert 0 <= diff.reuse_ratio <= 1.0
+            assert 0 <= diff.changed_lines <= diff.total_lines
 
     def test_width_change_is_reprogramming(self):
         """Changing an entry layout is not a parameter tweak: the generated

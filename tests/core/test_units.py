@@ -58,9 +58,6 @@ class TestFormatTime:
 
 
 class TestMemoryUnits:
-    def test_bits_from_bytes(self):
-        assert units.bits_from_bytes(2048) == 16384
-
     def test_kib_exact(self):
         assert units.kib(72 * 16384) == 1152
 
@@ -74,9 +71,6 @@ class TestMemoryUnits:
 class TestRates:
     def test_mbps(self):
         assert units.mbps(100) == 100_000_000
-
-    def test_gbps(self):
-        assert units.gbps(1) == 1_000_000_000
 
     def test_fractional_rate_rejected(self):
         with pytest.raises(ValueError):

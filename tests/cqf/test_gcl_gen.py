@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.errors import SchedulingError
-from repro.cqf.gating import cqf_gcl_entries, cqf_port_program
+from repro.cqf.gating import CQF
+
+
+def cqf_gcl_entries(slot_ns, pair=(6, 7), queue_num=8):
+    """The CQF discipline's (in, out) lists, as every port gets them."""
+    return CQF.rotation(slot_ns, pair, queue_num)[:2]
 
 
 class TestEntries:
@@ -53,6 +58,6 @@ class TestEntries:
 
 class TestPortProgram:
     def test_returns_pair_objects(self):
-        in_e, out_e, pairs = cqf_port_program(slot_ns=100)
+        in_e, out_e, pairs = CQF.rotation(100, (6, 7), 8)
         assert len(pairs) == 1
         assert 6 in pairs[0] and 7 in pairs[0]

@@ -77,6 +77,13 @@ class TestSlots:
         with pytest.raises(SchedulingError):
             slots_in_cycle(10_000_000, 65_000)
 
+    @pytest.mark.parametrize("slot_ns", [0, -3000])
+    def test_non_positive_slot_refused_before_the_cycle_is_divided(
+        self, slot_ns
+    ):
+        with pytest.raises(SchedulingError, match="must be positive"):
+            CqfSchedule.for_flows([10_000_000], slot_ns)
+
     def test_schedule_for_flows(self):
         schedule = CqfSchedule.for_flows([10_000_000], 62_500)
         assert schedule.slot_count == 160

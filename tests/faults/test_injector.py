@@ -224,8 +224,12 @@ class TestClockAndBufferFaults:
         )
         injector.arm(0)
         observed = {}
-        sim.schedule(15_000, lambda: observed.update(mid=pool.free_count))
-        sim.schedule(25_000, lambda: observed.update(after=pool.free_count))
+
+        def free():
+            return pool.slots - pool.in_use
+
+        sim.schedule(15_000, lambda: observed.update(mid=free()))
+        sim.schedule(25_000, lambda: observed.update(after=free()))
         sim.run()
         # the shared pool is deduplicated: 5 seized, not 10
         assert observed == {"mid": 3, "after": 8}
@@ -242,7 +246,7 @@ class TestClockAndBufferFaults:
         )
         injector.arm(0)
         sim.run()
-        assert pool.free_count == 1
+        assert pool.slots - pool.in_use == 1
 
 
 class TestReporting:

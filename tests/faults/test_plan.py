@@ -142,14 +142,6 @@ class TestFaultPlan:
                    "duration_ns": 2000})
         assert a.events == b.events
 
-    def test_horizon_spans_longest_window(self):
-        plan = _plan(
-            {"kind": "link_down", "link": "a", "at_us": 1,
-             "duration_us": 100},
-            {"kind": "link_up", "link": "b", "at_us": 50},
-        )
-        assert plan.horizon_ns == 101_000
-
     def test_end_ns_only_with_duration(self):
         plan = _plan(
             {"kind": "link_down", "link": "a", "at_us": 1},

@@ -106,4 +106,4 @@ class TestConservation:
         for switch in result.switches.values():
             for port in switch.ports:
                 assert port.pool.in_use == 0
-                assert port.backlog_frames() == 0
+                assert not any(port.queues)

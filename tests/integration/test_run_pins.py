@@ -17,7 +17,8 @@ import pytest
 
 from repro.analysis.export import result_summary
 from repro.core.errors import SpecValidationError
-from repro.network.scenario import ScenarioSpec, known_extra_keys
+from repro.network.scenario import ScenarioSpec
+from tests.schema_cases import known_extra_keys
 
 MIXED = json.loads(
     (Path(__file__).parents[2] / "examples" / "sched_mixed_cell.json")

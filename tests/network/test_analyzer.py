@@ -131,7 +131,8 @@ class TestAnalyzer:
         for k in range(4):
             _arrive(sim, analyzer, 0, k, k * ms(10), k * ms(10) + 500)
         sim.run()
-        assert analyzer.flow_summary(0).jitter_ns == 0.0
+        summary = LatencySummary.of(analyzer.records[0].latencies_ns)
+        assert summary.jitter_ns == 0.0
 
 
 def test_analyzer_monitor_and_span_reader_agree_on_a_duplicate():

@@ -31,7 +31,7 @@ class TestHost:
         from collections import deque
 
         pool = Host(Simulator(), "talker").nic.pool
-        assert pool.slots == 32768 and pool.free_count == 32768
+        assert pool.slots == 32768 and pool.in_use == 0
         containers = [
             value for value in vars(pool).values()
             if isinstance(value, (list, tuple, dict, set, deque))
@@ -107,4 +107,4 @@ class TestHost:
         assert not host.nic.gates.started
         # A frame queued on the started NIC goes on the wire at once.
         assert host.inject(_frame(host, pcp=0))
-        assert host.nic.busy and host.nic.backlog_frames() == 0
+        assert host.nic.busy and not any(host.nic.queues)

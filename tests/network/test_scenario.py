@@ -257,7 +257,7 @@ class TestStrictValidation:
         assert any(p.startswith("name:") for p in problems)
 
     def test_known_extra_keys_track_testbed_signature(self):
-        from repro.network.scenario import known_extra_keys
+        from tests.schema_cases import known_extra_keys
 
         keys = known_extra_keys()
         assert "frer_ts" in keys and "trunk_error_rate" in keys

@@ -112,8 +112,9 @@ class TestPaths:
 
     def test_egress_ports_on_path(self):
         topo = ring_topology(switch_count=3, talkers=["t"])
-        path = topo.switch_path("t", "listener")
-        assert topo.egress_ports_on_path(path) == [("sw0", 0), ("sw1", 0)]
+        assert topo.route("sw0", "sw2") == (
+            ("sw0", "sw1", "sw2"), (("sw0", 0), ("sw1", 0))
+        )
 
     def test_no_path_raises(self):
         spec = TopologySpec(
@@ -146,7 +147,7 @@ class TestPaths:
         spec.trunks += (TrunkLink("a", 1, "c"),)        # a shortcut appears
         spec.validate()
         assert spec.switch_path("t", "l") == ["a", "c"]
-        assert spec.egress_ports_on_path(["a", "c"]) == [("a", 1)]
+        assert spec.route("a", "c") == (("a", "c"), (("a", 1),))
         assert spec.hops("t", "l") == 2
         spec.uplinks = [HostUplink("t", "b")]           # the talker moves
         assert spec.switch_path("t", "l") == ["b", "c"]

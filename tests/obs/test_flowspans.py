@@ -166,7 +166,7 @@ class TestJourney:
             [(0, "gen", "f"), (3, "ingress", "sw0"), (3, "drop", "sw0")]
         )
         assert journey.dropped and not journey.delivered
-        assert journey.drop_node == "sw0"
+        assert [e.node for e in journey.events if e.kind == "drop"] == ["sw0"]
         assert journey.end_to_end_ns is None
 
     def test_hop_span_reconstruction(self):

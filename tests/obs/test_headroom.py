@@ -59,9 +59,8 @@ class TestOccupancyProbe:
         probe.update(100, 3)    # 3/12 -> le25
         probe.update(200, 7)    # 7/12 -> le75
         probe.finalize(400)
-        assert probe.band_fractions() == pytest.approx(
-            [0.25, 0.25, 0.0, 0.5, 0.0]
-        )
+        assert [t / probe.observed_ns for t in probe.band_ns] == \
+            pytest.approx([0.25, 0.25, 0.0, 0.5, 0.0])
 
     def test_band_boundaries(self):
         probe = OccupancyProbe(8)
@@ -76,7 +75,7 @@ class TestOccupancyProbe:
     def test_untouched_probe_reads_zero(self):
         probe = OccupancyProbe(4)
         assert probe.mean() == 0.0
-        assert probe.band_fractions() == [0.0] * len(BAND_LABELS)
+        assert probe.band_ns == [0] * len(BAND_LABELS)
         assert probe.observed_ns == 0
 
     def test_finalize_is_idempotent(self):
@@ -116,12 +115,6 @@ class _IncrementalProbe:
         total = sum(self.band_ns)
         return self.weighted_ns / total if total else 0.0
 
-    def band_fractions(self):
-        total = sum(self.band_ns)
-        if not total:
-            return [0.0] * len(BAND_LABELS)
-        return [t / total for t in self.band_ns]
-
 
 class TestDerivedReadsMatchTheIncrementalProbe:
     @settings(max_examples=300, deadline=None)
@@ -152,7 +145,6 @@ class TestDerivedReadsMatchTheIncrementalProbe:
         assert probe.band_ns == oracle.band_ns
         assert probe.observed_ns == sum(oracle.band_ns)
         assert probe.mean() == oracle.mean()
-        assert probe.band_fractions() == oracle.band_fractions()
 
 
 class TestHeadroomRecorder:
@@ -187,7 +179,8 @@ class TestReportWithoutRecorder:
         switches = {s.switch for s in report.structures}
         assert switches == set(plain_result.switches)
         for name in switches:
-            rows = {s.structure for s in report.switch_structures(name)}
+            rows = {s.structure for s in report.structures
+                    if s.switch == name}
             assert {"Switch Tbl", "Class. Tbl", "Meter Tbl", "Gate Tbl",
                     "CBS Tbl", "Queues", "Buffers"} <= rows
 

@@ -185,6 +185,20 @@ class TestMonitor:
         counter = registry.counter("slo_violations_total")
         assert counter.value(flow=0, kind="latency") == 1
 
+    def test_report_is_a_read(self):
+        """A second report lists no violation twice and counts none
+        again."""
+        registry = MetricsRegistry()
+        monitor = _Monitored(
+            SloPolicy(default=SloSpec(max_loss=0.0, jitter_ns=1)),
+            metrics=registry,
+        )
+        first = monitor.report({0: 1}, end_ns=10)
+        assert [v.kind for v in first.verdicts[0].violations] == ["loss"]
+        assert monitor.report({0: 1}, end_ns=10) == first
+        counter = registry.counter("slo_violations_total")
+        assert counter.value(flow=0, kind="loss") == 1
+
     def test_report_shape_round_trips_to_json(self):
         monitor = _Monitored(SloPolicy(default=SloSpec(latency_ns=10)))
         monitor.observe(0, seq=0, latency_ns=100, now_ns=100)

@@ -28,6 +28,7 @@ from pathlib import Path
 
 from repro.analysis.report import render_series
 from repro.analysis.stats import SweepPoint, SweepSeries
+from repro.core.errors import SimulationError
 from repro.core.presets import customized_config
 from repro.core.units import ms
 from repro.network.testbed import RunPlan, Testbed
@@ -115,6 +116,48 @@ class Panel(SweepSeries):
             raise AssertionError(
                 f"measured vs pinned in {PINS_PATH.name}: {moved}"
             )
+
+    # The shape checks the figures assert: "who wins, by roughly what
+    # factor, where crossovers fall".
+
+    @property
+    def means_ns(self):
+        return [p.summary.mean_ns for p in self.points]
+
+    @property
+    def jitters_ns(self):
+        return [p.summary.jitter_ns for p in self.points]
+
+    def is_monotonic_increasing(self, key: str = "mean") -> bool:
+        """Means (or jitters) never decrease along the sweep."""
+        values = self.means_ns if key == "mean" else self.jitters_ns
+        return all(b >= a for a, b in zip(values, values[1:]))
+
+    def is_flat(self, key: str = "mean", tolerance: float = 0.05) -> bool:
+        """Max relative deviation from the series mean stays in tolerance:
+        Fig 2 / Fig 7(d)'s "background load does not move TS latency"."""
+        values = self.means_ns if key == "mean" else self.jitters_ns
+        return relative_spread(values) <= tolerance
+
+    def scaling_factor(self) -> float:
+        """last mean / first mean -- the "increased manyfold" observation."""
+        if len(self.points) < 2:
+            raise SimulationError("need at least two points for a scaling "
+                                  "factor")
+        first = self.points[0].summary.mean_ns
+        if first == 0:
+            raise SimulationError("first point has zero mean latency")
+        return self.points[-1].summary.mean_ns / first
+
+
+def relative_spread(values) -> float:
+    """(max - min) / mean of *values*; 0.0 for constant series."""
+    if not values:
+        raise SimulationError("no values")
+    mean = sum(values) / len(values)
+    if mean == 0:
+        return 0.0
+    return (max(values) - min(values)) / mean
 
 
 if __name__ == "__main__":

@@ -4,13 +4,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError, SchedulingError, \
     SpecValidationError
-from repro.cqf.gating import (
-    csqf_gcl_entries,
-    csqf_port_program,
-    multi_cqf_gate_entry_count,
-    multi_cqf_gcl_entries,
-    multi_cqf_port_program,
-)
+from repro.cqf.gating import CSQF, MULTI_CQF, multi_cqf_gate_entry_count
 from repro.network.scenario import ScenarioSpec
 from repro.switch.gates import CqfGroup
 
@@ -39,7 +33,7 @@ def _scenario(shaper, backend="greedy", **extra):
 
 class TestCsqfGcl:
     def test_three_entries_rotate(self):
-        in_entries, out_entries = csqf_gcl_entries(SLOT_NS)
+        in_entries, out_entries = CSQF.rotation(SLOT_NS, (6, 7), 8)[:2]
         assert len(in_entries) == len(out_entries) == 3
         triple = (5, 6, 7)
         non_ts = sum(1 << q for q in range(8) if q not in triple)
@@ -50,18 +44,14 @@ class TestCsqfGcl:
             )
 
     def test_gather_drains_two_slots_later(self):
-        in_entries, out_entries = csqf_gcl_entries(SLOT_NS)
+        in_entries, out_entries = CSQF.rotation(SLOT_NS, (6, 7), 8)[:2]
         for i in range(3):
             gathered = in_entries[i].gate_states & 0b1110_0000
             assert out_entries[(i + 2) % 3].gate_states & gathered
 
     def test_port_program_groups(self):
-        _, _, groups = csqf_port_program(SLOT_NS)
+        _, _, groups = CSQF.rotation(SLOT_NS, (6, 7), 8)
         assert groups == [CqfGroup(5, 6, 7)]
-
-    def test_rejects_non_triple(self):
-        with pytest.raises(SchedulingError):
-            csqf_gcl_entries(SLOT_NS, triple=(6, 7))
 
 
 class TestMultiCqfGcl:
@@ -74,7 +64,7 @@ class TestMultiCqfGcl:
             multi_cqf_gate_entry_count(SLOT_NS, SLOT_NS + 1)
 
     def test_each_segment_opens_one_member_per_group(self):
-        in_entries, out_entries = multi_cqf_gcl_entries(SLOT_NS, 2 * SLOT_NS)
+        in_entries, out_entries = MULTI_CQF.rotation(SLOT_NS, (6, 7), 8)[:2]
         assert len(in_entries) == 4
         for entry_in, entry_out in zip(in_entries, out_entries):
             for group in ((6, 7), (4, 5)):
@@ -87,14 +77,14 @@ class TestMultiCqfGcl:
                 assert gathering != draining
 
     def test_base_system_alternates_twice_as_fast(self):
-        in_entries, _ = multi_cqf_gcl_entries(SLOT_NS, 2 * SLOT_NS)
+        in_entries, _ = MULTI_CQF.rotation(SLOT_NS, (6, 7), 8)[:2]
         base_members = [e.gate_states & 0b1100_0000 for e in in_entries]
         long_members = [e.gate_states & 0b0011_0000 for e in in_entries]
         assert base_members == [1 << 6, 1 << 7, 1 << 6, 1 << 7]
         assert long_members == [1 << 4, 1 << 4, 1 << 5, 1 << 5]
 
     def test_port_program_orders_base_then_long(self):
-        _, _, groups = multi_cqf_port_program(SLOT_NS, 2 * SLOT_NS)
+        _, _, groups = MULTI_CQF.rotation(SLOT_NS, (6, 7), 8)
         assert groups == [CqfGroup(6, 7), CqfGroup(4, 5)]
 
 

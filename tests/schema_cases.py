@@ -64,10 +64,15 @@ def node_cases():
                 yield f"{name}:{_label(path)}={json.dumps(value)}", doc
 
 
+def known_extra_keys():
+    """The scenario keys accepted because :class:`RunPlan` has them."""
+    from repro.network import scenario
+
+    return frozenset(scenario._EXTRAS.index)
+
+
 def extra_cases():
     """``(case id, document)`` adding each pass-through extra to slo_star."""
-    from repro.network.scenario import known_extra_keys
-
     base = load("slo_star")
     for key in sorted(known_extra_keys()):
         for value in VALUES:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.errors import SimulationError
-from repro.sim.clock import LocalClock, PerfectClock
+from repro.sim.clock import LocalClock
 from repro.sim.kernel import Simulator
 
 
@@ -18,7 +18,7 @@ def _advance(sim, delta):
 class TestPerfectClock:
     def test_tracks_sim_time(self):
         sim = Simulator()
-        clock = PerfectClock(sim)
+        clock = LocalClock(sim, drift_ppm=0.0, offset_ns=0)
         _advance(sim, 12345)
         assert clock.now() == 12345
         assert clock.offset_from_perfect() == 0

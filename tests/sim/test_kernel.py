@@ -99,7 +99,7 @@ class TestRun:
         for _ in range(5):
             sim.schedule(1, lambda: None)
         sim.run()
-        assert sim.events_executed == 5
+        assert sim.stats.fired == 5
 
 
 class TestCancel:
@@ -136,15 +136,6 @@ class TestStepPeek:
 
     def test_step_empty_returns_false(self):
         assert Simulator().step() is False
-
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        sim.schedule(5, lambda: None).cancel()
-        sim.schedule(9, lambda: None)
-        assert sim.peek() == 9
-
-    def test_peek_empty(self):
-        assert Simulator().peek() is None
 
 
 class TestDeterminism:
@@ -328,7 +319,6 @@ class TestDerivedAccounting:
             st.tuples(st.just("redeem"), st.integers(0, 50)),
             st.tuples(st.just("step"), st.just(0)),
             st.tuples(st.just("run"), st.integers(0, 30)),
-            st.tuples(st.just("peek"), st.just(0)),
             st.tuples(st.just("storm"), st.integers(60, 140)),
         ),
         max_size=60,
@@ -384,14 +374,11 @@ class TestDerivedAccounting:
                 sim.step()
             elif op == "run":
                 sim.run(until=sim.now + arg)
-            elif op == "peek":
-                sim.peek()
             lengths.append(len(sim._heap))
             stats = sim.stats
             assert stats.scheduled == posts + redeemed
             assert stats.scheduled + stats.elided == posts + reservations
             assert stats.fired == len(fired)
-            assert sim.events_executed == len(fired)
             assert sim.pending == len(live)
             high_waters.append(stats.calendar_high_water)
         if clear:
@@ -480,16 +467,6 @@ class TestCompaction:
         sim.run()
         assert order == ["a", "b"]
         assert sim.stats.compacted > 0
-
-    def test_peek_does_not_skew_high_water(self):
-        sim = Simulator()
-        for _ in range(3):
-            sim.schedule(5, lambda: None).cancel()
-        sim.schedule(9, lambda: None)
-        high_water = sim.stats.calendar_high_water
-        assert sim.peek() == 9
-        assert sim.stats.calendar_high_water == high_water
-        assert sim.pending == 1
 
 
 class TestSingleLoop:

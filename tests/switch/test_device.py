@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigurationError, TopologyError
 from repro.obs.flowspans import FlowSpanRecorder
-from repro.cqf.gating import cqf_port_program
+from repro.cqf.gating import CQF
 from repro.sim.kernel import Simulator
 from repro.switch.device import TsnSwitch
 from repro.switch.packet import EthernetFrame, make_mac
@@ -130,7 +130,7 @@ class TestControlPlane:
     def test_program_gcls_after_start_rejected(self):
         switch = TsnSwitch(Simulator(), _config())
         switch.start()
-        in_e, out_e, pairs = cqf_port_program(1000)
+        in_e, out_e, pairs = CQF.rotation(1000, (6, 7), 8)
         with pytest.raises(ConfigurationError):
             switch.program_gcls(0, in_e, out_e, pairs)
 
@@ -259,7 +259,7 @@ class TestDataplane:
         switch = TsnSwitch(sim, _config(), processing_delay_ns=0)
         departures = []
         switch.ports[0].attach(lambda f: departures.append(sim.now))
-        in_e, out_e, pairs = cqf_port_program(slot)
+        in_e, out_e, pairs = CQF.rotation(slot, (6, 7), 8)
         switch.program_gcls(0, in_e, out_e, pairs)
         switch.program_flow(make_mac(1), make_mac(2), 5, 7, 0, 7)
         switch.start()

@@ -18,7 +18,8 @@ class TestConstruction:
 
     def test_starts_full(self):
         meter = TokenBucketMeter(10**6, 3000)
-        assert meter.tokens_bytes() == 3000
+        assert meter.offer(0, 3000)  # the whole burst at once
+        assert not meter.offer(0, 1)
 
 
 class TestPolicing:
@@ -39,7 +40,8 @@ class TestPolicing:
     def test_bucket_caps_at_burst(self):
         meter = TokenBucketMeter(10**9, 200)
         meter.offer(0, 64)
-        assert meter.tokens_bytes(10**9) == 200  # long idle: capped
+        # long idle: capped at the burst
+        assert meter.offer(10**9, 200) and not meter.offer(10**9, 1)
 
     def test_time_backwards_rejected(self):
         meter = TokenBucketMeter(10**6, 2048)
@@ -91,4 +93,4 @@ class TestProperties:
         meter = TokenBucketMeter(10**6, 2000)
         for i, size in enumerate(sizes):
             meter.offer(i * 1000, size)
-            assert meter.tokens_bytes() >= 0
+            assert meter._tokens >= 0

@@ -102,7 +102,7 @@ class TestAdmission:
         assert port2.enqueue(_frame(), 7)
         assert not port2.enqueue(_frame(), 7)
         assert port2.counters.dropped_tail == 1
-        assert port2.pool.free_count == 7  # dropped frame's slot returned
+        assert port2.pool.in_use == 1  # dropped frame's slot returned
 
     def test_buffer_exhaustion_counted(self):
         sim = Simulator()
@@ -167,7 +167,7 @@ class TestWiring:
         port.attach(lambda f: None)
         port.enqueue(_frame(size=100), 7)
         port.enqueue(_frame(size=200), 3)
-        assert port.backlog_frames() == 2
+        assert sum(map(len, port.queues)) == 2
         assert sum(d.size_bytes for q in port.queues for d in q) == 300
 
 
@@ -185,7 +185,7 @@ class TestDemandDrivenEgress:
         assert sim.stats.elided == 1
         sim.run(until=100_000)
         assert port.counters.transmitted == 1
-        assert port.backlog_frames() == 0
+        assert not any(port.queues)
 
     def test_enqueue_during_ifg_arms_exactly_one_idle(self):
         sim = Simulator()
@@ -197,11 +197,12 @@ class TestDemandDrivenEgress:
         assert sim.pending == 0 and port.busy
         port.enqueue(_frame(), 7)
         port.enqueue(_frame(), 7)
-        assert sim.pending == 1 and sim.peek() == self.WIRE_NS
+        assert sim.pending == 1
         assert sim.stats.elided == 0  # the reservation was redeemed
+        assert sim.step() and sim.now == self.WIRE_NS  # the idle event
         sim.run(until=100_000)
         assert delivered == [512, 672 + 512, 2 * 672 + 512]
-        assert port.backlog_frames() == 0
+        assert not any(port.queues)
 
     def test_backlog_at_start_posts_idle_eagerly(self):
         sim = Simulator()
@@ -211,7 +212,7 @@ class TestDemandDrivenEgress:
         port.enqueue(_frame(), 7)
         port.enqueue(_frame(), 7)
         sim.run(until=1000)  # gate opens: first starts, second is backlog
-        assert port.backlog_frames() == 1
+        assert sum(map(len, port.queues)) == 1
         assert sim.stats.elided == 0
         sim.run(until=100_000)
         # Only the last transmission left the port empty.
@@ -299,7 +300,8 @@ class TestSoleBacklog:
             patched.setattr(EgressPort, "kick", no_arbitration)
             port.enqueue(_frame(), 7)
         assert len(port.queues[6]) == 1
-        assert sim.pending == 1 and sim.peek() == 1000  # the slot boundary
+        assert sim.pending == 1
+        assert sim.step() and sim.now == 1000  # the slot boundary
         sim.run(until=100_000)
         assert delivered == [1000 + 512]
 

@@ -121,7 +121,7 @@ class TestBufferPool:
                     held.append(slot)
             elif held:
                 pool.release(held.pop())
-            assert pool.free_count + len(held) == 8
+            assert pool.in_use == len(held)
 
 
 # ------------------------------------------------------ buffer-pool oracle
@@ -262,9 +262,8 @@ class TestBufferPoolMatchesEagerFreeList:
                 exhaustion_drops=stats.exhaustion_drops,
                 high_water=stats.high_water,
             ) == ref.stats
-            assert pool.free_count == ref.free_count
+            assert pool.slots - pool.in_use == ref.free_count
             assert pool.in_use == ref.in_use
-            assert pool.free_count + pool.in_use == slots
         # drain: the order of every remaining free slot is the same too
         assert [pool.allocate(64) for _ in range(slots + 1)] == [
             ref.allocate(64) for _ in range(slots + 1)
@@ -288,7 +287,7 @@ class TestBufferPoolMatchesEagerFreeList:
         pool.release(a)
         taken = pool.seize(3)
         assert taken == [a, 2, 3]
-        assert pool.in_use == 4 and pool.free_count == 2
+        assert pool.in_use == 4
         pool.unseize(taken)
         assert [pool.allocate(64) for _ in range(5)] == [3, 2, a, 4, 5]
 

@@ -19,6 +19,7 @@ from repro.switch.tables import (
     UnicastTable,
 )
 from repro.switch.meter import TokenBucketMeter
+from tests.qbv.test_windows import state_at
 
 
 class TestFixedTable:
@@ -136,7 +137,7 @@ class TestGateControlList:
     def test_program_atomic(self):
         gcl = GateControlList(2)
         gcl.program([GateEntry(0x01, 5), GateEntry(0x02, 7)])
-        assert gcl.cycle_ns == 12
+        assert [entry.interval_ns for entry in gcl] == [5, 7]
 
     def test_program_too_many_rejected(self):
         gcl = GateControlList(1)
@@ -148,18 +149,15 @@ class TestGateControlList:
             GateControlList(2).program([])
 
     def test_state_at_walks_cycle(self):
+        """The oracle the Qbv window checks read a programmed list with."""
         gcl = GateControlList(2)
         a, b = GateEntry(0x01, 10), GateEntry(0x02, 20)
         gcl.program([a, b])
-        assert gcl.state_at(0) == a
-        assert gcl.state_at(9) == a
-        assert gcl.state_at(10) == b
-        assert gcl.state_at(29) == b
-        assert gcl.state_at(30) == a  # wraps
-
-    def test_state_at_unprogrammed_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GateControlList(2).state_at(0)
+        assert state_at(gcl, 0) == a
+        assert state_at(gcl, 9) == a
+        assert state_at(gcl, 10) == b
+        assert state_at(gcl, 29) == b
+        assert state_at(gcl, 30) == a  # wraps
 
 
 class TestCbs:
@@ -183,9 +181,9 @@ class TestCbs:
         cbs = CbsTable(3)
         cbs_map.program(queue_id=5, cbs_id=0)
         cbs.program(0, CbsParams.for_reservation(10**8, 10**9))
-        assert cbs_map.shaper_for(5) == 0
+        assert cbs_map.lookup(5) == 0
         assert cbs.params(0).idle_slope_bps == 10**8
-        assert cbs_map.shaper_for(4) is None
+        assert cbs_map.lookup(4) is None
 
 
 class TestUnicastAggregation:

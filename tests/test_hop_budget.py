@@ -194,7 +194,8 @@ def _chain(via: str) -> Tuple[float, dict]:
 
     enqueue(10, tick)
     calls, _ = count_calls(sim.run)
-    return calls / sim.events_executed, {"fired": sim.events_executed}
+    fired = sim.stats.fired
+    return calls / fired, {"fired": fired}
 
 
 def _storm() -> Tuple[float, dict]:

@@ -84,16 +84,11 @@ class TestFlowSet:
     def test_by_class(self):
         flows = self._set()
         assert len(flows.ts_flows) == 2
-        assert len(flows.be_flows) == 1
+        assert len(flows.by_class(TrafficClass.BE)) == 1
         assert flows.rc_flows == []
 
     def test_ts_periods(self):
         assert sorted(self._set().ts_periods()) == [ms(5), ms(10)]
-
-    def test_total_rate(self):
-        flows = self._set()
-        assert flows.total_rate_bps(TrafficClass.BE) == mbps(100)
-        assert flows.total_rate_bps() > mbps(100)
 
     def test_endpoints(self):
         srcs, dsts = self._set().endpoints()

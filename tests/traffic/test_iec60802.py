@@ -59,7 +59,7 @@ class TestBackground:
         flows = background_flows(["a", "b"], "l",
                                  rc_rate_bps=mbps(200), be_rate_bps=mbps(100))
         rc = flows.rc_flows
-        be = flows.be_flows
+        be = flows.by_class(TrafficClass.BE)
         assert len(rc) == 2 and len(be) == 2
         assert all(f.rate_bps == mbps(100) for f in rc)
         assert all(f.rate_bps == mbps(50) for f in be)
