@@ -345,10 +345,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _us_flag(flag: str, value: float) -> int:
+    """*value* microseconds in nanoseconds; a value finer than one
+    nanosecond is a usage error that names *flag*."""
+    from repro.core.units import us
+
+    try:
+        return us(value)
+    except ValueError as exc:
+        raise TsnBuilderError(f"{flag}: {exc}") from None
+
+
 def _cmd_size(args: argparse.Namespace) -> int:
     from repro.core.optimizer import optimize
     from repro.core.sizing import derive_config
-    from repro.core.units import us
     from repro.network import topology as topologies
     from repro.traffic.flows import FlowSet
     from repro.traffic.iec60802 import production_cell_flows
@@ -370,14 +380,16 @@ def _cmd_size(args: argparse.Namespace) -> int:
             if given:
                 refusal = f"{flag} only applies with --optimize"
                 break
-    if refusal is None:
-        try:
-            slot_ns = us(62.5 if args.slot_us is None else args.slot_us)
-        except ValueError as exc:
-            refusal = f"--slot-us: {exc}"
     if refusal is not None:
         print(f"error: {refusal}", file=sys.stderr)
         return 2
+    slot_ns = _us_flag(
+        "--slot-us", 62.5 if args.slot_us is None else args.slot_us
+    )
+    period_ns = _us_flag("--period-us", args.period_us)
+    deadline_ns = None if args.deadline_us is None else _us_flag(
+        "--deadline-us", args.deadline_us
+    )
     builder = getattr(topologies, f"{args.topology}_topology")
     if args.topology == "star":
         topology = builder()
@@ -390,16 +402,13 @@ def _cmd_size(args: argparse.Namespace) -> int:
         talkers,
         topology.attachments[0].host,
         flow_count=args.flows,
-        period_ns=us(args.period_us),
+        period_ns=period_ns,
         size_bytes=args.size_bytes,
     )
     if args.optimize:
-        if args.deadline_us is not None:
+        if deadline_ns is not None:
             flows = FlowSet(
-                [
-                    flow.with_updates(deadline_ns=us(args.deadline_us))
-                    for flow in flows
-                ]
+                [flow.with_updates(deadline_ns=deadline_ns) for flow in flows]
             )
         search = optimize(
             topology,
@@ -480,6 +489,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"{len(violations) - len(errors)} warning(s)",
               file=sys.stderr)
         return 1 if errors else 0
+    interval_ns = _us_flag(
+        "--timeseries-interval-us", args.timeseries_interval_us
+    )
     from repro.analysis.export import result_summary
     from repro.obs.flowspans import FlowSpanRecorder, flow_stats
     from repro.obs.metrics import MetricsRegistry
@@ -506,12 +518,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     sampler = None
     if args.timeseries:
-        from repro.core.units import us
         from repro.obs.timeseries import TimeSeriesSampler
 
-        sampler = TimeSeriesSampler(
-            registry, testbed.sim, interval_ns=us(args.timeseries_interval_us)
-        )
+        sampler = TimeSeriesSampler(registry, testbed.sim, interval_ns)
         sampler.start()
     recorder = None
     if args.flight:

@@ -127,16 +127,6 @@ class BramAllocation:
         """Consumed BRAM in the paper's Kb (kibibit) units."""
         return self.bits / KIB
 
-    @property
-    def logical_bits(self) -> int:
-        """Bits actually required by the logical memory (width x depth)."""
-        return self.width * self.depth
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of allocated BRAM capacity holding logical data."""
-        return self.logical_bits / self.bits
-
     def __str__(self) -> str:
         return (
             f"{self.width}b x {self.depth} -> {self.blocks} x "

@@ -76,12 +76,6 @@ class AdmissionReport:
                 return verdict
         raise KeyError(f"no verdict for flow {flow_id}")
 
-    def utilization(self, hop: Tuple[str, int]) -> float:
-        budget = self.port_budget_bps.get(hop, 0)
-        if not budget:
-            return 0.0
-        return self.port_reserved_bps.get(hop, 0) / budget
-
 
 def admit_flows(
     topology,

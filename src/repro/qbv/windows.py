@@ -106,10 +106,6 @@ class WindowSet:
                 )
         self._windows.append(window)
 
-    def utilization(self) -> float:
-        """Fraction of the cycle owned by scheduled windows."""
-        return sum(w.duration_ns for w in self._windows) / self.cycle_ns
-
 
 def compile_gcl(
     window_set: WindowSet,

@@ -47,6 +47,7 @@ is gated only by priority and CBS credit.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -413,6 +414,11 @@ class GateEngine:
     @property
     def started(self) -> bool:
         return self._out_table is not None
+
+    #: The out-GCL's window table (None before :meth:`start`), read-only.
+    #: A clock-rate change replaces it, so the same object means every
+    #: wait :meth:`out_wait` answered from it still holds.
+    out_table = property(attrgetter("_out_table"))
 
     @property
     def event_mode(self) -> str:

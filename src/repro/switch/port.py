@@ -8,7 +8,8 @@ Life of a frame here:
 
 ``enqueue()``  gate-selects the target queue (CQF redirects to the gathering
 queue of the current slot), claims a buffer slot, appends the descriptor,
-and arbitrates (a lone frame on an idle port asks only its own gate).
+and arbitrates (a lone frame on an idle port asks only its own gate, and
+the wakeup at its window's opening starts it unless the port changed).
 ``_start_transmission()`` dequeues the winner, whose descriptor from then
 on is the transmission's one record, occupies the wire for the frame's
 serialization time plus preamble/IFG overhead, hands the frame to the
@@ -269,10 +270,14 @@ class EgressPort:
             )
             if wait is None:
                 return True  # no window ever fits the frame
+            # Strict priority with no shaper on the queue: the arbiter
+            # could only start this frame, now or when its window opens.
+            lone = (queue if self._strict and target_id not in self._shapers
+                    else None)
             if wait:
-                self._arm_gate_wake(wait)
+                self._arm_gate_wake(wait, lone)
                 return True
-            if self._strict and target_id not in self._shapers:
+            if lone is not None:
                 self._start_transmission(queue)
                 return True
         self.kick()
@@ -383,19 +388,45 @@ class EgressPort:
         self._retry_armed_at = None
         self.kick()
 
-    def _arm_gate_wake(self, delay_ns: int) -> None:
+    def _arm_gate_wake(
+        self, delay_ns: int, lone: Optional[MetadataQueue] = None
+    ) -> None:
         """One-shot re-arbitration when a blocked-on gate window opens.
 
         Fires at :data:`GATE_EVENT_PRIORITY`, ahead of same-time frame
         events: the backlog the window releases is arbitrated before a
         frame arriving at that very boundary.  Deduplicated: an
         already-armed earlier-or-equal wakeup is reused.
+
+        *lone* is the queue of the one frame on an idle port whose window
+        :meth:`GateEngine.out_wait` has just timed.  The window opens at
+        the wakeup by construction, so while that frame is still the
+        port's only one, the wire is free and no clock-rate change
+        replaced the window table, the arbiter could only start it: the
+        wakeup starts it without asking.  Otherwise it re-arbitrates.
         """
         when = self._sim._now + delay_ns
         if self._gate_wake_at is not None and self._gate_wake_at <= when:
             return
         self._gate_wake_at = when
-        self._sim.post_at(when, self._gate_wake_fire, GATE_EVENT_PRIORITY)
+        if lone is None:
+            self._sim.post_at(when, self._gate_wake_fire, GATE_EVENT_PRIORITY)
+            return
+        # The closure captures these, not ``self``: a captured name is a
+        # cell for the whole method.
+        port, fifo, gates = self, lone._fifo, self.gates
+        head, table = fifo[0], gates.out_table
+
+        def wake() -> None:
+            port._gate_wake_at = None
+            if (port._resident == 1 and fifo and fifo[0] is head
+                    and port._sim._now >= port._busy_until
+                    and gates.out_table is table):
+                port._start_transmission(lone)
+            else:
+                port.kick()
+
+        self._sim.post_at(when, wake, GATE_EVENT_PRIORITY)
 
     def _gate_wake_fire(self) -> None:
         self._gate_wake_at = None

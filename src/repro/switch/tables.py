@@ -73,11 +73,6 @@ class FixedTable(Generic[K, V]):
     def free(self) -> int:
         return self.capacity - len(self._entries)
 
-    @property
-    def utilization(self) -> float:
-        """Installed entries as a fraction of capacity."""
-        return len(self._entries) / self.capacity
-
     def insert(self, key: K, value: V) -> None:
         """Program an entry; raises :class:`CapacityError` when full."""
         self.insert_all({key: value})
@@ -274,18 +269,6 @@ class GateControlList:
     @property
     def entries(self) -> Tuple[GateEntry, ...]:
         return tuple(self._entries)
-
-    @property
-    def utilization(self) -> float:
-        """Programmed rows as a fraction of capacity."""
-        return len(self._entries) / self.capacity
-
-    def append(self, entry: GateEntry) -> None:
-        if len(self._entries) >= self.capacity:
-            raise CapacityError(
-                f"{self.name}: capacity {self.capacity} exhausted"
-            )
-        self._entries.append(entry)
 
     def program(self, entries: List[GateEntry]) -> None:
         """Replace the whole list atomically (a control-plane GCL update)."""

@@ -400,6 +400,29 @@ class TestSizeOptimize:
         assert line.startswith("error:") and flag in line
 
 
+class TestSubNanosecondFlags:
+    """A microsecond flag finer than one nanosecond is a usage error that
+    names the flag, never a traceback."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["size", "--period-us", "0.0001"], "--period-us"),
+        (["size", "--optimize", "--deadline-us", "0.0001"], "--deadline-us"),
+        (["simulate", "{scenario}", "--timeseries", "{series}",
+          "--timeseries-interval-us", "0.0001"], "--timeseries-interval-us"),
+    ], ids=["size-period", "size-optimize-deadline",
+            "simulate-timeseries-interval"])
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        scenario = TestSimulate()._scenario(tmp_path)
+        series = tmp_path / "series.csv"
+        argv = [arg.format(scenario=scenario, series=series) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and flag in line
+        assert not series.exists()
+
+
 class TestSimulateCheck:
     def _scenario(self, tmp_path, **overrides):
         data = {

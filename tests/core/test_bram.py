@@ -55,9 +55,9 @@ class TestAllocator:
 
     def test_utilization(self):
         alloc = bram.allocate(72, 16 * 1024)
-        assert alloc.utilization == 1.0  # perfect packing
+        assert 72 * 16 * 1024 == alloc.bits  # perfect packing
         sparse = bram.allocate(17, 2)
-        assert sparse.utilization == pytest.approx(34 / (18 * 1024))
+        assert 17 * 2 / sparse.bits == pytest.approx(34 / (18 * 1024))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):

@@ -45,9 +45,8 @@ class TestAdmission:
         report = admit_flows(_topo(), flows)
         # flow 2 rejected; flow 3 still fits in the remainder
         assert report.verdict(3).admitted
-        assert report.utilization(("sw0", 0)) == pytest.approx(
-            mbps(350) / mbps(375)
-        )
+        assert report.port_reserved_bps[("sw0", 0)] == mbps(350)
+        assert report.port_budget_bps[("sw0", 0)] == mbps(375)
 
     def test_disjoint_paths_do_not_compete(self):
         """Star: two talkers on different leaves only share the core->leaf

@@ -52,8 +52,8 @@ class TestWindowSet:
             ws.add(GateWindow(6, 200, 400))
 
     def test_utilization(self):
-        ws = WindowSet(1000, [GateWindow(7, 0, 250)])
-        assert ws.utilization() == 0.25
+        ws = WindowSet(1000, [GateWindow(7, 0, 250), GateWindow(6, 500, 600)])
+        assert sum(w.duration_ns for w in ws) / ws.cycle_ns == 0.35
 
     def test_scheduled_queues(self):
         ws = WindowSet(1000, [GateWindow(7, 100, 200), GateWindow(5, 400, 500)])

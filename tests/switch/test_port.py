@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.errors import ConfigurationError, SimulationError
+from repro.sim.clock import LocalClock
 from repro.sim.kernel import Simulator
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switch.counters import SwitchCounters
-from repro.switch.gates import CqfPair, GateEngine
+from repro.switch.gates import GATE_EVENT_PRIORITY, CqfPair, GateEngine
 from repro.switch.packet import EthernetFrame, make_mac
 from repro.switch.port import EgressPort
 from repro.switch.queueing import BufferPool, MetadataQueue
@@ -14,7 +15,8 @@ from repro.switch.scheduler import (
     DeficitRoundRobinScheduler,
     StrictPriorityScheduler,
 )
-from repro.switch.tables import GateControlList, GateEntry
+from repro.switch.shaper import CreditBasedShaper
+from repro.switch.tables import CbsParams, GateControlList, GateEntry
 
 GBPS = 10**9
 
@@ -24,13 +26,15 @@ def _frame(size=64, pcp=7):
 
 
 def _port(sim, depth=4, buffers=8, out_entries=None, in_entries=None,
-          pairs=(), tracer=NULL_TRACER, scheduler=None, **options):
+          pairs=(), tracer=NULL_TRACER, scheduler=None, clock=None,
+          **options):
     queues = [MetadataQueue(depth, q) for q in range(8)]
     in_gcl, out_gcl = GateControlList(2), GateControlList(3)
     in_gcl.program(in_entries or [GateEntry(0xFF, 1_000_000)])
     out_gcl.program(out_entries or [GateEntry(0xFF, 1_000_000)])
     gates = GateEngine(
-        sim, in_gcl, out_gcl, cqf_pairs=list(pairs), tracer=tracer
+        sim, in_gcl, out_gcl, clock=clock, cqf_pairs=list(pairs),
+        tracer=tracer,
     )
     port = EgressPort(
         sim=sim,
@@ -325,3 +329,121 @@ class TestSoleBacklog:
         assert (sole._deficits, sole._rotation) == (
             kicked._deficits, kicked._rotation
         )
+
+    # Queues 5 and 3 are closed for the first 1 000 ns; queue 3 also for
+    # the next 1 000 when three segments are programmed.
+    CLOSED_5_3 = 0xFF & ~0x28
+    CLOSED_3 = 0xFF & ~0x08
+
+    @staticmethod
+    def _kicks(monkeypatch):
+        """The instants at which any port re-arbitrates from here on."""
+        kicks = []
+        original = EgressPort.kick
+
+        def kick(self):
+            kicks.append(self._sim.now)
+            original(self)
+
+        monkeypatch.setattr(EgressPort, "kick", kick)
+        return kicks
+
+    @staticmethod
+    def _gate_wakeups(monkeypatch):
+        """Every action posted at the gate wakeups' priority from here on."""
+        actions = []
+        original = Simulator.post_at
+
+        def post_at(self, time, action, priority=0):
+            if priority == GATE_EVENT_PRIORITY:
+                actions.append(action)
+            original(self, time, action, priority)
+
+        monkeypatch.setattr(Simulator, "post_at", post_at)
+        return actions
+
+    def test_lone_wakeup_starts_its_frame_without_arbitrating(
+        self, monkeypatch
+    ):
+        sim = Simulator()
+        port = _port(sim, **self.CQF)
+        delivered = []
+        port.attach(lambda f: delivered.append(sim.now))
+        wakeups = self._gate_wakeups(monkeypatch)
+        kicks = self._kicks(monkeypatch)
+        port.enqueue(_frame(), 7)
+        sim.run(until=100_000)
+        assert delivered == [1000 + 512]
+        assert kicks == []
+        # A closure of the port module, as the benchmark's trace names it.
+        (wake,) = wakeups
+        assert wake.__module__ == "repro.switch.port"
+        assert wake != port._gate_wake_fire
+
+    def test_higher_priority_arrival_is_arbitrated_first(self, monkeypatch):
+        sim = Simulator()
+        port = _port(sim, out_entries=[GateEntry(self.CLOSED_5_3, 1000),
+                                       GateEntry(0xFF, 1_000_000)])
+        sent = []
+        port.attach(lambda f: sent.append((sim.now, f.pcp)))
+        kicks = self._kicks(monkeypatch)
+        port.enqueue(_frame(pcp=3), 3)  # lone: wakes at 1000
+        sim.post_at(100, lambda: port.enqueue(_frame(pcp=5), 5))
+        sim.run(until=100_000)
+        assert sent == [(1000 + 512, 5), (1000 + 672 + 512, 3)]
+        assert 1000 in kicks  # the wakeup re-arbitrated
+
+    def test_busy_wire_at_the_boundary_defers_the_start(self, monkeypatch):
+        sim = Simulator()
+        port = _port(sim, out_entries=[GateEntry(self.CLOSED_3, 1000),
+                                       GateEntry(0xFF, 1_000_000)])
+        sent = []
+        port.attach(lambda f: sent.append((sim.now, f.pcp)))
+        kicks = self._kicks(monkeypatch)
+        port.enqueue(_frame(pcp=3), 3)  # lone: wakes at 1000
+        # Queue 5 is open: this frame holds the wire from 700 to 1372.
+        sim.post_at(700, lambda: port.enqueue(_frame(pcp=5), 5))
+        sim.run(until=100_000)
+        assert sent == [(700 + 512, 5), (700 + 672 + 512, 3)]
+        assert 1000 in kicks
+
+    def test_rate_change_before_the_boundary_falls_back(self, monkeypatch):
+        # The lone frame's window opens at 2000; a clock slowed by 2 % at
+        # 500 keeps the committed boundary at 1000 and moves the next one
+        # to 1000 + 1020, so the frame may start only at 2020.
+        sim = Simulator()
+        clock = LocalClock(sim)
+        port = _port(sim, clock=clock, out_entries=[
+            GateEntry(self.CLOSED_3, 1000), GateEntry(self.CLOSED_3, 1000),
+            GateEntry(0xFF, 1000),
+        ])
+        delivered = []
+        port.attach(lambda f: delivered.append(sim.now))
+        kicks = self._kicks(monkeypatch)
+        port.enqueue(_frame(pcp=3), 3)
+        sim.post_at(500, lambda: clock.set_drift_ppm(-20_000))
+        sim.run(until=2999)
+        assert kicks == [2000, 2020]
+        assert delivered == [2020 + 512]
+
+    @pytest.mark.parametrize("options", [
+        dict(scheduler=DeficitRoundRobinScheduler()),
+        dict(scheduler=StrictPriorityScheduler(shapers={
+            3: CreditBasedShaper(CbsParams.for_reservation(10**8, GBPS)),
+        })),
+        dict(preemption_enabled=True),
+    ], ids=["drr", "shaped-queue", "preempting"])
+    def test_other_ports_keep_the_arbitrating_wakeup(
+        self, monkeypatch, options
+    ):
+        sim = Simulator()
+        port = _port(sim, out_entries=[GateEntry(self.CLOSED_3, 1000),
+                                       GateEntry(0xFF, 1_000_000)],
+                     **options)
+        delivered = []
+        port.attach(lambda f: delivered.append(sim.now))
+        wakeups = self._gate_wakeups(monkeypatch)
+        port.enqueue(_frame(pcp=3), 3)
+        sim.run(until=100_000)
+        assert wakeups == [port._gate_wake_fire]
+        assert delivered == [1000 + 512]

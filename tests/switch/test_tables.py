@@ -127,12 +127,13 @@ class TestGateEntry:
 
 
 class TestGateControlList:
-    def test_append_capacity(self):
+    def test_program_up_to_capacity(self):
         gcl = GateControlList(2)
-        gcl.append(GateEntry(0xFF, 10))
-        gcl.append(GateEntry(0x0F, 10))
+        gcl.program([GateEntry(0xFF, 10), GateEntry(0x0F, 10)])
+        assert len(gcl) == gcl.capacity
         with pytest.raises(CapacityError):
-            gcl.append(GateEntry(0xFF, 10))
+            gcl.program([GateEntry(0xFF, 10)] * 3)
+        assert [entry.gate_states for entry in gcl] == [0xFF, 0x0F]
 
     def test_program_atomic(self):
         gcl = GateControlList(2)

@@ -81,8 +81,10 @@ _QBV_LINE = {
 
 #: name -> (document, observers attached, ceiling in calls per switch-hop,
 #: ceiling in kernel events per switch-hop).  The measured calls were
-#: 30.07, 38.95, and 31.25 / 32.37 / 36.50 / 38.25 on the Qbv line as the
-#: observers are added (31.15, 40.36, and 32.44 / 33.56 / 37.69 / 39.44
+#: 26.07, 38.64, and 31.13 / 32.25 / 36.38 / 38.13 on the Qbv line as the
+#: observers are added (30.07, 38.95, and 31.25 / 32.37 / 36.50 / 38.25
+#: while a lone frame's gate wakeup re-arbitrated its port; 31.15, 40.36,
+#: and 32.44 / 33.56 / 37.69 / 39.44
 #: while each transmission allocated a record beside its descriptor and
 #: a host NIC started a window table; 31.26, 40.40, and 32.48 / 33.59 /
 #: 37.73 / 39.48 while each arbiter sorted its queues on its first hop;
@@ -103,7 +105,7 @@ WORKLOADS = {
             "flows": {"ts_count": 16, "period_us": 1000, "size_bytes": 64},
         },
         (),
-        33.1,
+        28.7,
         3.20,
     ),
     "star_dense": (
@@ -159,15 +161,38 @@ def count_calls(fn, *args):
     return calls, result
 
 
-def counted_run(name: str) -> Tuple[int, int, int]:
-    """(Python calls, switch-hops, kernel events) of one run of *name*."""
+def count_opcodes(fn, *args):
+    """(Python bytecodes executed while ``fn(*args)`` runs, its result)."""
+    opcodes = 0
+
+    def trace(frame, event, arg):
+        nonlocal opcodes
+        if event == "opcode":
+            opcodes += 1
+        elif event == "call":
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return opcodes, result
+
+
+def counted_run(name: str, count=count_calls) -> Tuple[int, int, int]:
+    """(Python calls, or what *count* counts, switch-hops, kernel events)
+    of one run of *name*."""
     document, observers = WORKLOADS[name][:2]
     spec = ScenarioSpec.from_dict(dict(_COMMON, name="hop-budget", **document))
     testbed = spec.build_testbed(
         **{observer: OBSERVERS[observer][0]() for observer in observers}
     )
     testbed.build()
-    calls, result = count_calls(testbed.run, spec.duration_ns)
+    calls, result = count(testbed.run, spec.duration_ns)
     hops = sum(s.counters.transmitted for s in result.switches.values())
     return calls, hops, result.sim_stats["fired"]
 
@@ -367,11 +392,21 @@ def test_work_reads_its_exact_counts(name):
     assert per_unit(name)[1] == WORK[name][2]
 
 
+#: The runs whose bytecodes per switch-hop ``python -m`` also prints: no
+#: ceiling holds them, since calls counted alone have mispredicted time
+#: (a call removed costs a few bytecodes; an inlined one, dozens).
+BYTECODE_RUNS = ("ring_deep", "star_dense", "linear_qbv_bare",
+                 "linear_qbv_observed")
+
+
 if __name__ == "__main__":
     for name in WORKLOADS:
         calls, events = per_hop(name)
         print(f"{name}: {calls:.2f} calls, {events:.4f} events per "
               f"switch-hop")
+    for name in BYTECODE_RUNS:
+        opcodes, hops, _ = counted_run(name, count_opcodes)
+        print(f"{name}: {opcodes / hops:.0f} bytecodes per switch-hop")
     for observer, (_, without, with_it, _) in OBSERVERS.items():
         print(f"{observer}: +{per_hop(with_it)[0] - per_hop(without)[0]:.2f} "
               f"calls per switch-hop")
